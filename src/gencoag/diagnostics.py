@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .operators import make_rhs, ohs_velocities, weak_action
+from .operators import make_rhs, weak_action
 from .sizedomain import Trajectory, weighted_norm
 
 THETA_SLACK = 1.0e-10
@@ -214,6 +214,16 @@ def _snap_to_edge(grid, lam):
     return max(1, m)
 
 
+def _edge_velocity_weights(grid, m: int, kernel) -> np.ndarray:
+    """Weights c with c @ zeta[:m-1] = ohs_velocities(zeta)[m-1], the velocity at edge m.
+
+    Only the partners with center strictly below x[m-1] enter, so one kernel
+    row of length m - 1 replaces the N x N edge-kernel table.
+    """
+    x = grid.centers[: m - 1]
+    return np.asarray(kernel.eval(grid.edges[m], x)) * x * grid.widths[: m - 1]
+
+
 def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
     """Residual of the finite-size mass balance at threshold lambda.
 
@@ -245,12 +255,12 @@ def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
         return {"lambda": lam_edge, "residual": resid, "lhs": lhs, "rhs": rhs}
 
     K = np.asarray(kernel.eval(x[m:][:, None], x[:m][None, :]))
+    v_weights = _edge_velocity_weights(grid, m, kernel)
 
     def rate(s):
         zd = s.values * grid.widths
         coll = float(np.sum(K * np.outer(zd[m:], x[:m] * zd[:m])))
-        v_edge = float(ohs_velocities(s, kernel)[m - 1])
-        flux = lam_edge * s.values[m - 1] * v_edge
+        flux = lam_edge * s.values[m - 1] * float(v_weights @ s.values[: m - 1])
         return coll + flux
 
     rates = np.array([rate(s) for s in traj])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GencoagError
 from .integrator import DtPolicy, evolve, initial_dt_heuristic
 from .kernels import Kernel, truncate
 from .operators import make_rhs
@@ -111,7 +111,8 @@ def _eps_member(args):
     try:
         traj = run_model("generalized", config.kernel, grid, initial,
                          config.horizon, config.policy, snaps, eps=eps)
-    except Exception as exc:  # stiffness or config failure: mark, keep sweeping
+    except (GencoagError, FloatingPointError) as exc:
+        # stiffness or config failure: mark, keep sweeping; a bug still raises
         return eps, n, None, repr(exc)
     # every member must individually respect the weighted-moment bound
     sigma = config.kernel.sigma
@@ -212,7 +213,7 @@ def run_n_sweep(config: SweepConfig, model: str = "generalized",
         try:
             traj = run_model(model, config.kernel, grid, initial, config.horizon,
                              config.policy, (config.horizon,), eps=eps)
-        except Exception as exc:
+        except (GencoagError, FloatingPointError) as exc:
             table.failed.append({"eps": eps, "n": n, "error": repr(exc)})
             finals.append(None)
             continue

@@ -95,6 +95,17 @@ class Kernel:
             return float(out)
         return out
 
+    def factors(self, x):
+        """Separable factors of the kernel on the lower triangle of ``x``.
+
+        Returns a list of ``(f, g)`` arrays sampled at ``x`` with
+        Lambda(x_m, x_j) = sum_r f_r[m] g_r[j] whenever x_j <= x_m, or None
+        when the kernel has no explicit factorization.  Every factor is
+        nonnegative.  A subclass that overrides ``_rate`` must override this
+        method as well; the base class and tabulated kernels return None.
+        """
+        return None
+
 
 class ConstantKernel(Kernel):
     """Lambda = rate (default 1)."""
@@ -110,6 +121,10 @@ class ConstantKernel(Kernel):
     def _rate(self, lo, hi):
         return np.broadcast_to(np.float64(self.rate), np.broadcast(lo, hi).shape).copy()
 
+    def factors(self, x):
+        x = np.asarray(x, dtype=float)
+        return [(np.full_like(x, self.rate), np.ones_like(x))]
+
 
 class SingularProductKernel(Kernel):
     """Lambda = k (mu nu)^(-sigma); attains its small-size bound identically."""
@@ -124,6 +139,10 @@ class SingularProductKernel(Kernel):
     def _rate(self, lo, hi):
         return self.k * (lo * hi) ** (-self.sigma)
 
+    def factors(self, x):
+        power = np.asarray(x, dtype=float) ** (-self.sigma)
+        return [(self.k * power, power)]
+
 
 class AdditiveKernel(Kernel):
     """Lambda = mu + nu; needs k >= 2 for the (0,1)^2 regime."""
@@ -135,6 +154,10 @@ class AdditiveKernel(Kernel):
 
     def _rate(self, lo, hi):
         return np.asarray(lo + hi, dtype=float)
+
+    def factors(self, x):
+        x = np.asarray(x, dtype=float)
+        return [(x, np.ones_like(x)), (np.ones_like(x), x)]
 
 
 class TabulatedKernel(Kernel):
@@ -242,16 +265,33 @@ class TruncatedKernel:
         """2 k n^(2 + 2 sigma), the a-priori sup of the masked kernel."""
         return 2.0 * self.base.k * self.n ** (2.0 + 2.0 * self.base.sigma)
 
+    def _inside(self, mu):
+        return (mu >= 1.0 / self.n) & (mu <= self.n)
+
     def eval(self, mu, nu):
         mu, nu = _check_positive_args(mu, nu)
-        inside = (
-            (mu >= 1.0 / self.n) & (mu <= self.n) & (nu >= 1.0 / self.n) & (nu <= self.n)
-        )
+        inside = self._inside(mu) & self._inside(nu)
         vals = np.asarray(self.base.eval(mu, nu), dtype=float)
         out = np.where(inside, vals, 0.0)
         assert np.all(out <= self.sup_bound * (1.0 + 1e-12)), "kernel exceeds 2 k n^(2+2s)"
         if out.ndim == 0:
             return float(out)
+        return out
+
+    def factors(self, x):
+        """Factors of the base kernel times the box indicator (None if it has none).
+
+        The box mask is itself separable, so the product is exact.  The sup
+        bound holds because sum_r max f_r * max g_r bounds the kernel.
+        """
+        x, _ = _check_positive_args(x, x)
+        base = self.base.factors(x)
+        if base is None:
+            return None
+        inside = self._inside(x)
+        out = [(np.where(inside, f, 0.0), np.where(inside, g, 0.0)) for f, g in base]
+        bound = sum(f.max(initial=0.0) * g.max(initial=0.0) for f, g in out)
+        assert bound <= self.sup_bound * (1.0 + 1e-12), "kernel exceeds 2 k n^(2+2s)"
         return out
 
 

@@ -19,6 +19,23 @@ Smoluchowski specialization):
 With these rules the semi-discrete system satisfies, exactly in floating
 point: d/dt(M1) + outflux_rate = 0, d/dt(M0) <= 0, and the epsilon = 1
 operator coincides with the Smoluchowski one cellwise.
+
+The epsilon-family operator has two implementations of the same
+quadrature, chosen by the kernel alone:
+
+* :class:`LagScheme`, for kernels whose ``factors(x)`` returns separable
+  factors Lambda(x_m, x_j) = sum_r f_r(x_m) g_r(x_j) on x_j <= x_m (the
+  constant, singular-product and additive families).  On a geometric grid
+  the product of the pair (m, m - d) is x_m (1 + eps r^-d), so its deposit
+  offset and two-point weight depend on the lag d only.  Births become a
+  few direct convolutions, one pair per group of lags sharing an offset;
+  deaths become prefix and suffix sums.  Products landing at the top of the
+  grid are deposited, or sent to the outflux, from the exact product, as
+  in the dense scheme.  Memory is O(N * largest offset), not O(N^2).
+* :class:`PairScheme`, the dense form over all N(N+1)/2 pairs, for kernels
+  whose ``factors`` returns None (tabulated and user kernels).
+
+The two agree cellwise to rounding of the deposit weights.
 """
 
 from __future__ import annotations
@@ -78,6 +95,37 @@ def _deposit_targets(x, p):
     return a, w, overflow
 
 
+class _PairSet:
+    """Ordered pairs (big m >= small j) with their exact collision products.
+
+    Holds the per-pair event rate factor and the two-point deposit of the
+    product p = x_m + eps * x_j, or its overflow into the boundary ledger.
+    """
+
+    def __init__(self, x, K, m_idx, j_idx, eps):
+        self.m_idx = m_idx
+        self.j_idx = j_idx
+        self.diag = m_idx == j_idx
+        # events per unit zd_m zd_j; the diagonal carries the double integral once
+        self.rate = np.where(self.diag, 0.5, 1.0) * K / eps
+        p = x[m_idx] + eps * x[j_idx]
+        a, w, over = _deposit_targets(x, p)
+        self.over = over
+        self.a = a[~over]
+        self.w = w[~over]
+        self.p_over = p[over]
+
+    def events(self, zd):
+        return self.rate * zd[self.m_idx] * zd[self.j_idx]
+
+    def deposit(self, events, size):
+        """Births per cell from the in-domain products, and the mass outflux rate."""
+        ev = events[~self.over]
+        births = np.bincount(self.a, weights=ev * self.w, minlength=size)
+        births += np.bincount(self.a + 1, weights=ev * (1.0 - self.w), minlength=size)
+        return births, float(np.sum(events[self.over] * self.p_over))
+
+
 class PairScheme:
     """Pairwise event quadrature of the generalized (epsilon-family) operator.
 
@@ -86,6 +134,9 @@ class PairScheme:
     diagonal, which carries the symmetric double integral once).  Each
     event removes the big particle, removes the small one and rebirths it
     with weight (1 - eps), and creates one product at x_m + eps * x_j.
+
+    This dense form stores all N(N+1)/2 pairs; it serves kernels without
+    separable factors.
     """
 
     def __init__(self, grid: SizeGrid, kernel: TruncatedKernel, eps: float):
@@ -95,34 +146,93 @@ class PairScheme:
         self.eps = float(eps)
         x = grid.centers
         m_idx, j_idx = np.tril_indices(grid.size)
-        self.m_idx = m_idx
-        self.j_idx = j_idx
-        self.diag = m_idx == j_idx
-        self.K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
-        p = x[m_idx] + eps * x[j_idx]
-        self.p = p
-        self.a, self.w, self.over = _deposit_targets(x, p)
-        self.valid = ~self.over
+        K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
+        self.pairs = _PairSet(x, K, m_idx, j_idx, self.eps)
+
+    def rhs(self, values: np.ndarray):
+        grid = self.grid
+        pairs = self.pairs
+        events = pairs.events(values * grid.widths)
+        outgo_big = np.where(pairs.diag, (1.0 + self.eps) * events, events)
+        outgo_small = np.where(pairs.diag, 0.0, self.eps * events)
+        outgo = np.bincount(pairs.m_idx, weights=outgo_big, minlength=grid.size)
+        outgo += np.bincount(pairs.j_idx, weights=outgo_small, minlength=grid.size)
+        births, outflux = pairs.deposit(events, grid.size)
+        return (births - outgo) / grid.widths, outflux
+
+
+class LagScheme:
+    """The generalized operator of :class:`PairScheme` without its pair table.
+
+    Needs separable kernel factors, Lambda(x_m, x_j) = sum_r f_r[m] g_r[j]
+    for j <= m, and uses the geometric grid's lag structure: the product of
+    the pair (m, m - d) sits at x_m (1 + eps r^-d), so its deposit offset
+    o_d = a - m and two-point weight w_d depend on the lag d only.  With
+    u_r = f_r zd and v_r = g_r zd,
+
+    * births into cells m + o and m + o + 1 are u_r[m] times a direct
+      convolution of v_r with the weights of the lags in offset group o,
+      so they stay sums of nonnegative terms;
+    * deaths are u_r (prefix(v_r) - v_r / 2) / eps + v_r (suffix(u_r) - u_r / 2);
+    * pairs whose product lands at or above the second-to-last cell form a
+      band of at most N (max o_d + 2) pairs that is deposited from the exact
+      product x_m + eps x_j, as in the dense scheme, and carries the whole
+      outflux.
+    """
+
+    def __init__(self, grid: SizeGrid, factors, eps: float):
+        if not (0.0 < eps <= 1.0):
+            raise DomainError("eps must lie in (0, 1]")
+        self.grid = grid
+        self.eps = float(eps)
+        x = grid.centers
+        size = grid.size
+        self.f = np.array([f for f, _ in factors])
+        self.g = np.array([g for _, g in factors])
+
+        # Lag d: product at x_m * q_d, bracketed by the center ratios y.
+        # q_d decreases with d, so each offset covers one run of lags.
+        lags = np.arange(size)
+        y = x / x[0]
+        q = 1.0 + self.eps * (x[0] / x)
+        offset = np.searchsorted(y, q, side="right") - 1
+        rate = np.where(lags == 0, 0.5, 1.0) / self.eps
+
+        # Convolution groups: lags [lo, hi) share offset o; pairs with
+        # m < top = size - 2 - o deposit strictly below the band.
+        self.groups = []
+        for o, lo, length in zip(*np.unique(offset, return_index=True, return_counts=True)):
+            hi, top = lo + length, size - 2 - o
+            if lo >= top:
+                continue
+            w = np.clip((y[o + 1] - q[lo:hi]) / (y[o + 1] - y[o]), 0.0, 1.0)
+            self.groups.append((int(o), int(lo), int(top), w * rate[lo:hi],
+                                (1.0 - w) * rate[lo:hi]))
+
+        # Band: for each lag, the pairs with m + o_d >= size - 2.
+        start = np.maximum(lags, size - 2 - offset)
+        count = size - start
+        within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        m_idx = np.repeat(start, count) + within
+        j_idx = m_idx - np.repeat(lags, count)
+        K = np.einsum("rp,rp->p", self.f[:, m_idx], self.g[:, j_idx])
+        self.band = _PairSet(x, K, m_idx, j_idx, self.eps)
 
     def rhs(self, values: np.ndarray):
         grid = self.grid
         zd = values * grid.widths
-        rate = self.K * zd[self.m_idx] * zd[self.j_idx]
-        events = rate / self.eps
-        events = np.where(self.diag, 0.5 * events, events)
-
-        outgo_big = np.where(self.diag, (1.0 + self.eps) * events, events)
-        outgo_small = np.where(self.diag, 0.0, self.eps * events)
-        outgo = np.bincount(self.m_idx, weights=outgo_big, minlength=grid.size)
-        outgo += np.bincount(self.j_idx, weights=outgo_small, minlength=grid.size)
-
-        ev = events[self.valid]
-        wv = self.w[self.valid]
-        av = self.a[self.valid]
-        births = np.bincount(av, weights=ev * wv, minlength=grid.size)
-        births += np.bincount(av + 1, weights=ev * (1.0 - wv), minlength=grid.size)
-
-        outflux = float(np.sum(events[self.over] * self.p[self.over]))
+        u = self.f * zd
+        v = self.g * zd
+        births, outflux = self.band.deposit(self.band.events(zd), grid.size)
+        for o, lo, top, h_lo, h_hi in self.groups:
+            span = top - lo
+            for ur, vr in zip(u, v):
+                big = ur[lo:top]
+                births[lo + o:top + o] += big * np.convolve(vr[:span], h_lo)[:span]
+                births[lo + o + 1:top + o + 1] += big * np.convolve(vr[:span], h_hi)[:span]
+        prefix = np.cumsum(v, axis=1)
+        suffix = np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
+        outgo = np.sum(u * (prefix - 0.5 * v) / self.eps + v * (suffix - 0.5 * u), axis=0)
         return (births - outgo) / grid.widths, outflux
 
 
@@ -199,7 +309,10 @@ class OhsScheme:
 
 @lru_cache(maxsize=8)
 def _pair_scheme(grid, kernel, eps):
-    return PairScheme(grid, kernel, eps)
+    factors = kernel.factors(grid.centers)
+    if factors is None:
+        return PairScheme(grid, kernel, eps)
+    return LagScheme(grid, factors, eps)
 
 
 @lru_cache(maxsize=8)

@@ -30,7 +30,8 @@ class SizeGrid:
     n : float
         Truncation parameter; the domain is (1/n, n).
     cells_per_decade : int
-        Resolution; the cell count is round(2 * cells_per_decade * log10(n)).
+        Resolution; the cell count is round(2 * cells_per_decade * log10(n))
+        and must be at least 2.
     """
 
     def __init__(self, n, cells_per_decade):
@@ -41,7 +42,12 @@ class SizeGrid:
             raise DomainError("cells_per_decade must be >= 4")
         self.n = float(n)
         self.cells_per_decade = cells_per_decade
-        count = max(1, round(2.0 * cells_per_decade * math.log10(n)))
+        count = round(2.0 * cells_per_decade * math.log10(n))
+        if count < 2:
+            raise DomainError(
+                f"grid n={n}, cells_per_decade={cells_per_decade} has {count} cell(s); "
+                "at least 2 are needed"
+            )
         edges = np.exp(np.linspace(math.log(1.0 / n), math.log(n), count + 1))
         edges[0] = 1.0 / n
         edges[-1] = n

@@ -17,6 +17,7 @@ from gencoag import (
 from gencoag import testfuncs
 from gencoag.diagnostics import (
     DiagnosticsReport,
+    _edge_velocity_weights,
     equicontinuity_modulus,
     mass_flux_identity,
     moment_monotonicity_check,
@@ -29,6 +30,7 @@ from gencoag.diagnostics import (
     weak_form_residual,
 )
 from gencoag.experiments import run_model
+from gencoag.operators import ohs_velocities
 from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 
 
@@ -258,6 +260,17 @@ class TestMassFluxIdentity:
         m1 = np.array([weighted_norm(s, "mass") for s in traj])
         expect = np.abs((m1 - m1[0]) + np.asarray(traj.outflux))
         assert np.allclose(out["residual"], expect, atol=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.06, 0.5, 1.0, 10.0])
+    def test_hoisted_edge_velocity(self, const_run, lam):
+        # one kernel row per call reproduces the N x N edge-kernel velocity
+        grid, kernel, density, traj = const_run
+        m = int(np.argmin(np.abs(grid.edges - lam)))
+        weights = _edge_velocity_weights(grid, m, kernel)
+        for s in traj:
+            expect = ohs_velocities(s, kernel)[m - 1]
+            got = weights @ s.values[: m - 1]
+            assert abs(got - expect) <= 1e-14 * abs(expect)
 
     def test_ohs_first_order_refinement(self):
         # lambda inside the support: residual is transport-discretization

@@ -3,6 +3,7 @@ import pytest
 
 from gencoag import (
     ConfigError,
+    StiffnessError,
     ConstantKernel,
     DtPolicy,
     ExponentialProfile,
@@ -11,6 +12,7 @@ from gencoag import (
     make_grid,
     sample_initial,
 )
+from gencoag import experiments
 from gencoag.experiments import (
     lattice_n,
     SweepConfig,
@@ -33,6 +35,39 @@ def small_config(kernel=None, **kw):
     kw.setdefault("cells_per_decade", 16)
     kw.setdefault("horizon", 0.5)
     return SweepConfig(kernel=kernel or ConstantKernel(1.0), **kw)
+
+
+def _failing_generalized(exc):
+    """make_rhs whose generalized operator raises ``exc``; other models run."""
+    real = experiments.make_rhs
+
+    def make_rhs(model, kernel, eps=None):
+        if model != "generalized":
+            return real(model, kernel, eps)
+
+        def rhs(density):
+            raise exc
+        return rhs
+    return make_rhs
+
+
+class TestMemberFailures:
+    def test_package_error_marks_member(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_rhs",
+                            _failing_generalized(StiffnessError("stiff", time=0.0, dt=1e-3)))
+        table = run_eps_sweep(small_config(eps_list=(1.0, 0.5)))
+        assert [f["eps"] for f in table.failed] == [1.0, 0.5]
+        assert all("StiffnessError" in f["error"] for f in table.failed)
+        table = run_n_sweep(small_config(n_list=(10.0, 20.0)), eps=0.5)
+        assert [f["n"] for f in table.failed] == [10.0, 20.0]
+        assert table.rows == []
+
+    def test_programming_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(TypeError("bug")))
+        with pytest.raises(TypeError):
+            run_eps_sweep(small_config(eps_list=(0.5,)))
+        with pytest.raises(TypeError):
+            run_n_sweep(small_config(n_list=(10.0, 20.0)), eps=0.5)
 
 
 class TestEpsSweep:

@@ -13,6 +13,7 @@ from gencoag import (
     certify_derivative,
     certify_growth,
     kernel_from_config,
+    make_grid,
     truncate,
 )
 
@@ -169,6 +170,57 @@ class TestTruncate:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             truncate(ConstantKernel(), 1.0)
+
+
+class TestFactors:
+    @pytest.mark.parametrize("base", [
+        ConstantKernel(2.5),
+        SingularProductKernel(k=1.3, sigma=0.3),
+        AdditiveKernel(),
+    ], ids=lambda b: b.family)
+    def test_reproduce_eval_on_lower_triangle(self, base):
+        grid = make_grid(50.0, 16)
+        x = grid.centers
+        tk = truncate(base, 50.0)
+        factors = tk.factors(x)
+        assert len(factors) == {"constant": 1, "singular_product": 1, "additive": 2}[base.family]
+        m, j = np.tril_indices(x.size)
+        got = sum(f[m] * g[j] for f, g in factors)
+        expect = tk.eval(x[m], x[j])
+        assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+        assert all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
+
+    def test_box_indicator(self):
+        tk = truncate(AdditiveKernel(), 4.0)
+        x = np.array([0.1, 0.25, 1.0, 4.0, 5.0])
+        inside = np.array([False, True, True, True, False])
+        for f, g in tk.factors(x):
+            assert np.all(f[~inside] == 0.0) and np.all(g[~inside] == 0.0)
+            assert np.all(f[inside] > 0.0) and np.all(g[inside] > 0.0)
+
+    def test_no_factors(self):
+        class Exponential(Kernel):
+            def _rate(self, lo, hi):
+                return np.exp(-(lo + hi))
+
+        nodes = np.geomspace(0.1, 10.0, 5)
+        x = np.geomspace(0.2, 5.0, 7)
+        for base in (Exponential(k=1.0),
+                     TabulatedKernel(nodes, np.ones((5, 5)))):
+            assert base.factors(x) is None
+            assert truncate(base, 10.0).factors(x) is None
+
+    def test_sup_bound_asserted(self):
+        # 2 k n^(2+2s) = 8 here, below the rate: factors fail like eval
+        tk = truncate(ConstantKernel(100.0, k=1.0), 2.0)
+        with pytest.raises(AssertionError):
+            tk.eval(1.0, 1.0)
+        with pytest.raises(AssertionError):
+            tk.factors(np.array([1.0]))
+
+    def test_nonpositive_argument_rejected(self):
+        with pytest.raises(DomainError):
+            truncate(ConstantKernel(), 4.0).factors(np.array([1.0, 0.0]))
 
 
 class TestTabulated:

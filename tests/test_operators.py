@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_trio, random_density
@@ -8,8 +8,11 @@ from gencoag import (
     ConfigError,
     ConstantKernel,
     EpsParams,
+    Kernel,
     MonodisperseProfile,
     NumberDensity,
+    SingularProductKernel,
+    TabulatedKernel,
     generalized_rhs,
     make_grid,
     ohs_rhs,
@@ -20,6 +23,7 @@ from gencoag import (
     weak_action,
     weighted_norm,
 )
+from gencoag.operators import LagScheme, PairScheme, _pair_scheme
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -144,6 +148,100 @@ class TestGeneralizedRhs:
                 dist = np.sum(np.abs(d1.values - d2.values) * dx)
                 bound = kernel.sup_bound * (1.0 / eps + 2.0) * (n1 + n2) * dist
                 assert lhs <= bound
+
+
+def dense_and_lag(grid, kernel, eps, values):
+    """Both generalized schemes on one density, plus the gross event rate per cell.
+
+    The gross rate of a cell is its births plus its deaths (number per unit
+    time).  Births count each event that deposits into the cell whole, not
+    by its two-point share: rounding of the split weights scales with the
+    event, and a share can be far below its event at small eps.
+    """
+    dense = PairScheme(grid, kernel, eps)
+    lag = LagScheme(grid, kernel.factors(grid.centers), eps)
+    pairs = dense.pairs
+    events = pairs.events(values * grid.widths)
+    births = np.bincount(pairs.a, weights=events[~pairs.over], minlength=grid.size)
+    births += np.bincount(pairs.a + 1, weights=events[~pairs.over], minlength=grid.size)
+    deaths = np.bincount(pairs.m_idx, weights=events, minlength=grid.size)
+    deaths += np.bincount(pairs.j_idx, weights=eps * events, minlength=grid.size)
+    return dense.rhs(values), lag.rhs(values), births + deaths
+
+
+class TestLagScheme:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.floats(1.5, 1000.0),
+        cpd=st.integers(4, 64),
+        family=st.integers(0, 2),
+        eps=st.floats(2.0**-20, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense(self, n, cpd, family, eps, seed):
+        assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
+        grid = make_grid(n, cpd)
+        kernel = kernel_trio(n)[family]
+        values = np.random.default_rng(seed).random(grid.size)
+        (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
+            grid, kernel, eps, values)
+        diff = np.abs(dz_lag - dz_dense) * grid.widths
+        assert np.all(diff <= 1e-12 * gross)
+        assert abs(out_lag - out_dense) <= 1e-12 * out_dense
+
+    @pytest.mark.parametrize("family", [0, 1, 2])
+    @pytest.mark.parametrize("n, cpd, eps", [
+        (100.0, 128, 0.25),
+        (100.0, 27, 2.0**-10),
+        (2.0, 10, 1.0),   # 2 x_m is a center: the diagonal product lands on the top one
+        (4.0, 10, 1.0),
+        (1.6, 4, 0.5),    # two cells: every pair is in the exact band
+    ])
+    def test_sparse_data(self, family, n, cpd, eps):
+        # a few occupied cells; a near-empty cell's own rate can be tiny, so
+        # differences are measured against the largest gross rate
+        grid = make_grid(n, cpd)
+        kernel = kernel_trio(n)[family]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            values = rng.random(grid.size) * (rng.random(grid.size) < 0.2)
+            (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
+                grid, kernel, eps, values)
+            diff = np.abs(dz_lag - dz_dense) * grid.widths
+            assert np.all(diff <= 1e-13 * max(gross.max(), 1e-300))
+            assert abs(out_lag - out_dense) <= 1e-13 * out_dense
+
+    def test_band_is_linear_in_cells(self):
+        # pairs kept for the top band: at most N * (largest offset + 2)
+        grid = make_grid(100.0, 128)
+        eps = 0.25
+        scheme = _pair_scheme(grid, truncate(SingularProductKernel(), 100.0), eps)
+        assert isinstance(scheme, LagScheme)
+        max_offset = np.ceil(np.log1p(eps) / np.log(grid.ratio()))
+        assert scheme.band.m_idx.size <= grid.size * (max_offset + 2)
+
+    def test_dispatch_on_factors(self, grid30):
+        for kernel in kernel_trio(30.0):
+            assert isinstance(_pair_scheme(grid30, kernel, 0.5), LagScheme)
+
+    def test_kernels_without_factors_take_dense_path(self):
+        class Exponential(Kernel):
+            def _rate(self, lo, hi):
+                return np.exp(-0.1 * (lo + hi))
+
+        nodes = np.geomspace(0.1, 10.0, 6)
+        table = 1.0 + np.add.outer(nodes, nodes)
+        grid = make_grid(8.0, 6)
+        rng = np.random.default_rng(21)
+        for base in (Exponential(k=1.0), TabulatedKernel(nodes, table, k=25.0)):
+            kernel = truncate(base, 8.0)
+            d = random_density(grid, rng)
+            for eps in (1.0, 0.3):
+                assert isinstance(_pair_scheme(grid, kernel, eps), PairScheme)
+                f = generalized_rhs(d, kernel, EpsParams(eps, 8.0))
+                expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
+                assert np.allclose(f.dzdt, expect, rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+                assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
 
 
 class TestSceRhs:

@@ -31,6 +31,15 @@ class TestMakeGrid:
         assert g.edges[0] == 1.0 / math.e
         assert g.edges[-1] == math.e
 
+    @pytest.mark.parametrize("n, cpd", [(1.05, 4), (1.2, 4)])
+    def test_fewer_than_two_cells_rejected(self, n, cpd):
+        # 0 and 1 cells; the pair operators need two centers for the grid ratio
+        with pytest.raises(DomainError):
+            make_grid(n, cpd)
+
+    def test_two_cells_accepted(self):
+        assert make_grid(1.6, 4).size == 2
+
     def test_four_decades(self):
         g = make_grid(100.0, 16)
         assert g.size == 64
