@@ -186,10 +186,10 @@ def cmd_simulate(args):
     for om in testfuncs.bump_library(grid):
         verdicts.append(diag.equicontinuity_modulus(traj, om, sigma, kernel.k))
 
-    weak_residuals = {}
-    for name in dsec.get("omegas", ["one", "mass"]):
-        om = _omega_from_name(name)
-        weak_residuals[name] = diag.weak_form_residual(traj, om(grid.centers), trunc, model, eps)
+    names = dsec.get("omegas", ["one", "mass"])
+    omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
+                        (len(names), grid.size))
+    weak_residuals = dict(zip(names, diag.weak_form_residual(traj, omegas, trunc, model, eps)))
 
     flux = []
     for frac in dsec.get("lambdas", [0.25, 0.5, 1.0]):

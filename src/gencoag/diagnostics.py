@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .operators import make_rhs, weak_action
+from .operators import make_rhs
 from .sizedomain import Trajectory, weighted_norm
 
 THETA_SLACK = 1.0e-10
@@ -188,23 +188,25 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
                        eps: float | None = None) -> np.ndarray:
     """|time-integrated weak action - moment change| per snapshot.
 
-    The right-hand side re-evaluates the model's operator on each snapshot
+    The right-hand side evaluates the model's operator once on each snapshot
     and accumulates sum_i omega(x_i) Q_i dx_i by the trapezoidal rule.
+    ``omega`` is a callable, its samples at the cell centers, or a stack of
+    samples with one test function per row; a stack gives one row of
+    residuals per test function.
     """
     grid = traj.grid
     om = omega(grid.centers) if callable(omega) else np.asarray(omega, dtype=float)
-    if om.shape != grid.centers.shape:
+    stack = np.atleast_2d(om)
+    if stack.shape[1:] != grid.centers.shape:
         raise ConfigError("omega must be sampled on the grid")
     rhs_op = make_rhs(model, kernel, eps)
-    actions = np.array([weak_action(rhs_op(s), om) for s in traj])
-    times = traj.times
-    lhs = np.array(
-        [float(np.sum(om * (s.values - traj[0].values) * grid.widths)) for s in traj]
-    )
-    rhs_cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (actions[:-1] + actions[1:]))]
-    )
-    return np.abs(lhs - rhs_cum)
+    actions = np.array([rhs_op(s).dzdt * grid.widths for s in traj]) @ stack.T
+    lhs = np.array([(s.values - traj[0].values) * grid.widths for s in traj]) @ stack.T
+    rhs_cum = np.zeros_like(actions)
+    rhs_cum[1:] = np.cumsum(0.5 * np.diff(traj.times)[:, None] * (actions[:-1] + actions[1:]),
+                            axis=0)
+    residual = np.abs(lhs - rhs_cum).T
+    return residual if om.ndim == 2 else residual[0]
 
 
 def _snap_to_edge(grid, lam):

@@ -42,6 +42,8 @@ class DtPolicy:
             raise DomainError("dt policy mode must be 'fixed' or 'adaptive'")
         if not (0.0 < self.safety <= 1.0):
             raise DomainError("safety must lie in (0, 1]")
+        if not (0.0 <= self.dt < np.inf):
+            raise DomainError("dt must be finite and >= 0 (0 selects the heuristic)")
 
 
 @dataclass
@@ -133,8 +135,8 @@ def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
     Observers are called as observer(time, density, stats) after each
     accepted step; they must not mutate the density.
     """
-    if T < 0.0:
-        raise DomainError("horizon T must be >= 0")
+    if not (0.0 <= T < np.inf):
+        raise DomainError("horizon T must be finite and >= 0")
     if policy.dt <= 0.0:
         raise DomainError("policy.dt must be positive (use initial_dt_heuristic)")
     traj = Trajectory()

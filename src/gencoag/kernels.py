@@ -60,12 +60,12 @@ class Kernel:
     family = "user"
 
     def __init__(self, k, sigma=0.0, eta=0.0, allow_large_sigma=False):
-        if k <= 0.0:
-            raise DomainError("growth constant k must be positive")
-        if sigma < 0.0:
-            raise DomainError("singularity exponent sigma must be >= 0")
-        if eta < 0.0:
-            raise DomainError("derivative constant eta must be >= 0")
+        if not (0.0 < k < np.inf):
+            raise DomainError("growth constant k must be positive and finite")
+        if not (0.0 <= sigma < np.inf):
+            raise DomainError("singularity exponent sigma must be finite and >= 0")
+        if not (0.0 <= eta < np.inf):
+            raise DomainError("derivative constant eta must be finite and >= 0")
         if sigma >= 0.5 and not allow_large_sigma:
             raise DomainError(
                 "sigma >= 0.5 requires allow_large_sigma=True "
@@ -113,8 +113,8 @@ class ConstantKernel(Kernel):
     family = "constant"
 
     def __init__(self, rate=1.0, k=None, sigma=0.0, eta=0.0, **kw):
-        if rate < 0.0:
-            raise DomainError("constant kernel rate must be >= 0")
+        if not (0.0 <= rate < np.inf):
+            raise DomainError("constant kernel rate must be finite and >= 0")
         super().__init__(k if k is not None else max(rate, 1.0), sigma, eta, **kw)
         self.rate = float(rate)
 
@@ -174,6 +174,8 @@ class TabulatedKernel(Kernel):
         super().__init__(k, sigma, eta, **kw)
         nodes = np.asarray(nodes, dtype=float)
         table = np.asarray(table, dtype=float)
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(table))):
+            raise ConfigError("tabulated kernel nodes and values must be finite")
         if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
             raise ConfigError("tabulated kernel needs >= 2 strictly increasing nodes")
         if np.any(nodes <= 0):

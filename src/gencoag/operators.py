@@ -4,8 +4,13 @@ All three operators act on cell-averaged densities over a geometric grid
 and return a :class:`RateField` carrying d(zeta)/dt per cell plus the rate
 at which mass leaves through the upper boundary (the outflux ledger rate).
 
-Design rules shared by the pairwise operators (epsilon family and its
-Smoluchowski specialization):
+The Smoluchowski equation (SCE) is the epsilon = 1 member of the
+generalized (epsilon-family) model and runs on its pair scheme; the
+full-square Smoluchowski quadrature lives in the tests as an independent
+oracle.  The Oort-Hulst-Safronov (OHS) limit has its own transport scheme.
+A scheme lives as long as the :func:`make_rhs` callable that built it.
+
+Design rules of the pair scheme:
 
 * every integral is a midpoint sum over cells, so birth/death pairings
   stay exactly dual and the linear weak-form identities hold to rounding;
@@ -17,11 +22,10 @@ Smoluchowski specialization):
   domain indicator of the truncated weak form without losing mass.
 
 With these rules the semi-discrete system satisfies, exactly in floating
-point: d/dt(M1) + outflux_rate = 0, d/dt(M0) <= 0, and the epsilon = 1
-operator coincides with the Smoluchowski one cellwise.
+point: d/dt(M1) + outflux_rate = 0 and d/dt(M0) <= 0.
 
-The epsilon-family operator has two implementations of the same
-quadrature, chosen by the kernel alone:
+The pair scheme has two implementations of the same quadrature, chosen by
+the kernel alone:
 
 * :class:`LagScheme`, for kernels whose ``factors(x)`` returns separable
   factors Lambda(x_m, x_j) = sum_r f_r(x_m) g_r(x_j) on x_j <= x_m (the
@@ -41,7 +45,6 @@ The two agree cellwise to rounding of the deposit weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -236,40 +239,6 @@ class LagScheme:
         return (births - outgo) / grid.widths, outflux
 
 
-class SmoluchowskiScheme:
-    """Classical Smoluchowski quadrature over the full ordered-pair square.
-
-    Births carry the 1/2 symmetry factor of the convolution integral; the
-    death term is the plain collision sum.  Kept independent of
-    :class:`PairScheme` so the epsilon = 1 equivalence is a genuine
-    cross-check of two implementations, not one code path.
-    """
-
-    def __init__(self, grid: SizeGrid, kernel: TruncatedKernel):
-        self.grid = grid
-        x = grid.centers
-        self.K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-        p = (x[:, None] + x[None, :]).ravel()
-        self.p = p
-        self.a, self.w, self.over = _deposit_targets(x, p)
-        self.valid = ~self.over
-
-    def rhs(self, values: np.ndarray):
-        grid = self.grid
-        zd = values * grid.widths
-        pair = 0.5 * (self.K * np.outer(zd, zd)).ravel()
-
-        ev = pair[self.valid]
-        wv = self.w[self.valid]
-        av = self.a[self.valid]
-        births = np.bincount(av, weights=ev * wv, minlength=grid.size)
-        births += np.bincount(av + 1, weights=ev * (1.0 - wv), minlength=grid.size)
-
-        death = zd * (self.K @ zd)
-        outflux = float(np.sum(pair[self.over] * self.p[self.over]))
-        return (births - death) / grid.widths, outflux
-
-
 class OhsScheme:
     """Upwind transport plus death for the Oort-Hulst-Safronov model.
 
@@ -307,7 +276,6 @@ class OhsScheme:
         return transport - death, outflux
 
 
-@lru_cache(maxsize=8)
 def _pair_scheme(grid, kernel, eps):
     factors = kernel.factors(grid.centers)
     if factors is None:
@@ -315,41 +283,22 @@ def _pair_scheme(grid, kernel, eps):
     return LagScheme(grid, factors, eps)
 
 
-@lru_cache(maxsize=8)
-def _sce_scheme(grid, kernel):
-    return SmoluchowskiScheme(grid, kernel)
-
-
-@lru_cache(maxsize=8)
-def _ohs_scheme(grid, kernel):
-    return OhsScheme(grid, kernel)
-
-
 def generalized_rhs(density: NumberDensity, kernel: TruncatedKernel,
                     params: EpsParams) -> RateField:
     """Rate of the generalized coagulation operator at parameter eps."""
-    _check_setup(density, kernel)
     if abs(params.n - kernel.n) > 1e-12 * kernel.n:
         raise ConfigError("params.n does not match the kernel truncation")
-    scheme = _pair_scheme(density.grid, kernel, params.eps)
-    dzdt, outflux = scheme.rhs(density.values)
-    return RateField(density.grid, dzdt, outflux)
+    return make_rhs("generalized", kernel, params.eps)(density)
 
 
 def sce_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
-    """Rate of the classical Smoluchowski operator."""
-    _check_setup(density, kernel)
-    scheme = _sce_scheme(density.grid, kernel)
-    dzdt, outflux = scheme.rhs(density.values)
-    return RateField(density.grid, dzdt, outflux)
+    """Rate of the classical Smoluchowski operator (the eps = 1 pair scheme)."""
+    return make_rhs("sce", kernel)(density)
 
 
 def ohs_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
     """Rate of the Oort-Hulst-Safronov operator (transport + death)."""
-    _check_setup(density, kernel)
-    scheme = _ohs_scheme(density.grid, kernel)
-    dzdt, outflux = scheme.rhs(density.values)
-    return RateField(density.grid, dzdt, outflux)
+    return make_rhs("ohs", kernel)(density)
 
 
 def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarray:
@@ -382,14 +331,29 @@ def weak_action(rhs: RateField, omega) -> float:
 
 
 def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
-    """Bind a model name to a density -> RateField callable."""
+    """Bind a model to a density -> RateField callable that owns its scheme.
+
+    ``"sce"`` is the eps = 1 pair scheme.  The scheme is built on the first
+    density the callable receives and reused while later densities share
+    its grid.
+    """
+    if model not in ("sce", "ohs", "generalized"):
+        raise ConfigError(f"unknown model {model!r}")
     if model == "sce":
-        return lambda d: sce_rhs(d, kernel)
-    if model == "ohs":
-        return lambda d: ohs_rhs(d, kernel)
-    if model == "generalized":
+        eps = 1.0
+    if model != "ohs":
         if eps is None:
             raise ConfigError("generalized model requires eps")
-        params = EpsParams(eps=eps, n=kernel.n)
-        return lambda d: generalized_rhs(d, kernel, params)
-    raise ConfigError(f"unknown model {model!r}")
+        EpsParams(eps=eps, n=kernel.n)  # raises DomainError for eps outside (0, 1]
+    scheme = None
+
+    def rhs(density: NumberDensity) -> RateField:
+        nonlocal scheme
+        if scheme is None or scheme.grid is not density.grid:
+            _check_setup(density, kernel)
+            grid = density.grid
+            scheme = OhsScheme(grid, kernel) if model == "ohs" else _pair_scheme(grid, kernel, eps)
+        dzdt, outflux = scheme.rhs(density.values)
+        return RateField(density.grid, dzdt, outflux)
+
+    return rhs

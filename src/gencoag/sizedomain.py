@@ -35,8 +35,8 @@ class SizeGrid:
     """
 
     def __init__(self, n, cells_per_decade):
-        if n <= 1.0:
-            raise DomainError("grid parameter n must exceed 1")
+        if not (1.0 < n < np.inf):
+            raise DomainError("grid parameter n must be finite and exceed 1")
         cells_per_decade = int(cells_per_decade)
         if cells_per_decade < 4:
             raise DomainError("cells_per_decade must be >= 4")
@@ -84,17 +84,17 @@ class NumberDensity:
     """Cell-averaged number density at a time instant.
 
     ``values[i]`` is the cell average of the density over cell i; all
-    values are nonnegative.
+    values are finite and nonnegative.
     """
 
     def __init__(self, grid: SizeGrid, values, time=0.0):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.centers.shape:
             raise DomainError("values shape does not match the grid")
-        if np.any(values < 0.0):
-            raise DomainError("number density values must be >= 0")
-        if time < 0.0:
-            raise DomainError("time must be >= 0")
+        if not np.all((values >= 0.0) & (values < np.inf)):
+            raise DomainError("number density values must be finite and >= 0")
+        if not (0.0 <= time < np.inf):
+            raise DomainError("time must be finite and >= 0")
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)

@@ -27,7 +27,6 @@ from gencoag import (
     psi1_tail,
     psi2_tail,
     sample_initial,
-    sce_rhs,
     weighted_norm,
 )
 from gencoag import testfuncs
@@ -47,6 +46,7 @@ from gencoag.experiments import (
     validate_m0_riccati,
     validate_sce_constant_kernel,
 )
+from oracles import smoluchowski_rhs
 
 
 def report(criterion, passed, detail):
@@ -115,7 +115,7 @@ def test_criterion_1_operator_identity_at_eps_one():
         for _ in range(10):
             d = NumberDensity(grid, rng.random(grid.size))
             gen = generalized_rhs(d, kernel, EpsParams(1.0, 10.0))
-            sce = sce_rhs(d, kernel)
+            sce = smoluchowski_rhs(d, kernel)
             scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
             worst = max(worst, float(np.max(np.abs(gen.dzdt - sce.dzdt)) / scale))
     elapsed = time.time() - t0

@@ -2,6 +2,7 @@ import json
 from importlib.resources import files
 
 import jsonschema
+import pytest
 import yaml
 
 from gencoag.cli import main
@@ -61,6 +62,16 @@ class TestSimulate:
     def test_missing_eps_for_generalized(self, tmp_path):
         cfg = write_config(tmp_path, {"run": {"model": "generalized", "eps": None}})
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("section", [
+        {"grid": {"n": float("nan"), "cells_per_decade": 12}},
+        {"time": {"horizon": float("nan"), "snapshots": 3}},
+        {"time": {"horizon": 0.3, "snapshots": 3, "dt": float("nan")}},
+    ])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, section)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_idempotent_rerun(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -147,6 +147,16 @@ class TestWeakFormResidual:
         res = weak_form_residual(traj, np.zeros(grid.size), kernel, "generalized", 0.5)
         assert np.all(res == 0.0)
 
+    def test_stacked_omegas_match_single_calls(self, const_run):
+        grid, kernel, density, traj = const_run
+        omegas = np.array([np.ones(grid.size), grid.centers, testfuncs.square()(grid.centers)])
+        stacked = weak_form_residual(traj, omegas, kernel, "generalized", 0.5)
+        assert stacked.shape == (3, len(traj))
+        for om, row in zip(omegas, stacked):
+            single = weak_form_residual(traj, om, kernel, "generalized", 0.5)
+            scale = max(abs(np.sum(om * s.values * grid.widths)) for s in traj)
+            assert np.max(np.abs(row - single)) <= 1e-13 * scale
+
     def test_constant_omega_dense_snapshots(self):
         grid = make_grid(20.0, 12)
         kernel = ConstantKernel(1.0)

@@ -133,6 +133,20 @@ class TestEvolve:
         with pytest.raises(DomainError):
             DtPolicy(safety=0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1e-3])
+    def test_policy_rejects_bad_dt(self, dt):
+        with pytest.raises(DomainError):
+            DtPolicy(dt=dt)
+
+    def test_policy_zero_dt_selects_heuristic(self):
+        assert DtPolicy(dt=0.0).dt == 0.0
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, setup, T):
+        grid, kernel, density = setup
+        with pytest.raises(DomainError):
+            evolve(density, make_rhs("sce", kernel), T, DtPolicy(dt=0.1))
+
     def test_dt_heuristic_scale(self, setup):
         grid, kernel, density = setup
         dt0 = initial_dt_heuristic(kernel, density, eps=0.5, safety=0.8)

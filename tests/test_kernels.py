@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gencoag import (
     AdditiveKernel,
+    ConfigError,
     ConstantKernel,
     DomainError,
     Kernel,
@@ -64,6 +65,19 @@ class TestEval:
         with pytest.raises(DomainError):
             SingularProductKernel(k=1.0, sigma=0.6)
         SingularProductKernel(k=1.0, sigma=0.6, allow_large_sigma=True)
+
+    @pytest.mark.parametrize("params", [
+        {"k": np.nan}, {"k": np.inf}, {"sigma": np.nan},
+        {"sigma": np.inf, "allow_large_sigma": True}, {"eta": np.nan}, {"eta": np.inf},
+    ])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(DomainError):
+            SingularProductKernel(**params)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_constant_rate_rejected(self, rate):
+        with pytest.raises(DomainError):
+            ConstantKernel(rate=rate)
 
 
 class TestCertifyGrowth:
@@ -249,6 +263,18 @@ class TestTabulated:
         path.write_text("a,b,c\n1,1,1\n")
         with pytest.raises(Exception):
             TabulatedKernel.from_csv(path)
+
+    @pytest.mark.parametrize("where", ["node", "table"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, where, bad):
+        nodes = np.geomspace(0.1, 10.0, 4)
+        table = np.ones((4, 4))
+        if where == "node":
+            nodes[-1] = bad
+        else:
+            table[1, 2] = bad
+        with pytest.raises(ConfigError):
+            TabulatedKernel(nodes, table)
 
 
 class TestFromConfig:

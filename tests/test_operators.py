@@ -7,14 +7,18 @@ from conftest import kernel_trio, random_density
 from gencoag import (
     ConfigError,
     ConstantKernel,
+    DomainError,
+    DtPolicy,
     EpsParams,
     Kernel,
     MonodisperseProfile,
     NumberDensity,
     SingularProductKernel,
     TabulatedKernel,
+    evolve,
     generalized_rhs,
     make_grid,
+    make_rhs,
     ohs_rhs,
     ohs_velocity,
     sample_initial,
@@ -23,7 +27,9 @@ from gencoag import (
     weak_action,
     weighted_norm,
 )
-from gencoag.operators import LagScheme, PairScheme, _pair_scheme
+from gencoag import operators
+from gencoag.operators import LagScheme, OhsScheme, PairScheme, _pair_scheme
+from oracles import smoluchowski_rhs
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -80,7 +86,7 @@ class TestGeneralizedRhs:
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
             gen = generalized_rhs(d, kernel, EpsParams(1.0, 30.0))
-            sce = sce_rhs(d, kernel)
+            sce = smoluchowski_rhs(d, kernel)
             scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
             assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
             assert gen.outflux_rate == pytest.approx(sce.outflux_rate, rel=1e-10, abs=1e-300)
@@ -244,6 +250,60 @@ class TestLagScheme:
                 assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
 
 
+class TestMakeRhs:
+    @pytest.mark.parametrize("model, eps, builder", [
+        ("sce", None, "_pair_scheme"),
+        ("generalized", 0.3, "_pair_scheme"),
+        ("ohs", None, "OhsScheme"),
+    ])
+    def test_scheme_built_once_per_callable(self, monkeypatch, const_trunc, exp_density,
+                                            model, eps, builder):
+        real = getattr(operators, builder)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(operators, builder, counting)
+        rhs = make_rhs(model, const_trunc, eps)
+        traj = evolve(exp_density, rhs, 0.2, DtPolicy(mode="fixed", dt=0.02), [0.1, 0.2])
+        assert len(traj) == 3
+        assert len(calls) == 1
+
+    def test_sce_is_the_eps_one_pair_scheme(self, grid30):
+        rng = np.random.default_rng(47)
+        for kernel in kernel_trio(30.0):
+            d = random_density(grid30, rng)
+            sce = make_rhs("sce", kernel)(d)
+            gen = make_rhs("generalized", kernel, 1.0)(d)
+            assert np.array_equal(sce.dzdt, gen.dzdt)
+            assert sce.outflux_rate == gen.outflux_rate
+
+    def test_sce_dense_path_matches_oracle(self):
+        nodes = np.geomspace(0.1, 10.0, 6)
+        table = 1.0 + np.add.outer(nodes, nodes)
+        grid = make_grid(8.0, 6)
+        kernel = truncate(TabulatedKernel(nodes, table, k=25.0), 8.0)
+        assert isinstance(_pair_scheme(grid, kernel, 1.0), PairScheme)
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            d = random_density(grid, rng)
+            f = make_rhs("sce", kernel)(d)
+            ref = smoluchowski_rhs(d, kernel)
+            scale = max(np.max(np.abs(ref.dzdt)), 1e-300)
+            assert np.max(np.abs(f.dzdt - ref.dzdt)) <= 1e-12 * scale
+            assert f.outflux_rate == pytest.approx(ref.outflux_rate, rel=1e-12, abs=1e-300)
+
+    def test_bad_model_and_eps_rejected_before_any_density(self, const_trunc):
+        with pytest.raises(ConfigError):
+            make_rhs("bogus", const_trunc)
+        with pytest.raises(ConfigError):
+            make_rhs("generalized", const_trunc)
+        with pytest.raises(DomainError):
+            make_rhs("generalized", const_trunc, 1.5)
+
+
 class TestSceRhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
@@ -332,9 +392,7 @@ class TestOhs:
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
             death = np.sum(np.tril(K) * np.outer(zd, zd))
-            from gencoag.operators import _ohs_scheme
-
-            sch = _ohs_scheme(grid30, kernel)
+            sch = OhsScheme(grid30, kernel)
             eaten = sch.K_lower @ (x * zd)
             boundary = d.values[-1] * eaten[-1] * sch.gap_scale[-1]
             total = np.sum(f.dzdt * dx)
@@ -403,7 +461,7 @@ class TestOperatorProperties:
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
         gen = generalized_rhs(d, kernel, EpsParams(1.0, 12.0))
-        sce = sce_rhs(d, kernel)
+        sce = smoluchowski_rhs(d, kernel)
         scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
         assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
 

@@ -64,6 +64,11 @@ class TestMakeGrid:
         with pytest.raises(DomainError):
             make_grid(10.0, 3)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_rejected(self, n):
+        with pytest.raises(DomainError):
+            make_grid(n, 8)
+
 
 class TestSampleInitial:
     def test_exponential_mass_near_one(self):
@@ -170,6 +175,20 @@ class TestNumberDensityValidation:
         g = make_grid(10.0, 8)
         with pytest.raises(DomainError):
             NumberDensity(g, np.zeros(g.size + 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        g = make_grid(10.0, 8)
+        values = np.ones(g.size)
+        values[3] = bad
+        with pytest.raises(DomainError):
+            NumberDensity(g, values)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, time):
+        g = make_grid(10.0, 8)
+        with pytest.raises(DomainError):
+            NumberDensity(g, np.ones(g.size), time)
 
 
 class TestSnapshotCsv:
