@@ -37,7 +37,6 @@ from .sizedomain import (
     SingularPowerProfile,
     make_grid,
     sample_initial,
-    weighted_norm,
     write_snapshot_csv,
 )
 
@@ -62,6 +61,14 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise GencoagError(f"{path}: top level must be a mapping")
     return cfg
+
+
+def _int(sec, key, default):
+    """``sec[key]`` as an int; NaN, inf, 2.5 or a non-number is a GencoagError."""
+    value = sec.get(key, default)
+    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise GencoagError(f"{key} must be an integer, got {value!r}")
 
 
 def _section(cfg, name, required=True):
@@ -93,7 +100,7 @@ def build_policy(cfg):
         mode=sec.get("dt_mode", "adaptive"),
         dt=float(sec.get("dt", 0.0)),
         safety=float(sec.get("safety", 0.8)),
-        max_shrink=int(sec.get("max_shrink", 20)),
+        max_shrink=_int(sec, "max_shrink", 20),
     )
 
 
@@ -101,7 +108,7 @@ def _snapshot_times(cfg, horizon):
     sec = _section(cfg, "time", required=False)
     if "snapshot_times" in sec:
         return tuple(float(t) for t in sec["snapshot_times"])
-    count = int(sec.get("snapshots", 8))
+    count = _int(sec, "snapshots", 8)
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
@@ -146,7 +153,7 @@ def cmd_simulate(args):
 
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
-    grid = make_grid(float(gsec.get("n", 50.0)), int(gsec.get("cells_per_decade", 32)))
+    grid = make_grid(float(gsec.get("n", 50.0)), _int(gsec, "cells_per_decade", 32))
     profile = build_profile(cfg, kernel.sigma)
     initial = sample_initial(profile, grid)
     tsec = _section(cfg, "time")
@@ -195,15 +202,11 @@ def cmd_simulate(args):
     for frac in dsec.get("lambdas", [0.25, 0.5, 1.0]):
         flux.append(diag.mass_flux_identity(traj, frac * grid.n, trunc))
 
-    m1 = np.array([weighted_norm(s, "mass") for s in traj])
     ledger = {
-        "M1_initial": float(m1[0]),
+        "M1_initial": float(moments["M1"][0]),
         "outflux_final": traj.outflux[-1],
         "clipped_final": traj.clipped[-1],
-        "max_closure_rel": float(
-            np.max(np.abs(m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0]))
-            / max(m1[0], 1e-300)
-        ),
+        "max_closure_rel": float(traj.ledger_closure().max()),
     }
 
     report = diag.DiagnosticsReport(
@@ -249,13 +252,14 @@ def _sweep_config(cfg, args):
     tsec = _section(cfg, "time", required=False)
     eps_list = tuple(float(e) for e in ssec.get("eps_list", exp.DEFAULT_EPS_LIST))
     n_list = tuple(float(n) for n in ssec.get("n_list", [float(gsec.get("n", 50.0))]))
-    threads = args.threads or int(_section(cfg, "run", required=False).get("threads", 1))
-    seed = args.seed if args.seed is not None else int(_section(cfg, "run", required=False).get("seed", 0))
+    rsec = _section(cfg, "run", required=False)
+    threads = args.threads or _int(rsec, "threads", 1)
+    seed = args.seed if args.seed is not None else _int(rsec, "seed", 0)
     return exp.SweepConfig(
         kernel=kernel,
         eps_list=eps_list,
         n_list=n_list,
-        cells_per_decade=int(gsec.get("cells_per_decade", 32)),
+        cells_per_decade=_int(gsec, "cells_per_decade", 32),
         profile=build_profile(cfg, kernel.sigma),
         horizon=float(tsec.get("horizon", 1.0)),
         policy=build_policy(cfg),
@@ -298,11 +302,10 @@ def cmd_check_kernel(args):
     cfg = load_config(args.config)
     kernel = kernel_from_config(_section(cfg, "kernel"))
     csec = _section(cfg, "certify", required=False)
-    seed = args.seed if args.seed is not None else int(csec.get("seed", 0))
-    growth = certify_growth(kernel, int(csec.get("sample_count", 4000)), seed)
-    deriv = certify_derivative(
-        kernel, int(csec.get("sample_count", 4000)), float(csec.get("fd_step", 1e-4)), seed
-    )
+    seed = args.seed if args.seed is not None else _int(csec, "seed", 0)
+    samples = _int(csec, "sample_count", 4000)
+    growth = certify_growth(kernel, samples, seed)
+    deriv = certify_derivative(kernel, samples, float(csec.get("fd_step", 1e-4)), seed)
     out = _out_dir(cfg, args)
     payload = {
         "kernel_family": kernel.family,
@@ -334,6 +337,9 @@ def cmd_validate(args):
     cfg = load_config(args.config)
     vsec = _section(cfg, "validate", required=False)
     config = _sweep_config(cfg, args)
+    # the transport model carries an O(1/resolution) deviation from the
+    # continuum number law, so its validation runs on a finer grid
+    ohs_cpd = _int(vsec, "ohs_cells_per_decade", 512)
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
     results = {}
@@ -346,9 +352,6 @@ def cmd_validate(args):
     ok &= sce_pass
 
     tol_m0 = float(vsec.get("m0_tolerance", 1e-3))
-    # the transport model carries an O(1/resolution) deviation from the
-    # continuum number law, so its validation runs on a finer grid
-    ohs_cpd = int(vsec.get("ohs_cells_per_decade", 512))
     m0_results = {}
     for label, model, eps in (
         ("sce", "sce", None),

@@ -8,7 +8,6 @@ weight mu^(-sigma) + mu, the natural topology for singular kernels.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +24,9 @@ from .sizedomain import (
     Trajectory,
     make_grid,
     sample_initial,
+    weight_values,
     weighted_norm,
+    write_csv,
 )
 
 DEFAULT_EPS_LIST = tuple(2.0 ** (-i) for i in range(11))
@@ -74,11 +75,7 @@ class DistanceTable:
         return out
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "n", "time", "distance"])
-            for eps, n, t, d in self.rows:
-                writer.writerow([f"{eps:.17g}", f"{n:.17g}", f"{t:.17g}", f"{d:.17g}"])
+        write_csv(path, ["eps", "n", "time", "distance"], self.rows)
 
 
 def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity,
@@ -98,9 +95,13 @@ def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> floa
     """Weighted L1 distance with weight mu^(-s) + mu."""
     if a.grid is not b.grid and not np.array_equal(a.grid.centers, b.grid.centers):
         raise ConfigError("distance requires a common grid")
-    x, dx = a.grid.centers, a.grid.widths
-    w = x ** (-sigma) + x
-    return float(np.sum(w * np.abs(a.values - b.values) * dx))
+    return float(_weighted_l1(a.grid.centers, a.grid.widths, a.values - b.values, sigma))
+
+
+def _weighted_l1(centers, widths, diff, sigma: float) -> np.ndarray:
+    """sum_i (x_i^(-s) + x_i) |diff_i| dx_i, per row of ``diff``."""
+    w = centers ** (-sigma) + centers
+    return np.sum(w * np.abs(diff) * widths, axis=-1)
 
 
 def _eps_member(args):
@@ -117,10 +118,10 @@ def _eps_member(args):
     # every member must individually respect the weighted-moment bound
     sigma = config.kernel.sigma
     theta = weighted_norm(initial, "Y_norm", sigma)
-    worst = max(weighted_norm(s, "Y_norm", sigma) for s in traj)
+    worst = float(traj.moments(weight_values(grid.centers, "Y_norm", sigma)).max())
     if worst > theta * (1.0 + 1e-10):
         return eps, n, None, f"moment bound violated: {worst!r} > {theta!r}"
-    return eps, n, [(s.time, s.values) for s in traj], None
+    return eps, n, (traj.times, traj.values), None
 
 
 def run_eps_sweep(config: SweepConfig) -> DistanceTable:
@@ -134,24 +135,23 @@ def run_eps_sweep(config: SweepConfig) -> DistanceTable:
         snaps = config.snapshot_times or (config.horizon,)
         ref = run_model("ohs", config.kernel, grid, initial,
                         config.horizon, config.policy, snaps)
-        ref_by_time = {round(s.time, 12): s for s in ref}
+        ref_times = np.round(ref.times, 12)
         jobs = [(config, n, eps) for eps in config.eps_list]
         if config.threads > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(_eps_member, jobs))
         else:
             results = [_eps_member(j) for j in jobs]
-        for eps, nn, snapshots, err in sorted(results, key=lambda r: -r[0]):
+        for eps, nn, member, err in sorted(results, key=lambda r: -r[0]):
             if err is not None:
                 table.failed.append({"eps": eps, "n": nn, "error": err})
                 continue
-            for t, values in snapshots:
-                key = round(t, 12)
-                if key not in ref_by_time:
-                    continue
-                dens = NumberDensity._unchecked(grid, values, t)
-                d = transport_distance(dens, ref_by_time[key], sigma)
-                table.rows.append((eps, nn, t, d))
+            times, values = member
+            keys = np.round(times, 12)
+            hit = np.isin(keys, ref_times)
+            ref_rows = ref.values[np.searchsorted(ref_times, keys[hit])]
+            dists = _weighted_l1(grid.centers, grid.widths, values[hit] - ref_rows, sigma)
+            table.rows += [(eps, nn, t, d) for t, d in zip(times[hit].tolist(), dists.tolist())]
     return table
 
 
@@ -179,8 +179,7 @@ def overlap_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
         idx = np.clip(np.searchsorted(d.grid.edges, pts, side="right") - 1, 0, d.grid.size - 1)
         return d.values[idx]
 
-    w = mid ** (-sigma) + mid
-    return float(np.sum(w * np.abs(sample(a, mid) - sample(b, mid)) * width))
+    return float(_weighted_l1(mid, width, sample(a, mid) - sample(b, mid), sigma))
 
 
 def lattice_n(m: int, cells_per_decade: int) -> float:
@@ -256,8 +255,7 @@ def validate_sce_constant_kernel(config: SweepConfig, times=(0.5, 1.0, 2.0)) -> 
             continue
         exact = sample_initial(lambda mu: sce_constant_kernel_solution(mu, s.time, rate), grid)
         errors[s.time] = transport_distance(s, exact, config.kernel.sigma)
-    m1 = [weighted_norm(s, "mass") for s in traj]
-    return {"errors": errors, "mass_series": m1,
+    return {"errors": errors, "mass_series": traj.moments(grid.centers).tolist(),
             "grid_cells": grid.size, "cells_per_decade": config.cells_per_decade}
 
 
@@ -282,11 +280,10 @@ def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = Non
     initial = initial.replace(values=initial.values / m0)
     traj = run_model(model, config.kernel, grid, initial, max(times), config.policy,
                      times, eps=eps)
-    errors = {}
-    for s in traj:
-        if s.time == 0.0:
-            continue
-        errors[s.time] = abs(weighted_norm(s, "one") - riccati_m0(s.time))
+    times = traj.times
+    error = np.abs(traj.moments(np.ones(grid.size)) - riccati_m0(times))
+    later = times != 0.0
+    errors = dict(zip(times[later].tolist(), error[later].tolist()))
     return {"errors": errors, "model": model, "eps": eps, "grid_cells": grid.size}
 
 
@@ -304,8 +301,8 @@ def mass_conservation_report(config: SweepConfig, model: str,
     )
     traj = run_model(model, config.kernel, grid, initial, config.horizon,
                      config.policy, snaps, eps=eps)
-    m1 = np.array([weighted_norm(s, "mass") for s in traj])
-    closure = np.abs(m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0])
+    m1 = traj.moments(grid.centers)
+    closure = traj.ledger_closure()
     scale = max(m1[0], 1e-300)
     trunc = truncate(config.kernel, grid.n)
     flux = []
@@ -320,8 +317,8 @@ def mass_conservation_report(config: SweepConfig, model: str,
         "eps": eps,
         "times": traj.times.tolist(),
         "M1": m1.tolist(),
-        "closure_rel": (closure / scale).tolist(),
-        "max_closure_rel": float(closure.max() / scale),
+        "closure_rel": closure.tolist(),
+        "max_closure_rel": float(closure.max()),
         "flux_identities": flux,
         "trajectory": traj,
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, GaugeConstructionError
+from .sizedomain import write_csv
 
 #: Tail shrink factor between successive breakpoints.
 TAIL_RATIO = 4.0
@@ -67,20 +68,11 @@ class ConvexGauge:
         out = s * self.psi_prime(s) - self.psi(s)
         return out if out.ndim else float(out)
 
-    def export_rows(self):
-        """(breakpoint, Psi, Psi') triples for CSV export."""
-        return list(zip(self.breakpoints, self.psi_values, self.psi_prime_values))
-
 
 def write_gauge_csv(gauge: "ConvexGauge", path):
     """Export a constructed gauge as ``breakpoint,psi,psi_prime`` rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["breakpoint", "psi", "psi_prime"])
-        for r, p, dp in gauge.export_rows():
-            writer.writerow([f"{r:.17g}", f"{p:.17g}", f"{dp:.17g}"])
+    write_csv(path, ["breakpoint", "psi", "psi_prime"],
+              np.column_stack([gauge.breakpoints, gauge.psi_values, gauge.psi_prime_values]))
 
 
 class SquareGauge:

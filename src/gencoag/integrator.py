@@ -20,6 +20,11 @@ from .sizedomain import NumberDensity, Trajectory
 #: accumulated machine epsilon.
 CLIP_REL = 1.0e-12
 
+#: The adaptive policy multiplies dt by GROWTH after GROWTH_STREAK
+#: consecutive steps without a rejection.
+GROWTH = 1.5
+GROWTH_STREAK = 5
+
 
 @dataclass
 class DtPolicy:
@@ -34,8 +39,6 @@ class DtPolicy:
     dt: float = 0.0
     safety: float = 0.8
     max_shrink: int = 20
-    growth: float = 1.5
-    growth_streak: int = 5
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
@@ -172,8 +175,8 @@ def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
                     streak = 0
                 else:
                     streak += 1
-                    if streak >= policy.growth_streak:
-                        dt_cur *= policy.growth
+                    if streak >= GROWTH_STREAK:
+                        dt_cur *= GROWTH
                         streak = 0
         # land exactly on the requested time
         state = state.replace(time=target)

@@ -37,9 +37,9 @@ class SizeGrid:
     def __init__(self, n, cells_per_decade):
         if not (1.0 < n < np.inf):
             raise DomainError("grid parameter n must be finite and exceed 1")
+        if not (float(cells_per_decade).is_integer() and cells_per_decade >= 4):
+            raise DomainError(f"cells_per_decade must be an integer >= 4, got {cells_per_decade!r}")
         cells_per_decade = int(cells_per_decade)
-        if cells_per_decade < 4:
-            raise DomainError("cells_per_decade must be >= 4")
         self.n = float(n)
         self.cells_per_decade = cells_per_decade
         count = round(2.0 * cells_per_decade * math.log10(n))
@@ -158,6 +158,27 @@ class Trajectory:
     def grid(self):
         return self.snapshots[0].grid
 
+    @property
+    def values(self):
+        """Snapshot matrix, one row per snapshot; rebuilt from ``snapshots`` on every access."""
+        return np.array([s.values for s in self.snapshots])
+
+    def moments(self, weights):
+        """Midpoint moments  sum_i w(x_i) zeta_i dx_i  of every snapshot.
+
+        ``weights`` is one row of cell weights, giving one value per
+        snapshot, or a stack of rows, giving one series per row.  Each entry
+        equals ``weighted_norm`` of that snapshot bit for bit.
+        """
+        w = np.asarray(weights, dtype=float)
+        return np.sum(w[..., None, :] * self.values * self.grid.widths, axis=-1)
+
+    def ledger_closure(self):
+        """|M1 + outflux + clipped - M1(0)| / M1(0) per snapshot."""
+        m1 = self.moments(self.grid.centers)
+        closure = np.abs(m1 + np.asarray(self.outflux) + np.asarray(self.clipped) - m1[0])
+        return closure / max(m1[0], 1e-300)
+
     def __len__(self):
         return len(self.snapshots)
 
@@ -248,13 +269,18 @@ def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> fl
     return float(np.sum(w * np.abs(density.values) * density.grid.widths))
 
 
+def write_csv(path, names, rows):
+    """CSV wire format of every table: header ``names``, 17 digits, CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.reshape(rows, (-1, len(names))), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=",".join(names), comments="")
+
+
 def write_snapshot_csv(density: NumberDensity, path):
     """Snapshot wire format: header ``x_center,width,zeta``, 17 digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_center", "width", "zeta"])
-        for x, w, z in zip(density.grid.centers, density.grid.widths, density.values):
-            writer.writerow([f"{x:.17g}", f"{w:.17g}", f"{z:.17g}"])
+    grid = density.grid
+    write_csv(path, ["x_center", "width", "zeta"],
+              np.column_stack([grid.centers, grid.widths, density.values]))
 
 
 def read_snapshot_csv(path, grid: SizeGrid | None = None, time=0.0):

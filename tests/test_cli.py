@@ -73,6 +73,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", {"grid": {"n": 20.0, "cells_per_decade": float("nan")}}),
+        ("simulate", {"grid": {"n": 20.0, "cells_per_decade": 8.7}}),
+        ("simulate", {"time": {"horizon": 0.3, "snapshots": float("nan")}}),
+        ("simulate", {"time": {"horizon": 0.3, "snapshots": 2.5}}),
+        ("simulate", {"time": {"horizon": 0.3, "snapshots": 3, "max_shrink": float("nan")}}),
+        ("sweep", {"run": {"model": "generalized", "eps": 0.5, "threads": 1.5},
+                   "sweep": {"eps_list": [1.0]}}),
+        ("check-kernel", {"certify": {"sample_count": 2.5}}),
+        ("validate", {"validate": {"ohs_cells_per_decade": float("inf")}}),
+    ])
+    def test_non_integral_input_exits_1(self, tmp_path, capsys, command, section):
+        cfg = write_config(tmp_path, section)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_idempotent_rerun(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg)]) == 0

@@ -17,7 +17,9 @@ from gencoag import (
 from gencoag import testfuncs
 from gencoag.diagnostics import (
     DiagnosticsReport,
+    _crossing_rates,
     _edge_velocity_weights,
+    _snap_to_edge,
     equicontinuity_modulus,
     mass_flux_identity,
     moment_monotonicity_check,
@@ -371,6 +373,85 @@ class TestEquicontinuity:
             for j in range(i + 1, len(t))
         )
         assert v0.attained == pytest.approx(mod, rel=1e-12)
+
+
+def trapezoid_loop(times, series):
+    return float(np.sum(0.5 * np.diff(times) * (series[:-1] + series[1:])))
+
+
+def crossing_loop(traj, m, kernel):
+    """Per-snapshot crossing rate: all, small partners below 1, the rest."""
+    x = traj.grid.centers
+    small1 = x[:m] < 1.0
+    K = np.asarray(kernel.eval(x[m:][:, None], x[:m][None, :]))
+    rows = []
+    for s in traj:
+        zd = s.values * traj.grid.widths
+        contrib = K * np.outer(zd[m:], x[:m] * zd[:m])
+        rows.append((contrib.sum(), contrib[:, small1].sum(), contrib[:, ~small1].sum()))
+    return np.array(rows)
+
+
+class TestSnapshotMatrix:
+    """The matrix forms against the per-snapshot formulas they replaced."""
+
+    def test_moment_table_bitwise(self, const_run):
+        grid, kernel, density, traj = const_run
+        sigma = 0.2
+        gauge1 = build_gauge_from_tail(*psi1_tail(density))
+        gauge2 = build_gauge_from_tail(*psi2_tail(density, sigma))
+        x, dx = grid.centers, grid.widths
+        expect = {
+            "t": traj.times,
+            "M_neg2sigma": [weighted_norm(s, "neg_two_sigma", sigma) for s in traj],
+            "M_negsigma": [weighted_norm(s, "neg_sigma", sigma) for s in traj],
+            "M0": [weighted_norm(s, "one") for s in traj],
+            "M1": [weighted_norm(s, "mass") for s in traj],
+            "Psi1": [float(np.sum(gauge1.psi(x) * s.values * dx)) for s in traj],
+            "Psi2int": [float(np.sum(gauge2.psi(x ** (-sigma) * s.values) * dx)) for s in traj],
+        }
+        cols = moment_table(traj, sigma, gauge1, gauge2)
+        assert list(cols) == list(expect)
+        for name, series in expect.items():
+            assert np.array_equal(cols[name], series), name
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0, 10.0])
+    def test_crossing_rates_match_outer_loop(self, const_run, lam):
+        grid, kernel, density, traj = const_run
+        m = _snap_to_edge(grid, lam)
+        expect = crossing_loop(traj, m, kernel)
+        rates = _crossing_rates(traj, m, kernel)
+        small1 = grid.centers[:m] < 1.0
+        got = np.stack([rates.sum(axis=1), rates[:, small1].sum(axis=1),
+                        rates[:, ~small1].sum(axis=1)], axis=1)
+        scale = expect[:, 0].max()
+        assert scale > 0.0
+        assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+    def test_tail_split_matches_outer_loop(self, const_run):
+        grid, kernel, density, traj = const_run
+        lams = [0.5, 2.0, 5.0, 10.0]
+        times = traj.times
+        for lam, entry in zip(lams, tail_flux_decay(traj, lams, kernel)):
+            ref = crossing_loop(traj, _snap_to_edge(grid, lam), kernel)
+            tol = 1e-13 * ref[:, 0].max() * times[-1]
+            assert abs(entry["sigma1"] - trapezoid_loop(times, ref[:, 1])) <= tol
+            assert abs(entry["sigma2"] - trapezoid_loop(times, ref[:, 2])) <= tol
+            assert entry["total"] == entry["sigma1"] + entry["sigma2"]
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0, 10.0])
+    def test_tail_integrand_is_flux_collision_integrand(self, const_run, lam):
+        # the flux identity integrates collisions plus the advective edge
+        # term; taking away the edge term must leave the tail total
+        grid, kernel, density, traj = const_run
+        m = _snap_to_edge(grid, lam)
+        edge = np.array([grid.edges[m] * s.values[m - 1] * ohs_velocities(s, kernel)[m - 1]
+                         for s in traj])
+        times = traj.times
+        collisions = -mass_flux_identity(traj, lam, kernel)["rhs"][-1] - trapezoid_loop(times, edge)
+        total = tail_flux_decay(traj, [lam], kernel)[0]["total"]
+        scale = (crossing_loop(traj, m, kernel)[:, 0] + edge).max() * times[-1]
+        assert abs(collisions - total) <= 1e-13 * scale
 
 
 class TestReport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,20 @@ class TestEvolve:
     def test_policy_rejects_bad_dt(self, dt):
         with pytest.raises(DomainError):
             DtPolicy(dt=dt)
+
+    def test_policy_fields(self):
+        assert [f.name for f in dataclasses.fields(DtPolicy)] == [
+            "mode", "dt", "safety", "max_shrink"]
+        with pytest.raises(TypeError):
+            DtPolicy(growth=2.0)
+
+    def test_adaptive_growth_schedule(self, setup):
+        # dt grows x1.5 after every 5 clean steps
+        grid, kernel, density = setup
+        dts = []
+        evolve(density, make_rhs("sce", kernel), 0.02, DtPolicy(dt=1e-3),
+               observers=[lambda t, d, stats: dts.append(stats.dt)])
+        assert dts[:11] == [1e-3] * 5 + [1e-3 * 1.5] * 5 + [1e-3 * 1.5 * 1.5]
 
     def test_policy_zero_dt_selects_heuristic(self):
         assert DtPolicy(dt=0.0).dt == 0.0

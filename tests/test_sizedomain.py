@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,11 +14,18 @@ from gencoag import (
     MonodisperseProfile,
     NumberDensity,
     SingularPowerProfile,
+    Trajectory,
     make_grid,
     sample_initial,
     weighted_norm,
 )
-from gencoag.sizedomain import read_snapshot_csv, write_snapshot_csv
+from gencoag.sizedomain import (
+    _WEIGHTS,
+    read_snapshot_csv,
+    weight_values,
+    write_csv,
+    write_snapshot_csv,
+)
 
 
 class TestMakeGrid:
@@ -36,6 +44,14 @@ class TestMakeGrid:
         # 0 and 1 cells; the pair operators need two centers for the grid ratio
         with pytest.raises(DomainError):
             make_grid(n, cpd)
+
+    @pytest.mark.parametrize("cpd", [math.nan, math.inf, 8.7])
+    def test_non_integral_cells_per_decade_rejected(self, cpd):
+        with pytest.raises(DomainError):
+            make_grid(10.0, cpd)
+
+    def test_integral_float_cells_per_decade_accepted(self):
+        assert make_grid(10.0, 8.0).size == make_grid(10.0, 8).size
 
     def test_two_cells_accepted(self):
         assert make_grid(1.6, 4).size == 2
@@ -199,3 +215,62 @@ class TestSnapshotCsv:
         write_snapshot_csv(d, path)
         back = read_snapshot_csv(path, g, time=0.0)
         assert np.array_equal(back.values, d.values)  # 17 digits round-trip exactly
+
+
+def random_trajectory(grid, count=6, seed=5):
+    rng = np.random.default_rng(seed)
+    traj = Trajectory()
+    for k in range(count):
+        values = rng.random(grid.size) * np.exp(-grid.centers)
+        traj.append(NumberDensity(grid, values, 0.1 * k), 1e-3 * k, 1e-5 * k)
+    return traj
+
+
+class TestTrajectoryMatrix:
+    def test_moments_equal_weighted_norm_bitwise(self):
+        g = make_grid(30.0, 16)
+        traj = random_trajectory(g)
+        weights = [weight_values(g.centers, w, 0.2) for w in _WEIGHTS]
+        stacked = traj.moments(weights)
+        assert stacked.shape == (len(_WEIGHTS), len(traj))
+        for name, w, row in zip(_WEIGHTS, weights, stacked):
+            expect = np.array([weighted_norm(s, name, 0.2) for s in traj])
+            assert np.array_equal(traj.moments(w), expect)
+            assert np.array_equal(row, expect)
+
+    def test_values_and_ledger_follow_replaced_snapshot(self):
+        g = make_grid(10.0, 8)
+        traj = random_trajectory(g)
+
+        def closure_loop():
+            m1 = np.array([weighted_norm(s, "mass") for s in traj])
+            return np.abs(m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0]) / m1[0]
+
+        before = traj.ledger_closure()
+        assert np.array_equal(before, closure_loop())
+        bad = traj[-1].values * 1.5
+        traj.snapshots[-1] = traj[-1].replace(values=bad)
+        assert np.array_equal(traj.values[-1], bad)
+        after = traj.ledger_closure()
+        assert np.array_equal(after, closure_loop())
+        assert after[-1] > before[-1]
+
+
+def csv_writer_reference(path, names, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+class TestCsvWireFormat:
+    @pytest.mark.parametrize("rows", [
+        [(0.1, 1.0 / 3.0, 2.0**-1074), (math.nan, -0.0, 1e300), (math.inf, -math.inf, 7.0)],
+        [],
+    ])
+    def test_matches_csv_writer(self, tmp_path, rows):
+        names = ["a", "b", "c"]
+        write_csv(tmp_path / "new.csv", names, rows)
+        csv_writer_reference(tmp_path / "ref.csv", names, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
