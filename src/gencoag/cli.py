@@ -71,6 +71,14 @@ def _int(sec, key, default):
     raise GencoagError(f"{key} must be an integer, got {value!r}")
 
 
+def _float(sec, key, default):
+    """``sec[key]`` as a finite float >= 0; NaN, inf, a negative or a non-number is a GencoagError."""
+    value = sec.get(key, default)
+    if isinstance(value, (int, float)) and 0.0 <= value < np.inf:
+        return float(value)
+    raise GencoagError(f"{key} must be a finite number >= 0, got {value!r}")
+
+
 def _section(cfg, name, required=True):
     sec = cfg.get(name)
     if sec is None:
@@ -340,18 +348,19 @@ def cmd_validate(args):
     # the transport model carries an O(1/resolution) deviation from the
     # continuum number law, so its validation runs on a finer grid
     ohs_cpd = _int(vsec, "ohs_cells_per_decade", 512)
+    tol_sce = _float(vsec, "sce_tolerance", 2e-2)
+    tol_m0 = _float(vsec, "m0_tolerance", 1e-3)
+    tol_closure = _float(vsec, "closure_tolerance", 1e-8)
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
     results = {}
     ok = True
 
-    tol_sce = float(vsec.get("sce_tolerance", 2e-2))
     sce = exp.validate_sce_constant_kernel(config)
     sce_pass = all(e <= tol_sce for e in sce["errors"].values())
     results["sce_analytic"] = {"errors": sce["errors"], "tolerance": tol_sce, "passed": sce_pass}
     ok &= sce_pass
 
-    tol_m0 = float(vsec.get("m0_tolerance", 1e-3))
     m0_results = {}
     for label, model, eps in (
         ("sce", "sce", None),
@@ -371,7 +380,6 @@ def cmd_validate(args):
         "passed": all(r["passed"] for r in m0_results.values()),
     }
 
-    tol_closure = float(vsec.get("closure_tolerance", 1e-8))
     mc = exp.mass_conservation_report(config, "sce")
     mc.pop("trajectory")
     mc_pass = mc["max_closure_rel"] <= tol_closure

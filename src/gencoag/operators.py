@@ -7,8 +7,9 @@ at which mass leaves through the upper boundary (the outflux ledger rate).
 The Smoluchowski equation (SCE) is the epsilon = 1 member of the
 generalized (epsilon-family) model and runs on its pair scheme; the
 full-square Smoluchowski quadrature lives in the tests as an independent
-oracle.  The Oort-Hulst-Safronov (OHS) limit has its own transport scheme.
-A scheme lives as long as the :func:`make_rhs` callable that built it.
+oracle.  The Oort-Hulst-Safronov (OHS) limit has its own transport scheme,
+:class:`OhsScheme`.  A scheme lives as long as the :func:`make_rhs` callable
+that built it.
 
 Design rules of the pair scheme:
 
@@ -40,10 +41,19 @@ the kernel alone:
   whose ``factors`` returns None (tabulated and user kernels).
 
 The two agree cellwise to rounding of the deposit weights.
+
+:class:`OhsScheme` needs, per cell, partial sums of the kernel over the
+partners below and above it.  With separable factors these are prefix and
+suffix sums of the factors times the density, O(N) in memory and work;
+kernels without factors keep the two dense N x N kernel triangles.  Of the
+schemes, only these dense fallbacks are O(N^2) in memory, and each refuses,
+with a :class:`ConfigError` before allocating, a table larger than physical
+memory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +90,16 @@ def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
     if abs(density.grid.n - kernel.n) > 1e-12 * kernel.n:
         raise ConfigError(
             f"grid n={density.grid.n} does not match kernel truncation n={kernel.n}"
+        )
+
+
+def _check_table_bytes(nbytes, what):
+    """Raise ConfigError before a dense table larger than physical memory is built."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ConfigError(
+            f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory; use fewer cells"
         )
 
 
@@ -147,6 +167,10 @@ class PairScheme:
             raise DomainError("eps must lie in (0, 1]")
         self.grid = grid
         self.eps = float(eps)
+        # per pair: seven 8-byte arrays (two indices, kernel, rate, product,
+        # pivot, weight) and two 1-byte masks (diagonal, overflow)
+        _check_table_bytes((7 * 8 + 2) * grid.size * (grid.size + 1) // 2,
+                           "the dense pair table")
         x = grid.centers
         m_idx, j_idx = np.tril_indices(grid.size)
         K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
@@ -248,14 +272,29 @@ class OhsScheme:
     transport mass gain cancel the death mass loss pairwise, so the ledger
     identity d/dt(M1) + outflux_rate = 0 holds exactly; the edge-sampled
     velocity of :func:`ohs_velocity` differs from it at first order.
+
+    Both rates are partial sums over the kernel's triangles, and the kernel
+    alone chooses how they are formed.  With separable factors
+    Lambda(x_i, x_j) = sum_r f_r[i] g_r[j] for j <= i, the mass-eaten rate
+    is sum_r f_r prefix(g_r x zd) and, Lambda being symmetric, the death
+    rate is sum_r g_r suffix(f_r zd): O(N) work and memory.  Kernels
+    without factors keep the two N x N triangles and take two dense
+    matrix-vector products.
     """
 
     def __init__(self, grid: SizeGrid, kernel: TruncatedKernel):
         self.grid = grid
         x = grid.centers
-        K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-        self.K_lower = np.tril(K)
-        self.K_upper = np.triu(K)
+        factors = kernel.factors(x)
+        if factors is None:
+            # the full kernel and both triangles are alive while this is built
+            _check_table_bytes(3 * 8 * grid.size**2, "the dense OHS kernel triangles")
+            K = np.asarray(kernel.eval(x[:, None], x[None, :]))
+            self.triangles = (np.tril(K), np.triu(K))
+        else:
+            self.triangles = None
+            self.f = np.array([f for f, _ in factors])
+            self.g = np.array([g for _, g in factors])
         gaps = np.empty(grid.size)
         gaps[:-1] = x[1:] - x[:-1]
         gaps[-1] = grid.n - x[-1]
@@ -265,13 +304,21 @@ class OhsScheme:
         grid = self.grid
         x = grid.centers
         zd = values * grid.widths
-        eaten = self.K_lower @ (x * zd)          # mass-eaten rate per unit zd of the eater
+        # eaten_i = sum_{j<=i} K_ij x_j zd_j (per unit zd of the eater),
+        # partners_i = sum_{j>=i} K_ij zd_j
+        if self.triangles is None:
+            eaten = np.sum(self.f * np.cumsum(self.g * (x * zd), axis=1), axis=0)
+            suffix = np.cumsum((self.f * zd)[:, ::-1], axis=1)[:, ::-1]
+            partners = np.sum(self.g * suffix, axis=0)
+        else:
+            lower, upper = self.triangles
+            eaten, partners = lower @ (x * zd), upper @ zd
         flux = values * eaten * self.gap_scale   # number flux through right edges
         transport = np.empty(grid.size)
         transport[0] = -flux[0]
         transport[1:] = flux[:-1] - flux[1:]
         transport /= grid.widths
-        death = values * (self.K_upper @ zd)
+        death = values * partners
         outflux = float(x[-1] * flux[-1] + zd[-1] * eaten[-1])
         return transport - death, outflux
 

@@ -96,6 +96,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "report.json").read_text() == first
 
+    def test_oversized_dense_problem_exits_1(self, tmp_path, capsys):
+        table_path = tmp_path / "kernel_table.csv"
+        table_path.write_text("mu,nu,lambda\n" + "".join(
+            f"{m},{u},1.0\n" for m in (0.05, 20.0) for u in (0.05, 20.0)))
+        cfg = write_config(tmp_path, {
+            "run": {"model": "ohs", "threads": 1},
+            "kernel": {"family": "user_tabulated", "path": str(table_path),
+                       "k": 1.0, "sigma": 0.0},
+            "grid": {"n": 10.0, "cells_per_decade": 100_000},
+        })
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+
 
 class TestSimulateVariants:
     def test_ohs_model(self, tmp_path):
@@ -189,6 +202,14 @@ class TestSweep:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("key", ["sce_tolerance", "m0_tolerance", "closure_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3, "tight"])
+    def test_bad_tolerance_exits_1(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"validate": {key: value}})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"error: {key} must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "validate.json").exists()
+
     def test_validate_fast_config(self, tmp_path):
         cfg = write_config(tmp_path, {
             "kernel": {"family": "constant", "rate": 1.0},

@@ -8,6 +8,8 @@ from gencoag import (
     DtPolicy,
     ExponentialProfile,
     MonodisperseProfile,
+    SingularPowerProfile,
+    SingularProductKernel,
     Trajectory,
     make_grid,
     sample_initial,
@@ -373,6 +375,23 @@ class TestEquicontinuity:
             for j in range(i + 1, len(t))
         )
         assert v0.attained == pytest.approx(mod, rel=1e-12)
+
+    @pytest.mark.parametrize("model, eps", [("sce", None), ("generalized", 0.3), ("ohs", None)])
+    def test_consecutive_slopes_give_the_all_pairs_maximum(self, model, eps):
+        grid = make_grid(20.0, 16)
+        kernel = SingularProductKernel(k=1.0, sigma=0.2)
+        density = sample_initial(SingularPowerProfile(0.3, 0.2), grid)
+        traj = run_model(model, kernel, grid, density, 1.0, DtPolicy(),
+                         (0.05, 0.1, 0.3, 0.35, 0.7, 0.72, 1.0), eps=eps)
+        x, t = grid.centers, traj.times
+        i, j = np.triu_indices(len(t), 1)
+        for om in testfuncs.bump_library(grid) + [testfuncs.truncated_linear(5.0)]:
+            # the old modulus: maximum over every snapshot pair
+            series = traj.moments(x ** -0.2 * om(x))
+            all_pairs = np.max(np.abs(series[j] - series[i]) / (t[j] - t[i]))
+            v = equicontinuity_modulus(traj, om, 0.2, 1.0)
+            assert all_pairs > 0.0
+            assert v.attained == pytest.approx(all_pairs, rel=1e-13, abs=0.0)
 
 
 def trapezoid_loop(times, series):

@@ -392,9 +392,8 @@ class TestOhs:
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
             death = np.sum(np.tril(K) * np.outer(zd, zd))
-            sch = OhsScheme(grid30, kernel)
-            eaten = sch.K_lower @ (x * zd)
-            boundary = d.values[-1] * eaten[-1] * sch.gap_scale[-1]
+            eaten = np.tril(K) @ (x * zd)
+            boundary = d.values[-1] * eaten[-1] * dx[-1] / (grid30.n - x[-1])
             total = np.sum(f.dzdt * dx)
             assert total == pytest.approx(-death - boundary, rel=1e-10)
 
@@ -421,6 +420,95 @@ class TestOhs:
             d = random_density(grid30, rng)
             f = ohs_rhs(d, kernel)
             assert np.sum(f.dzdt * grid30.widths) <= 0.0
+
+
+def dense_ohs(grid, kernel, values):
+    """OHS rate from the two dense kernel triangles, plus the gross rate per cell.
+
+    The gross rate of a cell is the number flux through both of its edges
+    plus its deaths (number per unit time).
+    """
+    x, dx = grid.centers, grid.widths
+    zd = values * dx
+    K = np.asarray(kernel.eval(x[:, None], x[None, :]))
+    eaten = np.tril(K) @ (x * zd)
+    gaps = np.append(np.diff(x), grid.n - x[-1])
+    flux = values * eaten * dx / gaps
+    inflow = np.concatenate(([0.0], flux[:-1]))
+    death = zd * (np.triu(K) @ zd)
+    outflux = x[-1] * flux[-1] + zd[-1] * eaten[-1]
+    return (inflow - flux - death) / dx, outflux, inflow + flux + death
+
+
+class TestFactoredOhs:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.floats(1.5, 1000.0),
+        cpd=st.integers(4, 256),
+        family=st.integers(0, 2),
+        occupied=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense(self, n, cpd, family, occupied, seed):
+        assume(2 <= round(2.0 * cpd * np.log10(n)) <= 512)
+        grid = make_grid(n, cpd)
+        kernel = kernel_trio(n)[family]
+        rng = np.random.default_rng(seed)
+        values = rng.random(grid.size) * (rng.random(grid.size) < occupied)
+        scheme = OhsScheme(grid, kernel)
+        assert scheme.triangles is None
+        dzdt, outflux = scheme.rhs(values)
+        expect, expect_out, gross = dense_ohs(grid, kernel, values)
+        assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
+        assert abs(outflux - expect_out) <= 1e-12 * expect_out
+
+    def test_kernels_without_factors_keep_triangles(self):
+        class Exponential(Kernel):
+            def _rate(self, lo, hi):
+                return np.exp(-0.1 * (lo + hi))
+
+        nodes = np.geomspace(0.1, 10.0, 6)
+        table = 1.0 + np.add.outer(nodes, nodes)
+        grid = make_grid(8.0, 6)
+        rng = np.random.default_rng(59)
+        for base in (Exponential(k=1.0), TabulatedKernel(nodes, table, k=25.0)):
+            kernel = truncate(base, 8.0)
+            scheme = OhsScheme(grid, kernel)
+            lower, upper = scheme.triangles
+            assert lower.shape == upper.shape == (grid.size, grid.size)
+            values = rng.random(grid.size)
+            dzdt, outflux = scheme.rhs(values)
+            expect, expect_out, gross = dense_ohs(grid, kernel, values)
+            assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
+            assert outflux == pytest.approx(expect_out, rel=1e-12)
+
+    def test_memory_is_linear_in_cells(self):
+        grid = make_grid(100.0, 512)
+        assert grid.size == 2048
+        for kernel in kernel_trio(100.0):
+            scheme = OhsScheme(grid, kernel)
+            assert scheme.triangles is None
+            arrays = [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
+            assert arrays and all(a.size <= 2 * grid.size for a in arrays)
+
+
+class TestDenseMemoryGuard:
+    # ~2e5 cells: the dense tables would need ~1 TB, so the schemes must
+    # refuse before allocating anything
+    @pytest.mark.parametrize("model, eps", [("ohs", None), ("sce", None), ("generalized", 0.5)])
+    def test_oversized_dense_table_raises(self, model, eps):
+        nodes = np.geomspace(0.05, 20.0, 4)
+        kernel = truncate(TabulatedKernel(nodes, np.ones((4, 4)), k=1.0), 10.0)
+        grid = make_grid(10.0, 100_000)
+        assert grid.size == 200_000
+        rhs = make_rhs(model, kernel, eps)
+        with pytest.raises(ConfigError, match="physical memory"):
+            rhs(NumberDensity(grid, np.zeros(grid.size)))
+
+    def test_factored_ohs_is_not_limited(self):
+        grid = make_grid(10.0, 100_000)
+        scheme = OhsScheme(grid, truncate(ConstantKernel(1.0), 10.0))
+        assert scheme.triangles is None
 
 
 class TestOperatorProperties:
