@@ -47,7 +47,6 @@ from .operators import (
     generalized_rhs,
     make_rhs,
     ohs_rhs,
-    ohs_velocity,
     sce_rhs,
     weak_action,
 )

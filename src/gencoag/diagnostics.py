@@ -226,8 +226,8 @@ def _snap_to_edge(grid, lam):
 def _edge_velocity_weights(grid, m: int, kernel) -> np.ndarray:
     """Weights c with c @ zeta[:m-1] = ohs_velocities(zeta)[m-1], the velocity at edge m.
 
-    Only the partners with center strictly below x[m-1] enter, so one kernel
-    row of length m - 1 replaces the N x N edge-kernel table.
+    ``ohs_velocities`` is the oracle in tests/oracles.py.  Only partners with
+    center strictly below x[m-1] enter: one kernel row replaces its N x N table.
     """
     x = grid.centers[: m - 1]
     return np.asarray(kernel.eval(grid.edges[m], x)) * x * grid.widths[: m - 1]

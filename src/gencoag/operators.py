@@ -18,9 +18,10 @@ Design rules of the pair scheme:
 * a collision product at off-grid size p is split between the two
   bracketing cell centers with the unique two-point weights that preserve
   both particle number and particle mass (linear allocation in size);
-* products that would land above the last cell center are not allocated;
-  their full mass is routed to the outflux rate instead, realizing the
-  domain indicator of the truncated weak form without losing mass.
+* the domain end n is one more pivot, whose share leaves through the
+  boundary, as does the full mass of a product beyond n.  This realizes the
+  domain indicator of the truncated weak form without losing mass, and the
+  OHS flux through the last gap n - x[-1] as eps -> 0.
 
 With these rules the semi-discrete system satisfies, exactly in floating
 point: d/dt(M1) + outflux_rate = 0 and d/dt(M0) <= 0.
@@ -103,17 +104,17 @@ def _check_table_bytes(nbytes, what):
         )
 
 
-def _deposit_targets(x, p):
+def _deposit_targets(pivots, p):
     """Bracketing pivot index, linear weight, and overflow mask for births at p.
 
     Weight w goes to pivot a, (1-w) to pivot a+1, with w*x_a + (1-w)*x_{a+1}
     = p, so number and mass of the deposit are both exact.  Products above
     the last pivot overflow (mass routed to the boundary ledger).
     """
-    overflow = p > x[-1]
-    a = np.searchsorted(x, p, side="right") - 1
-    a = np.clip(a, 0, x.size - 2)
-    w = (x[a + 1] - p) / (x[a + 1] - x[a])
+    overflow = p > pivots[-1]
+    a = np.searchsorted(pivots, p, side="right") - 1
+    a = np.clip(a, 0, pivots.size - 2)
+    w = (pivots[a + 1] - p) / (pivots[a + 1] - pivots[a])
     w = np.where(overflow, 0.0, np.clip(w, 0.0, 1.0))
     return a, w, overflow
 
@@ -122,17 +123,20 @@ class _PairSet:
     """Ordered pairs (big m >= small j) with their exact collision products.
 
     Holds the per-pair event rate factor and the two-point deposit of the
-    product p = x_m + eps * x_j, or its overflow into the boundary ledger.
+    product p = x_m + eps * x_j on the pivots (the centers and n), or its
+    overflow into the boundary ledger.
     """
 
-    def __init__(self, x, K, m_idx, j_idx, eps):
+    def __init__(self, grid, K, m_idx, j_idx, eps):
         self.m_idx = m_idx
         self.j_idx = j_idx
         self.diag = m_idx == j_idx
         # events per unit zd_m zd_j; the diagonal carries the double integral once
         self.rate = np.where(self.diag, 0.5, 1.0) * K / eps
+        x = grid.centers
         p = x[m_idx] + eps * x[j_idx]
-        a, w, over = _deposit_targets(x, p)
+        self.n = grid.n
+        a, w, over = _deposit_targets(np.append(x, grid.n), p)
         self.over = over
         self.a = a[~over]
         self.w = w[~over]
@@ -144,9 +148,10 @@ class _PairSet:
     def deposit(self, events, size):
         """Births per cell from the in-domain products, and the mass outflux rate."""
         ev = events[~self.over]
-        births = np.bincount(self.a, weights=ev * self.w, minlength=size)
-        births += np.bincount(self.a + 1, weights=ev * (1.0 - self.w), minlength=size)
-        return births, float(np.sum(events[self.over] * self.p_over))
+        births = np.bincount(self.a, weights=ev * self.w, minlength=size + 1)
+        births += np.bincount(self.a + 1, weights=ev * (1.0 - self.w), minlength=size + 1)
+        outflux = self.n * births[size] + np.sum(events[self.over] * self.p_over)
+        return births[:size], float(outflux)
 
 
 class PairScheme:
@@ -174,7 +179,7 @@ class PairScheme:
         x = grid.centers
         m_idx, j_idx = np.tril_indices(grid.size)
         K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
-        self.pairs = _PairSet(x, K, m_idx, j_idx, self.eps)
+        self.pairs = _PairSet(grid, K, m_idx, j_idx, self.eps)
 
     def rhs(self, values: np.ndarray):
         grid = self.grid
@@ -243,7 +248,7 @@ class LagScheme:
         m_idx = np.repeat(start, count) + within
         j_idx = m_idx - np.repeat(lags, count)
         K = np.einsum("rp,rp->p", self.f[:, m_idx], self.g[:, j_idx])
-        self.band = _PairSet(x, K, m_idx, j_idx, self.eps)
+        self.band = _PairSet(grid, K, m_idx, j_idx, self.eps)
 
     def rhs(self, values: np.ndarray):
         grid = self.grid
@@ -270,16 +275,18 @@ class OhsScheme:
     mass-matched velocity: the mass-eaten rate of cell b from partners at
     or below it, normalized by the pivot gap.  This makes the telescoped
     transport mass gain cancel the death mass loss pairwise, so the ledger
-    identity d/dt(M1) + outflux_rate = 0 holds exactly; the edge-sampled
-    velocity of :func:`ohs_velocity` differs from it at first order.
+    identity d/dt(M1) + outflux_rate = 0 holds exactly.  As in the pair
+    scheme, the self-pair (i, i) has weight 1/2 in both rates, so that
+    d/dt(M0) = -1/2 zd^T K zd minus the boundary number flux.
 
     Both rates are partial sums over the kernel's triangles, and the kernel
     alone chooses how they are formed.  With separable factors
     Lambda(x_i, x_j) = sum_r f_r[i] g_r[j] for j <= i, the mass-eaten rate
     is sum_r f_r prefix(g_r x zd) and, Lambda being symmetric, the death
-    rate is sum_r g_r suffix(f_r zd): O(N) work and memory.  Kernels
-    without factors keep the two N x N triangles and take two dense
-    matrix-vector products.
+    rate is sum_r g_r suffix(f_r zd), each less half its diagonal term
+    K_ii = sum_r f_r[i] g_r[i]: O(N) work and memory.  Kernels without
+    factors keep the two N x N triangles, diagonals halved, and take two
+    dense matrix-vector products.
     """
 
     def __init__(self, grid: SizeGrid, kernel: TruncatedKernel):
@@ -291,10 +298,13 @@ class OhsScheme:
             _check_table_bytes(3 * 8 * grid.size**2, "the dense OHS kernel triangles")
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
             self.triangles = (np.tril(K), np.triu(K))
+            for triangle in self.triangles:
+                np.fill_diagonal(triangle, 0.5 * np.diag(K))
         else:
             self.triangles = None
             self.f = np.array([f for f, _ in factors])
             self.g = np.array([g for _, g in factors])
+            self.half_diag = 0.5 * np.sum(self.f * self.g, axis=0)
         gaps = np.empty(grid.size)
         gaps[:-1] = x[1:] - x[:-1]
         gaps[-1] = grid.n - x[-1]
@@ -304,12 +314,13 @@ class OhsScheme:
         grid = self.grid
         x = grid.centers
         zd = values * grid.widths
-        # eaten_i = sum_{j<=i} K_ij x_j zd_j (per unit zd of the eater),
-        # partners_i = sum_{j>=i} K_ij zd_j
+        # eaten_i = sum_{j<i} K_ij x_j zd_j + K_ii x_i zd_i / 2 (per unit zd
+        # of the eater), partners_i = sum_{j>i} K_ij zd_j + K_ii zd_i / 2
         if self.triangles is None:
-            eaten = np.sum(self.f * np.cumsum(self.g * (x * zd), axis=1), axis=0)
+            self_pair = self.half_diag * zd
+            eaten = np.sum(self.f * np.cumsum(self.g * (x * zd), axis=1), axis=0) - x * self_pair
             suffix = np.cumsum((self.f * zd)[:, ::-1], axis=1)[:, ::-1]
-            partners = np.sum(self.g * suffix, axis=0)
+            partners = np.sum(self.g * suffix, axis=0) - self_pair
         else:
             lower, upper = self.triangles
             eaten, partners = lower @ (x * zd), upper @ zd
@@ -346,27 +357,6 @@ def sce_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
 def ohs_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
     """Rate of the Oort-Hulst-Safronov operator (transport + death)."""
     return make_rhs("ohs", kernel)(density)
-
-
-def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarray:
-    """Edge-sampled transport velocities, one per right cell edge.
-
-    v_i = sum over partners with center strictly below x_i of
-    x_j Lambda(edge_{i+1}, x_j) zeta_j dx_j; nonnegative by construction.
-    """
-    _check_setup(density, kernel)
-    grid = density.grid
-    x = grid.centers
-    KE = np.asarray(kernel.eval(grid.edges[1:][:, None], x[None, :]))
-    mask = x[None, :] < x[:, None]
-    return (KE * mask) @ (x * density.values * grid.widths)
-
-
-def ohs_velocity(density: NumberDensity, kernel: TruncatedKernel, i: int) -> float:
-    """Transport velocity at the right edge of cell i."""
-    if not (0 <= i < density.grid.size):
-        raise DomainError(f"cell index {i} out of range")
-    return float(ohs_velocities(density, kernel)[i])
 
 
 def weak_action(rhs: RateField, omega) -> float:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gencoag import SizeGrid, TruncatedKernel
+from gencoag import NumberDensity, SizeGrid, TruncatedKernel
 from gencoag.operators import RateField, _deposit_targets
 
 
@@ -21,7 +21,8 @@ class SmoluchowskiScheme:
         self.K = np.asarray(kernel.eval(x[:, None], x[None, :]))
         p = (x[:, None] + x[None, :]).ravel()
         self.p = p
-        self.a, self.w, self.over = _deposit_targets(x, p)
+        # the domain end n is a virtual last pivot: its share leaves the domain
+        self.a, self.w, self.over = _deposit_targets(np.append(x, grid.n), p)
         self.valid = ~self.over
 
     def rhs(self, values: np.ndarray):
@@ -32,14 +33,33 @@ class SmoluchowskiScheme:
         ev = pair[self.valid]
         wv = self.w[self.valid]
         av = self.a[self.valid]
-        births = np.bincount(av, weights=ev * wv, minlength=grid.size)
-        births += np.bincount(av + 1, weights=ev * (1.0 - wv), minlength=grid.size)
+        births = np.bincount(av, weights=ev * wv, minlength=grid.size + 1)
+        births += np.bincount(av + 1, weights=ev * (1.0 - wv), minlength=grid.size + 1)
 
         death = zd * (self.K @ zd)
-        outflux = float(np.sum(pair[self.over] * self.p[self.over]))
-        return (births - death) / grid.widths, outflux
+        outflux = float(grid.n * births[-1] + np.sum(pair[self.over] * self.p[self.over]))
+        return (births[:-1] - death) / grid.widths, outflux
 
 
 def smoluchowski_rhs(density, kernel):
     """Rate of the full-square Smoluchowski quadrature on ``density``."""
     return RateField(density.grid, *SmoluchowskiScheme(density.grid, kernel).rhs(density.values))
+
+
+def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarray:
+    """Edge-sampled OHS transport velocities, one per right cell edge.
+
+    v_i = sum over partners with center strictly below x_i of
+    x_j Lambda(edge_{i+1}, x_j) zeta_j dx_j; nonnegative by construction.
+    The scheme's mass-matched velocity differs from it at first order.
+    """
+    grid = density.grid
+    x = grid.centers
+    KE = np.asarray(kernel.eval(grid.edges[1:][:, None], x[None, :]))
+    mask = x[None, :] < x[:, None]
+    return (KE * mask) @ (x * density.values * grid.widths)
+
+
+def ohs_velocity(density: NumberDensity, kernel: TruncatedKernel, i: int) -> float:
+    """Edge-sampled OHS transport velocity at the right edge of cell i."""
+    return float(ohs_velocities(density, kernel)[i])

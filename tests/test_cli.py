@@ -82,7 +82,6 @@ class TestSimulate:
         ("sweep", {"run": {"model": "generalized", "eps": 0.5, "threads": 1.5},
                    "sweep": {"eps_list": [1.0]}}),
         ("check-kernel", {"certify": {"sample_count": 2.5}}),
-        ("validate", {"validate": {"ohs_cells_per_decade": float("inf")}}),
     ])
     def test_non_integral_input_exits_1(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path, section)
@@ -108,6 +107,7 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateVariants:
@@ -177,6 +177,21 @@ class TestSweep:
         # one row per member per snapshot time (t = 0 and the horizon)
         assert len(rows) == 1 + 2 * 4
 
+    def test_schema_pins_eps_check_keys(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        check = summary["checks"]["eps_monotone_n20"]
+        for key, bad in (("floor", None), ("floor", "0.1"), ("passed", None), ("passed", 1)):
+            broken = dict(check)
+            if bad is None:
+                broken.pop(key)
+            else:
+                broken[key] = bad
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**summary, "checks": {"eps_monotone_n20": broken}},
+                                    schema("summary.schema.json"))
+
     def test_n_sweep_path(self, tmp_path):
         # lattice-aligned n values: 10^(m/12) for m = 8, 12, 16
         cfg = write_config(tmp_path, {
@@ -219,7 +234,6 @@ class TestValidate:
                 "sce_tolerance": 2.0e-2,
                 "m0_tolerance": 1.0e-3,
                 "closure_tolerance": 1.0e-8,
-                "ohs_cells_per_decade": 384,
             },
         })
         assert main(["validate", "--config", str(cfg)]) == 0

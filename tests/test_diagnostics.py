@@ -34,8 +34,8 @@ from gencoag.diagnostics import (
     weak_form_residual,
 )
 from gencoag.experiments import run_model
-from gencoag.operators import ohs_velocities
 from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
+from oracles import ohs_velocities
 
 
 @pytest.fixture(scope="module")

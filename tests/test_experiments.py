@@ -14,10 +14,11 @@ from gencoag import (
 )
 from gencoag import experiments
 from gencoag.experiments import (
+    LIMIT_TOLERANCE,
+    eps_limit_check,
     lattice_n,
     SweepConfig,
     mass_conservation_report,
-    monotone_with_plateau,
     overlap_distance,
     riccati_m0,
     run_eps_sweep,
@@ -35,6 +36,10 @@ def small_config(kernel=None, **kw):
     kw.setdefault("cells_per_decade", 16)
     kw.setdefault("horizon", 0.5)
     return SweepConfig(kernel=kernel or ConstantKernel(1.0), **kw)
+
+
+def _top_loaded(mu):
+    return np.exp(-mu / 5.0)
 
 
 def _failing_generalized(exc):
@@ -92,10 +97,27 @@ class TestEpsSweep:
         cfg = small_config(eps_list=tuple(2.0 ** (-i) for i in range(7)))
         table = run_eps_sweep(cfg)
         assert not table.failed
-        check = monotone_with_plateau(table.at_time(0.5))
+        ratio = make_grid(20.0, cfg.cells_per_decade).ratio()
+        check = eps_limit_check(table.at_time(0.5), ratio)
         assert check["passed"]
-        # genuine decrease before the plateau
-        assert check["distances"][0] > 2.0 * check["floor"]
+        # genuine decrease before the limit, which eps = 1/16 < sqrt(r) - 1 reaches
+        assert check["distances"][0] > 1e3 * LIMIT_TOLERANCE
+        assert check["floor"] <= LIMIT_TOLERANCE
+
+    def test_top_loaded_sweep_reaches_ohs(self):
+        # much of the mass sits in the top cell, so a generalized run that
+        # drains it faster than the OHS flux through the last gap shows;
+        # equal fixed steps leave only rounding between the two runs
+        grid = make_grid(10.0, 16)
+        cfg = small_config(n_list=(10.0,), profile=_top_loaded,
+                           policy=DtPolicy(mode="fixed", dt=1.0 / 64.0),
+                           eps_list=tuple(2.0 ** (-i) for i in range(11)))
+        table = run_eps_sweep(cfg)
+        assert not table.failed
+        d = table.at_time(0.5)
+        assert eps_limit_check(d, grid.ratio())["passed"]
+        limit = [v for e, v in d.items() if e < np.sqrt(grid.ratio()) - 1.0]
+        assert len(limit) == 7 and max(limit) <= 1e-12
 
     def test_determinism_bit_identical(self):
         cfg = small_config(eps_list=(1.0, 0.5, 0.25), threads=2)
@@ -208,14 +230,31 @@ class TestAnalyticValidation:
 
 
 class TestMonotonePlateau:
+    # eps_limit_check on a grid with sqrt(r) - 1 = 0.3: eps = 1 and 0.5
+    # must decrease, eps = 0.25 and below must sit at the OHS run
     def test_strictly_decreasing(self):
-        d = {1.0: 4.0, 0.5: 2.0, 0.25: 1.0}
-        assert monotone_with_plateau(d)["passed"]
+        d = {1.0: 4.0, 0.5: 2.0, 0.25: 1e-9}
+        assert eps_limit_check(d, 1.69)["passed"]
 
     def test_plateau_wiggle_allowed(self):
-        d = {1.0: 4.0, 0.5: 1.0, 0.25: 1.02}
-        assert monotone_with_plateau(d)["passed"]
+        d = {1.0: 4.0, 0.5: 1.0, 0.25: 1e-9, 0.125: 3e-9}
+        assert eps_limit_check(d, 1.69)["passed"]
 
     def test_real_rise_rejected(self):
-        d = {1.0: 4.0, 0.5: 1.0, 0.25: 2.0}
-        assert not monotone_with_plateau(d)["passed"]
+        assert not eps_limit_check({1.0: 4.0, 0.5: 1.0, 0.25: 2.0}, 1.69)["passed"]
+        assert not eps_limit_check({1.0: 1.0, 0.5: 1.0 + 1e-9, 0.25: 1e-9}, 1.69)["passed"]
+
+    def test_floor_away_from_limit_rejected(self):
+        # a distance that stops falling below sqrt(r) - 1 is a mismatch of the
+        # two operators, however flat
+        d = {1.0: 4.0, 0.5: 1.0, 0.25: 0.0145, 0.125: 0.0145}
+        check = eps_limit_check(d, 1.69)
+        assert not check["passed"]
+        assert check["floor"] == 0.0145
+        assert eps_limit_check({0.25: 2.0 * LIMIT_TOLERANCE}, 1.69)["passed"] is False
+        assert eps_limit_check({0.25: LIMIT_TOLERANCE}, 1.69)["passed"]
+
+    def test_keys(self):
+        check = eps_limit_check({0.5: 1.0, 1.0: 2.0, 0.25: 0.0}, 1.69)
+        assert check == {"passed": True, "floor": 0.0, "eps_order": [1.0, 0.5, 0.25],
+                         "distances": [2.0, 1.0, 0.0]}

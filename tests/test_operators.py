@@ -20,7 +20,6 @@ from gencoag import (
     make_grid,
     make_rhs,
     ohs_rhs,
-    ohs_velocity,
     sample_initial,
     sce_rhs,
     truncate,
@@ -29,7 +28,7 @@ from gencoag import (
 )
 from gencoag import operators
 from gencoag.operators import LagScheme, OhsScheme, PairScheme, _pair_scheme
-from oracles import smoluchowski_rhs
+from oracles import ohs_velocities, ohs_velocity, smoluchowski_rhs
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -52,14 +51,19 @@ def brute_force_generalized(grid, kernel, eps, values):
                 number[m] -= events
                 number[j] -= eps * events
             p = x[m] + eps * x[j]
-            if p > x[-1]:
+            if p > grid.n:
                 ledger += events * p
                 continue
-            a = int(np.searchsorted(x, p, side="right")) - 1
-            a = min(a, size - 2)
-            w = (x[a + 1] - p) / (x[a + 1] - x[a])
+            # the domain end n is a virtual pivot whose share leaves the domain
+            pivots = np.append(x, grid.n)
+            a = int(np.searchsorted(pivots, p, side="right")) - 1
+            a = min(a, size - 1)
+            w = (pivots[a + 1] - p) / (pivots[a + 1] - pivots[a])
             number[a] += events * w
-            number[a + 1] += events * (1.0 - w)
+            if a + 1 < size:
+                number[a + 1] += events * (1.0 - w)
+            else:
+                ledger += events * (1.0 - w) * grid.n
     return number / dx, ledger
 
 
@@ -162,14 +166,15 @@ def dense_and_lag(grid, kernel, eps, values):
     The gross rate of a cell is its births plus its deaths (number per unit
     time).  Births count each event that deposits into the cell whole, not
     by its two-point share: rounding of the split weights scales with the
-    event, and a share can be far below its event at small eps.
+    event, and a share can be far below its event at small eps.  Pivot a + 1
+    may be the virtual pivot at n, which is not a cell.
     """
     dense = PairScheme(grid, kernel, eps)
     lag = LagScheme(grid, kernel.factors(grid.centers), eps)
     pairs = dense.pairs
     events = pairs.events(values * grid.widths)
     births = np.bincount(pairs.a, weights=events[~pairs.over], minlength=grid.size)
-    births += np.bincount(pairs.a + 1, weights=events[~pairs.over], minlength=grid.size)
+    births += np.bincount(pairs.a + 1, weights=events[~pairs.over], minlength=grid.size + 1)[:-1]
     deaths = np.bincount(pairs.m_idx, weights=events, minlength=grid.size)
     deaths += np.bincount(pairs.j_idx, weights=eps * events, minlength=grid.size)
     return dense.rhs(values), lag.rhs(values), births + deaths
@@ -377,13 +382,11 @@ class TestOhs:
         rng = np.random.default_rng(23)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            from gencoag.operators import ohs_velocities
-
             assert np.all(ohs_velocities(d, kernel) >= 0.0)
 
     def test_number_moment_double_sum(self, grid30):
-        # interior number change equals -sum_{j<=i} K_ij z_i z_j dx_i dx_j
-        # plus the boundary number flux
+        # interior number change equals -sum_{j<=i} K_ij z_i z_j dx_i dx_j,
+        # the diagonal at weight 1/2, plus the boundary number flux
         rng = np.random.default_rng(29)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
@@ -391,11 +394,29 @@ class TestOhs:
             x, dx = grid30.centers, grid30.widths
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-            death = np.sum(np.tril(K) * np.outer(zd, zd))
-            eaten = np.tril(K) @ (x * zd)
+            lower = np.tril(K) - 0.5 * np.diag(np.diag(K))
+            death = np.sum(lower * np.outer(zd, zd))
+            eaten = lower @ (x * zd)
             boundary = d.values[-1] * eaten[-1] * dx[-1] / (grid30.n - x[-1])
             total = np.sum(f.dzdt * dx)
             assert total == pytest.approx(-death - boundary, rel=1e-10)
+
+    def test_number_law_exact(self, grid30):
+        # d/dt M0 = -1/2 zd^T K zd minus the number flux through the top
+        # edge, which is outflux / n: mass leaves at size n
+        rng = np.random.default_rng(30)
+        x, dx = grid30.centers, grid30.widths
+        for kernel in kernel_trio(30.0):
+            d = random_density(grid30, rng)
+            f = ohs_rhs(d, kernel)
+            zd = d.values * dx
+            K = np.asarray(kernel.eval(x[:, None], x[None, :]))
+            total = np.sum(f.dzdt * dx)
+            boundary = f.outflux_rate / grid30.n
+            assert total == pytest.approx(-0.5 * zd @ K @ zd - boundary, rel=1e-12)
+            if kernel.base.family == "constant":
+                m0 = np.sum(zd)
+                assert total == pytest.approx(-0.5 * m0 * m0 - boundary, rel=1e-12)
 
     def test_mass_ledger_exact(self, grid30):
         rng = np.random.default_rng(31)
@@ -425,17 +446,19 @@ class TestOhs:
 def dense_ohs(grid, kernel, values):
     """OHS rate from the two dense kernel triangles, plus the gross rate per cell.
 
-    The gross rate of a cell is the number flux through both of its edges
-    plus its deaths (number per unit time).
+    Both triangles carry their diagonal at weight 1/2.  The gross rate of a
+    cell is the number flux through both of its edges plus its deaths
+    (number per unit time).
     """
     x, dx = grid.centers, grid.widths
     zd = values * dx
     K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-    eaten = np.tril(K) @ (x * zd)
+    half = 0.5 * np.diag(np.diag(K))
+    eaten = (np.tril(K) - half) @ (x * zd)
     gaps = np.append(np.diff(x), grid.n - x[-1])
     flux = values * eaten * dx / gaps
     inflow = np.concatenate(([0.0], flux[:-1]))
-    death = zd * (np.triu(K) @ zd)
+    death = zd * ((np.triu(K) - half) @ zd)
     outflux = x[-1] * flux[-1] + zd[-1] * eaten[-1]
     return (inflow - flux - death) / dx, outflux, inflow + flux + death
 
@@ -490,6 +513,27 @@ class TestFactoredOhs:
             assert scheme.triangles is None
             arrays = [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
             assert arrays and all(a.size <= 2 * grid.size for a in arrays)
+
+
+class TestOhsLimit:
+    # below sqrt(r) - 1 every product of a pair lands before the next pivot
+    # (for the top cell, the domain end n), and the pair scheme is the OHS
+    # quadrature: the big particle moves on at rate K x_j / gap, the small
+    # one dies, the self-pair counts once
+    def test_pair_scheme_equals_ohs(self):
+        grid = make_grid(8.0, 6)
+        nodes = np.geomspace(0.1, 10.0, 6)
+        tabulated = TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes), k=25.0)
+        limit = np.sqrt(grid.ratio()) - 1.0
+        rng = np.random.default_rng(61)
+        for kernel in kernel_trio(8.0) + [truncate(tabulated, 8.0)]:
+            values = rng.random(grid.size)
+            ohs, ohs_out = OhsScheme(grid, kernel).rhs(values)
+            scale = np.max(np.abs(ohs))
+            for eps in (0.99 * limit, 2.0**-8):
+                gen, gen_out = _pair_scheme(grid, kernel, eps).rhs(values)
+                assert np.max(np.abs(gen - ohs)) <= 1e-12 * scale
+                assert gen_out == pytest.approx(ohs_out, rel=1e-12)
 
 
 class TestDenseMemoryGuard:
