@@ -50,7 +50,7 @@ from .operators import (
     sce_rhs,
     weak_action,
 )
-from .integrator import DtPolicy, StepStats, evolve, initial_dt_heuristic, step
+from .integrator import DtPolicy, StepStats, evolve, step
 from .gauges import (
     ConvexGauge,
     SquareGauge,

@@ -105,8 +105,8 @@ def build_policy(cfg):
     sec = _section(cfg, "time", required=False)
     return DtPolicy(
         mode=sec.get("dt_mode", "adaptive"),
-        dt=float(sec.get("dt", 0.0)),
-        safety=float(sec.get("safety", 0.8)),
+        dt=_float(sec, "dt", 0.0),
+        safety=_float(sec, "safety", 0.8),
         max_shrink=_int(sec, "max_shrink", 20),
     )
 
@@ -279,12 +279,10 @@ def cmd_sweep(args):
     cfg = load_config(args.config)
     config = _sweep_config(cfg, args)
     ssec = _section(cfg, "sweep", required=False)
-    out = _out_dir(cfg, args)
-    shutil.copyfile(args.config, out / "config_echo.yaml")
     summary = {"checks": {}, "failed_members": []}
+    tables = {}
     if ssec.get("eps_sweep", True):
-        table = exp.run_eps_sweep(config)
-        table.write_csv(out / "distances_eps.csv")
+        table = tables["distances_eps.csv"] = exp.run_eps_sweep(config)
         summary["failed_members"] += table.failed
         for n in config.n_list:
             d = table.at_time(config.horizon, n)
@@ -292,8 +290,7 @@ def cmd_sweep(args):
                 ratio = make_grid(n, config.cells_per_decade).ratio()
                 summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d, ratio)
     if ssec.get("n_sweep", False) and len(config.n_list) > 1:
-        table_n = exp.run_n_sweep(config)
-        table_n.write_csv(out / "distances_n.csv")
+        table_n = tables["distances_n.csv"] = exp.run_n_sweep(config)
         summary["failed_members"] += table_n.failed
         dists = [r[3] for r in table_n.rows]
         summary["checks"]["n_cauchy"] = {
@@ -301,6 +298,11 @@ def cmd_sweep(args):
             "passed": all(b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:])) if len(dists) > 1 else True,
         }
     summary["passed"] = all(c.get("passed", True) for c in summary["checks"].values()) and not summary["failed_members"]
+    # only a sweep that went through leaves an output directory
+    out = _out_dir(cfg, args)
+    shutil.copyfile(args.config, out / "config_echo.yaml")
+    for name, table in tables.items():
+        table.write_csv(out / name)
     _dump_json(_plain(summary), out / "summary.json")
     print(("PASS" if summary["passed"] else "FAIL") + "  sweep")
     return EXIT_OK if summary["passed"] else EXIT_BOUND_FAIL
@@ -348,8 +350,6 @@ def cmd_validate(args):
     tol_sce = _float(vsec, "sce_tolerance", 2e-2)
     tol_m0 = _float(vsec, "m0_tolerance", 1e-3)
     tol_closure = _float(vsec, "closure_tolerance", 1e-8)
-    out = _out_dir(cfg, args)
-    shutil.copyfile(args.config, out / "config_echo.yaml")
     results = {}
     ok = True
 
@@ -383,6 +383,9 @@ def cmd_validate(args):
     ok &= mc_pass
 
     results["passed"] = bool(ok)
+    # only a validation that went through leaves an output directory
+    out = _out_dir(cfg, args)
+    shutil.copyfile(args.config, out / "config_echo.yaml")
     _dump_json(_plain(results), out / "validate.json")
     for name, r in results.items():
         if isinstance(r, dict) and "passed" in r:

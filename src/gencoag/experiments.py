@@ -9,12 +9,12 @@ weight mu^(-sigma) + mu, the natural topology for singular kernels.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, GencoagError
-from .integrator import DtPolicy, evolve, initial_dt_heuristic
+from .integrator import DtPolicy, evolve
 from .kernels import Kernel, truncate
 from .operators import make_rhs
 from .sizedomain import (
@@ -84,14 +84,15 @@ class DistanceTable:
 def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity,
               horizon: float, policy: DtPolicy, snapshot_times=None,
               eps: float | None = None, observers=()) -> Trajectory:
-    """Evolve one model on one grid; fills in the heuristic starting dt."""
-    trunc = truncate(kernel, grid.n)
-    rhs = make_rhs(model, trunc, eps)
-    pol = policy
-    if pol.dt <= 0.0:
-        dt0 = initial_dt_heuristic(trunc, initial, eps if eps else 1.0, pol.safety)
-        pol = replace(pol, dt=dt0)
-    return evolve(initial, rhs, horizon, pol, snapshot_times, observers)
+    """Evolve one model on one grid with the kernel truncated to it."""
+    rhs = make_rhs(model, truncate(kernel, grid.n), eps)
+    return evolve(initial, rhs, horizon, policy, snapshot_times, observers)
+
+
+def _failure(exc: GencoagError) -> dict:
+    """Typed reason of a failed sweep member; time and dt come from a StiffnessError."""
+    return {"type": type(exc).__name__, "message": str(exc),
+            "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
 
 
 def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
@@ -115,15 +116,16 @@ def _eps_member(args):
     try:
         traj = run_model("generalized", config.kernel, grid, initial,
                          config.horizon, config.policy, snaps, eps=eps)
-    except (GencoagError, FloatingPointError) as exc:
+    except GencoagError as exc:
         # stiffness or config failure: mark, keep sweeping; a bug still raises
-        return eps, n, None, repr(exc)
+        return eps, n, None, _failure(exc)
     # every member must individually respect the weighted-moment bound
     sigma = config.kernel.sigma
     theta = weighted_norm(initial, "Y_norm", sigma)
     worst = float(traj.moments(weight_values(grid.centers, "Y_norm", sigma)).max())
     if worst > theta * (1.0 + 1e-10):
-        return eps, n, None, f"moment bound violated: {worst!r} > {theta!r}"
+        return eps, n, None, {"type": "MomentBoundViolation", "time": None, "dt": None,
+                              "message": f"moment bound violated: {worst!r} > {theta!r}"}
     return eps, n, (traj.times, traj.values), None
 
 
@@ -215,8 +217,8 @@ def run_n_sweep(config: SweepConfig, model: str = "generalized",
         try:
             traj = run_model(model, config.kernel, grid, initial, config.horizon,
                              config.policy, (config.horizon,), eps=eps)
-        except (GencoagError, FloatingPointError) as exc:
-            table.failed.append({"eps": eps, "n": n, "error": repr(exc)})
+        except GencoagError as exc:
+            table.failed.append({"eps": eps, "n": n, "error": _failure(exc)})
             finals.append(None)
             continue
         finals.append(traj[-1])

@@ -1,4 +1,12 @@
-"""Positivity-safeguarded RK4 time stepping for the coagulation ODE system.
+"""Error-controlled, positivity-safeguarded RK4 time stepping for the
+coagulation ODE system.
+
+The propagator is classical RK4.  In adaptive mode the stage k5 = f(y_{n+1}),
+evaluated at the accepted (clipped) state, is the next step's k1 ("first
+same as last"), so an accepted step still costs four right-hand-side
+evaluations.  With the weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5) it
+also gives an embedded third-order solution; their difference
+``dt/6 (k4 - k5)`` is the local error estimate that sets the next step.
 
 The boundary-outflux ledger is integrated alongside the density as an extra
 ODE component, so any identity satisfied by the semi-discrete right-hand
@@ -20,10 +28,14 @@ from .sizedomain import NumberDensity, Trajectory
 #: accumulated machine epsilon.
 CLIP_REL = 1.0e-12
 
-#: The adaptive policy multiplies dt by GROWTH after GROWTH_STREAK
-#: consecutive steps without a rejection.
-GROWTH = 1.5
-GROWTH_STREAK = 5
+#: Relative tolerance of the adaptive policy: the local error estimate,
+#: in the weighted L1 norm with weight (1 + mu) dmu, is kept below RTOL
+#: times the norm of the state.
+RTOL = 1.0e-7
+
+#: Bounds of the factor by which one step may change the next.
+FAC_MIN = 0.2
+FAC_MAX = 5.0
 
 
 @dataclass
@@ -31,8 +43,11 @@ class DtPolicy:
     """Step-size policy.
 
     ``fixed`` retries the same dt each step (per-step halving still
-    applies); ``adaptive`` grows dt again after a streak of clean steps, so
-    a conservative initial dt recovers.
+    applies).  ``adaptive`` accepts a step when its error estimate is
+    within ``RTOL`` and scales the next one by ``safety * err^(-1/4)``,
+    clamped to [0.2, 5]; ``dt`` is the first trial step, and 0 selects the
+    Hairer-Norsett-Wanner starting step.  ``max_shrink`` bounds the
+    rejections (error or positivity) of one step.
     """
 
     mode: str = "adaptive"
@@ -46,32 +61,27 @@ class DtPolicy:
         if not (0.0 < self.safety <= 1.0):
             raise DomainError("safety must lie in (0, 1]")
         if not (0.0 <= self.dt < np.inf):
-            raise DomainError("dt must be finite and >= 0 (0 selects the heuristic)")
+            raise DomainError("dt must be finite and >= 0 (0 selects the starting-step estimate)")
+        if self.mode == "fixed" and self.dt == 0.0:
+            raise DomainError("dt_mode fixed requires a positive dt")
 
 
 @dataclass
 class StepStats:
-    """Bookkeeping for one accepted step."""
+    """Bookkeeping for one accepted step.
+
+    ``error`` is the step's error estimate relative to the tolerance
+    (accepted when <= 1); fixed steps do not estimate it and report 0.
+    """
 
     dt: float
     rejections: int = 0
     clipped_mass: float = 0.0
     outflux: float = 0.0
+    error: float = 0.0
 
 
-def initial_dt_heuristic(kernel, density: NumberDensity, eps: float = 1.0,
-                         safety: float = 0.8) -> float:
-    """Conservative starting dt from the truncated-kernel Lipschitz scale.
-
-    dt0 = safety / (2 k n^(2+2s) (1/eps + 2) ||zeta||_L1).  Grossly
-    pessimistic for smooth data; the adaptive policy grows it back.
-    """
-    norm = float(np.sum(np.abs(density.values) * density.grid.widths))
-    lip = kernel.sup_bound * (1.0 / eps + 2.0) * max(norm, 1e-300)
-    return safety / lip
-
-
-def _rk4_attempt(values, rhs_op, grid, t, dt):
+def _stages(rhs_op, grid):
     # Stage inputs are clamped at zero: transient sub-rounding negatives in
     # a stage state would otherwise feed the quadratic rates, let spurious
     # boundary modes amplify, and put noise of either sign into the ledger.
@@ -82,13 +92,68 @@ def _rk4_attempt(values, rhs_op, grid, t, dt):
         field = rhs_op(NumberDensity._unchecked(grid, np.maximum(v, 0.0), s))
         return field.dzdt, field.outflux_rate
 
-    k1, l1 = f(values, t)
+    return f
+
+
+def _rk4_attempt(f, values, t, first, dt):
+    k1, l1 = first
     k2, l2 = f(values + 0.5 * dt * k1, t + 0.5 * dt)
     k3, l3 = f(values + 0.5 * dt * k2, t + 0.5 * dt)
     k4, l4 = f(values + dt * k3, t + dt)
     new = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     outflux = (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return new, outflux
+    return new, outflux, k4
+
+
+def _factor(err, safety):
+    """Step-size factor safety * err^(-1/4), clamped to [FAC_MIN, FAC_MAX]."""
+    return min(FAC_MAX, max(FAC_MIN, safety * max(err, 1e-300) ** -0.25))
+
+
+def _advance(f, density, first, dt, max_shrink, norm=None, safety=0.8):
+    """One accepted RK4 step from ``density``, whose stage k1 is ``first``.
+
+    Rejects and halves on positivity and, when ``norm`` is given, rejects
+    and shrinks on the error estimate; both count against ``max_shrink``.
+    Returns (NumberDensity, StepStats, k5): k5 = f at the new state in
+    adaptive mode, None in fixed mode.
+    """
+    grid = density.grid
+    values = density.values
+    scale = float(values.max(initial=0.0))
+    attempt = dt
+    rejections = 0
+    for _ in range(max_shrink + 1):
+        tried = attempt
+        new, outflux, k4 = _rk4_attempt(f, values, density.time, first, attempt)
+        floor = -CLIP_REL * max(scale, float(new.max(initial=0.0)))
+        if float(new.min(initial=0.0)) < floor:
+            attempt *= 0.5
+            rejections += 1
+            continue
+        neg = new < 0.0
+        clipped = 0.0
+        if np.any(neg):
+            clipped = float(np.sum(-new[neg] * grid.centers[neg] * grid.widths[neg]))
+            new = np.where(neg, 0.0, new)
+        last = None
+        err = 0.0
+        if norm is not None:
+            last = f(new, density.time + attempt)
+            size = RTOL * max(norm(values), norm(new), 1e-300)
+            err = norm((attempt / 6.0) * (k4 - last[0])) / size
+            if err > 1.0:
+                attempt *= _factor(err, safety)
+                rejections += 1
+                continue
+        out = NumberDensity(grid, new, density.time + attempt)
+        return out, StepStats(attempt, rejections, clipped, outflux, err), last
+    raise StiffnessError(
+        f"step rejected {rejections} times from dt={dt:g} at t={density.time:g}",
+        time=density.time,
+        dt=tried,
+        min_cell=float(new.min(initial=0.0)),
+    )
 
 
 def step(density: NumberDensity, rhs_op, dt: float, max_shrink: int = 20):
@@ -104,31 +169,32 @@ def step(density: NumberDensity, rhs_op, dt: float, max_shrink: int = 20):
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    grid = density.grid
-    values = density.values
-    scale = float(values.max(initial=0.0))
-    attempt = dt
-    rejections = 0
-    for _ in range(max_shrink + 1):
-        new, outflux = _rk4_attempt(values, rhs_op, grid, density.time, attempt)
-        floor = -CLIP_REL * max(scale, float(new.max(initial=0.0)))
-        if float(new.min(initial=0.0)) < floor:
-            attempt *= 0.5
-            rejections += 1
-            continue
-        neg = new < 0.0
-        clipped = 0.0
-        if np.any(neg):
-            clipped = float(np.sum(-new[neg] * grid.centers[neg] * grid.widths[neg]))
-            new = np.where(neg, 0.0, new)
-        out = NumberDensity(grid, new, density.time + attempt)
-        return out, StepStats(attempt, rejections, clipped, outflux)
-    raise StiffnessError(
-        f"step rejected {rejections} times from dt={dt:g} at t={density.time:g}",
-        time=density.time,
-        dt=attempt,
-        min_cell=float(new.min(initial=0.0)),
-    )
+    f = _stages(rhs_op, density.grid)
+    out, stats, _ = _advance(f, density, f(density.values, density.time), dt, max_shrink)
+    return out, stats
+
+
+def _weighted_l1(grid):
+    """v -> sum_i (1 + x_i) |v_i| dx_i, the error norm of the adaptive policy."""
+    w = (1.0 + grid.centers) * grid.widths
+    return lambda v: float(w @ np.abs(v))
+
+
+def _starting_step(f, density, first, norm):
+    """Hairer-Norsett-Wanner starting step for an order-3 error estimate.
+
+    Solving ODEs I, Sec. II.4, in the scaled norm ||v|| / (RTOL ||y0||);
+    costs one Euler-probe evaluation besides k1.
+    """
+    size = RTOL * max(norm(density.values), 1e-300)
+    d0 = norm(density.values) / size
+    d1 = norm(first[0]) / size
+    h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
+    probe, _ = f(density.values + h0 * first[0], density.time + h0)
+    d2 = norm(probe - first[0]) / size / h0
+    top = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if top <= 1e-15 else (0.01 / top) ** 0.25
+    return min(100.0 * h0, h1)
 
 
 def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
@@ -136,12 +202,12 @@ def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
     """Integrate to horizon T, landing exactly on every requested snapshot time.
 
     Observers are called as observer(time, density, stats) after each
-    accepted step; they must not mutate the density.
+    accepted step; they must not mutate the density.  The run is under
+    ``np.errstate(invalid="raise", over="raise")``: a NaN or an overflow
+    raises StiffnessError with the time and dt of the step it hit.
     """
     if not (0.0 <= T < np.inf):
         raise DomainError("horizon T must be finite and >= 0")
-    if policy.dt <= 0.0:
-        raise DomainError("policy.dt must be positive (use initial_dt_heuristic)")
     traj = Trajectory()
     traj.append(initial.replace(time=initial.time), 0.0, 0.0)
     if T == 0.0:
@@ -156,29 +222,42 @@ def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
         if not stops or abs(stops[-1] - (initial.time + T)) > 1e-12 * max(T, 1.0):
             stops.append(initial.time + T)
 
+    adaptive = policy.mode == "adaptive"
+    f = _stages(rhs_op, initial.grid)
+    norm = _weighted_l1(initial.grid) if adaptive else None
     state = initial
     outflux_total = 0.0
     clipped_total = 0.0
-    dt_cur = policy.dt
-    streak = 0
-    for target in stops:
-        while state.time < target * (1.0 - 1e-15) and target - state.time > 1e-15 * max(target, 1.0):
-            dt_try = min(dt_cur, target - state.time)
-            state, stats = step(state, rhs_op, dt_try, policy.max_shrink)
-            outflux_total += stats.outflux
-            clipped_total += stats.clipped_mass
-            for obs in observers:
-                obs(state.time, state, stats)
-            if policy.mode == "adaptive":
-                if stats.rejections:
-                    dt_cur = stats.dt
-                    streak = 0
-                else:
-                    streak += 1
-                    if streak >= GROWTH_STREAK:
-                        dt_cur *= GROWTH
-                        streak = 0
-        # land exactly on the requested time
-        state = state.replace(time=target)
-        traj.append(state, outflux_total, clipped_total)
+    dt_cur = dt_try = policy.dt
+    first = None
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            for target in stops:
+                while (state.time < target * (1.0 - 1e-15)
+                       and target - state.time > 1e-15 * max(target, 1.0)):
+                    if first is None:
+                        first = f(state.values, state.time)
+                    if dt_cur == 0.0:
+                        dt_cur = _starting_step(f, state, first, norm)
+                    dt_try = min(dt_cur, target - state.time)
+                    state, stats, first = _advance(f, state, first, dt_try, policy.max_shrink,
+                                                   norm, policy.safety)
+                    outflux_total += stats.outflux
+                    clipped_total += stats.clipped_mass
+                    for obs in observers:
+                        obs(state.time, state, stats)
+                    if adaptive:
+                        proposal = stats.dt * _factor(stats.error, policy.safety)
+                        # a step shortened to land on a stop does not shrink the next one
+                        shortened = dt_try < dt_cur and not stats.rejections
+                        dt_cur = max(proposal, dt_cur) if shortened else proposal
+                # land exactly on the requested time
+                state = state.replace(time=target)
+                traj.append(state, outflux_total, clipped_total)
+    except FloatingPointError as exc:
+        raise StiffnessError(
+            f"floating-point fault ({exc}) in the step from t={state.time:g} with dt={dt_try:g}",
+            time=state.time,
+            dt=dt_try,
+        ) from exc
     return traj

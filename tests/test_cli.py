@@ -1,11 +1,14 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 import yaml
 
 from gencoag.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def schema(name):
@@ -87,6 +90,12 @@ class TestSimulate:
         cfg = write_config(tmp_path, section)
         assert main([command, "--config", str(cfg)]) == 1
         assert "must be an integer" in capsys.readouterr().err
+
+    def test_fixed_mode_without_dt_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 3, "dt_mode": "fixed"}})
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "error: dt_mode fixed requires a positive dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_idempotent_rerun(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -205,6 +214,36 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["n_cauchy"]["passed"]
 
+    def test_failed_members_are_typed(self, tmp_path):
+        # a fixed dt far too large, with no halving allowed: every member of
+        # the n sweep fails its first step
+        cfg = write_config(tmp_path, {
+            "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
+                      "n_list": [4.641588833612779, 10.0]},
+            "time": {"horizon": 100.0, "dt_mode": "fixed", "dt": 100.0, "max_shrink": 0},
+        })
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        jsonschema.validate(summary, schema("summary.schema.json"))
+        errors = [m["error"] for m in summary["failed_members"]]
+        assert len(errors) == 2
+        for error in errors:
+            assert error["type"] == "StiffnessError" and error["message"].startswith("step rejected")
+            assert error["time"] == 0.0 and error["dt"] == 100.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**summary, "failed_members": [{"eps": 0.5, "n": 10.0,
+                                                                "error": "StiffnessError()"}]},
+                                schema("summary.schema.json"))
+
+    def test_failed_reference_leaves_no_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
+            "time": {"horizon": 100.0, "dt_mode": "fixed", "dt": 100.0, "max_shrink": 0},
+        })
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "error: step rejected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -224,6 +263,23 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert f"error: {key} must be a finite number >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "validate.json").exists()
+
+    def test_refused_run_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "DIR"
+        assert main(["validate", "--config", str(CONFIGS / "simulate_singular.yaml"),
+                     "--out", str(out)]) == 1
+        assert "error: analytic validation requires the constant kernel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shipped_config_time_error(self, tmp_path):
+        # default tolerance: the M0 law holds to 1.25e-8 on every model and
+        # the mass ledger closes to rounding
+        assert main(["validate", "--config", str(CONFIGS / "validate_constant.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "validate.json").read_text())
+        m0 = [e for m in payload["m0_riccati"]["models"].values() for e in m["errors"].values()]
+        assert max(m0) <= 1.25e-8
+        assert payload["mass_conservation"]["max_closure_rel"] <= 1e-15
 
     def test_validate_fast_config(self, tmp_path):
         cfg = write_config(tmp_path, {

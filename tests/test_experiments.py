@@ -62,10 +62,32 @@ class TestMemberFailures:
                             _failing_generalized(StiffnessError("stiff", time=0.0, dt=1e-3)))
         table = run_eps_sweep(small_config(eps_list=(1.0, 0.5)))
         assert [f["eps"] for f in table.failed] == [1.0, 0.5]
-        assert all("StiffnessError" in f["error"] for f in table.failed)
+        assert all(f["error"] == {"type": "StiffnessError", "message": "stiff",
+                                  "time": 0.0, "dt": 1e-3} for f in table.failed)
         table = run_n_sweep(small_config(n_list=(10.0, 20.0)), eps=0.5)
         assert [f["n"] for f in table.failed] == [10.0, 20.0]
         assert table.rows == []
+
+    def test_other_package_error_has_no_state(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(ConfigError("bad")))
+        table = run_eps_sweep(small_config(eps_list=(0.5,)))
+        assert table.failed[0]["error"] == {"type": "ConfigError", "message": "bad",
+                                            "time": None, "dt": None}
+
+    def test_floating_point_fault_is_typed(self, monkeypatch):
+        # an overflow in a member's step is a StiffnessError at that step
+        real = experiments.make_rhs
+
+        def make_rhs(model, kernel, eps=None):
+            rhs = real(model, kernel, eps)
+            if model != "generalized":
+                return rhs
+            return lambda d: rhs(d) if d.time < 0.1 else rhs(d.replace(values=d.values * 1e300))
+        monkeypatch.setattr(experiments, "make_rhs", make_rhs)
+        table = run_eps_sweep(small_config(eps_list=(0.5,)))
+        error = table.failed[0]["error"]
+        assert error["type"] == "StiffnessError" and "floating-point" in error["message"]
+        assert 0.0 < error["time"] < 0.1 and error["dt"] > 0.0
 
     def test_programming_error_propagates(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(TypeError("bug")))
@@ -111,6 +133,19 @@ class TestEpsSweep:
         grid = make_grid(10.0, 16)
         cfg = small_config(n_list=(10.0,), profile=_top_loaded,
                            policy=DtPolicy(mode="fixed", dt=1.0 / 64.0),
+                           eps_list=tuple(2.0 ** (-i) for i in range(11)))
+        table = run_eps_sweep(cfg)
+        assert not table.failed
+        d = table.at_time(0.5)
+        assert eps_limit_check(d, grid.ratio())["passed"]
+        limit = [v for e, v in d.items() if e < np.sqrt(grid.ratio()) - 1.0]
+        assert len(limit) == 7 and max(limit) <= 1e-12
+
+    def test_top_loaded_sweep_reaches_ohs_adaptive(self):
+        # the error-controlled steps depend on the data only, so the members
+        # below sqrt(r) - 1 take the OHS run's step sequence
+        grid = make_grid(10.0, 16)
+        cfg = small_config(n_list=(10.0,), profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(cfg)
         assert not table.failed

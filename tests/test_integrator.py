@@ -9,9 +9,9 @@ from gencoag import (
     DtPolicy,
     ExponentialProfile,
     NumberDensity,
+    RateField,
     StiffnessError,
     evolve,
-    initial_dt_heuristic,
     make_grid,
     make_rhs,
     sample_initial,
@@ -19,6 +19,7 @@ from gencoag import (
     truncate,
     weighted_norm,
 )
+from gencoag import integrator
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ class TestStep:
         grid, kernel, density = setup
         with pytest.raises(StiffnessError) as err:
             step(density, make_rhs("sce", kernel), 1e9, max_shrink=3)
-        assert err.value.dt is not None
+        assert err.value.dt == 1e9 / 8  # the last dt tried
 
     def test_huge_dt_eventually_accepted_with_shrink_budget(self, setup):
         grid, kernel, density = setup
@@ -146,14 +147,6 @@ class TestEvolve:
         with pytest.raises(TypeError):
             DtPolicy(growth=2.0)
 
-    def test_adaptive_growth_schedule(self, setup):
-        # dt grows x1.5 after every 5 clean steps
-        grid, kernel, density = setup
-        dts = []
-        evolve(density, make_rhs("sce", kernel), 0.02, DtPolicy(dt=1e-3),
-               observers=[lambda t, d, stats: dts.append(stats.dt)])
-        assert dts[:11] == [1e-3] * 5 + [1e-3 * 1.5] * 5 + [1e-3 * 1.5 * 1.5]
-
     def test_policy_zero_dt_selects_heuristic(self):
         assert DtPolicy(dt=0.0).dt == 0.0
 
@@ -163,9 +156,133 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(density, make_rhs("sce", kernel), T, DtPolicy(dt=0.1))
 
-    def test_dt_heuristic_scale(self, setup):
+    def test_fixed_mode_requires_dt(self):
+        with pytest.raises(DomainError):
+            DtPolicy(mode="fixed")
+
+
+def _record(log):
+    return lambda t, d, stats: log.append((t, stats))
+
+
+def _factor(err):
+    return min(5.0, max(0.2, 0.8 * err ** -0.25))
+
+
+class TestFixedMode:
+    def test_bit_identical_to_plain_rk4(self, setup):
+        # the stages see the state clamped at zero; no cell goes negative here
         grid, kernel, density = setup
-        dt0 = initial_dt_heuristic(kernel, density, eps=0.5, safety=0.8)
-        norm = np.sum(density.values * grid.widths)
-        expect = 0.8 / (kernel.sup_bound * 4.0 * norm)
-        assert dt0 == pytest.approx(expect, rel=1e-12)
+        rhs = make_rhs("generalized", kernel, 0.3)
+        dt, stops = 0.03, (0.1, 0.25)
+
+        def f(v):
+            field = rhs(NumberDensity(grid, np.maximum(v, 0.0)))
+            return field.dzdt, field.outflux_rate
+
+        y, t, out = density.values, 0.0, 0.0
+        expect, ledger = [y], [0.0]
+        for stop in stops:
+            while t < stop * (1.0 - 1e-15):
+                h = min(dt, stop - t)
+                k1, l1 = f(y)
+                k2, l2 = f(y + 0.5 * h * k1)
+                k3, l3 = f(y + 0.5 * h * k2)
+                k4, l4 = f(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out += (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+                t += h
+            t = stop
+            expect.append(y)
+            ledger.append(out)
+        traj = evolve(density, rhs, 0.25, DtPolicy(mode="fixed", dt=dt), stops)
+        assert np.array_equal(traj.values, np.array(expect))
+        assert traj.outflux == ledger and traj.clipped == [0.0] * 3
+
+
+class TestErrorControl:
+    def test_estimate_is_fourth_order(self, setup, monkeypatch):
+        # |dt/6 (k4 - k5)| is the local error of the embedded order-3
+        # solution: it drops ~16x per halving of dt
+        grid, kernel, density = setup
+        monkeypatch.setattr(integrator, "RTOL", 1.0)  # accept every trial step
+        rhs = make_rhs("sce", kernel)
+
+        def estimate(dt):
+            log = []
+            evolve(density, rhs, dt, DtPolicy(dt=dt), observers=[_record(log)])
+            assert len(log) == 1 and log[0][1].rejections == 0
+            return log[0][1].error
+
+        e = [estimate(0.2 / 2 ** i) for i in range(3)]
+        assert 12.0 <= e[0] / e[1] <= 20.0 and 12.0 <= e[1] / e[2] <= 20.0
+
+    def test_controller_sequence(self, setup):
+        # each accepted step is within tolerance and sets the next one to
+        # dt * min(5, max(0.2, 0.8 err^(-1/4)))
+        grid, kernel, density = setup
+        log = []
+        evolve(density, make_rhs("generalized", kernel, 0.3), 2.0, DtPolicy(),
+               observers=[_record(log)])
+        stats = [s for _, s in log]
+        assert len(stats) > 5 and all(0.0 < s.error <= 1.0 for s in stats)
+        assert not any(s.rejections for s in stats)
+        for prev, cur in zip(stats[:-2], stats[1:-1]):  # the last step lands on T
+            assert cur.dt == pytest.approx(prev.dt * _factor(prev.error), rel=1e-14)
+
+    def test_error_rejection_shrinks_step(self, setup):
+        grid, kernel, density = setup
+        log = []
+        evolve(density, make_rhs("sce", kernel), 0.5, DtPolicy(dt=0.5),
+               observers=[_record(log)])
+        first = log[0][1]
+        assert first.rejections >= 1 and first.dt < 0.5 and first.error <= 1.0
+        with pytest.raises(StiffnessError) as err:
+            evolve(density, make_rhs("sce", kernel), 0.5, DtPolicy(dt=0.5, max_shrink=0))
+        assert err.value.time == 0.0 and err.value.dt == 0.5
+
+    def test_landing_does_not_shrink_next_step(self, setup):
+        grid, kernel, density = setup
+        rhs = make_rhs("sce", kernel)
+        free = []
+        evolve(density, rhs, 1.0, DtPolicy(), observers=[_record(free)])
+        # a stop just after the third step: the fourth is cut short
+        stop = free[2][0] + 0.01 * free[3][1].dt
+        landed = []
+        evolve(density, rhs, 1.0, DtPolicy(), [stop, 1.0], observers=[_record(landed)])
+        assert [s.dt for _, s in landed[:3]] == [s.dt for _, s in free[:3]]
+        short, after = landed[3][1], landed[4][1]
+        assert landed[3][0] == pytest.approx(stop, rel=1e-15) and short.dt < free[3][1].dt
+        assert after.dt >= free[3][1].dt
+
+    def test_starting_step_has_no_eps(self, setup):
+        # the first step is set by the data, not by 1/eps
+        grid, kernel, density = setup
+        first = {}
+        for eps in (1.0, 2.0 ** -10):
+            log = []
+            evolve(density, make_rhs("generalized", kernel, eps), 0.5, DtPolicy(),
+                   observers=[_record(log)])
+            first[eps] = log[0][1]
+            assert first[eps].rejections == 0 and len(log) <= 30
+        assert 0.5 <= first[1.0].dt / first[2.0 ** -10].dt <= 2.0
+
+
+class TestFloatingPointFaults:
+    @pytest.mark.parametrize("fault", ["over", "invalid"])
+    def test_fault_raises_stiffness_with_state(self, setup, fault):
+        # the rates blow up once t > 0.32; fixed steps of 0.1 reach it in
+        # the step from t = 0.3
+        grid, kernel, density = setup
+
+        def rhs(d):
+            if d.time <= 0.32:
+                return RateField(grid, -d.values, 0.0)
+            if fault == "over":
+                return RateField(grid, 1e300 * d.values, 0.0)
+            return RateField(grid, (d.values - d.values) / (d.values - d.values), 0.0)
+
+        with pytest.raises(StiffnessError) as err:
+            evolve(density, rhs, 1.0, DtPolicy(mode="fixed", dt=0.1))
+        assert err.value.time == pytest.approx(0.3) and err.value.dt == 0.1
+        assert isinstance(err.value.__cause__, FloatingPointError)
