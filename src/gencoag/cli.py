@@ -120,6 +120,22 @@ def _snapshot_times(cfg, horizon):
 
 
 def _omega_from_name(name):
+    if not isinstance(name, str):
+        raise GencoagError(f"test function names must be strings, got {name!r}")
+    try:
+        return _omega_named(name)
+    except ValueError as exc:  # a malformed bump:a:b or trunc_linear:lam
+        raise GencoagError(f"test function {name!r}: {exc}")
+
+
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"parameter {text!r} is not finite")
+    return value
+
+
+def _omega_named(name):
     if name == "one":
         return testfuncs.constant_one()
     if name == "mass":
@@ -128,11 +144,32 @@ def _omega_from_name(name):
         return testfuncs.square()
     if name.startswith("bump:"):
         _, a, b = name.split(":")
-        return testfuncs.bump(float(a), float(b))
+        return testfuncs.bump(_finite(a), _finite(b))
     if name.startswith("trunc_linear:"):
         _, lam = name.split(":")
-        return testfuncs.truncated_linear(float(lam))
+        return testfuncs.truncated_linear(_finite(lam))
     raise GencoagError(f"unknown test function {name!r}")
+
+
+def _list(sec, key, default):
+    """``sec[key]`` as a list; a scalar or a mapping is a GencoagError."""
+    value = sec.get(key, default)
+    if isinstance(value, list):
+        return value
+    raise GencoagError(f"{key} must be a list, got {value!r}")
+
+
+def _flux_thresholds(dsec, grid):
+    """The mass-flux thresholds lambda = fraction * n; each must lie in (1/n, n]."""
+    lams = []
+    for frac in _list(dsec, "lambdas", [0.25, 0.5, 1.0]):
+        if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+            raise GencoagError(f"lambdas must be numbers, got {frac!r}")
+        lam = frac * grid.n
+        if not (grid.edges[0] < lam <= grid.edges[-1]):
+            raise GencoagError(f"lambda={lam} outside the domain (1/n, n]")
+        lams.append(lam)
+    return lams
 
 
 def _out_dir(cfg, args):
@@ -167,13 +204,18 @@ def cmd_simulate(args):
     horizon = float(tsec.get("horizon", 1.0))
     policy = build_policy(cfg)
     snaps = _snapshot_times(cfg, horizon)
+    # diagnostics settings are checked here so that a bad one fails before the solve
+    dsec = _section(cfg, "diagnostics", required=False)
+    names = _list(dsec, "omegas", ["one", "mass"])
+    omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
+                        (len(names), grid.size))
+    lams = _flux_thresholds(dsec, grid)
 
     traj = exp.run_model(model, kernel, grid, initial, horizon, policy, snaps, eps=eps)
     # only a run that went through leaves an output directory
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
 
-    dsec = _section(cfg, "diagnostics", required=False)
     if dsec.get("inject_mass_violation", False):
         # test hook: corrupt the final snapshot so bound checks must fail
         bad = traj[-1].values * 1.5
@@ -200,14 +242,9 @@ def cmd_simulate(args):
     for om in testfuncs.bump_library(grid):
         verdicts.append(diag.equicontinuity_modulus(traj, om, sigma, kernel.k))
 
-    names = dsec.get("omegas", ["one", "mass"])
-    omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
-                        (len(names), grid.size))
     weak_residuals = dict(zip(names, diag.weak_form_residual(traj, omegas, trunc, model, eps)))
 
-    flux = []
-    for frac in dsec.get("lambdas", [0.25, 0.5, 1.0]):
-        flux.append(diag.mass_flux_identity(traj, frac * grid.n, trunc))
+    flux = [diag.mass_flux_identity(traj, lam, trunc) for lam in lams]
 
     ledger = {
         "M1_initial": float(moments["M1"][0]),
@@ -223,11 +260,7 @@ def cmd_simulate(args):
         ledger=ledger,
     )
 
-    snap_files = []
-    for i, snap in enumerate(traj):
-        fname = f"snapshot_{i:04d}.csv"
-        write_snapshot_csv(snap, out / fname)
-        snap_files.append(fname)
+    snap_files = write_snapshot_csv(traj, out)
     manifest = {
         "model": model,
         "eps": eps,
@@ -260,7 +293,7 @@ def _sweep_config(cfg, args):
     eps_list = tuple(float(e) for e in ssec.get("eps_list", exp.DEFAULT_EPS_LIST))
     n_list = tuple(float(n) for n in ssec.get("n_list", [float(gsec.get("n", 50.0))]))
     rsec = _section(cfg, "run", required=False)
-    threads = args.threads or _int(rsec, "threads", 1)
+    threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
     seed = args.seed if args.seed is not None else _int(rsec, "seed", 0)
     return exp.SweepConfig(
         kernel=kernel,

@@ -8,7 +8,6 @@ weight mu^(-sigma) + mu, the natural topology for singular kernels.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,8 @@ class SweepConfig:
             raise ConfigError("n values must exceed 1")
         if self.horizon < 0.0:
             raise ConfigError("horizon must be >= 0")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -143,6 +144,9 @@ def run_eps_sweep(config: SweepConfig) -> DistanceTable:
         ref_times = np.round(ref.times, 12)
         jobs = [(config, n, eps) for eps in config.eps_list]
         if config.threads > 1 and len(jobs) > 1:
+            # imported here so that commands which never pool do not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(_eps_member, jobs))
         else:

@@ -4,12 +4,20 @@ The computational domain is the truncated size axis (1/n, n), discretized
 by a geometric (log-uniform) grid.  Cell centers are geometric means of the
 edges and all moments are midpoint sums over cell averages, consistent with
 the finite-volume representation.
+
+Every table the package writes shares one CSV wire format (``write_csv``):
+a header line, then each value as ``%.17g`` (17 significant digits, enough
+to read every double back exactly; NaN, +-inf and -0 read ``nan``,
+``inf``, ``-inf`` and ``-0``), comma-separated, CRLF line ends.
+Snapshots are written per trajectory (``write_snapshot_csv``) and read back
+one file at a time (``read_snapshot_csv``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -270,17 +278,35 @@ def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> fl
 
 
 def write_csv(path, names, rows):
-    """CSV wire format of every table: header ``names``, 17 digits, CRLF line ends."""
+    """Write ``rows`` under the header ``names`` in the CSV wire format.
+
+    One ``%`` over a row template repeated once per row formats the whole
+    table, which is then written at once.
+    """
+    table = np.reshape(rows, (-1, len(names)))
+    row = ",".join(["%.17g"] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.reshape(rows, (-1, len(names))), fmt="%.17g", delimiter=",",
-                   newline="\r\n", header=",".join(names), comments="")
+        fh.write(",".join(names) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def write_snapshot_csv(density: NumberDensity, path):
-    """Snapshot wire format: header ``x_center,width,zeta``, 17 digits."""
-    grid = density.grid
-    write_csv(path, ["x_center", "width", "zeta"],
-              np.column_stack([grid.centers, grid.widths, density.values]))
+def write_snapshot_csv(traj: Trajectory, directory) -> list[str]:
+    """Write every snapshot of ``traj`` as ``directory/snapshot_NNNN.csv``; return the names.
+
+    Each file is the ``write_csv`` table ``x_center,width,zeta``.  The grid
+    columns are the same in every file, so they are formatted once into a
+    template whose only open field is zeta, and each file costs one ``%``
+    over its snapshot's values.
+    """
+    grid = traj.grid
+    cells = np.column_stack([grid.centers, grid.widths]).ravel().tolist()
+    template = ("%.17g,%.17g,%%.17g\r\n" * grid.size) % tuple(cells)
+    names = []
+    for i, values in enumerate(traj.values.tolist()):
+        name = f"snapshot_{i:04d}.csv"
+        with open(Path(directory) / name, "w", newline="") as fh:
+            fh.write("x_center,width,zeta\r\n" + template % tuple(values))
+        names.append(name)
+    return names
 
 
 def read_snapshot_csv(path, grid: SizeGrid | None = None, time=0.0):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import jsonschema
 import pytest
 import yaml
 
+import gencoag
 from gencoag.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -95,6 +99,31 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 3, "dt_mode": "fixed"}})
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "error: dt_mode fixed requires a positive dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("diagnostics", [
+        {"omegas": ["one", "bump:1.0"]},
+        {"omegas": ["bump:3.0:2.0"]},
+        {"omegas": ["bump:.nan:2.0"]},
+        {"omegas": ["bump:nan:2.0"]},
+        {"omegas": ["trunc_linear:inf"]},
+        {"omegas": [1.0]},
+        {"omegas": "one"},
+        {"lambdas": 0.5},
+        {"lambdas": [0.5, 1.5]},
+        {"lambdas": [1e-3]},
+        {"lambdas": [float("nan")]},
+        {"lambdas": [True]},
+    ])
+    def test_bad_diagnostics_exit_1_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                      diagnostics):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve ran before the diagnostics settings were checked")
+
+        monkeypatch.setattr("gencoag.experiments.run_model", no_solve)
+        cfg = write_config(tmp_path, {"diagnostics": diagnostics})
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     def test_idempotent_rerun(self, tmp_path):
@@ -244,6 +273,24 @@ class TestSweep:
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_flag_below_one_exits_1(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path, {"sweep": {"eps_list": [1.0, 0.5]}})
+        assert main([command, "--config", str(cfg), "--threads", threads]) == 1
+        assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_config_threads_below_one_exits_1(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, {
+            "run": {"model": "generalized", "eps": 0.5, "threads": threads},
+            "sweep": {"eps_list": [1.0, 0.5]},
+        })
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -299,3 +346,13 @@ class TestValidate:
         assert set(payload["m0_riccati"]["models"]) == {
             "sce", "ohs", "generalized_eps1", "generalized_eps0.25", "generalized_eps0.01",
         }
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a pooled sweep needs concurrent.futures and multiprocessing
+    probe = ("import sys, gencoag.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = str(Path(gencoag.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"

@@ -160,6 +160,16 @@ class TestEpsSweep:
         t2 = run_eps_sweep(cfg)
         assert t1.rows == t2.rows
 
+    def test_pooled_rows_equal_serial_rows(self):
+        pooled = run_eps_sweep(small_config(eps_list=(1.0, 0.5, 0.25), threads=2))
+        serial = run_eps_sweep(small_config(eps_list=(1.0, 0.5, 0.25), threads=1))
+        assert not pooled.failed and pooled.rows
+        assert np.array(pooled.rows).tobytes() == np.array(serial.rows).tobytes()
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_eps_sweep(small_config(eps_list=(1.0, 0.5), threads=0))
+
     def test_csv_round_trip(self, tmp_path):
         cfg = small_config(eps_list=(1.0, 0.5))
         table = run_eps_sweep(cfg)

@@ -211,10 +211,32 @@ class TestSnapshotCsv:
     def test_round_trip(self, tmp_path):
         g = make_grid(10.0, 8)
         d = sample_initial(ExponentialProfile(), g)
-        path = tmp_path / "snap.csv"
-        write_snapshot_csv(d, path)
-        back = read_snapshot_csv(path, g, time=0.0)
+        traj = Trajectory()
+        traj.append(d, 0.0, 0.0)
+        assert write_snapshot_csv(traj, tmp_path) == ["snapshot_0000.csv"]
+        back = read_snapshot_csv(tmp_path / "snapshot_0000.csv", g, time=0.0)
         assert np.array_equal(back.values, d.values)  # 17 digits round-trip exactly
+
+    def test_every_file_matches_csv_writer(self, tmp_path):
+        g = make_grid(10.0, 8)
+        special = [math.nan, math.inf, -math.inf, -0.0, 2.0**-1074, 1.0 / 3.0, 1e300]
+        rng = np.random.default_rng(3)
+        traj = Trajectory()
+        for k in range(4):
+            values = rng.random(g.size) * np.exp(-g.centers)
+            values[k:k + len(special)] = special
+            # NaN and inf are outside NumberDensity's domain; the writer must still spell them
+            traj.snapshots.append(NumberDensity._unchecked(g, values, 0.1 * k))
+        (tmp_path / "new").mkdir()
+        names = write_snapshot_csv(traj, tmp_path / "new")
+        assert names == [f"snapshot_{k:04d}.csv" for k in range(4)]
+        for name, snap in zip(names, traj):
+            rows = np.column_stack([g.centers, g.widths, snap.values])
+            csv_writer_reference(tmp_path / "ref.csv", ["x_center", "width", "zeta"], rows)
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            xs, ws, zs = read_snapshot_csv(tmp_path / "new" / name)
+            for back, sent in ((xs, g.centers), (ws, g.widths), (zs, snap.values)):
+                assert back.tobytes() == np.asarray(sent).tobytes()  # NaN, -0 and subnormals too
 
 
 def random_trajectory(grid, count=6, seed=5):
