@@ -32,6 +32,8 @@ DEFAULT_EPS_LIST = tuple(2.0 ** (-i) for i in range(11))
 # distance to the OHS run allowed for eps below sqrt(ratio) - 1 of the grid:
 # the operators agree there, so only time-integration error remains
 LIMIT_TOLERANCE = 1e-7
+# times at which the closed forms of ``validate`` are checked
+CLOSED_FORM_TIMES = (0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -244,20 +246,61 @@ def sce_constant_kernel_solution(mu, t, rate: float = 1.0):
     return m * m * np.exp(-m * np.asarray(mu))
 
 
-def validate_sce_constant_kernel(config: SweepConfig, times=(0.5, 1.0, 2.0)) -> dict:
+def _first_grid(config: SweepConfig):
+    """The grid of the first n and the initial data sampled on it."""
+    grid = make_grid(config.n_list[0], config.cells_per_decade)
+    return grid, sample_initial(config.profile, grid)
+
+
+def _mass_snapshots(config: SweepConfig) -> tuple:
+    """Snapshot times of the mass report: the config's, or eight up to the horizon."""
+    return config.snapshot_times or tuple(config.horizon * k / 8.0 for k in range(1, 9))
+
+
+def _require_sce_closed_form(config: SweepConfig):
+    if config.kernel.family != "constant" or not isinstance(config.profile, ExponentialProfile):
+        raise ConfigError("analytic validation requires the constant kernel and exponential data")
+
+
+def _require_m0_law(config: SweepConfig):
+    if config.kernel.family != "constant" or config.kernel.rate != 1.0:
+        raise ConfigError("the M0 law holds for the unit constant kernel")
+
+
+def require_closed_forms(config: SweepConfig):
+    """Raise ConfigError unless both closed forms apply: unit constant kernel, exponential data."""
+    _require_sce_closed_form(config)
+    _require_m0_law(config)
+
+
+def shared_sce_run(config: SweepConfig) -> Trajectory:
+    """One SCE run that both the closed-form check and the mass report read.
+
+    It runs to max(horizon, 2) and stops at the mass report's snapshots and
+    at ``CLOSED_FORM_TIMES``.
+    """
+    grid, initial = _first_grid(config)
+    stops = sorted({t for t in (*_mass_snapshots(config), *CLOSED_FORM_TIMES) if t > 0.0})
+    return run_model("sce", config.kernel, grid, initial,
+                     max(config.horizon, *CLOSED_FORM_TIMES), config.policy, stops)
+
+
+def validate_sce_constant_kernel(config: SweepConfig, times=CLOSED_FORM_TIMES,
+                                 traj: Trajectory | None = None) -> dict:
     """Weighted-L1 error of the SCE run against the closed form.
 
     The comparison projects the exact solution onto cell averages with the
     same quadrature used for initial data, so the reported numbers measure
-    evolution error, not projection error.
+    evolution error, not projection error.  ``traj``, an SCE run on the
+    config's first grid, is read at ``times`` instead of solving again.
     """
-    if config.kernel.family != "constant" or not isinstance(config.profile, ExponentialProfile):
-        raise ConfigError("analytic validation requires the constant kernel and exponential data")
+    _require_sce_closed_form(config)
     rate = config.kernel.rate
-    n = config.n_list[0]
-    grid = make_grid(n, config.cells_per_decade)
-    initial = sample_initial(config.profile, grid)
-    traj = run_model("sce", config.kernel, grid, initial, max(times), config.policy, times)
+    if traj is None:
+        grid, initial = _first_grid(config)
+        traj = run_model("sce", config.kernel, grid, initial, max(times), config.policy, times)
+    else:
+        grid, traj = traj.grid, traj.select(times)
     errors = {}
     for s in traj:
         if s.time == 0.0:
@@ -274,17 +317,14 @@ def riccati_m0(t, m0: float = 1.0):
 
 
 def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = None,
-                        times=(0.5, 1.0, 2.0)) -> dict:
+                        times=CLOSED_FORM_TIMES) -> dict:
     """Total-number law under Lambda = 1: every model obeys the same ODE.
 
     Initial data are rescaled so the discrete M0(0) is exactly one, making
     the closed form 2 / (2 + t).
     """
-    if config.kernel.family != "constant" or config.kernel.rate != 1.0:
-        raise ConfigError("the M0 law holds for the unit constant kernel")
-    n = config.n_list[0]
-    grid = make_grid(n, config.cells_per_decade)
-    initial = sample_initial(config.profile, grid)
+    _require_m0_law(config)
+    grid, initial = _first_grid(config)
     m0 = weighted_norm(initial, "one")
     initial = initial.replace(values=initial.values / m0)
     traj = run_model(model, config.kernel, grid, initial, max(times), config.policy,
@@ -298,18 +338,23 @@ def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = Non
 
 def mass_conservation_report(config: SweepConfig, model: str,
                              eps: float | None = None,
-                             lambda_fractions=(0.125, 0.25, 0.5, 1.0)) -> dict:
-    """M1 series, ledger-closure residuals, and flux-identity residuals."""
+                             lambda_fractions=(0.125, 0.25, 0.5, 1.0),
+                             traj: Trajectory | None = None) -> dict:
+    """M1 series, ledger-closure residuals, and flux-identity residuals.
+
+    ``traj``, a run of ``model`` on the config's first grid, is read at the
+    report's snapshot times instead of solving again.
+    """
     from .diagnostics import mass_flux_identity  # local import: avoid cycle
 
     n = config.n_list[0]
-    grid = make_grid(n, config.cells_per_decade)
-    initial = sample_initial(config.profile, grid)
-    snaps = config.snapshot_times or tuple(
-        config.horizon * k / 8.0 for k in range(1, 9)
-    )
-    traj = run_model(model, config.kernel, grid, initial, config.horizon,
-                     config.policy, snaps, eps=eps)
+    snaps = _mass_snapshots(config)
+    if traj is None:
+        grid, initial = _first_grid(config)
+        traj = run_model(model, config.kernel, grid, initial, config.horizon,
+                         config.policy, snaps, eps=eps)
+    else:
+        grid, traj = traj.grid, traj.select(snaps)
     m1 = traj.moments(grid.centers)
     closure = traj.ledger_closure()
     scale = max(m1[0], 1e-300)

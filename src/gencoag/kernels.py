@@ -379,8 +379,8 @@ def certify_derivative(kernel: Kernel, sample_count: int = 2000, fd_step: float 
     h/2 stencils bounds the error of the finer one by |D_h - D_{h/2}| * 4/3)
     plus the rounding floor eps_machine * |Lambda| / h of the stencil.
     """
-    if fd_step <= 0.0:
-        raise DomainError("fd_step must be positive")
+    if not (0.0 < fd_step < np.inf):
+        raise DomainError(f"fd_step must be positive and finite, got {fd_step!r}")
     if sample_count < 1:
         raise DomainError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -389,6 +389,8 @@ def certify_derivative(kernel: Kernel, sample_count: int = 2000, fd_step: float 
     # Keep samples off the diagonal: canonicalized evaluation can have a
     # symmetry kink at mu == nu that central differences straddle.
     mask = np.abs(np.log(mu) - np.log(nu)) > 4.0 * fd_step
+    if not mask.any():
+        raise DomainError(f"fd_step={fd_step!r} keeps no sample off the diagonal")
     mu, nu = mu[mask], nu[mask]
 
     def stencil(h):

@@ -187,6 +187,26 @@ class Trajectory:
         closure = np.abs(m1 + np.asarray(self.outflux) + np.asarray(self.clipped) - m1[0])
         return closure / max(m1[0], 1e-300)
 
+    def select(self, times):
+        """The first snapshot and those at ``times``, with their ledgers.
+
+        A time matches a snapshot to 1e-12 relative; a time with no
+        snapshot is a DomainError.
+        """
+        have = self.times
+        keep = {0}
+        for t in times:
+            hit = np.flatnonzero(np.abs(have - t) <= 1e-12 * max(abs(t), 1.0))
+            if hit.size == 0:
+                raise DomainError(f"the trajectory has no snapshot at t={t!r}")
+            keep.add(int(hit[0]))
+        sub = Trajectory()
+        for i in sorted(keep):
+            sub.snapshots.append(self.snapshots[i])
+            sub.outflux.append(self.outflux[i])
+            sub.clipped.append(self.clipped[i])
+        return sub
+
     def __len__(self):
         return len(self.snapshots)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import yaml
 
 import gencoag
-from gencoag.cli import main
+from gencoag import experiments
+from gencoag.cli import _sweep_config, load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,6 +201,14 @@ class TestCheckKernel:
         cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.0}})
         assert main(["check-kernel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("fd_step", [float("nan"), float("inf"), 0, -1, 100])
+    def test_bad_fd_step_exits_1(self, tmp_path, capsys, fd_step):
+        # 100 is finite, but no sample pair lies 400 apart in log size
+        cfg = write_config(tmp_path, {"certify": {"fd_step": fd_step, "sample_count": 200}})
+        assert main(["check-kernel", "--config", str(cfg)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_small_eps_sweep(self, tmp_path):
@@ -273,7 +283,7 @@ class TestSweep:
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    @pytest.mark.parametrize("command", ["sweep", "validate", "simulate", "check-kernel"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_flag_below_one_exits_1(self, tmp_path, capsys, command, threads):
         cfg = write_config(tmp_path, {"sweep": {"eps_list": [1.0, 0.5]}})
@@ -288,6 +298,14 @@ class TestSweep:
             "sweep": {"eps_list": [1.0, 0.5]},
         })
         assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_run_threads_below_one_exits_1(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path, {"run": {"model": "sce", "threads": threads}})
+        assert main([command, "--config", str(cfg)]) == 1
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -327,6 +345,63 @@ class TestValidate:
         m0 = [e for m in payload["m0_riccati"]["models"].values() for e in m["errors"].values()]
         assert max(m0) <= 1.25e-8
         assert payload["mass_conservation"]["max_closure_rel"] <= 1e-15
+
+    @pytest.fixture(scope="class")
+    def shipped(self, tmp_path_factory):
+        """validate on the shipped config, counting run_model calls; and its config."""
+        out = tmp_path_factory.mktemp("validate")
+        calls = []
+        real = experiments.run_model
+
+        def run_model(model, *args, **kwargs):
+            calls.append((model, kwargs.get("eps")))
+            return real(model, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "run_model", run_model)
+            assert main(["validate", "--config", str(CONFIGS / "validate_constant.yaml"),
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "validate.json").read_text())
+        config = _sweep_config(load_config(CONFIGS / "validate_constant.yaml"),
+                               argparse.Namespace(threads=None, seed=None))
+        return payload, calls, config
+
+    def test_each_distinct_ode_solved_once(self, shipped):
+        payload, calls, _ = shipped
+        # the shared SCE run, then the M0 runs: sce (also eps = 1), ohs, 0.25, 0.01
+        assert calls == [("sce", None), ("sce", None), ("ohs", None),
+                         ("generalized", 0.25), ("generalized", 0.01)]
+        models = payload["m0_riccati"]["models"]
+        assert models["generalized_eps1"] == models["sce"]
+
+    def test_mass_report_reads_the_shared_run(self, shipped):
+        payload, _, config = shipped
+        alone = experiments.mass_conservation_report(config, "sce")
+        alone.pop("trajectory")
+        block = payload["mass_conservation"]
+        assert {k: v for k, v in block.items() if k not in ("tolerance", "passed")} == alone
+
+    def test_sce_errors_match_a_separate_run(self, shipped):
+        payload, _, config = shipped
+        alone = experiments.validate_sce_constant_kernel(config)["errors"]
+        shared = {float(t): e for t, e in payload["sce_analytic"]["errors"].items()}
+        assert shared.keys() == alone.keys()
+        for t, e in alone.items():
+            assert shared[t] == pytest.approx(e, rel=1e-6)
+
+    @pytest.mark.parametrize("section", [
+        {"kernel": {"family": "constant", "rate": 2.0}},
+        {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 1.0}},
+    ], ids=["rate2", "monodisperse"])
+    def test_refused_config_runs_no_solve(self, tmp_path, capsys, monkeypatch, section):
+        # the rate-2 kernel fits the SCE closed form but not the M0 law
+        cfg = write_config(tmp_path, section)
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_validate_fast_config(self, tmp_path):
         cfg = write_config(tmp_path, {

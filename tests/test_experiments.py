@@ -5,6 +5,7 @@ from gencoag import (
     ConfigError,
     StiffnessError,
     ConstantKernel,
+    DomainError,
     DtPolicy,
     ExponentialProfile,
     NumberDensity,
@@ -247,6 +248,19 @@ class TestAnalyticValidation:
         cfg = small_config(kernel=SingularProductKernel(k=1.0, sigma=0.2))
         with pytest.raises(ConfigError):
             validate_sce_constant_kernel(cfg)
+
+    def test_sce_validation_reads_a_given_run(self):
+        cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=2.0)
+        grid = make_grid(30.0, 12)
+        initial = sample_initial(cfg.profile, grid)
+        traj = run_model("sce", cfg.kernel, grid, initial, 2.0, cfg.policy,
+                                     (0.25, 0.5, 1.0, 2.0))
+        rep = validate_sce_constant_kernel(cfg, traj=traj)
+        assert list(rep["errors"]) == [0.5, 1.0, 2.0]
+        assert len(rep["mass_series"]) == 4
+        # a run that misses a check time is refused, not read at another time
+        with pytest.raises(DomainError, match="no snapshot at t=2.0"):
+            validate_sce_constant_kernel(cfg, traj=traj.select((0.5, 1.0)))
 
     def test_riccati_validators(self):
         cfg = small_config(n_list=(30.0,), cells_per_decade=24, horizon=2.0)

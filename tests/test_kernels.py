@@ -150,6 +150,12 @@ class TestCertifyDerivative:
     def test_fd_step_guard(self):
         with pytest.raises(DomainError):
             certify_derivative(ConstantKernel(), 100, 0.0)
+        for step in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(DomainError, match="positive and finite"):
+                certify_derivative(ConstantKernel(), 100, step)
+        # finite, but no sample pair lies 400 apart in log size
+        with pytest.raises(DomainError, match="keeps no sample"):
+            certify_derivative(ConstantKernel(), 100, 100.0)
 
 
 class TestTruncate:

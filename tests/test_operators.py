@@ -598,6 +598,20 @@ class TestOperatorProperties:
         assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), which=st.integers(0, 2))
+    def test_sce_is_generalized_eps_one_bit_for_bit(self, seed, which):
+        # validate reports one M0 run for its sce and generalized_eps1 rows
+        grid = make_grid(12.0, 6)
+        kernel = kernel_trio(12.0)[which]
+        rng = np.random.default_rng(seed)
+        d = random_density(grid, rng, rng.uniform(0.1, 5.0))
+        sce = make_rhs("sce", kernel)(d)
+        gen = make_rhs("generalized", kernel, 1.0)(d)
+        assert np.array_equal(sce.dzdt, gen.dzdt)
+        assert sce.outflux_rate == gen.outflux_rate
+
+
 class TestWeakAction:
     def test_constant_omega_sce(self, grid30, const_trunc, exp_density):
         f = sce_rhs(exp_density, const_trunc)

@@ -277,6 +277,18 @@ class TestTrajectoryMatrix:
         assert np.array_equal(after, closure_loop())
         assert after[-1] > before[-1]
 
+    def test_select_keeps_the_first_snapshot_and_the_given_times(self):
+        g = make_grid(10.0, 8)
+        traj = random_trajectory(g)  # times 0.1 * k, k = 0..5
+        # 0.3 matches the snapshot at 0.1 * 3 = 0.30000000000000004
+        sub = traj.select((0.3, 0.1, 0.3))
+        assert [s for s in sub] == [traj[0], traj[1], traj[3]]
+        assert sub.outflux == [traj.outflux[i] for i in (0, 1, 3)]
+        assert sub.clipped == [traj.clipped[i] for i in (0, 1, 3)]
+        assert np.array_equal(sub.ledger_closure(), traj.ledger_closure()[[0, 1, 3]])
+        with pytest.raises(DomainError, match="no snapshot at t=0.25"):
+            traj.select((0.1, 0.25))
+
 
 def csv_writer_reference(path, names, rows):
     with open(path, "w", newline="") as fh:
