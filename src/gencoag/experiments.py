@@ -1,9 +1,10 @@
 """Convergence studies and analytic validation across the model family.
 
 The eps sweep probes the interpolation limit at desk scale: generalized
-runs at decreasing eps are compared against a direct discretization of the
-transport (OHS) limit on the same grid, in the weighted L1 metric with
-weight mu^(-sigma) + mu, the natural topology for singular kernels.
+runs at decreasing eps are compared against the transport (OHS) limit, the
+eps = 0 member of the same pair scheme on the same grid, in the weighted L1
+metric with weight mu^(-sigma) + mu, the natural topology for singular
+kernels.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .sizedomain import (
 )
 
 DEFAULT_EPS_LIST = tuple(2.0 ** (-i) for i in range(11))
-# distance to the OHS run allowed for eps below sqrt(ratio) - 1 of the grid:
-# the operators agree there, so only time-integration error remains
+# distance to the OHS run allowed for eps below sqrt(ratio) - 1 of the grid,
+# where each member runs the arithmetic of the eps = 0 run
 LIMIT_TOLERANCE = 1e-7
 # times at which the closed forms of ``validate`` are checked
 CLOSED_FORM_TIMES = (0.5, 1.0, 2.0)
@@ -133,7 +134,7 @@ def _eps_member(args):
 
 
 def run_eps_sweep(config: SweepConfig) -> DistanceTable:
-    """Distance of each generalized run to the direct OHS run, per snapshot."""
+    """Distance of each generalized run to the OHS (eps = 0) run, per snapshot."""
     config.validate()
     table = DistanceTable()
     sigma = config.kernel.sigma
@@ -381,10 +382,11 @@ def mass_conservation_report(config: SweepConfig, model: str,
 def eps_limit_check(distances: dict, ratio: float) -> dict:
     """Check nonincreasing distance to the OHS run along decreasing eps, then the limit.
 
-    ``distances`` maps eps -> distance.  Below sqrt(ratio) - 1 every pair's
-    product lies before the next pivot (n = sqrt(ratio) x[-1] for the top
-    cell), where the pair scheme is the OHS quadrature: there each distance
-    must be at most ``LIMIT_TOLERANCE``.  The floor is the sweep minimum.
+    ``distances`` maps eps -> distance to the eps = 0 run.  Below
+    sqrt(ratio) - 1 every pair's product lies before the next pivot
+    (n = sqrt(ratio) x[-1] for the top cell), where a member runs the
+    arithmetic of eps = 0 bit for bit: there each distance must be at most
+    ``LIMIT_TOLERANCE``.  The floor is the sweep minimum.
     """
     eps_sorted = sorted(distances, reverse=True)
     vals = [distances[e] for e in eps_sorted]

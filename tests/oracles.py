@@ -46,6 +46,29 @@ def smoluchowski_rhs(density, kernel):
     return RateField(density.grid, *SmoluchowskiScheme(density.grid, kernel).rhs(density.values))
 
 
+def dense_ohs(grid, kernel, values):
+    """OHS rate from the two dense kernel triangles, plus the gross rate per cell.
+
+    Upwind transport through each cell's right edge at the mass-matched
+    velocity (the mass eaten from partners at or below the cell, over the
+    pivot gap, the last gap being n - x[-1]) plus death by larger partners.
+    Both triangles carry their diagonal at weight 1/2.  The gross rate of a
+    cell is the number flux through both of its edges plus its deaths
+    (number per unit time).
+    """
+    x, dx = grid.centers, grid.widths
+    zd = values * dx
+    K = np.asarray(kernel.eval(x[:, None], x[None, :]))
+    half = 0.5 * np.diag(np.diag(K))
+    eaten = (np.tril(K) - half) @ (x * zd)
+    gaps = np.append(np.diff(x), grid.n - x[-1])
+    flux = values * eaten * dx / gaps
+    inflow = np.concatenate(([0.0], flux[:-1]))
+    death = zd * ((np.triu(K) - half) @ zd)
+    outflux = x[-1] * flux[-1] + zd[-1] * eaten[-1]
+    return (inflow - flux - death) / dx, outflux, inflow + flux + death
+
+
 def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarray:
     """Edge-sampled OHS transport velocities, one per right cell edge.
 

@@ -201,28 +201,20 @@ def test_criterion_4_m0_riccati_all_models():
 
 def test_criterion_5_mass_conservation_ledgers():
     kernel = SingularProductKernel(k=1.0, sigma=0.2)
-    cfg32 = SweepConfig(kernel=kernel, n_list=(20.0,), cells_per_decade=32, horizon=1.0)
     closures = {}
     flux_rel = None
-    for model, eps in (("generalized", 0.5), ("sce", None), ("ohs", None)):
-        rep = mass_conservation_report(cfg32, model, eps=eps)
-        closures[model] = rep["max_closure_rel"]
-        if model == "ohs":
-            flux_rel = [f for f in rep["flux_identities"]
-                        if abs(f["lambda"] - 10.0) < 1.0][0]["max_residual_rel"]
-    cfg64 = SweepConfig(kernel=kernel, n_list=(20.0,), cells_per_decade=64, horizon=1.0)
-    ohs_refined = mass_conservation_report(cfg64, "ohs")["max_closure_rel"]
-    ok = (
-        closures["generalized"] <= 1e-8
-        and closures["sce"] <= 1e-8
-        and closures["ohs"] <= 1e-3
-        and ohs_refined <= max(closures["ohs"], 1e-10)
-        and flux_rel <= 1e-3
-    )
-    report(5, ok,
-           f"closure rel: gen {closures['generalized']:.2e}, sce {closures['sce']:.2e} "
-           f"(tol 1e-8); ohs {closures['ohs']:.2e} -> refined {ohs_refined:.2e} "
-           f"(tol 1e-3); flux identity at n/2 {flux_rel:.2e} (tol 1e-3)")
+    for cpd in (32, 64):
+        cfg = SweepConfig(kernel=kernel, n_list=(20.0,), cells_per_decade=cpd, horizon=1.0)
+        for model, eps in (("generalized", 0.5), ("sce", None), ("ohs", None)):
+            rep = mass_conservation_report(cfg, model, eps=eps)
+            closures[f"{model}/{cpd}"] = rep["max_closure_rel"]
+            if (model, cpd) == ("ohs", 32):
+                flux_rel = [f for f in rep["flux_identities"]
+                            if abs(f["lambda"] - 10.0) < 1.0][0]["max_residual_rel"]
+    ok = all(c <= 1e-8 for c in closures.values()) and flux_rel <= 1e-3
+    detail = ", ".join(f"{k} {v:.2e}" for k, v in closures.items())
+    report(5, ok, f"closure rel: {detail} (tol 1e-8); "
+                  f"flux identity at n/2 {flux_rel:.2e} (tol 1e-3)")
 
 
 def test_criterion_6_moment_bounds_matrix(example_matrix):

@@ -157,6 +157,19 @@ class TestSimulateVariants:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["model"] == "ohs" and report["eps"] is None
 
+    def test_generalized_eps_zero_is_ohs(self, tmp_path):
+        runs = {}
+        for label, run in (("ohs", {"model": "ohs"}),
+                           ("eps0", {"model": "generalized", "eps": 0})):
+            out = tmp_path / label
+            cfg = write_config(tmp_path, {"run": {**run, "threads": 1},
+                                          "output": {"directory": str(out)}}, f"{label}.yaml")
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs[label] = [(out / name).read_bytes() for name in manifest["snapshots"]]
+        assert runs["eps0"] == runs["ohs"]
+        assert json.loads((tmp_path / "eps0" / "report.json").read_text())["eps"] == 0.0
+
     def test_monodisperse_profile(self, tmp_path):
         cfg = write_config(tmp_path, {
             "initial": {"profile": "monodisperse", "mu0": 2.0, "mass": 1.0},

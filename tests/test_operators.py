@@ -27,8 +27,8 @@ from gencoag import (
     weighted_norm,
 )
 from gencoag import operators
-from gencoag.operators import LagScheme, OhsScheme, PairScheme, _pair_scheme
-from oracles import ohs_velocities, ohs_velocity, smoluchowski_rhs
+from gencoag.operators import LagScheme, PairScheme, _pair_scheme
+from oracles import dense_ohs, ohs_velocities, ohs_velocity, smoluchowski_rhs
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -172,11 +172,11 @@ def dense_and_lag(grid, kernel, eps, values):
     dense = PairScheme(grid, kernel, eps)
     lag = LagScheme(grid, kernel.factors(grid.centers), eps)
     pairs = dense.pairs
-    events = pairs.events(values * grid.widths)
-    births = np.bincount(pairs.a, weights=events[~pairs.over], minlength=grid.size)
-    births += np.bincount(pairs.a + 1, weights=events[~pairs.over], minlength=grid.size + 1)[:-1]
-    deaths = np.bincount(pairs.m_idx, weights=events, minlength=grid.size)
-    deaths += np.bincount(pairs.j_idx, weights=eps * events, minlength=grid.size)
+    zd = values * grid.widths
+    big = pairs.rate * zd[pairs.m_idx] * zd[pairs.j_idx]
+    births = np.bincount(pairs.a, weights=big[~pairs.over], minlength=grid.size)
+    births += np.bincount(pairs.a + 1, weights=big[~pairs.over], minlength=grid.size + 1)[:-1]
+    deaths = np.bincount(pairs.m_idx, weights=big, minlength=grid.size) + pairs.deaths(zd)
     return dense.rhs(values), lag.rhs(values), births + deaths
 
 
@@ -186,7 +186,7 @@ class TestLagScheme:
         n=st.floats(1.5, 1000.0),
         cpd=st.integers(4, 64),
         family=st.integers(0, 2),
-        eps=st.floats(2.0**-20, 1.0),
+        eps=st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0)),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_matches_dense(self, n, cpd, family, eps, seed):
@@ -259,7 +259,7 @@ class TestMakeRhs:
     @pytest.mark.parametrize("model, eps, builder", [
         ("sce", None, "_pair_scheme"),
         ("generalized", 0.3, "_pair_scheme"),
-        ("ohs", None, "OhsScheme"),
+        ("ohs", None, "_pair_scheme"),
     ])
     def test_scheme_built_once_per_callable(self, monkeypatch, const_trunc, exp_density,
                                             model, eps, builder):
@@ -305,8 +305,9 @@ class TestMakeRhs:
             make_rhs("bogus", const_trunc)
         with pytest.raises(ConfigError):
             make_rhs("generalized", const_trunc)
-        with pytest.raises(DomainError):
-            make_rhs("generalized", const_trunc, 1.5)
+        for eps in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                make_rhs("generalized", const_trunc, eps)
 
 
 class TestSceRhs:
@@ -443,27 +444,8 @@ class TestOhs:
             assert np.sum(f.dzdt * grid30.widths) <= 0.0
 
 
-def dense_ohs(grid, kernel, values):
-    """OHS rate from the two dense kernel triangles, plus the gross rate per cell.
-
-    Both triangles carry their diagonal at weight 1/2.  The gross rate of a
-    cell is the number flux through both of its edges plus its deaths
-    (number per unit time).
-    """
-    x, dx = grid.centers, grid.widths
-    zd = values * dx
-    K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-    half = 0.5 * np.diag(np.diag(K))
-    eaten = (np.tril(K) - half) @ (x * zd)
-    gaps = np.append(np.diff(x), grid.n - x[-1])
-    flux = values * eaten * dx / gaps
-    inflow = np.concatenate(([0.0], flux[:-1]))
-    death = zd * ((np.triu(K) - half) @ zd)
-    outflux = x[-1] * flux[-1] + zd[-1] * eaten[-1]
-    return (inflow - flux - death) / dx, outflux, inflow + flux + death
-
-
 class TestFactoredOhs:
+    # OHS is the eps = 0 pair scheme; the dense triangles are the oracle
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.floats(1.5, 1000.0),
@@ -478,14 +460,12 @@ class TestFactoredOhs:
         kernel = kernel_trio(n)[family]
         rng = np.random.default_rng(seed)
         values = rng.random(grid.size) * (rng.random(grid.size) < occupied)
-        scheme = OhsScheme(grid, kernel)
-        assert scheme.triangles is None
-        dzdt, outflux = scheme.rhs(values)
+        f = make_rhs("ohs", kernel)(NumberDensity(grid, values))
         expect, expect_out, gross = dense_ohs(grid, kernel, values)
-        assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
-        assert abs(outflux - expect_out) <= 1e-12 * expect_out
+        assert np.all(np.abs(f.dzdt - expect) * grid.widths <= 1e-12 * gross)
+        assert abs(f.outflux_rate - expect_out) <= 1e-12 * expect_out
 
-    def test_kernels_without_factors_keep_triangles(self):
+    def test_kernels_without_factors_take_dense_path(self):
         class Exponential(Kernel):
             def _rate(self, lo, hi):
                 return np.exp(-0.1 * (lo + hi))
@@ -496,9 +476,8 @@ class TestFactoredOhs:
         rng = np.random.default_rng(59)
         for base in (Exponential(k=1.0), TabulatedKernel(nodes, table, k=25.0)):
             kernel = truncate(base, 8.0)
-            scheme = OhsScheme(grid, kernel)
-            lower, upper = scheme.triangles
-            assert lower.shape == upper.shape == (grid.size, grid.size)
+            scheme = _pair_scheme(grid, kernel, 0.0)
+            assert isinstance(scheme, PairScheme)
             values = rng.random(grid.size)
             dzdt, outflux = scheme.rhs(values)
             expect, expect_out, gross = dense_ohs(grid, kernel, values)
@@ -509,10 +488,16 @@ class TestFactoredOhs:
         grid = make_grid(100.0, 512)
         assert grid.size == 2048
         for kernel in kernel_trio(100.0):
-            scheme = OhsScheme(grid, kernel)
-            assert scheme.triangles is None
-            arrays = [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
+            scheme = _pair_scheme(grid, kernel, 0.0)
+            assert isinstance(scheme, LagScheme) and not scheme.groups
+            arrays = [a for part in (scheme, scheme.band) for a in vars(part).values()
+                      if isinstance(a, np.ndarray)]
             assert arrays and all(a.size <= 2 * grid.size for a in arrays)
+
+
+def tabulated_kernel(n):
+    nodes = np.geomspace(0.5 / n, 2.0 * n, 6)
+    return truncate(TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes), k=10.0 * n), n)
 
 
 class TestOhsLimit:
@@ -522,18 +507,57 @@ class TestOhsLimit:
     # one dies, the self-pair counts once
     def test_pair_scheme_equals_ohs(self):
         grid = make_grid(8.0, 6)
-        nodes = np.geomspace(0.1, 10.0, 6)
-        tabulated = TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes), k=25.0)
         limit = np.sqrt(grid.ratio()) - 1.0
         rng = np.random.default_rng(61)
-        for kernel in kernel_trio(8.0) + [truncate(tabulated, 8.0)]:
+        for kernel in kernel_trio(8.0) + [tabulated_kernel(8.0)]:
             values = rng.random(grid.size)
-            ohs, ohs_out = OhsScheme(grid, kernel).rhs(values)
-            scale = np.max(np.abs(ohs))
-            for eps in (0.99 * limit, 2.0**-8):
-                gen, gen_out = _pair_scheme(grid, kernel, eps).rhs(values)
-                assert np.max(np.abs(gen - ohs)) <= 1e-12 * scale
-                assert gen_out == pytest.approx(ohs_out, rel=1e-12)
+            expect, expect_out, gross = dense_ohs(grid, kernel, values)
+            for eps in (0.0, 0.99 * limit, 2.0**-8):
+                dzdt, outflux = _pair_scheme(grid, kernel, eps).rhs(values)
+                assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
+                assert outflux == pytest.approx(expect_out, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.floats(1.5, 1000.0),
+        cpd=st.integers(4, 128),
+        family=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_members_below_the_limit_are_eps_zero_bit_for_bit(self, n, cpd, family, seed):
+        assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
+        grid = make_grid(n, cpd)
+        kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
+        values = np.random.default_rng(seed).random(grid.size)
+        dzdt, outflux = _pair_scheme(grid, kernel, 0.0).rhs(values)
+        for eps in (0.99 * (np.sqrt(grid.ratio()) - 1.0), 2.0**-10):
+            member, member_out = _pair_scheme(grid, kernel, eps).rhs(values)
+            assert np.array_equal(member, dzdt)
+            assert member_out == outflux
+
+
+class TestEpsUniformClosure:
+    # the 1/eps factor rides only on pairs whose product leaves the big
+    # partner's bracket, so closure stays at rounding as eps -> 0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.floats(1.5, 1000.0),
+        cpd=st.integers(4, 64),
+        family=st.integers(0, 3),
+        eps=st.sampled_from([2.0**-20, 2.0**-40, 0.0]),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_ledger_closure_at_rounding(self, n, cpd, family, eps, scale, seed):
+        assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
+        grid = make_grid(n, cpd)
+        kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
+        d = random_density(grid, np.random.default_rng(seed), scale)
+        f = make_rhs("generalized", kernel, eps)(d)
+        x, dx = grid.centers, grid.widths
+        drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
+        gross = np.sum(x * np.abs(f.dzdt) * dx) + f.outflux_rate
+        assert abs(drift) <= 1e-15 * gross
 
 
 class TestDenseMemoryGuard:
@@ -551,8 +575,8 @@ class TestDenseMemoryGuard:
 
     def test_factored_ohs_is_not_limited(self):
         grid = make_grid(10.0, 100_000)
-        scheme = OhsScheme(grid, truncate(ConstantKernel(1.0), 10.0))
-        assert scheme.triangles is None
+        scheme = _pair_scheme(grid, truncate(ConstantKernel(1.0), 10.0), 0.0)
+        assert isinstance(scheme, LagScheme)
 
 
 class TestOperatorProperties:
