@@ -22,6 +22,7 @@ from .kernels import (
     CertReport,
     ConstantKernel,
     Kernel,
+    PowerSumKernel,
     SingularProductKernel,
     TabulatedKernel,
     TruncatedKernel,
@@ -41,15 +42,7 @@ from .sizedomain import (
     sample_initial,
     weighted_norm,
 )
-from .operators import (
-    EpsParams,
-    RateField,
-    generalized_rhs,
-    make_rhs,
-    ohs_rhs,
-    sce_rhs,
-    weak_action,
-)
+from .operators import RateField, make_rhs, weak_action
 from .integrator import DtPolicy, StepStats, evolve, step
 from .gauges import (
     ConvexGauge,

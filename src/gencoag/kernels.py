@@ -99,15 +99,47 @@ class Kernel:
         """Separable factors of the kernel on the lower triangle of ``x``.
 
         Returns a list of ``(f, g)`` arrays sampled at ``x`` with
-        Lambda(x_m, x_j) = sum_r f_r[m] g_r[j] whenever x_j <= x_m, or None
-        when the kernel has no explicit factorization.  Every factor is
-        nonnegative.  A subclass that overrides ``_rate`` must override this
-        method as well; the base class and tabulated kernels return None.
+        Lambda(x_m, x_j) = sum_r f_r[m] g_r[j] whenever x_j <= x_m.  Every
+        factor is nonnegative.  The operators run on these factors alone, so
+        every kernel the package builds has them; a subclass that overrides
+        ``_rate`` must override this method as well, and the base class
+        raises :class:`ConfigError`.
         """
-        return None
+        raise ConfigError(
+            f"kernel {type(self).__name__} has no separable factors; "
+            "override Kernel.factors to use it"
+        )
 
 
-class ConstantKernel(Kernel):
+class PowerSumKernel(Kernel):
+    """Lambda = sum over terms (c, a, b) of c lo^a hi^b, lo = min and hi = max.
+
+    Each term gives one separable factor pair (c x^b, x^a) on the lower
+    triangle.  Coefficients must be finite and >= 0, exponents finite.
+    """
+
+    family = "power_sum"
+
+    def __init__(self, terms, k=1.0, sigma=0.0, eta=0.0, **kw):
+        super().__init__(k, sigma, eta, **kw)
+        terms = tuple((float(c), float(a), float(b)) for c, a, b in terms)
+        if not terms or not all(0.0 <= c < np.inf and np.isfinite(a) and np.isfinite(b)
+                                for c, a, b in terms):
+            raise DomainError(
+                "power-sum kernel needs terms (c, a, b) with finite c >= 0 "
+                "and finite exponents"
+            )
+        self.terms = terms
+
+    def _rate(self, lo, hi):
+        return sum(c * lo**a * hi**b for c, a, b in self.terms)
+
+    def factors(self, x):
+        x = np.asarray(x, dtype=float)
+        return [(c * x**b, x**a) for c, a, b in self.terms]
+
+
+class ConstantKernel(PowerSumKernel):
     """Lambda = rate (default 1)."""
 
     family = "constant"
@@ -115,18 +147,12 @@ class ConstantKernel(Kernel):
     def __init__(self, rate=1.0, k=None, sigma=0.0, eta=0.0, **kw):
         if not (0.0 <= rate < np.inf):
             raise DomainError("constant kernel rate must be finite and >= 0")
-        super().__init__(k if k is not None else max(rate, 1.0), sigma, eta, **kw)
+        super().__init__([(rate, 0.0, 0.0)], k if k is not None else max(rate, 1.0),
+                         sigma, eta, **kw)
         self.rate = float(rate)
 
-    def _rate(self, lo, hi):
-        return np.broadcast_to(np.float64(self.rate), np.broadcast(lo, hi).shape).copy()
 
-    def factors(self, x):
-        x = np.asarray(x, dtype=float)
-        return [(np.full_like(x, self.rate), np.ones_like(x))]
-
-
-class SingularProductKernel(Kernel):
+class SingularProductKernel(PowerSumKernel):
     """Lambda = k (mu nu)^(-sigma); attains its small-size bound identically."""
 
     family = "singular_product"
@@ -134,30 +160,17 @@ class SingularProductKernel(Kernel):
     def __init__(self, k=1.0, sigma=0.2, eta=None, **kw):
         # d/dmu k(mu nu)^(-sigma) = -sigma k mu^(-sigma-1) nu^(-sigma),
         # so eta = sigma*k is exactly sharp.
-        super().__init__(k, sigma, sigma * k if eta is None else eta, **kw)
-
-    def _rate(self, lo, hi):
-        return self.k * (lo * hi) ** (-self.sigma)
-
-    def factors(self, x):
-        power = np.asarray(x, dtype=float) ** (-self.sigma)
-        return [(self.k * power, power)]
+        super().__init__([(k, -sigma, -sigma)], k, sigma,
+                         sigma * k if eta is None else eta, **kw)
 
 
-class AdditiveKernel(Kernel):
+class AdditiveKernel(PowerSumKernel):
     """Lambda = mu + nu; needs k >= 2 for the (0,1)^2 regime."""
 
     family = "additive"
 
     def __init__(self, k=2.0, sigma=0.0, eta=0.0, **kw):
-        super().__init__(k, sigma, eta, **kw)
-
-    def _rate(self, lo, hi):
-        return np.asarray(lo + hi, dtype=float)
-
-    def factors(self, x):
-        x = np.asarray(x, dtype=float)
-        return [(x, np.ones_like(x)), (np.ones_like(x), x)]
+        super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], k, sigma, eta, **kw)
 
 
 class TabulatedKernel(Kernel):
@@ -216,16 +229,16 @@ class TabulatedKernel(Kernel):
             raise ConfigError(f"{path}: duplicate or missing grid entries")
         return cls(nodes, table, **kw)
 
+    def _bracket(self, x):
+        """Node interval i and fraction t of log x in it, x clamped to the node range."""
+        lx = np.log(np.clip(x, self.nodes[0], self.nodes[-1]))
+        i = np.clip(np.searchsorted(self.log_nodes, lx) - 1, 0, self.nodes.size - 2)
+        t = (lx - self.log_nodes[i]) / (self.log_nodes[i + 1] - self.log_nodes[i])
+        return i, np.clip(t, 0.0, 1.0)
+
     def _rate(self, lo, hi):
-        lo = np.clip(lo, self.nodes[0], self.nodes[-1])
-        hi = np.clip(hi, self.nodes[0], self.nodes[-1])
-        llo, lhi = np.log(lo), np.log(hi)
-        ia = np.clip(np.searchsorted(self.log_nodes, llo) - 1, 0, self.nodes.size - 2)
-        ib = np.clip(np.searchsorted(self.log_nodes, lhi) - 1, 0, self.nodes.size - 2)
-        ta = (llo - self.log_nodes[ia]) / (self.log_nodes[ia + 1] - self.log_nodes[ia])
-        tb = (lhi - self.log_nodes[ib]) / (self.log_nodes[ib + 1] - self.log_nodes[ib])
-        ta = np.clip(ta, 0.0, 1.0)
-        tb = np.clip(tb, 0.0, 1.0)
+        ia, ta = self._bracket(lo)
+        ib, tb = self._bracket(hi)
         t = self.table
         return (
             t[ia, ib] * (1 - ta) * (1 - tb)
@@ -233,6 +246,21 @@ class TabulatedKernel(Kernel):
             + t[ia, ib + 1] * (1 - ta) * tb
             + t[ia + 1, ib + 1] * ta * tb
         )
+
+    def factors(self, x):
+        """One factor per node: g_a = phi_a(x) and f_a = (phi(x) T)_a.
+
+        phi_a are the hat functions of the bilinear interpolation in log
+        size, so Lambda(x_m, x_j) = sum_a phi_a(x_j) (T phi(x_m))_a.  Each
+        g_a is nonzero on at most the two node intervals next to node a.
+        """
+        x = np.asarray(x, dtype=float)
+        i, t = self._bracket(x)
+        hats = np.zeros((self.nodes.size, x.size))
+        cells = np.arange(x.size)
+        hats[i, cells] = 1.0 - t
+        hats[i + 1, cells] = t
+        return list(zip(self.table @ hats, hats))
 
 
 class TruncatedKernel:
@@ -281,18 +309,21 @@ class TruncatedKernel:
         return out
 
     def factors(self, x):
-        """Factors of the base kernel times the box indicator (None if it has none).
+        """Factors of the base kernel times the box indicator.
 
         The box mask is itself separable, so the product is exact.  The sup
-        bound holds because sum_r max f_r * max g_r bounds the kernel.
+        bound holds because, for nonnegative factors, both
+        sum_r max f_r * max g_r and max f * max_j sum_r g_r[j] bound the
+        kernel; the smaller of the two is checked.
         """
         x, _ = _check_positive_args(x, x)
-        base = self.base.factors(x)
-        if base is None:
-            return None
         inside = self._inside(x)
-        out = [(np.where(inside, f, 0.0), np.where(inside, g, 0.0)) for f, g in base]
-        bound = sum(f.max(initial=0.0) * g.max(initial=0.0) for f, g in out)
+        out = [(np.where(inside, f, 0.0), np.where(inside, g, 0.0))
+               for f, g in self.base.factors(x)]
+        f = np.array([fr for fr, _ in out])
+        g = np.array([gr for _, gr in out])
+        bound = min(np.sum(f.max(axis=1, initial=0.0) * g.max(axis=1, initial=0.0)),
+                    f.max(initial=0.0) * g.sum(axis=0).max(initial=0.0))
         assert bound <= self.sup_bound * (1.0 + 1e-12), "kernel exceeds 2 k n^(2+2s)"
         return out
 

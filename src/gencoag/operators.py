@@ -38,24 +38,18 @@ is the OHS quadrature: upwind transport with a mass-matched velocity, the
 flux through the last gap leaving at n, plus the death of the small
 partner.
 
-The pair scheme has two implementations of the same quadrature, chosen by
-the kernel alone:
-
-* :class:`LagScheme`, for kernels whose ``factors(x)`` returns separable
-  factors Lambda(x_m, x_j) = sum_r f_r(x_m) g_r(x_j) on x_j <= x_m (the
-  constant, singular-product and additive families).  On a geometric grid
-  the product of the pair (m, m - d) is x_m (1 + eps r^-d), so its deposit
-  offset and two-point weight depend on the lag d only.  Births become a
-  few direct convolutions, one pair per group of lags sharing a nonzero
-  offset; the offset-0 moves and the deaths become prefix and suffix sums.
-  Products landing at the top of the grid are handled pair by pair, as in
-  the dense scheme.  Memory is O(N * largest offset), not O(N^2).
-* :class:`PairScheme`, the dense form over all N(N+1)/2 pairs, for kernels
-  whose ``factors`` returns None (tabulated and user kernels).  It is the
-  only O(N^2) table, and refuses, with a :class:`ConfigError` before
-  allocating, one larger than physical memory.
-
-The two agree cellwise to rounding of the deposit weights.
+The quadrature runs on separable kernel factors,
+Lambda(x_m, x_j) = sum_r f_r(x_m) g_r(x_j) on x_j <= x_m, which every kernel
+supplies through ``factors(x)``.  On a geometric grid the product of the
+pair (m, m - d) is x_m (1 + eps r^-d), so its deposit offset and two-point
+weight depend on the lag d only (:class:`LagScheme`).  Births become a few
+direct convolutions, one pair per group of lags sharing a nonzero offset;
+the offset-0 moves and the deaths become prefix and suffix sums.  Products
+landing at the top of the grid form a band that is handled pair by pair.
+Memory is O(N * (largest offset + rank)); the band, the one pair table,
+refuses with a :class:`ConfigError`, before allocating, a size larger than
+physical memory.  The dense pair table over all N(N+1)/2 pairs lives in
+the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -79,20 +73,6 @@ class RateField:
     outflux_rate: float
 
 
-@dataclass(frozen=True)
-class EpsParams:
-    """Interpolation parameter of the generalized model and the domain cutoff."""
-
-    eps: float
-    n: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.eps <= 1.0):
-            raise DomainError("eps must lie in [0, 1]")
-        if self.n <= 1.0:
-            raise DomainError("n must exceed 1")
-
-
 def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
     if abs(density.grid.n - kernel.n) > 1e-12 * kernel.n:
         raise ConfigError(
@@ -101,7 +81,7 @@ def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
 
 
 def _check_table_bytes(nbytes, what):
-    """Raise ConfigError before a dense table larger than physical memory is built."""
+    """Raise ConfigError before a table larger than physical memory is built."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > physical:
         raise ConfigError(
@@ -162,6 +142,8 @@ class _PairSet:
         big = self.rate * zd[self.m_idx] * zd[self.j_idx]
         ev = big[~self.over]
         births = np.bincount(self.a, weights=ev * self.w, minlength=size + 1)
+        # an empty self.a (every product overflows) gives an integer count
+        births = births.astype(float, copy=False)
         births += np.bincount(self.a + 1, weights=ev * (1.0 - self.w), minlength=size + 1)
         outflux = self.n * births[size] + np.sum(big[self.over] * self.p_over)
         losses = np.bincount(self.m_idx, weights=big, minlength=size)
@@ -173,7 +155,7 @@ class _PairSet:
         return np.bincount(self.j_idx, weights=kill, minlength=zd.size)
 
 
-class PairScheme:
+class LagScheme:
     """Pairwise event quadrature of the generalized operator, eps in [0, 1].
 
     Collisions of an ordered size pair (big x_m, small x_j) happen at event
@@ -185,31 +167,6 @@ class PairScheme:
     it: the small partner dies and the big one moves on to the next pivot.
     At eps = 0 every pair is offset 0 and this is the OHS quadrature.
 
-    This dense form stores all N(N+1)/2 pairs; it serves kernels without
-    separable factors.
-    """
-
-    def __init__(self, grid: SizeGrid, kernel: TruncatedKernel, eps: float):
-        self.grid = grid
-        # per pair: eight 8-byte arrays (two indices, kernel, product, pivot,
-        # weight, kill, rate) and three 1-byte masks (diagonal, overflow, move)
-        _check_table_bytes((8 * 8 + 3) * grid.size * (grid.size + 1) // 2,
-                           "the dense pair table")
-        x = grid.centers
-        m_idx, j_idx = np.tril_indices(grid.size)
-        K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
-        self.pairs = _PairSet(grid, K, m_idx, j_idx, eps)
-
-    def rhs(self, values: np.ndarray):
-        zd = values * self.grid.widths
-        births, losses, outflux = self.pairs.transfer(zd)
-        outgo = losses + self.pairs.deaths(zd)
-        return (births - outgo) / self.grid.widths, outflux
-
-
-class LagScheme:
-    """The generalized operator of :class:`PairScheme` without its pair table.
-
     Needs separable kernel factors, Lambda(x_m, x_j) = sum_r f_r[m] g_r[j]
     for j <= m, and uses the geometric grid's lag structure: the product of
     the pair (m, m - d) sits at x_m (1 + eps r^-d), so its deposit offset
@@ -218,14 +175,15 @@ class LagScheme:
 
     * births into cells m + o and m + o + 1 from the lags of offset o >= 1
       are u_r[m] times a direct convolution of v_r with those lags' weights,
-      and the big partners of these pairs die at u_r[m] times the sum of the
-      two convolutions, so all stay sums of nonnegative terms;
+      taken over the cells where g_r is nonzero, and the big partners of
+      these pairs die at u_r[m] times the sum of the two convolutions, so
+      all stay sums of nonnegative terms;
     * the offset-0 lags d >= d0 move the big partner on to cell m + 1 at
       u_r[m] prefix(x v_r)[m - d0] / gap_m, the self-pair at half weight;
     * the small partners die at v_r (suffix(u_r) - u_r / 2);
     * pairs whose product lands at or above the second-to-last cell form a
-      band of at most N (max o_d + 2) pairs that is handled pair by pair, as
-      in the dense scheme, and carries the whole outflux.
+      band of at most N (max o_d + 2) pairs that is handled pair by pair and
+      carries the whole outflux.
 
     At eps = 0 every lag has offset 0, and the scheme is O(N) in work.
     """
@@ -237,6 +195,9 @@ class LagScheme:
         self.f = np.array([f for f, _ in factors])
         self.g = np.array([g for _, g in factors])
         self.gaps = np.diff(x)
+        # cells [s, e) outside which g_r is zero; (0, 0) for a zero factor
+        self.support = [(int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+                        for nz in map(np.flatnonzero, self.g)]
 
         # Lag d: product at x_m * q_d, bracketed by the center ratios y.
         # q_d decreases with d, so each offset covers one run of lags.
@@ -244,6 +205,14 @@ class LagScheme:
         y = x / x[0]
         q = 1.0 + eps * (x[0] / x)
         offset = np.searchsorted(y, q, side="right") - 1
+
+        # Band: for each lag, the pairs with m + o_d >= size - 2.  Per band
+        # pair the build makes four index arrays, the rank-P gathers of f and
+        # g, the kernel, and _PairSet's seven 8-byte arrays and three masks.
+        start = np.maximum(lags, size - 2 - offset)
+        count = size - start
+        _check_table_bytes((8 * (12 + 2 * self.f.shape[0]) + 3) * int(count.sum()),
+                           "the pair band")
 
         # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
         # land strictly below the band.  The offset-0 lags, the last run,
@@ -261,9 +230,6 @@ class LagScheme:
             w = np.clip((y[o + 1] - q[lo:hi]) / (y[o + 1] - y[o]), 0.0, 1.0)
             self.groups.append((int(o), int(lo), int(top), w * rate, (1.0 - w) * rate))
 
-        # Band: for each lag, the pairs with m + o_d >= size - 2.
-        start = np.maximum(lags, size - 2 - offset)
-        count = size - start
         within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         m_idx = np.repeat(start, count) + within
         j_idx = m_idx - np.repeat(lags, count)
@@ -278,13 +244,17 @@ class LagScheme:
         births, outgo, outflux = self.band.transfer(zd)
         for o, lo, top, h_lo, h_hi in self.groups:
             span = top - lo
-            for ur, vr in zip(u, v):
-                big = ur[lo:top]
-                low = big * np.convolve(vr[:span], h_lo)[:span]
-                high = big * np.convolve(vr[:span], h_hi)[:span]
-                births[lo + o:top + o] += low
-                births[lo + o + 1:top + o + 1] += high
-                outgo[lo:top] += low + high
+            for ur, vr, (s, e) in zip(u, v, self.support):
+                e = min(e, span)
+                if s >= e:
+                    continue
+                stop = min(span, e + h_lo.size - 1)
+                big = ur[lo + s:lo + stop]
+                low = big * np.convolve(vr[s:e], h_lo)[:stop - s]
+                high = big * np.convolve(vr[s:e], h_hi)[:stop - s]
+                births[lo + o + s:lo + o + stop] += low
+                births[lo + o + s + 1:lo + o + stop + 1] += high
+                outgo[lo + s:lo + stop] += low + high
         lo, top = self.moves
         xv = grid.centers * v
         reach = np.cumsum(xv, axis=1)[:, :top - lo]
@@ -296,31 +266,6 @@ class LagScheme:
         suffix = np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
         outgo += np.sum(v * (suffix - 0.5 * u), axis=0)
         return (births - outgo) / grid.widths, outflux
-
-
-def _pair_scheme(grid, kernel, eps):
-    factors = kernel.factors(grid.centers)
-    if factors is None:
-        return PairScheme(grid, kernel, eps)
-    return LagScheme(grid, factors, eps)
-
-
-def generalized_rhs(density: NumberDensity, kernel: TruncatedKernel,
-                    params: EpsParams) -> RateField:
-    """Rate of the generalized coagulation operator at parameter eps."""
-    if abs(params.n - kernel.n) > 1e-12 * kernel.n:
-        raise ConfigError("params.n does not match the kernel truncation")
-    return make_rhs("generalized", kernel, params.eps)(density)
-
-
-def sce_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
-    """Rate of the classical Smoluchowski operator (the eps = 1 pair scheme)."""
-    return make_rhs("sce", kernel)(density)
-
-
-def ohs_rhs(density: NumberDensity, kernel: TruncatedKernel) -> RateField:
-    """Rate of the Oort-Hulst-Safronov operator (the eps = 0 pair scheme)."""
-    return make_rhs("ohs", kernel)(density)
 
 
 def weak_action(rhs: RateField, omega) -> float:
@@ -336,21 +281,23 @@ def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
 
     ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
     scheme is built on the first density the callable receives and reused
-    while later densities share its grid.
+    while later densities share its grid.  A kernel without separable
+    factors is a :class:`ConfigError` when the scheme is built.
     """
     if model not in ("sce", "ohs", "generalized"):
         raise ConfigError(f"unknown model {model!r}")
     eps = {"sce": 1.0, "ohs": 0.0}.get(model, eps)
     if eps is None:
         raise ConfigError("generalized model requires eps")
-    EpsParams(eps=eps, n=kernel.n)  # raises DomainError for eps outside [0, 1]
+    if not (0.0 <= eps <= 1.0):
+        raise DomainError("eps must lie in [0, 1]")
     scheme = None
 
     def rhs(density: NumberDensity) -> RateField:
         nonlocal scheme
         if scheme is None or scheme.grid is not density.grid:
             _check_setup(density, kernel)
-            scheme = _pair_scheme(density.grid, kernel, eps)
+            scheme = LagScheme(density.grid, kernel.factors(density.grid.centers), eps)
         dzdt, outflux = scheme.rhs(density.values)
         return RateField(density.grid, dzdt, outflux)
 

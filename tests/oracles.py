@@ -3,16 +3,16 @@
 import numpy as np
 
 from gencoag import NumberDensity, SizeGrid, TruncatedKernel
-from gencoag.operators import RateField, _deposit_targets
+from gencoag.operators import RateField, _PairSet, _deposit_targets
 
 
 class SmoluchowskiScheme:
     """Classical Smoluchowski quadrature over the full ordered-pair square.
 
     Births carry the 1/2 symmetry factor of the convolution integral; the
-    death term is the plain collision sum.  Kept independent of
-    :class:`PairScheme` so the epsilon = 1 equivalence is a genuine
-    cross-check of two implementations, not one code path.
+    death term is the plain collision sum.  Kept independent of the pair
+    schemes so the epsilon = 1 equivalence is a genuine cross-check of two
+    implementations, not one code path.
     """
 
     def __init__(self, grid: SizeGrid, kernel: TruncatedKernel):
@@ -39,6 +39,28 @@ class SmoluchowskiScheme:
         death = zd * (self.K @ zd)
         outflux = float(grid.n * births[-1] + np.sum(pair[self.over] * self.p[self.over]))
         return (births[:-1] - death) / grid.widths, outflux
+
+
+class PairScheme:
+    """Dense pairwise event quadrature of the generalized operator, eps in [0, 1].
+
+    The quadrature of :class:`gencoag.operators.LagScheme` over all
+    N(N+1)/2 ordered pairs, with the kernel from ``eval`` instead of its
+    factors.  Each pair's bookkeeping is the band's :class:`_PairSet`.
+    """
+
+    def __init__(self, grid: SizeGrid, kernel: TruncatedKernel, eps: float):
+        self.grid = grid
+        x = grid.centers
+        m_idx, j_idx = np.tril_indices(grid.size)
+        K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
+        self.pairs = _PairSet(grid, K, m_idx, j_idx, eps)
+
+    def rhs(self, values: np.ndarray):
+        zd = values * self.grid.widths
+        births, losses, outflux = self.pairs.transfer(zd)
+        outgo = losses + self.pairs.deaths(zd)
+        return (births - outgo) / self.grid.widths, outflux
 
 
 def smoluchowski_rhs(density, kernel):
@@ -86,3 +108,15 @@ def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarra
 def ohs_velocity(density: NumberDensity, kernel: TruncatedKernel, i: int) -> float:
     """Edge-sampled OHS transport velocity at the right edge of cell i."""
     return float(ohs_velocities(density, kernel)[i])
+
+
+def block_crossing_rates(traj, m, kernel):
+    """Crossing rates at edge m from the (N - m) x m kernel block.
+
+    Entry [k, j] is sum_{i >= m} Lambda(x_i, x_j) zeta_i dx_i * x_j zeta_j dx_j
+    at snapshot k, for the small partner j < m.
+    """
+    x = traj.grid.centers
+    zd = traj.values * traj.grid.widths
+    K = np.asarray(kernel.eval(x[m:][:, None], x[:m][None, :]))
+    return np.einsum("ki,ij->kj", zd[:, m:], K) * (x[:m] * zd[:, :m])

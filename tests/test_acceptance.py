@@ -14,7 +14,6 @@ from gencoag import (
     AdditiveKernel,
     ConstantKernel,
     DtPolicy,
-    EpsParams,
     ExponentialProfile,
     NumberDensity,
     SingularProductKernel,
@@ -22,8 +21,8 @@ from gencoag import (
     SquareGauge,
     build_gauge_from_tail,
     check_inequalities,
-    generalized_rhs,
     make_grid,
+    make_rhs,
     psi1_tail,
     psi2_tail,
     sample_initial,
@@ -115,7 +114,7 @@ def test_criterion_1_operator_identity_at_eps_one():
     for kernel in kernel_trio(10.0):
         for _ in range(10):
             d = NumberDensity(grid, rng.random(grid.size))
-            gen = generalized_rhs(d, kernel, EpsParams(1.0, 10.0))
+            gen = make_rhs("generalized", kernel, 1.0)(d)
             sce = smoluchowski_rhs(d, kernel)
             scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
             worst = max(worst, float(np.max(np.abs(gen.dzdt - sce.dzdt)) / scale))

@@ -140,9 +140,19 @@ class TestSimulate:
         table_path.write_text("mu,nu,lambda\n" + "".join(
             f"{m},{u},1.0\n" for m in (0.05, 20.0) for u in (0.05, 20.0)))
         cfg = write_config(tmp_path, {
-            "run": {"model": "ohs", "threads": 1},
+            "run": {"model": "sce", "threads": 1},
             "kernel": {"family": "user_tabulated", "path": str(table_path),
                        "k": 1.0, "sigma": 0.0},
+            "grid": {"n": 10.0, "cells_per_decade": 100_000},
+        })
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_pair_band_exits_1(self, tmp_path, capsys):
+        # ~1.5e9 band pairs at eps = 1: refused before the band is allocated
+        cfg = write_config(tmp_path, {
+            "run": {"model": "sce", "threads": 1},
             "grid": {"n": 10.0, "cells_per_decade": 100_000},
         })
         assert main(["simulate", "--config", str(cfg)]) == 1

@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from conftest import kernel_trio
 from gencoag import (
     ConstantKernel,
     DtPolicy,
     ExponentialProfile,
     MonodisperseProfile,
+    NumberDensity,
     SingularPowerProfile,
     SingularProductKernel,
+    TabulatedKernel,
     Trajectory,
     make_grid,
     sample_initial,
@@ -35,7 +38,7 @@ from gencoag.diagnostics import (
 )
 from gencoag.experiments import run_model
 from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
-from oracles import ohs_velocities
+from oracles import block_crossing_rates, ohs_velocities
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +449,21 @@ class TestSnapshotMatrix:
         scale = expect[:, 0].max()
         assert scale > 0.0
         assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+    def test_factored_crossing_rates_match_the_block(self):
+        # the three families and a tabulated kernel, at every edge
+        grid = make_grid(20.0, 16)
+        nodes = np.geomspace(0.02, 5.0, 9)
+        table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
+        rng = np.random.default_rng(71)
+        traj = Trajectory()
+        for k in range(4):
+            traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
+        for kernel in kernel_trio(20.0) + [truncate(TabulatedKernel(nodes, table, k=50.0), 20.0)]:
+            for m in range(1, grid.size):
+                got = _crossing_rates(traj, m, kernel)
+                expect = block_crossing_rates(traj, m, kernel)
+                assert np.all(np.abs(got - expect) <= 1e-13 * expect)
 
     def test_tail_split_matches_outer_loop(self, const_run):
         grid, kernel, density, traj = const_run

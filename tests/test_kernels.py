@@ -9,6 +9,7 @@ from gencoag import (
     ConstantKernel,
     DomainError,
     Kernel,
+    PowerSumKernel,
     SingularProductKernel,
     TabulatedKernel,
     certify_derivative,
@@ -17,6 +18,7 @@ from gencoag import (
     make_grid,
     truncate,
 )
+from gencoag import kernels
 
 
 class TestEval:
@@ -223,12 +225,66 @@ class TestFactors:
             def _rate(self, lo, hi):
                 return np.exp(-(lo + hi))
 
-        nodes = np.geomspace(0.1, 10.0, 5)
         x = np.geomspace(0.2, 5.0, 7)
-        for base in (Exponential(k=1.0),
-                     TabulatedKernel(nodes, np.ones((5, 5)))):
-            assert base.factors(x) is None
-            assert truncate(base, 10.0).factors(x) is None
+        for kernel in (Exponential(k=1.0), truncate(Exponential(k=1.0), 10.0)):
+            with pytest.raises(ConfigError, match="separable factors"):
+                kernel.factors(x)
+
+    def test_presets_are_bit_equal_to_their_closed_forms(self):
+        x = make_grid(50.0, 16).centers
+        power = x ** -0.3
+        cases = [
+            (ConstantKernel(2.5), [(np.full_like(x, 2.5), np.ones_like(x))]),
+            (SingularProductKernel(k=1.3, sigma=0.3), [(1.3 * power, power)]),
+            (AdditiveKernel(), [(x, np.ones_like(x)), (np.ones_like(x), x)]),
+        ]
+        for base, expect in cases:
+            got = base.factors(x)
+            assert len(got) == len(expect)
+            for (f, g), (fe, ge) in zip(got, expect):
+                assert np.array_equal(f, fe) and np.array_equal(g, ge)
+
+    @pytest.mark.parametrize("family", [*kernels._FAMILIES, "user_tabulated"])
+    def test_every_config_family_has_factors(self, family, tmp_path):
+        # the operators run on factors alone: a family kernel_from_config
+        # accepts without them could not be solved
+        cfg = {"family": family}
+        if family == "user_tabulated":
+            nodes = np.geomspace(0.05, 3.0, 7)
+            path = tmp_path / "kernel.csv"
+            path.write_text("mu,nu,lambda\n" + "".join(
+                f"{m:.17g},{u:.17g},{1.0 + m * u + np.sin(m + u):.17g}\n"
+                for m in nodes for u in nodes))
+            cfg["path"] = str(path)
+        base = kernel_from_config(cfg)
+        x = make_grid(10.0, 16).centers
+        factors = base.factors(x)
+        assert factors and all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
+        m, j = np.tril_indices(x.size)
+        got = sum(f[m] * g[j] for f, g in factors)
+        expect = base.eval(x[m], x[j])
+        assert np.all(np.abs(got - expect) <= 1e-14 * expect)
+
+    def test_power_sum_terms_validated(self):
+        for terms in ([], [(-1.0, 0.0, 0.0)], [(1.0, np.nan, 0.0)], [(np.inf, 0.0, 1.0)]):
+            with pytest.raises(DomainError):
+                PowerSumKernel(terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(2, 24), seed=st.integers(0, 2**31 - 1))
+    def test_tabulated_hat_factors(self, size, seed):
+        rng = np.random.default_rng(seed)
+        nodes = np.geomspace(0.1, 10.0, size) ** rng.uniform(0.5, 1.5)
+        table = rng.random((size, size))
+        base = TabulatedKernel(nodes, table)
+        x = np.sort(np.exp(rng.uniform(-4.0, 4.0, 40)))  # partly beyond the nodes
+        factors = base.factors(x)
+        assert len(factors) == size
+        assert all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
+        m, j = np.tril_indices(x.size)
+        got = sum(f[m] * g[j] for f, g in factors)
+        expect = base.eval(x[m], x[j])
+        assert np.all(np.abs(got - expect) <= 1e-14 * expect)
 
     def test_sup_bound_asserted(self):
         # 2 k n^(2+2s) = 8 here, below the rate: factors fail like eval
@@ -237,6 +293,16 @@ class TestFactors:
             tk.eval(1.0, 1.0)
         with pytest.raises(AssertionError):
             tk.factors(np.array([1.0]))
+
+    def test_sup_bound_of_hat_factors(self):
+        # sum_r max f_r * max g_r is 24 here, above 2 k n^(2+2s) = 8; the
+        # hats sum to one, so max f * max_j sum_r g_r[j] = 1 bounds the kernel
+        nodes = np.geomspace(0.5, 2.0, 24)
+        tk = truncate(TabulatedKernel(nodes, np.ones((24, 24)), k=1.0), 2.0)
+        x = make_grid(2.0, 64).centers
+        factors = tk.factors(x)
+        assert sum(f.max() * g.max() for f, g in factors) > tk.sup_bound
+        assert np.allclose(sum(g for _, g in factors), 1.0, rtol=1e-15)
 
     def test_nonpositive_argument_rejected(self):
         with pytest.raises(DomainError):

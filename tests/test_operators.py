@@ -9,26 +9,23 @@ from gencoag import (
     ConstantKernel,
     DomainError,
     DtPolicy,
-    EpsParams,
     Kernel,
     MonodisperseProfile,
     NumberDensity,
+    PowerSumKernel,
     SingularProductKernel,
     TabulatedKernel,
     evolve,
-    generalized_rhs,
     make_grid,
     make_rhs,
-    ohs_rhs,
     sample_initial,
-    sce_rhs,
     truncate,
     weak_action,
     weighted_norm,
 )
 from gencoag import operators
-from gencoag.operators import LagScheme, PairScheme, _pair_scheme
-from oracles import dense_ohs, ohs_velocities, ohs_velocity, smoluchowski_rhs
+from gencoag.operators import LagScheme
+from oracles import PairScheme, dense_ohs, ohs_velocities, ohs_velocity, smoluchowski_rhs
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -67,29 +64,55 @@ def brute_force_generalized(grid, kernel, eps, values):
     return number / dx, ledger
 
 
+def paper_class_kernels(sigma=0.2):
+    """The paper's kernel class, singular at zero and linear at infinity, as power sums."""
+    third = 1.0 / 3.0
+    return [
+        # Brownian: (mu^1/3 + nu^1/3)(mu^-1/3 + nu^-1/3)
+        PowerSumKernel([(2.0, 0.0, 0.0), (1.0, third, -third), (1.0, -third, third)],
+                       k=4.0, sigma=third),
+        # (1 + mu + nu)(mu nu)^-sigma
+        PowerSumKernel([(1.0, -sigma, -sigma), (1.0, 1.0 - sigma, -sigma),
+                        (1.0, -sigma, 1.0 - sigma)], k=3.0, sigma=sigma),
+    ]
+
+
+def lag_scheme(grid, kernel, eps):
+    return LagScheme(grid, kernel.factors(grid.centers), eps)
+
+
+def random_tabulated(rng, n, size):
+    """A tabulated kernel on ``size`` random log nodes; some lie beyond [1/n, n]."""
+    steps = np.cumsum(rng.uniform(0.05, 1.0, size))
+    nodes = n ** rng.uniform(-1.5, 0.8) * 10.0 ** (rng.uniform(0.3, 3.0) * steps / steps[-1])
+    table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
+    return truncate(TabulatedKernel(nodes, table, k=max(table.max(), 1e-3)), n)
+
+
 class TestGeneralizedRhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = generalized_rhs(d, const_trunc, EpsParams(0.5, 30.0))
+        f = make_rhs("generalized", const_trunc, 0.5)(d)
         assert np.all(f.dzdt == 0.0) and f.outflux_rate == 0.0
 
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.125, 0.01])
     def test_matches_brute_force(self, eps):
         grid = make_grid(8.0, 6)
-        kernel = truncate(ConstantKernel(1.0), 8.0)
         rng = np.random.default_rng(3)
-        d = random_density(grid, rng)
-        f = generalized_rhs(d, kernel, EpsParams(eps, 8.0))
-        expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
-        scale = np.max(np.abs(expect))
-        assert np.allclose(f.dzdt, expect, rtol=0, atol=1e-12 * scale)
-        assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
+        for base in (ConstantKernel(1.0), *paper_class_kernels()):
+            kernel = truncate(base, 8.0)
+            d = random_density(grid, rng)
+            f = make_rhs("generalized", kernel, eps)(d)
+            expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
+            scale = np.max(np.abs(expect))
+            assert np.allclose(f.dzdt, expect, rtol=0, atol=1e-12 * scale)
+            assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
 
     def test_eps_one_equals_sce(self, grid30):
         rng = np.random.default_rng(5)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            gen = generalized_rhs(d, kernel, EpsParams(1.0, 30.0))
+            gen = make_rhs("generalized", kernel, 1.0)(d)
             sce = smoluchowski_rhs(d, kernel)
             scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
             assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
@@ -100,7 +123,7 @@ class TestGeneralizedRhs:
         rng = np.random.default_rng(7)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = generalized_rhs(d, kernel, EpsParams(eps, 30.0))
+            f = make_rhs("generalized", kernel, eps)(d)
             x, dx = grid30.centers, grid30.widths
             drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
             scale = np.sum(x * np.abs(f.dzdt) * dx) + abs(f.outflux_rate)
@@ -112,7 +135,7 @@ class TestGeneralizedRhs:
         # Discarded above-domain products add a number loss of order
         # zeta_top / eps ~ e^-30 / eps, visible at the 1e-9 level.
         for eps in (1.0, 0.5, 0.01):
-            f = generalized_rhs(exp_density, const_trunc, EpsParams(eps, 30.0))
+            f = make_rhs("generalized", const_trunc, eps)(exp_density)
             m0 = weighted_norm(exp_density, "one")
             dm0 = np.sum(f.dzdt * grid30.widths)
             assert dm0 == pytest.approx(-0.5 * m0 * m0, rel=1e-8)
@@ -122,7 +145,7 @@ class TestGeneralizedRhs:
         for kernel in kernel_trio(30.0):
             for eps in (1.0, 0.3, 0.02):
                 d = random_density(grid30, rng)
-                f = generalized_rhs(d, kernel, EpsParams(eps, 30.0))
+                f = make_rhs("generalized", kernel, eps)(d)
                 assert np.sum(f.dzdt * grid30.widths) <= 0.0
 
     def test_sign_structure_quasi_positive(self, grid30, const_trunc):
@@ -133,14 +156,14 @@ class TestGeneralizedRhs:
         vals[::3] = 0.0
         d = NumberDensity(grid30, vals)
         for eps in (1.0, 0.2):
-            f = generalized_rhs(d, const_trunc, EpsParams(eps, 30.0))
+            f = make_rhs("generalized", const_trunc, eps)(d)
             assert np.all(f.dzdt[vals == 0.0] >= 0.0)
 
     def test_grid_kernel_mismatch(self, grid30):
         kernel = truncate(ConstantKernel(1.0), 10.0)
         d = NumberDensity(grid30, np.zeros(grid30.size))
         with pytest.raises(ConfigError):
-            generalized_rhs(d, kernel, EpsParams(0.5, 10.0))
+            make_rhs("generalized", kernel, 0.5)(d)
 
     def test_lipschitz_sanity(self, grid30):
         # || Q(z1) - Q(z2) ||_L1 <= 2 k n^(2+2s) (1/eps + 2) (||z1|| + ||z2||) ||z1 - z2||
@@ -149,8 +172,8 @@ class TestGeneralizedRhs:
             for eps in (1.0, 0.25):
                 d1 = random_density(grid30, rng)
                 d2 = random_density(grid30, rng)
-                f1 = generalized_rhs(d1, kernel, EpsParams(eps, 30.0))
-                f2 = generalized_rhs(d2, kernel, EpsParams(eps, 30.0))
+                f1 = make_rhs("generalized", kernel, eps)(d1)
+                f2 = make_rhs("generalized", kernel, eps)(d2)
                 dx = grid30.widths
                 lhs = np.sum(np.abs(f1.dzdt - f2.dzdt) * dx)
                 n1 = np.sum(np.abs(d1.values) * dx)
@@ -170,7 +193,7 @@ def dense_and_lag(grid, kernel, eps, values):
     may be the virtual pivot at n, which is not a cell.
     """
     dense = PairScheme(grid, kernel, eps)
-    lag = LagScheme(grid, kernel.factors(grid.centers), eps)
+    lag = lag_scheme(grid, kernel, eps)
     pairs = dense.pairs
     zd = values * grid.widths
     big = pairs.rate * zd[pairs.m_idx] * zd[pairs.j_idx]
@@ -207,6 +230,7 @@ class TestLagScheme:
         (2.0, 10, 1.0),   # 2 x_m is a center: the diagonal product lands on the top one
         (4.0, 10, 1.0),
         (1.6, 4, 0.5),    # two cells: every pair is in the exact band
+        (1.5, 5, 1.0),    # two cells: every product leaves the domain
     ])
     def test_sparse_data(self, family, n, cpd, eps):
         # a few occupied cells; a near-empty cell's own rate can be tiny, so
@@ -226,51 +250,50 @@ class TestLagScheme:
         # pairs kept for the top band: at most N * (largest offset + 2)
         grid = make_grid(100.0, 128)
         eps = 0.25
-        scheme = _pair_scheme(grid, truncate(SingularProductKernel(), 100.0), eps)
-        assert isinstance(scheme, LagScheme)
+        scheme = lag_scheme(grid, truncate(SingularProductKernel(), 100.0), eps)
         max_offset = np.ceil(np.log1p(eps) / np.log(grid.ratio()))
         assert scheme.band.m_idx.size <= grid.size * (max_offset + 2)
 
-    def test_dispatch_on_factors(self, grid30):
-        for kernel in kernel_trio(30.0):
-            assert isinstance(_pair_scheme(grid30, kernel, 0.5), LagScheme)
-
-    def test_kernels_without_factors_take_dense_path(self):
-        class Exponential(Kernel):
-            def _rate(self, lo, hi):
-                return np.exp(-0.1 * (lo + hi))
-
-        nodes = np.geomspace(0.1, 10.0, 6)
-        table = 1.0 + np.add.outer(nodes, nodes)
-        grid = make_grid(8.0, 6)
-        rng = np.random.default_rng(21)
-        for base in (Exponential(k=1.0), TabulatedKernel(nodes, table, k=25.0)):
-            kernel = truncate(base, 8.0)
-            d = random_density(grid, rng)
-            for eps in (1.0, 0.3):
-                assert isinstance(_pair_scheme(grid, kernel, eps), PairScheme)
-                f = generalized_rhs(d, kernel, EpsParams(eps, 8.0))
-                expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
-                assert np.allclose(f.dzdt, expect, rtol=0, atol=1e-12 * np.max(np.abs(expect)))
-                assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.floats(1.5, 100.0),
+        cpd=st.integers(4, 32),
+        nodes=st.integers(2, 24),
+        eps=st.one_of(st.sampled_from([0.0, 2.0**-20]),
+                      st.floats(0.0, 1.0, exclude_min=True)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_tabulated_matches_dense_and_brute_force(self, n, cpd, nodes, eps, seed):
+        # hat factors are nonzero on two node intervals each, so the lag
+        # scheme convolves each one over part of the grid only
+        assume(2 <= round(2.0 * cpd * np.log10(n)) <= 40)
+        grid = make_grid(n, cpd)
+        rng = np.random.default_rng(seed)
+        kernel = random_tabulated(rng, n, nodes)
+        values = rng.random(grid.size)
+        (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
+            grid, kernel, eps, values)
+        assert np.all(np.abs(dz_lag - dz_dense) * grid.widths <= 1e-12 * gross)
+        assert abs(out_lag - out_dense) <= 1e-12 * out_dense
+        if eps >= 2.0**-6:
+            # the brute force removes and re-deposits big partners at K / eps
+            expect, ledger = brute_force_generalized(grid, kernel, eps, values)
+            assert np.all(np.abs(dz_lag - expect) * grid.widths <= 1e-12 * gross.max())
+            assert out_lag == pytest.approx(ledger, rel=1e-12, abs=1e-300)
 
 
 class TestMakeRhs:
-    @pytest.mark.parametrize("model, eps, builder", [
-        ("sce", None, "_pair_scheme"),
-        ("generalized", 0.3, "_pair_scheme"),
-        ("ohs", None, "_pair_scheme"),
-    ])
+    @pytest.mark.parametrize("model, eps", [("sce", None), ("generalized", 0.3), ("ohs", None)])
     def test_scheme_built_once_per_callable(self, monkeypatch, const_trunc, exp_density,
-                                            model, eps, builder):
-        real = getattr(operators, builder)
+                                            model, eps):
+        real = operators.LagScheme
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(operators, builder, counting)
+        monkeypatch.setattr(operators, "LagScheme", counting)
         rhs = make_rhs(model, const_trunc, eps)
         traj = evolve(exp_density, rhs, 0.2, DtPolicy(mode="fixed", dt=0.02), [0.1, 0.2])
         assert len(traj) == 3
@@ -290,7 +313,6 @@ class TestMakeRhs:
         table = 1.0 + np.add.outer(nodes, nodes)
         grid = make_grid(8.0, 6)
         kernel = truncate(TabulatedKernel(nodes, table, k=25.0), 8.0)
-        assert isinstance(_pair_scheme(grid, kernel, 1.0), PairScheme)
         rng = np.random.default_rng(53)
         for _ in range(5):
             d = random_density(grid, rng)
@@ -299,6 +321,15 @@ class TestMakeRhs:
             scale = max(np.max(np.abs(ref.dzdt)), 1e-300)
             assert np.max(np.abs(f.dzdt - ref.dzdt)) <= 1e-12 * scale
             assert f.outflux_rate == pytest.approx(ref.outflux_rate, rel=1e-12, abs=1e-300)
+
+    def test_kernel_without_factors_is_config_error(self, grid30):
+        class Exponential(Kernel):
+            def _rate(self, lo, hi):
+                return np.exp(-0.1 * (lo + hi))
+
+        rhs = make_rhs("generalized", truncate(Exponential(k=1.0), 30.0), 0.5)
+        with pytest.raises(ConfigError, match="separable factors"):
+            rhs(NumberDensity(grid30, np.ones(grid30.size)))
 
     def test_bad_model_and_eps_rejected_before_any_density(self, const_trunc):
         with pytest.raises(ConfigError):
@@ -313,7 +344,7 @@ class TestMakeRhs:
 class TestSceRhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = sce_rhs(d, const_trunc)
+        f = make_rhs("sce", const_trunc)(d)
         assert np.all(f.dzdt == 0.0)
 
     def test_monodisperse_hand_computation(self):
@@ -324,7 +355,7 @@ class TestSceRhs:
         d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
         c = grid.cell_of(2.0)
         z0 = d.values[c]
-        f = sce_rhs(d, kernel)
+        f = make_rhs("sce", kernel)(d)
         assert f.dzdt[c] == pytest.approx(-z0 * z0 * grid.widths[c], rel=1e-12)
         target = grid.cell_of(2.0 * grid.centers[c])
         birth_cells = np.nonzero(f.dzdt > 0.0)[0]
@@ -336,7 +367,7 @@ class TestSceRhs:
         assert born == pytest.approx(0.5 * pair_rate, rel=1e-12)
 
     def test_number_moment_closed_form(self, grid30, const_trunc, exp_density):
-        f = sce_rhs(exp_density, const_trunc)
+        f = make_rhs("sce", const_trunc)(exp_density)
         m0 = weighted_norm(exp_density, "one")
         total = np.sum(f.dzdt * grid30.widths)
         assert total == pytest.approx(-0.5 * m0 * m0, rel=1e-10)
@@ -345,14 +376,14 @@ class TestSceRhs:
         rng = np.random.default_rng(43)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = sce_rhs(d, kernel)
+            f = make_rhs("sce", kernel)(d)
             assert np.sum(f.dzdt * grid30.widths) <= 0.0
 
     def test_mass_neutrality(self, grid30):
         rng = np.random.default_rng(19)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = sce_rhs(d, kernel)
+            f = make_rhs("sce", kernel)(d)
             drift = np.sum(grid30.centers * f.dzdt * grid30.widths) + f.outflux_rate
             scale = np.sum(grid30.centers * np.abs(f.dzdt) * grid30.widths)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
@@ -361,7 +392,7 @@ class TestSceRhs:
 class TestOhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = ohs_rhs(d, const_trunc)
+        f = make_rhs("ohs", const_trunc)(d)
         assert np.all(f.dzdt == 0.0)
 
     def test_velocity_zero_density(self, grid30, const_trunc):
@@ -391,7 +422,7 @@ class TestOhs:
         rng = np.random.default_rng(29)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = ohs_rhs(d, kernel)
+            f = make_rhs("ohs", kernel)(d)
             x, dx = grid30.centers, grid30.widths
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
@@ -409,7 +440,7 @@ class TestOhs:
         x, dx = grid30.centers, grid30.widths
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = ohs_rhs(d, kernel)
+            f = make_rhs("ohs", kernel)(d)
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
             total = np.sum(f.dzdt * dx)
@@ -423,7 +454,7 @@ class TestOhs:
         rng = np.random.default_rng(31)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = ohs_rhs(d, kernel)
+            f = make_rhs("ohs", kernel)(d)
             drift = np.sum(grid30.centers * f.dzdt * grid30.widths) + f.outflux_rate
             scale = np.sum(grid30.centers * np.abs(f.dzdt) * grid30.widths)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
@@ -433,14 +464,14 @@ class TestOhs:
         vals = rng.random(grid30.size)
         vals[::4] = 0.0
         d = NumberDensity(grid30, vals)
-        f = ohs_rhs(d, const_trunc)
+        f = make_rhs("ohs", const_trunc)(d)
         assert np.all(f.dzdt[vals == 0.0] >= 0.0)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(41)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = ohs_rhs(d, kernel)
+            f = make_rhs("ohs", kernel)(d)
             assert np.sum(f.dzdt * grid30.widths) <= 0.0
 
 
@@ -465,31 +496,12 @@ class TestFactoredOhs:
         assert np.all(np.abs(f.dzdt - expect) * grid.widths <= 1e-12 * gross)
         assert abs(f.outflux_rate - expect_out) <= 1e-12 * expect_out
 
-    def test_kernels_without_factors_take_dense_path(self):
-        class Exponential(Kernel):
-            def _rate(self, lo, hi):
-                return np.exp(-0.1 * (lo + hi))
-
-        nodes = np.geomspace(0.1, 10.0, 6)
-        table = 1.0 + np.add.outer(nodes, nodes)
-        grid = make_grid(8.0, 6)
-        rng = np.random.default_rng(59)
-        for base in (Exponential(k=1.0), TabulatedKernel(nodes, table, k=25.0)):
-            kernel = truncate(base, 8.0)
-            scheme = _pair_scheme(grid, kernel, 0.0)
-            assert isinstance(scheme, PairScheme)
-            values = rng.random(grid.size)
-            dzdt, outflux = scheme.rhs(values)
-            expect, expect_out, gross = dense_ohs(grid, kernel, values)
-            assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
-            assert outflux == pytest.approx(expect_out, rel=1e-12)
-
     def test_memory_is_linear_in_cells(self):
         grid = make_grid(100.0, 512)
         assert grid.size == 2048
         for kernel in kernel_trio(100.0):
-            scheme = _pair_scheme(grid, kernel, 0.0)
-            assert isinstance(scheme, LagScheme) and not scheme.groups
+            scheme = lag_scheme(grid, kernel, 0.0)
+            assert not scheme.groups
             arrays = [a for part in (scheme, scheme.band) for a in vars(part).values()
                       if isinstance(a, np.ndarray)]
             assert arrays and all(a.size <= 2 * grid.size for a in arrays)
@@ -513,7 +525,7 @@ class TestOhsLimit:
             values = rng.random(grid.size)
             expect, expect_out, gross = dense_ohs(grid, kernel, values)
             for eps in (0.0, 0.99 * limit, 2.0**-8):
-                dzdt, outflux = _pair_scheme(grid, kernel, eps).rhs(values)
+                dzdt, outflux = lag_scheme(grid, kernel, eps).rhs(values)
                 assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
                 assert outflux == pytest.approx(expect_out, rel=1e-12)
 
@@ -529,9 +541,9 @@ class TestOhsLimit:
         grid = make_grid(n, cpd)
         kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
         values = np.random.default_rng(seed).random(grid.size)
-        dzdt, outflux = _pair_scheme(grid, kernel, 0.0).rhs(values)
+        dzdt, outflux = lag_scheme(grid, kernel, 0.0).rhs(values)
         for eps in (0.99 * (np.sqrt(grid.ratio()) - 1.0), 2.0**-10):
-            member, member_out = _pair_scheme(grid, kernel, eps).rhs(values)
+            member, member_out = lag_scheme(grid, kernel, eps).rhs(values)
             assert np.array_equal(member, dzdt)
             assert member_out == outflux
 
@@ -560,23 +572,30 @@ class TestEpsUniformClosure:
         assert abs(drift) <= 1e-15 * gross
 
 
+def memory_guard_kernels():
+    nodes = np.geomspace(0.05, 20.0, 4)
+    return [truncate(ConstantKernel(1.0), 10.0),
+            truncate(TabulatedKernel(nodes, np.ones((4, 4)), k=1.0), 10.0)]
+
+
 class TestDenseMemoryGuard:
-    # ~2e5 cells: the dense tables would need ~1 TB, so the schemes must
-    # refuse before allocating anything
-    @pytest.mark.parametrize("model, eps", [("ohs", None), ("sce", None), ("generalized", 0.5)])
+    # ~2e5 cells: at eps = 1/2 and 1 the pair band would hold ~1e9 pairs,
+    # so the scheme must refuse before allocating it
+    @pytest.mark.parametrize("model, eps", [("sce", None), ("generalized", 0.5)])
     def test_oversized_dense_table_raises(self, model, eps):
-        nodes = np.geomspace(0.05, 20.0, 4)
-        kernel = truncate(TabulatedKernel(nodes, np.ones((4, 4)), k=1.0), 10.0)
         grid = make_grid(10.0, 100_000)
         assert grid.size == 200_000
-        rhs = make_rhs(model, kernel, eps)
-        with pytest.raises(ConfigError, match="physical memory"):
-            rhs(NumberDensity(grid, np.zeros(grid.size)))
+        for kernel in memory_guard_kernels():
+            rhs = make_rhs(model, kernel, eps)
+            with pytest.raises(ConfigError, match="physical memory"):
+                rhs(NumberDensity(grid, np.zeros(grid.size)))
 
     def test_factored_ohs_is_not_limited(self):
+        # at eps = 0 the band holds about 2N pairs
         grid = make_grid(10.0, 100_000)
-        scheme = _pair_scheme(grid, truncate(ConstantKernel(1.0), 10.0), 0.0)
-        assert isinstance(scheme, LagScheme)
+        for kernel in memory_guard_kernels():
+            f = make_rhs("ohs", kernel)(NumberDensity(grid, np.zeros(grid.size)))
+            assert np.all(f.dzdt == 0.0) and f.outflux_rate == 0.0
 
 
 class TestOperatorProperties:
@@ -589,7 +608,7 @@ class TestOperatorProperties:
         kernel = truncate(ConstantKernel(1.0), 12.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size) * rng.uniform(0.1, 5.0))
-        f = generalized_rhs(d, kernel, EpsParams(eps, 12.0))
+        f = make_rhs("generalized", kernel, eps)(d)
         x, dx = grid.centers, grid.widths
         drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
         scale = np.sum(x * np.abs(f.dzdt) * dx) + abs(f.outflux_rate) + 1e-300
@@ -603,9 +622,9 @@ class TestOperatorProperties:
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
         for f in (
-            generalized_rhs(d, kernel, EpsParams(eps, 12.0)),
-            sce_rhs(d, kernel),
-            ohs_rhs(d, kernel),
+            make_rhs("generalized", kernel, eps)(d),
+            make_rhs("sce", kernel)(d),
+            make_rhs("ohs", kernel)(d),
         ):
             assert np.sum(f.dzdt * grid.widths) <= 1e-15
 
@@ -616,7 +635,7 @@ class TestOperatorProperties:
         kernel = truncate(ConstantKernel(1.0), 12.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
-        gen = generalized_rhs(d, kernel, EpsParams(1.0, 12.0))
+        gen = make_rhs("generalized", kernel, 1.0)(d)
         sce = smoluchowski_rhs(d, kernel)
         scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
         assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
@@ -638,22 +657,22 @@ class TestOperatorProperties:
 
 class TestWeakAction:
     def test_constant_omega_sce(self, grid30, const_trunc, exp_density):
-        f = sce_rhs(exp_density, const_trunc)
+        f = make_rhs("sce", const_trunc)(exp_density)
         m0 = weighted_norm(exp_density, "one")
         assert weak_action(f, np.ones(grid30.size)) == pytest.approx(-0.5 * m0 * m0, rel=1e-10)
 
     def test_mass_omega_generalized(self, grid30, const_trunc, exp_density):
         # omega(mu) = mu pairs to zero exactly (up to boundary overflow,
         # which at n = 30 with exponential data is ~ e^-30)
-        f = generalized_rhs(exp_density, const_trunc, EpsParams(0.5, 30.0))
+        f = make_rhs("generalized", const_trunc, 0.5)(exp_density)
         act = weak_action(f, grid30.centers)
         assert abs(act + f.outflux_rate) <= 1e-10
 
     def test_zero_omega(self, grid30, const_trunc, exp_density):
-        f = sce_rhs(exp_density, const_trunc)
+        f = make_rhs("sce", const_trunc)(exp_density)
         assert weak_action(f, np.zeros(grid30.size)) == 0.0
 
     def test_shape_guard(self, grid30, const_trunc, exp_density):
-        f = sce_rhs(exp_density, const_trunc)
+        f = make_rhs("sce", const_trunc)(exp_density)
         with pytest.raises(ConfigError):
             weak_action(f, np.ones(3))
