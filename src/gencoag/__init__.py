@@ -42,7 +42,7 @@ from .sizedomain import (
     sample_initial,
     weighted_norm,
 )
-from .operators import RateField, make_rhs, weak_action
+from .operators import make_rhs
 from .integrator import DtPolicy, StepStats, evolve, step
 from .gauges import (
     ConvexGauge,

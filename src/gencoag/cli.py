@@ -70,12 +70,16 @@ def _int(sec, key, default):
     raise GencoagError(f"{key} must be an integer, got {value!r}")
 
 
-def _float(sec, key, default):
-    """``sec[key]`` as a finite float >= 0; NaN, inf, a negative or a non-number is a GencoagError."""
-    value = sec.get(key, default)
+def _number(value, key):
+    """``value`` as a finite float >= 0; NaN, inf, a negative or a non-number is a GencoagError."""
     if isinstance(value, (int, float)) and 0.0 <= value < np.inf:
         return float(value)
     raise GencoagError(f"{key} must be a finite number >= 0, got {value!r}")
+
+
+def _float(sec, key, default):
+    """``sec[key]`` as a finite float >= 0, read by :func:`_number`."""
+    return _number(sec.get(key, default), key)
 
 
 def _section(cfg, name, required=True):
@@ -95,9 +99,9 @@ def build_profile(cfg, sigma):
     if name == "exponential":
         return ExponentialProfile()
     if name == "singular_power":
-        return SingularPowerProfile(float(sec.get("a", 0.0)), sigma)
+        return SingularPowerProfile(_float(sec, "a", 0.0), sigma)
     if name == "monodisperse":
-        return MonodisperseProfile(float(sec.get("mu0", 1.0)), float(sec.get("mass", 1.0)))
+        return MonodisperseProfile(_float(sec, "mu0", 1.0), _float(sec, "mass", 1.0))
     raise GencoagError(f"unknown initial profile {name!r}")
 
 
@@ -114,8 +118,10 @@ def build_policy(cfg):
 def _snapshot_times(cfg, horizon):
     sec = _section(cfg, "time", required=False)
     if "snapshot_times" in sec:
-        return tuple(float(t) for t in sec["snapshot_times"])
+        return tuple(_number(t, "snapshot_times") for t in _list(sec, "snapshot_times", []))
     count = _int(sec, "snapshots", 8)
+    if count < 1:
+        raise GencoagError(f"snapshots must be >= 1, got {count}")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
@@ -193,7 +199,7 @@ def cmd_simulate(args):
     eps = run.get("eps")
     if model == "generalized" and eps is None:
         raise GencoagError("[run] eps is required when model = generalized")
-    eps = float(eps) if eps is not None else None
+    eps = _number(eps, "eps") if eps is not None else None
     # simulate runs no pool, but checks run.threads as sweep does
     threads = args.threads if args.threads is not None else _int(run, "threads", 1)
     if threads < 1:
@@ -201,11 +207,11 @@ def cmd_simulate(args):
 
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
-    grid = make_grid(float(gsec.get("n", 50.0)), _int(gsec, "cells_per_decade", 32))
+    grid = make_grid(_float(gsec, "n", 50.0), _int(gsec, "cells_per_decade", 32))
     profile = build_profile(cfg, kernel.sigma)
     initial = sample_initial(profile, grid)
     tsec = _section(cfg, "time")
-    horizon = float(tsec.get("horizon", 1.0))
+    horizon = _float(tsec, "horizon", 1.0)
     policy = build_policy(cfg)
     snaps = _snapshot_times(cfg, horizon)
     # diagnostics settings are checked here so that a bad one fails before the solve
@@ -294,21 +300,19 @@ def _sweep_config(cfg, args):
     gsec = _section(cfg, "grid")
     ssec = _section(cfg, "sweep", required=False)
     tsec = _section(cfg, "time", required=False)
-    eps_list = tuple(float(e) for e in ssec.get("eps_list", exp.DEFAULT_EPS_LIST))
-    n_list = tuple(float(n) for n in ssec.get("n_list", [float(gsec.get("n", 50.0))]))
+    eps_list = _list(ssec, "eps_list", list(exp.DEFAULT_EPS_LIST))
+    n_list = _list(ssec, "n_list", [_float(gsec, "n", 50.0)])
     rsec = _section(cfg, "run", required=False)
     threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
-    seed = args.seed if args.seed is not None else _int(rsec, "seed", 0)
     return exp.SweepConfig(
         kernel=kernel,
-        eps_list=eps_list,
-        n_list=n_list,
+        eps_list=tuple(_number(e, "eps_list") for e in eps_list),
+        n_list=tuple(_number(n, "n_list") for n in n_list),
         cells_per_decade=_int(gsec, "cells_per_decade", 32),
         profile=build_profile(cfg, kernel.sigma),
-        horizon=float(tsec.get("horizon", 1.0)),
+        horizon=_float(tsec, "horizon", 1.0),
         policy=build_policy(cfg),
         threads=threads,
-        seed=seed,
     ).validate()
 
 

@@ -184,7 +184,7 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
     if stack.shape[1:] != grid.centers.shape:
         raise ConfigError("omega must be sampled on the grid")
     rhs_op = make_rhs(model, kernel, eps)
-    actions = np.array([rhs_op(s).dzdt * grid.widths for s in traj]) @ stack.T
+    actions = np.array([rhs_op(s)[0] * grid.widths for s in traj]) @ stack.T
     values = traj.values
     lhs = ((values - values[0]) * grid.widths) @ stack.T
     residual = np.abs(lhs - _trapezoid(traj.times, actions)).T

@@ -10,7 +10,7 @@ also gives an embedded third-order solution; their difference
 
 The boundary-outflux ledger is integrated alongside the density as an extra
 ODE component, so any identity satisfied by the semi-discrete right-hand
-side (in particular d/dt(M1) + outflux_rate = 0) is inherited by the fully
+side (in particular d/dt(M1) + outflux = 0) is inherited by the fully
 discrete trajectory to rounding accuracy.
 """
 
@@ -85,12 +85,11 @@ def _stages(rhs_op, grid):
     # Stage inputs are clamped at zero: transient sub-rounding negatives in
     # a stage state would otherwise feed the quadratic rates, let spurious
     # boundary modes amplify, and put noise of either sign into the ledger.
-    # Each stage's (dzdt, outflux_rate) pair is evaluated at the same
-    # clamped state, so the exact mass-ledger closure of the right-hand
-    # side survives the clamping.
+    # rhs_op returns the stage's (dzdt, outflux) pair, both evaluated at
+    # the same clamped state, so the exact mass-ledger closure of the
+    # right-hand side survives the clamping.
     def f(v, s):
-        field = rhs_op(NumberDensity._unchecked(grid, np.maximum(v, 0.0), s))
-        return field.dzdt, field.outflux_rate
+        return rhs_op(NumberDensity._unchecked(grid, np.maximum(v, 0.0), s))
 
     return f
 

@@ -352,9 +352,6 @@ class CertReport:
     regimes: list = field(default_factory=list)
     tolerance: float = GROWTH_TOL
 
-    def worst(self):
-        return max(self.regimes, key=lambda r: r.worst_ratio)
-
 
 def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))

@@ -1,8 +1,8 @@
 """Discrete right-hand sides for the three coagulation models.
 
 All three operators act on cell-averaged densities over a geometric grid
-and return a :class:`RateField` carrying d(zeta)/dt per cell plus the rate
-at which mass leaves through the upper boundary (the outflux ledger rate).
+and return the pair (dzdt, outflux): d(zeta)/dt per cell and the rate at
+which mass leaves through the upper boundary (the outflux ledger rate).
 
 The three models are members of one family: the generalized operator at
 parameter eps in [0, 1], whose eps = 1 member is the Smoluchowski equation
@@ -30,7 +30,7 @@ Design rules of the pair scheme:
   eps x_j >= gap_m, so no rate exceeds Lambda x_j / gap_m at any eps.
 
 With these rules the semi-discrete system satisfies, exactly in floating
-point: d/dt(M1) + outflux_rate = 0 and d/dt(M0) <= 0, and ledger closure
+point: d/dt(M1) + outflux = 0 and d/dt(M0) <= 0, and ledger closure
 stays at rounding uniformly in eps.  Below sqrt(r) - 1 (r the grid ratio;
 the top cell's gap n - x[-1] is (sqrt(r) - 1) x[-1]) every pair is offset
 0, every member runs the arithmetic of eps = 0 bit for bit, and the scheme
@@ -46,31 +46,21 @@ weight depend on the lag d only (:class:`LagScheme`).  Births become a few
 direct convolutions, one pair per group of lags sharing a nonzero offset;
 the offset-0 moves and the deaths become prefix and suffix sums.  Products
 landing at the top of the grid form a band that is handled pair by pair.
-Memory is O(N * (largest offset + rank)); the band, the one pair table,
-refuses with a :class:`ConfigError`, before allocating, a size larger than
-physical memory.  The dense pair table over all N(N+1)/2 pairs lives in
-the tests as an oracle.
+Memory is O(N * (largest offset + rank)); a scheme whose band and per-cell
+arrays would outgrow physical memory is refused with a :class:`ConfigError`
+before the band is allocated.  The dense pair table over all N(N+1)/2
+pairs lives in the tests as an oracle.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernels import TruncatedKernel
 from .sizedomain import NumberDensity, SizeGrid
-
-
-@dataclass
-class RateField:
-    """d(zeta)/dt per cell plus the boundary mass-outflux rate."""
-
-    grid: SizeGrid
-    dzdt: np.ndarray
-    outflux_rate: float
 
 
 def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
@@ -88,6 +78,19 @@ def _check_table_bytes(nbytes, what):
             f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
             f"{physical / 2**30:.1f} GiB of physical memory; use fewer cells"
         )
+
+
+def _scheme_bytes(pairs, rank, cells):
+    """Bytes that building a :class:`LagScheme` and one ``rhs`` call hold at peak, at most.
+
+    Per band pair the build makes four index arrays, the ``rank`` gathers
+    each of f and g, the kernel, and _PairSet's seven 8-byte arrays and
+    three masks; the band arrays of ``rhs`` fit in what the build frees.
+    Per cell the build keeps f, g and the gaps and makes about a dozen lag
+    arrays, and ``rhs`` adds about seven arrays of ``rank`` rows (u, v, x v,
+    the prefix and suffix sums and their products).
+    """
+    return (8 * (12 + 2 * rank) + 3) * pairs + 8 * (12 + 9 * rank) * cells
 
 
 def _deposit_targets(pivots, p):
@@ -149,11 +152,6 @@ class _PairSet:
         losses = np.bincount(self.m_idx, weights=big, minlength=size)
         return births[:size], losses, float(outflux)
 
-    def deaths(self, zd):
-        """Small-partner deaths per cell."""
-        kill = self.kill * zd[self.m_idx] * zd[self.j_idx]
-        return np.bincount(self.j_idx, weights=kill, minlength=zd.size)
-
 
 class LagScheme:
     """Pairwise event quadrature of the generalized operator, eps in [0, 1].
@@ -206,13 +204,11 @@ class LagScheme:
         q = 1.0 + eps * (x[0] / x)
         offset = np.searchsorted(y, q, side="right") - 1
 
-        # Band: for each lag, the pairs with m + o_d >= size - 2.  Per band
-        # pair the build makes four index arrays, the rank-P gathers of f and
-        # g, the kernel, and _PairSet's seven 8-byte arrays and three masks.
+        # Band: for each lag, the pairs with m + o_d >= size - 2.
         start = np.maximum(lags, size - 2 - offset)
         count = size - start
-        _check_table_bytes((8 * (12 + 2 * self.f.shape[0]) + 3) * int(count.sum()),
-                           "the pair band")
+        _check_table_bytes(_scheme_bytes(int(count.sum()), self.f.shape[0], size),
+                           "the pair scheme")
 
         # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
         # land strictly below the band.  The offset-0 lags, the last run,
@@ -268,21 +264,13 @@ class LagScheme:
         return (births - outgo) / grid.widths, outflux
 
 
-def weak_action(rhs: RateField, omega) -> float:
-    """Instantaneous weak-form pairing  sum_i omega(x_i) Q_i dx_i."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != rhs.grid.centers.shape:
-        raise ConfigError("omega must be sampled at the grid cell centers")
-    return float(np.sum(omega * rhs.dzdt * rhs.grid.widths))
-
-
 def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
-    """Bind a model to a density -> RateField callable that owns its scheme.
+    """Bind a model to a density -> (dzdt, outflux) callable that owns its scheme.
 
     ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
-    scheme is built on the first density the callable receives and reused
-    while later densities share its grid.  A kernel without separable
-    factors is a :class:`ConfigError` when the scheme is built.
+    scheme is built once, on the first density the callable receives, and
+    serves that density's grid only: a density on another grid is a
+    :class:`ConfigError`, as is a kernel without separable factors.
     """
     if model not in ("sce", "ohs", "generalized"):
         raise ConfigError(f"unknown model {model!r}")
@@ -293,12 +281,14 @@ def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
         raise DomainError("eps must lie in [0, 1]")
     scheme = None
 
-    def rhs(density: NumberDensity) -> RateField:
+    def rhs(density: NumberDensity):
         nonlocal scheme
-        if scheme is None or scheme.grid is not density.grid:
+        if scheme is None:
             _check_setup(density, kernel)
             scheme = LagScheme(density.grid, kernel.factors(density.grid.centers), eps)
-        dzdt, outflux = scheme.rhs(density.values)
-        return RateField(density.grid, dzdt, outflux)
+        elif scheme.grid is not density.grid:
+            raise ConfigError("this right-hand side serves the grid of its first density, "
+                              f"{scheme.grid}; make one per grid")
+        return scheme.rhs(density.values)
 
     return rhs

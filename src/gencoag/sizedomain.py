@@ -127,9 +127,6 @@ class NumberDensity:
     def mass(self):
         return weighted_norm(self, "mass")
 
-    def number(self):
-        return weighted_norm(self, "one")
-
 
 class Trajectory:
     """Time-ordered density snapshots with cumulative boundary/clip ledgers.

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gencoag import NumberDensity, SizeGrid, TruncatedKernel
-from gencoag.operators import RateField, _PairSet, _deposit_targets
+from gencoag.operators import _PairSet, _deposit_targets
 
 
 class SmoluchowskiScheme:
@@ -46,7 +46,9 @@ class PairScheme:
 
     The quadrature of :class:`gencoag.operators.LagScheme` over all
     N(N+1)/2 ordered pairs, with the kernel from ``eval`` instead of its
-    factors.  Each pair's bookkeeping is the band's :class:`_PairSet`.
+    factors.  Each pair's bookkeeping is the band's :class:`_PairSet`; the
+    small partners' deaths, which the lag scheme takes from suffix sums, are
+    :func:`pair_deaths`.
     """
 
     def __init__(self, grid: SizeGrid, kernel: TruncatedKernel, eps: float):
@@ -59,13 +61,19 @@ class PairScheme:
     def rhs(self, values: np.ndarray):
         zd = values * self.grid.widths
         births, losses, outflux = self.pairs.transfer(zd)
-        outgo = losses + self.pairs.deaths(zd)
+        outgo = losses + pair_deaths(self.pairs, zd)
         return (births - outgo) / self.grid.widths, outflux
 
 
+def pair_deaths(pairs, zd):
+    """Small-partner deaths per cell of a :class:`_PairSet`."""
+    kill = pairs.kill * zd[pairs.m_idx] * zd[pairs.j_idx]
+    return np.bincount(pairs.j_idx, weights=kill, minlength=zd.size)
+
+
 def smoluchowski_rhs(density, kernel):
-    """Rate of the full-square Smoluchowski quadrature on ``density``."""
-    return RateField(density.grid, *SmoluchowskiScheme(density.grid, kernel).rhs(density.values))
+    """(dzdt, outflux) of the full-square Smoluchowski quadrature on ``density``."""
+    return SmoluchowskiScheme(density.grid, kernel).rhs(density.values)
 
 
 def dense_ohs(grid, kernel, values):

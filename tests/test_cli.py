@@ -37,6 +37,14 @@ def write_config(tmp_path, overrides=None, name="run.yaml"):
     return path
 
 
+def assert_refused(tmp_path, capsys, command, section, message):
+    """``command`` on the default config with ``section`` exits 1, says why, writes nothing."""
+    cfg = write_config(tmp_path, section)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_success_and_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -96,6 +104,19 @@ class TestSimulate:
         cfg = write_config(tmp_path, section)
         assert main([command, "--config", str(cfg)]) == 1
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, message", [
+        ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
+        ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
+        ({"run": {"model": "generalized", "eps": "abc"}}, "eps must be a finite number"),
+        ({"time": {"horizon": 0.3, "snapshot_times": "0.5"}}, "snapshot_times must be a list"),
+        ({"time": {"horizon": 0.3, "snapshot_times": [0.1, "x"]}},
+         "snapshot_times must be a finite number"),
+        ({"time": {"horizon": 0.3, "snapshots": -3}}, "snapshots must be >= 1"),
+        ({"time": {"horizon": 0.3, "snapshots": 0}}, "snapshots must be >= 1"),
+    ])
+    def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
+        assert_refused(tmp_path, capsys, "simulate", section, message)
 
     def test_fixed_mode_without_dt_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 3, "dt_mode": "fixed"}})
@@ -332,6 +353,18 @@ class TestSweep:
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
+        ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
+        ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
+        ({"sweep": {"eps_list": [0.5, "abc"]}}, "eps_list must be a finite number"),
+        ({"sweep": {"n_list": ["x"]}}, "n_list must be a finite number"),
+        ({"sweep": {"eps_list": []}}, "eps_list and n_list must not be empty"),
+        ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+    ])
+    def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
+        assert_refused(tmp_path, capsys, "sweep", section, message)
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -351,6 +384,15 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert f"error: {key} must be a finite number >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "validate.json").exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
+        ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
+        ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
+        ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+    ])
+    def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
+        assert_refused(tmp_path, capsys, "validate", section, message)
 
     def test_refused_run_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "DIR"

@@ -100,9 +100,9 @@ class TestMemberFailures:
 
 class TestEpsSweep:
     def test_empty_eps_list(self):
-        cfg = small_config(eps_list=())
-        table = run_eps_sweep(cfg)
-        assert table.rows == [] and table.failed == []
+        # an empty list would sweep nothing and report a vacuous pass
+        with pytest.raises(ConfigError, match="must not be empty"):
+            run_eps_sweep(small_config(eps_list=()))
 
     def test_eps_one_row_matches_direct_sce(self):
         # same fixed step sequence: the operator identity carries through

@@ -9,7 +9,6 @@ from gencoag import (
     DtPolicy,
     ExponentialProfile,
     NumberDensity,
-    RateField,
     StiffnessError,
     evolve,
     make_grid,
@@ -177,8 +176,7 @@ class TestFixedMode:
         dt, stops = 0.03, (0.1, 0.25)
 
         def f(v):
-            field = rhs(NumberDensity(grid, np.maximum(v, 0.0)))
-            return field.dzdt, field.outflux_rate
+            return rhs(NumberDensity(grid, np.maximum(v, 0.0)))
 
         y, t, out = density.values, 0.0, 0.0
         expect, ledger = [y], [0.0]
@@ -273,14 +271,14 @@ class TestFloatingPointFaults:
     def test_fault_raises_stiffness_with_state(self, setup, fault):
         # the rates blow up once t > 0.32; fixed steps of 0.1 reach it in
         # the step from t = 0.3
-        grid, kernel, density = setup
+        density = setup[2]
 
         def rhs(d):
             if d.time <= 0.32:
-                return RateField(grid, -d.values, 0.0)
+                return -d.values, 0.0
             if fault == "over":
-                return RateField(grid, 1e300 * d.values, 0.0)
-            return RateField(grid, (d.values - d.values) / (d.values - d.values), 0.0)
+                return 1e300 * d.values, 0.0
+            return (d.values - d.values) / (d.values - d.values), 0.0
 
         with pytest.raises(StiffnessError) as err:
             evolve(density, rhs, 1.0, DtPolicy(mode="fixed", dt=0.1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import kernel_trio, random_density
 from gencoag import (
+    AdditiveKernel,
     ConfigError,
     ConstantKernel,
     DomainError,
@@ -20,12 +23,18 @@ from gencoag import (
     make_rhs,
     sample_initial,
     truncate,
-    weak_action,
     weighted_norm,
 )
 from gencoag import operators
 from gencoag.operators import LagScheme
-from oracles import PairScheme, dense_ohs, ohs_velocities, ohs_velocity, smoluchowski_rhs
+from oracles import (
+    PairScheme,
+    dense_ohs,
+    ohs_velocities,
+    ohs_velocity,
+    pair_deaths,
+    smoluchowski_rhs,
+)
 
 
 def brute_force_generalized(grid, kernel, eps, values):
@@ -92,8 +101,8 @@ def random_tabulated(rng, n, size):
 class TestGeneralizedRhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = make_rhs("generalized", const_trunc, 0.5)(d)
-        assert np.all(f.dzdt == 0.0) and f.outflux_rate == 0.0
+        dzdt, outflux = make_rhs("generalized", const_trunc, 0.5)(d)
+        assert np.all(dzdt == 0.0) and outflux == 0.0
 
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.125, 0.01])
     def test_matches_brute_force(self, eps):
@@ -102,31 +111,31 @@ class TestGeneralizedRhs:
         for base in (ConstantKernel(1.0), *paper_class_kernels()):
             kernel = truncate(base, 8.0)
             d = random_density(grid, rng)
-            f = make_rhs("generalized", kernel, eps)(d)
+            dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
             expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
             scale = np.max(np.abs(expect))
-            assert np.allclose(f.dzdt, expect, rtol=0, atol=1e-12 * scale)
-            assert f.outflux_rate == pytest.approx(ledger, rel=1e-12, abs=1e-300)
+            assert np.allclose(dzdt, expect, rtol=0, atol=1e-12 * scale)
+            assert outflux == pytest.approx(ledger, rel=1e-12, abs=1e-300)
 
     def test_eps_one_equals_sce(self, grid30):
         rng = np.random.default_rng(5)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            gen = make_rhs("generalized", kernel, 1.0)(d)
-            sce = smoluchowski_rhs(d, kernel)
-            scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
-            assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
-            assert gen.outflux_rate == pytest.approx(sce.outflux_rate, rel=1e-10, abs=1e-300)
+            gen_dz, gen_out = make_rhs("generalized", kernel, 1.0)(d)
+            sce_dz, sce_out = smoluchowski_rhs(d, kernel)
+            scale = max(np.max(np.abs(sce_dz)), 1e-300)
+            assert np.max(np.abs(gen_dz - sce_dz)) <= 1e-12 * scale
+            assert gen_out == pytest.approx(sce_out, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("eps", [1.0, 0.25, 0.01])
     def test_interior_mass_neutrality(self, grid30, eps):
         rng = np.random.default_rng(7)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("generalized", kernel, eps)(d)
+            dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
             x, dx = grid30.centers, grid30.widths
-            drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
-            scale = np.sum(x * np.abs(f.dzdt) * dx) + abs(f.outflux_rate)
+            drift = np.sum(x * dzdt * dx) + outflux
+            scale = np.sum(x * np.abs(dzdt) * dx) + abs(outflux)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
 
     def test_number_moment_riccati_form(self, grid30, const_trunc, exp_density):
@@ -135,9 +144,9 @@ class TestGeneralizedRhs:
         # Discarded above-domain products add a number loss of order
         # zeta_top / eps ~ e^-30 / eps, visible at the 1e-9 level.
         for eps in (1.0, 0.5, 0.01):
-            f = make_rhs("generalized", const_trunc, eps)(exp_density)
+            dzdt, _ = make_rhs("generalized", const_trunc, eps)(exp_density)
             m0 = weighted_norm(exp_density, "one")
-            dm0 = np.sum(f.dzdt * grid30.widths)
+            dm0 = np.sum(dzdt * grid30.widths)
             assert dm0 == pytest.approx(-0.5 * m0 * m0, rel=1e-8)
 
     def test_number_moment_nonpositive(self, grid30):
@@ -145,8 +154,8 @@ class TestGeneralizedRhs:
         for kernel in kernel_trio(30.0):
             for eps in (1.0, 0.3, 0.02):
                 d = random_density(grid30, rng)
-                f = make_rhs("generalized", kernel, eps)(d)
-                assert np.sum(f.dzdt * grid30.widths) <= 0.0
+                dzdt, _ = make_rhs("generalized", kernel, eps)(d)
+                assert np.sum(dzdt * grid30.widths) <= 0.0
 
     def test_sign_structure_quasi_positive(self, grid30, const_trunc):
         # cells with zero density can only gain: negative contributions are
@@ -156,8 +165,8 @@ class TestGeneralizedRhs:
         vals[::3] = 0.0
         d = NumberDensity(grid30, vals)
         for eps in (1.0, 0.2):
-            f = make_rhs("generalized", const_trunc, eps)(d)
-            assert np.all(f.dzdt[vals == 0.0] >= 0.0)
+            dzdt, _ = make_rhs("generalized", const_trunc, eps)(d)
+            assert np.all(dzdt[vals == 0.0] >= 0.0)
 
     def test_grid_kernel_mismatch(self, grid30):
         kernel = truncate(ConstantKernel(1.0), 10.0)
@@ -172,10 +181,10 @@ class TestGeneralizedRhs:
             for eps in (1.0, 0.25):
                 d1 = random_density(grid30, rng)
                 d2 = random_density(grid30, rng)
-                f1 = make_rhs("generalized", kernel, eps)(d1)
-                f2 = make_rhs("generalized", kernel, eps)(d2)
+                dz1, _ = make_rhs("generalized", kernel, eps)(d1)
+                dz2, _ = make_rhs("generalized", kernel, eps)(d2)
                 dx = grid30.widths
-                lhs = np.sum(np.abs(f1.dzdt - f2.dzdt) * dx)
+                lhs = np.sum(np.abs(dz1 - dz2) * dx)
                 n1 = np.sum(np.abs(d1.values) * dx)
                 n2 = np.sum(np.abs(d2.values) * dx)
                 dist = np.sum(np.abs(d1.values - d2.values) * dx)
@@ -199,7 +208,7 @@ def dense_and_lag(grid, kernel, eps, values):
     big = pairs.rate * zd[pairs.m_idx] * zd[pairs.j_idx]
     births = np.bincount(pairs.a, weights=big[~pairs.over], minlength=grid.size)
     births += np.bincount(pairs.a + 1, weights=big[~pairs.over], minlength=grid.size + 1)[:-1]
-    deaths = np.bincount(pairs.m_idx, weights=big, minlength=grid.size) + pairs.deaths(zd)
+    deaths = np.bincount(pairs.m_idx, weights=big, minlength=grid.size) + pair_deaths(pairs, zd)
     return dense.rhs(values), lag.rhs(values), births + deaths
 
 
@@ -299,14 +308,29 @@ class TestMakeRhs:
         assert len(traj) == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("model, eps", [("sce", 1.0), ("generalized", 0.3), ("ohs", 0.0)])
+    def test_returns_the_schemes_pair(self, grid30, model, eps):
+        d = random_density(grid30, np.random.default_rng(59))
+        for kernel in kernel_trio(30.0):
+            dzdt, outflux = make_rhs(model, kernel, eps)(d)
+            expect, expect_out = lag_scheme(grid30, kernel, eps).rhs(d.values)
+            assert np.array_equal(dzdt, expect) and outflux == expect_out
+
+    def test_second_grid_is_config_error(self, grid30, const_trunc):
+        rhs = make_rhs("generalized", const_trunc, 0.3)
+        rhs(NumberDensity(grid30, np.ones(grid30.size)))
+        other = make_grid(30.0, 8)
+        with pytest.raises(ConfigError, match="make one per grid"):
+            rhs(NumberDensity(other, np.ones(other.size)))
+
     def test_sce_is_the_eps_one_pair_scheme(self, grid30):
         rng = np.random.default_rng(47)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            sce = make_rhs("sce", kernel)(d)
-            gen = make_rhs("generalized", kernel, 1.0)(d)
-            assert np.array_equal(sce.dzdt, gen.dzdt)
-            assert sce.outflux_rate == gen.outflux_rate
+            sce_dz, sce_out = make_rhs("sce", kernel)(d)
+            gen_dz, gen_out = make_rhs("generalized", kernel, 1.0)(d)
+            assert np.array_equal(sce_dz, gen_dz)
+            assert sce_out == gen_out
 
     def test_sce_dense_path_matches_oracle(self):
         nodes = np.geomspace(0.1, 10.0, 6)
@@ -316,11 +340,11 @@ class TestMakeRhs:
         rng = np.random.default_rng(53)
         for _ in range(5):
             d = random_density(grid, rng)
-            f = make_rhs("sce", kernel)(d)
-            ref = smoluchowski_rhs(d, kernel)
-            scale = max(np.max(np.abs(ref.dzdt)), 1e-300)
-            assert np.max(np.abs(f.dzdt - ref.dzdt)) <= 1e-12 * scale
-            assert f.outflux_rate == pytest.approx(ref.outflux_rate, rel=1e-12, abs=1e-300)
+            dzdt, outflux = make_rhs("sce", kernel)(d)
+            ref_dz, ref_out = smoluchowski_rhs(d, kernel)
+            scale = max(np.max(np.abs(ref_dz)), 1e-300)
+            assert np.max(np.abs(dzdt - ref_dz)) <= 1e-12 * scale
+            assert outflux == pytest.approx(ref_out, rel=1e-12, abs=1e-300)
 
     def test_kernel_without_factors_is_config_error(self, grid30):
         class Exponential(Kernel):
@@ -344,8 +368,8 @@ class TestMakeRhs:
 class TestSceRhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = make_rhs("sce", const_trunc)(d)
-        assert np.all(f.dzdt == 0.0)
+        dzdt, _ = make_rhs("sce", const_trunc)(d)
+        assert np.all(dzdt == 0.0)
 
     def test_monodisperse_hand_computation(self):
         # single occupied cell: death rate zeta0^2 * dx0 in that cell,
@@ -355,45 +379,45 @@ class TestSceRhs:
         d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
         c = grid.cell_of(2.0)
         z0 = d.values[c]
-        f = make_rhs("sce", kernel)(d)
-        assert f.dzdt[c] == pytest.approx(-z0 * z0 * grid.widths[c], rel=1e-12)
+        dzdt, _ = make_rhs("sce", kernel)(d)
+        assert dzdt[c] == pytest.approx(-z0 * z0 * grid.widths[c], rel=1e-12)
         target = grid.cell_of(2.0 * grid.centers[c])
-        birth_cells = np.nonzero(f.dzdt > 0.0)[0]
+        birth_cells = np.nonzero(dzdt > 0.0)[0]
         assert len(birth_cells) in (1, 2)
         assert target in birth_cells or target + 1 in birth_cells
         # deposited number: half the collision rate (diagonal symmetry factor)
         pair_rate = z0 * grid.widths[c] * z0 * grid.widths[c]
-        born = np.sum(f.dzdt[birth_cells] * grid.widths[birth_cells])
+        born = np.sum(dzdt[birth_cells] * grid.widths[birth_cells])
         assert born == pytest.approx(0.5 * pair_rate, rel=1e-12)
 
     def test_number_moment_closed_form(self, grid30, const_trunc, exp_density):
-        f = make_rhs("sce", const_trunc)(exp_density)
+        dzdt, _ = make_rhs("sce", const_trunc)(exp_density)
         m0 = weighted_norm(exp_density, "one")
-        total = np.sum(f.dzdt * grid30.widths)
+        total = np.sum(dzdt * grid30.widths)
         assert total == pytest.approx(-0.5 * m0 * m0, rel=1e-10)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(43)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("sce", kernel)(d)
-            assert np.sum(f.dzdt * grid30.widths) <= 0.0
+            dzdt, _ = make_rhs("sce", kernel)(d)
+            assert np.sum(dzdt * grid30.widths) <= 0.0
 
     def test_mass_neutrality(self, grid30):
         rng = np.random.default_rng(19)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("sce", kernel)(d)
-            drift = np.sum(grid30.centers * f.dzdt * grid30.widths) + f.outflux_rate
-            scale = np.sum(grid30.centers * np.abs(f.dzdt) * grid30.widths)
+            dzdt, outflux = make_rhs("sce", kernel)(d)
+            drift = np.sum(grid30.centers * dzdt * grid30.widths) + outflux
+            scale = np.sum(grid30.centers * np.abs(dzdt) * grid30.widths)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
 
 
 class TestOhs:
     def test_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        f = make_rhs("ohs", const_trunc)(d)
-        assert np.all(f.dzdt == 0.0)
+        dzdt, _ = make_rhs("ohs", const_trunc)(d)
+        assert np.all(dzdt == 0.0)
 
     def test_velocity_zero_density(self, grid30, const_trunc):
         d = NumberDensity(grid30, np.zeros(grid30.size))
@@ -422,7 +446,7 @@ class TestOhs:
         rng = np.random.default_rng(29)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("ohs", kernel)(d)
+            dzdt, _ = make_rhs("ohs", kernel)(d)
             x, dx = grid30.centers, grid30.widths
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
@@ -430,7 +454,7 @@ class TestOhs:
             death = np.sum(lower * np.outer(zd, zd))
             eaten = lower @ (x * zd)
             boundary = d.values[-1] * eaten[-1] * dx[-1] / (grid30.n - x[-1])
-            total = np.sum(f.dzdt * dx)
+            total = np.sum(dzdt * dx)
             assert total == pytest.approx(-death - boundary, rel=1e-10)
 
     def test_number_law_exact(self, grid30):
@@ -440,11 +464,11 @@ class TestOhs:
         x, dx = grid30.centers, grid30.widths
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("ohs", kernel)(d)
+            dzdt, outflux = make_rhs("ohs", kernel)(d)
             zd = d.values * dx
             K = np.asarray(kernel.eval(x[:, None], x[None, :]))
-            total = np.sum(f.dzdt * dx)
-            boundary = f.outflux_rate / grid30.n
+            total = np.sum(dzdt * dx)
+            boundary = outflux / grid30.n
             assert total == pytest.approx(-0.5 * zd @ K @ zd - boundary, rel=1e-12)
             if kernel.base.family == "constant":
                 m0 = np.sum(zd)
@@ -454,9 +478,9 @@ class TestOhs:
         rng = np.random.default_rng(31)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("ohs", kernel)(d)
-            drift = np.sum(grid30.centers * f.dzdt * grid30.widths) + f.outflux_rate
-            scale = np.sum(grid30.centers * np.abs(f.dzdt) * grid30.widths)
+            dzdt, outflux = make_rhs("ohs", kernel)(d)
+            drift = np.sum(grid30.centers * dzdt * grid30.widths) + outflux
+            scale = np.sum(grid30.centers * np.abs(dzdt) * grid30.widths)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
 
     def test_sign_structure(self, grid30, const_trunc):
@@ -464,15 +488,15 @@ class TestOhs:
         vals = rng.random(grid30.size)
         vals[::4] = 0.0
         d = NumberDensity(grid30, vals)
-        f = make_rhs("ohs", const_trunc)(d)
-        assert np.all(f.dzdt[vals == 0.0] >= 0.0)
+        dzdt, _ = make_rhs("ohs", const_trunc)(d)
+        assert np.all(dzdt[vals == 0.0] >= 0.0)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(41)
         for kernel in kernel_trio(30.0):
             d = random_density(grid30, rng)
-            f = make_rhs("ohs", kernel)(d)
-            assert np.sum(f.dzdt * grid30.widths) <= 0.0
+            dzdt, _ = make_rhs("ohs", kernel)(d)
+            assert np.sum(dzdt * grid30.widths) <= 0.0
 
 
 class TestFactoredOhs:
@@ -491,10 +515,10 @@ class TestFactoredOhs:
         kernel = kernel_trio(n)[family]
         rng = np.random.default_rng(seed)
         values = rng.random(grid.size) * (rng.random(grid.size) < occupied)
-        f = make_rhs("ohs", kernel)(NumberDensity(grid, values))
+        dzdt, outflux = make_rhs("ohs", kernel)(NumberDensity(grid, values))
         expect, expect_out, gross = dense_ohs(grid, kernel, values)
-        assert np.all(np.abs(f.dzdt - expect) * grid.widths <= 1e-12 * gross)
-        assert abs(f.outflux_rate - expect_out) <= 1e-12 * expect_out
+        assert np.all(np.abs(dzdt - expect) * grid.widths <= 1e-12 * gross)
+        assert abs(outflux - expect_out) <= 1e-12 * expect_out
 
     def test_memory_is_linear_in_cells(self):
         grid = make_grid(100.0, 512)
@@ -565,10 +589,10 @@ class TestEpsUniformClosure:
         grid = make_grid(n, cpd)
         kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
         d = random_density(grid, np.random.default_rng(seed), scale)
-        f = make_rhs("generalized", kernel, eps)(d)
+        dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
         x, dx = grid.centers, grid.widths
-        drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
-        gross = np.sum(x * np.abs(f.dzdt) * dx) + f.outflux_rate
+        drift = np.sum(x * dzdt * dx) + outflux
+        gross = np.sum(x * np.abs(dzdt) * dx) + outflux
         assert abs(drift) <= 1e-15 * gross
 
 
@@ -590,12 +614,30 @@ class TestDenseMemoryGuard:
             with pytest.raises(ConfigError, match="physical memory"):
                 rhs(NumberDensity(grid, np.zeros(grid.size)))
 
+    @pytest.mark.parametrize("cells_per_decade", [256, 1024])  # N = 1024, 4096
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+    def test_estimate_bounds_build_and_one_call(self, cells_per_decade, eps):
+        # at eps = 0 the band holds only 2N pairs and the per-cell arrays dominate
+        grid = make_grid(100.0, cells_per_decade)
+        values = np.random.default_rng(67).random(grid.size)
+        for base in (ConstantKernel(1.0), AdditiveKernel(2.0)):
+            factors = truncate(base, 100.0).factors(grid.centers)
+            tracemalloc.start()
+            try:
+                scheme = LagScheme(grid, factors, eps)
+                scheme.rhs(values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rank = scheme.f.shape[0]
+            assert peak <= operators._scheme_bytes(scheme.band.m_idx.size, rank, grid.size)
+
     def test_factored_ohs_is_not_limited(self):
         # at eps = 0 the band holds about 2N pairs
         grid = make_grid(10.0, 100_000)
         for kernel in memory_guard_kernels():
-            f = make_rhs("ohs", kernel)(NumberDensity(grid, np.zeros(grid.size)))
-            assert np.all(f.dzdt == 0.0) and f.outflux_rate == 0.0
+            dzdt, outflux = make_rhs("ohs", kernel)(NumberDensity(grid, np.zeros(grid.size)))
+            assert np.all(dzdt == 0.0) and outflux == 0.0
 
 
 class TestOperatorProperties:
@@ -608,10 +650,10 @@ class TestOperatorProperties:
         kernel = truncate(ConstantKernel(1.0), 12.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size) * rng.uniform(0.1, 5.0))
-        f = make_rhs("generalized", kernel, eps)(d)
+        dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
         x, dx = grid.centers, grid.widths
-        drift = np.sum(x * f.dzdt * dx) + f.outflux_rate
-        scale = np.sum(x * np.abs(f.dzdt) * dx) + abs(f.outflux_rate) + 1e-300
+        drift = np.sum(x * dzdt * dx) + outflux
+        scale = np.sum(x * np.abs(dzdt) * dx) + abs(outflux) + 1e-300
         assert abs(drift) <= 1e-11 * scale
 
     @settings(max_examples=60, deadline=None)
@@ -621,12 +663,12 @@ class TestOperatorProperties:
         kernel = truncate(ConstantKernel(1.0), 12.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
-        for f in (
+        for dzdt, _ in (
             make_rhs("generalized", kernel, eps)(d),
             make_rhs("sce", kernel)(d),
             make_rhs("ohs", kernel)(d),
         ):
-            assert np.sum(f.dzdt * grid.widths) <= 1e-15
+            assert np.sum(dzdt * grid.widths) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -635,10 +677,10 @@ class TestOperatorProperties:
         kernel = truncate(ConstantKernel(1.0), 12.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
-        gen = make_rhs("generalized", kernel, 1.0)(d)
-        sce = smoluchowski_rhs(d, kernel)
-        scale = max(np.max(np.abs(sce.dzdt)), 1e-300)
-        assert np.max(np.abs(gen.dzdt - sce.dzdt)) <= 1e-12 * scale
+        gen_dz, _ = make_rhs("generalized", kernel, 1.0)(d)
+        sce_dz, _ = smoluchowski_rhs(d, kernel)
+        scale = max(np.max(np.abs(sce_dz)), 1e-300)
+        assert np.max(np.abs(gen_dz - sce_dz)) <= 1e-12 * scale
 
 
     @settings(max_examples=40, deadline=None)
@@ -649,30 +691,8 @@ class TestOperatorProperties:
         kernel = kernel_trio(12.0)[which]
         rng = np.random.default_rng(seed)
         d = random_density(grid, rng, rng.uniform(0.1, 5.0))
-        sce = make_rhs("sce", kernel)(d)
-        gen = make_rhs("generalized", kernel, 1.0)(d)
-        assert np.array_equal(sce.dzdt, gen.dzdt)
-        assert sce.outflux_rate == gen.outflux_rate
+        sce_dz, sce_out = make_rhs("sce", kernel)(d)
+        gen_dz, gen_out = make_rhs("generalized", kernel, 1.0)(d)
+        assert np.array_equal(sce_dz, gen_dz)
+        assert sce_out == gen_out
 
-
-class TestWeakAction:
-    def test_constant_omega_sce(self, grid30, const_trunc, exp_density):
-        f = make_rhs("sce", const_trunc)(exp_density)
-        m0 = weighted_norm(exp_density, "one")
-        assert weak_action(f, np.ones(grid30.size)) == pytest.approx(-0.5 * m0 * m0, rel=1e-10)
-
-    def test_mass_omega_generalized(self, grid30, const_trunc, exp_density):
-        # omega(mu) = mu pairs to zero exactly (up to boundary overflow,
-        # which at n = 30 with exponential data is ~ e^-30)
-        f = make_rhs("generalized", const_trunc, 0.5)(exp_density)
-        act = weak_action(f, grid30.centers)
-        assert abs(act + f.outflux_rate) <= 1e-10
-
-    def test_zero_omega(self, grid30, const_trunc, exp_density):
-        f = make_rhs("sce", const_trunc)(exp_density)
-        assert weak_action(f, np.zeros(grid30.size)) == 0.0
-
-    def test_shape_guard(self, grid30, const_trunc, exp_density):
-        f = make_rhs("sce", const_trunc)(exp_density)
-        with pytest.raises(ConfigError):
-            weak_action(f, np.ones(3))
