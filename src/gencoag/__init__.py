@@ -43,7 +43,7 @@ from .sizedomain import (
     weighted_norm,
 )
 from .operators import make_rhs
-from .integrator import DtPolicy, StepStats, evolve, step
+from .integrator import StepStats, evolve
 from .gauges import (
     ConvexGauge,
     SquareGauge,

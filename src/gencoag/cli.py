@@ -28,7 +28,6 @@ from . import experiments as exp
 from . import testfuncs
 from .errors import GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
-from .integrator import DtPolicy
 from .kernels import certify_derivative, certify_growth, kernel_from_config, truncate
 from .sizedomain import (
     ExponentialProfile,
@@ -42,6 +41,23 @@ from .sizedomain import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAIL = 2
+
+#: The keys each config section may set: the union of the keys any command
+#: reads.  kernel_from_config checks [kernel] per family.  run.seed is read
+#: by no command and time.dt_mode takes only "adaptive"; older configs set
+#: both, so both are accepted.
+CONFIG_KEYS = {
+    "run": {"model", "eps", "threads", "seed"},
+    "kernel": None,
+    "grid": {"n", "cells_per_decade"},
+    "initial": {"profile", "a", "mu0", "mass"},
+    "time": {"horizon", "snapshots", "snapshot_times", "dt_mode"},
+    "diagnostics": {"gauges", "omegas", "lambdas", "inject_mass_violation"},
+    "sweep": {"eps_sweep", "n_sweep", "eps_list", "n_list"},
+    "validate": {"sce_tolerance", "m0_tolerance", "closure_tolerance"},
+    "certify": {"seed", "sample_count", "fd_step"},
+    "output": {"directory"},
+}
 
 
 def _fail(msg):
@@ -59,20 +75,39 @@ def load_config(path):
         raise GencoagError(f"{path}: YAML parse error: {exc}")
     if not isinstance(cfg, dict):
         raise GencoagError(f"{path}: top level must be a mapping")
+    _check_keys(cfg)
     return cfg
 
 
+def _check_keys(cfg):
+    """Refuse a section or key that no command reads, so that a misspelled
+    or removed setting does not silently take its default."""
+    for name in cfg:
+        if name not in CONFIG_KEYS:
+            raise GencoagError(f"unknown config section [{name}]")
+        sec, known = _section(cfg, name, required=False), CONFIG_KEYS[name]
+        unknown = [key for key in sec if known is not None and key not in known]
+        if unknown:
+            raise GencoagError(f"unknown config key {name}.{unknown[0]}")
+    mode = _section(cfg, "time", required=False).get("dt_mode", "adaptive")
+    if mode != "adaptive":
+        raise GencoagError(f"time.dt_mode must be 'adaptive', got {mode!r}: "
+                           "every run is error-controlled")
+
+
 def _int(sec, key, default):
-    """``sec[key]`` as an int; NaN, inf, 2.5 or a non-number is a GencoagError."""
+    """``sec[key]`` as an int; NaN, inf, 2.5, a boolean or a non-number is a GencoagError."""
     value = sec.get(key, default)
-    if isinstance(value, int) or (isinstance(value, float) and value.is_integer()):
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if integral and not isinstance(value, bool):
         return int(value)
     raise GencoagError(f"{key} must be an integer, got {value!r}")
 
 
 def _number(value, key):
-    """``value`` as a finite float >= 0; NaN, inf, a negative or a non-number is a GencoagError."""
-    if isinstance(value, (int, float)) and 0.0 <= value < np.inf:
+    """``value`` as a finite float >= 0; NaN, inf, a negative, a boolean or a
+    non-number is a GencoagError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value < np.inf:
         return float(value)
     raise GencoagError(f"{key} must be a finite number >= 0, got {value!r}")
 
@@ -103,16 +138,6 @@ def build_profile(cfg, sigma):
     if name == "monodisperse":
         return MonodisperseProfile(_float(sec, "mu0", 1.0), _float(sec, "mass", 1.0))
     raise GencoagError(f"unknown initial profile {name!r}")
-
-
-def build_policy(cfg):
-    sec = _section(cfg, "time", required=False)
-    return DtPolicy(
-        mode=sec.get("dt_mode", "adaptive"),
-        dt=_float(sec, "dt", 0.0),
-        safety=_float(sec, "safety", 0.8),
-        max_shrink=_int(sec, "max_shrink", 20),
-    )
 
 
 def _snapshot_times(cfg, horizon):
@@ -212,7 +237,6 @@ def cmd_simulate(args):
     initial = sample_initial(profile, grid)
     tsec = _section(cfg, "time")
     horizon = _float(tsec, "horizon", 1.0)
-    policy = build_policy(cfg)
     snaps = _snapshot_times(cfg, horizon)
     # diagnostics settings are checked here so that a bad one fails before the solve
     dsec = _section(cfg, "diagnostics", required=False)
@@ -221,7 +245,7 @@ def cmd_simulate(args):
                         (len(names), grid.size))
     lams = _flux_thresholds(dsec, grid)
 
-    traj = exp.run_model(model, kernel, grid, initial, horizon, policy, snaps, eps=eps)
+    traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
     # only a run that went through leaves an output directory
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
@@ -311,7 +335,6 @@ def _sweep_config(cfg, args):
         cells_per_decade=_int(gsec, "cells_per_decade", 32),
         profile=build_profile(cfg, kernel.sigma),
         horizon=_float(tsec, "horizon", 1.0),
-        policy=build_policy(cfg),
         threads=threads,
     ).validate()
 

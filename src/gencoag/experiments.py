@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GencoagError
-from .integrator import DtPolicy, evolve
+from .integrator import evolve
 from .kernels import Kernel, truncate
 from .operators import make_rhs
 from .sizedomain import (
@@ -47,7 +47,6 @@ class SweepConfig:
     cells_per_decade: int = 32
     profile: object = field(default_factory=ExponentialProfile)
     horizon: float = 1.0
-    policy: DtPolicy = field(default_factory=DtPolicy)
     threads: int = 1
 
     def validate(self):
@@ -86,11 +85,11 @@ class DistanceTable:
 
 
 def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity,
-              horizon: float, policy: DtPolicy, snapshot_times=None,
-              eps: float | None = None, observers=()) -> Trajectory:
+              horizon: float, snapshot_times=None, eps: float | None = None,
+              observers=()) -> Trajectory:
     """Evolve one model on one grid with the kernel truncated to it."""
     rhs = make_rhs(model, truncate(kernel, grid.n), eps)
-    return evolve(initial, rhs, horizon, policy, snapshot_times, observers)
+    return evolve(initial, rhs, horizon, snapshot_times, observers)
 
 
 def _failure(exc: GencoagError) -> dict:
@@ -118,7 +117,7 @@ def _eps_member(args):
     initial = sample_initial(config.profile, grid)
     try:
         traj = run_model("generalized", config.kernel, grid, initial,
-                         config.horizon, config.policy, (config.horizon,), eps=eps)
+                         config.horizon, (config.horizon,), eps=eps)
     except GencoagError as exc:
         # stiffness or config failure: mark, keep sweeping; a bug still raises
         return eps, n, None, _failure(exc)
@@ -140,8 +139,7 @@ def run_eps_sweep(config: SweepConfig) -> DistanceTable:
     for n in config.n_list:
         grid = make_grid(n, config.cells_per_decade)
         initial = sample_initial(config.profile, grid)
-        ref = run_model("ohs", config.kernel, grid, initial,
-                        config.horizon, config.policy, (config.horizon,))
+        ref = run_model("ohs", config.kernel, grid, initial, config.horizon, (config.horizon,))
         jobs = [(config, n, eps) for eps in config.eps_list]
         if config.threads > 1 and len(jobs) > 1:
             # imported here so that commands which never pool do not load multiprocessing
@@ -218,7 +216,7 @@ def run_n_sweep(config: SweepConfig, model: str = "generalized",
         initial = sample_initial(config.profile, grid)
         try:
             traj = run_model(model, config.kernel, grid, initial, config.horizon,
-                             config.policy, (config.horizon,), eps=eps)
+                             (config.horizon,), eps=eps)
         except GencoagError as exc:
             table.failed.append({"eps": eps, "n": n, "error": _failure(exc)})
             finals.append(None)
@@ -278,7 +276,7 @@ def shared_sce_run(config: SweepConfig) -> Trajectory:
     grid, initial = _first_grid(config)
     stops = sorted({t for t in (*_mass_snapshots(config), *CLOSED_FORM_TIMES) if t > 0.0})
     return run_model("sce", config.kernel, grid, initial,
-                     max(config.horizon, *CLOSED_FORM_TIMES), config.policy, stops)
+                     max(config.horizon, *CLOSED_FORM_TIMES), stops)
 
 
 def validate_sce_constant_kernel(config: SweepConfig, times=CLOSED_FORM_TIMES,
@@ -294,7 +292,7 @@ def validate_sce_constant_kernel(config: SweepConfig, times=CLOSED_FORM_TIMES,
     rate = config.kernel.rate
     if traj is None:
         grid, initial = _first_grid(config)
-        traj = run_model("sce", config.kernel, grid, initial, max(times), config.policy, times)
+        traj = run_model("sce", config.kernel, grid, initial, max(times), times)
     else:
         grid, traj = traj.grid, traj.select(times)
     errors = {}
@@ -323,8 +321,7 @@ def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = Non
     grid, initial = _first_grid(config)
     m0 = weighted_norm(initial, "one")
     initial = initial.replace(values=initial.values / m0)
-    traj = run_model(model, config.kernel, grid, initial, max(times), config.policy,
-                     times, eps=eps)
+    traj = run_model(model, config.kernel, grid, initial, max(times), times, eps=eps)
     times = traj.times
     error = np.abs(traj.moments(np.ones(grid.size)) - riccati_m0(times))
     later = times != 0.0
@@ -347,8 +344,8 @@ def mass_conservation_report(config: SweepConfig, model: str,
     snaps = _mass_snapshots(config)
     if traj is None:
         grid, initial = _first_grid(config)
-        traj = run_model(model, config.kernel, grid, initial, config.horizon,
-                         config.policy, snaps, eps=eps)
+        traj = run_model(model, config.kernel, grid, initial, config.horizon, snaps,
+                         eps=eps)
     else:
         grid, traj = traj.grid, traj.select(snaps)
     m1 = traj.moments(grid.centers)

@@ -1,12 +1,13 @@
 """Error-controlled, positivity-safeguarded RK4 time stepping for the
 coagulation ODE system.
 
-The propagator is classical RK4.  In adaptive mode the stage k5 = f(y_{n+1}),
-evaluated at the accepted (clipped) state, is the next step's k1 ("first
-same as last"), so an accepted step still costs four right-hand-side
-evaluations.  With the weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5) it
-also gives an embedded third-order solution; their difference
-``dt/6 (k4 - k5)`` is the local error estimate that sets the next step.
+The propagator is classical RK4, and every step is under error control.
+The stage k5 = f(y_{n+1}), evaluated at the accepted (clipped) state, is
+the next step's k1 ("first same as last"), so an accepted step still costs
+four right-hand-side evaluations.  With the weights (1/6, 1/3, 1/3, 0, 1/6)
+on (k1, ..., k5) it also gives an embedded third-order solution; their
+difference ``dt/6 (k4 - k5)`` is the local error estimate that sets the
+next step.  The first step is estimated from the data.
 
 The boundary-outflux ledger is integrated alongside the density as an extra
 ODE component, so any identity satisfied by the semi-discrete right-hand
@@ -28,7 +29,7 @@ from .sizedomain import NumberDensity, Trajectory
 #: accumulated machine epsilon.
 CLIP_REL = 1.0e-12
 
-#: Relative tolerance of the adaptive policy: the local error estimate,
+#: Relative tolerance of the error control: the local error estimate,
 #: in the weighted L1 norm with weight (1 + mu) dmu, is kept below RTOL
 #: times the norm of the state.
 RTOL = 1.0e-7
@@ -37,48 +38,28 @@ RTOL = 1.0e-7
 FAC_MIN = 0.2
 FAC_MAX = 5.0
 
+#: Safety factor of the step-size update: the next step is
+#: SAFETY * err^(-1/4) times the last, clamped to [FAC_MIN, FAC_MAX].
+SAFETY = 0.8
 
-@dataclass
-class DtPolicy:
-    """Step-size policy.
-
-    ``fixed`` retries the same dt each step (per-step halving still
-    applies).  ``adaptive`` accepts a step when its error estimate is
-    within ``RTOL`` and scales the next one by ``safety * err^(-1/4)``,
-    clamped to [0.2, 5]; ``dt`` is the first trial step, and 0 selects the
-    Hairer-Norsett-Wanner starting step.  ``max_shrink`` bounds the
-    rejections (error or positivity) of one step.
-    """
-
-    mode: str = "adaptive"
-    dt: float = 0.0
-    safety: float = 0.8
-    max_shrink: int = 20
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive"):
-            raise DomainError("dt policy mode must be 'fixed' or 'adaptive'")
-        if not (0.0 < self.safety <= 1.0):
-            raise DomainError("safety must lie in (0, 1]")
-        if not (0.0 <= self.dt < np.inf):
-            raise DomainError("dt must be finite and >= 0 (0 selects the starting-step estimate)")
-        if self.mode == "fixed" and self.dt == 0.0:
-            raise DomainError("dt_mode fixed requires a positive dt")
+#: Rejections (error or positivity) allowed in one step before it fails
+#: with a StiffnessError.
+MAX_SHRINK = 20
 
 
 @dataclass
 class StepStats:
     """Bookkeeping for one accepted step.
 
-    ``error`` is the step's error estimate relative to the tolerance
-    (accepted when <= 1); fixed steps do not estimate it and report 0.
+    ``error`` is the step's error estimate relative to the tolerance; an
+    accepted step has ``error <= 1``.
     """
 
     dt: float
-    rejections: int = 0
-    clipped_mass: float = 0.0
-    outflux: float = 0.0
-    error: float = 0.0
+    rejections: int
+    clipped_mass: float
+    outflux: float
+    error: float
 
 
 def _stages(rhs_op, grid):
@@ -104,25 +85,24 @@ def _rk4_attempt(f, values, t, first, dt):
     return new, outflux, k4
 
 
-def _factor(err, safety):
-    """Step-size factor safety * err^(-1/4), clamped to [FAC_MIN, FAC_MAX]."""
-    return min(FAC_MAX, max(FAC_MIN, safety * max(err, 1e-300) ** -0.25))
+def _factor(err):
+    """Step-size factor SAFETY * err^(-1/4), clamped to [FAC_MIN, FAC_MAX]."""
+    return min(FAC_MAX, max(FAC_MIN, SAFETY * max(err, 1e-300) ** -0.25))
 
 
-def _advance(f, density, first, dt, max_shrink, norm=None, safety=0.8):
+def _advance(f, density, first, dt, norm):
     """One accepted RK4 step from ``density``, whose stage k1 is ``first``.
 
-    Rejects and halves on positivity and, when ``norm`` is given, rejects
-    and shrinks on the error estimate; both count against ``max_shrink``.
-    Returns (NumberDensity, StepStats, k5): k5 = f at the new state in
-    adaptive mode, None in fixed mode.
+    Rejects and halves on positivity, and rejects and shrinks on the error
+    estimate in ``norm``; both count against ``MAX_SHRINK``.  Returns
+    (NumberDensity, StepStats, k5), k5 being f at the new state.
     """
     grid = density.grid
     values = density.values
     scale = float(values.max(initial=0.0))
     attempt = dt
     rejections = 0
-    for _ in range(max_shrink + 1):
+    for _ in range(MAX_SHRINK + 1):
         tried = attempt
         new, outflux, k4 = _rk4_attempt(f, values, density.time, first, attempt)
         floor = -CLIP_REL * max(scale, float(new.max(initial=0.0)))
@@ -135,16 +115,13 @@ def _advance(f, density, first, dt, max_shrink, norm=None, safety=0.8):
         if np.any(neg):
             clipped = float(np.sum(-new[neg] * grid.centers[neg] * grid.widths[neg]))
             new = np.where(neg, 0.0, new)
-        last = None
-        err = 0.0
-        if norm is not None:
-            last = f(new, density.time + attempt)
-            size = RTOL * max(norm(values), norm(new), 1e-300)
-            err = norm((attempt / 6.0) * (k4 - last[0])) / size
-            if err > 1.0:
-                attempt *= _factor(err, safety)
-                rejections += 1
-                continue
+        last = f(new, density.time + attempt)
+        size = RTOL * max(norm(values), norm(new), 1e-300)
+        err = norm((attempt / 6.0) * (k4 - last[0])) / size
+        if err > 1.0:
+            attempt *= _factor(err)
+            rejections += 1
+            continue
         out = NumberDensity(grid, new, density.time + attempt)
         return out, StepStats(attempt, rejections, clipped, outflux, err), last
     raise StiffnessError(
@@ -155,26 +132,8 @@ def _advance(f, density, first, dt, max_shrink, norm=None, safety=0.8):
     )
 
 
-def step(density: NumberDensity, rhs_op, dt: float, max_shrink: int = 20):
-    """One RK4 step with reject-and-halve positivity control.
-
-    Any resulting cell below -1e-12 * max(values) rejects the step and
-    halves dt (up to ``max_shrink`` times); residual shallow negatives are
-    clipped to zero with their mass logged.
-
-    Returns
-    -------
-    (NumberDensity, StepStats)
-    """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    f = _stages(rhs_op, density.grid)
-    out, stats, _ = _advance(f, density, f(density.values, density.time), dt, max_shrink)
-    return out, stats
-
-
 def _weighted_l1(grid):
-    """v -> sum_i (1 + x_i) |v_i| dx_i, the error norm of the adaptive policy."""
+    """v -> sum_i (1 + x_i) |v_i| dx_i, the norm of the error control."""
     w = (1.0 + grid.centers) * grid.widths
     return lambda v: float(w @ np.abs(v))
 
@@ -196,8 +155,8 @@ def _starting_step(f, density, first, norm):
     return min(100.0 * h0, h1)
 
 
-def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
-           snapshot_times=None, observers=()) -> Trajectory:
+def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
+           observers=()) -> Trajectory:
     """Integrate to horizon T, landing exactly on every requested snapshot time.
 
     Observers are called as observer(time, density, stats) after each
@@ -221,35 +180,29 @@ def evolve(initial: NumberDensity, rhs_op, T: float, policy: DtPolicy,
         if not stops or abs(stops[-1] - (initial.time + T)) > 1e-12 * max(T, 1.0):
             stops.append(initial.time + T)
 
-    adaptive = policy.mode == "adaptive"
     f = _stages(rhs_op, initial.grid)
-    norm = _weighted_l1(initial.grid) if adaptive else None
+    norm = _weighted_l1(initial.grid)
     state = initial
     outflux_total = 0.0
     clipped_total = 0.0
-    dt_cur = dt_try = policy.dt
-    first = None
+    dt_try = 0.0
     try:
         with np.errstate(invalid="raise", over="raise"):
+            first = f(state.values, state.time)
+            dt_cur = _starting_step(f, state, first, norm)
             for target in stops:
                 while (state.time < target * (1.0 - 1e-15)
                        and target - state.time > 1e-15 * max(target, 1.0)):
-                    if first is None:
-                        first = f(state.values, state.time)
-                    if dt_cur == 0.0:
-                        dt_cur = _starting_step(f, state, first, norm)
                     dt_try = min(dt_cur, target - state.time)
-                    state, stats, first = _advance(f, state, first, dt_try, policy.max_shrink,
-                                                   norm, policy.safety)
+                    state, stats, first = _advance(f, state, first, dt_try, norm)
                     outflux_total += stats.outflux
                     clipped_total += stats.clipped_mass
                     for obs in observers:
                         obs(state.time, state, stats)
-                    if adaptive:
-                        proposal = stats.dt * _factor(stats.error, policy.safety)
-                        # a step shortened to land on a stop does not shrink the next one
-                        shortened = dt_try < dt_cur and not stats.rejections
-                        dt_cur = max(proposal, dt_cur) if shortened else proposal
+                    proposal = stats.dt * _factor(stats.error)
+                    # a step shortened to land on a stop does not shrink the next one
+                    shortened = dt_try < dt_cur and not stats.rejections
+                    dt_cur = max(proposal, dt_cur) if shortened else proposal
                 # land exactly on the requested time
                 state = state.replace(time=target)
                 traj.append(state, outflux_total, clipped_total)

@@ -458,13 +458,14 @@ def kernel_from_config(cfg: dict) -> Kernel:
     cfg = dict(cfg)
     family = cfg.pop("family", None)
     if family == "user_tabulated":
-        path = cfg.pop("path", None)
-        if path is None:
+        if cfg.get("path") is None:
             raise ConfigError("user_tabulated kernel needs 'path' to a CSV table")
-        return TabulatedKernel.from_csv(path, **cfg)
-    if family not in _FAMILIES:
+        build = TabulatedKernel.from_csv
+    elif family in _FAMILIES:
+        build = _FAMILIES[family]
+    else:
         raise ConfigError(f"unknown kernel family {family!r}")
     try:
-        return _FAMILIES[family](**cfg)
+        return build(**cfg)
     except TypeError as exc:
         raise ConfigError(f"bad kernel parameters for family {family!r}: {exc}") from exc

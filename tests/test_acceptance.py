@@ -13,7 +13,6 @@ from conftest import kernel_trio
 from gencoag import (
     AdditiveKernel,
     ConstantKernel,
-    DtPolicy,
     ExponentialProfile,
     NumberDensity,
     SingularProductKernel,
@@ -89,7 +88,6 @@ def example_matrix():
                 log = StepLog()
                 traj = run_model(
                     model, kernel, grid, initial, MATRIX_T,
-                    DtPolicy(mode="adaptive", dt=1e-4),
                     np.linspace(0.1, MATRIX_T, 5), eps=eps, observers=(log,),
                 )
                 runs.append({

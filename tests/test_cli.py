@@ -11,10 +11,11 @@ import pytest
 import yaml
 
 import gencoag
-from gencoag import experiments
+from gencoag import experiments, integrator
 from gencoag.cli import _sweep_config, load_config, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def schema(name):
@@ -83,7 +84,7 @@ class TestSimulate:
     @pytest.mark.parametrize("section", [
         {"grid": {"n": float("nan"), "cells_per_decade": 12}},
         {"time": {"horizon": float("nan"), "snapshots": 3}},
-        {"time": {"horizon": 0.3, "snapshots": 3, "dt": float("nan")}},
+        {"run": {"model": "generalized", "eps": float("nan")}},
     ])
     def test_non_finite_input_exits_1(self, tmp_path, capsys, section):
         cfg = write_config(tmp_path, section)
@@ -95,7 +96,7 @@ class TestSimulate:
         ("simulate", {"grid": {"n": 20.0, "cells_per_decade": 8.7}}),
         ("simulate", {"time": {"horizon": 0.3, "snapshots": float("nan")}}),
         ("simulate", {"time": {"horizon": 0.3, "snapshots": 2.5}}),
-        ("simulate", {"time": {"horizon": 0.3, "snapshots": 3, "max_shrink": float("nan")}}),
+        ("simulate", {"run": {"model": "generalized", "eps": 0.5, "threads": 2.5}}),
         ("sweep", {"run": {"model": "generalized", "eps": 0.5, "threads": 1.5},
                    "sweep": {"eps_list": [1.0]}}),
         ("check-kernel", {"certify": {"sample_count": 2.5}}),
@@ -114,15 +115,38 @@ class TestSimulate:
          "snapshot_times must be a finite number"),
         ({"time": {"horizon": 0.3, "snapshots": -3}}, "snapshots must be >= 1"),
         ({"time": {"horizon": 0.3, "snapshots": 0}}, "snapshots must be >= 1"),
+        # YAML booleans are ints to Python, but not numbers to a config
+        ({"time": {"horizon": True, "snapshots": 3}}, "horizon must be a finite number"),
+        ({"time": {"horizon": 0.3, "snapshots": True}}, "snapshots must be an integer"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "simulate", section, message)
 
-    def test_fixed_mode_without_dt_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 3, "dt_mode": "fixed"}})
-        assert main(["simulate", "--config", str(cfg)]) == 1
-        assert "error: dt_mode fixed requires a positive dt" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("section, message", [
+        ({"time": {"horizn": 0.3, "snapshots": 3}}, "unknown config key time.horizn"),
+        ({"time": {"horizon": 0.3, "dt_mode": "fixed"}},
+         "time.dt_mode must be 'adaptive', got 'fixed'"),
+        ({"time": {"horizon": 0.3, "dt": 0.01}}, "unknown config key time.dt"),
+        ({"time": {"horizon": 0.3, "safety": 0.9}}, "unknown config key time.safety"),
+        ({"time": {"horizon": 0.3, "max_shrink": 5}}, "unknown config key time.max_shrink"),
+        ({"tim": {"horizon": 0.3}}, "unknown config section [tim]"),
+    ])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, section, message):
+        assert_refused(tmp_path, capsys, "simulate", section, message)
+
+    @pytest.mark.parametrize("command", ["sweep", "validate", "check-kernel"])
+    def test_every_command_refuses_unknown_keys(self, tmp_path, capsys, command):
+        assert_refused(tmp_path, capsys, command, {"grid": {"n": 20.0, "cels_per_decade": 12}},
+                       "unknown config key grid.cels_per_decade")
+
+    def test_gate_self_test_config_exits_2(self, tmp_path, capsys):
+        # the benchmark counts this run as caught on any nonzero exit, so
+        # the bound failures it exists for are pinned here
+        config = ROOT / "perfbench" / "configs" / "corrupt_mass.yaml"
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        printed = capsys.readouterr().out
+        assert "FAIL  theta_moment_bound" in printed
+        assert "FAIL  moment_monotonicity" in printed
 
     @pytest.mark.parametrize("diagnostics", [
         {"omegas": ["one", "bump:1.0"]},
@@ -216,20 +240,31 @@ class TestSimulateVariants:
         assert main(["simulate", "--config", str(cfg)]) == 0
 
     def test_tabulated_kernel_round_trip(self, tmp_path):
-        import numpy as np
-
-        nodes = np.geomspace(0.05, 20.0, 16)
-        table_path = tmp_path / "kernel_table.csv"
-        with open(table_path, "w") as fh:
-            fh.write("mu,nu,lambda\n")
-            for m in nodes:
-                for u in nodes:
-                    fh.write(f"{m:.17g},{u:.17g},1.0\n")
         cfg = write_config(tmp_path, {
-            "kernel": {"family": "user_tabulated", "path": str(table_path),
+            "kernel": {"family": "user_tabulated", "path": str(_unit_table(tmp_path)),
                        "k": 1.0, "sigma": 0.0},
         })
         assert main(["simulate", "--config", str(cfg)]) == 0
+
+    def test_tabulated_kernel_unknown_parameter_exits_1(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys, "simulate", {
+            "kernel": {"family": "user_tabulated", "path": str(_unit_table(tmp_path)),
+                       "bogus": 1},
+        }, "bad kernel parameters for family 'user_tabulated'")
+
+
+def _unit_table(tmp_path):
+    """A CSV table of the unit kernel on 16 log-spaced nodes."""
+    import numpy as np
+
+    nodes = np.geomspace(0.05, 20.0, 16)
+    table_path = tmp_path / "kernel_table.csv"
+    with open(table_path, "w") as fh:
+        fh.write("mu,nu,lambda\n")
+        for m in nodes:
+            for u in nodes:
+                fh.write(f"{m:.17g},{u:.17g},1.0\n")
+    return table_path
 
 
 class TestCheckKernel:
@@ -252,6 +287,12 @@ class TestCheckKernel:
         assert main(["check-kernel", "--config", str(cfg)]) == 1
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _force_first_step_failure(monkeypatch):
+    """Every run tries a first step of 100 and may not reject it: a StiffnessError."""
+    monkeypatch.setattr(integrator, "_starting_step", lambda *args: 100.0)
+    monkeypatch.setattr(integrator, "MAX_SHRINK", 0)
 
 
 class TestSweep:
@@ -297,13 +338,14 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["n_cauchy"]["passed"]
 
-    def test_failed_members_are_typed(self, tmp_path):
-        # a fixed dt far too large, with no halving allowed: every member of
-        # the n sweep fails its first step
+    def test_failed_members_are_typed(self, tmp_path, monkeypatch):
+        # a first step far too large, with no rejection allowed: every
+        # member of the n sweep fails its first step
+        _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0]},
-            "time": {"horizon": 100.0, "dt_mode": "fixed", "dt": 100.0, "max_shrink": 0},
+            "time": {"horizon": 100.0},
         })
         assert main(["sweep", "--config", str(cfg)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -318,10 +360,11 @@ class TestSweep:
                                                                 "error": "StiffnessError()"}]},
                                 schema("summary.schema.json"))
 
-    def test_failed_reference_leaves_no_output(self, tmp_path, capsys):
+    def test_failed_reference_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
-            "time": {"horizon": 100.0, "dt_mode": "fixed", "dt": 100.0, "max_shrink": 0},
+            "time": {"horizon": 100.0},
         })
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error: step rejected" in capsys.readouterr().err
@@ -361,6 +404,7 @@ class TestSweep:
         ({"sweep": {"n_list": ["x"]}}, "n_list must be a finite number"),
         ({"sweep": {"eps_list": []}}, "eps_list and n_list must not be empty"),
         ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+        ({"sweep": {"eps_list": [True]}}, "eps_list must be a finite number"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "sweep", section, message)
@@ -390,6 +434,7 @@ class TestValidate:
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
         ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
         ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+        ({"time": {"horizon": True}}, "horizon must be a finite number"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "validate", section, message)

@@ -6,7 +6,6 @@ import pytest
 from conftest import kernel_trio
 from gencoag import (
     ConstantKernel,
-    DtPolicy,
     ExponentialProfile,
     MonodisperseProfile,
     NumberDensity,
@@ -46,8 +45,7 @@ def const_run():
     grid = make_grid(20.0, 16)
     kernel = ConstantKernel(1.0)
     density = sample_initial(ExponentialProfile(), grid)
-    traj = run_model("generalized", kernel, grid, density, 1.0,
-                     DtPolicy(mode="adaptive", dt=1e-3), np.linspace(0.1, 1.0, 10),
+    traj = run_model("generalized", kernel, grid, density, 1.0, np.linspace(0.1, 1.0, 10),
                      eps=0.5)
     return grid, truncate(kernel, 20.0), density, traj
 
@@ -169,8 +167,7 @@ class TestWeakFormResidual:
         kernel = ConstantKernel(1.0)
         density = sample_initial(ExponentialProfile(), grid)
         snaps = np.arange(1, 201) * 1e-3
-        traj = run_model("sce", kernel, grid, density, 0.2,
-                         DtPolicy(mode="adaptive", dt=1e-3), snaps)
+        traj = run_model("sce", kernel, grid, density, 0.2, snaps)
         res = weak_form_residual(traj, np.ones(grid.size), truncate(kernel, 20.0), "sce")
         assert np.max(res) <= 1e-6  # trapezoid-in-time error dominates
 
@@ -186,7 +183,6 @@ class TestAffineTailStudy:
             kernel = ConstantKernel(1.0)
             density = sample_initial(ExponentialProfile(), grid)
             traj = run_model("generalized", kernel, grid, density, 0.5,
-                             DtPolicy(mode="adaptive", dt=1e-3),
                              np.linspace(0.1, 0.5, 5), eps=0.5)
             res = weak_form_residual(traj, om(grid.centers), truncate(kernel, n),
                                      "generalized", 0.5)
@@ -232,8 +228,7 @@ class TestGaugeBounds:
 
         kernel = SingularProductKernel(k=1.0, sigma=0.2)
         density = sample_initial(ExponentialProfile(), grid)
-        traj = run_model("generalized", kernel, grid, density, 1.0,
-                         DtPolicy(mode="adaptive", dt=1e-4), (0.5, 1.0), eps=0.5)
+        traj = run_model("generalized", kernel, grid, density, 1.0, (0.5, 1.0), eps=0.5)
         gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.2))
         v = uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, 1.0, 0.2)
         assert v.passed
@@ -298,7 +293,6 @@ class TestMassFluxIdentity:
             grid = make_grid(8.0, cpd)
             density = sample_initial(ExponentialProfile(), grid)
             traj = run_model("ohs", kernel, grid, density, 1.0,
-                             DtPolicy(mode="adaptive", dt=1e-4),
                              np.linspace(0.1, 1.0, 10))
             out = mass_flux_identity(traj, 4.0, truncate(kernel, 8.0))
             resid[cpd] = np.max(out["residual"])
@@ -310,8 +304,7 @@ class TestMassFluxIdentity:
         kernel = ConstantKernel(1.0)
         grid = make_grid(8.0, 32)
         density = sample_initial(ExponentialProfile(), grid)
-        traj = run_model("ohs", kernel, grid, density, 1.0,
-                         DtPolicy(mode="adaptive", dt=1e-4), np.linspace(0.1, 1.0, 10))
+        traj = run_model("ohs", kernel, grid, density, 1.0, np.linspace(0.1, 1.0, 10))
         out = mass_flux_identity(traj, 4.0, truncate(kernel, 8.0))
         m1 = weighted_norm(density, "mass")
         # lambda sits well inside the support here (harder than the n/2
@@ -342,8 +335,7 @@ class TestTailFlux:
         grid = make_grid(20.0, 16)
         kernel = ConstantKernel(1.0)
         density = sample_initial(MonodisperseProfile(0.5, 0.05), grid)
-        traj = run_model("ohs", kernel, grid, density, 0.2,
-                         DtPolicy(mode="adaptive", dt=1e-3), (0.1, 0.2))
+        traj = run_model("ohs", kernel, grid, density, 0.2, (0.1, 0.2))
         out = tail_flux_decay(traj, [10.0], truncate(kernel, 20.0))
         assert out[0]["total"] <= 1e-12
 
@@ -384,7 +376,7 @@ class TestEquicontinuity:
         grid = make_grid(20.0, 16)
         kernel = SingularProductKernel(k=1.0, sigma=0.2)
         density = sample_initial(SingularPowerProfile(0.3, 0.2), grid)
-        traj = run_model(model, kernel, grid, density, 1.0, DtPolicy(),
+        traj = run_model(model, kernel, grid, density, 1.0,
                          (0.05, 0.1, 0.3, 0.35, 0.7, 0.72, 1.0), eps=eps)
         x, t = grid.centers, traj.times
         i, j = np.triu_indices(len(t), 1)

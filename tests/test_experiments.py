@@ -6,7 +6,6 @@ from gencoag import (
     StiffnessError,
     ConstantKernel,
     DomainError,
-    DtPolicy,
     ExponentialProfile,
     NumberDensity,
     SingularProductKernel,
@@ -105,14 +104,13 @@ class TestEpsSweep:
             run_eps_sweep(small_config(eps_list=()))
 
     def test_eps_one_row_matches_direct_sce(self):
-        # same fixed step sequence: the operator identity carries through
-        # the integrator, so the end states agree to rounding
-        cfg = small_config(eps_list=(1.0,), policy=DtPolicy(mode="fixed", dt=2e-3))
+        # same step sequence: the operator identity carries through the
+        # integrator, so the end states agree to rounding
+        cfg = small_config(eps_list=(1.0,))
         grid = make_grid(20.0, 16)
         initial = sample_initial(ExponentialProfile(), grid)
-        sce = run_model("sce", cfg.kernel, grid, initial, 0.5, cfg.policy, (0.5,))
-        gen = run_model("generalized", cfg.kernel, grid, initial, 0.5, cfg.policy,
-                        (0.5,), eps=1.0)
+        sce = run_model("sce", cfg.kernel, grid, initial, 0.5, (0.5,))
+        gen = run_model("generalized", cfg.kernel, grid, initial, 0.5, (0.5,), eps=1.0)
         d = transport_distance(sce[-1], gen[-1], 0.0)
         assert d <= 1e-10
 
@@ -129,11 +127,9 @@ class TestEpsSweep:
 
     def test_top_loaded_sweep_reaches_ohs(self):
         # much of the mass sits in the top cell, so a generalized run that
-        # drains it faster than the OHS flux through the last gap shows;
-        # equal fixed steps leave only rounding between the two runs
+        # drains it faster than the OHS flux through the last gap shows
         grid = make_grid(10.0, 16)
         cfg = small_config(n_list=(10.0,), profile=_top_loaded,
-                           policy=DtPolicy(mode="fixed", dt=1.0 / 64.0),
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(cfg)
         assert not table.failed
@@ -144,16 +140,16 @@ class TestEpsSweep:
 
     def test_top_loaded_sweep_reaches_ohs_adaptive(self):
         # the error-controlled steps depend on the data only, so the members
-        # below sqrt(r) - 1 take the OHS run's step sequence
+        # below sqrt(r) - 1 take the OHS run's step sequence and match it at
+        # every snapshot, not only at the horizon
         grid = make_grid(10.0, 16)
         cfg = small_config(n_list=(10.0,), profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(cfg)
         assert not table.failed
-        d = table.at_time(0.5)
-        assert eps_limit_check(d, grid.ratio())["passed"]
-        limit = [v for e, v in d.items() if e < np.sqrt(grid.ratio()) - 1.0]
-        assert len(limit) == 7 and max(limit) <= 1e-12
+        limit = [(t, v) for e, _, t, v in table.rows if e < np.sqrt(grid.ratio()) - 1.0]
+        assert len({t for t, _ in limit}) > 1
+        assert len(limit) % 7 == 0 and max(v for _, v in limit) <= 1e-12
 
     def test_determinism_bit_identical(self):
         cfg = small_config(eps_list=(1.0, 0.5, 0.25), threads=2)
@@ -208,7 +204,7 @@ class TestNSweep:
             grid = make_grid(10.0, cpd)
             initial = sample_initial(ExponentialProfile(), grid)
             traj = run_model("generalized", ConstantKernel(1.0), grid, initial,
-                             0.5, DtPolicy(mode="adaptive", dt=1e-3), (0.5,), eps=0.5)
+                             0.5, (0.5,), eps=0.5)
             finals.append(traj[-1])
         d1 = overlap_distance(finals[0], finals[1], 0.0)
         d2 = overlap_distance(finals[1], finals[2], 0.0)
@@ -253,8 +249,7 @@ class TestAnalyticValidation:
         cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=2.0)
         grid = make_grid(30.0, 12)
         initial = sample_initial(cfg.profile, grid)
-        traj = run_model("sce", cfg.kernel, grid, initial, 2.0, cfg.policy,
-                                     (0.25, 0.5, 1.0, 2.0))
+        traj = run_model("sce", cfg.kernel, grid, initial, 2.0, (0.25, 0.5, 1.0, 2.0))
         rep = validate_sce_constant_kernel(cfg, traj=traj)
         assert list(rep["errors"]) == [0.5, 1.0, 2.0]
         assert len(rep["mass_series"]) == 4

@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from gencoag import (
     ConstantKernel,
     DomainError,
-    DtPolicy,
     ExponentialProfile,
     NumberDensity,
     StiffnessError,
@@ -14,7 +11,6 @@ from gencoag import (
     make_grid,
     make_rhs,
     sample_initial,
-    step,
     truncate,
     weighted_norm,
 )
@@ -29,11 +25,20 @@ def setup():
     return grid, kernel, density
 
 
+def _advance(density, rhs, dt):
+    """One accepted step of the production stepper from ``density``, trial step dt."""
+    f = integrator._stages(rhs, density.grid)
+    first = f(density.values, density.time)
+    out, stats, _ = integrator._advance(f, density, first, dt,
+                                        integrator._weighted_l1(density.grid))
+    return out, stats
+
+
 class TestStep:
     def test_zero_density(self, setup):
         grid, kernel, _ = setup
         d = NumberDensity(grid, np.zeros(grid.size))
-        out, stats = step(d, make_rhs("sce", kernel), 0.5)
+        out, stats = _advance(d, make_rhs("sce", kernel), 0.5)
         assert np.all(out.values == 0.0)
         assert stats.rejections == 0 and stats.clipped_mass == 0.0 and stats.outflux == 0.0
 
@@ -42,48 +47,43 @@ class TestStep:
         grid, kernel, density = setup
         dt = 1e-3
         m0 = weighted_norm(density, "one")
-        out, stats = step(density, make_rhs("sce", kernel), dt)
+        out, stats = _advance(density, make_rhs("sce", kernel), dt)
         drop = m0 - weighted_norm(out, "one")
         assert drop == pytest.approx(0.5 * m0 * m0 * dt, rel=1e-3)
         assert stats.dt == dt
 
-    def test_rejection_cascade_raises(self, setup):
+    def test_rejection_cascade_raises(self, setup, monkeypatch):
+        # every trial step leaves negative cells and is halved
         grid, kernel, density = setup
+        monkeypatch.setattr(integrator, "MAX_SHRINK", 3)
         with pytest.raises(StiffnessError) as err:
-            step(density, make_rhs("sce", kernel), 1e9, max_shrink=3)
+            _advance(density, make_rhs("sce", kernel), 1e9)
         assert err.value.dt == 1e9 / 8  # the last dt tried
 
     def test_huge_dt_eventually_accepted_with_shrink_budget(self, setup):
         grid, kernel, density = setup
-        out, stats = step(density, make_rhs("sce", kernel), 1e3, max_shrink=20)
+        out, stats = _advance(density, make_rhs("sce", kernel), 1e3)
         assert stats.rejections > 0
         assert stats.dt < 1e3
         assert np.all(out.values >= 0.0)
-
-    def test_invalid_dt(self, setup):
-        grid, kernel, density = setup
-        with pytest.raises(DomainError):
-            step(density, make_rhs("sce", kernel), 0.0)
 
 
 class TestEvolve:
     def test_zero_horizon(self, setup):
         grid, kernel, density = setup
-        traj = evolve(density, make_rhs("sce", kernel), 0.0, DtPolicy(dt=0.1))
+        traj = evolve(density, make_rhs("sce", kernel), 0.0)
         assert len(traj) == 1 and traj[0].time == 0.0
 
     def test_riccati_horizon_one(self, setup):
         grid, kernel, density = setup
         d = density.replace(values=density.values / weighted_norm(density, "one"))
-        pol = DtPolicy(mode="adaptive", dt=1e-3)
-        traj = evolve(d, make_rhs("sce", kernel), 1.0, pol, [1.0])
+        traj = evolve(d, make_rhs("sce", kernel), 1.0, [1.0])
         m0 = weighted_norm(traj[-1], "one")
         assert abs(m0 - 2.0 / 3.0) <= 1e-3 * (2.0 / 3.0)
 
     def test_l1_never_increases(self, setup):
         grid, kernel, density = setup
-        pol = DtPolicy(mode="adaptive", dt=1e-3)
-        traj = evolve(density, make_rhs("generalized", kernel, 0.3), 1.0, pol,
+        traj = evolve(density, make_rhs("generalized", kernel, 0.3), 1.0,
                       np.linspace(0.1, 1.0, 10))
         norms = [weighted_norm(s, "one") for s in traj]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
@@ -91,37 +91,36 @@ class TestEvolve:
     def test_snapshots_land_exactly(self, setup):
         grid, kernel, density = setup
         stops = [0.1, 0.25, 0.5]
-        pol = DtPolicy(mode="adaptive", dt=1e-3)
-        traj = evolve(density, make_rhs("sce", kernel), 0.5, pol, stops)
+        traj = evolve(density, make_rhs("sce", kernel), 0.5, stops)
         assert np.array_equal(traj.times, [0.0] + stops)
 
     def test_mass_ledger_closure(self, setup):
         grid, kernel, density = setup
-        pol = DtPolicy(mode="adaptive", dt=1e-3)
         for model, eps in (("sce", None), ("generalized", 0.25), ("ohs", None)):
-            traj = evolve(density, make_rhs(model, kernel, eps), 1.0, pol, [0.5, 1.0])
+            traj = evolve(density, make_rhs(model, kernel, eps), 1.0, [0.5, 1.0])
             m1 = np.array([weighted_norm(s, "mass") for s in traj])
             closure = m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0]
             assert np.max(np.abs(closure)) <= 1e-8 * m1[0]
 
     def test_nonnegative_snapshots(self, setup):
         grid, kernel, density = setup
-        pol = DtPolicy(mode="adaptive", dt=1e-2)
-        traj = evolve(density, make_rhs("generalized", kernel, 0.01), 0.5, pol, [0.5])
+        traj = evolve(density, make_rhs("generalized", kernel, 0.01), 0.5, [0.5])
         for s in traj:
             assert np.all(s.values >= 0.0)
 
     def test_rk4_order_on_m0(self, setup):
-        # fixed-dt M0 error against the Riccati closed form drops ~16x per halving
+        # fixed-dt M0 error against the Riccati closed form drops ~16x per
+        # halving, with the production RK4 attempt taken in equal steps
         grid, kernel, density = setup
         d = density.replace(values=density.values / weighted_norm(density, "one"))
-        rhs = make_rhs("sce", kernel)
+        f = integrator._stages(make_rhs("sce", kernel), grid)
 
         def m0_error(dt):
-            pol = DtPolicy(mode="fixed", dt=dt)
-            traj = evolve(d, rhs, 0.5, pol, [0.5])
+            y = d.values
+            for i in range(round(0.5 / dt)):
+                y, _, _ = integrator._rk4_attempt(f, y, i * dt, f(y, i * dt), dt)
             # subtract the boundary-truncation bias shared by all dt
-            return weighted_norm(traj[-1], "one") - 2.0 / (2.0 + 0.5)
+            return weighted_norm(d.replace(values=y), "one") - 2.0 / (2.0 + 0.5)
 
         e1, e2 = m0_error(0.05), m0_error(0.025)
         # bias cancels in the difference of consecutive refinements
@@ -129,35 +128,11 @@ class TestEvolve:
         r1 = abs(e1 - e2) / abs(e2 - e4)
         assert 10.0 <= r1 <= 24.0  # 4th order => ~16
 
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            DtPolicy(mode="bogus")
-        with pytest.raises(DomainError):
-            DtPolicy(safety=0.0)
-
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1e-3])
-    def test_policy_rejects_bad_dt(self, dt):
-        with pytest.raises(DomainError):
-            DtPolicy(dt=dt)
-
-    def test_policy_fields(self):
-        assert [f.name for f in dataclasses.fields(DtPolicy)] == [
-            "mode", "dt", "safety", "max_shrink"]
-        with pytest.raises(TypeError):
-            DtPolicy(growth=2.0)
-
-    def test_policy_zero_dt_selects_heuristic(self):
-        assert DtPolicy(dt=0.0).dt == 0.0
-
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_horizon_rejected(self, setup, T):
         grid, kernel, density = setup
         with pytest.raises(DomainError):
-            evolve(density, make_rhs("sce", kernel), T, DtPolicy(dt=0.1))
-
-    def test_fixed_mode_requires_dt(self):
-        with pytest.raises(DomainError):
-            DtPolicy(mode="fixed")
+            evolve(density, make_rhs("sce", kernel), T)
 
 
 def _record(log):
@@ -169,33 +144,32 @@ def _factor(err):
 
 
 class TestFixedMode:
+    """Each accepted step, replayed as plain RK4 at its own fixed dt."""
+
     def test_bit_identical_to_plain_rk4(self, setup):
         # the stages see the state clamped at zero; no cell goes negative here
         grid, kernel, density = setup
         rhs = make_rhs("generalized", kernel, 0.3)
-        dt, stops = 0.03, (0.1, 0.25)
+        log = []
+        traj = evolve(density, rhs, 0.25, (0.1, 0.25),
+                      observers=[lambda t, d, stats: log.append((d.values, stats))])
 
         def f(v):
             return rhs(NumberDensity(grid, np.maximum(v, 0.0)))
 
-        y, t, out = density.values, 0.0, 0.0
-        expect, ledger = [y], [0.0]
-        for stop in stops:
-            while t < stop * (1.0 - 1e-15):
-                h = min(dt, stop - t)
-                k1, l1 = f(y)
-                k2, l2 = f(y + 0.5 * h * k1)
-                k3, l3 = f(y + 0.5 * h * k2)
-                k4, l4 = f(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out += (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-                t += h
-            t = stop
-            expect.append(y)
-            ledger.append(out)
-        traj = evolve(density, rhs, 0.25, DtPolicy(mode="fixed", dt=dt), stops)
-        assert np.array_equal(traj.values, np.array(expect))
-        assert traj.outflux == ledger and traj.clipped == [0.0] * 3
+        y, out = density.values, 0.0
+        assert len(log) > 3
+        for values, stats in log:
+            h = stats.dt
+            k1, l1 = f(y)
+            k2, l2 = f(y + 0.5 * h * k1)
+            k3, l3 = f(y + 0.5 * h * k2)
+            k4, l4 = f(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out += (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+            assert np.array_equal(values, y) and stats.clipped_mass == 0.0
+        assert np.array_equal(traj.values[-1], y)
+        assert traj.outflux[-1] == out and traj.clipped == [0.0] * 3
 
 
 class TestErrorControl:
@@ -204,11 +178,12 @@ class TestErrorControl:
         # solution: it drops ~16x per halving of dt
         grid, kernel, density = setup
         monkeypatch.setattr(integrator, "RTOL", 1.0)  # accept every trial step
+        monkeypatch.setattr(integrator, "_starting_step", lambda *args: 1.0)
         rhs = make_rhs("sce", kernel)
 
         def estimate(dt):
             log = []
-            evolve(density, rhs, dt, DtPolicy(dt=dt), observers=[_record(log)])
+            evolve(density, rhs, dt, observers=[_record(log)])
             assert len(log) == 1 and log[0][1].rejections == 0
             return log[0][1].error
 
@@ -220,34 +195,34 @@ class TestErrorControl:
         # dt * min(5, max(0.2, 0.8 err^(-1/4)))
         grid, kernel, density = setup
         log = []
-        evolve(density, make_rhs("generalized", kernel, 0.3), 2.0, DtPolicy(),
-               observers=[_record(log)])
+        evolve(density, make_rhs("generalized", kernel, 0.3), 2.0, observers=[_record(log)])
         stats = [s for _, s in log]
         assert len(stats) > 5 and all(0.0 < s.error <= 1.0 for s in stats)
         assert not any(s.rejections for s in stats)
         for prev, cur in zip(stats[:-2], stats[1:-1]):  # the last step lands on T
             assert cur.dt == pytest.approx(prev.dt * _factor(prev.error), rel=1e-14)
 
-    def test_error_rejection_shrinks_step(self, setup):
+    def test_error_rejection_shrinks_step(self, setup, monkeypatch):
         grid, kernel, density = setup
+        monkeypatch.setattr(integrator, "_starting_step", lambda *args: 0.5)
         log = []
-        evolve(density, make_rhs("sce", kernel), 0.5, DtPolicy(dt=0.5),
-               observers=[_record(log)])
+        evolve(density, make_rhs("sce", kernel), 0.5, observers=[_record(log)])
         first = log[0][1]
         assert first.rejections >= 1 and first.dt < 0.5 and first.error <= 1.0
+        monkeypatch.setattr(integrator, "MAX_SHRINK", 0)
         with pytest.raises(StiffnessError) as err:
-            evolve(density, make_rhs("sce", kernel), 0.5, DtPolicy(dt=0.5, max_shrink=0))
+            evolve(density, make_rhs("sce", kernel), 0.5)
         assert err.value.time == 0.0 and err.value.dt == 0.5
 
     def test_landing_does_not_shrink_next_step(self, setup):
         grid, kernel, density = setup
         rhs = make_rhs("sce", kernel)
         free = []
-        evolve(density, rhs, 1.0, DtPolicy(), observers=[_record(free)])
+        evolve(density, rhs, 1.0, observers=[_record(free)])
         # a stop just after the third step: the fourth is cut short
         stop = free[2][0] + 0.01 * free[3][1].dt
         landed = []
-        evolve(density, rhs, 1.0, DtPolicy(), [stop, 1.0], observers=[_record(landed)])
+        evolve(density, rhs, 1.0, [stop, 1.0], observers=[_record(landed)])
         assert [s.dt for _, s in landed[:3]] == [s.dt for _, s in free[:3]]
         short, after = landed[3][1], landed[4][1]
         assert landed[3][0] == pytest.approx(stop, rel=1e-15) and short.dt < free[3][1].dt
@@ -259,8 +234,7 @@ class TestErrorControl:
         first = {}
         for eps in (1.0, 2.0 ** -10):
             log = []
-            evolve(density, make_rhs("generalized", kernel, eps), 0.5, DtPolicy(),
-                   observers=[_record(log)])
+            evolve(density, make_rhs("generalized", kernel, eps), 0.5, observers=[_record(log)])
             first[eps] = log[0][1]
             assert first[eps].rejections == 0 and len(log) <= 30
         assert 0.5 <= first[1.0].dt / first[2.0 ** -10].dt <= 2.0
@@ -269,8 +243,8 @@ class TestErrorControl:
 class TestFloatingPointFaults:
     @pytest.mark.parametrize("fault", ["over", "invalid"])
     def test_fault_raises_stiffness_with_state(self, setup, fault):
-        # the rates blow up once t > 0.32; fixed steps of 0.1 reach it in
-        # the step from t = 0.3
+        # the rates blow up once t > 0.32: the step that reaches past it
+        # fails, and the error carries its start time and trial dt
         density = setup[2]
 
         def rhs(d):
@@ -280,7 +254,10 @@ class TestFloatingPointFaults:
                 return 1e300 * d.values, 0.0
             return (d.values - d.values) / (d.values - d.values), 0.0
 
+        log = []
         with pytest.raises(StiffnessError) as err:
-            evolve(density, rhs, 1.0, DtPolicy(mode="fixed", dt=0.1))
-        assert err.value.time == pytest.approx(0.3) and err.value.dt == 0.1
+            evolve(density, rhs, 1.0, observers=[_record(log)])
+        t, last = log[-1]
+        assert err.value.time == t and err.value.dt == last.dt * _factor(last.error)
+        assert t <= 0.32 < t + err.value.dt
         assert isinstance(err.value.__cause__, FloatingPointError)

@@ -11,7 +11,6 @@ from gencoag import (
     ConfigError,
     ConstantKernel,
     DomainError,
-    DtPolicy,
     Kernel,
     MonodisperseProfile,
     NumberDensity,
@@ -304,7 +303,7 @@ class TestMakeRhs:
 
         monkeypatch.setattr(operators, "LagScheme", counting)
         rhs = make_rhs(model, const_trunc, eps)
-        traj = evolve(exp_density, rhs, 0.2, DtPolicy(mode="fixed", dt=0.02), [0.1, 0.2])
+        traj = evolve(exp_density, rhs, 0.2, [0.1, 0.2])
         assert len(traj) == 3
         assert len(calls) == 1
 
