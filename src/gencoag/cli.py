@@ -9,7 +9,7 @@ verbatim into the output directory for reproducibility:
     gencoag validate     --config run.yaml ...
 
 Exit codes: 0 success, 1 configuration or runtime error, 2 a run completed
-but an enabled bound check failed.
+but a bound check failed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import experiments as exp
 from . import testfuncs
 from .errors import GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
-from .kernels import certify_derivative, certify_growth, kernel_from_config, truncate
+from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
@@ -43,21 +43,29 @@ EXIT_ERROR = 1
 EXIT_BOUND_FAIL = 2
 
 #: The keys each config section may set: the union of the keys any command
-#: reads.  kernel_from_config checks [kernel] per family.  run.seed is read
-#: by no command and time.dt_mode takes only "adaptive"; older configs set
-#: both, so both are accepted.
+#: reads.  kernel_from_config checks [kernel] per family.  No key loosens
+#: or skips a check: the acceptance tolerances and the check-kernel scan are
+#: fixed.  run.seed is read by no command, and the keys of PINNED_KEYS take
+#: one value only; older configs set them, so they are accepted.
 CONFIG_KEYS = {
     "run": {"model", "eps", "threads", "seed"},
     "kernel": None,
     "grid": {"n", "cells_per_decade"},
     "initial": {"profile", "a", "mu0", "mass"},
-    "time": {"horizon", "snapshots", "snapshot_times", "dt_mode"},
+    "time": {"horizon", "snapshots", "dt_mode"},
     "diagnostics": {"gauges", "omegas", "lambdas", "inject_mass_violation"},
     "sweep": {"eps_sweep", "n_sweep", "eps_list", "n_list"},
-    "validate": {"sce_tolerance", "m0_tolerance", "closure_tolerance"},
-    "certify": {"seed", "sample_count", "fd_step"},
     "output": {"directory"},
 }
+
+#: (section, key) -> (the one value it takes, why)
+PINNED_KEYS = {
+    ("time", "dt_mode"): ("adaptive", "every run is error-controlled"),
+    ("diagnostics", "gauges"): (True, "every run checks the gauge bounds"),
+}
+
+#: Sample pairs of each check-kernel scan.
+CERTIFY_SAMPLES = 4000
 
 
 def _fail(msg):
@@ -89,10 +97,10 @@ def _check_keys(cfg):
         unknown = [key for key in sec if known is not None and key not in known]
         if unknown:
             raise GencoagError(f"unknown config key {name}.{unknown[0]}")
-    mode = _section(cfg, "time", required=False).get("dt_mode", "adaptive")
-    if mode != "adaptive":
-        raise GencoagError(f"time.dt_mode must be 'adaptive', got {mode!r}: "
-                           "every run is error-controlled")
+    for (name, key), (only, why) in PINNED_KEYS.items():
+        value = _section(cfg, name, required=False).get(key, only)
+        if value != only or type(value) is not type(only):
+            raise GencoagError(f"{name}.{key} must be {only!r}, got {value!r}: {why}")
 
 
 def _int(sec, key, default):
@@ -104,17 +112,9 @@ def _int(sec, key, default):
     raise GencoagError(f"{key} must be an integer, got {value!r}")
 
 
-def _number(value, key):
-    """``value`` as a finite float >= 0; NaN, inf, a negative, a boolean or a
-    non-number is a GencoagError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value < np.inf:
-        return float(value)
-    raise GencoagError(f"{key} must be a finite number >= 0, got {value!r}")
-
-
 def _float(sec, key, default):
-    """``sec[key]`` as a finite float >= 0, read by :func:`_number`."""
-    return _number(sec.get(key, default), key)
+    """``sec[key]`` as a finite float >= 0, read by :func:`config_number`."""
+    return config_number(sec.get(key, default), key)
 
 
 def _section(cfg, name, required=True):
@@ -141,10 +141,7 @@ def build_profile(cfg, sigma):
 
 
 def _snapshot_times(cfg, horizon):
-    sec = _section(cfg, "time", required=False)
-    if "snapshot_times" in sec:
-        return tuple(_number(t, "snapshot_times") for t in _list(sec, "snapshot_times", []))
-    count = _int(sec, "snapshots", 8)
+    count = _int(_section(cfg, "time", required=False), "snapshots", 8)
     if count < 1:
         raise GencoagError(f"snapshots must be >= 1, got {count}")
     return tuple(horizon * k / count for k in range(1, count + 1))
@@ -224,7 +221,7 @@ def cmd_simulate(args):
     eps = run.get("eps")
     if model == "generalized" and eps is None:
         raise GencoagError("[run] eps is required when model = generalized")
-    eps = _number(eps, "eps") if eps is not None else None
+    eps = config_number(eps, "eps") if eps is not None else None
     # simulate runs no pool, but checks run.threads as sweep does
     threads = args.threads if args.threads is not None else _int(run, "threads", 1)
     if threads < 1:
@@ -257,9 +254,8 @@ def cmd_simulate(args):
 
     trunc = truncate(kernel, grid.n)
     sigma = kernel.sigma
-    use_gauges = dsec.get("gauges", True)
     gauge1 = gauge2 = None
-    if use_gauges and float(np.max(initial.values)) > 0.0:
+    if float(np.max(initial.values)) > 0.0:
         gauge1 = build_gauge_from_tail(*psi1_tail(initial))
         gauge2 = build_gauge_from_tail(*psi2_tail(initial, sigma))
 
@@ -330,8 +326,8 @@ def _sweep_config(cfg, args):
     threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
     return exp.SweepConfig(
         kernel=kernel,
-        eps_list=tuple(_number(e, "eps_list") for e in eps_list),
-        n_list=tuple(_number(n, "n_list") for n in n_list),
+        eps_list=tuple(config_number(e, "eps_list") for e in eps_list),
+        n_list=tuple(config_number(n, "n_list") for n in n_list),
         cells_per_decade=_int(gsec, "cells_per_decade", 32),
         profile=build_profile(cfg, kernel.sigma),
         horizon=_float(tsec, "horizon", 1.0),
@@ -375,11 +371,8 @@ def cmd_sweep(args):
 def cmd_check_kernel(args):
     cfg = load_config(args.config)
     kernel = kernel_from_config(_section(cfg, "kernel"))
-    csec = _section(cfg, "certify", required=False)
-    seed = args.seed if args.seed is not None else _int(csec, "seed", 0)
-    samples = _int(csec, "sample_count", 4000)
-    growth = certify_growth(kernel, samples, seed)
-    deriv = certify_derivative(kernel, samples, _float(csec, "fd_step", 1e-4), seed)
+    growth = certify_growth(kernel, CERTIFY_SAMPLES, seed=args.seed)
+    deriv = certify_derivative(kernel, CERTIFY_SAMPLES, seed=args.seed)
     out = _out_dir(cfg, args)
     payload = {
         "kernel_family": kernel.family,
@@ -409,11 +402,7 @@ def cmd_check_kernel(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
-    vsec = _section(cfg, "validate", required=False)
     config = _sweep_config(cfg, args)
-    tol_sce = _float(vsec, "sce_tolerance", 2e-2)
-    tol_m0 = _float(vsec, "m0_tolerance", 1e-3)
-    tol_closure = _float(vsec, "closure_tolerance", 1e-8)
     exp.require_closed_forms(config)  # every precondition before the first solve
     results = {}
     ok = True
@@ -421,8 +410,9 @@ def cmd_validate(args):
     # one SCE run serves the closed-form check and the mass report
     sce_run = exp.shared_sce_run(config)
     sce = exp.validate_sce_constant_kernel(config, traj=sce_run)
-    sce_pass = all(e <= tol_sce for e in sce["errors"].values())
-    results["sce_analytic"] = {"errors": sce["errors"], "tolerance": tol_sce, "passed": sce_pass}
+    sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce["errors"].values())
+    results["sce_analytic"] = {"errors": sce["errors"], "tolerance": exp.SCE_TOLERANCE,
+                               "passed": sce_pass}
     ok &= sce_pass
 
     m0_results = {}
@@ -439,19 +429,19 @@ def cmd_validate(args):
         if key not in m0_reports:
             m0_reports[key] = exp.validate_m0_riccati(config, *key)
         errors = m0_reports[key]["errors"]
-        passed = all(e <= tol_m0 for e in errors.values())
+        passed = all(e <= exp.M0_TOLERANCE for e in errors.values())
         m0_results[label] = {"errors": errors, "passed": passed}
         ok &= passed
     results["m0_riccati"] = {
         "models": m0_results,
-        "tolerance": tol_m0,
+        "tolerance": exp.M0_TOLERANCE,
         "passed": all(r["passed"] for r in m0_results.values()),
     }
 
     mc = exp.mass_conservation_report(config, "sce", traj=sce_run)
     mc.pop("trajectory")
-    mc_pass = mc["max_closure_rel"] <= tol_closure
-    results["mass_conservation"] = {**mc, "tolerance": tol_closure, "passed": mc_pass}
+    mc_pass = mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE
+    results["mass_conservation"] = {**mc, "tolerance": exp.CLOSURE_TOLERANCE, "passed": mc_pass}
     ok &= mc_pass
 
     results["passed"] = bool(ok)
@@ -495,7 +485,7 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=None,
                        help="worker pool size; only sweep uses it")
-        p.add_argument("--seed", type=int, default=None, help="randomized-check seed")
+        p.add_argument("--seed", type=int, default=0, help="randomized-check seed")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:

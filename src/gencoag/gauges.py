@@ -196,11 +196,12 @@ def psi2_tail(density, sigma: float):
     hs = h[order]
     contrib = hs * grid.widths[order]
     cum = np.cumsum(contrib)
-    # thresholds between distinct h levels: tail(r) for r in [hs[i+1], hs[i])
+    # thresholds between distinct positive h levels: tail(r) for r in
+    # [hs[i+1], hs[i]); a zero level is the threshold r = 0 already placed
     r_pts = [0.0]
     tail_pts = [float(cum[-1])]
     for i in range(hs.size - 1, 0, -1):
-        if hs[i - 1] > hs[i]:
+        if hs[i - 1] > hs[i] > 0.0:
             r_pts.append(float(hs[i]))
             tail_pts.append(float(cum[i - 1]))
     r_pts.append(float(hs[0]))

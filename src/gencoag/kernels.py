@@ -204,21 +204,17 @@ class TabulatedKernel(Kernel):
     @classmethod
     def from_csv(cls, path, **kw):
         """Load from CSV with header ``mu,nu,lambda`` on a full node grid."""
-        mus, nus, vals = [], [], []
+        rows = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != [
-                "mu",
-                "nu",
-                "lambda",
-            ]:
+            reader = csv.reader(fh)
+            if [c.strip() for c in next(reader, [])] != ["mu", "nu", "lambda"]:
                 raise ConfigError(f"{path}: expected header 'mu,nu,lambda'")
             for row in reader:
-                mus.append(float(row["mu"]))
-                nus.append(float(row["nu"]))
-                vals.append(float(row["lambda"]))
-        nodes = np.unique(np.asarray(mus))
-        nodes_nu = np.unique(np.asarray(nus))
+                if row:
+                    rows.append(_table_row(row, f"{path} line {reader.line_num}"))
+        mus, nus, vals = np.reshape(rows, (-1, 3)).T
+        nodes = np.unique(mus)
+        nodes_nu = np.unique(nus)
         if nodes.size * nodes_nu.size != len(vals) or not np.array_equal(nodes, nodes_nu):
             raise ConfigError(f"{path}: rows must cover a full square mu x nu grid")
         table = np.full((nodes.size, nodes.size), np.nan)
@@ -263,13 +259,24 @@ class TabulatedKernel(Kernel):
         return list(zip(self.table @ hats, hats))
 
 
+def _table_row(row, where):
+    """One ``mu,nu,lambda`` row as three finite floats; anything else is a ConfigError."""
+    try:
+        values = [float(cell) for cell in row]
+    except ValueError:
+        values = []
+    if len(values) != 3 or not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where}: expected three finite numbers, got {','.join(row)!r}")
+    return values
+
+
 class TruncatedKernel:
     """Kernel masked to the closed box [1/n, n]^2.
 
     The mask is boundary-inclusive so that edge-based flux evaluations at
     the top of the computational domain remain nonzero; this differs from
     the open-box definition only on a null set.  The sup bound
-    2 k n^(2+2*sigma) holds on the closure and is asserted in debug runs.
+    2 k n^(2+2*sigma) holds on the closure; every evaluation checks it.
     """
 
     def __init__(self, base: Kernel, n: float):
@@ -295,6 +302,13 @@ class TruncatedKernel:
         """2 k n^(2 + 2 sigma), the a-priori sup of the masked kernel."""
         return 2.0 * self.base.k * self.n ** (2.0 + 2.0 * self.base.sigma)
 
+    def _check_sup(self, peak):
+        if not peak <= self.sup_bound * (1.0 + 1e-12):
+            raise DomainError(
+                f"kernel reaches {peak:.6g} on [1/n, n]^2, above 2 k n^(2+2 sigma) = "
+                f"{self.sup_bound:.6g}: its k = {self.k:g} understates it"
+            )
+
     def _inside(self, mu):
         return (mu >= 1.0 / self.n) & (mu <= self.n)
 
@@ -303,7 +317,7 @@ class TruncatedKernel:
         inside = self._inside(mu) & self._inside(nu)
         vals = np.asarray(self.base.eval(mu, nu), dtype=float)
         out = np.where(inside, vals, 0.0)
-        assert np.all(out <= self.sup_bound * (1.0 + 1e-12)), "kernel exceeds 2 k n^(2+2s)"
+        self._check_sup(np.max(out, initial=0.0))
         if out.ndim == 0:
             return float(out)
         return out
@@ -324,7 +338,7 @@ class TruncatedKernel:
         g = np.array([gr for _, gr in out])
         bound = min(np.sum(f.max(axis=1, initial=0.0) * g.max(axis=1, initial=0.0)),
                     f.max(initial=0.0) * g.sum(axis=0).max(initial=0.0))
-        assert bound <= self.sup_bound * (1.0 + 1e-12), "kernel exceeds 2 k n^(2+2s)"
+        self._check_sup(bound)
         return out
 
 
@@ -453,10 +467,21 @@ _FAMILIES = {
 }
 
 
+def config_number(value, key):
+    """``value`` as a finite float >= 0; NaN, inf, a negative, a boolean or a
+    non-number is a ConfigError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value < np.inf:
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+
+
 def kernel_from_config(cfg: dict) -> Kernel:
     """Build a kernel from a config mapping (``family`` plus parameters)."""
     cfg = dict(cfg)
     family = cfg.pop("family", None)
+    for key in ("rate", "k", "sigma", "eta"):
+        if key in cfg:
+            cfg[key] = config_number(cfg[key], key)
     if family == "user_tabulated":
         if cfg.get("path") is None:
             raise ConfigError("user_tabulated kernel needs 'path' to a CSV table")

@@ -11,14 +11,13 @@ import numpy as np
 
 
 class OmegaFunction:
-    """A test function with exact first/second derivatives and sup norms."""
+    """A test function with an exact derivative and the sup norms of omega, omega', omega''."""
 
-    def __init__(self, name, value, derivative, second=None,
+    def __init__(self, name, value, derivative,
                  sup_value=np.inf, sup_derivative=np.inf, sup_second=np.inf):
         self.name = name
         self._value = value
         self._derivative = derivative
-        self._second = second
         self.sup_value = sup_value
         self.sup_derivative = sup_derivative
         self.sup_second = sup_second
@@ -28,11 +27,6 @@ class OmegaFunction:
 
     def derivative(self, mu):
         return self._derivative(np.asarray(mu, dtype=float))
-
-    def second(self, mu):
-        if self._second is None:
-            raise ValueError(f"{self.name} has no second-derivative formula")
-        return self._second(np.asarray(mu, dtype=float))
 
     @property
     def w1inf_norm(self):
@@ -48,7 +42,6 @@ def constant_one():
         "one",
         lambda mu: np.ones_like(mu),
         lambda mu: np.zeros_like(mu),
-        lambda mu: np.zeros_like(mu),
         sup_value=1.0, sup_derivative=0.0, sup_second=0.0,
     )
 
@@ -59,7 +52,6 @@ def mass():
         "mass",
         lambda mu: mu,
         lambda mu: np.ones_like(mu),
-        lambda mu: np.zeros_like(mu),
         sup_derivative=1.0, sup_second=0.0,
     )
 
@@ -70,7 +62,6 @@ def square():
         "square",
         lambda mu: mu * mu,
         lambda mu: 2.0 * mu,
-        lambda mu: np.full_like(mu, 2.0),
         sup_second=2.0,
     )
 
@@ -91,7 +82,6 @@ def exp_decay():
         "exp_decay",
         lambda mu: np.exp(-mu),
         lambda mu: -np.exp(-mu),
-        lambda mu: np.exp(-mu),
         sup_value=1.0, sup_derivative=1.0, sup_second=1.0,
     )
 
@@ -102,7 +92,6 @@ def log1p():
         "log1p",
         lambda mu: np.log1p(mu),
         lambda mu: 1.0 / (1.0 + mu),
-        lambda mu: -1.0 / (1.0 + mu) ** 2,
         sup_derivative=1.0, sup_second=1.0,
     )
 
@@ -113,7 +102,6 @@ def inv1p():
         "inv1p",
         lambda mu: 1.0 / (1.0 + mu),
         lambda mu: -1.0 / (1.0 + mu) ** 2,
-        lambda mu: 2.0 / (1.0 + mu) ** 3,
         sup_value=1.0, sup_derivative=1.0, sup_second=2.0,
     )
 
@@ -148,21 +136,9 @@ def bump(a, b):
             return out
         return v if inside else 0.0
 
-    def sec(mu):
-        inside = (mu >= a) & (mu <= b)
-        out = np.zeros_like(mu)
-        m = mu[inside] if mu.ndim else mu
-        u = m - 0.5 * (a + b)
-        h2 = (0.5 * (b - a)) ** 2
-        v = 32.0 * (-2.0 * h2 + 6.0 * u * u) / span4
-        if mu.ndim:
-            out[inside] = v
-            return out
-        return v if inside else 0.0
-
     return OmegaFunction(
         f"bump({a:g},{b:g})",
-        val, der, sec,
+        val, der,
         sup_value=1.0,
         sup_derivative=16.0 / (3.0 * np.sqrt(3.0) * (b - a)),
         sup_second=32.0 / (b - a) ** 2,

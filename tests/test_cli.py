@@ -99,7 +99,6 @@ class TestSimulate:
         ("simulate", {"run": {"model": "generalized", "eps": 0.5, "threads": 2.5}}),
         ("sweep", {"run": {"model": "generalized", "eps": 0.5, "threads": 1.5},
                    "sweep": {"eps_list": [1.0]}}),
-        ("check-kernel", {"certify": {"sample_count": 2.5}}),
     ])
     def test_non_integral_input_exits_1(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path, section)
@@ -110,14 +109,15 @@ class TestSimulate:
         ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
         ({"run": {"model": "generalized", "eps": "abc"}}, "eps must be a finite number"),
-        ({"time": {"horizon": 0.3, "snapshot_times": "0.5"}}, "snapshot_times must be a list"),
-        ({"time": {"horizon": 0.3, "snapshot_times": [0.1, "x"]}},
-         "snapshot_times must be a finite number"),
+        # YAML booleans are ints to Python, but not numbers to a config
+        ({"kernel": {"family": "constant", "rate": True}}, "rate must be a finite number"),
+        ({"kernel": {"family": "singular_product", "sigma": False}},
+         "sigma must be a finite number"),
         ({"time": {"horizon": 0.3, "snapshots": -3}}, "snapshots must be >= 1"),
         ({"time": {"horizon": 0.3, "snapshots": 0}}, "snapshots must be >= 1"),
-        # YAML booleans are ints to Python, but not numbers to a config
         ({"time": {"horizon": True, "snapshots": 3}}, "horizon must be a finite number"),
         ({"time": {"horizon": 0.3, "snapshots": True}}, "snapshots must be an integer"),
+        ({"kernel": {"family": "constant", "rate": "abc"}}, "rate must be a finite number"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "simulate", section, message)
@@ -130,6 +130,10 @@ class TestSimulate:
         ({"time": {"horizon": 0.3, "safety": 0.9}}, "unknown config key time.safety"),
         ({"time": {"horizon": 0.3, "max_shrink": 5}}, "unknown config key time.max_shrink"),
         ({"tim": {"horizon": 0.3}}, "unknown config section [tim]"),
+        ({"time": {"horizon": 0.3, "snapshot_times": [0.1, 0.3]}},
+         "unknown config key time.snapshot_times"),
+        ({"diagnostics": {"gauges": False}}, "diagnostics.gauges must be True, got False"),
+        ({"diagnostics": {"gauges": 1}}, "diagnostics.gauges must be True, got 1"),
     ])
     def test_unknown_key_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "simulate", section, message)
@@ -138,6 +142,13 @@ class TestSimulate:
     def test_every_command_refuses_unknown_keys(self, tmp_path, capsys, command):
         assert_refused(tmp_path, capsys, command, {"grid": {"n": 20.0, "cels_per_decade": 12}},
                        "unknown config key grid.cels_per_decade")
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml"))
+                             + sorted((ROOT / "perfbench" / "configs").glob("*.yaml")),
+                             ids=lambda path: f"{path.parent.parent.name}/{path.name}")
+    def test_shipped_config_keys_are_accepted(self, path):
+        # the benchmark runs these configs: no key change may refuse them
+        assert load_config(path)
 
     def test_gate_self_test_config_exits_2(self, tmp_path, capsys):
         # the benchmark counts this run as caught on any nonzero exit, so
@@ -225,12 +236,15 @@ class TestSimulateVariants:
         assert runs["eps0"] == runs["ohs"]
         assert json.loads((tmp_path / "eps0" / "report.json").read_text())["eps"] == 0.0
 
-    def test_monodisperse_profile(self, tmp_path):
+    def test_monodisperse_profile(self, tmp_path, capsys):
+        # all but one cell are zero: both gauges are still built and checked
         cfg = write_config(tmp_path, {
             "initial": {"profile": "monodisperse", "mu0": 2.0, "mass": 1.0},
-            "diagnostics": {"gauges": False},
         })
         assert main(["simulate", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert "PASS  psi1_moment_bound" in printed
+        assert "PASS  psi2_uniform_integrability" in printed
 
     def test_singular_power_profile(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -252,9 +266,25 @@ class TestSimulateVariants:
                        "bogus": 1},
         }, "bad kernel parameters for family 'user_tabulated'")
 
+    @pytest.mark.parametrize("row", ["1,1,abc", "1,1", "1,1,nan"])
+    def test_tabulated_kernel_bad_row_exits_1(self, tmp_path, capsys, row):
+        path = _unit_table(tmp_path)
+        path.write_text(path.read_text() + row + "\n")
+        assert_refused(tmp_path, capsys, "simulate", {
+            "kernel": {"family": "user_tabulated", "path": str(path)},
+        }, f"{path} line 258: expected three finite numbers, got {row!r}")
 
-def _unit_table(tmp_path):
-    """A CSV table of the unit kernel on 16 log-spaced nodes."""
+    def test_kernel_above_its_sup_bound_exits_1(self, tmp_path, capsys):
+        # 2 k n^2 = 800 at k = 1, n = 20: a table of 1e9 understates k
+        path = _unit_table(tmp_path, value=1e9)
+        assert_refused(tmp_path, capsys, "simulate", {
+            "kernel": {"family": "user_tabulated", "path": str(path), "k": 1.0},
+        }, "kernel reaches 1e+09 on [1/n, n]^2, above 2 k n^(2+2 sigma) = 800: "
+           "its k = 1 understates it")
+
+
+def _unit_table(tmp_path, value=1.0):
+    """A CSV table of the constant kernel ``value`` on 16 log-spaced nodes."""
     import numpy as np
 
     nodes = np.geomspace(0.05, 20.0, 16)
@@ -263,7 +293,7 @@ def _unit_table(tmp_path):
         fh.write("mu,nu,lambda\n")
         for m in nodes:
             for u in nodes:
-                fh.write(f"{m:.17g},{u:.17g},1.0\n")
+                fh.write(f"{m:.17g},{u:.17g},{value!r}\n")
     return table_path
 
 
@@ -282,11 +312,10 @@ class TestCheckKernel:
 
     @pytest.mark.parametrize("fd_step", [float("nan"), float("inf"), 0, -1, 100])
     def test_bad_fd_step_exits_1(self, tmp_path, capsys, fd_step):
-        # 100 is finite, but no sample pair lies 400 apart in log size
-        cfg = write_config(tmp_path, {"certify": {"fd_step": fd_step, "sample_count": 200}})
-        assert main(["check-kernel", "--config", str(cfg)]) == 1
-        assert "error: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # the scan is fixed: a [certify] section is refused whatever it sets
+        assert_refused(tmp_path, capsys, "check-kernel",
+                       {"certify": {"fd_step": fd_step, "sample_count": 200}},
+                       "unknown config section [certify]")
 
 
 def _force_first_step_failure(monkeypatch):
@@ -424,10 +453,9 @@ class TestValidate:
     @pytest.mark.parametrize("key", ["sce_tolerance", "m0_tolerance", "closure_tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3, "tight"])
     def test_bad_tolerance_exits_1(self, tmp_path, capsys, key, value):
-        cfg = write_config(tmp_path, {"validate": {key: value}})
-        assert main(["validate", "--config", str(cfg)]) == 1
-        assert f"error: {key} must be a finite number >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "validate.json").exists()
+        # the tolerances are fixed: a [validate] section is refused whatever it sets
+        assert_refused(tmp_path, capsys, "validate", {"validate": {key: value}},
+                       "unknown config section [validate]")
 
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
@@ -518,16 +546,13 @@ class TestValidate:
             "kernel": {"family": "constant", "rate": 1.0},
             "grid": {"n": 30.0, "cells_per_decade": 16},
             "time": {"horizon": 2.0},
-            "validate": {
-                "sce_tolerance": 2.0e-2,
-                "m0_tolerance": 1.0e-3,
-                "closure_tolerance": 1.0e-8,
-            },
         })
         assert main(["validate", "--config", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "validate.json").read_text())
         jsonschema.validate(payload, schema("validate.schema.json"))
         assert payload["passed"]
+        assert [payload[check]["tolerance"] for check in
+                ("sce_analytic", "m0_riccati", "mass_conservation")] == [2e-2, 1e-3, 1e-8]
         assert set(payload["m0_riccati"]["models"]) == {
             "sce", "ohs", "generalized_eps1", "generalized_eps0.25", "generalized_eps0.01",
         }

@@ -9,6 +9,7 @@ from gencoag import (
     DomainError,
     ExponentialProfile,
     GaugeConstructionError,
+    MonodisperseProfile,
     SquareGauge,
     build_gauge_from_tail,
     check_inequalities,
@@ -87,6 +88,15 @@ class TestBuildFromTail:
         gamma2 = np.sum(g2.psi(x ** (-0.2) * d.values) * grid.widths)
         assert np.isfinite(gamma1) and gamma1 > 0
         assert np.isfinite(gamma2) and gamma2 > 0
+
+    def test_psi2_tail_with_zero_cells(self):
+        # every cell but one is zero: r = 0 is placed once, not once per level
+        grid = make_grid(30.0, 16)
+        d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
+        r, tail = psi2_tail(d, 0.2)
+        assert np.all(np.diff(r) > 0) and r[0] == 0.0
+        assert tail[0] == tail[-2] > tail[-1] == 0.0
+        build_gauge_from_tail(r, tail)
 
 
 class TestCheckInequalities:

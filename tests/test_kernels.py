@@ -289,9 +289,9 @@ class TestFactors:
     def test_sup_bound_asserted(self):
         # 2 k n^(2+2s) = 8 here, below the rate: factors fail like eval
         tk = truncate(ConstantKernel(100.0, k=1.0), 2.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError, match="understates"):
             tk.eval(1.0, 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError, match="understates"):
             tk.factors(np.array([1.0]))
 
     def test_sup_bound_of_hat_factors(self):
