@@ -9,7 +9,8 @@ verbatim into the output directory for reproducibility:
     gencoag validate     --config run.yaml ...
 
 Exit codes: 0 success, 1 configuration or runtime error, 2 a run completed
-but a bound check failed.
+but a bound check failed.  ``--threads`` (or ``run.threads``) must be at
+least 1, but every command runs in one process: none starts a pool.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import testfuncs
 from .errors import GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
+from .operators import computed_eps
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
@@ -222,10 +224,7 @@ def cmd_simulate(args):
     if model == "generalized" and eps is None:
         raise GencoagError("[run] eps is required when model = generalized")
     eps = config_number(eps, "eps") if eps is not None else None
-    # simulate runs no pool, but checks run.threads as sweep does
-    threads = args.threads if args.threads is not None else _int(run, "threads", 1)
-    if threads < 1:
-        raise GencoagError(f"threads must be >= 1, got {threads}")
+    _check_threads(cfg, args)
 
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
@@ -315,15 +314,22 @@ def cmd_simulate(args):
     return EXIT_OK if ok else EXIT_BOUND_FAIL
 
 
+def _check_threads(cfg, args):
+    """Refuse a thread count below 1, from --threads or run.threads; no command starts a pool."""
+    rsec = _section(cfg, "run", required=False)
+    threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
+    if threads < 1:
+        raise GencoagError(f"threads must be >= 1, got {threads}")
+
+
 def _sweep_config(cfg, args):
+    _check_threads(cfg, args)
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
     ssec = _section(cfg, "sweep", required=False)
     tsec = _section(cfg, "time", required=False)
     eps_list = _list(ssec, "eps_list", list(exp.DEFAULT_EPS_LIST))
     n_list = _list(ssec, "n_list", [_float(gsec, "n", 50.0)])
-    rsec = _section(cfg, "run", required=False)
-    threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
     return exp.SweepConfig(
         kernel=kernel,
         eps_list=tuple(config_number(e, "eps_list") for e in eps_list),
@@ -331,7 +337,6 @@ def _sweep_config(cfg, args):
         cells_per_decade=_int(gsec, "cells_per_decade", 32),
         profile=build_profile(cfg, kernel.sigma),
         horizon=_float(tsec, "horizon", 1.0),
-        threads=threads,
     ).validate()
 
 
@@ -374,26 +379,11 @@ def cmd_check_kernel(args):
     growth = certify_growth(kernel, CERTIFY_SAMPLES, seed=args.seed)
     deriv = certify_derivative(kernel, CERTIFY_SAMPLES, seed=args.seed)
     out = _out_dir(cfg, args)
-    payload = {
-        "kernel_family": kernel.family,
-        "growth": {
-            "passed": growth.passed,
-            "regimes": [
-                {"name": r.name, "worst_ratio": r.worst_ratio,
-                 "witness": list(r.witness), "violations": r.violations}
-                for r in growth.regimes
-            ],
-        },
-        "derivative": {
-            "passed": deriv.passed,
-            "regimes": [
-                {"name": r.name, "worst_ratio": r.worst_ratio,
-                 "witness": list(r.witness), "violations": r.violations}
-                for r in deriv.regimes
-            ],
-        },
-        "passed": growth.passed and deriv.passed,
-    }
+    payload = {"kernel_family": kernel.family, "passed": growth.passed and deriv.passed}
+    for name, cert in (("growth", growth), ("derivative", deriv)):
+        payload[name] = {"passed": cert.passed, "regimes": [
+            {"name": r.name, "worst_ratio": r.worst_ratio,
+             "witness": list(r.witness), "violations": r.violations} for r in cert.regimes]}
     _dump_json(payload, out / "kernel_cert.json")
     print(f"{'PASS' if growth.passed else 'FAIL'}  growth bound")
     print(f"{'PASS' if deriv.passed else 'FAIL'}  derivative bound")
@@ -417,6 +407,7 @@ def cmd_validate(args):
 
     m0_results = {}
     m0_reports = {}
+    ratio = make_grid(config.n_list[0], config.cells_per_decade).ratio()
     for label, model, eps in (
         ("sce", "sce", None),
         ("ohs", "ohs", None),
@@ -424,10 +415,10 @@ def cmd_validate(args):
         ("generalized_eps0.25", "generalized", 0.25),
         ("generalized_eps0.01", "generalized", 0.01),
     ):
-        # make_rhs("sce") is the eps = 1 pair scheme: both rows report one run
-        key = ("sce", None) if (model, eps) == ("generalized", 1.0) else (model, eps)
+        # rows whose runs compute the same eps report one run
+        key = computed_eps(model, eps, ratio)
         if key not in m0_reports:
-            m0_reports[key] = exp.validate_m0_riccati(config, *key)
+            m0_reports[key] = exp.validate_m0_riccati(config, model, eps)
         errors = m0_reports[key]["errors"]
         passed = all(e <= exp.M0_TOLERANCE for e in errors.values())
         m0_results[label] = {"errors": errors, "passed": passed}
@@ -439,7 +430,6 @@ def cmd_validate(args):
     }
 
     mc = exp.mass_conservation_report(config, "sce", traj=sce_run)
-    mc.pop("trajectory")
     mc_pass = mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE
     results["mass_conservation"] = {**mc, "tolerance": exp.CLOSURE_TOLERANCE, "passed": mc_pass}
     ok &= mc_pass
@@ -484,7 +474,7 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker pool size; only sweep uses it")
+                       help="accepted and checked >= 1; every command runs in one process")
         p.add_argument("--seed", type=int, default=0, help="randomized-check seed")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)

@@ -5,6 +5,9 @@ runs at decreasing eps are compared against the transport (OHS) limit, the
 eps = 0 member of the same pair scheme on the same grid, in the weighted L1
 metric with weight mu^(-sigma) + mu, the natural topology for singular
 kernels.
+
+Each distinct run is solved once: runs on one grid that compute the same
+eps (:func:`~gencoag.operators.computed_eps`) are one run.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, GencoagError
 from .integrator import evolve
 from .kernels import Kernel, truncate
-from .operators import make_rhs
+from .operators import computed_eps, make_rhs
 from .sizedomain import (
     ExponentialProfile,
     NumberDensity,
@@ -44,7 +47,8 @@ CLOSURE_TOLERANCE = 1e-8
 
 @dataclass
 class SweepConfig:
-    """Everything one sweep member needs, value-semantic and picklable."""
+    """Sweep members: generalized runs at each eps of ``eps_list`` on each n's
+    grid.  A member below sqrt(r) - 1 of its grid is the OHS run (eps = 0)."""
 
     kernel: Kernel
     eps_list: tuple = DEFAULT_EPS_LIST
@@ -52,7 +56,6 @@ class SweepConfig:
     cells_per_decade: int = 32
     profile: object = field(default_factory=ExponentialProfile)
     horizon: float = 1.0
-    threads: int = 1
 
     def validate(self):
         if not (self.eps_list and self.n_list):
@@ -63,8 +66,6 @@ class SweepConfig:
             raise ConfigError("n values must exceed 1")
         if self.horizon < 0.0:
             raise ConfigError("horizon must be >= 0")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -97,12 +98,6 @@ def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity
     return evolve(initial, rhs, horizon, snapshot_times, observers)
 
 
-def _failure(exc: GencoagError) -> dict:
-    """Typed reason of a failed sweep member; time and dt come from a StiffnessError."""
-    return {"type": type(exc).__name__, "message": str(exc),
-            "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
-
-
 def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
     """Weighted L1 distance with weight mu^(-s) + mu."""
     if a.grid is not b.grid and not np.array_equal(a.grid.centers, b.grid.centers):
@@ -116,28 +111,36 @@ def _weighted_l1(centers, widths, diff, sigma: float) -> np.ndarray:
     return np.sum(w * np.abs(diff) * widths, axis=-1)
 
 
-def _eps_member(args):
-    config, n, eps = args
-    grid = make_grid(n, config.cells_per_decade)
-    initial = sample_initial(config.profile, grid)
+def _checked(traj: Trajectory, initial: NumberDensity, sigma: float):
+    """(traj, None), or (None, failure) if ``traj`` breaks the weighted-moment bound."""
+    theta = weighted_norm(initial, "Y_norm", sigma)
+    worst = float(traj.moments(weight_values(traj.grid.centers, "Y_norm", sigma)).max())
+    if worst > theta * (1.0 + 1e-10):
+        return None, {"type": "MomentBoundViolation", "time": None, "dt": None,
+                      "message": f"moment bound violated: {worst!r} > {theta!r}"}
+    return traj, None
+
+
+def _eps_member(config: SweepConfig, grid: SizeGrid, initial: NumberDensity, eps: float):
+    """The generalized run at ``eps`` to the horizon, or its typed failure, as (traj, failure)."""
     try:
         traj = run_model("generalized", config.kernel, grid, initial,
                          config.horizon, (config.horizon,), eps=eps)
     except GencoagError as exc:
-        # stiffness or config failure: mark, keep sweeping; a bug still raises
-        return eps, n, None, _failure(exc)
+        # stiffness or config failure: mark, keep sweeping; a bug still raises.
+        # time and dt come from a StiffnessError
+        return None, {"type": type(exc).__name__, "message": str(exc),
+                      "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
     # every member must individually respect the weighted-moment bound
-    sigma = config.kernel.sigma
-    theta = weighted_norm(initial, "Y_norm", sigma)
-    worst = float(traj.moments(weight_values(grid.centers, "Y_norm", sigma)).max())
-    if worst > theta * (1.0 + 1e-10):
-        return eps, n, None, {"type": "MomentBoundViolation", "time": None, "dt": None,
-                              "message": f"moment bound violated: {worst!r} > {theta!r}"}
-    return eps, n, (traj.times, traj.values), None
+    return _checked(traj, initial, config.kernel.sigma)
 
 
 def run_eps_sweep(config: SweepConfig) -> DistanceTable:
-    """Distance of each generalized run to the OHS (eps = 0) run, per snapshot."""
+    """Distance of each generalized run to the OHS (eps = 0) run, per snapshot.
+
+    A member that computes eps = 0 reads the OHS run and its moment-bound
+    check, except the largest such eps: a solved sentinel of the identity.
+    """
     config.validate()
     table = DistanceTable()
     sigma = config.kernel.sigma
@@ -145,23 +148,20 @@ def run_eps_sweep(config: SweepConfig) -> DistanceTable:
         grid = make_grid(n, config.cells_per_decade)
         initial = sample_initial(config.profile, grid)
         ref = run_model("ohs", config.kernel, grid, initial, config.horizon, (config.horizon,))
-        jobs = [(config, n, eps) for eps in config.eps_list]
-        if config.threads > 1 and len(jobs) > 1:
-            # imported here so that commands which never pool do not load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(_eps_member, jobs))
-        else:
-            results = [_eps_member(j) for j in jobs]
-        for eps, nn, member, err in sorted(results, key=lambda r: -r[0]):
+        computes = {eps: computed_eps("generalized", eps, grid.ratio()) for eps in config.eps_list}
+        sentinel = max((eps for eps, c in computes.items() if c == 0.0), default=None)
+        solved = {0.0: _checked(ref, initial, sigma)}
+        for eps in sorted(config.eps_list, reverse=True):
+            key = eps if eps == sentinel else computes[eps]
+            if key not in solved:
+                solved[key] = _eps_member(config, grid, initial, eps)
+            member, err = solved[key]
             if err is not None:
-                table.failed.append({"eps": eps, "n": nn, "error": err})
+                table.failed.append({"eps": eps, "n": n, "error": err})
                 continue
             # both runs stop at (horizon,), and evolve lands on each stop exactly
-            times, values = member
-            dists = _weighted_l1(grid.centers, grid.widths, values - ref.values, sigma)
-            table.rows += [(eps, nn, t, d) for t, d in zip(times.tolist(), dists.tolist())]
+            dists = _weighted_l1(grid.centers, grid.widths, member.values - ref.values, sigma)
+            table.rows += [(eps, n, t, d) for t, d in zip(member.times.tolist(), dists.tolist())]
     return table
 
 
@@ -203,36 +203,28 @@ def lattice_n(m: int, cells_per_decade: int) -> float:
     return 10.0 ** (m / cells_per_decade)
 
 
-def run_n_sweep(config: SweepConfig, model: str = "generalized",
-                eps: float | None = None) -> DistanceTable:
-    """Cauchy-style distances between successive-n solutions at the horizon.
+def run_n_sweep(config: SweepConfig) -> DistanceTable:
+    """Cauchy-style distances between successive-n members at the first eps.
 
-    Distances are measured on the overlap of the two domains.  For the
-    comparison to reflect truncation (tail-mass) effects rather than grid
-    misalignment, pick n values from :func:`lattice_n`.
+    Distances are measured at the horizon, on the overlap of the two
+    domains.  For the comparison to reflect truncation (tail-mass) effects
+    rather than grid misalignment, pick n values from :func:`lattice_n`.
     """
     config.validate()
-    if model == "generalized" and eps is None:
-        eps = config.eps_list[0]
+    eps = config.eps_list[0]
     table = DistanceTable()
     finals = []
     for n in config.n_list:
         grid = make_grid(n, config.cells_per_decade)
-        initial = sample_initial(config.profile, grid)
-        try:
-            traj = run_model(model, config.kernel, grid, initial, config.horizon,
-                             (config.horizon,), eps=eps)
-        except GencoagError as exc:
-            table.failed.append({"eps": eps, "n": n, "error": _failure(exc)})
-            finals.append(None)
-            continue
-        finals.append(traj[-1])
+        traj, err = _eps_member(config, grid, sample_initial(config.profile, grid), eps)
+        if err is not None:
+            table.failed.append({"eps": eps, "n": n, "error": err})
+        finals.append(None if traj is None else traj[-1])
     sigma = config.kernel.sigma
-    for prev_n, cur_n, prev, cur in zip(config.n_list, config.n_list[1:], finals, finals[1:]):
+    for cur_n, prev, cur in zip(config.n_list[1:], finals, finals[1:]):
         if prev is None or cur is None:
             continue
-        d = overlap_distance(prev, cur, sigma)
-        table.rows.append((eps if eps is not None else 1.0, cur_n, config.horizon, d))
+        table.rows.append((eps, cur_n, config.horizon, overlap_distance(prev, cur, sigma)))
     return table
 
 
@@ -372,22 +364,21 @@ def mass_conservation_report(config: SweepConfig, model: str,
         "closure_rel": closure.tolist(),
         "max_closure_rel": float(closure.max()),
         "flux_identities": flux,
-        "trajectory": traj,
     }
 
 
 def eps_limit_check(distances: dict, ratio: float) -> dict:
     """Check nonincreasing distance to the OHS run along decreasing eps, then the limit.
 
-    ``distances`` maps eps -> distance to the eps = 0 run.  Below
-    sqrt(ratio) - 1 every pair's product lies before the next pivot
-    (n = sqrt(ratio) x[-1] for the top cell), where a member runs the
-    arithmetic of eps = 0 bit for bit: there each distance must be at most
-    ``LIMIT_TOLERANCE``.  The floor is the sweep minimum.
+    ``distances`` maps eps -> distance to the eps = 0 run.  A member that
+    computes eps = 0 on a grid of edge ratio ``ratio`` (below sqrt(ratio) - 1,
+    see :func:`~gencoag.operators.computed_eps`) is the eps = 0 run: its
+    distance must be at most ``LIMIT_TOLERANCE``.  The floor is the sweep
+    minimum.
     """
     eps_sorted = sorted(distances, reverse=True)
     vals = [distances[e] for e in eps_sorted]
-    coarse = [d for e, d in zip(eps_sorted, vals) if e >= np.sqrt(ratio) - 1.0]
+    coarse = [d for e, d in zip(eps_sorted, vals) if computed_eps("generalized", e, ratio) > 0.0]
     ok = all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(coarse, coarse[1:]))
     ok = ok and all(d <= LIMIT_TOLERANCE for d in vals[len(coarse):])
     return {"passed": ok, "floor": min(vals), "eps_order": eps_sorted, "distances": vals}

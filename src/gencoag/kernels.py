@@ -482,6 +482,8 @@ def kernel_from_config(cfg: dict) -> Kernel:
     for key in ("rate", "k", "sigma", "eta"):
         if key in cfg:
             cfg[key] = config_number(cfg[key], key)
+    if not isinstance(cfg.get("allow_large_sigma", False), bool):  # "no" is a truthy string
+        raise ConfigError(f"allow_large_sigma must be true or false, got {cfg['allow_large_sigma']!r}")
     if family == "user_tabulated":
         if cfg.get("path") is None:
             raise ConfigError("user_tabulated kernel needs 'path' to a CSV table")

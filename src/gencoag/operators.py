@@ -264,13 +264,12 @@ class LagScheme:
         return (births - outgo) / grid.widths, outflux
 
 
-def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
-    """Bind a model to a density -> (dzdt, outflux) callable that owns its scheme.
+def computed_eps(model: str, eps: float | None, ratio: float = 1.0) -> float:
+    """The eps a run of ``model`` at ``eps`` computes on a grid of edge ratio ``ratio``.
 
-    ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
-    scheme is built once, on the first density the callable receives, and
-    serves that density's grid only: a density on another grid is a
-    :class:`ConfigError`, as is a kernel without separable factors.
+    ``"sce"`` computes 1 and ``"ohs"`` 0.  Below sqrt(ratio) - 1 every pair
+    is offset 0, so a generalized run there is the eps = 0 run bit for bit.
+    The default ratio 1, the continuum, leaves every eps as it is.
     """
     if model not in ("sce", "ohs", "generalized"):
         raise ConfigError(f"unknown model {model!r}")
@@ -279,6 +278,18 @@ def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
         raise ConfigError("generalized model requires eps")
     if not (0.0 <= eps <= 1.0):
         raise DomainError("eps must lie in [0, 1]")
+    return 0.0 if eps < np.sqrt(ratio) - 1.0 else eps
+
+
+def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
+    """Bind a model to a density -> (dzdt, outflux) callable that owns its scheme.
+
+    ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
+    scheme is built once, on the first density the callable receives, and
+    serves that density's grid only: a density on another grid is a
+    :class:`ConfigError`, as is a kernel without separable factors.
+    """
+    eps = computed_eps(model, eps)
     scheme = None
 
     def rhs(density: NumberDensity):

@@ -310,6 +310,20 @@ class TestCheckKernel:
         cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.0}})
         assert main(["check-kernel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
+    def test_allow_large_sigma_must_be_a_boolean(self, tmp_path, capsys, value):
+        # a YAML string such as "no" is truthy: it must not switch off the
+        # sigma >= 1/2 guard
+        kernel = {"family": "singular_product", "k": 1.0, "sigma": 0.6}
+        assert_refused(tmp_path, capsys, "check-kernel",
+                       {"kernel": {**kernel, "allow_large_sigma": value}},
+                       f"allow_large_sigma must be true or false, got {value!r}")
+
+    def test_allow_large_sigma_true_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"kernel": {"family": "singular_product", "k": 1.0,
+                                                 "sigma": 0.6, "allow_large_sigma": True}})
+        assert main(["check-kernel", "--config", str(cfg)]) == 0
+
     @pytest.mark.parametrize("fd_step", [float("nan"), float("inf"), 0, -1, 100])
     def test_bad_fd_step_exits_1(self, tmp_path, capsys, fd_step):
         # the scan is fixed: a [certify] section is refused whatever it sets
@@ -438,6 +452,23 @@ class TestSweep:
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "sweep", section, message)
 
+    def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
+        # sweep_eps.yaml: the OHS run, the five eps at or above sqrt(r) - 1 =
+        # 0.037 and, of the six below, only 1/32 as the bit-identity sentinel
+        calls = []
+        real = experiments.run_model
+
+        def run_model(model, *args, **kwargs):
+            calls.append((model, kwargs.get("eps")))
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_model", run_model)
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_eps.yaml"),
+                     "--out", str(tmp_path), "--threads", "2"]) == 0
+        assert calls == [("ohs", None)] + [("generalized", 2.0**-i) for i in range(6)]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["passed"] and len(summary["checks"]["eps_monotone_n50"]["distances"]) == 11
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -506,16 +537,16 @@ class TestValidate:
 
     def test_each_distinct_ode_solved_once(self, shipped):
         payload, calls, _ = shipped
-        # the shared SCE run, then the M0 runs: sce (also eps = 1), ohs, 0.25, 0.01
-        assert calls == [("sce", None), ("sce", None), ("ohs", None),
-                         ("generalized", 0.25), ("generalized", 0.01)]
+        # the shared SCE run, then the M0 runs: sce (also eps = 1), ohs (also
+        # eps = 0.01, below sqrt(r) - 1 = 0.037 of 32 cells/decade), 0.25
+        assert calls == [("sce", None), ("sce", None), ("ohs", None), ("generalized", 0.25)]
         models = payload["m0_riccati"]["models"]
         assert models["generalized_eps1"] == models["sce"]
+        assert models["generalized_eps0.01"] == models["ohs"]
 
     def test_mass_report_reads_the_shared_run(self, shipped):
         payload, _, config = shipped
         alone = experiments.mass_conservation_report(config, "sce")
-        alone.pop("trajectory")
         block = payload["mass_conservation"]
         assert {k: v for k, v in block.items() if k not in ("tolerance", "passed")} == alone
 
@@ -559,7 +590,8 @@ class TestValidate:
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only a pooled sweep needs concurrent.futures and multiprocessing
+    # no command starts a process pool: concurrent.futures and
+    # multiprocessing stay unloaded
     probe = ("import sys, gencoag.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     src = str(Path(gencoag.__file__).resolve().parent.parent)

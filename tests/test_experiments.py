@@ -12,7 +12,8 @@ from gencoag import (
     make_grid,
     sample_initial,
 )
-from gencoag import experiments
+from gencoag import experiments, operators
+from gencoag.operators import computed_eps
 from gencoag.experiments import (
     LIMIT_TOLERANCE,
     eps_limit_check,
@@ -42,6 +43,24 @@ def _top_loaded(mu):
     return np.exp(-mu / 5.0)
 
 
+def _sourced(when):
+    """make_rhs that adds one unit of density per unit time to every cell of
+    the runs ``when(model, eps)`` picks, so their weighted moment grows past
+    the initial bound; other runs are untouched."""
+    real = operators.make_rhs
+
+    def make_rhs(model, kernel, eps=None):
+        rhs = real(model, kernel, eps)
+        if not when(model, eps):
+            return rhs
+
+        def sourced(density):
+            dzdt, outflux = rhs(density)
+            return dzdt + 1.0, outflux
+        return sourced
+    return make_rhs
+
+
 def _failing_generalized(exc):
     """make_rhs whose generalized operator raises ``exc``; other models run."""
     real = experiments.make_rhs
@@ -64,7 +83,7 @@ class TestMemberFailures:
         assert [f["eps"] for f in table.failed] == [1.0, 0.5]
         assert all(f["error"] == {"type": "StiffnessError", "message": "stiff",
                                   "time": 0.0, "dt": 1e-3} for f in table.failed)
-        table = run_n_sweep(small_config(n_list=(10.0, 20.0)), eps=0.5)
+        table = run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
         assert [f["n"] for f in table.failed] == [10.0, 20.0]
         assert table.rows == []
 
@@ -94,7 +113,34 @@ class TestMemberFailures:
         with pytest.raises(TypeError):
             run_eps_sweep(small_config(eps_list=(0.5,)))
         with pytest.raises(TypeError):
-            run_n_sweep(small_config(n_list=(10.0, 20.0)), eps=0.5)
+            run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
+
+    def test_reference_bound_violation_fails_members_at_eps_zero(self, monkeypatch):
+        # on 16 cells/decade sqrt(r) - 1 = 0.075: eps = 1/16, 1/32 and 1/64
+        # compute eps = 0, and only 1/16 is solved, as the sentinel
+        cfg = small_config(eps_list=tuple(2.0 ** (-i) for i in range(7)))
+        ratio = make_grid(20.0, cfg.cells_per_decade).ratio()
+        at_zero = [2.0**-4, 2.0**-5, 2.0**-6]
+        monkeypatch.setattr(experiments, "make_rhs", _sourced(
+            lambda model, eps: computed_eps(model, eps, ratio) == 0.0))
+        table = run_eps_sweep(cfg)
+        assert [f["eps"] for f in table.failed] == at_zero
+        assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
+        assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
+        # with the OHS run alone broken, the members that read it fail with it
+        monkeypatch.setattr(experiments, "make_rhs", _sourced(lambda model, eps: model == "ohs"))
+        table = run_eps_sweep(cfg)
+        assert [f["eps"] for f in table.failed] == at_zero[1:]
+        assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
+
+    def test_n_sweep_member_bound_violation_is_typed(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_rhs",
+                            _sourced(lambda model, eps: model == "generalized"))
+        table = run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
+        assert [f["n"] for f in table.failed] == [10.0, 20.0]
+        assert all(f["eps"] == 0.5 and f["error"]["type"] == "MomentBoundViolation"
+                   and f["error"]["time"] is None for f in table.failed)
+        assert table.rows == []
 
 
 class TestEpsSweep:
@@ -135,7 +181,8 @@ class TestEpsSweep:
         assert not table.failed
         d = table.at_time(0.5)
         assert eps_limit_check(d, grid.ratio())["passed"]
-        limit = [v for e, v in d.items() if e < np.sqrt(grid.ratio()) - 1.0]
+        # the sweep reads the OHS run for these members: solve each one here
+        limit = [v for _, t, v in _below_limit_distances(cfg, grid, (0.5,)) if t == 0.5]
         assert len(limit) == 7 and max(limit) <= 1e-12
 
     def test_top_loaded_sweep_reaches_ohs_adaptive(self):
@@ -147,25 +194,15 @@ class TestEpsSweep:
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(cfg)
         assert not table.failed
-        limit = [(t, v) for e, _, t, v in table.rows if e < np.sqrt(grid.ratio()) - 1.0]
+        limit = [(t, v) for _, t, v in _below_limit_distances(cfg, grid, (0.125, 0.25, 0.5))]
         assert len({t for t, _ in limit}) > 1
         assert len(limit) % 7 == 0 and max(v for _, v in limit) <= 1e-12
 
     def test_determinism_bit_identical(self):
-        cfg = small_config(eps_list=(1.0, 0.5, 0.25), threads=2)
+        cfg = small_config(eps_list=(1.0, 0.5, 0.25))
         t1 = run_eps_sweep(cfg)
         t2 = run_eps_sweep(cfg)
         assert t1.rows == t2.rows
-
-    def test_pooled_rows_equal_serial_rows(self):
-        pooled = run_eps_sweep(small_config(eps_list=(1.0, 0.5, 0.25), threads=2))
-        serial = run_eps_sweep(small_config(eps_list=(1.0, 0.5, 0.25), threads=1))
-        assert not pooled.failed and pooled.rows
-        assert np.array(pooled.rows).tobytes() == np.array(serial.rows).tobytes()
-
-    def test_threads_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="threads must be >= 1"):
-            run_eps_sweep(small_config(eps_list=(1.0, 0.5), threads=0))
 
     def test_csv_round_trip(self, tmp_path):
         cfg = small_config(eps_list=(1.0, 0.5))
@@ -175,6 +212,22 @@ class TestEpsSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "eps,n,time,distance"
         assert len(lines) == 1 + len(table.rows)
+
+
+def _below_limit_distances(cfg, grid, snapshot_times):
+    """(eps, time, distance to the OHS run) at every snapshot of each
+    generalized run below sqrt(r) - 1, each solved on its own."""
+    initial = sample_initial(cfg.profile, grid)
+    ohs = run_model("ohs", cfg.kernel, grid, initial, cfg.horizon, snapshot_times)
+    out = []
+    for eps in cfg.eps_list:
+        if eps < np.sqrt(grid.ratio()) - 1.0:
+            member = run_model("generalized", cfg.kernel, grid, initial, cfg.horizon,
+                               snapshot_times, eps=eps)
+            assert np.array_equal(member.times, ohs.times)
+            out += [(eps, a.time, transport_distance(a, b, cfg.kernel.sigma))
+                    for a, b in zip(member, ohs)]
+    return out
 
 
 class TestNSweep:

@@ -25,7 +25,7 @@ from gencoag import (
     weighted_norm,
 )
 from gencoag import operators
-from gencoag.operators import LagScheme
+from gencoag.operators import LagScheme, computed_eps
 from oracles import (
     PairScheme,
     dense_ohs,
@@ -566,9 +566,28 @@ class TestOhsLimit:
         values = np.random.default_rng(seed).random(grid.size)
         dzdt, outflux = lag_scheme(grid, kernel, 0.0).rhs(values)
         for eps in (0.99 * (np.sqrt(grid.ratio()) - 1.0), 2.0**-10):
+            assert computed_eps("generalized", eps, grid.ratio()) == 0.0
             member, member_out = lag_scheme(grid, kernel, eps).rhs(values)
             assert np.array_equal(member, dzdt)
             assert member_out == outflux
+
+
+    def test_computed_eps(self):
+        # the eps a run computes: runs that compute the same eps on one grid
+        # are one run, which the studies solve once
+        ratio = make_grid(8.0, 6).ratio()
+        limit = np.sqrt(ratio) - 1.0
+        assert computed_eps("sce", None, ratio) == 1.0
+        assert computed_eps("ohs", None, ratio) == 0.0
+        assert computed_eps("generalized", 1.0, ratio) == 1.0
+        assert computed_eps("generalized", limit, ratio) == limit
+        assert computed_eps("generalized", 0.99 * limit, ratio) == 0.0
+        with pytest.raises(ConfigError, match="requires eps"):
+            computed_eps("generalized", None, ratio)
+        with pytest.raises(DomainError, match="eps must lie in"):
+            computed_eps("generalized", 1.5, ratio)
+        with pytest.raises(ConfigError, match="unknown model"):
+            computed_eps("smoluchowski", None, ratio)
 
 
 class TestEpsUniformClosure:

@@ -2,14 +2,17 @@
 
 ``perfbench/trace.py`` replaces the functions listed in its ``WRAPPED``
 table while it times a command, and stops the traced pass when one is
-gone. ``perfbench/probe.py setup`` builds each workload's first
-right-hand side. Running both here makes a rename or a changed call
-signature fail the test suite too.
+gone or when a span it reads no longer nests under the caller it
+expects. ``perfbench/probe.py setup`` builds each workload's first
+right-hand side. Running both here makes a rename, a changed call
+signature or a moved call fail the test suite too.
 """
 
 import importlib.util
 import math
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +42,24 @@ def test_every_setup_probe_runs(monkeypatch):
     for name in probe.WORKLOADS:
         setup_s = probe.setup(name)["setup_s"]
         assert 0.0 < setup_s < math.inf
+
+
+@pytest.mark.parametrize("name", ["sweep_eps", "validate_constant"])
+def test_traced_pass_reads_its_spans(monkeypatch, tmp_path, name):
+    # the traced pass of trace.main: metrics_of picks spans by name and
+    # parent, so for instance the sweep's reference run_model must stay
+    # directly under run_eps_sweep
+    trace = load_perfbench(monkeypatch, "trace")
+    monkeypatch.setattr(trace, "OUT", tmp_path)
+    w = trace.WORKLOADS[name]
+    with trace.installed(trace.Tracer("test")) as tracer:
+        _, reasons, out_dir = trace.cli_pass(w, 0, 1 if w.threads else None)
+    assert reasons == []
+    metrics = trace.metrics_of(w, tracer, out_dir)
+    assert metrics["integrator.steps"] > 0 and metrics["integrator.rhs_evals"] > 0
+    assert metrics["cli.output_bytes"] > 0
+    if w.command == "sweep":
+        assert metrics["experiments.reference_s"] > 0.0
+        assert 0.0 < metrics["experiments.member_s.max"] <= metrics["experiments.member_s.sum"]
+    else:
+        assert metrics["experiments.validate_m0_s"] > 0.0
