@@ -46,13 +46,9 @@ from .operators import make_rhs
 from .integrator import StepStats, evolve
 from .gauges import (
     ConvexGauge,
-    SquareGauge,
-    TruncatedGauge,
     build_gauge_from_tail,
-    check_inequalities,
     psi1_tail,
     psi2_tail,
-    truncate_gauge,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ import yaml
 from . import diagnostics as diag
 from . import experiments as exp
 from . import testfuncs
-from .errors import GencoagError
+from .errors import ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
 from .operators import computed_eps
@@ -112,6 +112,14 @@ def _int(sec, key, default):
     if integral and not isinstance(value, bool):
         return int(value)
     raise GencoagError(f"{key} must be an integer, got {value!r}")
+
+
+def _bool(sec, key, default):
+    """``sec[key]`` as a YAML boolean; a string such as "no", a number or null is a ConfigError."""
+    value = sec.get(key, default)
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
 def _float(sec, key, default):
@@ -240,13 +248,14 @@ def cmd_simulate(args):
     omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
                         (len(names), grid.size))
     lams = _flux_thresholds(dsec, grid)
+    inject = _bool(dsec, "inject_mass_violation", False)
 
     traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
     # only a run that went through leaves an output directory
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
 
-    if dsec.get("inject_mass_violation", False):
+    if inject:
         # test hook: corrupt the final snapshot so bound checks must fail
         bad = traj[-1].values * 1.5
         traj.snapshots[-1] = traj[-1].replace(values=bad)
@@ -344,9 +353,14 @@ def cmd_sweep(args):
     cfg = load_config(args.config)
     config = _sweep_config(cfg, args)
     ssec = _section(cfg, "sweep", required=False)
+    eps_sweep, n_sweep = _bool(ssec, "eps_sweep", True), _bool(ssec, "n_sweep", False)
+    if not (eps_sweep or n_sweep):
+        raise ConfigError("sweep runs no study: eps_sweep and n_sweep are both false")
+    if n_sweep and len(config.n_list) < 2:
+        raise ConfigError(f"n_sweep needs at least two n_list values, got {list(config.n_list)}")
     summary = {"checks": {}, "failed_members": []}
     tables = {}
-    if ssec.get("eps_sweep", True):
+    if eps_sweep:
         table = tables["distances_eps.csv"] = exp.run_eps_sweep(config)
         summary["failed_members"] += table.failed
         for n in config.n_list:
@@ -354,7 +368,7 @@ def cmd_sweep(args):
             if d:
                 ratio = make_grid(n, config.cells_per_decade).ratio()
                 summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d, ratio)
-    if ssec.get("n_sweep", False) and len(config.n_list) > 1:
+    if n_sweep:
         table_n = tables["distances_n.csv"] = exp.run_n_sweep(config)
         summary["failed_members"] += table_n.failed
         dists = [r[3] for r in table_n.rows]
@@ -399,7 +413,7 @@ def cmd_validate(args):
 
     # one SCE run serves the closed-form check and the mass report
     sce_run = exp.shared_sce_run(config)
-    sce = exp.validate_sce_constant_kernel(config, traj=sce_run)
+    sce = exp.validate_sce_constant_kernel(config, sce_run)
     sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce["errors"].values())
     results["sce_analytic"] = {"errors": sce["errors"], "tolerance": exp.SCE_TOLERANCE,
                                "passed": sce_pass}
@@ -429,9 +443,10 @@ def cmd_validate(args):
         "passed": all(r["passed"] for r in m0_results.values()),
     }
 
-    mc = exp.mass_conservation_report(config, "sce", traj=sce_run)
+    mc = exp.mass_conservation_report(config, sce_run)
     mc_pass = mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE
-    results["mass_conservation"] = {**mc, "tolerance": exp.CLOSURE_TOLERANCE, "passed": mc_pass}
+    results["mass_conservation"] = {"model": "sce", "eps": None, **mc,
+                                    "tolerance": exp.CLOSURE_TOLERANCE, "passed": mc_pass}
     ok &= mc_pass
 
     results["passed"] = bool(ok)

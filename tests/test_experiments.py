@@ -12,6 +12,7 @@ from gencoag import (
     make_grid,
     sample_initial,
 )
+from conftest import first_grid_run, mass_report
 from gencoag import experiments, operators
 from gencoag.operators import computed_eps
 from gencoag.experiments import (
@@ -19,7 +20,6 @@ from gencoag.experiments import (
     eps_limit_check,
     lattice_n,
     SweepConfig,
-    mass_conservation_report,
     overlap_distance,
     riccati_m0,
     run_eps_sweep,
@@ -295,8 +295,9 @@ class TestAnalyticValidation:
 
     def test_sce_validation_requires_constant_kernel(self):
         cfg = small_config(kernel=SingularProductKernel(k=1.0, sigma=0.2))
+        traj = first_grid_run(cfg, "sce", cfg.horizon, (cfg.horizon,))
         with pytest.raises(ConfigError):
-            validate_sce_constant_kernel(cfg)
+            validate_sce_constant_kernel(cfg, traj)
 
     def test_sce_validation_reads_a_given_run(self):
         cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=2.0)
@@ -324,7 +325,7 @@ class TestAnalyticValidation:
                 return np.zeros_like(mu)
 
         cfg = small_config(profile=ZeroProfile())
-        rep = mass_conservation_report(cfg, "sce")
+        rep = mass_report(cfg, "sce")
         assert rep["max_closure_rel"] == 0.0
         assert all(v == 0.0 for v in rep["M1"])
 
@@ -332,7 +333,7 @@ class TestAnalyticValidation:
         cfg = small_config(kernel=SingularProductKernel(k=1.0, sigma=0.2),
                            n_list=(20.0,), horizon=1.0)
         for model, eps in (("generalized", 1.0), ("sce", None), ("ohs", None)):
-            rep = mass_conservation_report(cfg, model, eps=eps)
+            rep = mass_report(cfg, model, eps)
             assert rep["max_closure_rel"] <= 1e-8
 
 
