@@ -30,7 +30,7 @@ from . import testfuncs
 from .errors import ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
-from .operators import computed_eps
+from .operators import _check_table_bytes, computed_eps
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
@@ -68,6 +68,10 @@ PINNED_KEYS = {
 
 #: Sample pairs of each check-kernel scan.
 CERTIFY_SAMPLES = 4000
+
+#: Bytes a trajectory holds per snapshot besides its cells: the density and
+#: its array header, the time and two ledger entries (tracemalloc reads ~350).
+SNAPSHOT_OVERHEAD = 512
 
 
 def _fail(msg):
@@ -150,10 +154,13 @@ def build_profile(cfg, sigma):
     raise GencoagError(f"unknown initial profile {name!r}")
 
 
-def _snapshot_times(cfg, horizon):
+def _snapshot_times(cfg, horizon, cells):
     count = _int(_section(cfg, "time", required=False), "snapshots", 8)
     if count < 1:
         raise GencoagError(f"snapshots must be >= 1, got {count}")
+    # the trajectory keeps a row of cells per snapshot: refuse before building the times
+    _check_table_bytes(count * (8 * cells + SNAPSHOT_OVERHEAD),
+                       f"{count} snapshots of {cells} cells", "use fewer snapshots")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
@@ -241,7 +248,9 @@ def cmd_simulate(args):
     initial = sample_initial(profile, grid)
     tsec = _section(cfg, "time")
     horizon = _float(tsec, "horizon", 1.0)
-    snaps = _snapshot_times(cfg, horizon)
+    if not horizon > 0.0:  # at 0 every snapshot is the initial data and every check passes
+        raise ConfigError("horizon must be > 0")
+    snaps = _snapshot_times(cfg, horizon, grid.size)
     # diagnostics settings are checked here so that a bad one fails before the solve
     dsec = _section(cfg, "diagnostics", required=False)
     names = _list(dsec, "omegas", ["one", "mass"])
@@ -406,13 +415,15 @@ def cmd_check_kernel(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
+    if "sweep" in cfg:  # validate reads the first n only and runs no study
+        raise ConfigError("validate runs no study: remove the [sweep] section")
     config = _sweep_config(cfg, args)
-    exp.require_closed_forms(config)  # every precondition before the first solve
+    runs = exp.validate_runs(config)
+    ratio = make_grid(config.n_list[0], config.cells_per_decade).ratio()
+    sce_run = runs[computed_eps("sce", None, ratio)]
     results = {}
     ok = True
 
-    # one SCE run serves the closed-form check and the mass report
-    sce_run = exp.shared_sce_run(config)
     sce = exp.validate_sce_constant_kernel(config, sce_run)
     sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce["errors"].values())
     results["sce_analytic"] = {"errors": sce["errors"], "tolerance": exp.SCE_TOLERANCE,
@@ -420,20 +431,8 @@ def cmd_validate(args):
     ok &= sce_pass
 
     m0_results = {}
-    m0_reports = {}
-    ratio = make_grid(config.n_list[0], config.cells_per_decade).ratio()
-    for label, model, eps in (
-        ("sce", "sce", None),
-        ("ohs", "ohs", None),
-        ("generalized_eps1", "generalized", 1.0),
-        ("generalized_eps0.25", "generalized", 0.25),
-        ("generalized_eps0.01", "generalized", 0.01),
-    ):
-        # rows whose runs compute the same eps report one run
-        key = computed_eps(model, eps, ratio)
-        if key not in m0_reports:
-            m0_reports[key] = exp.validate_m0_riccati(config, model, eps)
-        errors = m0_reports[key]["errors"]
+    for label, model, eps in exp.M0_ROWS:
+        errors = exp.validate_m0_riccati(config, runs[computed_eps(model, eps, ratio)])
         passed = all(e <= exp.M0_TOLERANCE for e in errors.values())
         m0_results[label] = {"errors": errors, "passed": passed}
         ok &= passed

@@ -7,7 +7,8 @@ metric with weight mu^(-sigma) + mu, the natural topology for singular
 kernels.
 
 Each distinct run is solved once: runs on one grid that compute the same
-eps (:func:`~gencoag.operators.computed_eps`) are one run.
+eps (:func:`~gencoag.operators.computed_eps`) are one run.  Every check of
+``validate`` reads the runs of :func:`validate_runs`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ CLOSED_FORM_TIMES = (0.5, 1.0, 2.0)
 SCE_TOLERANCE = 2e-2
 M0_TOLERANCE = 1e-3
 CLOSURE_TOLERANCE = 1e-8
+# the rows of the M0 law check of ``validate``: (label, model, eps)
+M0_ROWS = (
+    ("sce", "sce", None),
+    ("ohs", "ohs", None),
+    ("generalized_eps1", "generalized", 1.0),
+    ("generalized_eps0.25", "generalized", 0.25),
+    ("generalized_eps0.01", "generalized", 0.01),
+)
+# flux-identity thresholds of the mass report, as fractions of n
+MASS_LAMBDA_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 
 
 @dataclass
@@ -237,96 +248,76 @@ def sce_constant_kernel_solution(mu, t, rate: float = 1.0):
     return m * m * np.exp(-m * np.asarray(mu))
 
 
-def _first_grid(config: SweepConfig):
-    """The grid of the first n and the initial data sampled on it."""
-    grid = make_grid(config.n_list[0], config.cells_per_decade)
-    return grid, sample_initial(config.profile, grid)
-
-
 def _mass_snapshots(config: SweepConfig) -> tuple:
     """Snapshot times of the mass report: eight up to the horizon."""
     return tuple(config.horizon * k / 8.0 for k in range(1, 9))
 
 
-def _require_sce_closed_form(config: SweepConfig):
+def require_closed_forms(config: SweepConfig):
+    """Raise ConfigError unless the closed forms apply: constant kernel, exponential data."""
     if config.kernel.family != "constant" or not isinstance(config.profile, ExponentialProfile):
         raise ConfigError("analytic validation requires the constant kernel and exponential data")
 
 
-def _require_m0_law(config: SweepConfig):
-    if config.kernel.family != "constant" or config.kernel.rate != 1.0:
-        raise ConfigError("the M0 law holds for the unit constant kernel")
+def validate_runs(config: SweepConfig) -> dict:
+    """computed eps -> the one run of the ``M0_ROWS`` that compute it; every check reads these.
 
-
-def require_closed_forms(config: SweepConfig):
-    """Raise ConfigError unless both closed forms apply: unit constant kernel, exponential data."""
-    _require_sce_closed_form(config)
-    _require_m0_law(config)
-
-
-def shared_sce_run(config: SweepConfig) -> Trajectory:
-    """One SCE run that both the closed-form check and the mass report read.
-
-    It runs to max(horizon, 2) and stops at the mass report's snapshots and
-    at ``CLOSED_FORM_TIMES``.
+    Each starts from the data on the first grid and runs to max(horizon, 2),
+    stopping at the mass report's snapshots and at ``CLOSED_FORM_TIMES``.
     """
-    grid, initial = _first_grid(config)
-    stops = sorted({t for t in (*_mass_snapshots(config), *CLOSED_FORM_TIMES) if t > 0.0})
-    return run_model("sce", config.kernel, grid, initial,
-                     max(config.horizon, *CLOSED_FORM_TIMES), stops)
+    require_closed_forms(config)
+    grid = make_grid(config.n_list[0], config.cells_per_decade)
+    initial = sample_initial(config.profile, grid)
+    horizon = max(config.horizon, *CLOSED_FORM_TIMES)
+    stops = sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES})
+    runs = {}
+    for _, model, eps in M0_ROWS:
+        key = computed_eps(model, eps, grid.ratio())
+        if key not in runs:
+            runs[key] = run_model(model, config.kernel, grid, initial, horizon, stops, eps=eps)
+    return runs
 
 
-def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory,
-                                 times=CLOSED_FORM_TIMES) -> dict:
-    """Weighted-L1 error of the SCE run ``traj`` against the closed form at ``times``.
+def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:
+    """Weighted-L1 error of the SCE run ``traj`` against the closed form at CLOSED_FORM_TIMES.
 
     The comparison projects the exact solution onto cell averages with the
     same quadrature used for initial data, so the reported numbers measure
     evolution error, not projection error.
     """
-    _require_sce_closed_form(config)
+    require_closed_forms(config)
     rate = config.kernel.rate
-    grid, traj = traj.grid, traj.select(times)
+    grid, traj = traj.grid, traj.select(CLOSED_FORM_TIMES)
     errors = {}
-    for s in traj:
-        if s.time == 0.0:
-            continue
+    for s in traj[1:]:  # select keeps the first snapshot, t = 0
         exact = sample_initial(lambda mu: sce_constant_kernel_solution(mu, s.time, rate), grid)
         errors[s.time] = transport_distance(s, exact, config.kernel.sigma)
     return {"errors": errors, "mass_series": traj.moments(grid.centers).tolist(),
             "grid_cells": grid.size, "cells_per_decade": config.cells_per_decade}
 
 
-def riccati_m0(t, m0: float = 1.0):
-    """M0(t) = 2 M0(0) / (2 + M0(0) t) for the unit constant kernel."""
-    return 2.0 * m0 / (2.0 + m0 * t)
+def riccati_m0(t, m0: float = 1.0, rate: float = 1.0):
+    """M0(t) = 2 M0(0) / (2 + rate M0(0) t) for the constant kernel Lambda = rate."""
+    return 2.0 * m0 / (2.0 + rate * m0 * t)
 
 
-def validate_m0_riccati(config: SweepConfig, model: str, eps: float | None = None,
-                        times=CLOSED_FORM_TIMES) -> dict:
-    """Total-number law under Lambda = 1: every model obeys the same ODE.
+def validate_m0_riccati(config: SweepConfig, traj: Trajectory) -> dict:
+    """time -> |M0 - riccati_m0| of the run ``traj`` at ``CLOSED_FORM_TIMES``.
 
-    Initial data are rescaled so the discrete M0(0) is exactly one, making
-    the closed form 2 / (2 + t).
+    Every model obeys the same total-number ODE; M0(0) is read from the
+    run's first snapshot.
     """
-    _require_m0_law(config)
-    grid, initial = _first_grid(config)
-    m0 = weighted_norm(initial, "one")
-    initial = initial.replace(values=initial.values / m0)
-    traj = run_model(model, config.kernel, grid, initial, max(times), times, eps=eps)
-    times = traj.times
-    error = np.abs(traj.moments(np.ones(grid.size)) - riccati_m0(times))
-    later = times != 0.0
-    errors = dict(zip(times[later].tolist(), error[later].tolist()))
-    return {"errors": errors, "model": model, "eps": eps, "grid_cells": grid.size}
+    traj = traj.select(CLOSED_FORM_TIMES)
+    m0 = traj.moments(np.ones(traj.grid.size))
+    error = np.abs(m0[1:] - riccati_m0(traj.times[1:], m0[0], config.kernel.rate))
+    return dict(zip(traj.times[1:].tolist(), error.tolist()))
 
 
-def mass_conservation_report(config: SweepConfig, traj: Trajectory,
-                             lambda_fractions=(0.125, 0.25, 0.5, 1.0)) -> dict:
+def mass_conservation_report(config: SweepConfig, traj: Trajectory) -> dict:
     """M1 series, ledger-closure residuals, and flux-identity residuals of ``traj``.
 
     ``traj``, a run on the config's first grid, is read at the report's
-    snapshot times.
+    snapshot times, and the flux identities at ``MASS_LAMBDA_FRACTIONS`` of n.
     """
     from .diagnostics import mass_flux_identity  # local import: avoid cycle
 
@@ -337,7 +328,7 @@ def mass_conservation_report(config: SweepConfig, traj: Trajectory,
     scale = max(m1[0], 1e-300)
     trunc = truncate(config.kernel, grid.n)
     flux = []
-    for frac in lambda_fractions:
+    for frac in MASS_LAMBDA_FRACTIONS:
         res = mass_flux_identity(traj, frac * n, trunc)
         flux.append({
             "lambda": res["lambda"],

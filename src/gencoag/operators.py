@@ -70,13 +70,13 @@ def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
         )
 
 
-def _check_table_bytes(nbytes, what):
+def _check_table_bytes(nbytes, what, remedy):
     """Raise ConfigError before a table larger than physical memory is built."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > physical:
         raise ConfigError(
             f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
-            f"{physical / 2**30:.1f} GiB of physical memory; use fewer cells"
+            f"{physical / 2**30:.1f} GiB of physical memory; {remedy}"
         )
 
 
@@ -208,7 +208,7 @@ class LagScheme:
         start = np.maximum(lags, size - 2 - offset)
         count = size - start
         _check_table_bytes(_scheme_bytes(int(count.sum()), self.f.shape[0], size),
-                           "the pair scheme")
+                           "the pair scheme", "use fewer cells")
 
         # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
         # land strictly below the band.  The offset-0 lags, the last run,

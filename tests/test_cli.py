@@ -17,6 +17,7 @@ from gencoag.cli import _sweep_config, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+NO_STUDY = "validate runs no study: remove the [sweep] section"
 
 
 def schema(name):
@@ -119,9 +120,32 @@ class TestSimulate:
         ({"time": {"horizon": True, "snapshots": 3}}, "horizon must be a finite number"),
         ({"time": {"horizon": 0.3, "snapshots": True}}, "snapshots must be an integer"),
         ({"kernel": {"family": "constant", "rate": "abc"}}, "rate must be a finite number"),
+        # at horizon 0 every snapshot is the initial data and every check passes
+        ({"time": {"horizon": 0, "snapshots": 3}}, "horizon must be > 0"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "simulate", section, message)
+
+    def test_snapshot_count_checked_against_memory(self, tmp_path, capsys, monkeypatch):
+        # physical memory shrunk to 1 MiB: each snapshot of the 31 cells
+        # holds 8 * 31 bytes plus its objects, so 1000 fit and 2000 do not
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: 2**20 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+                            else real(name))
+        solves = []
+        real_run = experiments.run_model
+        monkeypatch.setattr(experiments, "run_model",
+                            lambda *a, **k: solves.append(a) or real_run(*a, **k))
+        fits = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 1000}})
+        assert main(["simulate", "--config", str(fits), "--out", str(tmp_path / "fits")]) == 0
+        too_many = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 2000}})
+        assert main(["simulate", "--config", str(too_many)]) == 1
+        assert len(solves) == 1
+        err = capsys.readouterr().err
+        assert "error: 2000 snapshots of 31 cells would take" in err
+        assert "physical memory; use fewer snapshots" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizn": 0.3, "snapshots": 3}}, "unknown config key time.horizn"),
@@ -514,10 +538,12 @@ class TestValidate:
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
-        ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
-        ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+        ({"sweep": {"eps_list": "abc"}}, NO_STUDY),
+        ({"sweep": {"n_list": []}}, NO_STUDY),
         ({"time": {"horizon": True}}, "horizon must be a finite number"),
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
+        # validate reads the first n only: a second one would go unchecked
+        ({"sweep": {"n_list": [100.0, 200.0]}}, NO_STUDY),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "validate", section, message)
@@ -561,9 +587,9 @@ class TestValidate:
 
     def test_each_distinct_ode_solved_once(self, shipped):
         payload, calls, _ = shipped
-        # the shared SCE run, then the M0 runs: sce (also eps = 1), ohs (also
-        # eps = 0.01, below sqrt(r) - 1 = 0.037 of 32 cells/decade), 0.25
-        assert calls == [("sce", None), ("sce", None), ("ohs", None), ("generalized", 0.25)]
+        # one run per computed eps of the M0 rows: sce (also eps = 1), ohs
+        # (also eps = 0.01, below sqrt(r) - 1 = 0.037 of 32 cells/decade), 0.25
+        assert calls == [("sce", None), ("ohs", None), ("generalized", 0.25)]
         models = payload["m0_riccati"]["models"]
         assert models["generalized_eps1"] == models["sce"]
         assert models["generalized_eps0.01"] == models["ohs"]
@@ -582,12 +608,50 @@ class TestValidate:
         for t, e in alone.items():
             assert shared[t] == pytest.approx(e, rel=1e-6)
 
+    def test_m0_rows_read_the_runs_of_the_other_checks(self, tmp_path, monkeypatch):
+        # rows that compute the same eps read one run, and the sce row reads
+        # the run that the closed-form check and the mass report read
+        solved, reads = [], {}
+        real_run = experiments.run_model
+        monkeypatch.setattr(experiments, "run_model",
+                            lambda *a, **k: solved.append(real_run(*a, **k)) or solved[-1])
+        for name in ("validate_sce_constant_kernel", "validate_m0_riccati",
+                     "mass_conservation_report"):
+            def reader(config, traj, _real=getattr(experiments, name), _name=name):
+                reads.setdefault(_name, []).append(traj)
+                return _real(config, traj)
+
+            monkeypatch.setattr(experiments, name, reader)
+        assert main(["validate", "--config", str(CONFIGS / "validate_constant.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        sce, ohs, quarter = solved
+        assert reads["validate_sce_constant_kernel"] == [sce]
+        assert reads["mass_conservation_report"] == [sce]
+        assert [id(t) for t in reads["validate_m0_riccati"]] == [
+            id(sce), id(ohs), id(sce), id(quarter), id(ohs)]
+        models = json.loads((tmp_path / "validate.json").read_text())["m0_riccati"]["models"]
+        assert models["generalized_eps1"] == models["sce"] != models["ohs"]
+        assert models["generalized_eps0.01"] == models["ohs"]
+
+    def test_rate_two_kernel_passes(self, tmp_path):
+        # the M0 law carries the rate: 2 M0(0) / (2 + rate M0(0) t)
+        cfg = write_config(tmp_path, {
+            "kernel": {"family": "constant", "rate": 2.0},
+            "grid": {"n": 100.0, "cells_per_decade": 32},
+            "time": {"horizon": 2.0},
+        })
+        assert main(["validate", "--config", str(cfg)]) == 0
+        payload = json.loads((tmp_path / "out" / "validate.json").read_text())
+        assert payload["passed"]
+        m0 = [e for m in payload["m0_riccati"]["models"].values() for e in m["errors"].values()]
+        assert max(m0) <= 1.25e-8
+        assert max(payload["sce_analytic"]["errors"].values()) <= experiments.SCE_TOLERANCE
+
     @pytest.mark.parametrize("section", [
-        {"kernel": {"family": "constant", "rate": 2.0}},
         {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 1.0}},
-    ], ids=["rate2", "monodisperse"])
+    ], ids=["monodisperse"])
     def test_refused_config_runs_no_solve(self, tmp_path, capsys, monkeypatch, section):
-        # the rate-2 kernel fits the SCE closed form but not the M0 law
+        # monodisperse data fit neither closed form
         cfg = write_config(tmp_path, section)
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))

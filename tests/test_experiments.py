@@ -16,6 +16,7 @@ from conftest import first_grid_run, mass_report
 from gencoag import experiments, operators
 from gencoag.operators import computed_eps
 from gencoag.experiments import (
+    CLOSED_FORM_TIMES,
     LIMIT_TOLERANCE,
     eps_limit_check,
     lattice_n,
@@ -314,10 +315,12 @@ class TestAnalyticValidation:
     def test_riccati_validators(self):
         cfg = small_config(n_list=(30.0,), cells_per_decade=24, horizon=2.0)
         for model, eps, tol in (("sce", None, 1e-4), ("generalized", 0.25, 1e-4)):
-            rep = validate_m0_riccati(cfg, model, eps=eps)
-            assert max(rep["errors"].values()) <= tol
-        # the closed form itself
+            traj = first_grid_run(cfg, model, 2.0, CLOSED_FORM_TIMES, eps)
+            rep = validate_m0_riccati(cfg, traj)
+            assert max(rep.values()) <= tol
+        # the closed form itself, at unit rate and at rate 2
         assert riccati_m0(2.0) == 0.5
+        assert riccati_m0(1.0, m0=2.0, rate=2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_mass_conservation_report_zero_density(self):
         class ZeroProfile:
