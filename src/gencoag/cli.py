@@ -69,9 +69,19 @@ PINNED_KEYS = {
 #: Sample pairs of each check-kernel scan.
 CERTIFY_SAMPLES = 4000
 
-#: Bytes a trajectory holds per snapshot besides its cells: the density and
-#: its array header, the time and two ledger entries (tracemalloc reads ~350).
+#: What ``simulate`` holds at its peak besides the pair scheme, which
+#: operators._scheme_bytes counts.  Per snapshot: its row of the trajectory
+#: block (8 bytes a cell), up to one and a half rows of diagnostic
+#: temporaries (the crossing rates and one side of their split, 12 bytes a
+#: cell), and SNAPSHOT_OVERHEAD bytes of objects: its time and ledger
+#: entries, the report's series, its file name.  Per cell, CELL_OVERHEAD
+#: bytes of solver states, gauges and test functions; per run, RUN_OVERHEAD
+#: bytes for the config, the verdicts and the writers.  tracemalloc on
+#: simulate with 32 to 2048 cells and 1 to 3000 snapshots read about 430,
+#: 20-40 and 85-100 KiB for the three.
 SNAPSHOT_OVERHEAD = 512
+CELL_OVERHEAD = 64
+RUN_OVERHEAD = 128 * 1024
 
 
 def _fail(msg):
@@ -154,12 +164,18 @@ def build_profile(cfg, sigma):
     raise GencoagError(f"unknown initial profile {name!r}")
 
 
+def _run_bytes(count, cells):
+    """Bytes ``simulate`` holds at its peak, scheme aside, for ``count`` snapshots of ``cells``."""
+    rows = count + 1  # the trajectory also keeps the initial data
+    return rows * (20 * cells + SNAPSHOT_OVERHEAD) + cells * CELL_OVERHEAD + RUN_OVERHEAD
+
+
 def _snapshot_times(cfg, horizon, cells):
     count = _int(_section(cfg, "time", required=False), "snapshots", 8)
     if count < 1:
         raise GencoagError(f"snapshots must be >= 1, got {count}")
-    # the trajectory keeps a row of cells per snapshot: refuse before building the times
-    _check_table_bytes(count * (8 * cells + SNAPSHOT_OVERHEAD),
+    # refuse before building the times
+    _check_table_bytes(_run_bytes(count, cells),
                        f"{count} snapshots of {cells} cells", "use fewer snapshots")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
@@ -266,8 +282,7 @@ def cmd_simulate(args):
 
     if inject:
         # test hook: corrupt the final snapshot so bound checks must fail
-        bad = traj[-1].values * 1.5
-        traj.snapshots[-1] = traj[-1].replace(values=bad)
+        traj.replace_values(-1, traj[-1].values * 1.5)
 
     trunc = truncate(kernel, grid.n)
     sigma = kernel.sigma
@@ -425,9 +440,8 @@ def cmd_validate(args):
     ok = True
 
     sce = exp.validate_sce_constant_kernel(config, sce_run)
-    sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce["errors"].values())
-    results["sce_analytic"] = {"errors": sce["errors"], "tolerance": exp.SCE_TOLERANCE,
-                               "passed": sce_pass}
+    sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce.values())
+    results["sce_analytic"] = {"errors": sce, "tolerance": exp.SCE_TOLERANCE, "passed": sce_pass}
     ok &= sce_pass
 
     m0_results = {}

@@ -50,9 +50,9 @@ _MOMENT_COLUMNS = ("t", "M_neg2sigma", "M_negsigma", "M0", "M1", "Psi1", "Psi2in
 
 
 def _psi2_series(traj: Trajectory, gauge2, sigma: float) -> np.ndarray:
-    """int Psi2(mu^(-s) zeta) dmu per snapshot."""
-    x, dx = traj.grid.centers, traj.grid.widths
-    return np.sum(gauge2.psi(x ** (-sigma) * traj.values) * dx, axis=-1)
+    """int Psi2(mu^(-s) zeta) dmu per snapshot, one snapshot at a time."""
+    scale, dx = traj.grid.centers ** (-sigma), traj.grid.widths
+    return np.array([np.sum(gauge2.psi(scale * row) * dx) for row in traj.values])
 
 
 def moment_table(traj: Trajectory, sigma: float, gauge1=None, gauge2=None):
@@ -160,9 +160,14 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
     if stack.shape[1:] != grid.centers.shape:
         raise ConfigError("omega must be sampled on the grid")
     rhs_op = make_rhs(model, kernel, eps)
-    actions = np.array([rhs_op(s)[0] * grid.widths for s in traj]) @ stack.T
     values = traj.values
-    lhs = ((values - values[0]) * grid.widths) @ stack.T
+    terms = np.empty_like(values)
+    for row, s in zip(terms, traj):
+        np.multiply(rhs_op(s)[0], grid.widths, out=row)
+    actions = terms @ stack.T
+    np.subtract(values, values[0], out=terms)
+    terms *= grid.widths
+    lhs = terms @ stack.T
     residual = np.abs(lhs - _trapezoid(traj.times, actions)).T
     return residual if om.ndim == 2 else residual[0]
 
@@ -185,14 +190,19 @@ def _crossing_rates(traj: Trajectory, m: int, kernel) -> np.ndarray:
     Entry [k, j] is sum_{i >= m} Lambda(x_i, x_j) zeta_i dx_i * x_j zeta_j dx_j
     at snapshot k, for the small partner j < m.  Since x_j < x_i, the kernel
     factors give it as sum_r (sum_{i >= m} f_r[i] zeta_i dx_i) g_r[j], which
-    costs O(rank * N) per snapshot and sums only nonnegative terms.
+    costs O(rank * N) per snapshot and sums only nonnegative terms.  The
+    small partners' factor x_j zeta_j dx_j is formed one snapshot at a
+    time, so no temporary is larger than the block.
     """
-    x = traj.grid.centers
-    zd = traj.values * traj.grid.widths
+    x, dx = traj.grid.centers, traj.grid.widths
+    values = traj.values
     factors = kernel.factors(x)
     f = np.array([fr[m:] for fr, _ in factors])
     g = np.array([gr[:m] for _, gr in factors])
-    return np.einsum("ki,ri->kr", zd[:, m:], f) @ g * (x[:m] * zd[:, :m])
+    rates = np.einsum("ki,ri->kr", values[:, m:] * dx[m:], f) @ g
+    for row, zeta in zip(rates, values):
+        row *= x[:m] * (zeta[:m] * dx[:m])
+    return rates
 
 
 def _snap_to_edge(grid, lam):
@@ -232,7 +242,10 @@ def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
     values = traj.values
     m = _snap_to_edge(grid, lam)
     lam_edge = float(grid.edges[m])
-    mass = np.sum(x[:m] * values[:, :m] * dx[:m], axis=-1)
+    terms = x[:m] * values[:, :m]
+    terms *= dx[:m]
+    mass = np.sum(terms, axis=-1)
+    del terms  # not alive with the crossing rates below: the peak stays one block
     lhs = mass - mass[0]
     if m == grid.size:
         # whole domain: the boundary term is exactly the outflux ledger
@@ -306,19 +319,20 @@ class DiagnosticsReport:
         return all(v.passed for v in self.verdicts)
 
     def to_dict(self):
+        """The report as JSON types, except that every series is a float array."""
         return {
             "model": self.model,
             "eps": self.eps,
             "sigma": self.sigma,
-            "moments": {k: np.asarray(v, dtype=float).tolist() for k, v in self.moments.items()},
+            "moments": {k: np.asarray(v, dtype=float) for k, v in self.moments.items()},
             "verdicts": [v.to_dict() for v in self.verdicts],
             "weak_residuals": {
-                k: np.asarray(v, dtype=float).tolist() for k, v in self.weak_residuals.items()
+                k: np.asarray(v, dtype=float) for k, v in self.weak_residuals.items()
             },
             "flux_identities": [
                 {
                     "lambda": f["lambda"],
-                    "residual": np.asarray(f["residual"], dtype=float).tolist(),
+                    "residual": np.asarray(f["residual"], dtype=float),
                 }
                 for f in self.flux_identities
             ],
@@ -327,5 +341,6 @@ class DiagnosticsReport:
         }
 
     def write_json(self, path):
+        # each series becomes a list only when the encoder reaches it
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=np.ndarray.tolist)

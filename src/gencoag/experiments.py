@@ -279,11 +279,12 @@ def validate_runs(config: SweepConfig) -> dict:
 
 
 def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:
-    """Weighted-L1 error of the SCE run ``traj`` against the closed form at CLOSED_FORM_TIMES.
+    """time -> weighted-L1 error of the SCE run ``traj`` against the closed form.
 
-    The comparison projects the exact solution onto cell averages with the
-    same quadrature used for initial data, so the reported numbers measure
-    evolution error, not projection error.
+    The run is read at ``CLOSED_FORM_TIMES``.  The comparison projects the
+    exact solution onto cell averages with the same quadrature used for
+    initial data, so the reported numbers measure evolution error, not
+    projection error.
     """
     require_closed_forms(config)
     rate = config.kernel.rate
@@ -292,8 +293,7 @@ def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:
     for s in traj[1:]:  # select keeps the first snapshot, t = 0
         exact = sample_initial(lambda mu: sce_constant_kernel_solution(mu, s.time, rate), grid)
         errors[s.time] = transport_distance(s, exact, config.kernel.sigma)
-    return {"errors": errors, "mass_series": traj.moments(grid.centers).tolist(),
-            "grid_cells": grid.size, "cells_per_decade": config.cells_per_decade}
+    return errors
 
 
 def riccati_m0(t, m0: float = 1.0, rate: float = 1.0):

@@ -166,12 +166,9 @@ def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
     """
     if not (0.0 <= T < np.inf):
         raise DomainError("horizon T must be finite and >= 0")
-    traj = Trajectory()
-    traj.append(initial.replace(time=initial.time), 0.0, 0.0)
     if T == 0.0:
-        return traj
-
-    if snapshot_times is None:
+        stops = []
+    elif snapshot_times is None:
         stops = [initial.time + T]
     else:
         stops = sorted({float(s) for s in snapshot_times})
@@ -179,6 +176,11 @@ def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
             raise DomainError("snapshot times must lie in (t0, t0 + T]")
         if not stops or abs(stops[-1] - (initial.time + T)) > 1e-12 * max(T, 1.0):
             stops.append(initial.time + T)
+    # the block holds exactly the initial row and one row per stop
+    traj = Trajectory(initial.grid, len(stops) + 1)
+    traj.append(initial, 0.0, 0.0)
+    if T == 0.0:
+        return traj
 
     f = _stages(rhs_op, initial.grid)
     norm = _weighted_l1(initial.grid)

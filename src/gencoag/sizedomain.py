@@ -18,12 +18,29 @@ import math
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InitialDataError
 
-#: Nodes per cell for projecting initial profiles onto cell averages.
-QUAD_POINTS = 16
+# The 16-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(16), which is symmetric: the
+# positive nodes in increasing order, and their weights.
+_GL16_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL16_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+
+#: Nodes and weights of the rule that projects initial profiles onto cell averages.
+QUAD_NODES = np.concatenate([-np.array(_GL16_NODES[::-1]), _GL16_NODES])
+QUAD_WEIGHTS = np.concatenate([_GL16_WEIGHTS[::-1], _GL16_WEIGHTS])
+QUAD_NODES.setflags(write=False)
+QUAD_WEIGHTS.setflags(write=False)
+
+#: Rows that ``write_csv`` formats at once.
+CSV_CHUNK_ROWS = 256
 
 _WEIGHTS = ("one", "mass", "neg_sigma", "neg_two_sigma", "Y_norm")
 
@@ -108,7 +125,9 @@ class NumberDensity:
 
     @classmethod
     def _unchecked(cls, grid, values, time):
-        # Internal: integrator stage states may carry transient negatives.
+        # Internal: a density over ``values`` as they are, neither copied nor
+        # checked.  Integrator stage states may carry transient negatives,
+        # and a trajectory's rows were checked when they were appended.
         obj = object.__new__(cls)
         obj.grid = grid
         obj.values = np.asarray(values, dtype=float)
@@ -127,7 +146,11 @@ class NumberDensity:
 
 
 class Trajectory:
-    """Time-ordered density snapshots with cumulative boundary/clip ledgers.
+    """Time-ordered density snapshots on one grid, with cumulative boundary/clip ledgers.
+
+    The cells of every snapshot live in one (snapshots x cells) block:
+    ``values`` is that block, read-only, and ``traj[i]`` a density over its
+    row i.  Appending a row beyond ``capacity`` doubles the block.
 
     ``outflux`` holds cumulative mass carried through the upper boundary up
     to each snapshot time; ``clipped`` holds cumulative absolute mass
@@ -137,44 +160,65 @@ class Trajectory:
     the 1e-12 level of the mass scale.
     """
 
-    def __init__(self):
-        self.snapshots: list[NumberDensity] = []
+    def __init__(self, grid: SizeGrid, capacity: int = 8):
+        self.grid = grid
+        self._rows = np.empty((capacity, grid.size))
+        self._view = None
+        self._times: list[float] = []
         self.outflux: list[float] = []
         self.clipped: list[float] = []
 
     def append(self, snapshot: NumberDensity, outflux_total: float, clipped_total: float):
-        if self.snapshots:
-            if snapshot.time <= self.snapshots[-1].time:
+        if snapshot.grid is not self.grid:
+            raise DomainError("a snapshot must lie on the trajectory's grid")
+        count = len(self)
+        if count:
+            if snapshot.time <= self._times[-1]:
                 raise DomainError("snapshot times must be strictly increasing")
             slack = 1e-10 * max(1.0, snapshot.mass() + abs(self.outflux[-1]))
             if outflux_total < self.outflux[-1] - slack or clipped_total < self.clipped[-1] - slack:
                 raise DomainError("ledgers must be nondecreasing")
-        self.snapshots.append(snapshot)
+        if count == len(self._rows):
+            rows = np.empty((max(2 * count, 1), self.grid.size))
+            rows[:count] = self._rows
+            self._rows = rows
+        self._rows[count] = snapshot.values
+        self._view = None
+        self._times.append(float(snapshot.time))
         self.outflux.append(float(outflux_total))
         self.clipped.append(float(clipped_total))
 
-    @property
-    def times(self):
-        return np.array([s.time for s in self.snapshots])
+    def replace_values(self, i, values):
+        """Overwrite the cells of snapshot i; its time and ledgers stay."""
+        self._rows[: len(self)][i] = NumberDensity(self.grid, values).values
 
     @property
-    def grid(self):
-        return self.snapshots[0].grid
+    def times(self):
+        return np.array(self._times)
 
     @property
     def values(self):
-        """Snapshot matrix, one row per snapshot; rebuilt from ``snapshots`` on every access."""
-        return np.array([s.values for s in self.snapshots])
+        """The snapshot block, one row per snapshot: read-only, and not a copy."""
+        if self._view is None:
+            self._view = self._rows[: len(self)]
+            self._view.setflags(write=False)
+        return self._view
 
     def moments(self, weights):
         """Midpoint moments  sum_i w(x_i) zeta_i dx_i  of every snapshot.
 
         ``weights`` is one row of cell weights, giving one value per
         snapshot, or a stack of rows, giving one series per row.  Each entry
-        equals ``weighted_norm`` of that snapshot bit for bit.
+        equals ``weighted_norm`` of that snapshot bit for bit.  The rows of
+        a stack are reduced one at a time, so no temporary is larger than
+        the block.
         """
         w = np.asarray(weights, dtype=float)
-        return np.sum(w[..., None, :] * self.values * self.grid.widths, axis=-1)
+        if w.ndim > 1:
+            return np.array([self.moments(row) for row in w])
+        terms = w * self.values
+        terms *= self.grid.widths
+        return np.sum(terms, axis=-1)
 
     def ledger_closure(self):
         """|M1 + outflux + clipped - M1(0)| / M1(0) per snapshot."""
@@ -195,18 +239,21 @@ class Trajectory:
             if hit.size == 0:
                 raise DomainError(f"the trajectory has no snapshot at t={t!r}")
             keep.add(int(hit[0]))
-        sub = Trajectory()
-        for i in sorted(keep):
-            sub.snapshots.append(self.snapshots[i])
-            sub.outflux.append(self.outflux[i])
-            sub.clipped.append(self.clipped[i])
+        rows = sorted(keep)
+        sub = Trajectory(self.grid, 0)
+        sub._rows = self.values[rows]
+        sub._times = [self._times[i] for i in rows]
+        sub.outflux = [self.outflux[i] for i in rows]
+        sub.clipped = [self.clipped[i] for i in rows]
         return sub
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self._times)
 
     def __getitem__(self, i):
-        return self.snapshots[i]
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return NumberDensity._unchecked(self.grid, self.values[i], self._times[i])
 
 
 class ExponentialProfile:
@@ -261,12 +308,11 @@ def sample_initial(profile, grid: SizeGrid) -> NumberDensity:
         c = grid.cell_of(profile.mu0)
         values[c] = profile.mass / (grid.centers[c] * grid.widths[c])
         return NumberDensity(grid, values, 0.0)
-    nodes, wts = leggauss(QUAD_POINTS)
     lo = grid.edges[:-1][:, None]
     hi = grid.edges[1:][:, None]
-    pts = 0.5 * (hi - lo) * nodes[None, :] + 0.5 * (hi + lo)
+    pts = 0.5 * (hi - lo) * QUAD_NODES[None, :] + 0.5 * (hi + lo)
     vals = profile(pts)
-    cell_avg = 0.5 * np.sum(vals * wts[None, :], axis=1)  # mean of f over the cell
+    cell_avg = 0.5 * np.sum(vals * QUAD_WEIGHTS[None, :], axis=1)  # mean of f over the cell
     cell_avg = np.maximum(cell_avg, 0.0)
     return NumberDensity(grid, cell_avg, 0.0)
 
@@ -295,13 +341,17 @@ def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> fl
 def write_csv(path, names, rows):
     """Write ``rows`` under the header ``names`` in the CSV wire format.
 
-    One ``%`` over a row template repeated once per row formats the whole
-    table, which is then written at once.
+    One ``%`` over a row template repeated once per row formats up to
+    ``CSV_CHUNK_ROWS`` rows, which are then written at once; so the text in
+    memory does not grow with the table.
     """
     table = np.reshape(rows, (-1, len(names)))
     row = ",".join(["%.17g"] * len(names)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+        fh.write(",".join(names) + "\r\n")
+        for lo in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[lo:lo + CSV_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_snapshot_csv(traj: Trajectory, directory) -> list[str]:
@@ -316,9 +366,9 @@ def write_snapshot_csv(traj: Trajectory, directory) -> list[str]:
     cells = np.column_stack([grid.centers, grid.widths]).ravel().tolist()
     template = ("%.17g,%.17g,%%.17g\r\n" * grid.size) % tuple(cells)
     names = []
-    for i, values in enumerate(traj.values.tolist()):
+    for i, values in enumerate(traj.values):
         name = f"snapshot_{i:04d}.csv"
         with open(Path(directory) / name, "w", newline="") as fh:
-            fh.write("x_center,width,zeta\r\n" + template % tuple(values))
+            fh.write("x_center,width,zeta\r\n" + template % tuple(values.tolist()))
         names.append(name)
     return names

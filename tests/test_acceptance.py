@@ -171,9 +171,9 @@ def test_criterion_2_test_identity_limits():
 def test_criterion_3_sce_constant_kernel_analytic():
     t0 = time.time()
     base = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=32)
-    err32 = validate_sce_constant_kernel(base, closed_form_run(base))["errors"][1.0]
+    err32 = validate_sce_constant_kernel(base, closed_form_run(base))[1.0]
     fine = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=64)
-    err64 = validate_sce_constant_kernel(fine, closed_form_run(fine))["errors"][1.0]
+    err64 = validate_sce_constant_kernel(fine, closed_form_run(fine))[1.0]
     elapsed = time.time() - t0
     report(3, err32 <= 2e-2 and err64 <= 0.5 * err32 and elapsed < 60.0,
            f"weighted-L1 error at t=1: {err32:.3e} (tol 2e-2), refined {err64:.3e} "

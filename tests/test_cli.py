@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import yaml
 
 import gencoag
 from conftest import closed_form_run, mass_report
-from gencoag import experiments, integrator
+from gencoag import cli, experiments, integrator, make_grid, operators
 from gencoag.cli import _sweep_config, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,11 +128,11 @@ class TestSimulate:
         assert_refused(tmp_path, capsys, "simulate", section, message)
 
     def test_snapshot_count_checked_against_memory(self, tmp_path, capsys, monkeypatch):
-        # physical memory shrunk to 1 MiB: each snapshot of the 31 cells
-        # holds 8 * 31 bytes plus its objects, so 1000 fit and 2000 do not
+        # physical memory shrunk to 2 MiB: each snapshot of the 31 cells
+        # takes 20 * 31 bytes plus its objects, so 1000 fit and 2000 do not
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf",
-                            lambda name: 2**20 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+                            lambda name: 2**21 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
                             else real(name))
         solves = []
         real_run = experiments.run_model
@@ -146,6 +147,44 @@ class TestSimulate:
         assert "error: 2000 snapshots of 31 cells would take" in err
         assert "physical memory; use fewer snapshots" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, snapshots", [
+        ({"n": 10.0, "cells_per_decade": 16}, 300),  # tall: 300 snapshots of 32 cells
+        ({"n": 100.0, "cells_per_decade": 128}, 32),  # wide: the benchmark's 512 cells
+    ])
+    def test_guards_bound_the_peak_of_a_run(self, tmp_path, monkeypatch, grid, snapshots):
+        # simulate on the benchmark's diagnostics-heavy config, in process
+        # under tracemalloc: its peak stays within the snapshot guard's
+        # estimate plus the largest pair-scheme estimate
+        estimates = {}
+        real = operators._check_table_bytes
+
+        def record(nbytes, what, remedy):
+            estimates[what] = max(estimates.get(what, 0), nbytes)
+            real(nbytes, what, remedy)
+
+        monkeypatch.setattr(operators, "_check_table_bytes", record)
+        monkeypatch.setattr(cli, "_check_table_bytes", record)
+        cfg = yaml.safe_load((ROOT / "perfbench/configs/simulate_ohs_diag.yaml").read_text())
+        cfg["grid"] = grid
+        path = tmp_path / "run.yaml"
+        # a first run in the process also pays one-time costs (lazy imports,
+        # caches) that are not the run's
+        cfg["time"]["snapshots"] = 1
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "warm")]) == 0
+        cfg["time"]["snapshots"] = snapshots
+        path.write_text(yaml.safe_dump(cfg))
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = make_grid(grid["n"], grid["cells_per_decade"]).size
+        assert set(estimates) == {f"{snapshots} snapshots of {cells} cells", "the pair scheme"}
+        assert peak <= sum(estimates.values())
 
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizn": 0.3, "snapshots": 3}}, "unknown config key time.horizn"),
@@ -602,7 +641,7 @@ class TestValidate:
 
     def test_sce_errors_match_a_separate_run(self, shipped):
         payload, _, config = shipped
-        alone = experiments.validate_sce_constant_kernel(config, closed_form_run(config))["errors"]
+        alone = experiments.validate_sce_constant_kernel(config, closed_form_run(config))
         shared = {float(t): e for t, e in payload["sce_analytic"]["errors"].items()}
         assert shared.keys() == alone.keys()
         for t, e in alone.items():
@@ -677,11 +716,15 @@ class TestValidate:
         }
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # no command starts a process pool: concurrent.futures and
-    # multiprocessing stay unloaded
-    probe = ("import sys, gencoag.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+def test_start_up_loads_no_pool_and_no_numpy_polynomial():
+    # a fresh interpreter imports the CLI and projects initial data: no
+    # command starts a process pool, and the quadrature rule is a table,
+    # so concurrent.futures, multiprocessing and numpy.polynomial stay unloaded
+    probe = ("import sys, gencoag.cli\n"
+             "from gencoag.sizedomain import ExponentialProfile, make_grid, sample_initial\n"
+             "sample_initial(ExponentialProfile(), make_grid(10.0, 8))\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('concurrent', 'multiprocessing') or m.startswith('numpy.polynomial')))")
     src = str(Path(gencoag.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})

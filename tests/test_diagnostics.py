@@ -23,6 +23,7 @@ from gencoag.diagnostics import (
     DiagnosticsReport,
     _crossing_rates,
     _edge_velocity_weights,
+    _psi2_series,
     _snap_to_edge,
     equicontinuity_modulus,
     mass_flux_identity,
@@ -200,7 +201,7 @@ class TestAffineTailStudy:
 class TestThetaBound:
     def test_initial_margin_zero(self, const_run):
         grid, kernel, density, traj = const_run
-        single = Trajectory()
+        single = Trajectory(grid)
         single.append(density, 0.0, 0.0)
         v = theta_bound_check(single, density, 0.0)
         assert v.passed and v.margin == 0.0
@@ -212,7 +213,7 @@ class TestThetaBound:
 
     def test_corrupted_trajectory_fails(self, const_run):
         grid, kernel, density, traj = const_run
-        bad = Trajectory()
+        bad = Trajectory(grid)
         bad.append(density, 0.0, 0.0)
         bad.append(density.replace(values=density.values * 1.5, time=1.0), 0.0, 0.0)
         v = theta_bound_check(bad, density, 0.0)
@@ -253,7 +254,7 @@ class TestGaugeBounds:
         grid = make_grid(10.0, 8)
         d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
         gauge = build_gauge_from_tail(*psi1_tail(d))
-        single = Trajectory()
+        single = Trajectory(grid)
         single.append(d, 0.0, 0.0)
         v = psi1_moment_check(single, gauge, 1.0, 1.0)
         c = grid.cell_of(2.0)
@@ -349,7 +350,7 @@ class TestTailFlux:
 class TestEquicontinuity:
     def test_constant_trajectory_zero(self, const_run):
         grid, kernel, density, traj = const_run
-        frozen = Trajectory()
+        frozen = Trajectory(grid)
         frozen.append(density, 0.0, 0.0)
         frozen.append(density.replace(time=1.0), 0.0, 0.0)
         om = testfuncs.bump(1.0, 5.0)
@@ -454,7 +455,7 @@ class TestSnapshotMatrix:
         nodes = np.geomspace(0.02, 5.0, 9)
         table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
         rng = np.random.default_rng(71)
-        traj = Trajectory()
+        traj = Trajectory(grid)
         for k in range(4):
             traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
         for kernel in kernel_trio(20.0) + [truncate(TabulatedKernel(nodes, table, k=50.0), 20.0)]:
@@ -462,6 +463,27 @@ class TestSnapshotMatrix:
                 got = _crossing_rates(traj, m, kernel)
                 expect = block_crossing_rates(traj, m, kernel)
                 assert np.all(np.abs(got - expect) <= 1e-13 * expect)
+
+    def test_snapshot_at_a_time_forms_equal_the_block_forms_bitwise(self):
+        # the crossing rates and the psi2 series work one snapshot at a time
+        # so that no temporary outgrows the block; their bits are those of
+        # the expressions over the whole block
+        grid = make_grid(20.0, 16)
+        rng = np.random.default_rng(72)
+        traj = Trajectory(grid)
+        for k in range(40):
+            traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
+        x, dx, values = grid.centers, grid.widths, traj.values
+        zd = values * dx
+        for kernel in kernel_trio(20.0):
+            for m in range(1, grid.size):
+                f = np.array([fr[m:] for fr, _ in kernel.factors(x)])
+                g = np.array([gr[:m] for _, gr in kernel.factors(x)])
+                block = np.einsum("ki,ri->kr", zd[:, m:], f) @ g * (x[:m] * zd[:, :m])
+                assert _crossing_rates(traj, m, kernel).tobytes() == block.tobytes()
+        gauge = build_gauge_from_tail(*psi2_tail(traj[0], 0.2))
+        block = np.sum(gauge.psi(x ** -0.2 * values) * dx, axis=-1)
+        assert _psi2_series(traj, gauge, 0.2).tobytes() == block.tobytes()
 
     def test_tail_split_matches_outer_loop(self, const_run):
         grid, kernel, density, traj = const_run

@@ -305,9 +305,9 @@ class TestAnalyticValidation:
         grid = make_grid(30.0, 12)
         initial = sample_initial(cfg.profile, grid)
         traj = run_model("sce", cfg.kernel, grid, initial, 2.0, (0.25, 0.5, 1.0, 2.0))
-        rep = validate_sce_constant_kernel(cfg, traj=traj)
-        assert list(rep["errors"]) == [0.5, 1.0, 2.0]
-        assert len(rep["mass_series"]) == 4
+        errors = validate_sce_constant_kernel(cfg, traj=traj)
+        assert list(errors) == [0.5, 1.0, 2.0]
+        assert len(traj) == 5  # the check reads 3 of the run's snapshots past t = 0
         # a run that misses a check time is refused, not read at another time
         with pytest.raises(DomainError, match="no snapshot at t=2.0"):
             validate_sce_constant_kernel(cfg, traj=traj.select((0.5, 1.0)))

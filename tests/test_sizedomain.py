@@ -21,6 +21,8 @@ from gencoag import (
 )
 from gencoag.sizedomain import (
     _WEIGHTS,
+    QUAD_NODES,
+    QUAD_WEIGHTS,
     weight_values,
     write_csv,
     write_snapshot_csv,
@@ -86,6 +88,15 @@ class TestMakeGrid:
 
 
 class TestSampleInitial:
+    def test_quadrature_table_is_leggauss_16_bitwise(self):
+        # the package keeps the rule as a table, so that no run loads
+        # numpy.polynomial or calls LAPACK for it
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(16)
+        assert QUAD_NODES.tobytes() == nodes.tobytes()
+        assert QUAD_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_exponential_mass_near_one(self):
         # Gamma(2) = 1; the domain cutoff alone costs ~(1/n)^2/2 + n e^-n,
         # so the 1e-3 window needs n >= 30.  On a smaller domain the moment
@@ -218,7 +229,7 @@ class TestSnapshotCsv:
     def test_round_trip(self, tmp_path):
         g = make_grid(10.0, 8)
         d = sample_initial(ExponentialProfile(), g)
-        traj = Trajectory()
+        traj = Trajectory(g)
         traj.append(d, 0.0, 0.0)
         assert write_snapshot_csv(traj, tmp_path) == ["snapshot_0000.csv"]
         xs, _, zs = read_snapshot_csv(tmp_path / "snapshot_0000.csv")
@@ -229,12 +240,12 @@ class TestSnapshotCsv:
         g = make_grid(10.0, 8)
         special = [math.nan, math.inf, -math.inf, -0.0, 2.0**-1074, 1.0 / 3.0, 1e300]
         rng = np.random.default_rng(3)
-        traj = Trajectory()
+        traj = Trajectory(g)
         for k in range(4):
             values = rng.random(g.size) * np.exp(-g.centers)
             values[k:k + len(special)] = special
             # NaN and inf are outside NumberDensity's domain; the writer must still spell them
-            traj.snapshots.append(NumberDensity._unchecked(g, values, 0.1 * k))
+            traj.append(NumberDensity._unchecked(g, values, 0.1 * k), 0.0, 0.0)
         (tmp_path / "new").mkdir()
         names = write_snapshot_csv(traj, tmp_path / "new")
         assert names == [f"snapshot_{k:04d}.csv" for k in range(4)]
@@ -249,7 +260,7 @@ class TestSnapshotCsv:
 
 def random_trajectory(grid, count=6, seed=5):
     rng = np.random.default_rng(seed)
-    traj = Trajectory()
+    traj = Trajectory(grid)
     for k in range(count):
         values = rng.random(grid.size) * np.exp(-grid.centers)
         traj.append(NumberDensity(grid, values, 0.1 * k), 1e-3 * k, 1e-5 * k)
@@ -258,15 +269,49 @@ def random_trajectory(grid, count=6, seed=5):
 
 class TestTrajectoryMatrix:
     def test_moments_equal_weighted_norm_bitwise(self):
-        g = make_grid(30.0, 16)
+        # N = 16, 47, 512 and 3072 cells
+        for n, cells_per_decade in ((10.0, 8), (30.0, 16), (100.0, 128), (100.0, 768)):
+            g = make_grid(n, cells_per_decade)
+            traj = random_trajectory(g)
+            weights = [weight_values(g.centers, w, 0.2) for w in _WEIGHTS]
+            stacked = traj.moments(weights)
+            assert stacked.shape == (len(_WEIGHTS), len(traj))
+            for name, w, row in zip(_WEIGHTS, weights, stacked):
+                expect = np.array([weighted_norm(s, name, 0.2) for s in traj])
+                assert np.array_equal(traj.moments(w), expect)
+                assert np.array_equal(row, expect)
+
+    def test_values_is_one_read_only_block(self):
+        g = make_grid(10.0, 8)
         traj = random_trajectory(g)
-        weights = [weight_values(g.centers, w, 0.2) for w in _WEIGHTS]
-        stacked = traj.moments(weights)
-        assert stacked.shape == (len(_WEIGHTS), len(traj))
-        for name, w, row in zip(_WEIGHTS, weights, stacked):
-            expect = np.array([weighted_norm(s, name, 0.2) for s in traj])
-            assert np.array_equal(traj.moments(w), expect)
-            assert np.array_equal(row, expect)
+        block = traj.values
+        assert traj.values is block
+        assert block.shape == (len(traj), g.size)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        for i in range(len(traj)):
+            assert np.shares_memory(traj[i].values, block)
+            assert np.array_equal(traj[i].values, block[i])
+            assert not traj[i].values.flags.writeable
+        assert [s.time for s in traj] == traj.times.tolist()
+        assert [s.time for s in traj[1::2]] == traj.times[1::2].tolist()
+
+    def test_appends_past_the_capacity_keep_every_row(self):
+        g = make_grid(10.0, 8)
+        rng = np.random.default_rng(9)
+        rows = rng.random((11, g.size))
+        traj = Trajectory(g, 1)
+        for k, row in enumerate(rows):
+            traj.append(NumberDensity(g, row, 0.1 * k), 0.0, 0.0)
+            assert np.array_equal(traj.values, rows[: k + 1])
+        assert traj.values is traj.values
+
+    def test_append_refuses_another_grid(self):
+        g = make_grid(10.0, 8)
+        traj = Trajectory(g)
+        with pytest.raises(DomainError, match="trajectory's grid"):
+            traj.append(sample_initial(ExponentialProfile(), make_grid(10.0, 8)), 0.0, 0.0)
 
     def test_values_and_ledger_follow_replaced_snapshot(self):
         g = make_grid(10.0, 8)
@@ -278,21 +323,29 @@ class TestTrajectoryMatrix:
 
         before = traj.ledger_closure()
         assert np.array_equal(before, closure_loop())
+        block = traj.values
         bad = traj[-1].values * 1.5
-        traj.snapshots[-1] = traj[-1].replace(values=bad)
+        traj.replace_values(-1, bad)
+        assert traj.values is block
         assert np.array_equal(traj.values[-1], bad)
+        assert np.array_equal(traj[-1].values, bad)
         after = traj.ledger_closure()
         assert np.array_equal(after, closure_loop())
         assert after[-1] > before[-1]
+        with pytest.raises(DomainError):
+            traj.replace_values(0, -bad)
 
     def test_select_keeps_the_first_snapshot_and_the_given_times(self):
         g = make_grid(10.0, 8)
         traj = random_trajectory(g)  # times 0.1 * k, k = 0..5
         # 0.3 matches the snapshot at 0.1 * 3 = 0.30000000000000004
         sub = traj.select((0.3, 0.1, 0.3))
-        assert [s for s in sub] == [traj[0], traj[1], traj[3]]
+        assert np.array_equal(sub.values, traj.values[[0, 1, 3]])
+        assert not sub.values.flags.writeable
+        assert sub.times.tolist() == traj.times[[0, 1, 3]].tolist()
         assert sub.outflux == [traj.outflux[i] for i in (0, 1, 3)]
         assert sub.clipped == [traj.clipped[i] for i in (0, 1, 3)]
+        assert sub.grid is traj.grid
         assert np.array_equal(sub.ledger_closure(), traj.ledger_closure()[[0, 1, 3]])
         with pytest.raises(DomainError, match="no snapshot at t=0.25"):
             traj.select((0.1, 0.25))

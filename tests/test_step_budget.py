@@ -3,6 +3,8 @@
 Each command runs in process with one thread; an observer passed through
 the ``observers`` hook of ``run_model`` counts the accepted steps of every
 run, and a wrapper around ``make_rhs`` counts right-hand-side evaluations.
+The observer also keeps every accepted state, and each snapshot the run
+returns must be the state it landed on, bit for bit.
 The budgets leave headroom over the measured counts, so a controller that
 takes many more steps fails here before it shows in timings.
 """
@@ -26,6 +28,15 @@ BUDGETS = {
 }
 
 
+def assert_rows_are_the_landing_states(traj, initial, states):
+    """Row 0 of the snapshot block is the initial data, and row k the state of
+    the last accepted step at or before snapshot time k, bit for bit."""
+    assert traj.values[0].tobytes() == initial.values.tobytes()
+    for t, row in zip(traj.times[1:], traj.values[1:]):
+        landed = [v for s, v in states if s <= t * (1.0 + 1e-12)][-1]
+        assert row.tobytes() == landed.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_step_budget(name, tmp_path, monkeypatch):
     command, config, budget = BUDGETS[name]
@@ -41,10 +52,15 @@ def test_step_budget(name, tmp_path, monkeypatch):
         return counted
 
     def run_model(*args, observers=(), **kwargs):
-        steps = []
-        traj = real_run_model(*args, observers=(*observers, lambda t, d, s: steps.append(s)),
-                              **kwargs)
+        steps, states = [], []
+
+        def observe(t, density, stats):
+            steps.append(stats)
+            states.append((t, density.values.copy()))
+
+        traj = real_run_model(*args, observers=(*observers, observe), **kwargs)
         runs.append(steps)
+        assert_rows_are_the_landing_states(traj, args[3], states)
         return traj
 
     monkeypatch.setattr(experiments, "make_rhs", make_rhs)
