@@ -30,7 +30,7 @@ from . import testfuncs
 from .errors import ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
-from .operators import _check_table_bytes, computed_eps
+from .operators import _check_table_bytes
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
@@ -384,22 +384,21 @@ def cmd_sweep(args):
         raise ConfigError(f"n_sweep needs at least two n_list values, got {list(config.n_list)}")
     summary = {"checks": {}, "failed_members": []}
     tables = {}
+    members = exp.MemberTable(config)  # both studies read one table
     if eps_sweep:
-        table = tables["distances_eps.csv"] = exp.run_eps_sweep(config)
+        table = tables["distances_eps.csv"] = exp.run_eps_sweep(members)
         summary["failed_members"] += table.failed
         for n in config.n_list:
             d = table.at_time(config.horizon, n)
             if d:
-                ratio = make_grid(n, config.cells_per_decade).ratio()
+                ratio = members.grid(n)[0].ratio()
                 summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d, ratio)
     if n_sweep:
-        table_n = tables["distances_n.csv"] = exp.run_n_sweep(config)
+        table_n = tables["distances_n.csv"] = exp.run_n_sweep(members)
         summary["failed_members"] += table_n.failed
         dists = [r[3] for r in table_n.rows]
-        summary["checks"]["n_cauchy"] = {
-            "distances": dists,
-            "passed": all(b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:])) if len(dists) > 1 else True,
-        }
+        summary["checks"]["n_cauchy"] = {"distances": dists, "passed": all(
+            b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:]))}
     summary["passed"] = all(c.get("passed", True) for c in summary["checks"].values()) and not summary["failed_members"]
     # only a sweep that went through leaves an output directory
     out = _out_dir(cfg, args)
@@ -433,44 +432,40 @@ def cmd_validate(args):
     if "sweep" in cfg:  # validate reads the first n only and runs no study
         raise ConfigError("validate runs no study: remove the [sweep] section")
     config = _sweep_config(cfg, args)
-    runs = exp.validate_runs(config)
-    ratio = make_grid(config.n_list[0], config.cells_per_decade).ratio()
-    sce_run = runs[computed_eps("sce", None, ratio)]
-    results = {}
-    ok = True
+    members = exp.validate_members(config)
+    sce_run = _solved(members, "sce", None)  # the closed-form check and mass report read it
 
-    sce = exp.validate_sce_constant_kernel(config, sce_run)
-    sce_pass = all(e <= exp.SCE_TOLERANCE for e in sce.values())
-    results["sce_analytic"] = {"errors": sce, "tolerance": exp.SCE_TOLERANCE, "passed": sce_pass}
-    ok &= sce_pass
+    def verdict(errors, tolerance):
+        return {"errors": errors, "passed": all(e <= tolerance for e in errors.values())}
 
-    m0_results = {}
-    for label, model, eps in exp.M0_ROWS:
-        errors = exp.validate_m0_riccati(config, runs[computed_eps(model, eps, ratio)])
-        passed = all(e <= exp.M0_TOLERANCE for e in errors.values())
-        m0_results[label] = {"errors": errors, "passed": passed}
-        ok &= passed
-    results["m0_riccati"] = {
-        "models": m0_results,
-        "tolerance": exp.M0_TOLERANCE,
-        "passed": all(r["passed"] for r in m0_results.values()),
-    }
-
+    sce = verdict(exp.validate_sce_constant_kernel(config, sce_run), exp.SCE_TOLERANCE)
+    m0 = {label: verdict(exp.validate_m0_riccati(config, _solved(members, model, eps)),
+                         exp.M0_TOLERANCE) for label, model, eps in exp.M0_ROWS}
     mc = exp.mass_conservation_report(config, sce_run)
-    mc_pass = mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE
-    results["mass_conservation"] = {"model": "sce", "eps": None, **mc,
-                                    "tolerance": exp.CLOSURE_TOLERANCE, "passed": mc_pass}
-    ok &= mc_pass
-
-    results["passed"] = bool(ok)
+    results = {
+        "sce_analytic": {**sce, "tolerance": exp.SCE_TOLERANCE},
+        "m0_riccati": {"models": m0, "tolerance": exp.M0_TOLERANCE,
+                       "passed": all(r["passed"] for r in m0.values())},
+        "mass_conservation": {"model": "sce", "eps": None, **mc,
+                              "tolerance": exp.CLOSURE_TOLERANCE,
+                              "passed": mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE},
+    }
+    ok = all(r["passed"] for r in results.values())
     # only a validation that went through leaves an output directory
     out = _out_dir(cfg, args)
     shutil.copyfile(args.config, out / "config_echo.yaml")
-    _dump_json(_plain(results), out / "validate.json")
+    _dump_json(_plain({**results, "passed": ok}), out / "validate.json")
     for name, r in results.items():
-        if isinstance(r, dict) and "passed" in r:
-            print(f"{'PASS' if r['passed'] else 'FAIL'}  {name}")
+        print(f"{'PASS' if r['passed'] else 'FAIL'}  {name}")
     return EXIT_OK if ok else EXIT_BOUND_FAIL
+
+
+def _solved(members, model, eps):
+    """The run of ``model`` at ``eps`` on the first grid; a failed run is an error."""
+    traj, failure = members.run(model, eps, members.config.n_list[0])
+    if failure is not None:
+        raise GencoagError(failure["message"])
+    return traj
 
 
 def _plain(obj):

@@ -98,11 +98,10 @@ def psi1_moment_check(traj: Trajectory, gauge, k: float, T: float,
     gamma1 = float(series[0])
     theta = weighted_norm(traj[0], "Y_norm", sigma)
     psi_at_1 = float(gauge.psi(1.0))
-    bound = (gamma1 + 6.0 * k * T * psi_at_1 * theta**2) * np.exp(6.0 * T * k * theta)
-    attained = float(series.max())
-    passed = attained <= bound * (1.0 + THETA_SLACK)
-    return BoundVerdict("psi1_moment_bound", float(bound), attained, passed,
-                        {"gamma1": gamma1, "theta": theta, "psi_at_1": psi_at_1})
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (gamma1 + 6.0 * k * T * psi_at_1 * theta**2) * np.exp(6.0 * T * k * theta)
+    return _gronwall_verdict("psi1_moment_bound", bound, series,
+                             {"gamma1": gamma1, "theta": theta, "psi_at_1": psi_at_1})
 
 
 def uniform_integrability_check(traj: Trajectory, gauge2, k: float, eta: float,
@@ -117,19 +116,21 @@ def uniform_integrability_check(traj: Trajectory, gauge2, k: float, eta: float,
     gamma2 = float(series[0])
     theta = weighted_norm(traj[0], "Y_norm", sigma)
     c = max(k, eta)
-    bound = gamma2 * np.exp(c * T * theta)
-    attained = float(series.max())
-    passed = attained <= bound * (1.0 + THETA_SLACK)
-    return BoundVerdict(
-        "psi2_uniform_integrability", float(bound), attained, passed,
-        {
-            "gamma2": gamma2,
-            "theta": theta,
-            "constant_used": c,
-            "bound_with_k": float(gamma2 * np.exp(k * T * theta)),
-            "bound_with_eta": float(gamma2 * np.exp(eta * T * theta)),
-        },
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = gamma2 * np.exp(c * T * theta)
+        with_k, with_eta = gamma2 * np.exp(k * T * theta), gamma2 * np.exp(eta * T * theta)
+    return _gronwall_verdict("psi2_uniform_integrability", bound, series, {
+        "gamma2": gamma2, "theta": theta, "constant_used": c,
+        "bound_with_k": float(with_k), "bound_with_eta": float(with_eta)})
+
+
+def _gronwall_verdict(name: str, bound, series: np.ndarray, details: dict) -> BoundVerdict:
+    """sup of ``series`` <= ``bound``; a bound that overflowed checks nothing and fails."""
+    bound, attained = float(bound), float(series.max())
+    if np.isfinite(bound):
+        return BoundVerdict(name, bound, attained, attained <= bound * (1.0 + THETA_SLACK), details)
+    failure = f"the bound is not finite ({bound!r}): its exponent overflows a double"
+    return BoundVerdict(name, bound, attained, False, {**details, "failure": failure})
 
 
 def moment_monotonicity_check(traj: Trajectory, sigma: float) -> BoundVerdict:

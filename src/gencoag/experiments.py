@@ -6,9 +6,12 @@ eps = 0 member of the same pair scheme on the same grid, in the weighted L1
 metric with weight mu^(-sigma) + mu, the natural topology for singular
 kernels.
 
-Each distinct run is solved once: runs on one grid that compute the same
-eps (:func:`~gencoag.operators.computed_eps`) are one run.  Every check of
-``validate`` reads the runs of :func:`validate_runs`.
+Every study reads one :class:`MemberTable`, which solves each distinct run
+once: runs on one grid that compute the same eps
+(:func:`~gencoag.operators.computed_eps`) are one run.  ``sweep`` passes
+one table to the eps- and n-studies, so the n-study reads the runs the
+eps-study solved; every check of ``validate`` reads the table of
+:func:`validate_members`.
 """
 
 from __future__ import annotations
@@ -88,14 +91,9 @@ class DistanceTable:
     failed: list = field(default_factory=list)
 
     def at_time(self, t, n=None):
-        """eps -> distance at the snapshot closest to t."""
-        out = {}
-        for eps, nn, tt, d in self.rows:
-            if n is not None and nn != n:
-                continue
-            if abs(tt - t) < 1e-9 * max(t, 1.0):
-                out[eps] = d
-        return out
+        """eps -> distance at the snapshot at t (of n's rows, if n is given)."""
+        return {eps: d for eps, nn, tt, d in self.rows
+                if (n is None or nn == n) and abs(tt - t) < 1e-9 * max(t, 1.0)}
 
     def write_csv(self, path):
         write_csv(path, ["eps", "n", "time", "distance"], self.rows)
@@ -122,55 +120,88 @@ def _weighted_l1(centers, widths, diff, sigma: float) -> np.ndarray:
     return np.sum(w * np.abs(diff) * widths, axis=-1)
 
 
-def _checked(traj: Trajectory, initial: NumberDensity, sigma: float):
-    """(traj, None), or (None, failure) if ``traj`` breaks the weighted-moment bound."""
-    theta = weighted_norm(initial, "Y_norm", sigma)
-    worst = float(traj.moments(weight_values(traj.grid.centers, "Y_norm", sigma)).max())
-    if worst > theta * (1.0 + 1e-10):
-        return None, {"type": "MomentBoundViolation", "time": None, "dt": None,
-                      "message": f"moment bound violated: {worst!r} > {theta!r}"}
-    return traj, None
+class MemberTable:
+    """The distinct runs of one config, each solved once, on its first read.
+
+    A member is (computed eps, n): runs on n's grid whose model and eps
+    compute the same eps (:func:`~gencoag.operators.computed_eps`) are one
+    run.  Each grid and its data are built once; each run stops at every one
+    of ``stops`` (increasing; the horizon by default) and ends at the last.
+    """
+
+    def __init__(self, config: SweepConfig, stops=None):
+        self.config = config.validate()
+        self.stops = tuple(stops or (config.horizon,))
+        self._grids, self._runs = {}, {}
+
+    def grid(self, n: float) -> tuple:
+        """(grid, initial data) of n."""
+        if n not in self._grids:
+            grid = make_grid(n, self.config.cells_per_decade)
+            self._grids[n] = grid, sample_initial(self.config.profile, grid)
+        return self._grids[n]
+
+    def run(self, model: str, eps: float | None, n: float, sentinel: bool = False) -> tuple:
+        """(traj, failure) of ``model`` at ``eps`` on n's grid; a ``sentinel`` keys on its eps.
+
+        ``failure`` is None or {type, message, time, dt}.  ``traj`` is None if
+        the solve failed; a run above the weighted-moment bound keeps it.
+        """
+        grid, initial = self.grid(n)
+        key = (eps if sentinel else computed_eps(model, eps, grid.ratio()), n)
+        if key not in self._runs:
+            self._runs[key] = self._solve(model, eps, grid, initial)
+        return self._runs[key]
+
+    def _solve(self, model, eps, grid, initial):
+        kernel, stops = self.config.kernel, self.stops
+        try:
+            if model == "generalized":
+                traj = _eps_member(kernel, grid, initial, stops, eps)
+            else:
+                traj = run_model(model, kernel, grid, initial, stops[-1], stops)
+        except GencoagError as exc:
+            # stiffness or config failure: mark, keep going; a bug still raises.
+            # time and dt come from a StiffnessError
+            return None, {"type": type(exc).__name__, "message": str(exc),
+                          "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
+        theta = weighted_norm(initial, "Y_norm", kernel.sigma)
+        worst = float(traj.moments(weight_values(grid.centers, "Y_norm", kernel.sigma)).max())
+        if worst > theta * (1.0 + 1e-10):
+            return traj, {"type": "MomentBoundViolation", "time": None, "dt": None,
+                          "message": f"moment bound violated: {worst!r} > {theta!r}"}
+        return traj, None
 
 
-def _eps_member(config: SweepConfig, grid: SizeGrid, initial: NumberDensity, eps: float):
-    """The generalized run at ``eps`` to the horizon, or its typed failure, as (traj, failure)."""
-    try:
-        traj = run_model("generalized", config.kernel, grid, initial,
-                         config.horizon, (config.horizon,), eps=eps)
-    except GencoagError as exc:
-        # stiffness or config failure: mark, keep sweeping; a bug still raises.
-        # time and dt come from a StiffnessError
-        return None, {"type": type(exc).__name__, "message": str(exc),
-                      "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
-    # every member must individually respect the weighted-moment bound
-    return _checked(traj, initial, config.kernel.sigma)
+def _eps_member(kernel: Kernel, grid: SizeGrid, initial: NumberDensity, stops, eps) -> Trajectory:
+    """The generalized run at ``eps``: a name of its own, so a profile tells it from the rest."""
+    return run_model("generalized", kernel, grid, initial, stops[-1], stops, eps=eps)
 
 
-def run_eps_sweep(config: SweepConfig) -> DistanceTable:
+def run_eps_sweep(members: MemberTable) -> DistanceTable:
     """Distance of each generalized run to the OHS (eps = 0) run, per snapshot.
 
     A member that computes eps = 0 reads the OHS run and its moment-bound
     check, except the largest such eps: a solved sentinel of the identity.
+    A failed solve of the OHS run raises: no member can be measured.
     """
-    config.validate()
+    config = members.config
     table = DistanceTable()
     sigma = config.kernel.sigma
     for n in config.n_list:
-        grid = make_grid(n, config.cells_per_decade)
-        initial = sample_initial(config.profile, grid)
-        ref = run_model("ohs", config.kernel, grid, initial, config.horizon, (config.horizon,))
-        computes = {eps: computed_eps("generalized", eps, grid.ratio()) for eps in config.eps_list}
-        sentinel = max((eps for eps, c in computes.items() if c == 0.0), default=None)
-        solved = {0.0: _checked(ref, initial, sigma)}
+        grid, _ = members.grid(n)
+        ref, failure = members.run("ohs", None, n)
+        if ref is None:
+            raise GencoagError(failure["message"])
+        below = (eps for eps in config.eps_list
+                 if computed_eps("generalized", eps, grid.ratio()) == 0.0)
+        sentinel = max(below, default=None)
         for eps in sorted(config.eps_list, reverse=True):
-            key = eps if eps == sentinel else computes[eps]
-            if key not in solved:
-                solved[key] = _eps_member(config, grid, initial, eps)
-            member, err = solved[key]
-            if err is not None:
-                table.failed.append({"eps": eps, "n": n, "error": err})
+            member, failure = members.run("generalized", eps, n, sentinel=eps == sentinel)
+            if failure is not None:
+                table.failed.append({"eps": eps, "n": n, "error": failure})
                 continue
-            # both runs stop at (horizon,), and evolve lands on each stop exactly
+            # both runs stop at the table's stops, and evolve lands on each stop exactly
             dists = _weighted_l1(grid.centers, grid.widths, member.values - ref.values, sigma)
             table.rows += [(eps, n, t, d) for t, d in zip(member.times.tolist(), dists.tolist())]
     return table
@@ -203,34 +234,24 @@ def overlap_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
     return float(_weighted_l1(mid, width, sample(a, mid) - sample(b, mid), sigma))
 
 
-def lattice_n(m: int, cells_per_decade: int) -> float:
-    """n = 10^(m / cells_per_decade): the n values whose geometric grids
-    share a common edge lattice (every edge a power of 10^(1/cpd)).
-
-    Successive-n comparisons on lattice-aligned grids are free of the
-    piecewise-constant staircase mismatch that misaligned grids add at
-    first order in the cell width.
-    """
-    return 10.0 ** (m / cells_per_decade)
-
-
-def run_n_sweep(config: SweepConfig) -> DistanceTable:
+def run_n_sweep(members: MemberTable) -> DistanceTable:
     """Cauchy-style distances between successive-n members at the first eps.
 
     Distances are measured at the horizon, on the overlap of the two
     domains.  For the comparison to reflect truncation (tail-mass) effects
-    rather than grid misalignment, pick n values from :func:`lattice_n`.
+    rather than grid misalignment, pick n = 10^(m / cells_per_decade): those
+    grids share one edge lattice, free of the staircase mismatch that
+    misaligned grids add at first order in the cell width.
     """
-    config.validate()
+    config = members.config
     eps = config.eps_list[0]
     table = DistanceTable()
     finals = []
     for n in config.n_list:
-        grid = make_grid(n, config.cells_per_decade)
-        traj, err = _eps_member(config, grid, sample_initial(config.profile, grid), eps)
-        if err is not None:
-            table.failed.append({"eps": eps, "n": n, "error": err})
-        finals.append(traj[-1] if err is None else None)
+        traj, failure = members.run("generalized", eps, n)
+        if failure is not None:
+            table.failed.append({"eps": eps, "n": n, "error": failure})
+        finals.append(traj[-1] if failure is None else None)
     sigma = config.kernel.sigma
     for cur_n, prev, cur in zip(config.n_list[1:], finals, finals[1:]):
         if prev is None or cur is None:
@@ -259,23 +280,12 @@ def require_closed_forms(config: SweepConfig):
         raise ConfigError("analytic validation requires the constant kernel and exponential data")
 
 
-def validate_runs(config: SweepConfig) -> dict:
-    """computed eps -> the one run of the ``M0_ROWS`` that compute it; every check reads these.
-
-    Each starts from the data on the first grid and runs to max(horizon, 2),
-    stopping at the mass report's snapshots and at ``CLOSED_FORM_TIMES``.
-    """
+def validate_members(config: SweepConfig) -> MemberTable:
+    """The table every check of ``validate`` reads: runs on the first grid
+    to max(horizon, 2), stopping at the mass report's snapshots and at
+    ``CLOSED_FORM_TIMES``."""
     require_closed_forms(config)
-    grid = make_grid(config.n_list[0], config.cells_per_decade)
-    initial = sample_initial(config.profile, grid)
-    horizon = max(config.horizon, *CLOSED_FORM_TIMES)
-    stops = sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES})
-    runs = {}
-    for _, model, eps in M0_ROWS:
-        key = computed_eps(model, eps, grid.ratio())
-        if key not in runs:
-            runs[key] = run_model(model, config.kernel, grid, initial, horizon, stops, eps=eps)
-    return runs
+    return MemberTable(config, sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES}))
 
 
 def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:

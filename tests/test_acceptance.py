@@ -34,6 +34,7 @@ from gencoag.diagnostics import (
 )
 from gencoag.experiments import (
     LIMIT_TOLERANCE,
+    MemberTable,
     SweepConfig,
     eps_limit_check,
     run_eps_sweep,
@@ -266,7 +267,7 @@ def test_criterion_8_eps_sweep_to_transport_limit():
         cfg = SweepConfig(
             kernel=kernel, n_list=(50.0,), cells_per_decade=32, horizon=1.0,
         )
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         check = eps_limit_check(table.at_time(1.0), make_grid(50.0, 32).ratio())
         results[kernel.family] = {
             "passed": check["passed"] and not table.failed,

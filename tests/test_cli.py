@@ -77,6 +77,24 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"diagnostics": {"inject_mass_violation": True}})
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("section", [
+        {"time": {"horizon": 60.0, "snapshots": 8}},
+        {"kernel": {"family": "constant", "rate": 1.0, "k": 1000.0}},
+    ], ids=["horizon60", "k1000"])
+    def test_overflowing_gronwall_bound_fails(self, tmp_path, section):
+        # exp(6 T k Theta) overflows a double; a bound of inf checks nothing,
+        # so it fails and says why, and no RuntimeWarning is raised
+        cfg = {**yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text()), **section}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        failed = [v for v in report["verdicts"] if not v["passed"]]
+        assert "psi1_moment_bound" in [v["name"] for v in failed]
+        for v in failed:
+            assert v["bound"] == float("inf") and "not finite" in v["details"]["failure"]
+
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
 
@@ -377,6 +395,28 @@ class TestCheckKernel:
         cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.0}})
         assert main(["check-kernel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_supremum_on_a_regime_corner_fails(self, tmp_path, seed):
+        # Lambda = mu + nu against k = 1.9: the supremum 2/1.9 of both lower
+        # regimes sits at mu = nu = 1, where random samples never land
+        cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.9}})
+        assert main(["check-kernel", "--config", str(cfg), "--seed", seed]) == 2
+        payload = json.loads((tmp_path / "out" / "kernel_cert.json").read_text())
+        worst = {r["name"]: r for r in payload["growth"]["regimes"]}
+        for name in ("small_small", "large_small"):
+            assert worst[name]["witness"] == [1.0, 1.0]
+            assert worst[name]["worst_ratio"] == pytest.approx(2.0 / 1.9, rel=1e-15)
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "constant", "rate": 1.0},
+        {"family": "singular_product", "k": 1.0, "sigma": 0.2},
+        {"family": "additive", "k": 2.0},
+    ], ids=["constant", "singular_product", "additive"])
+    def test_stock_families_pass_with_their_corners(self, tmp_path, kernel):
+        cfg = write_config(tmp_path, {"kernel": kernel})
+        for seed in ("0", "1", "2"):
+            assert main(["check-kernel", "--config", str(cfg), "--seed", seed]) == 0
+
     @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
     def test_allow_large_sigma_must_be_a_boolean(self, tmp_path, capsys, value):
         # a YAML string such as "no" is truthy: it must not switch off the
@@ -555,6 +595,35 @@ class TestSweep:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["passed"] and len(summary["checks"]["eps_monotone_n50"]["distances"]) == 11
 
+    def test_both_studies_share_their_runs(self, tmp_path, monkeypatch):
+        # sweep_eps.yaml's kernel and grid: per n the OHS run, 0.5, 0.25 and
+        # 0.01, the sentinel below sqrt(r) - 1 = 0.037.  The n-study reads
+        # the eps-study's runs at 0.5: 12 solves with both studies, not 15,
+        # and each study writes what it writes alone
+        calls = []
+        real = experiments.run_model
+        monkeypatch.setattr(experiments, "run_model",
+                            lambda model, *a, **k: calls.append(model) or real(model, *a, **k))
+        base = yaml.safe_load((CONFIGS / "sweep_eps.yaml").read_text())
+        lists = {"n_list": [10.0, 20.0, 50.0], "eps_list": [0.5, 0.25, 0.01]}
+        solves = {}
+        for name, eps_sweep, n_sweep in (("both", True, True), ("eps", True, False),
+                                         ("n", False, True)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(
+                {**base, "sweep": {**lists, "eps_sweep": eps_sweep, "n_sweep": n_sweep}}))
+            calls.clear()
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            solves[name] = len(calls)
+        assert solves == {"both": 12, "eps": 12, "n": 3}
+        for name in ("eps", "n"):
+            csv = f"distances_{name}.csv"
+            assert (tmp_path / "both" / csv).read_bytes() == (tmp_path / name / csv).read_bytes()
+        summary = {name: json.loads((tmp_path / name / "summary.json").read_text())
+                   for name in ("both", "eps", "n")}
+        assert summary["both"]["checks"] == {**summary["eps"]["checks"], **summary["n"]["checks"]}
+        assert summary["both"]["passed"] and summary["both"]["failed_members"] == []
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -671,6 +740,31 @@ class TestValidate:
         models = json.loads((tmp_path / "validate.json").read_text())["m0_riccati"]["models"]
         assert models["generalized_eps1"] == models["sce"] != models["ohs"]
         assert models["generalized_eps0.01"] == models["ohs"]
+
+    def test_failed_solve_exits_1(self, tmp_path, capsys, monkeypatch):
+        _force_first_step_failure(monkeypatch)
+        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "error: step rejected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_above_its_moment_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        # validate's runs get the weighted-moment bound check the sweeps get
+        real = experiments.make_rhs
+
+        def make_rhs(model, kernel, eps=None):
+            rhs = real(model, kernel, eps)
+
+            def sourced(density):
+                dzdt, outflux = rhs(density)
+                return dzdt + 1.0, outflux
+            return sourced
+
+        monkeypatch.setattr(experiments, "make_rhs", make_rhs)
+        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}})
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "error: moment bound violated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rate_two_kernel_passes(self, tmp_path):
         # the M0 law carries the rate: 2 M0(0) / (2 + rate M0(0) t)

@@ -18,8 +18,9 @@ from gencoag.operators import computed_eps
 from gencoag.experiments import (
     CLOSED_FORM_TIMES,
     LIMIT_TOLERANCE,
+    M0_ROWS,
+    MemberTable,
     eps_limit_check,
-    lattice_n,
     SweepConfig,
     overlap_distance,
     riccati_m0,
@@ -29,6 +30,7 @@ from gencoag.experiments import (
     sce_constant_kernel_solution,
     transport_distance,
     validate_m0_riccati,
+    validate_members,
     validate_sce_constant_kernel,
 )
 
@@ -80,17 +82,17 @@ class TestMemberFailures:
     def test_package_error_marks_member(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs",
                             _failing_generalized(StiffnessError("stiff", time=0.0, dt=1e-3)))
-        table = run_eps_sweep(small_config(eps_list=(1.0, 0.5)))
+        table = run_eps_sweep(MemberTable(small_config(eps_list=(1.0, 0.5))))
         assert [f["eps"] for f in table.failed] == [1.0, 0.5]
         assert all(f["error"] == {"type": "StiffnessError", "message": "stiff",
                                   "time": 0.0, "dt": 1e-3} for f in table.failed)
-        table = run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
+        table = run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
         assert [f["n"] for f in table.failed] == [10.0, 20.0]
         assert table.rows == []
 
     def test_other_package_error_has_no_state(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(ConfigError("bad")))
-        table = run_eps_sweep(small_config(eps_list=(0.5,)))
+        table = run_eps_sweep(MemberTable(small_config(eps_list=(0.5,))))
         assert table.failed[0]["error"] == {"type": "ConfigError", "message": "bad",
                                             "time": None, "dt": None}
 
@@ -104,7 +106,7 @@ class TestMemberFailures:
                 return rhs
             return lambda d: rhs(d) if d.time < 0.1 else rhs(d.replace(values=d.values * 1e300))
         monkeypatch.setattr(experiments, "make_rhs", make_rhs)
-        table = run_eps_sweep(small_config(eps_list=(0.5,)))
+        table = run_eps_sweep(MemberTable(small_config(eps_list=(0.5,))))
         error = table.failed[0]["error"]
         assert error["type"] == "StiffnessError" and "floating-point" in error["message"]
         assert 0.0 < error["time"] < 0.1 and error["dt"] > 0.0
@@ -112,9 +114,9 @@ class TestMemberFailures:
     def test_programming_error_propagates(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(TypeError("bug")))
         with pytest.raises(TypeError):
-            run_eps_sweep(small_config(eps_list=(0.5,)))
+            run_eps_sweep(MemberTable(small_config(eps_list=(0.5,))))
         with pytest.raises(TypeError):
-            run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
+            run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
 
     def test_reference_bound_violation_fails_members_at_eps_zero(self, monkeypatch):
         # on 16 cells/decade sqrt(r) - 1 = 0.075: eps = 1/16, 1/32 and 1/64
@@ -124,31 +126,100 @@ class TestMemberFailures:
         at_zero = [2.0**-4, 2.0**-5, 2.0**-6]
         monkeypatch.setattr(experiments, "make_rhs", _sourced(
             lambda model, eps: computed_eps(model, eps, ratio) == 0.0))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         assert [f["eps"] for f in table.failed] == at_zero
         assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
         assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
         # with the OHS run alone broken, the members that read it fail with it
         monkeypatch.setattr(experiments, "make_rhs", _sourced(lambda model, eps: model == "ohs"))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         assert [f["eps"] for f in table.failed] == at_zero[1:]
         assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
 
     def test_n_sweep_member_bound_violation_is_typed(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs",
                             _sourced(lambda model, eps: model == "generalized"))
-        table = run_n_sweep(small_config(n_list=(10.0, 20.0), eps_list=(0.5,)))
+        table = run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
         assert [f["n"] for f in table.failed] == [10.0, 20.0]
         assert all(f["eps"] == 0.5 and f["error"]["type"] == "MomentBoundViolation"
                    and f["error"]["time"] is None for f in table.failed)
         assert table.rows == []
 
 
+def _counted(monkeypatch):
+    """The (model, eps) of every run_model call from here on."""
+    calls, real = [], experiments.run_model
+
+    def run_model(model, *args, **kwargs):
+        calls.append((model, kwargs.get("eps")))
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_model", run_model)
+    return calls
+
+
+class TestMemberTable:
+    # on 16 cells/decade sqrt(r) - 1 = 0.075
+    def test_runs_that_compute_one_eps_are_one_run(self, monkeypatch):
+        members = MemberTable(small_config())
+        calls = _counted(monkeypatch)
+        ohs, failure = members.run("ohs", None, 20.0)
+        assert failure is None and members.run("generalized", 2.0**-5, 20.0)[0] is ohs
+        # the sentinel keeps its own eps as its key: solved apart from the OHS run
+        sentinel = members.run("generalized", 2.0**-4, 20.0, sentinel=True)[0]
+        assert sentinel is not ohs and members.run("generalized", 2.0**-4, 20.0)[0] is ohs
+        sce = members.run("sce", None, 20.0)[0]
+        assert members.run("generalized", 1.0, 20.0)[0] is sce
+        assert calls == [("ohs", None), ("generalized", 2.0**-4), ("sce", None)]
+        # each grid and its initial data are built once, and every run starts there
+        grid, initial = members.grid(20.0)
+        assert members.grid(20.0)[0] is grid and sce.grid is grid
+        assert np.array_equal(sce.values[0], initial.values)
+
+    @pytest.mark.parametrize("eps_study", [True, False], ids=["after_eps_study", "alone"])
+    def test_n_study_below_the_limit_reads_the_ohs_run(self, monkeypatch, eps_study):
+        # eps_list[0] = 1/16 lies below sqrt(r) - 1: on each n the eps-study
+        # solves it as its sentinel, and the n-study reads the OHS run
+        cfg = small_config(n_list=(10.0, 20.0), eps_list=(2.0**-4, 2.0**-5))
+        members = MemberTable(cfg)
+        if eps_study:
+            run_eps_sweep(members)
+        calls = _counted(monkeypatch)
+        table = run_n_sweep(members)
+        ohs = [members.run("ohs", None, n)[0] for n in cfg.n_list]
+        assert calls == ([] if eps_study else [("generalized", 2.0**-4)] * 2)
+        assert table.failed == [] and table.rows == [
+            (2.0**-4, 20.0, 0.5, overlap_distance(ohs[0][-1], ohs[1][-1], cfg.kernel.sigma))]
+
+    def test_failed_solve_is_typed_and_kept(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_rhs",
+                            _failing_generalized(StiffnessError("stiff", time=0.0, dt=1e-3)))
+        members = MemberTable(small_config())
+        calls = _counted(monkeypatch)
+        for _ in range(2):
+            assert members.run("generalized", 0.5, 20.0) == (None, {
+                "type": "StiffnessError", "message": "stiff", "time": 0.0, "dt": 1e-3})
+        assert calls == [("generalized", 0.5)]
+
+    def test_validate_table(self, monkeypatch):
+        cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=1.0)
+        members = validate_members(cfg)
+        # the mass report's eight snapshots to the horizon, and the closed-form times
+        assert members.stops == (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0, 2.0)
+        calls = _counted(monkeypatch)
+        runs = {label: members.run(model, eps, 30.0) for label, model, eps in M0_ROWS}
+        assert calls == [("sce", None), ("ohs", None), ("generalized", 0.25)]
+        assert all(failure is None for _, failure in runs.values())
+        assert runs["generalized_eps1"][0] is runs["sce"][0]
+        assert runs["generalized_eps0.01"][0] is runs["ohs"][0]
+        assert runs["sce"][0].times.tolist() == [0.0, *members.stops]
+
+
 class TestEpsSweep:
     def test_empty_eps_list(self):
         # an empty list would sweep nothing and report a vacuous pass
         with pytest.raises(ConfigError, match="must not be empty"):
-            run_eps_sweep(small_config(eps_list=()))
+            run_eps_sweep(MemberTable(small_config(eps_list=())))
 
     def test_eps_one_row_matches_direct_sce(self):
         # same step sequence: the operator identity carries through the
@@ -163,7 +234,7 @@ class TestEpsSweep:
 
     def test_distances_monotone_to_floor(self):
         cfg = small_config(eps_list=tuple(2.0 ** (-i) for i in range(7)))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
         ratio = make_grid(20.0, cfg.cells_per_decade).ratio()
         check = eps_limit_check(table.at_time(0.5), ratio)
@@ -178,7 +249,7 @@ class TestEpsSweep:
         grid = make_grid(10.0, 16)
         cfg = small_config(n_list=(10.0,), profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
         d = table.at_time(0.5)
         assert eps_limit_check(d, grid.ratio())["passed"]
@@ -193,7 +264,7 @@ class TestEpsSweep:
         grid = make_grid(10.0, 16)
         cfg = small_config(n_list=(10.0,), profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
         limit = [(t, v) for _, t, v in _below_limit_distances(cfg, grid, (0.125, 0.25, 0.5))]
         assert len({t for t, _ in limit}) > 1
@@ -201,13 +272,13 @@ class TestEpsSweep:
 
     def test_determinism_bit_identical(self):
         cfg = small_config(eps_list=(1.0, 0.5, 0.25))
-        t1 = run_eps_sweep(cfg)
-        t2 = run_eps_sweep(cfg)
+        t1 = run_eps_sweep(MemberTable(cfg))
+        t2 = run_eps_sweep(MemberTable(cfg))
         assert t1.rows == t2.rows
 
     def test_csv_round_trip(self, tmp_path):
         cfg = small_config(eps_list=(1.0, 0.5))
-        table = run_eps_sweep(cfg)
+        table = run_eps_sweep(MemberTable(cfg))
         path = tmp_path / "distances.csv"
         table.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -234,17 +305,17 @@ def _below_limit_distances(cfg, grid, snapshot_times):
 class TestNSweep:
     def test_single_n_empty(self):
         cfg = small_config(n_list=(20.0,), eps_list=(0.5,))
-        assert run_n_sweep(cfg).rows == []
+        assert run_n_sweep(MemberTable(cfg)).rows == []
 
     def test_doubling_decay(self):
         # exponential data: the tail mass beyond n decays like e^-n, so the
         # inter-n distance collapses as n doubles.  Lattice-aligned n values
         # keep grid staircase mismatch out of the comparison.
         cpd = 16
-        ns = tuple(lattice_n(m, cpd) for m in (11, 16, 21))  # ~4.9, 10, ~20.5
+        ns = tuple(10.0 ** (m / cpd) for m in (11, 16, 21))  # ~4.9, 10, ~20.5
         cfg = small_config(n_list=ns, eps_list=(0.5,),
                            cells_per_decade=cpd, horizon=0.25)
-        table = run_n_sweep(cfg)
+        table = run_n_sweep(MemberTable(cfg))
         dists = [r[3] for r in table.rows]
         assert len(dists) == 2
         assert dists[1] < 0.5 * dists[0]

@@ -44,7 +44,8 @@ def test_every_setup_probe_runs(monkeypatch):
         assert 0.0 < setup_s < math.inf
 
 
-@pytest.mark.parametrize("name", ["sweep_eps", "validate_constant"])
+@pytest.mark.parametrize("name", ["simulate_fine", "simulate_ohs_diag", "sweep_eps",
+                                  "validate_constant"])
 def test_traced_pass_reads_its_spans(monkeypatch, tmp_path, name):
     # the traced pass of trace.main: metrics_of picks spans by name and
     # parent, so for instance the sweep's reference run_model must stay
@@ -58,7 +59,10 @@ def test_traced_pass_reads_its_spans(monkeypatch, tmp_path, name):
     metrics = trace.metrics_of(w, tracer, out_dir)
     assert metrics["integrator.steps"] > 0 and metrics["integrator.rhs_evals"] > 0
     assert metrics["cli.output_bytes"] > 0
-    if w.command == "sweep":
+    if w.command == "simulate":
+        assert metrics["diagnostics.total_s"] > 0.0 and metrics["gauges.build_s"] > 0.0
+        assert metrics["sizedomain.snapshot_bytes"] > 0
+    elif w.command == "sweep":
         assert metrics["experiments.reference_s"] > 0.0
         assert 0.0 < metrics["experiments.member_s.max"] <= metrics["experiments.member_s.sum"]
     else:
