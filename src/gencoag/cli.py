@@ -30,11 +30,11 @@ from . import testfuncs
 from .errors import ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
-from .operators import _check_table_bytes
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
     SingularPowerProfile,
+    _check_table_bytes,
     make_grid,
     sample_initial,
     write_snapshot_csv,
@@ -71,9 +71,9 @@ CERTIFY_SAMPLES = 4000
 
 #: What ``simulate`` holds at its peak besides the pair scheme, which
 #: operators._scheme_bytes counts.  Per snapshot: its row of the trajectory
-#: block (8 bytes a cell), up to one and a half rows of diagnostic
-#: temporaries (the crossing rates and one side of their split, 12 bytes a
-#: cell), and SNAPSHOT_OVERHEAD bytes of objects: its time and ledger
+#: block (8 bytes a cell), up to one row of diagnostic temporaries (the
+#: weak form's terms or one threshold's crossing rates, 8 bytes a cell),
+#: and SNAPSHOT_OVERHEAD bytes of objects: its time and ledger
 #: entries, the report's series, its file name.  Per cell, CELL_OVERHEAD
 #: bytes of solver states, gauges and test functions; per run, RUN_OVERHEAD
 #: bytes for the config, the verdicts and the writers.  tracemalloc on
@@ -101,6 +101,16 @@ def load_config(path):
         raise GencoagError(f"{path}: top level must be a mapping")
     _check_keys(cfg)
     return cfg
+
+
+def _load(args):
+    """The config of ``args`` and its output directory, after the checks every command makes.
+
+    The directory is made only once a run went through.
+    """
+    cfg = load_config(args.config)
+    _check_threads(cfg, args)
+    return cfg, _out_dir(cfg, args)
 
 
 def _check_keys(cfg):
@@ -167,7 +177,7 @@ def build_profile(cfg, sigma):
 def _run_bytes(count, cells):
     """Bytes ``simulate`` holds at its peak, scheme aside, for ``count`` snapshots of ``cells``."""
     rows = count + 1  # the trajectory also keeps the initial data
-    return rows * (20 * cells + SNAPSHOT_OVERHEAD) + cells * CELL_OVERHEAD + RUN_OVERHEAD
+    return rows * (16 * cells + SNAPSHOT_OVERHEAD) + cells * CELL_OVERHEAD + RUN_OVERHEAD
 
 
 def _snapshot_times(cfg, horizon, cells):
@@ -234,10 +244,10 @@ def _flux_thresholds(dsec, grid):
 
 
 def _out_dir(cfg, args):
-    sec = _section(cfg, "output", required=False)
-    out = Path(args.out or sec.get("directory", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    directory = _section(cfg, "output", required=False).get("directory", "out")
+    if not isinstance(directory, str):
+        raise GencoagError(f"output.directory must be a string, got {directory!r}")
+    return Path(args.out or directory)
 
 
 def _dump_json(payload, path):
@@ -246,7 +256,7 @@ def _dump_json(payload, path):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
+    cfg, out = _load(args)
     run = _section(cfg, "run")
     model = run.get("model")
     if model not in ("sce", "ohs", "generalized"):
@@ -255,7 +265,6 @@ def cmd_simulate(args):
     if model == "generalized" and eps is None:
         raise GencoagError("[run] eps is required when model = generalized")
     eps = config_number(eps, "eps") if eps is not None else None
-    _check_threads(cfg, args)
 
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
@@ -277,7 +286,7 @@ def cmd_simulate(args):
 
     traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
     # only a run that went through leaves an output directory
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, out / "config_echo.yaml")
 
     if inject:
@@ -355,8 +364,7 @@ def _check_threads(cfg, args):
         raise GencoagError(f"threads must be >= 1, got {threads}")
 
 
-def _sweep_config(cfg, args):
-    _check_threads(cfg, args)
+def _sweep_config(cfg):
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
     ssec = _section(cfg, "sweep", required=False)
@@ -374,8 +382,8 @@ def _sweep_config(cfg, args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    config = _sweep_config(cfg, args)
+    cfg, out = _load(args)
+    config = _sweep_config(cfg)
     ssec = _section(cfg, "sweep", required=False)
     eps_sweep, n_sweep = _bool(ssec, "eps_sweep", True), _bool(ssec, "n_sweep", False)
     if not (eps_sweep or n_sweep):
@@ -401,7 +409,7 @@ def cmd_sweep(args):
             b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:]))}
     summary["passed"] = all(c.get("passed", True) for c in summary["checks"].values()) and not summary["failed_members"]
     # only a sweep that went through leaves an output directory
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, out / "config_echo.yaml")
     for name, table in tables.items():
         table.write_csv(out / name)
@@ -411,11 +419,11 @@ def cmd_sweep(args):
 
 
 def cmd_check_kernel(args):
-    cfg = load_config(args.config)
+    cfg, out = _load(args)
     kernel = kernel_from_config(_section(cfg, "kernel"))
     growth = certify_growth(kernel, CERTIFY_SAMPLES, seed=args.seed)
     deriv = certify_derivative(kernel, CERTIFY_SAMPLES, seed=args.seed)
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {"kernel_family": kernel.family, "passed": growth.passed and deriv.passed}
     for name, cert in (("growth", growth), ("derivative", deriv)):
         payload[name] = {"passed": cert.passed, "regimes": [
@@ -428,10 +436,10 @@ def cmd_check_kernel(args):
 
 
 def cmd_validate(args):
-    cfg = load_config(args.config)
+    cfg, out = _load(args)
     if "sweep" in cfg:  # validate reads the first n only and runs no study
         raise ConfigError("validate runs no study: remove the [sweep] section")
-    config = _sweep_config(cfg, args)
+    config = _sweep_config(cfg)
     members = exp.validate_members(config)
     sce_run = _solved(members, "sce", None)  # the closed-form check and mass report read it
 
@@ -452,7 +460,7 @@ def cmd_validate(args):
     }
     ok = all(r["passed"] for r in results.values())
     # only a validation that went through leaves an output directory
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, out / "config_echo.yaml")
     _dump_json(_plain({**results, "passed": ok}), out / "validate.json")
     for name, r in results.items():
@@ -501,8 +509,6 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0, help="randomized-check seed")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        return _fail(f"threads must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except GencoagError as exc:

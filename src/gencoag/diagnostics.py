@@ -165,10 +165,10 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
     terms = np.empty_like(values)
     for row, s in zip(terms, traj):
         np.multiply(rhs_op(s)[0], grid.widths, out=row)
-    actions = terms @ stack.T
+    actions = np.einsum("ki,ti->kt", terms, stack)
     np.subtract(values, values[0], out=terms)
     terms *= grid.widths
-    lhs = terms @ stack.T
+    lhs = np.einsum("ki,ti->kt", terms, stack)
     residual = np.abs(lhs - _trapezoid(traj.times, actions)).T
     return residual if om.ndim == 2 else residual[0]
 
@@ -200,7 +200,7 @@ def _crossing_rates(traj: Trajectory, m: int, kernel) -> np.ndarray:
     factors = kernel.factors(x)
     f = np.array([fr[m:] for fr, _ in factors])
     g = np.array([gr[:m] for _, gr in factors])
-    rates = np.einsum("ki,ri->kr", values[:, m:] * dx[m:], f) @ g
+    rates = np.einsum("kr,rj->kj", np.einsum("ki,ri->kr", values[:, m:] * dx[m:], f), g)
     for row, zeta in zip(rates, values):
         row *= x[:m] * (zeta[:m] * dx[:m])
     return rates
@@ -255,10 +255,21 @@ def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
         return {"lambda": lam_edge, "residual": resid, "lhs": lhs, "rhs": rhs}
 
     v_weights = _edge_velocity_weights(grid, m, kernel)
-    flux = lam_edge * values[:, m - 1] * (values[:, : m - 1] @ v_weights)
+    flux = lam_edge * values[:, m - 1] * np.einsum("kj,j->k", values[:, : m - 1], v_weights)
     rates = _crossing_rates(traj, m, kernel).sum(axis=1) + flux
     rhs = -_trapezoid(traj.times, rates)
     return {"lambda": lam_edge, "residual": np.abs(lhs - rhs), "lhs": lhs, "rhs": rhs}
+
+
+def _side_sums(rates, c) -> np.ndarray:
+    """Per row, the sums of ``rates[:, :c]`` and of ``rates[:, c:]``, neither side copied.
+
+    Column by column, each row's entries add up left to right.
+    """
+    split = np.zeros((len(rates), 2))
+    for j, column in enumerate(rates.T):
+        split[:, int(j >= c)] += column
+    return split
 
 
 def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
@@ -275,9 +286,9 @@ def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
             out.append({"lambda": float(lam), "sigma1": 0.0, "sigma2": 0.0, "total": 0.0})
             continue
         m = _snap_to_edge(grid, lam)
-        rates = _crossing_rates(traj, m, kernel)
-        small1 = grid.centers[:m] < 1.0
-        split = np.stack([rates[:, small1].sum(axis=1), rates[:, ~small1].sum(axis=1)], axis=1)
+        c = int(np.count_nonzero(grid.centers[:m] < 1.0))  # the partners below one lead
+        # the rates die with the call: no two lambdas' rates are alive at once
+        split = _side_sums(_crossing_rates(traj, m, kernel), c)
         i1, i2 = (float(v) for v in _trapezoid(traj.times, split)[-1])
         out.append({"lambda": float(lam), "sigma1": i1, "sigma2": i2, "total": i1 + i2})
     return out

@@ -256,7 +256,7 @@ class TabulatedKernel(Kernel):
         cells = np.arange(x.size)
         hats[i, cells] = 1.0 - t
         hats[i + 1, cells] = t
-        return list(zip(self.table @ hats, hats))
+        return list(zip(np.einsum("ab,bx->ax", self.table, hats), hats))
 
 
 def _table_row(row, where):

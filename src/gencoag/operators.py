@@ -54,29 +54,17 @@ pairs lives in the tests as an oracle.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernels import TruncatedKernel
-from .sizedomain import NumberDensity, SizeGrid
+from .sizedomain import NumberDensity, SizeGrid, _check_table_bytes
 
 
 def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
     if abs(density.grid.n - kernel.n) > 1e-12 * kernel.n:
         raise ConfigError(
             f"grid n={density.grid.n} does not match kernel truncation n={kernel.n}"
-        )
-
-
-def _check_table_bytes(nbytes, what, remedy):
-    """Raise ConfigError before a table larger than physical memory is built."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
-        raise ConfigError(
-            f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
-            f"{physical / 2**30:.1f} GiB of physical memory; {remedy}"
         )
 
 
@@ -211,20 +199,24 @@ class LagScheme:
                            "the pair scheme", "use fewer cells")
 
         # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
-        # land strictly below the band.  The offset-0 lags, the last run,
-        # move their big partners on; (0, 0) when there are none.
+        # land strictly below the band.  The offset never increases with the
+        # lag, so its runs, taken last to first, come in increasing o.  The
+        # offset-0 lags, the last run, move their big partners on; (0, 0)
+        # when there are none.
         self.groups = []
         self.moves = (0, 0)
-        for o, lo, length in zip(*np.unique(offset, return_index=True, return_counts=True)):
-            hi, top = lo + length, size - 2 - o
+        cuts = (np.flatnonzero(np.diff(offset)) + 1).tolist()
+        for lo, hi in zip([0, *cuts][::-1], [*cuts, size][::-1]):
+            o = int(offset[lo])
+            top = size - 2 - o
             if lo >= top:
                 continue
             if o == 0:
-                self.moves = (int(lo), int(top))
+                self.moves = (lo, top)
                 continue
             rate = np.where(lags[lo:hi] == 0, 0.5, 1.0) / eps
             w = np.clip((y[o + 1] - q[lo:hi]) / (y[o + 1] - y[o]), 0.0, 1.0)
-            self.groups.append((int(o), int(lo), int(top), w * rate, (1.0 - w) * rate))
+            self.groups.append((o, lo, top, w * rate, (1.0 - w) * rate))
 
         within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         m_idx = np.repeat(start, count) + within

@@ -15,11 +15,12 @@ Snapshots are written per trajectory (``write_snapshot_csv``).
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InitialDataError
+from .errors import ConfigError, DomainError, InitialDataError
 
 # The 16-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
 # numpy.polynomial.legendre.leggauss(16), which is symmetric: the
@@ -45,6 +46,16 @@ CSV_CHUNK_ROWS = 256
 _WEIGHTS = ("one", "mass", "neg_sigma", "neg_two_sigma", "Y_norm")
 
 
+def _check_table_bytes(nbytes, what, remedy):
+    """Raise ConfigError before a table larger than physical memory is built."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ConfigError(
+            f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory; {remedy}"
+        )
+
+
 class SizeGrid:
     """Geometric partition of [1/n, n].
 
@@ -54,7 +65,8 @@ class SizeGrid:
         Truncation parameter; the domain is (1/n, n).
     cells_per_decade : int
         Resolution; the cell count is round(2 * cells_per_decade * log10(n))
-        and must be at least 2.
+        and must be at least 2.  A grid whose arrays would outgrow physical
+        memory is a :class:`ConfigError`, raised before any is allocated.
     """
 
     def __init__(self, n, cells_per_decade):
@@ -71,6 +83,9 @@ class SizeGrid:
                 f"grid n={n}, cells_per_decade={cells_per_decade} has {count} cell(s); "
                 "at least 2 are needed"
             )
+        # at most three arrays of count + 1 doubles are alive at once
+        _check_table_bytes(24 * (count + 1), f"a grid of {count} cells",
+                           "use fewer cells_per_decade")
         edges = np.exp(np.linspace(math.log(1.0 / n), math.log(n), count + 1))
         edges[0] = 1.0 / n
         edges[-1] = n

@@ -65,6 +65,32 @@ class PairScheme:
         return (births - outgo) / self.grid.widths, outflux
 
 
+def unique_lag_groups(grid: SizeGrid, eps: float):
+    """:class:`LagScheme`'s lag groups and offset-0 moves, from ``np.unique`` over the offsets.
+
+    The scheme finds the same runs of lags without sorting; this sorts the
+    offsets and takes each distinct one's first lag and lag count.
+    """
+    x = grid.centers
+    size = grid.size
+    lags = np.arange(size)
+    y = x / x[0]
+    q = 1.0 + eps * (x[0] / x)
+    offset = np.searchsorted(y, q, side="right") - 1
+    groups, moves = [], (0, 0)
+    for o, lo, length in zip(*np.unique(offset, return_index=True, return_counts=True)):
+        hi, top = lo + length, size - 2 - o
+        if lo >= top:
+            continue
+        if o == 0:
+            moves = (int(lo), int(top))
+            continue
+        rate = np.where(lags[lo:hi] == 0, 0.5, 1.0) / eps
+        w = np.clip((y[o + 1] - q[lo:hi]) / (y[o + 1] - y[o]), 0.0, 1.0)
+        groups.append((int(o), int(lo), int(top), w * rate, (1.0 - w) * rate))
+    return groups, moves
+
+
 def pair_deaths(pairs, zd):
     """Small-partner deaths per cell of a :class:`_PairSet`."""
     kill = pairs.kill * zd[pairs.m_idx] * zd[pairs.j_idx]

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -147,7 +146,7 @@ class TestSimulate:
 
     def test_snapshot_count_checked_against_memory(self, tmp_path, capsys, monkeypatch):
         # physical memory shrunk to 2 MiB: each snapshot of the 31 cells
-        # takes 20 * 31 bytes plus its objects, so 1000 fit and 2000 do not
+        # takes 16 * 31 bytes plus its objects, so 1000 fit and 2000 do not
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf",
                             lambda name: 2**21 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
@@ -538,7 +537,7 @@ class TestSweep:
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("command", ["simulate", "validate", "check-kernel"])
     @pytest.mark.parametrize("threads", [0, -3])
     def test_run_threads_below_one_exits_1(self, tmp_path, capsys, command, threads):
         cfg = write_config(tmp_path, {"run": {"model": "sce", "threads": threads}})
@@ -559,6 +558,32 @@ class TestSweep:
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "sweep", section, message)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "validate", "check-kernel"])
+    @pytest.mark.parametrize("directory", [5, None, ["out"]])
+    def test_non_string_output_directory_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, directory):
+        work = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: work.append(a))
+        monkeypatch.setattr(cli, "certify_growth", lambda *a, **k: work.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert_refused(tmp_path, capsys, command, {"output": {"directory": directory}},
+                       f"output.directory must be a string, got {directory!r}")
+        assert work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+    @pytest.mark.parametrize("command, config", [("simulate", "simulate_singular.yaml"),
+                                                 ("sweep", "sweep_eps.yaml")])
+    def test_grid_larger_than_memory_exits_1(self, tmp_path, capsys, command, config):
+        cfg = yaml.safe_load((CONFIGS / config).read_text())
+        cfg["grid"]["cells_per_decade"] = 10**12
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a grid of ") and err.count("\n") == 1
+        assert "physical memory; use fewer cells_per_decade" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
         ({"eps_sweep": "no"}, "eps_sweep must be true or false, got 'no'"),
@@ -689,8 +714,7 @@ class TestValidate:
             assert main(["validate", "--config", str(CONFIGS / "validate_constant.yaml"),
                          "--out", str(out)]) == 0
         payload = json.loads((out / "validate.json").read_text())
-        config = _sweep_config(load_config(CONFIGS / "validate_constant.yaml"),
-                               argparse.Namespace(threads=None, seed=None))
+        config = _sweep_config(load_config(CONFIGS / "validate_constant.yaml"))
         return payload, calls, config
 
     def test_each_distinct_ode_solved_once(self, shipped):

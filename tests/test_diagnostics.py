@@ -24,6 +24,7 @@ from gencoag.diagnostics import (
     _crossing_rates,
     _edge_velocity_weights,
     _psi2_series,
+    _side_sums,
     _snap_to_edge,
     equicontinuity_modulus,
     mass_flux_identity,
@@ -465,9 +466,9 @@ class TestSnapshotMatrix:
                 assert np.all(np.abs(got - expect) <= 1e-13 * expect)
 
     def test_snapshot_at_a_time_forms_equal_the_block_forms_bitwise(self):
-        # the crossing rates and the psi2 series work one snapshot at a time
-        # so that no temporary outgrows the block; their bits are those of
-        # the expressions over the whole block
+        # the crossing rates and the psi2 series work one snapshot at a time,
+        # and the tail split sums in place, so that no temporary outgrows the
+        # block; their bits are those of the expressions over whole copies
         grid = make_grid(20.0, 16)
         rng = np.random.default_rng(72)
         traj = Trajectory(grid)
@@ -479,8 +480,13 @@ class TestSnapshotMatrix:
             for m in range(1, grid.size):
                 f = np.array([fr[m:] for fr, _ in kernel.factors(x)])
                 g = np.array([gr[:m] for _, gr in kernel.factors(x)])
-                block = np.einsum("ki,ri->kr", zd[:, m:], f) @ g * (x[:m] * zd[:, :m])
+                block = np.einsum("kr,rj->kj", np.einsum("ki,ri->kr", zd[:, m:], f), g)
+                block *= x[:m] * zd[:, :m]
                 assert _crossing_rates(traj, m, kernel).tobytes() == block.tobytes()
+                small1 = x[:m] < 1.0
+                split = np.stack([block[:, small1].sum(axis=1), block[:, ~small1].sum(axis=1)],
+                                 axis=1)
+                assert _side_sums(block, np.count_nonzero(small1)).tobytes() == split.tobytes()
         gauge = build_gauge_from_tail(*psi2_tail(traj[0], 0.2))
         block = np.sum(gauge.psi(x ** -0.2 * values) * dx, axis=-1)
         assert _psi2_series(traj, gauge, 0.2).tobytes() == block.tobytes()

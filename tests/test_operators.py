@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     ohs_velocity,
     pair_deaths,
     smoluchowski_rhs,
+    unique_lag_groups,
 )
 
 
@@ -261,6 +263,48 @@ class TestLagScheme:
         scheme = lag_scheme(grid, truncate(SingularProductKernel(), 100.0), eps)
         max_offset = np.ceil(np.log1p(eps) / np.log(grid.ratio()))
         assert scheme.band.m_idx.size <= grid.size * (max_offset + 2)
+
+    @pytest.mark.parametrize("n, cpd", [(1.5, 5), (1.6, 4), (8.0, 6), (100.0, 27),
+                                        (100.0, 128), (1000.0, 64)])
+    def test_groups_are_those_of_unique_offsets(self, n, cpd):
+        # the runs of the monotone offsets, taken in increasing offset, are
+        # the groups np.unique gives, and so is every right-hand side, bit for bit
+        grid = make_grid(n, cpd)
+        below = 0.99 * (np.sqrt(grid.ratio()) - 1.0)
+        values = np.random.default_rng(83).random(grid.size)
+        for eps in (0.0, below, 2.0**-10, 0.05, 0.25, 0.5, 1.0):
+            groups, moves = unique_lag_groups(grid, eps)
+            for kernel in kernel_trio(n) + [tabulated_kernel(n)]:
+                scheme = lag_scheme(grid, kernel, eps)
+                assert scheme.moves == moves
+                assert [g[:3] for g in scheme.groups] == [g[:3] for g in groups]
+                for got, expect in zip(scheme.groups, groups):
+                    assert got[3].tobytes() == expect[3].tobytes()
+                    assert got[4].tobytes() == expect[4].tobytes()
+                reference = copy.copy(scheme)
+                reference.groups, reference.moves = groups, moves
+                dzdt, outflux = scheme.rhs(values)
+                expect_dzdt, expect_out = reference.rhs(values)
+                assert dzdt.tobytes() == expect_dzdt.tobytes()
+                assert outflux == expect_out
+
+    @pytest.mark.parametrize("model, eps", [("sce", None), ("ohs", None), ("generalized", 0.5),
+                                            ("generalized", 2.0**-10)])
+    def test_scheme_build_sorts_nothing(self, monkeypatch, model, eps):
+        # the lag groups are runs of monotone offsets: a sort would only
+        # fault numpy's sort code into every run
+        grid = make_grid(100.0, 27)
+        calls = [(make_rhs(model, kernel, eps), random_density(grid, np.random.default_rng(89)))
+                     for kernel in kernel_trio(100.0) + [tabulated_kernel(100.0)]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scheme build sorted")
+
+        for name in ("unique", "sort", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for rhs, density in calls:
+            dzdt, outflux = rhs(density)
+            assert np.all(np.isfinite(dzdt)) and np.isfinite(outflux)
 
     @settings(max_examples=60, deadline=None)
     @given(
