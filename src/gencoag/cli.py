@@ -3,23 +3,24 @@
 Four commands, all driven by a single YAML config file that is echoed
 verbatim into the output directory for reproducibility:
 
-    gencoag simulate     --config run.yaml [--out DIR] [--threads N] [--seed S]
-    gencoag sweep        --config run.yaml ...
-    gencoag check-kernel --config run.yaml ...
-    gencoag validate     --config run.yaml ...
+    gencoag {simulate,sweep,check-kernel,validate} --config FILE
+            [--out DIR] [--threads N] [--seed S]
 
-Exit codes: 0 success, 1 configuration or runtime error, 2 a run completed
-but a bound check failed.  ``--threads`` (or ``run.threads``) must be at
-least 1, but every command runs in one process: none starts a pool.
+Each option is given at most once, as ``--name value`` or ``--name=value``,
+spelled out in full; ``-h`` or ``--help`` prints the usage line.  Exit
+codes: 0 success, 1 a usage, configuration or runtime error, 2 a run
+completed but a bound check failed.  ``--threads`` (or ``run.threads``)
+must be at least 1, but every command runs in one process: none starts a
+pool.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -30,6 +31,7 @@ from . import testfuncs
 from .errors import ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
 from .kernels import certify_derivative, certify_growth, config_number, kernel_from_config, truncate
+from .operators import scheme_bytes
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
@@ -180,13 +182,14 @@ def _run_bytes(count, cells):
     return rows * (16 * cells + SNAPSHOT_OVERHEAD) + cells * CELL_OVERHEAD + RUN_OVERHEAD
 
 
-def _snapshot_times(cfg, horizon, cells):
+def _snapshot_times(cfg, horizon, cells, scheme):
     count = _int(_section(cfg, "time", required=False), "snapshots", 8)
     if count < 1:
         raise GencoagError(f"snapshots must be >= 1, got {count}")
-    # refuse before building the times
-    _check_table_bytes(_run_bytes(count, cells),
-                       f"{count} snapshots of {cells} cells", "use fewer snapshots")
+    # refuse before building the times; the solve and the weak form each
+    # hold the snapshot block next to one pair scheme of ``scheme`` bytes
+    _check_table_bytes(_run_bytes(count, cells) + scheme,
+                       f"{count} snapshots of {cells} cells", "use fewer snapshots or cells")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
@@ -275,7 +278,8 @@ def cmd_simulate(args):
     horizon = _float(tsec, "horizon", 1.0)
     if not horizon > 0.0:  # at 0 every snapshot is the initial data and every check passes
         raise ConfigError("horizon must be > 0")
-    snaps = _snapshot_times(cfg, horizon, grid.size)
+    trunc = truncate(kernel, grid.n)
+    snaps = _snapshot_times(cfg, horizon, grid.size, scheme_bytes(grid, model, trunc, eps))
     # diagnostics settings are checked here so that a bad one fails before the solve
     dsec = _section(cfg, "diagnostics", required=False)
     names = _list(dsec, "omegas", ["one", "mass"])
@@ -293,7 +297,6 @@ def cmd_simulate(args):
         # test hook: corrupt the final snapshot so bound checks must fail
         traj.replace_values(-1, traj[-1].values * 1.5)
 
-    trunc = truncate(kernel, grid.n)
     sigma = kernel.sigma
     gauge1 = gauge2 = None
     if float(np.max(initial.values)) > 0.0:
@@ -489,31 +492,62 @@ def _plain(obj):
     return obj
 
 
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "sweep": cmd_sweep,
+    "check-kernel": cmd_check_kernel,
+    "validate": cmd_validate,
+}
+
+#: Each option and the type of its value.
+OPTIONS = {"--config": str, "--out": str, "--threads": int, "--seed": int}
+
+USAGE = ("usage: gencoag {simulate,sweep,check-kernel,validate} --config FILE "
+         "[--out DIR] [--threads N] [--seed S]")
+
+
+def _parse_args(argv):
+    """The command and options of ``argv``; a malformed command line is a GencoagError."""
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise GencoagError(f"the command must be one of {', '.join(COMMANDS)}, got {got}")
+    args = SimpleNamespace(command=argv[0], config=None, out=None, threads=None, seed=0)
+    given = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            raise GencoagError(f"unknown option {arg!r}")
+        if name in given:
+            raise GencoagError(f"option {name} is given twice")
+        given.add(name)
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise GencoagError(f"option {name} needs a value")
+        try:
+            setattr(args, name[2:], OPTIONS[name](value))
+        except ValueError:
+            raise GencoagError(f"{name} must be an integer, got {value!r}") from None
+    if args.config is None:
+        raise GencoagError("option --config is required")
+    if args.seed < 0:  # the random generator takes no negative seed
+        raise GencoagError(f"--seed must be >= 0, got {args.seed}")
+    return args
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="gencoag",
-        description="Sectional solver for generalized coagulation equations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("sweep", cmd_sweep),
-        ("check-kernel", cmd_check_kernel),
-        ("validate", cmd_validate),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and checked >= 1; every command runs in one process")
-        p.add_argument("--seed", type=int, default=0, help="randomized-check seed")
-        p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return EXIT_OK
     try:
-        return args.func(args)
+        args = _parse_args(argv)
     except GencoagError as exc:
-        return _fail(exc)
-    except OSError as exc:
+        return _fail(f"{exc}\n{USAGE}")
+    try:
+        return COMMANDS[args.command](args)
+    except (GencoagError, OSError) as exc:
         return _fail(exc)
 
 

@@ -10,7 +10,7 @@ identity, tail-flux decay, and time equicontinuity moduli.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +21,14 @@ from .sizedomain import Trajectory, weight_values, weighted_norm, write_csv
 THETA_SLACK = 1.0e-10
 
 
-@dataclass
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     """A checked inequality: the bound, the attained extreme, the margin."""
 
     name: str
     bound: float
     attained: float
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # one shared empty dict: no check adds to it
 
     @property
     def margin(self):
@@ -313,8 +312,7 @@ def equicontinuity_modulus(traj: Trajectory, omega, sigma: float, k: float) -> B
                         {"theta": theta})
 
 
-@dataclass
-class DiagnosticsReport:
+class DiagnosticsReport(NamedTuple):
     """All diagnostics of one run, serializable to JSON."""
 
     model: str
@@ -322,10 +320,10 @@ class DiagnosticsReport:
     sigma: float
     moments: dict
     verdicts: list
-    weak_residuals: dict = field(default_factory=dict)
-    flux_identities: list = field(default_factory=list)
-    tail_fluxes: list = field(default_factory=list)
-    ledger: dict = field(default_factory=dict)
+    weak_residuals: dict = {}  # the empty defaults are shared and never mutated
+    flux_identities: list = []
+    tail_fluxes: list = []
+    ledger: dict = {}
 
     def all_passed(self):
         return all(v.passed for v in self.verdicts)

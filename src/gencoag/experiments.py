@@ -16,7 +16,7 @@ eps-study solved; every check of ``validate`` reads the table of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ M0_ROWS = (
 MASS_LAMBDA_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Sweep members: generalized runs at each eps of ``eps_list`` on each n's
     grid.  A member below sqrt(r) - 1 of its grid is the OHS run (eps = 0)."""
 
@@ -68,7 +67,7 @@ class SweepConfig:
     eps_list: tuple = DEFAULT_EPS_LIST
     n_list: tuple = (50.0,)
     cells_per_decade: int = 32
-    profile: object = field(default_factory=ExponentialProfile)
+    profile: object = ExponentialProfile()  # stateless, so one instance serves every config
     horizon: float = 1.0
 
     def validate(self):
@@ -83,12 +82,12 @@ class SweepConfig:
         return self
 
 
-@dataclass
 class DistanceTable:
     """Rows (eps, n, time, distance) plus failed member markers."""
 
-    rows: list = field(default_factory=list)
-    failed: list = field(default_factory=list)
+    def __init__(self):
+        self.rows = []
+        self.failed = []
 
     def at_time(self, t, n=None):
         """eps -> distance at the snapshot at t (of n's rows, if n is given)."""

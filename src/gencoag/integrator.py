@@ -17,7 +17,7 @@ discrete trajectory to rounding accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ SAFETY = 0.8
 MAX_SHRINK = 20
 
 
-@dataclass
-class StepStats:
+class StepStats(NamedTuple):
     """Bookkeeping for one accepted step.
 
     ``error`` is the step's error estimate relative to the tolerance; an

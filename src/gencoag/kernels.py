@@ -17,8 +17,7 @@ randomized scanning; ``truncate`` masks the kernel to the box [1/n, n]^2.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,6 +203,8 @@ class TabulatedKernel(Kernel):
     @classmethod
     def from_csv(cls, path, **kw):
         """Load from CSV with header ``mu,nu,lambda`` on a full node grid."""
+        import csv  # only this family reads a CSV, so no other run loads the module
+
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -347,8 +348,7 @@ def truncate(kernel: Kernel, n: float) -> TruncatedKernel:
     return TruncatedKernel(kernel, n)
 
 
-@dataclass
-class RegimeResult:
+class RegimeResult(NamedTuple):
     """Worst case of one certification regime."""
 
     name: str
@@ -357,13 +357,12 @@ class RegimeResult:
     violations: int
 
 
-@dataclass
-class CertReport:
+class CertReport(NamedTuple):
     """Outcome of a randomized kernel certification scan."""
 
     passed: bool
     kind: str
-    regimes: list = field(default_factory=list)
+    regimes: list = []  # one shared empty list: every scan passes its own
     tolerance: float = GROWTH_TOL
 
 
@@ -445,11 +444,8 @@ def certify_derivative(kernel: Kernel, sample_count: int = 2000, fd_step: float 
     margin = d_h2 - bound + tol + 1e-12 * np.abs(bound)
     i = int(np.argmin(margin))
     nviol = int(np.count_nonzero(margin < 0.0))
-    report = CertReport(passed=nviol == 0, kind="derivative")
-    report.regimes.append(
-        RegimeResult("derivative", float(-margin[i]), (float(mu[i]), float(nu[i])), nviol)
-    )
-    return report
+    regimes = [RegimeResult("derivative", float(-margin[i]), (float(mu[i]), float(nu[i])), nviol)]
+    return CertReport(passed=nviol == 0, kind="derivative", regimes=regimes)
 
 
 _FAMILIES = {

@@ -81,6 +81,28 @@ def _scheme_bytes(pairs, rank, cells):
     return (8 * (12 + 2 * rank) + 3) * pairs + 8 * (12 + 9 * rank) * cells
 
 
+def _lag_band(grid: SizeGrid, eps: float):
+    """Per lag d of the :class:`LagScheme` at ``eps``: y, q_d, o_d and the band's pair count.
+
+    The product of the pair (m, m - d) sits at x_m q_d, in the bracket
+    [y[o_d], y[o_d + 1]) of the center ratios y = x / x_0: o_d is its
+    deposit offset.  q_d decreases with d, so each offset covers one run of
+    lags.  The band holds the pairs of lag d with m + o_d >= N - 2.
+    """
+    x = grid.centers
+    y = x / x[0]
+    q = 1.0 + eps * (x[0] / x)
+    offset = np.searchsorted(y, q, side="right") - 1
+    return y, q, offset, grid.size - np.maximum(np.arange(grid.size), grid.size - 2 - offset)
+
+
+def scheme_bytes(grid: SizeGrid, model: str, kernel: TruncatedKernel, eps=None) -> int:
+    """:func:`_scheme_bytes` of the scheme ``make_rhs(model, kernel, eps)`` builds on ``grid``."""
+    pairs = int(_lag_band(grid, computed_eps(model, eps))[3].sum())
+    rank = len(kernel.factors(grid.centers[:1]))  # the factor count does not depend on x
+    return _scheme_bytes(pairs, rank, grid.size)
+
+
 def _deposit_targets(pivots, p):
     """Bracketing pivot index, linear weight, and overflow mask for births at p.
 
@@ -185,18 +207,11 @@ class LagScheme:
         self.support = [(int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
                         for nz in map(np.flatnonzero, self.g)]
 
-        # Lag d: product at x_m * q_d, bracketed by the center ratios y.
-        # q_d decreases with d, so each offset covers one run of lags.
-        lags = np.arange(size)
-        y = x / x[0]
-        q = 1.0 + eps * (x[0] / x)
-        offset = np.searchsorted(y, q, side="right") - 1
-
-        # Band: for each lag, the pairs with m + o_d >= size - 2.
-        start = np.maximum(lags, size - 2 - offset)
-        count = size - start
+        y, q, offset, count = _lag_band(grid, eps)
         _check_table_bytes(_scheme_bytes(int(count.sum()), self.f.shape[0], size),
                            "the pair scheme", "use fewer cells")
+        lags = np.arange(size)
+        start = size - count
 
         # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
         # land strictly below the band.  The offset never increases with the

@@ -12,12 +12,13 @@ import yaml
 
 import gencoag
 from conftest import closed_form_run, mass_report
-from gencoag import cli, experiments, integrator, make_grid, operators
+from gencoag import ConstantKernel, cli, experiments, integrator, make_grid, operators, truncate
 from gencoag.cli import _sweep_config, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 NO_STUDY = "validate runs no study: remove the [sweep] section"
+COMMAND_IS = "the command must be one of simulate, sweep, check-kernel, validate,"
 
 
 def schema(name):
@@ -172,7 +173,7 @@ class TestSimulate:
     def test_guards_bound_the_peak_of_a_run(self, tmp_path, monkeypatch, grid, snapshots):
         # simulate on the benchmark's diagnostics-heavy config, in process
         # under tracemalloc: its peak stays within the snapshot guard's
-        # estimate plus the largest pair-scheme estimate
+        # estimate, which counts the snapshot block and one pair scheme
         estimates = {}
         real = operators._check_table_bytes
 
@@ -200,8 +201,34 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         cells = make_grid(grid["n"], grid["cells_per_decade"]).size
-        assert set(estimates) == {f"{snapshots} snapshots of {cells} cells", "the pair scheme"}
-        assert peak <= sum(estimates.values())
+        run = f"{snapshots} snapshots of {cells} cells"
+        assert set(estimates) == {run, "the pair scheme"}
+        assert estimates[run] > estimates["the pair scheme"]
+        assert peak <= estimates[run]
+
+    def test_snapshots_and_pair_scheme_checked_as_one_sum(self, tmp_path, capsys, monkeypatch):
+        # the solve and the weak form hold the snapshot block and a pair
+        # scheme at once: physical memory above each part but below their
+        # sum refuses the run before the solve
+        cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 40}})
+        grid = make_grid(20.0, 12)
+        run = cli._run_bytes(40, grid.size)
+        scheme = operators.scheme_bytes(grid, "generalized", truncate(ConstantKernel(1.0), 20.0),
+                                        0.5)
+        page = os.sysconf("SC_PAGE_SIZE")
+        pages = (max(run, scheme) + run + scheme) // (2 * page)
+        assert max(run, scheme) < pages * page < run + scheme
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 40 snapshots of 31 cells would take")
+        assert "physical memory; use fewer snapshots or cells" in err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizn": 0.3, "snapshots": 3}}, "unknown config key time.horizn"),
@@ -834,6 +861,80 @@ class TestValidate:
         }
 
 
+class TestCommandLine:
+    """The argument parser: exit 1 on a malformed command line, 2 is kept for failed bounds."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], f"{COMMAND_IS} got none"),
+        (["simulat", "--config", "{cfg}"], f"{COMMAND_IS} got 'simulat'"),
+        (["--config", "{cfg}"], f"{COMMAND_IS} got '--config'"),
+        (["simulate", "--config", "{cfg}", "--verbose"], "unknown option '--verbose'"),
+        (["simulate", "--config", "{cfg}", "extra"], "unknown option 'extra'"),
+        (["simulate", "--conf", "{cfg}"], "unknown option '--conf'"),  # no abbreviations
+        (["simulate", "--config", "{cfg}", "--config", "{cfg}"],
+         "option --config is given twice"),
+        (["simulate", "--config", "{cfg}", "--seed=1", "--seed", "2"],
+         "option --seed is given twice"),
+        (["simulate", "--config"], "option --config needs a value"),
+        (["simulate", "--config", "{cfg}", "--out"], "option --out needs a value"),
+        (["simulate", "--out", "--config", "{cfg}"], "option --out needs a value"),
+        (["simulate", "--config", "{cfg}", "--threads", "x"],
+         "--threads must be an integer, got 'x'"),
+        (["simulate", "--config", "{cfg}", "--threads=1.5"],
+         "--threads must be an integer, got '1.5'"),
+        (["check-kernel", "--config", "{cfg}", "--seed", "x"],
+         "--seed must be an integer, got 'x'"),
+        (["check-kernel", "--config", "{cfg}", "--seed", "1.5"],
+         "--seed must be an integer, got '1.5'"),
+        (["check-kernel", "--config", "{cfg}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["simulate"], "option --config is required"),
+        (["sweep", "--out", "{out}"], "option --config is required"),
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        argv = [a.format(cfg=cfg, out=tmp_path / "out") for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n{cli.USAGE}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_equals_form_runs_like_the_spaced_form(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--threads", "1"]) == 0
+        assert main(["simulate", f"--config={cfg}", f"--out={tmp_path / 'b'}", "--threads=1"]) == 0
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "--config", "x", "-h"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cli.USAGE + "\n"
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        # the console script calls main() with no arguments
+        cfg = write_config(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["gencoag", "check-kernel", "--config", str(cfg)])
+        assert main() == 0
+        assert (tmp_path / "out" / "kernel_cert.json").exists()
+
+    @pytest.mark.parametrize("argv, code, stream, start", [
+        (["--help"], 0, "stdout", "usage: gencoag "),
+        (["simulate", "--config", "{cfg}", "--threads", "x"], 1, "stderr",
+         "error: --threads must be an integer, got 'x'"),
+    ])
+    def test_module_entry_point(self, tmp_path, argv, code, stream, start):
+        # the benchmark and users run the CLI as a program, not in process
+        argv = [a.format(cfg=write_config(tmp_path)) for a in argv]
+        src = str(Path(gencoag.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "gencoag.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
+        assert done.returncode == code
+        assert getattr(done, stream).startswith(start)
+        assert not (tmp_path / "out").exists()
+
+
 def test_start_up_loads_no_pool_and_no_numpy_polynomial():
     # a fresh interpreter imports the CLI and projects initial data: no
     # command starts a process pool, and the quadrature rule is a table,
@@ -847,3 +948,16 @@ def test_start_up_loads_no_pool_and_no_numpy_polynomial():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def test_start_up_loads_no_argument_parser_dataclasses_or_csv():
+    # the CLI parses its own flags, the result records are NamedTuples and
+    # only the tabulated kernel's reader imports csv
+    probe = ("import sys, gencoag.cli\n"
+             "assert gencoag.cli.main(['--help']) == 0\n"
+             "print(sorted(m for m in ('argparse', 'gettext', 'dataclasses', 'csv') "
+             "if m in sys.modules))")
+    src = str(Path(gencoag.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[]"
