@@ -19,15 +19,13 @@ from .errors import (
 )
 from .kernels import (
     AdditiveKernel,
-    CertReport,
+    Certificate,
     ConstantKernel,
     Kernel,
     PowerSumKernel,
     SingularProductKernel,
     TabulatedKernel,
     TruncatedKernel,
-    certify_derivative,
-    certify_growth,
     kernel_from_config,
     truncate,
 )

@@ -77,6 +77,9 @@ class SweepConfig(NamedTuple):
             raise ConfigError("eps values must lie in (0, 1]")
         if any(n <= 1.0 for n in self.n_list):
             raise ConfigError("n values must exceed 1")
+        for name, values in (("eps_list", self.eps_list), ("n_list", self.n_list)):
+            if len(set(values)) < len(values):  # a run compared with itself reads 0
+                raise ConfigError(f"{name} repeats a value: {list(values)}")
         if not self.horizon > 0.0:  # at 0 every distance and closure reads 0
             raise ConfigError("horizon must be > 0")
         return self

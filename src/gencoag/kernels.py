@@ -1,36 +1,29 @@
-"""Coagulation kernels: evaluation, truncation, and certification.
+"""Coagulation kernels: evaluation, truncation, and the bound constants.
 
-A kernel is a symmetric nonnegative rate Lambda(mu, nu) together with the
-growth metadata (k, sigma, eta) that controls its small-size singularity:
+A kernel is a symmetric nonnegative rate Lambda(mu, nu).  The paper's class
+is fixed by (k, sigma, eta): the growth bounds
 
-    Lambda(mu, nu) <= k (mu nu)^(-sigma)      on (0,1)^2
-    Lambda(mu, nu) <= k  mu nu^(-sigma)       on [1,inf) x (0,1)
-    Lambda(mu, nu) <= k (mu + nu)             on [1,inf)^2
+    Lambda(mu, nu) <= k (mu nu)^(-sigma)      on (0,1)^2            (small_small)
+    Lambda(mu, nu) <= k  mu nu^(-sigma)       on [1,inf) x (0,1)    (large_small)
+    Lambda(mu, nu) <= k (mu + nu)             on [1,inf)^2          (large_large)
 
-and the one-sided derivative control
-
-    d/dmu Lambda(mu, nu) >= -eta mu^(-sigma-1) nu^(-sigma).
-
-``certify_growth`` and ``certify_derivative`` check these claims by
-randomized scanning; ``truncate`` masks the kernel to the box [1/n, n]^2.
+and, off the diagonal, d/dmu Lambda(mu, nu) >= -eta mu^(-sigma-1) nu^(-sigma).
+sigma is a parameter; ``Kernel.certificate`` proves the smallest k and eta
+the closed form allows at it, and an infinite one puts the kernel outside
+the class.  ``truncate`` masks the kernel to the box [1/n, n]^2.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
-# Default sampling window for certification scans.  Growth violations of
-# polynomial bounds show up well below the cap; the floor keeps log-uniform
-# sampling away from underflow.
-SAMPLE_FLOOR = 1.0e-6
-SAMPLE_CAP = 1.0e6
-
-#: Ratio slack for growth certification (pass iff ratio <= 1 + this).
-GROWTH_TOL = 1.0e-12
+#: Where every power-sum supremum is attained or its ray starts: each regime's apex.
+_AT_ONE = (1.0, 1.0)
 
 
 def _check_positive_args(mu, nu):
@@ -41,39 +34,71 @@ def _check_positive_args(mu, nu):
     return mu, nu
 
 
+class RegimeBound(NamedTuple):
+    """A regime's supremum of Lambda over its bound at k = 1, or of -dLambda/dmu
+    mu^(sigma+1) nu^sigma on a side of the diagonal, attained at ``point`` (mu, nu) or,
+    with ``ray`` set, approached or diverging along that direction in log size from it.
+    """
+
+    name: str
+    supremum: float
+    point: tuple
+    ray: tuple | None = None
+
+
+class Certificate(NamedTuple):
+    """A kernel's growth regimes and derivative sides: k and eta are their largest suprema."""
+
+    growth: tuple
+    derivative: tuple
+
+
 class Kernel:
-    """Symmetric nonnegative coagulation rate with growth metadata.
+    """Symmetric nonnegative coagulation rate with a small-size singularity.
 
     Parameters
     ----------
-    k : float
-        Growth constant of the three-regime bound.
     sigma : float
         Singularity exponent near zero size.  Values >= 0.5 put standard
         exponential-type initial data outside the weighted L1 space and
         require ``allow_large_sigma=True``.
-    eta : float
-        Constant in the one-sided derivative bound.
+
+    ``k`` and ``eta`` are proven by ``certificate`` on first read, from a
+    subclass's ``_suprema``; the base class raises :class:`ConfigError`.
     """
 
     family = "user"
 
-    def __init__(self, k, sigma=0.0, eta=0.0, allow_large_sigma=False):
-        if not (0.0 < k < np.inf):
-            raise DomainError("growth constant k must be positive and finite")
+    def __init__(self, sigma=0.0, allow_large_sigma=False):
         if not (0.0 <= sigma < np.inf):
             raise DomainError("singularity exponent sigma must be finite and >= 0")
-        if not (0.0 <= eta < np.inf):
-            raise DomainError("derivative constant eta must be finite and >= 0")
         if sigma >= 0.5 and not allow_large_sigma:
             raise DomainError(
                 "sigma >= 0.5 requires allow_large_sigma=True "
                 "(mu^(-2*sigma) weight is no longer integrable against "
                 "the stock initial profiles)"
             )
-        self.k = float(k)
         self.sigma = float(sigma)
-        self.eta = float(eta)
+
+    @cached_property
+    def certificate(self):
+        """The :class:`Certificate` of this kernel at its sigma."""
+        return Certificate(*self._suprema())
+
+    @property
+    def k(self):
+        return max(r.supremum for r in self.certificate.growth)
+
+    @property
+    def eta(self):
+        return max(r.supremum for r in self.certificate.derivative)
+
+    def _suprema(self):
+        """The :class:`RegimeBound` of each growth regime, and of each side of the diagonal."""
+        raise ConfigError(
+            f"kernel {type(self).__name__} has no certificate of its bound constants; "
+            "override Kernel._suprema to use it"
+        )
 
     def _rate(self, lo, hi):
         """Rate on canonically ordered arguments lo <= hi (elementwise)."""
@@ -110,17 +135,51 @@ class Kernel:
         )
 
 
+def _cone(c, alpha, beta, rays):
+    """sup of c mu^alpha nu^beta on a cone in log size spanned by ``rays`` from (1, 1):
+    c, at the apex, unless the monomial grows along a ray."""
+    if c <= 0.0:
+        return 0.0, _AT_ONE, None
+    for ray in rays:
+        if alpha * ray[0] + beta * ray[1] > 0.0:
+            return float("inf"), _AT_ONE, ray
+    return c, _AT_ONE, None
+
+
+def _large_large(c, a, b):
+    # c mu^b nu^a / (mu + nu) on 1 <= nu <= mu.  With z = nu/mu it is
+    # c mu^(a+b-1) z^a / (1 + z), at most c z^(1-b) / (1 + z) over mu >= 1/z,
+    # reached at nu = 1; z^p / (1 + z) peaks at z = p / (1 - p) below p = 1/2
+    for ray, grows in (((1.0, 0.0), b > 1.0), ((1.0, 1.0), a + b > 1.0)):
+        if grows:
+            return float("inf"), _AT_ONE, ray
+    p = 1.0 - b
+    if p == 0.0:
+        return c, _AT_ONE, (1.0, 0.0)  # approached as mu -> inf at nu = 1
+    if p < 0.5:
+        return c * p**p * (1.0 - p) ** (1.0 - p), ((1.0 - p) / p, 1.0), None
+    return 0.5 * c, _AT_ONE, None
+
+
+def _term_sum(name, parts):
+    """The sum of the terms' suprema, at the largest: exact if all share their point."""
+    _, point, ray = max(parts, key=lambda part: part[0], default=(0.0, _AT_ONE, None))
+    return RegimeBound(name, sum((part[0] for part in parts), 0.0), point, ray)
+
+
 class PowerSumKernel(Kernel):
     """Lambda = sum over terms (c, a, b) of c lo^a hi^b, lo = min and hi = max.
 
     Each term gives one separable factor pair (c x^b, x^a) on the lower
-    triangle.  Coefficients must be finite and >= 0, exponents finite.
+    triangle.  Coefficients must be finite and >= 0, exponents finite.  Over
+    a growth bound, and as a scaled slope, a term is a monomial on a cone in
+    log size except in large_large, whose bound reduces it to one variable.
     """
 
     family = "power_sum"
 
-    def __init__(self, terms, k=1.0, sigma=0.0, eta=0.0, **kw):
-        super().__init__(k, sigma, eta, **kw)
+    def __init__(self, terms, sigma=0.0, **kw):
+        super().__init__(sigma, **kw)
         terms = tuple((float(c), float(a), float(b)) for c, a, b in terms)
         if not terms or not all(0.0 <= c < np.inf and np.isfinite(a) and np.isfinite(b)
                                 for c, a, b in terms):
@@ -129,6 +188,19 @@ class PowerSumKernel(Kernel):
                 "and finite exponents"
             )
         self.terms = terms
+
+    def _suprema(self):
+        s, down, diagonal = self.sigma, (0.0, -1.0), ((1.0, 1.0), (-1.0, -1.0))
+        bounds = {  # mu is hi in the growth regimes, lo in mu_below_nu
+            "small_small": lambda c, a, b: _cone(c, b + s, a + s, (down, (-1.0, -1.0))),
+            "large_small": lambda c, a, b: _cone(c, b - 1.0, a + s, ((1.0, 0.0), down)),
+            "large_large": _large_large,
+            "mu_below_nu": lambda c, a, b: _cone(-c * a, a + s, b + s, (*diagonal, (-1.0, 0.0))),
+            "mu_above_nu": lambda c, a, b: _cone(-c * b, b + s, a + s, (*diagonal, (1.0, 0.0))),
+        }
+        found = [_term_sum(name, [bound(*term) for term in self.terms if term[0] > 0.0])
+                 for name, bound in bounds.items()]
+        return tuple(found[:3]), tuple(found[3:])
 
     def _rate(self, lo, hi):
         return sum(c * lo**a * hi**b for c, a, b in self.terms)
@@ -139,37 +211,38 @@ class PowerSumKernel(Kernel):
 
 
 class ConstantKernel(PowerSumKernel):
-    """Lambda = rate (default 1)."""
+    """Lambda = rate (default 1); k = rate and eta = 0 at every sigma."""
 
     family = "constant"
 
-    def __init__(self, rate=1.0, k=None, sigma=0.0, eta=0.0, **kw):
+    def __init__(self, rate=1.0, sigma=0.0, **kw):
         if not (0.0 <= rate < np.inf):
             raise DomainError("constant kernel rate must be finite and >= 0")
-        super().__init__([(rate, 0.0, 0.0)], k if k is not None else max(rate, 1.0),
-                         sigma, eta, **kw)
+        super().__init__([(rate, 0.0, 0.0)], sigma, **kw)
         self.rate = float(rate)
 
 
 class SingularProductKernel(PowerSumKernel):
-    """Lambda = k (mu nu)^(-sigma); attains its small-size bound identically."""
+    """Lambda = k (mu nu)^(-sigma), with k its coefficient.
+
+    It attains its small-size bound identically, and its mu-slope
+    -sigma k mu^(-sigma-1) nu^(-sigma) the derivative bound: the certified
+    constants are k and eta = sigma k.
+    """
 
     family = "singular_product"
 
-    def __init__(self, k=1.0, sigma=0.2, eta=None, **kw):
-        # d/dmu k(mu nu)^(-sigma) = -sigma k mu^(-sigma-1) nu^(-sigma),
-        # so eta = sigma*k is exactly sharp.
-        super().__init__([(k, -sigma, -sigma)], k, sigma,
-                         sigma * k if eta is None else eta, **kw)
+    def __init__(self, k=1.0, sigma=0.2, **kw):
+        super().__init__([(k, -sigma, -sigma)], sigma, **kw)
 
 
 class AdditiveKernel(PowerSumKernel):
-    """Lambda = mu + nu; needs k >= 2 for the (0,1)^2 regime."""
+    """Lambda = mu + nu; k = 2, attained at mu = nu = 1, and eta = 0."""
 
     family = "additive"
 
-    def __init__(self, k=2.0, sigma=0.0, eta=0.0, **kw):
-        super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], k, sigma, eta, **kw)
+    def __init__(self, sigma=0.0, **kw):
+        super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], sigma, **kw)
 
 
 class TabulatedKernel(Kernel):
@@ -182,8 +255,8 @@ class TabulatedKernel(Kernel):
 
     family = "user_tabulated"
 
-    def __init__(self, nodes, table, k=1.0, sigma=0.0, eta=0.0, **kw):
-        super().__init__(k, sigma, eta, **kw)
+    def __init__(self, nodes, table, sigma=0.0, **kw):
+        super().__init__(sigma, **kw)
         nodes = np.asarray(nodes, dtype=float)
         table = np.asarray(table, dtype=float)
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(table))):
@@ -226,6 +299,35 @@ class TabulatedKernel(Kernel):
             raise ConfigError(f"{path}: duplicate or missing grid entries")
         return cls(nodes, table, **kw)
 
+    def _suprema(self):
+        """Per cell, the largest corner value over the bound's infimum on the cell.
+
+        Cuts at the nodes and at 1 split each axis into cells (0, c_0], [c_(p-1), c_p]
+        and [c_M, inf), on which the surface is bilinear in log size, or constant
+        beyond the nodes.  Its log-mu slope is linear in log nu on a cell, so the
+        negative part peaks at a nu-corner, and (mu nu)^s at the upper corner.
+        """
+        s, cuts = self.sigma, np.union1d(self.nodes, 1.0)
+        values = self.eval(cuts[:, None], cuts[None, :])
+        lower, upper = np.append(0.0, cuts), np.append(cuts, np.inf)
+        small, large = upper <= 1.0, lower >= 1.0
+        ss, ls, ll = (np.logical_and.outer(r, c) for r, c in ((small, small), (large, small), (large, large)))
+        low, up, top = np.maximum(lower, 1.0), np.minimum(upper, 1.0), np.minimum(upper, cuts[-1])
+        corners = np.pad(values, 1, mode="edge")
+        peak = np.maximum.reduce([corners[:-1, :-1], corners[1:, :-1], corners[:-1, 1:], corners[1:, 1:]])
+        slope = np.pad(np.diff(values, axis=0) / np.diff(np.log(cuts))[:, None], ((1, 1), (0, 0)))
+        fall = np.pad(np.maximum(0.0, -slope), ((0, 0), (1, 1)), mode="edge")
+        fall = np.maximum(fall[:, :-1], fall[:, 1:])
+        scaled = np.multiply(fall, np.multiply.outer(upper**s, upper**s), out=np.zeros_like(fall),
+                             where=fall > 0.0)  # 0 * inf is no fall, not nan
+        return (
+            (_worst_cell("small_small", peak * np.multiply.outer(up**s, up**s), ss, up, up),
+             _worst_cell("large_small", peak * np.multiply.outer(1.0 / low, up**s), ls, low, up),
+             _worst_cell("large_large", peak / np.add.outer(low, low), ll, low, low)),
+            (_worst_cell("mu_below_nu", scaled, np.less.outer(lower, upper), top, top),
+             _worst_cell("mu_above_nu", scaled, np.greater.outer(upper, lower), top, top)),
+        )
+
     def _bracket(self, x):
         """Node interval i and fraction t of log x in it, x clamped to the node range."""
         lx = np.log(np.clip(x, self.nodes[0], self.nodes[-1]))
@@ -260,6 +362,17 @@ class TabulatedKernel(Kernel):
         return list(zip(np.einsum("ab,bx->ax", self.table, hats), hats))
 
 
+def _worst_cell(name, ratio, cells, mu, nu):
+    """The largest ``ratio`` on ``cells``, at its (mu, nu) corner.
+
+    An infinite one comes from a cell unbounded in nu, and diverges as nu grows.
+    """
+    ratio = np.where(cells, ratio, -np.inf)
+    p, q = np.unravel_index(np.argmax(ratio), ratio.shape)
+    ray = (0.0, 1.0) if ratio[p, q] == np.inf else None
+    return RegimeBound(name, float(ratio[p, q]), (float(mu[p]), float(nu[q])), ray)
+
+
 def _table_row(row, where):
     """One ``mu,nu,lambda`` row as three finite floats; anything else is a ConfigError."""
     try:
@@ -276,8 +389,9 @@ class TruncatedKernel:
 
     The mask is boundary-inclusive so that edge-based flux evaluations at
     the top of the computational domain remain nonzero; this differs from
-    the open-box definition only on a null set.  The sup bound
-    2 k n^(2+2*sigma) holds on the closure; every evaluation checks it.
+    the open-box definition only on a null set.  With the certified k each
+    regime bound is at most 2 k n^(1+sigma) on the box, so the kernel stays
+    below ``sup_bound``.
     """
 
     def __init__(self, base: Kernel, n: float):
@@ -287,28 +401,9 @@ class TruncatedKernel:
         self.n = float(n)
 
     @property
-    def k(self):
-        return self.base.k
-
-    @property
-    def sigma(self):
-        return self.base.sigma
-
-    @property
-    def eta(self):
-        return self.base.eta
-
-    @property
     def sup_bound(self):
         """2 k n^(2 + 2 sigma), the a-priori sup of the masked kernel."""
         return 2.0 * self.base.k * self.n ** (2.0 + 2.0 * self.base.sigma)
-
-    def _check_sup(self, peak):
-        if not peak <= self.sup_bound * (1.0 + 1e-12):
-            raise DomainError(
-                f"kernel reaches {peak:.6g} on [1/n, n]^2, above 2 k n^(2+2 sigma) = "
-                f"{self.sup_bound:.6g}: its k = {self.k:g} understates it"
-            )
 
     def _inside(self, mu):
         return (mu >= 1.0 / self.n) & (mu <= self.n)
@@ -318,7 +413,6 @@ class TruncatedKernel:
         inside = self._inside(mu) & self._inside(nu)
         vals = np.asarray(self.base.eval(mu, nu), dtype=float)
         out = np.where(inside, vals, 0.0)
-        self._check_sup(np.max(out, initial=0.0))
         if out.ndim == 0:
             return float(out)
         return out
@@ -326,126 +420,17 @@ class TruncatedKernel:
     def factors(self, x):
         """Factors of the base kernel times the box indicator.
 
-        The box mask is itself separable, so the product is exact.  The sup
-        bound holds because, for nonnegative factors, both
-        sum_r max f_r * max g_r and max f * max_j sum_r g_r[j] bound the
-        kernel; the smaller of the two is checked.
+        The box mask is itself separable, so the product is exact.
         """
         x, _ = _check_positive_args(x, x)
         inside = self._inside(x)
-        out = [(np.where(inside, f, 0.0), np.where(inside, g, 0.0))
-               for f, g in self.base.factors(x)]
-        f = np.array([fr for fr, _ in out])
-        g = np.array([gr for _, gr in out])
-        bound = min(np.sum(f.max(axis=1, initial=0.0) * g.max(axis=1, initial=0.0)),
-                    f.max(initial=0.0) * g.sum(axis=0).max(initial=0.0))
-        self._check_sup(bound)
-        return out
+        return [(np.where(inside, f, 0.0), np.where(inside, g, 0.0))
+                for f, g in self.base.factors(x)]
 
 
 def truncate(kernel: Kernel, n: float) -> TruncatedKernel:
     """Mask ``kernel`` outside [1/n, n]^2."""
     return TruncatedKernel(kernel, n)
-
-
-class RegimeResult(NamedTuple):
-    """Worst case of one certification regime."""
-
-    name: str
-    worst_ratio: float
-    witness: tuple
-    violations: int
-
-
-class CertReport(NamedTuple):
-    """Outcome of a randomized kernel certification scan."""
-
-    passed: bool
-    kind: str
-    regimes: list = []  # one shared empty list: every scan passes its own
-    tolerance: float = GROWTH_TOL
-
-
-def _log_uniform(rng, lo, hi, size):
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
-
-
-def certify_growth(kernel: Kernel, sample_count: int = 4000, seed: int = 0,
-                   cap: float = SAMPLE_CAP) -> CertReport:
-    """Scan the three growth regimes and report the worst Lambda/bound ratio.
-
-    Passes iff every sampled ratio, the regime corners' included, is
-    <= 1 + 1e-12.  The report carries a witness point for each regime, so
-    failures are reproducible.
-    """
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    k, s = kernel.k, kernel.sigma
-    regimes = []
-    # suprema sit on regime boundaries, where random samples rarely land:
-    # each regime (name, mu range, nu range, bound) also scans its corners
-    for name, mu_range, nu_range, bound in (
-        ("small_small", (SAMPLE_FLOOR, 1.0), (SAMPLE_FLOOR, 1.0),
-         lambda mu, nu: k * (mu * nu) ** (-s)),
-        ("large_small", (1.0, cap), (SAMPLE_FLOOR, 1.0), lambda mu, nu: k * mu * nu ** (-s)),
-        ("large_large", (1.0, cap), (1.0, cap), lambda mu, nu: k * (mu + nu)),
-    ):
-        mu = _log_uniform(rng, *mu_range, sample_count)
-        nu = _log_uniform(rng, *nu_range, sample_count)
-        corner_mu, corner_nu = np.meshgrid(mu_range, nu_range)
-        mu, nu = np.append(mu, corner_mu), np.append(nu, corner_nu)
-        ratio = np.asarray(kernel.eval(mu, nu)) / bound(mu, nu)
-        i = int(np.argmax(ratio))
-        nviol = int(np.count_nonzero(ratio > 1.0 + GROWTH_TOL))
-        regimes.append(RegimeResult(name, float(ratio[i]), (float(mu[i]), float(nu[i])), nviol))
-    return CertReport(passed=all(r.violations == 0 for r in regimes), kind="growth",
-                      regimes=regimes)
-
-
-def certify_derivative(kernel: Kernel, sample_count: int = 2000, fd_step: float = 1e-4,
-                       seed: int = 0, cap: float = SAMPLE_CAP) -> CertReport:
-    """Check d/dmu Lambda >= -eta mu^(-sigma-1) nu^(-sigma) by central differences.
-
-    The step is relative (h = fd_step * mu).  The tolerance per sample is a
-    Richardson estimate of the O(h^2) truncation error (comparing the h and
-    h/2 stencils bounds the error of the finer one by |D_h - D_{h/2}| * 4/3)
-    plus the rounding floor eps_machine * |Lambda| / h of the stencil.
-    """
-    if not (0.0 < fd_step < np.inf):
-        raise DomainError(f"fd_step must be positive and finite, got {fd_step!r}")
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    mu = _log_uniform(rng, SAMPLE_FLOOR, cap, sample_count)
-    nu = _log_uniform(rng, SAMPLE_FLOOR, cap, sample_count)
-    # Keep samples off the diagonal: canonicalized evaluation can have a
-    # symmetry kink at mu == nu that central differences straddle.
-    mask = np.abs(np.log(mu) - np.log(nu)) > 4.0 * fd_step
-    if not mask.any():
-        raise DomainError(f"fd_step={fd_step!r} keeps no sample off the diagonal")
-    mu, nu = mu[mask], nu[mask]
-
-    def stencil(h):
-        up = np.asarray(kernel.eval(mu + h, nu))
-        dn = np.asarray(kernel.eval(mu - h, nu))
-        return (up - dn) / (2.0 * h), np.abs(up) + np.abs(dn)
-
-    h = fd_step * mu
-    d_h, _ = stencil(h)
-    d_h2, fmag = stencil(0.5 * h)
-    tol = (
-        (4.0 / 3.0) * np.abs(d_h - d_h2)
-        + np.finfo(float).eps * fmag / h
-        + 1e-12 * (np.abs(d_h2) + 1.0)
-    )
-
-    bound = -kernel.eta * mu ** (-kernel.sigma - 1.0) * nu ** (-kernel.sigma)
-    margin = d_h2 - bound + tol + 1e-12 * np.abs(bound)
-    i = int(np.argmin(margin))
-    nviol = int(np.count_nonzero(margin < 0.0))
-    regimes = [RegimeResult("derivative", float(-margin[i]), (float(mu[i]), float(nu[i])), nviol)]
-    return CertReport(passed=nviol == 0, kind="derivative", regimes=regimes)
 
 
 _FAMILIES = {
@@ -464,14 +449,22 @@ def config_number(value, key):
 
 
 def kernel_from_config(cfg: dict) -> Kernel:
-    """Build a kernel from a config mapping (``family`` plus parameters)."""
+    """Build a kernel from a config mapping (``family`` plus parameters).
+
+    ``k`` is singular_product's coefficient; any other family proves its k, which
+    older configs set, so it is accepted at that value only.  No family takes eta.
+    """
     cfg = dict(cfg)
     family = cfg.pop("family", None)
-    for key in ("rate", "k", "sigma", "eta"):
+    if "eta" in cfg:
+        raise ConfigError("kernel.eta is not a setting: every kernel proves its own eta "
+                          "(check-kernel reports it)")
+    for key in ("rate", "k", "sigma"):
         if key in cfg:
             cfg[key] = config_number(cfg[key], key)
     if not isinstance(cfg.get("allow_large_sigma", False), bool):  # "no" is a truthy string
         raise ConfigError(f"allow_large_sigma must be true or false, got {cfg['allow_large_sigma']!r}")
+    pinned = cfg.pop("k", None) if family != "singular_product" else None
     if family == "user_tabulated":
         if cfg.get("path") is None:
             raise ConfigError("user_tabulated kernel needs 'path' to a CSV table")
@@ -481,6 +474,10 @@ def kernel_from_config(cfg: dict) -> Kernel:
     else:
         raise ConfigError(f"unknown kernel family {family!r}")
     try:
-        return build(**cfg)
+        kernel = build(**cfg)
     except TypeError as exc:
         raise ConfigError(f"bad kernel parameters for family {family!r}: {exc}") from exc
+    if pinned is not None and pinned != kernel.k:
+        raise ConfigError(f"kernel.k must be {kernel.k!r}, got {pinned!r}: "
+                          f"family {family} proves its own k")
+    return kernel

@@ -156,6 +156,49 @@ def block_crossing_rates(traj, m, kernel):
     return np.einsum("ki,ij->kj", zd[:, m:], K) * (x[:m] * zd[:, :m])
 
 
+#: Each growth regime of the kernel class: the mu and nu ranges a scan
+#: samples, and the regime's bound at k = 1.
+GROWTH_REGIMES = {
+    "small_small": ((1e-6, 1.0), (1e-6, 1.0), lambda mu, nu, s: (mu * nu) ** -s),
+    "large_small": ((1.0, 1e6), (1e-6, 1.0), lambda mu, nu, s: mu * nu**-s),
+    "large_large": ((1.0, 1e6), (1.0, 1e6), lambda mu, nu, s: mu + nu),
+}
+
+
+def log_uniform_with_corners(rng, mu_range, nu_range, size):
+    """``size`` log-uniform (mu, nu) pairs in the box, then its four corners.
+
+    Suprema sit on regime boundaries, where random samples rarely land.
+    """
+    mu = np.exp(rng.uniform(np.log(mu_range[0]), np.log(mu_range[1]), size))
+    nu = np.exp(rng.uniform(np.log(nu_range[0]), np.log(nu_range[1]), size))
+    corner_mu, corner_nu = np.meshgrid(mu_range, nu_range)
+    return np.append(mu, corner_mu), np.append(nu, corner_nu)
+
+
+def growth_ratios(kernel, name, rng, size=4000):
+    """Lambda over the bound of growth regime ``name`` at k = 1, on a scan of the regime."""
+    mu_range, nu_range, bound = GROWTH_REGIMES[name]
+    mu, nu = log_uniform_with_corners(rng, mu_range, nu_range, size)
+    return kernel.eval(mu, nu) / bound(mu, nu, kernel.sigma)
+
+
+def scaled_falls(kernel, rng, size=4000, step=1e-5):
+    """-dLambda/dmu mu^(s+1) nu^s by central differences, and each one's rounding noise.
+
+    The points are log-uniform on [1e-6, 1e6]^2, kept off the diagonal,
+    where the canonical evaluation has a kink that a stencil would straddle.
+    The step is relative, h = step * mu.
+    """
+    mu, nu = log_uniform_with_corners(rng, (1e-6, 1e6), (1e-6, 1e6), size)
+    off = np.abs(np.log(mu / nu)) > 4.0 * step
+    mu, nu = mu[off], nu[off]
+    h = step * mu
+    up, dn = kernel.eval(mu + h, nu), kernel.eval(mu - h, nu)
+    weight = mu * (mu * nu) ** kernel.sigma
+    return -(up - dn) / (2.0 * h) * weight, np.finfo(float).eps * (up + dn) / h * weight
+
+
 def psi_prime(gauge: ConvexGauge, s) -> np.ndarray:
     """Psi' of ``gauge``: linear on each segment, from its breakpoints, values and slopes."""
     s = np.asarray(s, dtype=float)

@@ -12,7 +12,8 @@ import yaml
 
 import gencoag
 from conftest import closed_form_run, mass_report
-from gencoag import ConstantKernel, cli, experiments, integrator, make_grid, operators, truncate
+from gencoag import (ConstantKernel, cli, experiments, integrator, kernels, make_grid, operators,
+                     truncate)
 from gencoag.cli import _sweep_config, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +80,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("section", [
         {"time": {"horizon": 60.0, "snapshots": 8}},
-        {"kernel": {"family": "constant", "rate": 1.0, "k": 1000.0}},
+        {"kernel": {"family": "singular_product", "k": 1000.0, "sigma": 0.2}},
     ], ids=["horizon60", "k1000"])
     def test_overflowing_gronwall_bound_fails(self, tmp_path, section):
         # exp(6 T k Theta) overflows a double; a bound of inf checks nothing,
@@ -386,12 +387,11 @@ class TestSimulateVariants:
         }, f"{path} line 258: expected three finite numbers, got {row!r}")
 
     def test_kernel_above_its_sup_bound_exits_1(self, tmp_path, capsys):
-        # 2 k n^2 = 800 at k = 1, n = 20: a table of 1e9 understates k
+        # a table of 1e9 proves k = 1e9: a config that sets k = 1 understates it
         path = _unit_table(tmp_path, value=1e9)
         assert_refused(tmp_path, capsys, "simulate", {
             "kernel": {"family": "user_tabulated", "path": str(path), "k": 1.0},
-        }, "kernel reaches 1e+09 on [1/n, n]^2, above 2 k n^(2+2 sigma) = 800: "
-           "its k = 1 understates it")
+        }, "kernel.k must be 1000000000.0, got 1.0: family user_tabulated proves its own k")
 
 
 def _unit_table(tmp_path, value=1.0):
@@ -415,33 +415,50 @@ class TestCheckKernel:
         payload = json.loads((tmp_path / "out" / "kernel_cert.json").read_text())
         jsonschema.validate(payload, schema("kernel_cert.schema.json"))
         assert payload["passed"]
+        assert (payload["sigma"], payload["k"], payload["eta"]) == (0.2, 1.0, 0.2)
 
-    def test_fail_exit_2(self, tmp_path):
-        # additive kernel with understated growth constant k = 1 < 2
-        cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.0}})
+    def test_fail_exit_2(self, tmp_path, capsys):
+        # clamped beyond its top node, this table falls in mu at every large
+        # nu, where eta (mu nu)^(-sigma) -> 0: no eta exists at sigma = 0.1
+        path = tmp_path / "kernel_table.csv"
+        path.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
+        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(path),
+                                                 "sigma": 0.1}})
         assert main(["check-kernel", "--config", str(cfg)]) == 2
+        assert "FAIL  derivative bound: eta = inf, mu_below_nu at (1.0, 2.0) along (0.0, 1.0) in log size" \
+            in capsys.readouterr().out
+        payload = json.loads((tmp_path / "out" / "kernel_cert.json").read_text())
+        jsonschema.validate(payload, schema("kernel_cert.schema.json"))
+        assert not payload["passed"] and payload["growth"]["passed"]
+        assert payload["eta"] is None and payload["derivative"]["regimes"][0]["supremum"] is None
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
-    def test_supremum_on_a_regime_corner_fails(self, tmp_path, seed):
-        # Lambda = mu + nu against k = 1.9: the supremum 2/1.9 of both lower
-        # regimes sits at mu = nu = 1, where random samples never land
-        cfg = write_config(tmp_path, {"kernel": {"family": "additive", "k": 1.9}})
-        assert main(["check-kernel", "--config", str(cfg), "--seed", seed]) == 2
-        payload = json.loads((tmp_path / "out" / "kernel_cert.json").read_text())
-        worst = {r["name"]: r for r in payload["growth"]["regimes"]}
-        for name in ("small_small", "large_small"):
-            assert worst[name]["witness"] == [1.0, 1.0]
-            assert worst[name]["worst_ratio"] == pytest.approx(2.0 / 1.9, rel=1e-15)
+    def test_supremum_on_a_regime_corner_fails(self, tmp_path, capsys, seed):
+        # Lambda = mu + nu proves k = 2, attained at mu = nu = 1, where random
+        # samples never land: a config that sets k = 1.9 is refused
+        assert_refused(tmp_path, capsys, "check-kernel", {"kernel": {"family": "additive", "k": 1.9}},
+                       "kernel.k must be 2.0, got 1.9: family additive proves its own k")
 
-    @pytest.mark.parametrize("kernel", [
-        {"family": "constant", "rate": 1.0},
-        {"family": "singular_product", "k": 1.0, "sigma": 0.2},
-        {"family": "additive", "k": 2.0},
+    @pytest.mark.parametrize("kernel, constants", [
+        ({"family": "constant", "rate": 1.0}, (1.0, 0.0)),
+        ({"family": "singular_product", "k": 1.0, "sigma": 0.2}, (1.0, 0.2)),
+        ({"family": "additive", "k": 2.0}, (2.0, 0.0)),
     ], ids=["constant", "singular_product", "additive"])
-    def test_stock_families_pass_with_their_corners(self, tmp_path, kernel):
+    def test_stock_families_pass_with_their_corners(self, tmp_path, capsys, kernel, constants):
+        # the certificate reads no seed: every seed writes the same bytes
         cfg = write_config(tmp_path, {"kernel": kernel})
-        for seed in ("0", "1", "2"):
-            assert main(["check-kernel", "--config", str(cfg), "--seed", seed]) == 0
+        runs = set()
+        for seed in ([], ["--seed", "0"], ["--seed", "1"], ["--seed", "2"]):
+            assert main(["check-kernel", "--config", str(cfg), *seed]) == 0
+            runs.add((capsys.readouterr().out, (tmp_path / "out" / "kernel_cert.json").read_text()))
+        assert len(runs) == 1
+        out, text = runs.pop()
+        payload = json.loads(text)
+        assert (payload["k"], payload["eta"]) == constants
+        assert out.startswith(f"PASS  growth bound: k = {constants[0]:g}, small_small at (1.0, 1.0)\n")
+        small = payload["growth"]["regimes"][0]
+        assert small == {"name": "small_small", "supremum": constants[0], "point": [1.0, 1.0],
+                         "ray": None}
 
     @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
     def test_allow_large_sigma_must_be_a_boolean(self, tmp_path, capsys, value):
@@ -592,7 +609,7 @@ class TestSweep:
             self, tmp_path, capsys, monkeypatch, command, directory):
         work = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: work.append(a))
-        monkeypatch.setattr(cli, "certify_growth", lambda *a, **k: work.append(a))
+        monkeypatch.setattr(kernels.PowerSumKernel, "_suprema", lambda self: work.append(self))
         monkeypatch.chdir(tmp_path)
         assert_refused(tmp_path, capsys, command, {"output": {"directory": directory}},
                        f"output.directory must be a string, got {directory!r}")
@@ -622,6 +639,11 @@ class TestSweep:
         ({"n_sweep": True}, "n_sweep needs at least two n_list values, got [20.0]"),
         ({"eps_sweep": False, "n_sweep": True, "n_list": [10.0]},
          "n_sweep needs at least two n_list values, got [10.0]"),
+        ({"eps_list": [0.5, 0.25, 0.5]}, "eps_list repeats a value: [0.5, 0.25, 0.5]"),
+        ({"n_list": [30.0, 30.0]}, "n_list repeats a value: [30.0, 30.0]"),
+        ({"n_sweep": True, "n_list": [30.0, 30.0]}, "n_list repeats a value: [30.0, 30.0]"),
+        ({"n_sweep": True, "n_list": [50.0, 20.0, 10.0]},
+         "n_sweep needs n_list in increasing order, got [50.0, 20.0, 10.0]"),
     ])
     def test_refused_sweep_runs_no_solve(self, tmp_path, capsys, monkeypatch, sweep, message):
         calls = []
@@ -919,6 +941,16 @@ class TestCommandLine:
         assert main() == 0
         assert (tmp_path / "out" / "kernel_cert.json").exists()
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_config_that_is_not_text_exits_1(self, tmp_path, capsys, command):
+        # PyYAML decodes the bytes itself, so undecodable text is a YAML error
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"run:\n  model: \xff\xfe\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: YAML parse error: ") and "#x00ff" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, code, stream, start", [
         (["--help"], 0, "stdout", "usage: gencoag "),
         (["simulate", "--config", "{cfg}", "--threads", "x"], 1, "stderr",
@@ -961,3 +993,15 @@ def test_start_up_loads_no_argument_parser_dataclasses_or_csv():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_check_kernel_loads_no_random_generator(tmp_path):
+    # the certificate is closed form: no command draws a random number
+    probe = ("import sys, gencoag.cli\n"
+             "code = gencoag.cli.main(['check-kernel', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+             "print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(gencoag.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe, str(CONFIGS / "simulate_singular.yaml"),
+                           str(tmp_path)], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "0 False"

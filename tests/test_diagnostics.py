@@ -459,7 +459,7 @@ class TestSnapshotMatrix:
         traj = Trajectory(grid)
         for k in range(4):
             traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
-        for kernel in kernel_trio(20.0) + [truncate(TabulatedKernel(nodes, table, k=50.0), 20.0)]:
+        for kernel in kernel_trio(20.0) + [truncate(TabulatedKernel(nodes, table), 20.0)]:
             for m in range(1, grid.size):
                 got = _crossing_rates(traj, m, kernel)
                 expect = block_crossing_rates(traj, m, kernel)

@@ -12,13 +12,12 @@ from gencoag import (
     PowerSumKernel,
     SingularProductKernel,
     TabulatedKernel,
-    certify_derivative,
-    certify_growth,
     kernel_from_config,
     make_grid,
     truncate,
 )
 from gencoag import kernels
+from oracles import GROWTH_REGIMES, growth_ratios, scaled_falls
 
 
 class TestEval:
@@ -70,7 +69,7 @@ class TestEval:
 
     @pytest.mark.parametrize("params", [
         {"k": np.nan}, {"k": np.inf}, {"sigma": np.nan},
-        {"sigma": np.inf, "allow_large_sigma": True}, {"eta": np.nan}, {"eta": np.inf},
+        {"sigma": np.inf, "allow_large_sigma": True}, {"k": -np.inf}, {"sigma": -np.inf},
     ])
     def test_non_finite_parameters_rejected(self, params):
         with pytest.raises(DomainError):
@@ -82,35 +81,33 @@ class TestEval:
             ConstantKernel(rate=rate)
 
 
+def tabulated(rng, size, sigma=0.0):
+    """A random tabulated kernel on ``size`` log nodes around size 1, some zero entries."""
+    nodes = np.sort(np.exp(rng.uniform(-4.0, 4.0, size)))
+    table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
+    return TabulatedKernel(nodes, table, sigma=sigma)
+
+
 class TestCertifyGrowth:
     def test_singular_product_sharp(self):
-        ker = SingularProductKernel(k=1.0, sigma=0.3)
-        rep = certify_growth(ker, 4000, seed=1)
-        assert rep.passed
-        # the small-small bound is attained identically
-        small = [r for r in rep.regimes if r.name == "small_small"][0]
-        assert small.worst_ratio == pytest.approx(1.0, abs=1e-12)
+        ker = SingularProductKernel(k=1.3, sigma=0.3)
+        assert ker.k == 1.3
+        # the small-small bound is attained identically, so also at its apex
+        assert ker.certificate.growth[0] == ("small_small", 1.3, (1.0, 1.0), None)
 
     def test_product_kernel_fails(self):
-        class ProductKernel(Kernel):
-            family = "user"
-
-            def _rate(self, lo, hi):
-                return lo * hi
-
-        ker = ProductKernel(k=1.0, sigma=0.0)
-        rep = certify_growth(ker, 4000, seed=2)
-        assert not rep.passed
-        # brute-force oracle over the large-large regime: Lambda/(mu+nu)
-        # is unbounded, e.g. (3,3) gives 9 > 6
-        assert ker.eval(3.0, 3.0) == 9.0 > ker.k * 6.0
-        large = [r for r in rep.regimes if r.name == "large_large"][0]
-        assert large.violations > 0 and large.worst_ratio > 1.0
+        # Lambda = mu nu gels: Lambda / (mu + nu) grows without bound on the diagonal
+        ker = PowerSumKernel([(1.0, 1.0, 1.0)])
+        assert ker.k == np.inf
+        large = {r.name: r for r in ker.certificate.growth}["large_large"]
+        assert large.supremum == np.inf and large.ray == (1.0, 1.0)
+        # brute force along that ray: (3, 3) gives 9 / 6, (30, 30) gives 900 / 60
+        assert [ker.eval(x, x) / (2 * x) for x in (3.0, 30.0)] == [1.5, 15.0]
 
     def test_constant_with_sigma_passes(self):
         # 1 <= (mu nu)^(-0.1) on (0,1)^2 and 1 <= mu+nu on [1,inf)^2
-        rep = certify_growth(ConstantKernel(1.0, sigma=0.1), 4000, seed=3)
-        assert rep.passed
+        ker = ConstantKernel(1.0, sigma=0.1)
+        assert (ker.k, ker.eta) == (1.0, 0.0)
 
     def test_grid_scan_oracle_agrees(self):
         # independent deterministic scan for the constant kernel
@@ -122,42 +119,82 @@ class TestCertifyGrowth:
         ratio_top = 1.0 / (ker.k * (h[:, None] + h[None, :]))
         assert ratio_top.max() <= 1.0 + 1e-12
 
-    def test_sample_count_guard(self):
-        with pytest.raises(DomainError):
-            certify_growth(ConstantKernel(), 0)
+    def test_stock_families_at_their_closed_forms(self):
+        for sigma in (0.0, 0.2, 0.45):
+            for c in (0.25, 1.0, 3.0):
+                assert ConstantKernel(c, sigma=sigma).certificate == (
+                    (("small_small", c, (1.0, 1.0), None), ("large_small", c, (1.0, 1.0), None),
+                     ("large_large", c / 2, (1.0, 1.0), None)),
+                    (("mu_below_nu", 0.0, (1.0, 1.0), None), ("mu_above_nu", 0.0, (1.0, 1.0), None)))
+                sp = SingularProductKernel(k=c, sigma=sigma)
+                assert (sp.k, sp.eta) == (c, sigma * c)
+            additive = {r.name: r for r in AdditiveKernel(sigma=sigma).certificate.growth}
+            for name in ("small_small", "large_small"):
+                assert additive[name] == (name, 2.0, (1.0, 1.0), None)
+            assert (AdditiveKernel(sigma=sigma).k, AdditiveKernel(sigma=sigma).eta) == (2.0, 0.0)
+
+    def test_large_large_peak_inside_the_regime(self):
+        # Lambda = mu^0.8 nu^0 over mu + nu peaks at nu = 1, mu = 4, at 4^0.8 / 5
+        large = PowerSumKernel([(1.0, 0.0, 0.8)]).certificate.growth[2]
+        assert large.point == pytest.approx((4.0, 1.0), rel=1e-14)
+        assert large.supremum == pytest.approx(4.0**0.8 / 5.0, rel=1e-14)
+        mu = np.geomspace(1.0, 1e3, 20001)
+        assert np.max(mu**0.8 / (mu + 1.0)) <= large.supremum * (1 + 1e-12)
+
+    def test_kernel_without_a_certificate_is_config_error(self):
+        class Exponential(Kernel):
+            def _rate(self, lo, hi):
+                return np.exp(-(lo + hi))
+
+        for read in ("k", "eta", "certificate"):
+            with pytest.raises(ConfigError, match="no certificate"):
+                getattr(Exponential(), read)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["constant", "singular_product", "additive", "user_tabulated"]),
+           sigma=st.just(0.0) | st.floats(0.0, 0.49), coef=st.floats(0.01, 100.0),
+           size=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
+    def test_no_sample_beats_the_certificate(self, family, sigma, coef, size, seed):
+        rng = np.random.default_rng(seed)
+        kernel = {
+            "constant": lambda: ConstantKernel(coef, sigma=sigma),
+            "singular_product": lambda: SingularProductKernel(k=coef, sigma=sigma),
+            "additive": lambda: AdditiveKernel(sigma=sigma),
+            "user_tabulated": lambda: tabulated(rng, size, sigma),
+        }[family]()
+        assert [r.name for r in kernel.certificate.growth] == list(GROWTH_REGIMES)
+        for regime in kernel.certificate.growth:
+            assert np.all(growth_ratios(kernel, regime.name, rng) <= regime.supremum * (1 + 1e-12))
+        fall, noise = scaled_falls(kernel, rng)
+        assert np.all(fall <= kernel.eta * (1 + 1e-8) + 8.0 * noise)
 
 
 class TestCertifyDerivative:
     def test_constant_any_eta(self):
-        rep = certify_derivative(ConstantKernel(1.0), 1000, 1e-4, seed=4)
-        assert rep.passed
+        assert ConstantKernel(1.0).eta == 0.0
 
     def test_singular_product_sharp_eta(self):
         ker = SingularProductKernel(k=1.0, sigma=0.3)  # eta = sigma k, sharp
-        rep = certify_derivative(ker, 2000, 1e-5, seed=5)
-        assert rep.passed
+        assert [(r.supremum, r.point) for r in ker.certificate.derivative] == [(0.3, (1.0, 1.0))] * 2
+        fall, _ = scaled_falls(ker, np.random.default_rng(5))
+        assert np.max(fall) == pytest.approx(0.3, rel=1e-8)
 
     def test_decreasing_kernel_with_zero_eta_fails(self):
-        class DecayKernel(Kernel):
-            family = "user"
+        # Lambda = lo^-0.1 falls in mu below nu faster than any eta mu^-1 allows as mu -> 0
+        ker = PowerSumKernel([(1.0, -0.1, 0.0)])
+        below, above = ker.certificate.derivative
+        assert below.supremum == np.inf and below.ray == (-1.0, -1.0)
+        assert above.supremum == 0.0 and ker.eta == np.inf
 
-            def _rate(self, lo, hi):
-                return np.exp(-(lo + hi))
-
-        rep = certify_derivative(DecayKernel(k=1.0, eta=0.0), 2000, 1e-4, seed=6)
-        assert not rep.passed
-        witness = rep.regimes[0].witness
-        assert len(witness) == 2  # reproducible failure point
-
-    def test_fd_step_guard(self):
-        with pytest.raises(DomainError):
-            certify_derivative(ConstantKernel(), 100, 0.0)
-        for step in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(DomainError, match="positive and finite"):
-                certify_derivative(ConstantKernel(), 100, step)
-        # finite, but no sample pair lies 400 apart in log size
-        with pytest.raises(DomainError, match="keeps no sample"):
-            certify_derivative(ConstantKernel(), 100, 100.0)
+    def test_tabulated_falling_beyond_its_top_node_has_no_eta_above_sigma_zero(self):
+        # clamped beyond the nodes, the slope -0.5 / log 4 in log mu at the top
+        # node persists as nu -> inf, where eta (mu nu)^(-sigma) -> 0 if sigma > 0
+        nodes, table = np.array([0.5, 2.0]), np.array([[1.0, 1.5], [1.5, 1.0]])
+        assert TabulatedKernel(nodes, table).eta == pytest.approx(0.5 / np.log(4.0), rel=1e-14)
+        ker = TabulatedKernel(nodes, table, sigma=0.1)
+        assert ker.eta == np.inf and ker.k < np.inf
+        below = ker.certificate.derivative[0]
+        assert below.point == (1.0, 2.0) and below.ray == (0.0, 1.0)
 
 
 class TestTruncate:
@@ -226,7 +263,7 @@ class TestFactors:
                 return np.exp(-(lo + hi))
 
         x = np.geomspace(0.2, 5.0, 7)
-        for kernel in (Exponential(k=1.0), truncate(Exponential(k=1.0), 10.0)):
+        for kernel in (Exponential(), truncate(Exponential(), 10.0)):
             with pytest.raises(ConfigError, match="separable factors"):
                 kernel.factors(x)
 
@@ -286,19 +323,21 @@ class TestFactors:
         expect = base.eval(x[m], x[j])
         assert np.all(np.abs(got - expect) <= 1e-14 * expect)
 
-    def test_sup_bound_asserted(self):
-        # 2 k n^(2+2s) = 8 here, below the rate: factors fail like eval
-        tk = truncate(ConstantKernel(100.0, k=1.0), 2.0)
-        with pytest.raises(DomainError, match="understates"):
-            tk.eval(1.0, 1.0)
-        with pytest.raises(DomainError, match="understates"):
-            tk.factors(np.array([1.0]))
+    def test_certified_k_keeps_the_kernel_below_its_sup_bound(self):
+        # every regime bound is at most 2 k n^(1+s) on [1/n, n]^2
+        for base in (ConstantKernel(100.0, sigma=0.3), SingularProductKernel(k=5.0, sigma=0.4),
+                     AdditiveKernel(), tabulated(np.random.default_rng(3), 9, 0.2)):
+            for n in (1.5, 4.0, 50.0):
+                tk = truncate(base, n)
+                g = np.geomspace(1.0 / n, n, 101)
+                assert np.max(tk.eval(g[:, None], g[None, :])) <= 2.0 * base.k * n ** (1 + base.sigma)
+                assert 2.0 * base.k * n ** (1 + base.sigma) <= tk.sup_bound
 
     def test_sup_bound_of_hat_factors(self):
-        # sum_r max f_r * max g_r is 24 here, above 2 k n^(2+2s) = 8; the
-        # hats sum to one, so max f * max_j sum_r g_r[j] = 1 bounds the kernel
+        # sum_r max f_r * max g_r is 24 here, above 2 k n^(2+2s) = 8 at the
+        # certified k = 1; the hats sum to one, so the factors stay exact
         nodes = np.geomspace(0.5, 2.0, 24)
-        tk = truncate(TabulatedKernel(nodes, np.ones((24, 24)), k=1.0), 2.0)
+        tk = truncate(TabulatedKernel(nodes, np.ones((24, 24))), 2.0)
         x = make_grid(2.0, 64).centers
         factors = tk.factors(x)
         assert sum(f.max() * g.max() for f, g in factors) > tk.sup_bound
@@ -318,7 +357,7 @@ class TestTabulated:
             for m in nodes:
                 for u in nodes:
                     fh.write(f"{m:.17g},{u:.17g},{np.exp(-(m + u)):.17g}\n")
-        ker = TabulatedKernel.from_csv(path, k=1.0)
+        ker = TabulatedKernel.from_csv(path)
         # exact at the nodes
         assert ker.eval(nodes[3], nodes[7]) == pytest.approx(
             np.exp(-(nodes[3] + nodes[7])), rel=1e-12
@@ -360,3 +399,26 @@ class TestFromConfig:
     def test_unknown_family(self):
         with pytest.raises(Exception):
             kernel_from_config({"family": "bogus"})
+
+    def test_k_is_the_singular_product_coefficient(self):
+        kernel = kernel_from_config({"family": "singular_product", "k": 2.5, "sigma": 0.2})
+        assert (kernel.k, kernel.eta, kernel.terms) == (2.5, 0.2 * 2.5, ((2.5, -0.2, -0.2),))
+
+    @pytest.mark.parametrize("cfg, k", [
+        ({"family": "constant", "rate": 0.5, "k": 0.5}, 0.5),
+        ({"family": "constant", "k": 1}, 1.0),
+        ({"family": "additive", "k": 2.0}, 2.0),
+    ])
+    def test_k_accepted_at_its_certified_value(self, cfg, k):
+        assert kernel_from_config(cfg).k == k
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"family": "additive", "k": 1.9}, "kernel.k must be 2.0, got 1.9"),
+        ({"family": "constant", "rate": 1.0, "k": 1000.0}, "kernel.k must be 1.0, got 1000.0"),
+        ({"family": "constant", "rate": 0.5, "k": 1.0}, "kernel.k must be 0.5, got 1.0"),
+        ({"family": "singular_product", "eta": 0.2}, "kernel.eta is not a setting"),
+        ({"family": "constant", "eta": 0.0}, "kernel.eta is not a setting"),
+    ])
+    def test_k_elsewhere_and_eta_refused(self, cfg, message):
+        with pytest.raises(ConfigError, match=message):
+            kernel_from_config(cfg)

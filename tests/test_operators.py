@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,12 +66,16 @@ def brute_force_generalized(grid, kernel, eps, values):
             pivots = np.append(x, grid.n)
             a = int(np.searchsorted(pivots, p, side="right")) - 1
             a = min(a, size - 1)
-            w = (pivots[a + 1] - p) / (pivots[a + 1] - pivots[a])
+            # the shares of the exact product: the rounded p keeps too few
+            # digits of a small partner's eps x_j to split it at its pivot
+            exact = Fraction(x[m]) + Fraction(eps) * Fraction(x[j])
+            lo, hi = Fraction(pivots[a]), Fraction(pivots[a + 1])
+            w, up = float((hi - exact) / (hi - lo)), float((exact - lo) / (hi - lo))
             number[a] += events * w
             if a + 1 < size:
-                number[a + 1] += events * (1.0 - w)
+                number[a + 1] += events * up
             else:
-                ledger += events * (1.0 - w) * grid.n
+                ledger += events * up * grid.n
     return number / dx, ledger
 
 
@@ -80,10 +85,10 @@ def paper_class_kernels(sigma=0.2):
     return [
         # Brownian: (mu^1/3 + nu^1/3)(mu^-1/3 + nu^-1/3)
         PowerSumKernel([(2.0, 0.0, 0.0), (1.0, third, -third), (1.0, -third, third)],
-                       k=4.0, sigma=third),
+                       sigma=third),
         # (1 + mu + nu)(mu nu)^-sigma
         PowerSumKernel([(1.0, -sigma, -sigma), (1.0, 1.0 - sigma, -sigma),
-                        (1.0, -sigma, 1.0 - sigma)], k=3.0, sigma=sigma),
+                        (1.0, -sigma, 1.0 - sigma)], sigma=sigma),
     ]
 
 
@@ -96,7 +101,7 @@ def random_tabulated(rng, n, size):
     steps = np.cumsum(rng.uniform(0.05, 1.0, size))
     nodes = n ** rng.uniform(-1.5, 0.8) * 10.0 ** (rng.uniform(0.3, 3.0) * steps / steps[-1])
     table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
-    return truncate(TabulatedKernel(nodes, table, k=max(table.max(), 1e-3)), n)
+    return truncate(TabulatedKernel(nodes, table), n)
 
 
 class TestGeneralizedRhs:
@@ -379,7 +384,7 @@ class TestMakeRhs:
         nodes = np.geomspace(0.1, 10.0, 6)
         table = 1.0 + np.add.outer(nodes, nodes)
         grid = make_grid(8.0, 6)
-        kernel = truncate(TabulatedKernel(nodes, table, k=25.0), 8.0)
+        kernel = truncate(TabulatedKernel(nodes, table), 8.0)
         rng = np.random.default_rng(53)
         for _ in range(5):
             d = random_density(grid, rng)
@@ -394,7 +399,7 @@ class TestMakeRhs:
             def _rate(self, lo, hi):
                 return np.exp(-0.1 * (lo + hi))
 
-        rhs = make_rhs("generalized", truncate(Exponential(k=1.0), 30.0), 0.5)
+        rhs = make_rhs("generalized", truncate(Exponential(), 30.0), 0.5)
         with pytest.raises(ConfigError, match="separable factors"):
             rhs(NumberDensity(grid30, np.ones(grid30.size)))
 
@@ -576,7 +581,7 @@ class TestFactoredOhs:
 
 def tabulated_kernel(n):
     nodes = np.geomspace(0.5 / n, 2.0 * n, 6)
-    return truncate(TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes), k=10.0 * n), n)
+    return truncate(TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes)), n)
 
 
 class TestOhsLimit:
@@ -661,7 +666,7 @@ class TestEpsUniformClosure:
 def memory_guard_kernels():
     nodes = np.geomspace(0.05, 20.0, 4)
     return [truncate(ConstantKernel(1.0), 10.0),
-            truncate(TabulatedKernel(nodes, np.ones((4, 4)), k=1.0), 10.0)]
+            truncate(TabulatedKernel(nodes, np.ones((4, 4))), 10.0)]
 
 
 class TestDenseMemoryGuard:
@@ -682,7 +687,7 @@ class TestDenseMemoryGuard:
         # at eps = 0 the band holds only 2N pairs and the per-cell arrays dominate
         grid = make_grid(100.0, cells_per_decade)
         values = np.random.default_rng(67).random(grid.size)
-        for base in (ConstantKernel(1.0), AdditiveKernel(2.0)):
+        for base in (ConstantKernel(1.0), AdditiveKernel()):
             factors = truncate(base, 100.0).factors(grid.centers)
             tracemalloc.start()
             try:
