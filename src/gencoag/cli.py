@@ -253,7 +253,7 @@ def _out_dir(cfg, args):
 
 def _dump_json(payload, path):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def cmd_simulate(args):
@@ -296,21 +296,16 @@ def cmd_simulate(args):
         traj.replace_values(-1, traj[-1].values * 1.5)
 
     sigma = kernel.sigma
-    gauge1 = gauge2 = None
-    if float(np.max(initial.values)) > 0.0:
-        gauge1 = build_gauge_from_tail(*psi1_tail(initial))
-        gauge2 = build_gauge_from_tail(*psi2_tail(initial, sigma))
+    gauge1 = build_gauge_from_tail(*psi1_tail(initial))
+    gauge2 = build_gauge_from_tail(*psi2_tail(initial, sigma))
 
     moments = diag.moment_table(traj, sigma, gauge1, gauge2)
     verdicts = [
         diag.theta_bound_check(traj, initial, sigma),
         diag.moment_monotonicity_check(traj, sigma),
+        diag.psi1_moment_check(traj, gauge1, kernel.k, horizon, sigma),
+        diag.uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, horizon, sigma),
     ]
-    if gauge1 is not None:
-        verdicts.append(diag.psi1_moment_check(traj, gauge1, kernel.k, horizon, sigma))
-        verdicts.append(
-            diag.uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, horizon, sigma)
-        )
     for om in testfuncs.bump_library(grid):
         verdicts.append(diag.equicontinuity_modulus(traj, om, sigma, kernel.k))
 
@@ -347,9 +342,8 @@ def cmd_simulate(args):
     _dump_json(manifest, out / "manifest.json")
     diag.write_moments_csv(moments, out / "moments.csv")
     report.write_json(out / "report.json")
-    if gauge1 is not None:
-        write_gauge_csv(gauge1, out / "gauge_psi1.csv")
-        write_gauge_csv(gauge2, out / "gauge_psi2.csv")
+    write_gauge_csv(gauge1, out / "gauge_psi1.csv")
+    write_gauge_csv(gauge2, out / "gauge_psi2.csv")
 
     ok = report.all_passed()
     for v in verdicts:
@@ -402,8 +396,7 @@ def cmd_sweep(args):
         for n in config.n_list:
             d = table.at_time(config.horizon, n)
             if d:
-                ratio = members.grid(n)[0].ratio()
-                summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d, ratio)
+                summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d)
     if n_sweep:
         table_n = tables["distances_n.csv"] = exp.run_n_sweep(members)
         summary["failed_members"] += table_n.failed

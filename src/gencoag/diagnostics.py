@@ -37,12 +37,18 @@ class BoundVerdict(NamedTuple):
     def to_dict(self):
         return {
             "name": self.name,
-            "bound": self.bound,
+            "bound": _json_number(self.bound),
             "attained": self.attained,
-            "margin": self.margin,
+            "margin": _json_number(self.margin),
             "passed": bool(self.passed),
-            "details": self.details,
+            "details": {k: _json_number(v) if isinstance(v, float) else v
+                        for k, v in self.details.items()},
         }
+
+
+def _json_number(x):
+    """``x``, or None where it is not finite: JSON has no infinity or NaN."""
+    return x if np.isfinite(x) else None
 
 
 _MOMENT_COLUMNS = ("t", "M_neg2sigma", "M_negsigma", "M0", "M1", "Psi1", "Psi2int")
@@ -54,14 +60,13 @@ def _psi2_series(traj: Trajectory, gauge2, sigma: float) -> np.ndarray:
     return np.array([np.sum(gauge2.psi(scale * row) * dx) for row in traj.values])
 
 
-def moment_table(traj: Trajectory, sigma: float, gauge1=None, gauge2=None):
+def moment_table(traj: Trajectory, sigma: float, gauge1, gauge2):
     """Per-snapshot moment series, as a dict of arrays keyed by column name."""
     x = traj.grid.centers
     weights = [weight_values(x, w, sigma) for w in ("neg_two_sigma", "neg_sigma", "one", "mass")]
     cols = {"t": traj.times, **dict(zip(_MOMENT_COLUMNS[1:5], traj.moments(weights)))}
-    missing = np.full(len(traj), np.nan)
-    cols["Psi1"] = missing if gauge1 is None else traj.moments(gauge1.psi(x))
-    cols["Psi2int"] = missing if gauge2 is None else _psi2_series(traj, gauge2, sigma)
+    cols["Psi1"] = traj.moments(gauge1.psi(x))
+    cols["Psi2int"] = _psi2_series(traj, gauge2, sigma)
     return cols
 
 
@@ -100,7 +105,7 @@ def psi1_moment_check(traj: Trajectory, gauge, k: float, T: float,
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (gamma1 + 6.0 * k * T * psi_at_1 * theta**2) * np.exp(6.0 * T * k * theta)
     return _gronwall_verdict("psi1_moment_bound", bound, series,
-                             {"gamma1": gamma1, "theta": theta, "psi_at_1": psi_at_1})
+                             {"gamma1": gamma1, "theta": theta, "psi_at_1": psi_at_1}, {"k": k})
 
 
 def uniform_integrability_check(traj: Trajectory, gauge2, k: float, eta: float,
@@ -120,15 +125,18 @@ def uniform_integrability_check(traj: Trajectory, gauge2, k: float, eta: float,
         with_k, with_eta = gamma2 * np.exp(k * T * theta), gamma2 * np.exp(eta * T * theta)
     return _gronwall_verdict("psi2_uniform_integrability", bound, series, {
         "gamma2": gamma2, "theta": theta, "constant_used": c,
-        "bound_with_k": float(with_k), "bound_with_eta": float(with_eta)})
+        "bound_with_k": float(with_k), "bound_with_eta": float(with_eta)}, {"k": k, "eta": eta})
 
 
-def _gronwall_verdict(name: str, bound, series: np.ndarray, details: dict) -> BoundVerdict:
-    """sup of ``series`` <= ``bound``; a bound that overflowed checks nothing and fails."""
+def _gronwall_verdict(name: str, bound, series: np.ndarray, details: dict,
+                      constants: dict) -> BoundVerdict:
+    """sup of ``series`` <= ``bound``; a bound that is not finite checks nothing, fails, says why."""
     bound, attained = float(bound), float(series.max())
     if np.isfinite(bound):
         return BoundVerdict(name, bound, attained, attained <= bound * (1.0 + THETA_SLACK), details)
-    failure = f"the bound is not finite ({bound!r}): its exponent overflows a double"
+    infinite = " and ".join(f"{c} = {v:g}" for c, v in constants.items() if not np.isfinite(v))
+    failure = (f"{infinite}: the kernel lies outside the paper's class (check-kernel fails it)"
+               if infinite else f"the bound is not finite ({bound!r}): its exponent overflows a double")
     return BoundVerdict(name, bound, attained, False, {**details, "failure": failure})
 
 
@@ -353,4 +361,5 @@ class DiagnosticsReport(NamedTuple):
     def write_json(self, path):
         # each series becomes a list only when the encoder reaches it
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False,
+                      default=np.ndarray.tolist)

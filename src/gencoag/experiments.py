@@ -37,9 +37,6 @@ from .sizedomain import (
 )
 
 DEFAULT_EPS_LIST = tuple(2.0 ** (-i) for i in range(11))
-# distance to the OHS run allowed for eps below sqrt(ratio) - 1 of the grid,
-# where each member runs the arithmetic of the eps = 0 run
-LIMIT_TOLERANCE = 1e-7
 # times at which the closed forms of ``validate`` are checked
 CLOSED_FORM_TIMES = (0.5, 1.0, 2.0)
 # the pass thresholds of ``validate``: weighted-L1 error of the SCE closed
@@ -143,14 +140,14 @@ class MemberTable:
             self._grids[n] = grid, sample_initial(self.config.profile, grid)
         return self._grids[n]
 
-    def run(self, model: str, eps: float | None, n: float, sentinel: bool = False) -> tuple:
-        """(traj, failure) of ``model`` at ``eps`` on n's grid; a ``sentinel`` keys on its eps.
+    def run(self, model: str, eps: float | None, n: float) -> tuple:
+        """(traj, failure) of ``model`` at ``eps`` on n's grid.
 
         ``failure`` is None or {type, message, time, dt}.  ``traj`` is None if
         the solve failed; a run above the weighted-moment bound keeps it.
         """
         grid, initial = self.grid(n)
-        key = (eps if sentinel else computed_eps(model, eps, grid.ratio()), n)
+        key = (computed_eps(model, eps, grid.ratio()), n)
         if key not in self._runs:
             self._runs[key] = self._solve(model, eps, grid, initial)
         return self._runs[key]
@@ -183,9 +180,9 @@ def _eps_member(kernel: Kernel, grid: SizeGrid, initial: NumberDensity, stops, e
 def run_eps_sweep(members: MemberTable) -> DistanceTable:
     """Distance of each generalized run to the OHS (eps = 0) run, per snapshot.
 
-    A member that computes eps = 0 reads the OHS run and its moment-bound
-    check, except the largest such eps: a solved sentinel of the identity.
-    A failed solve of the OHS run raises: no member can be measured.
+    A member that computes eps = 0 is the OHS run: it reads that run, its
+    moment-bound check and its failure, at distance 0.  A failed solve of
+    the OHS run raises: no member can be measured.
     """
     config = members.config
     table = DistanceTable()
@@ -195,11 +192,8 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
         ref, failure = members.run("ohs", None, n)
         if ref is None:
             raise GencoagError(failure["message"])
-        below = (eps for eps in config.eps_list
-                 if computed_eps("generalized", eps, grid.ratio()) == 0.0)
-        sentinel = max(below, default=None)
         for eps in sorted(config.eps_list, reverse=True):
-            member, failure = members.run("generalized", eps, n, sentinel=eps == sentinel)
+            member, failure = members.run("generalized", eps, n)
             if failure is not None:
                 table.failed.append({"eps": eps, "n": n, "error": failure})
                 continue
@@ -355,18 +349,14 @@ def mass_conservation_report(config: SweepConfig, traj: Trajectory) -> dict:
     }
 
 
-def eps_limit_check(distances: dict, ratio: float) -> dict:
-    """Check nonincreasing distance to the OHS run along decreasing eps, then the limit.
+def eps_limit_check(distances: dict) -> dict:
+    """Check nonincreasing distance to the OHS run along decreasing eps.
 
-    ``distances`` maps eps -> distance to the eps = 0 run.  A member that
-    computes eps = 0 on a grid of edge ratio ``ratio`` (below sqrt(ratio) - 1,
-    see :func:`~gencoag.operators.computed_eps`) is the eps = 0 run: its
-    distance must be at most ``LIMIT_TOLERANCE``.  The floor is the sweep
-    minimum.
+    ``distances`` maps eps -> distance to the eps = 0 run.  A member that is
+    the OHS run (:meth:`MemberTable.run`) sits last, at distance 0.  The
+    floor is the sweep minimum.
     """
     eps_sorted = sorted(distances, reverse=True)
     vals = [distances[e] for e in eps_sorted]
-    coarse = [d for e, d in zip(eps_sorted, vals) if computed_eps("generalized", e, ratio) > 0.0]
-    ok = all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(coarse, coarse[1:]))
-    ok = ok and all(d <= LIMIT_TOLERANCE for d in vals[len(coarse):])
+    ok = all(later <= earlier * (1.0 + 1e-12) for earlier, later in zip(vals, vals[1:]))
     return {"passed": ok, "floor": min(vals), "eps_order": eps_sorted, "distances": vals}

@@ -42,6 +42,13 @@ def write_config(tmp_path, overrides=None, name="run.yaml"):
     return path
 
 
+def strict_json(path):
+    """The JSON document at ``path``; an Infinity or NaN in it fails the test."""
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds {name}, which JSON does not have")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def assert_refused(tmp_path, capsys, command, section, message):
     """``command`` on the default config with ``section`` exits 1, says why, writes nothing."""
     cfg = write_config(tmp_path, section)
@@ -84,17 +91,48 @@ class TestSimulate:
     ], ids=["horizon60", "k1000"])
     def test_overflowing_gronwall_bound_fails(self, tmp_path, section):
         # exp(6 T k Theta) overflows a double; a bound of inf checks nothing,
-        # so it fails and says why, and no RuntimeWarning is raised
+        # so it fails and says why, and no RuntimeWarning is raised.  The
+        # report stays standard JSON: the bound and margin are null
         cfg = {**yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text()), **section}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        report = strict_json(tmp_path / "out" / "report.json")
         jsonschema.validate(report, schema("report.schema.json"))
         failed = [v for v in report["verdicts"] if not v["passed"]]
         assert "psi1_moment_bound" in [v["name"] for v in failed]
         for v in failed:
-            assert v["bound"] == float("inf") and "not finite" in v["details"]["failure"]
+            assert v["bound"] is None and v["margin"] is None
+            assert "exponent overflows a double" in v["details"]["failure"]
+
+    def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys):
+        # the table of TestCheckKernel.test_fail_exit_2: no eta exists at
+        # sigma = 0.1, so the uniform-integrability bound is not finite
+        # because the kernel lies outside the class, not because of overflow
+        table = tmp_path / "kernel_table.csv"
+        table.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
+        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(table),
+                                                 "sigma": 0.1}})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "FAIL  psi2_uniform_integrability: attained" in capsys.readouterr().out
+        report = strict_json(tmp_path / "out" / "report.json")
+        jsonschema.validate(report, schema("report.schema.json"))
+        [v] = [v for v in report["verdicts"] if not v["passed"]]
+        assert v["name"] == "psi2_uniform_integrability" and v["bound"] is None
+        assert v["details"]["constant_used"] is None and v["details"]["bound_with_eta"] is None
+        assert v["details"]["failure"] == (
+            "eta = inf: the kernel lies outside the paper's class (check-kernel fails it)")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
+    def test_zero_initial_data_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # zero data would pass every check vacuously, at attained 0 vs bound 0
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
+        assert_refused(tmp_path, capsys, command,
+                       {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
+                       "monodisperse profile needs mu0 > 0 and mass > 0")
+        assert solves == []
 
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
@@ -165,6 +203,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: 2000 snapshots of 31 cells would take" in err
         assert "physical memory; use fewer snapshots" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_initial_data_quadrature_checked_against_memory(self, tmp_path, capsys, monkeypatch,
+                                                            command):
+        # physical memory shrunk to 64 MiB: the grid of 260206 cells fits
+        # (24 bytes a cell), but the quadrature that projects the initial
+        # data onto it does not, and is refused before it is built
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: 2**26 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+                            else real(name))
+        cfg = write_config(tmp_path, {"grid": {"n": 20.0, "cells_per_decade": 100000}})
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(cfg)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26
+        err = capsys.readouterr().err
+        assert "error: the quadrature of the initial data on 260206 cells would take" in err
+        assert "physical memory; use fewer cells_per_decade" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid, snapshots", [
@@ -653,8 +714,8 @@ class TestSweep:
         assert calls == []
 
     def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
-        # sweep_eps.yaml: the OHS run, the five eps at or above sqrt(r) - 1 =
-        # 0.037 and, of the six below, only 1/32 as the bit-identity sentinel
+        # sweep_eps.yaml: the OHS run and the five eps at or above sqrt(r) - 1
+        # = 0.037; the six below read the OHS run
         calls = []
         real = experiments.run_model
 
@@ -665,15 +726,15 @@ class TestSweep:
         monkeypatch.setattr(experiments, "run_model", run_model)
         assert main(["sweep", "--config", str(CONFIGS / "sweep_eps.yaml"),
                      "--out", str(tmp_path), "--threads", "2"]) == 0
-        assert calls == [("ohs", None)] + [("generalized", 2.0**-i) for i in range(6)]
+        assert calls == [("ohs", None)] + [("generalized", 2.0**-i) for i in range(5)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["passed"] and len(summary["checks"]["eps_monotone_n50"]["distances"]) == 11
 
     def test_both_studies_share_their_runs(self, tmp_path, monkeypatch):
-        # sweep_eps.yaml's kernel and grid: per n the OHS run, 0.5, 0.25 and
-        # 0.01, the sentinel below sqrt(r) - 1 = 0.037.  The n-study reads
-        # the eps-study's runs at 0.5: 12 solves with both studies, not 15,
-        # and each study writes what it writes alone
+        # sweep_eps.yaml's kernel and grid: per n the OHS run, 0.5 and 0.25;
+        # 0.01 lies below sqrt(r) - 1 = 0.037 and reads the OHS run.  The
+        # n-study reads the eps-study's runs at 0.5: 9 solves with both
+        # studies, not 12, and each study writes what it writes alone
         calls = []
         real = experiments.run_model
         monkeypatch.setattr(experiments, "run_model",
@@ -689,7 +750,7 @@ class TestSweep:
             calls.clear()
             assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
             solves[name] = len(calls)
-        assert solves == {"both": 12, "eps": 12, "n": 3}
+        assert solves == {"both": 9, "eps": 9, "n": 3}
         for name in ("eps", "n"):
             csv = f"distances_{name}.csv"
             assert (tmp_path / "both" / csv).read_bytes() == (tmp_path / name / csv).read_bytes()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,9 @@ from gencoag import (
 )
 from conftest import first_grid_run, mass_report
 from gencoag import experiments, operators
-from gencoag.operators import computed_eps
+from gencoag.cli import _sweep_config, load_config
 from gencoag.experiments import (
     CLOSED_FORM_TIMES,
-    LIMIT_TOLERANCE,
     M0_ROWS,
     MemberTable,
     eps_limit_check,
@@ -33,6 +34,9 @@ from gencoag.experiments import (
     validate_members,
     validate_sce_constant_kernel,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(kernel=None, **kw):
@@ -120,21 +124,14 @@ class TestMemberFailures:
 
     def test_reference_bound_violation_fails_members_at_eps_zero(self, monkeypatch):
         # on 16 cells/decade sqrt(r) - 1 = 0.075: eps = 1/16, 1/32 and 1/64
-        # compute eps = 0, and only 1/16 is solved, as the sentinel
+        # compute eps = 0 and read the OHS run, so with the OHS run alone
+        # broken all three fail with it
         cfg = small_config(eps_list=tuple(2.0 ** (-i) for i in range(7)))
-        ratio = make_grid(20.0, cfg.cells_per_decade).ratio()
-        at_zero = [2.0**-4, 2.0**-5, 2.0**-6]
-        monkeypatch.setattr(experiments, "make_rhs", _sourced(
-            lambda model, eps: computed_eps(model, eps, ratio) == 0.0))
-        table = run_eps_sweep(MemberTable(cfg))
-        assert [f["eps"] for f in table.failed] == at_zero
-        assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
-        assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
-        # with the OHS run alone broken, the members that read it fail with it
         monkeypatch.setattr(experiments, "make_rhs", _sourced(lambda model, eps: model == "ohs"))
         table = run_eps_sweep(MemberTable(cfg))
-        assert [f["eps"] for f in table.failed] == at_zero[1:]
+        assert [f["eps"] for f in table.failed] == [2.0**-4, 2.0**-5, 2.0**-6]
         assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
+        assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
 
     def test_n_sweep_member_bound_violation_is_typed(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs",
@@ -165,12 +162,10 @@ class TestMemberTable:
         calls = _counted(monkeypatch)
         ohs, failure = members.run("ohs", None, 20.0)
         assert failure is None and members.run("generalized", 2.0**-5, 20.0)[0] is ohs
-        # the sentinel keeps its own eps as its key: solved apart from the OHS run
-        sentinel = members.run("generalized", 2.0**-4, 20.0, sentinel=True)[0]
-        assert sentinel is not ohs and members.run("generalized", 2.0**-4, 20.0)[0] is ohs
+        assert members.run("generalized", 2.0**-4, 20.0)[0] is ohs
         sce = members.run("sce", None, 20.0)[0]
         assert members.run("generalized", 1.0, 20.0)[0] is sce
-        assert calls == [("ohs", None), ("generalized", 2.0**-4), ("sce", None)]
+        assert calls == [("ohs", None), ("sce", None)]
         # each grid and its initial data are built once, and every run starts there
         grid, initial = members.grid(20.0)
         assert members.grid(20.0)[0] is grid and sce.grid is grid
@@ -178,8 +173,8 @@ class TestMemberTable:
 
     @pytest.mark.parametrize("eps_study", [True, False], ids=["after_eps_study", "alone"])
     def test_n_study_below_the_limit_reads_the_ohs_run(self, monkeypatch, eps_study):
-        # eps_list[0] = 1/16 lies below sqrt(r) - 1: on each n the eps-study
-        # solves it as its sentinel, and the n-study reads the OHS run
+        # eps_list[0] = 1/16 lies below sqrt(r) - 1: on each n it is the OHS
+        # run, which the eps-study solved or the n-study solves at 1/16
         cfg = small_config(n_list=(10.0, 20.0), eps_list=(2.0**-4, 2.0**-5))
         members = MemberTable(cfg)
         if eps_study:
@@ -236,12 +231,29 @@ class TestEpsSweep:
         cfg = small_config(eps_list=tuple(2.0 ** (-i) for i in range(7)))
         table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
-        ratio = make_grid(20.0, cfg.cells_per_decade).ratio()
-        check = eps_limit_check(table.at_time(0.5), ratio)
+        check = eps_limit_check(table.at_time(0.5))
         assert check["passed"]
-        # genuine decrease before the limit, which eps = 1/16 < sqrt(r) - 1 reaches
-        assert check["distances"][0] > 1e3 * LIMIT_TOLERANCE
-        assert check["floor"] <= LIMIT_TOLERANCE
+        # genuine decrease before the limit, which eps = 1/16 < sqrt(r) - 1
+        # reaches: the three members below it are the OHS run, at distance 0
+        assert check["distances"][0] > 1e-4
+        assert check["distances"][-3:] == [0.0] * 3 and check["floor"] == 0.0
+
+    def test_sweep_eps_limit_member_is_the_ohs_run_bit_for_bit(self):
+        # configs/sweep_eps.yaml: eps = 1/32, the largest member below
+        # sqrt(r) - 1 = 0.037, solved on its own with the sweep's stops, is
+        # the OHS run the sweep reads for it
+        config = _sweep_config(load_config(CONFIGS / "sweep_eps.yaml"))
+        assert config.n_list == (50.0,) and config.cells_per_decade == 32
+        assert config.kernel.family == "singular_product" and config.kernel.sigma == 0.2
+        members = MemberTable(config)
+        grid, initial = members.grid(50.0)
+        ohs = members.run("ohs", None, 50.0)[0]
+        assert members.run("generalized", 2.0**-5, 50.0)[0] is ohs
+        member = run_model("generalized", config.kernel, grid, initial, members.stops[-1],
+                           members.stops, eps=2.0**-5)
+        assert np.array_equal(member.times, ohs.times)
+        assert np.array_equal(member.values, ohs.values)
+        assert member.outflux == ohs.outflux and member.clipped == ohs.clipped
 
     def test_top_loaded_sweep_reaches_ohs(self):
         # much of the mass sits in the top cell, so a generalized run that
@@ -251,8 +263,7 @@ class TestEpsSweep:
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
-        d = table.at_time(0.5)
-        assert eps_limit_check(d, grid.ratio())["passed"]
+        assert eps_limit_check(table.at_time(0.5))["passed"]
         # the sweep reads the OHS run for these members: solve each one here
         limit = [v for _, t, v in _below_limit_distances(cfg, grid, (0.5,)) if t == 0.5]
         assert len(limit) == 7 and max(limit) <= 1e-12
@@ -412,31 +423,22 @@ class TestAnalyticValidation:
 
 
 class TestMonotonePlateau:
-    # eps_limit_check on a grid with sqrt(r) - 1 = 0.3: eps = 1 and 0.5
-    # must decrease, eps = 0.25 and below must sit at the OHS run
+    # eps_limit_check: the distances must not rise along decreasing eps,
+    # up to 1e-12 relative
     def test_strictly_decreasing(self):
         d = {1.0: 4.0, 0.5: 2.0, 0.25: 1e-9}
-        assert eps_limit_check(d, 1.69)["passed"]
+        assert eps_limit_check(d)["passed"]
 
     def test_plateau_wiggle_allowed(self):
-        d = {1.0: 4.0, 0.5: 1.0, 0.25: 1e-9, 0.125: 3e-9}
-        assert eps_limit_check(d, 1.69)["passed"]
+        d = {1.0: 4.0, 0.5: 1.0, 0.25: 1e-9, 0.125: 1e-9 * (1.0 + 1e-13), 0.0625: 0.0}
+        assert eps_limit_check(d)["passed"]
 
     def test_real_rise_rejected(self):
-        assert not eps_limit_check({1.0: 4.0, 0.5: 1.0, 0.25: 2.0}, 1.69)["passed"]
-        assert not eps_limit_check({1.0: 1.0, 0.5: 1.0 + 1e-9, 0.25: 1e-9}, 1.69)["passed"]
-
-    def test_floor_away_from_limit_rejected(self):
-        # a distance that stops falling below sqrt(r) - 1 is a mismatch of the
-        # two operators, however flat
-        d = {1.0: 4.0, 0.5: 1.0, 0.25: 0.0145, 0.125: 0.0145}
-        check = eps_limit_check(d, 1.69)
-        assert not check["passed"]
-        assert check["floor"] == 0.0145
-        assert eps_limit_check({0.25: 2.0 * LIMIT_TOLERANCE}, 1.69)["passed"] is False
-        assert eps_limit_check({0.25: LIMIT_TOLERANCE}, 1.69)["passed"]
+        assert not eps_limit_check({1.0: 4.0, 0.5: 1.0, 0.25: 2.0})["passed"]
+        assert not eps_limit_check({1.0: 1.0, 0.5: 1.0 + 1e-9, 0.25: 1e-9})["passed"]
+        assert not eps_limit_check({1.0: 4.0, 0.5: 1e-9, 0.25: 3e-9})["passed"]
 
     def test_keys(self):
-        check = eps_limit_check({0.5: 1.0, 1.0: 2.0, 0.25: 0.0}, 1.69)
+        check = eps_limit_check({0.5: 1.0, 1.0: 2.0, 0.25: 0.0})
         assert check == {"passed": True, "floor": 0.0, "eps_order": [1.0, 0.5, 0.25],
                          "distances": [2.0, 1.0, 0.0]}
