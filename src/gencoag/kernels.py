@@ -390,8 +390,8 @@ class TruncatedKernel:
     The mask is boundary-inclusive so that edge-based flux evaluations at
     the top of the computational domain remain nonzero; this differs from
     the open-box definition only on a null set.  With the certified k each
-    regime bound is at most 2 k n^(1+sigma) on the box, so the kernel stays
-    below ``sup_bound``.
+    regime bound is at most 2 k n^(1+sigma) on the box, so the masked
+    kernel stays below 2 k n^(1+sigma).
     """
 
     def __init__(self, base: Kernel, n: float):
@@ -399,11 +399,6 @@ class TruncatedKernel:
             raise DomainError("truncation parameter n must exceed 1")
         self.base = base
         self.n = float(n)
-
-    @property
-    def sup_bound(self):
-        """2 k n^(2 + 2 sigma), the a-priori sup of the masked kernel."""
-        return 2.0 * self.base.k * self.n ** (2.0 + 2.0 * self.base.sigma)
 
     def _inside(self, mu):
         return (mu >= 1.0 / self.n) & (mu <= self.n)

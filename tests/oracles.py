@@ -165,6 +165,15 @@ GROWTH_REGIMES = {
 }
 
 
+def sup_bound(kernel: TruncatedKernel) -> float:
+    """2 k n^(2 + 2 sigma), an a-priori sup of the truncated kernel on [1/n, n]^2.
+
+    Each regime bound at the certified k is at most 2 k n^(1 + sigma) on
+    the box, so this one holds with room to spare.
+    """
+    return 2.0 * kernel.base.k * kernel.n ** (2.0 + 2.0 * kernel.base.sigma)
+
+
 def log_uniform_with_corners(rng, mu_range, nu_range, size):
     """``size`` log-uniform (mu, nu) pairs in the box, then its four corners.
 

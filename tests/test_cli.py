@@ -105,23 +105,21 @@ class TestSimulate:
             assert v["bound"] is None and v["margin"] is None
             assert "exponent overflows a double" in v["details"]["failure"]
 
-    def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys):
+    def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys, monkeypatch):
         # the table of TestCheckKernel.test_fail_exit_2: no eta exists at
-        # sigma = 0.1, so the uniform-integrability bound is not finite
-        # because the kernel lies outside the class, not because of overflow
+        # sigma = 0.1, so the kernel lies outside the class whatever a solve
+        # gives; simulate refuses it in check-kernel's words before any solve
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
         table = tmp_path / "kernel_table.csv"
         table.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
         cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(table),
                                                  "sigma": 0.1}})
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "FAIL  psi2_uniform_integrability: attained" in capsys.readouterr().out
-        report = strict_json(tmp_path / "out" / "report.json")
-        jsonschema.validate(report, schema("report.schema.json"))
-        [v] = [v for v in report["verdicts"] if not v["passed"]]
-        assert v["name"] == "psi2_uniform_integrability" and v["bound"] is None
-        assert v["details"]["constant_used"] is None and v["details"]["bound_with_eta"] is None
-        assert v["details"]["failure"] == (
-            "eta = inf: the kernel lies outside the paper's class (check-kernel fails it)")
+        assert capsys.readouterr().out == ("FAIL  derivative bound: eta = inf, mu_below_nu at "
+                                           "(1.0, 2.0) along (0.0, 1.0) in log size\n")
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
     def test_zero_initial_data_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,

@@ -243,6 +243,16 @@ class TestGaugeBounds:
         assert v.details["gamma2"] > 0.0
         assert v.bound >= max(v.details["bound_with_k"], v.details["bound_with_eta"])
 
+    def test_psi2_infinite_eta_is_named_not_an_overflow(self, const_run):
+        # simulate refuses such a kernel before its solve; a library caller
+        # still gets a failed verdict that names the constant
+        grid, kernel, density, traj = const_run
+        gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.1))
+        v = uniform_integrability_check(traj, gauge2, 1.0, np.inf, 1.0, 0.1)
+        assert not v.passed and v.bound == np.inf
+        assert v.details["failure"] == (
+            "eta = inf: the kernel lies outside the paper's class (check-kernel fails it)")
+
     def test_psi2_sigma_zero_degenerate(self, const_run):
         grid, kernel, density, traj = const_run
         gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.0))

@@ -35,6 +35,7 @@ from oracles import (
     ohs_velocity,
     pair_deaths,
     smoluchowski_rhs,
+    sup_bound,
     unique_lag_groups,
 )
 
@@ -194,7 +195,7 @@ class TestGeneralizedRhs:
                 n1 = np.sum(np.abs(d1.values) * dx)
                 n2 = np.sum(np.abs(d2.values) * dx)
                 dist = np.sum(np.abs(d1.values - d2.values) * dx)
-                bound = kernel.sup_bound * (1.0 / eps + 2.0) * (n1 + n2) * dist
+                bound = sup_bound(kernel) * (1.0 / eps + 2.0) * (n1 + n2) * dist
                 assert lhs <= bound
 
 
