@@ -23,7 +23,7 @@ _SOURCE = {
                      "InitialDataError", "StiffnessError"), "errors"),
     **dict.fromkeys(("AdditiveKernel", "Certificate", "ConstantKernel", "Kernel",
                      "PowerSumKernel", "SingularProductKernel", "TabulatedKernel",
-                     "TruncatedKernel", "kernel_from_config", "truncate"), "kernels"),
+                     "kernel_from_config", "truncate"), "kernels"),
     **dict.fromkeys(("ExponentialProfile", "MonodisperseProfile", "NumberDensity",
                      "SingularPowerProfile", "SizeGrid", "Trajectory", "make_grid",
                      "sample_initial", "weighted_norm"), "sizedomain"),

@@ -20,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import diagnostics
 from .errors import ConfigError, GencoagError
 from .integrator import evolve
-from .kernels import Kernel, truncate
+from .kernels import Kernel
 from .operators import computed_eps, make_rhs
 from .sizedomain import (
     ExponentialProfile,
@@ -31,8 +32,6 @@ from .sizedomain import (
     Trajectory,
     make_grid,
     sample_initial,
-    weight_values,
-    weighted_norm,
     write_csv,
 )
 
@@ -101,8 +100,8 @@ class DistanceTable:
 def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity,
               horizon: float, snapshot_times=None, eps: float | None = None,
               observers=()) -> Trajectory:
-    """Evolve one model on one grid with the kernel truncated to it."""
-    rhs = make_rhs(model, truncate(kernel, grid.n), eps)
+    """Evolve one model on one grid; the grid is the truncated domain."""
+    rhs = make_rhs(model, kernel, eps)
     return evolve(initial, rhs, horizon, snapshot_times, observers)
 
 
@@ -164,11 +163,10 @@ class MemberTable:
             # time and dt come from a StiffnessError
             return None, {"type": type(exc).__name__, "message": str(exc),
                           "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
-        theta = weighted_norm(initial, "Y_norm", kernel.sigma)
-        worst = float(traj.moments(weight_values(grid.centers, "Y_norm", kernel.sigma)).max())
-        if worst > theta * (1.0 + 1e-10):
+        theta = diagnostics.theta_bound_check(traj, initial, kernel.sigma)
+        if not theta.passed:
             return traj, {"type": "MomentBoundViolation", "time": None, "dt": None,
-                          "message": f"moment bound violated: {worst!r} > {theta!r}"}
+                          "message": f"moment bound violated: {theta.attained!r} > {theta.bound!r}"}
         return traj, None
 
 
@@ -325,17 +323,14 @@ def mass_conservation_report(config: SweepConfig, traj: Trajectory) -> dict:
     ``traj``, a run on the config's first grid, is read at the report's
     snapshot times, and the flux identities at ``MASS_LAMBDA_FRACTIONS`` of n.
     """
-    from .diagnostics import mass_flux_identity  # local import: avoid cycle
-
     n = config.n_list[0]
     grid, traj = traj.grid, traj.select(_mass_snapshots(config))
     m1 = traj.moments(grid.centers)
     closure = traj.ledger_closure()
     scale = max(m1[0], 1e-300)
-    trunc = truncate(config.kernel, grid.n)
     flux = []
     for frac in MASS_LAMBDA_FRACTIONS:
-        res = mass_flux_identity(traj, frac * n, trunc)
+        res = diagnostics.mass_flux_identity(traj, frac * n, config.kernel)
         flux.append({
             "lambda": res["lambda"],
             "max_residual_rel": float(np.max(res["residual"]) / scale),

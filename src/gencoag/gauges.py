@@ -5,8 +5,9 @@ derivative is concave and nondecreasing.  Given the tail of an integrable
 quantity, the constructor picks breakpoints r_j at which the tail has
 dropped below 4^(-j) of its initial value (pushed up if needed so the
 breakpoint gaps never shrink, which keeps Psi' concave), sets
-Psi'(r_j) = j + 1, and interpolates Psi' piecewise linearly.  The certified
-integral sum_j (j + 2) * tail(r_j) is finite by construction.
+Psi'(r_j) = j + 1, and interpolates Psi' piecewise linearly.  So Psi grows
+only as fast as the data's tail allows; the bound checks read the gauge
+moment of the data itself (Gamma1, Gamma2), not an a-priori bound of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ConvexGauge:
     slope, so Psi stays convex and Psi(s)/s -> infinity.
     """
 
-    def __init__(self, breakpoints, psi_prime_values, gamma_bound=None):
+    def __init__(self, breakpoints, psi_prime_values):
         r = np.asarray(breakpoints, dtype=float)
         dp = np.asarray(psi_prime_values, dtype=float)
         if r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
@@ -43,7 +44,6 @@ class ConvexGauge:
         # Psi at the breakpoints: exact integral of the piecewise-linear psi'.
         seg = np.diff(r) * 0.5 * (dp[:-1] + dp[1:])
         self.psi_values = np.concatenate([[0.0], np.cumsum(seg)])
-        self.gamma_bound = gamma_bound
 
     def _segment(self, s):
         idx = np.searchsorted(self.breakpoints, s, side="right") - 1
@@ -89,7 +89,6 @@ def build_gauge_from_tail(r_samples, tail_values, max_breakpoints: int = 64) -> 
 
     breakpoints = [0.0]
     dpsi = [1.0]
-    cert = 2.0 * t0  # j = 0 shell: psi' <= 2 below r_1
     prev_r = 0.0
     prev_gap = 0.0
     for j in range(1, max_breakpoints + 1):
@@ -106,14 +105,13 @@ def build_gauge_from_tail(r_samples, tail_values, max_breakpoints: int = 64) -> 
             r_j = prev_r + max(prev_gap, 1e-12 * max(prev_r, 1.0))
         breakpoints.append(r_j)
         dpsi.append(float(j + 1))
-        cert += (j + 2) * target
         prev_gap = r_j - prev_r
         prev_r = r_j
         if r_j >= r[-1]:
             break
     if len(breakpoints) < 2:
         raise GaugeConstructionError("tail too short to place any breakpoint")
-    return ConvexGauge(breakpoints, dpsi, gamma_bound=cert)
+    return ConvexGauge(breakpoints, dpsi)
 
 
 def psi1_tail(density):

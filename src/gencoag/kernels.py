@@ -1,4 +1,4 @@
-"""Coagulation kernels: evaluation, truncation, and the bound constants.
+"""Coagulation kernels: evaluation, separable factors, and the bound constants.
 
 A kernel is a symmetric nonnegative rate Lambda(mu, nu).  The paper's class
 is fixed by (k, sigma, eta): the growth bounds
@@ -10,7 +10,12 @@ is fixed by (k, sigma, eta): the growth bounds
 and, off the diagonal, d/dmu Lambda(mu, nu) >= -eta mu^(-sigma-1) nu^(-sigma).
 sigma is a parameter; ``Kernel.certificate`` proves the smallest k and eta
 the closed form allows at it, and an infinite one puts the kernel outside
-the class.  ``truncate`` masks the kernel to the box [1/n, n]^2.
+the class.
+
+The truncated domain (1/n, n) of the paper is the size grid's, not the
+kernel's: a grid on [1/n, n] reads the kernel only inside [1/n, n]^2, so no
+kernel carries a box mask.  ``truncate`` returns its kernel unchanged and is
+kept only for the benchmark probe.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ from .errors import ConfigError, DomainError
 _AT_ONE = (1.0, 1.0)
 
 
-def _check_positive_args(mu, nu):
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if np.any(mu <= 0.0) or np.any(nu <= 0.0):
+def _positive(x):
+    """``x`` as a float array; a size <= 0 is a DomainError."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
         raise DomainError("kernel arguments must be positive")
-    return mu, nu
+    return x
 
 
 class RegimeBound(NamedTuple):
@@ -111,7 +116,7 @@ class Kernel:
         symmetry Lambda(mu, nu) == Lambda(nu, mu) holds exactly in floating
         point.
         """
-        mu, nu = _check_positive_args(mu, nu)
+        mu, nu = _positive(mu), _positive(nu)
         lo = np.minimum(mu, nu)
         hi = np.maximum(mu, nu)
         out = self._rate(lo, hi)
@@ -206,7 +211,7 @@ class PowerSumKernel(Kernel):
         return sum(c * lo**a * hi**b for c, a, b in self.terms)
 
     def factors(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _positive(x)
         return [(c * x**b, x**a) for c, a, b in self.terms]
 
 
@@ -353,7 +358,7 @@ class TabulatedKernel(Kernel):
         size, so Lambda(x_m, x_j) = sum_a phi_a(x_j) (T phi(x_m))_a.  Each
         g_a is nonzero on at most the two node intervals next to node a.
         """
-        x = np.asarray(x, dtype=float)
+        x = _positive(x)
         i, t = self._bracket(x)
         hats = np.zeros((self.nodes.size, x.size))
         cells = np.arange(x.size)
@@ -384,48 +389,16 @@ def _table_row(row, where):
     return values
 
 
-class TruncatedKernel:
-    """Kernel masked to the closed box [1/n, n]^2.
+def truncate(kernel: Kernel, n: float) -> Kernel:
+    """``kernel`` itself, once n > 1: the grid on [1/n, n] is the truncation.
 
-    The mask is boundary-inclusive so that edge-based flux evaluations at
-    the top of the computational domain remain nonzero; this differs from
-    the open-box definition only on a null set.  With the certified k each
-    regime bound is at most 2 k n^(1+sigma) on the box, so the masked
-    kernel stays below 2 k n^(1+sigma).
+    Every kernel value a scheme or diagnostic reads lies in [1/n, n]^2 of its
+    grid, so a box mask would change none of them.  The function stays only
+    because the benchmark probe (``perfbench/probe.py``) calls it.
     """
-
-    def __init__(self, base: Kernel, n: float):
-        if n <= 1.0:
-            raise DomainError("truncation parameter n must exceed 1")
-        self.base = base
-        self.n = float(n)
-
-    def _inside(self, mu):
-        return (mu >= 1.0 / self.n) & (mu <= self.n)
-
-    def eval(self, mu, nu):
-        mu, nu = _check_positive_args(mu, nu)
-        inside = self._inside(mu) & self._inside(nu)
-        vals = np.asarray(self.base.eval(mu, nu), dtype=float)
-        out = np.where(inside, vals, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def factors(self, x):
-        """Factors of the base kernel times the box indicator.
-
-        The box mask is itself separable, so the product is exact.
-        """
-        x, _ = _check_positive_args(x, x)
-        inside = self._inside(x)
-        return [(np.where(inside, f, 0.0), np.where(inside, g, 0.0))
-                for f, g in self.base.factors(x)]
-
-
-def truncate(kernel: Kernel, n: float) -> TruncatedKernel:
-    """Mask ``kernel`` outside [1/n, n]^2."""
-    return TruncatedKernel(kernel, n)
+    if n <= 1.0:
+        raise DomainError("truncation parameter n must exceed 1")
+    return kernel
 
 
 _FAMILIES = {

@@ -20,7 +20,8 @@ Design rules of the pair scheme:
   both particle number and particle mass (linear allocation in size);
 * the domain end n is one more pivot, whose share leaves through the
   boundary, as does the full mass of a product beyond n.  This realizes the
-  domain indicator of the truncated weak form without losing mass;
+  domain indicator of the truncated weak form without losing mass, and the
+  kernel is read at the centers only, inside [1/n, n]^2, so it needs no mask;
 * a pair whose product lands in the big partner's own bracket
   [x_m, next pivot) is "offset 0".  Its event would remove the big
   particle at rate Lambda / eps and put back all of it but the share
@@ -57,15 +58,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernels import TruncatedKernel
+from .kernels import Kernel
 from .sizedomain import NumberDensity, SizeGrid, _check_table_bytes
-
-
-def _check_setup(density: NumberDensity, kernel: TruncatedKernel):
-    if abs(density.grid.n - kernel.n) > 1e-12 * kernel.n:
-        raise ConfigError(
-            f"grid n={density.grid.n} does not match kernel truncation n={kernel.n}"
-        )
 
 
 def _scheme_bytes(pairs, rank, cells):
@@ -96,7 +90,7 @@ def _lag_band(grid: SizeGrid, eps: float):
     return y, q, offset, grid.size - np.maximum(np.arange(grid.size), grid.size - 2 - offset)
 
 
-def scheme_bytes(grid: SizeGrid, model: str, kernel: TruncatedKernel, eps=None) -> int:
+def scheme_bytes(grid: SizeGrid, model: str, kernel: Kernel, eps=None) -> int:
     """:func:`_scheme_bytes` of the scheme ``make_rhs(model, kernel, eps)`` builds on ``grid``."""
     pairs = int(_lag_band(grid, computed_eps(model, eps))[3].sum())
     rank = len(kernel.factors(grid.centers[:1]))  # the factor count does not depend on x
@@ -288,7 +282,7 @@ def computed_eps(model: str, eps: float | None, ratio: float = 1.0) -> float:
     return 0.0 if eps < np.sqrt(ratio) - 1.0 else eps
 
 
-def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
+def make_rhs(model: str, kernel: Kernel, eps: float | None = None):
     """Bind a model to a density -> (dzdt, outflux) callable that owns its scheme.
 
     ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
@@ -302,7 +296,6 @@ def make_rhs(model: str, kernel: TruncatedKernel, eps: float | None = None):
     def rhs(density: NumberDensity):
         nonlocal scheme
         if scheme is None:
-            _check_setup(density, kernel)
             scheme = LagScheme(density.grid, kernel.factors(density.grid.centers), eps)
         elif scheme.grid is not density.grid:
             raise ConfigError("this right-hand side serves the grid of its first density, "

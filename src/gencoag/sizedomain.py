@@ -278,16 +278,12 @@ class Trajectory:
 class ExponentialProfile:
     """zeta_in(mu) = exp(-mu)."""
 
-    name = "exponential"
-
     def __call__(self, mu):
         return np.exp(-mu)
 
 
 class SingularPowerProfile:
     """zeta_in(mu) = mu^(-a) exp(-mu), admissible only when a + 2*sigma < 1."""
-
-    name = "singular_power"
 
     def __init__(self, a, sigma=0.0):
         if a + 2.0 * sigma >= 1.0:
@@ -305,8 +301,6 @@ class SingularPowerProfile:
 
 class MonodisperseProfile:
     """Mass ``m`` placed entirely in the cell containing ``mu0``."""
-
-    name = "monodisperse"
 
     def __init__(self, mu0, mass=1.0):
         if not (mu0 > 0.0 and mass > 0.0):  # zero data would pass every check vacuously

@@ -7,7 +7,6 @@ from gencoag import (
     SingularProductKernel,
     make_grid,
     sample_initial,
-    truncate,
 )
 from gencoag.experiments import (
     CLOSED_FORM_TIMES,
@@ -33,16 +32,16 @@ def exp_density(grid30):
 
 
 @pytest.fixture
-def const_trunc():
-    return truncate(ConstantKernel(1.0), 30.0)
+def const_kernel():
+    return ConstantKernel(1.0)
 
 
-def kernel_trio(n):
-    """The three stock families, truncated to (1/n, n)."""
+def kernel_trio():
+    """The three stock families."""
     return [
-        truncate(ConstantKernel(1.0), n),
-        truncate(SingularProductKernel(k=1.0, sigma=0.2), n),
-        truncate(AdditiveKernel(), n),
+        ConstantKernel(1.0),
+        SingularProductKernel(k=1.0, sigma=0.2),
+        AdditiveKernel(),
     ]
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gencoag import ConvexGauge, DomainError, NumberDensity, SizeGrid, TruncatedKernel, testfuncs
+from gencoag import ConvexGauge, DomainError, Kernel, NumberDensity, SizeGrid, testfuncs
 from gencoag.operators import _PairSet, _deposit_targets
 
 
@@ -15,7 +15,7 @@ class SmoluchowskiScheme:
     implementations, not one code path.
     """
 
-    def __init__(self, grid: SizeGrid, kernel: TruncatedKernel):
+    def __init__(self, grid: SizeGrid, kernel: Kernel):
         self.grid = grid
         x = grid.centers
         self.K = np.asarray(kernel.eval(x[:, None], x[None, :]))
@@ -51,7 +51,7 @@ class PairScheme:
     :func:`pair_deaths`.
     """
 
-    def __init__(self, grid: SizeGrid, kernel: TruncatedKernel, eps: float):
+    def __init__(self, grid: SizeGrid, kernel: Kernel, eps: float):
         self.grid = grid
         x = grid.centers
         m_idx, j_idx = np.tril_indices(grid.size)
@@ -125,7 +125,7 @@ def dense_ohs(grid, kernel, values):
     return (inflow - flux - death) / dx, outflux, inflow + flux + death
 
 
-def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarray:
+def ohs_velocities(density: NumberDensity, kernel: Kernel) -> np.ndarray:
     """Edge-sampled OHS transport velocities, one per right cell edge.
 
     v_i = sum over partners with center strictly below x_i of
@@ -139,7 +139,7 @@ def ohs_velocities(density: NumberDensity, kernel: TruncatedKernel) -> np.ndarra
     return (KE * mask) @ (x * density.values * grid.widths)
 
 
-def ohs_velocity(density: NumberDensity, kernel: TruncatedKernel, i: int) -> float:
+def ohs_velocity(density: NumberDensity, kernel: Kernel, i: int) -> float:
     """Edge-sampled OHS transport velocity at the right edge of cell i."""
     return float(ohs_velocities(density, kernel)[i])
 
@@ -165,13 +165,13 @@ GROWTH_REGIMES = {
 }
 
 
-def sup_bound(kernel: TruncatedKernel) -> float:
-    """2 k n^(2 + 2 sigma), an a-priori sup of the truncated kernel on [1/n, n]^2.
+def sup_bound(kernel: Kernel, n: float) -> float:
+    """2 k n^(2 + 2 sigma), an a-priori sup of ``kernel`` on [1/n, n]^2, a grid's box.
 
     Each regime bound at the certified k is at most 2 k n^(1 + sigma) on
     the box, so this one holds with room to spare.
     """
-    return 2.0 * kernel.base.k * kernel.n ** (2.0 + 2.0 * kernel.base.sigma)
+    return 2.0 * kernel.k * n ** (2.0 + 2.0 * kernel.sigma)
 
 
 def log_uniform_with_corners(rng, mu_range, nu_range, size):

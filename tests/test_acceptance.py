@@ -112,7 +112,7 @@ def test_criterion_1_operator_identity_at_eps_one():
     assert grid.size == 64
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for kernel in kernel_trio(10.0):
+    for kernel in kernel_trio():
         for _ in range(10):
             d = NumberDensity(grid, rng.random(grid.size))
             gen_dz, _ = make_rhs("generalized", kernel, 1.0)(d)

@@ -12,8 +12,7 @@ import yaml
 
 import gencoag
 from conftest import closed_form_run, mass_report
-from gencoag import (ConstantKernel, cli, experiments, integrator, kernels, make_grid, operators,
-                     truncate)
+from gencoag import ConstantKernel, cli, experiments, integrator, kernels, make_grid, operators
 from gencoag.cli import _sweep_config, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +83,34 @@ class TestSimulate:
     def test_injected_violation_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"diagnostics": {"inject_mass_violation": True}})
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    def test_lost_mass_fails_the_ledger_closure(self, tmp_path, capsys, monkeypatch):
+        # a leak lowers M1, so the moment, gauge and equicontinuity checks
+        # all pass; only the ledger M1 + outflux + clipped = M1(0) sees it
+        solve = experiments.run_model
+
+        def leaky(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            traj.replace_values(-1, traj[-1].values * 0.5)
+            return traj
+
+        monkeypatch.setattr(experiments, "run_model", leaky)
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if line.startswith("FAIL")] == [
+            "FAIL  ledger_closure: attained 0.5 vs bound 1e-08"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        verdict = report["verdicts"][-1]
+        assert verdict["name"] == "ledger_closure" and not verdict["passed"]
+        assert verdict["attained"] == report["ledger"]["max_closure_rel"]
+        assert verdict["bound"] == experiments.CLOSURE_TOLERANCE
+
+    @pytest.mark.parametrize("model", ["sce", "ohs"])
+    def test_eps_outside_the_generalized_model_exits_1(self, tmp_path, capsys, model):
+        # the run would compute eps = 1 or 0 and report the configured value
+        assert_refused(tmp_path, capsys, "simulate", {"run": {"model": model, "eps": 0.5}},
+                       f"[run] eps is read only when model = generalized; model {model} "
+                       "computes its own eps")
 
     @pytest.mark.parametrize("section", [
         {"time": {"horizon": 60.0, "snapshots": 8}},
@@ -273,8 +300,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"time": {"horizon": 0.3, "snapshots": 40}})
         grid = make_grid(20.0, 12)
         run = cli._run_bytes(40, grid.size)
-        scheme = operators.scheme_bytes(grid, "generalized", truncate(ConstantKernel(1.0), 20.0),
-                                        0.5)
+        scheme = operators.scheme_bytes(grid, "generalized", ConstantKernel(1.0), 0.5)
         page = os.sysconf("SC_PAGE_SIZE")
         pages = (max(run, scheme) + run + scheme) // (2 * page)
         assert max(run, scheme) < pages * page < run + scheme
@@ -326,6 +352,7 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "FAIL  theta_moment_bound" in printed
         assert "FAIL  moment_monotonicity" in printed
+        assert "FAIL  ledger_closure" in printed
 
     @pytest.mark.parametrize("diagnostics", [
         {"omegas": ["one", "bump:1.0"]},

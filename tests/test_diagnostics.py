@@ -15,7 +15,6 @@ from gencoag import (
     Trajectory,
     make_grid,
     sample_initial,
-    truncate,
     weighted_norm,
 )
 from gencoag import testfuncs
@@ -55,7 +54,7 @@ def const_run():
     density = sample_initial(ExponentialProfile(), grid)
     traj = run_model("generalized", kernel, grid, density, 1.0, np.linspace(0.1, 1.0, 10),
                      eps=0.5)
-    return grid, truncate(kernel, 20.0), density, traj
+    return grid, kernel, density, traj
 
 
 class TestIdentity:
@@ -176,7 +175,7 @@ class TestWeakFormResidual:
         density = sample_initial(ExponentialProfile(), grid)
         snaps = np.arange(1, 201) * 1e-3
         traj = run_model("sce", kernel, grid, density, 0.2, snaps)
-        res = weak_form_residual(traj, np.ones(grid.size), truncate(kernel, 20.0), "sce")
+        res = weak_form_residual(traj, np.ones(grid.size), kernel, "sce")
         assert np.max(res) <= 1e-6  # trapezoid-in-time error dominates
 
 
@@ -192,7 +191,7 @@ class TestAffineTailStudy:
             density = sample_initial(ExponentialProfile(), grid)
             traj = run_model("generalized", kernel, grid, density, 0.5,
                              np.linspace(0.1, 0.5, 5), eps=0.5)
-            res = weak_form_residual(traj, om(grid.centers), truncate(kernel, n),
+            res = weak_form_residual(traj, om(grid.centers), kernel,
                                      "generalized", 0.5)
             out[n] = float(np.max(res))
         assert all(np.isfinite(v) for v in out.values())
@@ -312,7 +311,7 @@ class TestMassFluxIdentity:
             density = sample_initial(ExponentialProfile(), grid)
             traj = run_model("ohs", kernel, grid, density, 1.0,
                              np.linspace(0.1, 1.0, 10))
-            out = mass_flux_identity(traj, 4.0, truncate(kernel, 8.0))
+            out = mass_flux_identity(traj, 4.0, kernel)
             resid[cpd] = np.max(out["residual"])
         assert resid[32] < resid[16]
         assert resid[64] < 0.75 * resid[32]
@@ -323,7 +322,7 @@ class TestMassFluxIdentity:
         grid = make_grid(8.0, 32)
         density = sample_initial(ExponentialProfile(), grid)
         traj = run_model("ohs", kernel, grid, density, 1.0, np.linspace(0.1, 1.0, 10))
-        out = mass_flux_identity(traj, 4.0, truncate(kernel, 8.0))
+        out = mass_flux_identity(traj, 4.0, kernel)
         m1 = weighted_norm(density, "mass")
         # lambda sits well inside the support here (harder than the n/2
         # reporting point, where the density is ~e^-10); first-order
@@ -354,7 +353,7 @@ class TestTailFlux:
         kernel = ConstantKernel(1.0)
         density = sample_initial(MonodisperseProfile(0.5, 0.05), grid)
         traj = run_model("ohs", kernel, grid, density, 0.2, (0.1, 0.2))
-        out = tail_flux_decay(traj, [10.0], truncate(kernel, 20.0))
+        out = tail_flux_decay(traj, [10.0], kernel)
         assert out[0]["total"] <= 1e-12
 
 
@@ -469,7 +468,7 @@ class TestSnapshotMatrix:
         traj = Trajectory(grid)
         for k in range(4):
             traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
-        for kernel in kernel_trio(20.0) + [truncate(TabulatedKernel(nodes, table), 20.0)]:
+        for kernel in kernel_trio() + [TabulatedKernel(nodes, table)]:
             for m in range(1, grid.size):
                 got = _crossing_rates(traj, m, kernel)
                 expect = block_crossing_rates(traj, m, kernel)
@@ -486,7 +485,7 @@ class TestSnapshotMatrix:
             traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
         x, dx, values = grid.centers, grid.widths, traj.values
         zd = values * dx
-        for kernel in kernel_trio(20.0):
+        for kernel in kernel_trio():
             for m in range(1, grid.size):
                 f = np.array([fr[m:] for fr, _ in kernel.factors(x)])
                 g = np.array([gr[:m] for _, gr in kernel.factors(x)])

@@ -38,7 +38,6 @@ class TestBuildFromTail:
             assert j * math.log(4.0) - 1e-12 <= bp[j] <= j * (math.log(4.0) + 2 * spacing)
         # derivative values are 1, 2, 3, ...
         assert np.array_equal(gauge.psi_prime_values[:4], [1.0, 2.0, 3.0, 4.0])
-        assert gauge.gamma_bound is not None and np.isfinite(gauge.gamma_bound)
 
     def test_psi_zero_and_convexity_samples(self):
         r, tail = exponential_tail()

@@ -11,7 +11,6 @@ from gencoag import (
     make_grid,
     make_rhs,
     sample_initial,
-    truncate,
     weighted_norm,
 )
 from gencoag import integrator
@@ -20,7 +19,7 @@ from gencoag import integrator
 @pytest.fixture
 def setup():
     grid = make_grid(30.0, 16)
-    kernel = truncate(ConstantKernel(1.0), 30.0)
+    kernel = ConstantKernel(1.0)
     density = sample_initial(ExponentialProfile(), grid)
     return grid, kernel, density
 

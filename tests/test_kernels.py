@@ -199,33 +199,17 @@ class TestCertifyDerivative:
 
 class TestTruncate:
     def test_inside(self):
-        tk = truncate(ConstantKernel(1.0), 4.0)
-        assert tk.eval(0.5, 0.5) == 1.0
-
-    def test_outside(self):
-        tk = truncate(ConstantKernel(1.0), 4.0)
-        assert tk.eval(5.0, 0.5) == 0.0
+        # the grid on [1/n, n] is the truncation: truncate returns its kernel
+        ker = ConstantKernel(1.0)
+        tk = truncate(ker, 4.0)
+        assert tk is ker and tk.eval(0.5, 0.5) == 1.0
 
     def test_sup_bound_singular(self):
         ker = SingularProductKernel(k=1.0, sigma=0.5, allow_large_sigma=True)
-        tk = truncate(ker, 10.0)
         g = np.geomspace(0.1, 10.0, 200)
-        vals = tk.eval(g[:, None], g[None, :])
-        assert sup_bound(tk) == 2.0 * ker.k * 10.0**3  # 2 k n^(2+2s), s = 1/2
-        assert vals.max() <= sup_bound(tk)
-
-    def test_mask_consistency(self):
-        ker = SingularProductKernel(k=1.0, sigma=0.2)
-        tk = truncate(ker, 8.0)
-        rng = np.random.default_rng(8)
-        mu = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 4000))
-        nu = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 4000))
-        tv = tk.eval(mu, nu)
-        bv = ker.eval(mu, nu)
-        assert np.all(tv <= bv)
-        inside = (mu >= 1 / 8) & (mu <= 8) & (nu >= 1 / 8) & (nu <= 8)
-        assert np.array_equal(tv[inside], bv[inside])
-        assert np.all(tv[~inside] == 0.0)
+        vals = ker.eval(g[:, None], g[None, :])
+        assert sup_bound(ker, 10.0) == 2.0 * ker.k * 10.0**3  # 2 k n^(2+2s), s = 1/2
+        assert vals.max() <= sup_bound(ker, 10.0)
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):
@@ -241,22 +225,13 @@ class TestFactors:
     def test_reproduce_eval_on_lower_triangle(self, base):
         grid = make_grid(50.0, 16)
         x = grid.centers
-        tk = truncate(base, 50.0)
-        factors = tk.factors(x)
+        factors = base.factors(x)
         assert len(factors) == {"constant": 1, "singular_product": 1, "additive": 2}[base.family]
         m, j = np.tril_indices(x.size)
         got = sum(f[m] * g[j] for f, g in factors)
-        expect = tk.eval(x[m], x[j])
+        expect = base.eval(x[m], x[j])
         assert np.all(np.abs(got - expect) <= 1e-14 * expect)
         assert all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
-
-    def test_box_indicator(self):
-        tk = truncate(AdditiveKernel(), 4.0)
-        x = np.array([0.1, 0.25, 1.0, 4.0, 5.0])
-        inside = np.array([False, True, True, True, False])
-        for f, g in tk.factors(x):
-            assert np.all(f[~inside] == 0.0) and np.all(g[~inside] == 0.0)
-            assert np.all(f[inside] > 0.0) and np.all(g[inside] > 0.0)
 
     def test_no_factors(self):
         class Exponential(Kernel):
@@ -264,9 +239,8 @@ class TestFactors:
                 return np.exp(-(lo + hi))
 
         x = np.geomspace(0.2, 5.0, 7)
-        for kernel in (Exponential(), truncate(Exponential(), 10.0)):
-            with pytest.raises(ConfigError, match="separable factors"):
-                kernel.factors(x)
+        with pytest.raises(ConfigError, match="separable factors"):
+            Exponential().factors(x)
 
     def test_presets_are_bit_equal_to_their_closed_forms(self):
         x = make_grid(50.0, 16).centers
@@ -329,24 +303,26 @@ class TestFactors:
         for base in (ConstantKernel(100.0, sigma=0.3), SingularProductKernel(k=5.0, sigma=0.4),
                      AdditiveKernel(), tabulated(np.random.default_rng(3), 9, 0.2)):
             for n in (1.5, 4.0, 50.0):
-                tk = truncate(base, n)
                 g = np.geomspace(1.0 / n, n, 101)
-                assert np.max(tk.eval(g[:, None], g[None, :])) <= 2.0 * base.k * n ** (1 + base.sigma)
-                assert 2.0 * base.k * n ** (1 + base.sigma) <= sup_bound(tk)
+                assert np.max(base.eval(g[:, None], g[None, :])) <= 2.0 * base.k * n ** (1 + base.sigma)
+                assert 2.0 * base.k * n ** (1 + base.sigma) <= sup_bound(base, n)
 
     def test_sup_bound_of_hat_factors(self):
         # sum_r max f_r * max g_r is 24 here, above 2 k n^(2+2s) = 8 at the
         # certified k = 1; the hats sum to one, so the factors stay exact
         nodes = np.geomspace(0.5, 2.0, 24)
-        tk = truncate(TabulatedKernel(nodes, np.ones((24, 24))), 2.0)
+        kernel = TabulatedKernel(nodes, np.ones((24, 24)))
         x = make_grid(2.0, 64).centers
-        factors = tk.factors(x)
-        assert sum(f.max() * g.max() for f, g in factors) > sup_bound(tk)
+        factors = kernel.factors(x)
+        assert sum(f.max() * g.max() for f, g in factors) > sup_bound(kernel, 2.0)
         assert np.allclose(sum(g for _, g in factors), 1.0, rtol=1e-15)
 
     def test_nonpositive_argument_rejected(self):
-        with pytest.raises(DomainError):
-            truncate(ConstantKernel(), 4.0).factors(np.array([1.0, 0.0]))
+        for kernel in (ConstantKernel(), AdditiveKernel(),
+                       TabulatedKernel([0.5, 2.0], np.ones((2, 2)))):
+            for x in ([1.0, 0.0], [1.0, -2.0]):
+                with pytest.raises(DomainError, match="must be positive"):
+                    kernel.factors(np.array(x))
 
 
 class TestTabulated:

@@ -25,8 +25,7 @@ EXPORTS = {
     "errors": ["ConfigError", "DomainError", "GaugeConstructionError", "GencoagError",
                "InitialDataError", "StiffnessError"],
     "kernels": ["AdditiveKernel", "Certificate", "ConstantKernel", "Kernel", "PowerSumKernel",
-                "SingularProductKernel", "TabulatedKernel", "TruncatedKernel",
-                "kernel_from_config", "truncate"],
+                "SingularProductKernel", "TabulatedKernel", "kernel_from_config", "truncate"],
     "sizedomain": ["ExponentialProfile", "MonodisperseProfile", "NumberDensity",
                    "SingularPowerProfile", "SizeGrid", "Trajectory", "make_grid",
                    "sample_initial", "weighted_norm"],

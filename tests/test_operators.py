@@ -23,7 +23,6 @@ from gencoag import (
     make_grid,
     make_rhs,
     sample_initial,
-    truncate,
     weighted_norm,
 )
 from gencoag import operators
@@ -102,21 +101,20 @@ def random_tabulated(rng, n, size):
     steps = np.cumsum(rng.uniform(0.05, 1.0, size))
     nodes = n ** rng.uniform(-1.5, 0.8) * 10.0 ** (rng.uniform(0.3, 3.0) * steps / steps[-1])
     table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
-    return truncate(TabulatedKernel(nodes, table), n)
+    return TabulatedKernel(nodes, table)
 
 
 class TestGeneralizedRhs:
-    def test_zero_density(self, grid30, const_trunc):
+    def test_zero_density(self, grid30, const_kernel):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        dzdt, outflux = make_rhs("generalized", const_trunc, 0.5)(d)
+        dzdt, outflux = make_rhs("generalized", const_kernel, 0.5)(d)
         assert np.all(dzdt == 0.0) and outflux == 0.0
 
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.125, 0.01])
     def test_matches_brute_force(self, eps):
         grid = make_grid(8.0, 6)
         rng = np.random.default_rng(3)
-        for base in (ConstantKernel(1.0), *paper_class_kernels()):
-            kernel = truncate(base, 8.0)
+        for kernel in (ConstantKernel(1.0), *paper_class_kernels()):
             d = random_density(grid, rng)
             dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
             expect, ledger = brute_force_generalized(grid, kernel, eps, d.values)
@@ -126,7 +124,7 @@ class TestGeneralizedRhs:
 
     def test_eps_one_equals_sce(self, grid30):
         rng = np.random.default_rng(5)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             gen_dz, gen_out = make_rhs("generalized", kernel, 1.0)(d)
             sce_dz, sce_out = smoluchowski_rhs(d, kernel)
@@ -137,7 +135,7 @@ class TestGeneralizedRhs:
     @pytest.mark.parametrize("eps", [1.0, 0.25, 0.01])
     def test_interior_mass_neutrality(self, grid30, eps):
         rng = np.random.default_rng(7)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
             x, dx = grid30.centers, grid30.widths
@@ -145,26 +143,26 @@ class TestGeneralizedRhs:
             scale = np.sum(x * np.abs(dzdt) * dx) + abs(outflux)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
 
-    def test_number_moment_riccati_form(self, grid30, const_trunc, exp_density):
+    def test_number_moment_riccati_form(self, grid30, const_kernel, exp_density):
         # omega = 1 weak action: every event nets -eps particles at rate
         # events = R/eps, so dM0/dt = -(1/2) M0^2 for the unit kernel.
         # Discarded above-domain products add a number loss of order
         # zeta_top / eps ~ e^-30 / eps, visible at the 1e-9 level.
         for eps in (1.0, 0.5, 0.01):
-            dzdt, _ = make_rhs("generalized", const_trunc, eps)(exp_density)
+            dzdt, _ = make_rhs("generalized", const_kernel, eps)(exp_density)
             m0 = weighted_norm(exp_density, "one")
             dm0 = np.sum(dzdt * grid30.widths)
             assert dm0 == pytest.approx(-0.5 * m0 * m0, rel=1e-8)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(9)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             for eps in (1.0, 0.3, 0.02):
                 d = random_density(grid30, rng)
                 dzdt, _ = make_rhs("generalized", kernel, eps)(d)
                 assert np.sum(dzdt * grid30.widths) <= 0.0
 
-    def test_sign_structure_quasi_positive(self, grid30, const_trunc):
+    def test_sign_structure_quasi_positive(self, grid30, const_kernel):
         # cells with zero density can only gain: negative contributions are
         # proportional to the cell's own value
         rng = np.random.default_rng(13)
@@ -172,19 +170,13 @@ class TestGeneralizedRhs:
         vals[::3] = 0.0
         d = NumberDensity(grid30, vals)
         for eps in (1.0, 0.2):
-            dzdt, _ = make_rhs("generalized", const_trunc, eps)(d)
+            dzdt, _ = make_rhs("generalized", const_kernel, eps)(d)
             assert np.all(dzdt[vals == 0.0] >= 0.0)
-
-    def test_grid_kernel_mismatch(self, grid30):
-        kernel = truncate(ConstantKernel(1.0), 10.0)
-        d = NumberDensity(grid30, np.zeros(grid30.size))
-        with pytest.raises(ConfigError):
-            make_rhs("generalized", kernel, 0.5)(d)
 
     def test_lipschitz_sanity(self, grid30):
         # || Q(z1) - Q(z2) ||_L1 <= 2 k n^(2+2s) (1/eps + 2) (||z1|| + ||z2||) ||z1 - z2||
         rng = np.random.default_rng(17)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             for eps in (1.0, 0.25):
                 d1 = random_density(grid30, rng)
                 d2 = random_density(grid30, rng)
@@ -195,7 +187,7 @@ class TestGeneralizedRhs:
                 n1 = np.sum(np.abs(d1.values) * dx)
                 n2 = np.sum(np.abs(d2.values) * dx)
                 dist = np.sum(np.abs(d1.values - d2.values) * dx)
-                bound = sup_bound(kernel) * (1.0 / eps + 2.0) * (n1 + n2) * dist
+                bound = sup_bound(kernel, grid30.n) * (1.0 / eps + 2.0) * (n1 + n2) * dist
                 assert lhs <= bound
 
 
@@ -231,7 +223,7 @@ class TestLagScheme:
     def test_matches_dense(self, n, cpd, family, eps, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
         grid = make_grid(n, cpd)
-        kernel = kernel_trio(n)[family]
+        kernel = kernel_trio()[family]
         values = np.random.default_rng(seed).random(grid.size)
         (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
             grid, kernel, eps, values)
@@ -252,7 +244,7 @@ class TestLagScheme:
         # a few occupied cells; a near-empty cell's own rate can be tiny, so
         # differences are measured against the largest gross rate
         grid = make_grid(n, cpd)
-        kernel = kernel_trio(n)[family]
+        kernel = kernel_trio()[family]
         rng = np.random.default_rng(11)
         for _ in range(5):
             values = rng.random(grid.size) * (rng.random(grid.size) < 0.2)
@@ -266,7 +258,7 @@ class TestLagScheme:
         # pairs kept for the top band: at most N * (largest offset + 2)
         grid = make_grid(100.0, 128)
         eps = 0.25
-        scheme = lag_scheme(grid, truncate(SingularProductKernel(), 100.0), eps)
+        scheme = lag_scheme(grid, SingularProductKernel(), eps)
         max_offset = np.ceil(np.log1p(eps) / np.log(grid.ratio()))
         assert scheme.band.m_idx.size <= grid.size * (max_offset + 2)
 
@@ -280,7 +272,7 @@ class TestLagScheme:
         values = np.random.default_rng(83).random(grid.size)
         for eps in (0.0, below, 2.0**-10, 0.05, 0.25, 0.5, 1.0):
             groups, moves = unique_lag_groups(grid, eps)
-            for kernel in kernel_trio(n) + [tabulated_kernel(n)]:
+            for kernel in kernel_trio() + [tabulated_kernel(n)]:
                 scheme = lag_scheme(grid, kernel, eps)
                 assert scheme.moves == moves
                 assert [g[:3] for g in scheme.groups] == [g[:3] for g in groups]
@@ -301,7 +293,7 @@ class TestLagScheme:
         # fault numpy's sort code into every run
         grid = make_grid(100.0, 27)
         calls = [(make_rhs(model, kernel, eps), random_density(grid, np.random.default_rng(89)))
-                     for kernel in kernel_trio(100.0) + [tabulated_kernel(100.0)]]
+                     for kernel in kernel_trio() + [tabulated_kernel(100.0)]]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the scheme build sorted")
@@ -342,7 +334,7 @@ class TestLagScheme:
 
 class TestMakeRhs:
     @pytest.mark.parametrize("model, eps", [("sce", None), ("generalized", 0.3), ("ohs", None)])
-    def test_scheme_built_once_per_callable(self, monkeypatch, const_trunc, exp_density,
+    def test_scheme_built_once_per_callable(self, monkeypatch, const_kernel, exp_density,
                                             model, eps):
         real = operators.LagScheme
         calls = []
@@ -352,7 +344,7 @@ class TestMakeRhs:
             return real(*args)
 
         monkeypatch.setattr(operators, "LagScheme", counting)
-        rhs = make_rhs(model, const_trunc, eps)
+        rhs = make_rhs(model, const_kernel, eps)
         traj = evolve(exp_density, rhs, 0.2, [0.1, 0.2])
         assert len(traj) == 3
         assert len(calls) == 1
@@ -360,13 +352,13 @@ class TestMakeRhs:
     @pytest.mark.parametrize("model, eps", [("sce", 1.0), ("generalized", 0.3), ("ohs", 0.0)])
     def test_returns_the_schemes_pair(self, grid30, model, eps):
         d = random_density(grid30, np.random.default_rng(59))
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             dzdt, outflux = make_rhs(model, kernel, eps)(d)
             expect, expect_out = lag_scheme(grid30, kernel, eps).rhs(d.values)
             assert np.array_equal(dzdt, expect) and outflux == expect_out
 
-    def test_second_grid_is_config_error(self, grid30, const_trunc):
-        rhs = make_rhs("generalized", const_trunc, 0.3)
+    def test_second_grid_is_config_error(self, grid30, const_kernel):
+        rhs = make_rhs("generalized", const_kernel, 0.3)
         rhs(NumberDensity(grid30, np.ones(grid30.size)))
         other = make_grid(30.0, 8)
         with pytest.raises(ConfigError, match="make one per grid"):
@@ -374,7 +366,7 @@ class TestMakeRhs:
 
     def test_sce_is_the_eps_one_pair_scheme(self, grid30):
         rng = np.random.default_rng(47)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             sce_dz, sce_out = make_rhs("sce", kernel)(d)
             gen_dz, gen_out = make_rhs("generalized", kernel, 1.0)(d)
@@ -385,7 +377,7 @@ class TestMakeRhs:
         nodes = np.geomspace(0.1, 10.0, 6)
         table = 1.0 + np.add.outer(nodes, nodes)
         grid = make_grid(8.0, 6)
-        kernel = truncate(TabulatedKernel(nodes, table), 8.0)
+        kernel = TabulatedKernel(nodes, table)
         rng = np.random.default_rng(53)
         for _ in range(5):
             d = random_density(grid, rng)
@@ -400,31 +392,31 @@ class TestMakeRhs:
             def _rate(self, lo, hi):
                 return np.exp(-0.1 * (lo + hi))
 
-        rhs = make_rhs("generalized", truncate(Exponential(), 30.0), 0.5)
+        rhs = make_rhs("generalized", Exponential(), 0.5)
         with pytest.raises(ConfigError, match="separable factors"):
             rhs(NumberDensity(grid30, np.ones(grid30.size)))
 
-    def test_bad_model_and_eps_rejected_before_any_density(self, const_trunc):
+    def test_bad_model_and_eps_rejected_before_any_density(self, const_kernel):
         with pytest.raises(ConfigError):
-            make_rhs("bogus", const_trunc)
+            make_rhs("bogus", const_kernel)
         with pytest.raises(ConfigError):
-            make_rhs("generalized", const_trunc)
+            make_rhs("generalized", const_kernel)
         for eps in (1.5, -0.1, float("nan")):
             with pytest.raises(DomainError):
-                make_rhs("generalized", const_trunc, eps)
+                make_rhs("generalized", const_kernel, eps)
 
 
 class TestSceRhs:
-    def test_zero_density(self, grid30, const_trunc):
+    def test_zero_density(self, grid30, const_kernel):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        dzdt, _ = make_rhs("sce", const_trunc)(d)
+        dzdt, _ = make_rhs("sce", const_kernel)(d)
         assert np.all(dzdt == 0.0)
 
     def test_monodisperse_hand_computation(self):
         # single occupied cell: death rate zeta0^2 * dx0 in that cell,
         # birth appears in the cell containing 2 mu0
         grid = make_grid(10.0, 8)
-        kernel = truncate(ConstantKernel(1.0), 10.0)
+        kernel = ConstantKernel(1.0)
         d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
         c = grid.cell_of(2.0)
         z0 = d.values[c]
@@ -439,22 +431,22 @@ class TestSceRhs:
         born = np.sum(dzdt[birth_cells] * grid.widths[birth_cells])
         assert born == pytest.approx(0.5 * pair_rate, rel=1e-12)
 
-    def test_number_moment_closed_form(self, grid30, const_trunc, exp_density):
-        dzdt, _ = make_rhs("sce", const_trunc)(exp_density)
+    def test_number_moment_closed_form(self, grid30, const_kernel, exp_density):
+        dzdt, _ = make_rhs("sce", const_kernel)(exp_density)
         m0 = weighted_norm(exp_density, "one")
         total = np.sum(dzdt * grid30.widths)
         assert total == pytest.approx(-0.5 * m0 * m0, rel=1e-10)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(43)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, _ = make_rhs("sce", kernel)(d)
             assert np.sum(dzdt * grid30.widths) <= 0.0
 
     def test_mass_neutrality(self, grid30):
         rng = np.random.default_rng(19)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, outflux = make_rhs("sce", kernel)(d)
             drift = np.sum(grid30.centers * dzdt * grid30.widths) + outflux
@@ -463,18 +455,18 @@ class TestSceRhs:
 
 
 class TestOhs:
-    def test_zero_density(self, grid30, const_trunc):
+    def test_zero_density(self, grid30, const_kernel):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        dzdt, _ = make_rhs("ohs", const_trunc)(d)
+        dzdt, _ = make_rhs("ohs", const_kernel)(d)
         assert np.all(dzdt == 0.0)
 
-    def test_velocity_zero_density(self, grid30, const_trunc):
+    def test_velocity_zero_density(self, grid30, const_kernel):
         d = NumberDensity(grid30, np.zeros(grid30.size))
-        assert ohs_velocity(d, const_trunc, 5) == 0.0
+        assert ohs_velocity(d, const_kernel, 5) == 0.0
 
     def test_velocity_monodisperse(self):
         grid = make_grid(10.0, 8)
-        kernel = truncate(ConstantKernel(1.0), 10.0)
+        kernel = ConstantKernel(1.0)
         d = sample_initial(MonodisperseProfile(1.0, 1.0), grid)
         c = grid.cell_of(1.0)
         # edges strictly above the occupied cell see the full mass below
@@ -485,7 +477,7 @@ class TestOhs:
 
     def test_velocity_nonnegative(self, grid30):
         rng = np.random.default_rng(23)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             assert np.all(ohs_velocities(d, kernel) >= 0.0)
 
@@ -493,7 +485,7 @@ class TestOhs:
         # interior number change equals -sum_{j<=i} K_ij z_i z_j dx_i dx_j,
         # the diagonal at weight 1/2, plus the boundary number flux
         rng = np.random.default_rng(29)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, _ = make_rhs("ohs", kernel)(d)
             x, dx = grid30.centers, grid30.widths
@@ -511,7 +503,7 @@ class TestOhs:
         # edge, which is outflux / n: mass leaves at size n
         rng = np.random.default_rng(30)
         x, dx = grid30.centers, grid30.widths
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, outflux = make_rhs("ohs", kernel)(d)
             zd = d.values * dx
@@ -519,30 +511,30 @@ class TestOhs:
             total = np.sum(dzdt * dx)
             boundary = outflux / grid30.n
             assert total == pytest.approx(-0.5 * zd @ K @ zd - boundary, rel=1e-12)
-            if kernel.base.family == "constant":
+            if kernel.family == "constant":
                 m0 = np.sum(zd)
                 assert total == pytest.approx(-0.5 * m0 * m0 - boundary, rel=1e-12)
 
     def test_mass_ledger_exact(self, grid30):
         rng = np.random.default_rng(31)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, outflux = make_rhs("ohs", kernel)(d)
             drift = np.sum(grid30.centers * dzdt * grid30.widths) + outflux
             scale = np.sum(grid30.centers * np.abs(dzdt) * grid30.widths)
             assert abs(drift) <= 1e-10 * max(scale, 1e-300)
 
-    def test_sign_structure(self, grid30, const_trunc):
+    def test_sign_structure(self, grid30, const_kernel):
         rng = np.random.default_rng(37)
         vals = rng.random(grid30.size)
         vals[::4] = 0.0
         d = NumberDensity(grid30, vals)
-        dzdt, _ = make_rhs("ohs", const_trunc)(d)
+        dzdt, _ = make_rhs("ohs", const_kernel)(d)
         assert np.all(dzdt[vals == 0.0] >= 0.0)
 
     def test_number_moment_nonpositive(self, grid30):
         rng = np.random.default_rng(41)
-        for kernel in kernel_trio(30.0):
+        for kernel in kernel_trio():
             d = random_density(grid30, rng)
             dzdt, _ = make_rhs("ohs", kernel)(d)
             assert np.sum(dzdt * grid30.widths) <= 0.0
@@ -561,7 +553,7 @@ class TestFactoredOhs:
     def test_matches_dense(self, n, cpd, family, occupied, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 512)
         grid = make_grid(n, cpd)
-        kernel = kernel_trio(n)[family]
+        kernel = kernel_trio()[family]
         rng = np.random.default_rng(seed)
         values = rng.random(grid.size) * (rng.random(grid.size) < occupied)
         dzdt, outflux = make_rhs("ohs", kernel)(NumberDensity(grid, values))
@@ -572,7 +564,7 @@ class TestFactoredOhs:
     def test_memory_is_linear_in_cells(self):
         grid = make_grid(100.0, 512)
         assert grid.size == 2048
-        for kernel in kernel_trio(100.0):
+        for kernel in kernel_trio():
             scheme = lag_scheme(grid, kernel, 0.0)
             assert not scheme.groups
             arrays = [a for part in (scheme, scheme.band) for a in vars(part).values()
@@ -582,7 +574,7 @@ class TestFactoredOhs:
 
 def tabulated_kernel(n):
     nodes = np.geomspace(0.5 / n, 2.0 * n, 6)
-    return truncate(TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes)), n)
+    return TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes))
 
 
 class TestOhsLimit:
@@ -594,7 +586,7 @@ class TestOhsLimit:
         grid = make_grid(8.0, 6)
         limit = np.sqrt(grid.ratio()) - 1.0
         rng = np.random.default_rng(61)
-        for kernel in kernel_trio(8.0) + [tabulated_kernel(8.0)]:
+        for kernel in kernel_trio() + [tabulated_kernel(8.0)]:
             values = rng.random(grid.size)
             expect, expect_out, gross = dense_ohs(grid, kernel, values)
             for eps in (0.0, 0.99 * limit, 2.0**-8):
@@ -612,7 +604,7 @@ class TestOhsLimit:
     def test_members_below_the_limit_are_eps_zero_bit_for_bit(self, n, cpd, family, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
         grid = make_grid(n, cpd)
-        kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
+        kernel = (kernel_trio() + [tabulated_kernel(n)])[family]
         values = np.random.default_rng(seed).random(grid.size)
         dzdt, outflux = lag_scheme(grid, kernel, 0.0).rhs(values)
         for eps in (0.99 * (np.sqrt(grid.ratio()) - 1.0), 2.0**-10):
@@ -655,7 +647,7 @@ class TestEpsUniformClosure:
     def test_ledger_closure_at_rounding(self, n, cpd, family, eps, scale, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
         grid = make_grid(n, cpd)
-        kernel = (kernel_trio(n) + [tabulated_kernel(n)])[family]
+        kernel = (kernel_trio() + [tabulated_kernel(n)])[family]
         d = random_density(grid, np.random.default_rng(seed), scale)
         dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
         x, dx = grid.centers, grid.widths
@@ -666,8 +658,8 @@ class TestEpsUniformClosure:
 
 def memory_guard_kernels():
     nodes = np.geomspace(0.05, 20.0, 4)
-    return [truncate(ConstantKernel(1.0), 10.0),
-            truncate(TabulatedKernel(nodes, np.ones((4, 4))), 10.0)]
+    return [ConstantKernel(1.0),
+            TabulatedKernel(nodes, np.ones((4, 4)))]
 
 
 class TestDenseMemoryGuard:
@@ -689,7 +681,7 @@ class TestDenseMemoryGuard:
         grid = make_grid(100.0, cells_per_decade)
         values = np.random.default_rng(67).random(grid.size)
         for base in (ConstantKernel(1.0), AdditiveKernel()):
-            factors = truncate(base, 100.0).factors(grid.centers)
+            factors = base.factors(grid.centers)
             tracemalloc.start()
             try:
                 scheme = LagScheme(grid, factors, eps)
@@ -715,7 +707,7 @@ class TestOperatorProperties:
     @given(seed=st.integers(0, 2**31 - 1), eps=st.floats(0.01, 1.0))
     def test_neutrality_random_densities(self, seed, eps):
         grid = make_grid(12.0, 6)
-        kernel = truncate(ConstantKernel(1.0), 12.0)
+        kernel = ConstantKernel(1.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size) * rng.uniform(0.1, 5.0))
         dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
@@ -728,7 +720,7 @@ class TestOperatorProperties:
     @given(seed=st.integers(0, 2**31 - 1), eps=st.floats(0.01, 1.0))
     def test_number_decreases_random_densities(self, seed, eps):
         grid = make_grid(12.0, 6)
-        kernel = truncate(ConstantKernel(1.0), 12.0)
+        kernel = ConstantKernel(1.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
         for dzdt, _ in (
@@ -742,7 +734,7 @@ class TestOperatorProperties:
     @given(seed=st.integers(0, 2**31 - 1))
     def test_eps_one_equivalence_random(self, seed):
         grid = make_grid(12.0, 6)
-        kernel = truncate(ConstantKernel(1.0), 12.0)
+        kernel = ConstantKernel(1.0)
         rng = np.random.default_rng(seed)
         d = NumberDensity(grid, rng.random(grid.size))
         gen_dz, _ = make_rhs("generalized", kernel, 1.0)(d)
@@ -756,7 +748,7 @@ class TestOperatorProperties:
     def test_sce_is_generalized_eps_one_bit_for_bit(self, seed, which):
         # validate reports one M0 run for its sce and generalized_eps1 rows
         grid = make_grid(12.0, 6)
-        kernel = kernel_trio(12.0)[which]
+        kernel = kernel_trio()[which]
         rng = np.random.default_rng(seed)
         d = random_density(grid, rng, rng.uniform(0.1, 5.0))
         sce_dz, sce_out = make_rhs("sce", kernel)(d)
