@@ -11,7 +11,8 @@ spelled out in full; ``-h`` or ``--help`` prints the usage line.  Exit
 codes: 0 success, 1 a usage, configuration or runtime error, 2 a run
 completed but a bound check failed.  ``--threads`` (or ``run.threads``)
 must be at least 1, but every command runs in one process: none starts a
-pool.
+pool.  Only ``simulate`` reads ``run.model`` and ``run.eps``: ``sweep`` and
+``validate`` choose their own and refuse either key.
 
 The CLI runs on one thread.  It sets ``OPENBLAS_NUM_THREADS=1`` before it
 imports numpy, whatever the environment says.  The package makes no matrix
@@ -265,6 +266,12 @@ def _out_dir(cfg, args):
     return Path(args.out or directory)
 
 
+def _publish(args, out):
+    """Make ``out`` and echo the config into it: only a run that went through gets here."""
+    out.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(args.config, out / "config_echo.yaml")
+
+
 def _dump_json(payload, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -310,45 +317,29 @@ def cmd_simulate(args):
         return EXIT_BOUND_FAIL
 
     traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
-    # only a run that went through leaves an output directory
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, out / "config_echo.yaml")
+    _publish(args, out)
 
     if inject:
         # test hook: corrupt the final snapshot so bound checks must fail
         traj.replace_values(-1, traj[-1].values * 1.5)
 
-    sigma = kernel.sigma
-    gauge1 = build_gauge_from_tail(*psi1_tail(initial))
-    gauge2 = build_gauge_from_tail(*psi2_tail(initial, sigma))
-
-    moments = diag.moment_table(traj, sigma, gauge1, gauge2)
-    verdicts = [
-        diag.theta_bound_check(traj, initial, sigma),
-        diag.moment_monotonicity_check(traj, sigma),
-        diag.psi1_moment_check(traj, gauge1, kernel.k, horizon, sigma),
-        diag.uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, horizon, sigma),
-    ]
-    for om in testfuncs.bump_library(grid):
-        verdicts.append(diag.equicontinuity_modulus(traj, om, sigma, kernel.k))
+    gauges = (build_gauge_from_tail(*psi1_tail(initial)),
+              build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
+    moments, verdicts = diag.bound_verdicts(traj, initial, kernel, horizon, gauges)
 
     weak_residuals = dict(zip(names, diag.weak_form_residual(traj, omegas, kernel, model, eps)))
 
     flux = [diag.mass_flux_identity(traj, lam, kernel) for lam in lams]
 
-    closure = float(traj.ledger_closure().max())
     ledger = {
         "M1_initial": float(moments["M1"][0]),
         "outflux_final": traj.outflux[-1],
         "clipped_final": traj.clipped[-1],
-        "max_closure_rel": closure,
+        "max_closure_rel": verdicts[-1].attained,  # the ledger_closure verdict
     }
-    # a mass leak lowers M1, which the moment checks cannot tell from coagulation
-    verdicts.append(diag.BoundVerdict("ledger_closure", exp.CLOSURE_TOLERANCE, closure,
-                                      closure <= exp.CLOSURE_TOLERANCE))
 
     report = diag.DiagnosticsReport(
-        model=model, eps=eps, sigma=sigma, moments=moments, verdicts=verdicts,
+        model=model, eps=eps, sigma=kernel.sigma, moments=moments, verdicts=verdicts,
         weak_residuals=weak_residuals, flux_identities=flux,
         tail_fluxes=diag.tail_flux_decay(traj, [grid.n / 4.0, grid.n / 2.0, grid.n], kernel),
         ledger=ledger,
@@ -369,8 +360,8 @@ def cmd_simulate(args):
     _dump_json(manifest, out / "manifest.json")
     diag.write_moments_csv(moments, out / "moments.csv")
     report.write_json(out / "report.json")
-    write_gauge_csv(gauge1, out / "gauge_psi1.csv")
-    write_gauge_csv(gauge2, out / "gauge_psi2.csv")
+    write_gauge_csv(gauges[0], out / "gauge_psi1.csv")
+    write_gauge_csv(gauges[1], out / "gauge_psi2.csv")
 
     ok = report.all_passed()
     for v in verdicts:
@@ -387,6 +378,10 @@ def _check_threads(cfg, args):
 
 
 def _sweep_config(cfg):
+    for key in ("model", "eps"):  # sweep and validate would echo either and run without it
+        if key in _section(cfg, "run", required=False):
+            raise ConfigError(f"run.{key} is read only by simulate; sweep and validate "
+                              "choose their own models and eps")
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
     ssec = _section(cfg, "sweep", required=False)
@@ -431,9 +426,7 @@ def cmd_sweep(args):
         summary["checks"]["n_cauchy"] = {"distances": dists, "passed": all(
             b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:]))}
     summary["passed"] = all(c.get("passed", True) for c in summary["checks"].values()) and not summary["failed_members"]
-    # only a sweep that went through leaves an output directory
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, out / "config_echo.yaml")
+    _publish(args, out)
     for name, table in tables.items():
         table.write_csv(out / name)
     _dump_json(_plain(summary), out / "summary.json")
@@ -466,7 +459,6 @@ def _certificate_bounds(kernel):
 def cmd_check_kernel(args):
     cfg, out = _load(args)
     kernel = kernel_from_config(_section(cfg, "kernel"))
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"kernel_family": kernel.family, "sigma": kernel.sigma}
     for bound in _certificate_bounds(kernel):
         payload[bound.name] = bound.constant if bound.passed else None  # JSON has no infinity
@@ -475,6 +467,7 @@ def cmd_check_kernel(args):
             for r in bound.regimes]}
         print(bound.line)
     payload["passed"] = payload["growth"]["passed"] and payload["derivative"]["passed"]
+    _publish(args, out)
     _dump_json(payload, out / "kernel_cert.json")
     return EXIT_OK if payload["passed"] else EXIT_BOUND_FAIL
 
@@ -499,13 +492,11 @@ def cmd_validate(args):
         "m0_riccati": {"models": m0, "tolerance": exp.M0_TOLERANCE,
                        "passed": all(r["passed"] for r in m0.values())},
         "mass_conservation": {"model": "sce", "eps": None, **mc,
-                              "tolerance": exp.CLOSURE_TOLERANCE,
-                              "passed": mc["max_closure_rel"] <= exp.CLOSURE_TOLERANCE},
+                              "tolerance": diag.CLOSURE_TOLERANCE,
+                              "passed": mc["max_closure_rel"] <= diag.CLOSURE_TOLERANCE},
     }
     ok = all(r["passed"] for r in results.values())
-    # only a validation that went through leaves an output directory
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, out / "config_echo.yaml")
+    _publish(args, out)
     _dump_json(_plain({**results, "passed": ok}), out / "validate.json")
     for name, r in results.items():
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {name}")

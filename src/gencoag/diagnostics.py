@@ -14,11 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import testfuncs
 from .errors import ConfigError, DomainError
 from .operators import make_rhs
 from .sizedomain import Trajectory, weight_values, weighted_norm, write_csv
 
 THETA_SLACK = 1.0e-10
+CLOSURE_TOLERANCE = 1e-8  # of |M1 + outflux + clipped - M1(0)| / M1(0), in simulate and validate
 
 
 class BoundVerdict(NamedTuple):
@@ -54,19 +56,14 @@ def _json_number(x):
 _MOMENT_COLUMNS = ("t", "M_neg2sigma", "M_negsigma", "M0", "M1", "Psi1", "Psi2int")
 
 
-def _psi2_series(traj: Trajectory, gauge2, sigma: float) -> np.ndarray:
-    """int Psi2(mu^(-s) zeta) dmu per snapshot, one snapshot at a time."""
-    scale, dx = traj.grid.centers ** (-sigma), traj.grid.widths
-    return np.array([np.sum(gauge2.psi(scale * row) * dx) for row in traj.values])
-
-
 def moment_table(traj: Trajectory, sigma: float, gauge1, gauge2):
     """Per-snapshot moment series, as a dict of arrays keyed by column name."""
-    x = traj.grid.centers
+    x, dx = traj.grid.centers, traj.grid.widths
     weights = [weight_values(x, w, sigma) for w in ("neg_two_sigma", "neg_sigma", "one", "mass")]
     cols = {"t": traj.times, **dict(zip(_MOMENT_COLUMNS[1:5], traj.moments(weights)))}
     cols["Psi1"] = traj.moments(gauge1.psi(x))
-    cols["Psi2int"] = _psi2_series(traj, gauge2, sigma)
+    scale = x ** (-sigma)  # Psi2int goes one snapshot at a time: no temporary outgrows the block
+    cols["Psi2int"] = np.array([np.sum(gauge2.psi(scale * row) * dx) for row in traj.values])
     return cols
 
 
@@ -91,16 +88,13 @@ def theta_bound_check(traj: Trajectory, zeta_in, sigma: float) -> BoundVerdict:
                         {"series_max_time": float(traj.times[idx])})
 
 
-def psi1_moment_check(traj: Trajectory, gauge, k: float, T: float,
-                      sigma: float = 0.0) -> BoundVerdict:
+def psi1_moment_check(series, gauge, k: float, T: float, theta: float) -> BoundVerdict:
     """sup_t int Psi1(mu) zeta dmu <= (Gamma1 + 6 k T Psi1(1) Theta^2) e^(6 T k Theta).
 
-    All constants come from the run itself: Gamma1 is the initial gauge
-    moment, Theta the initial weighted norm.
+    ``series`` is the moment table's Psi1.  All constants come from the run
+    itself: Gamma1 is ``series[0]``, Theta the initial weighted norm.
     """
-    series = traj.moments(gauge.psi(traj.grid.centers))
     gamma1 = float(series[0])
-    theta = weighted_norm(traj[0], "Y_norm", sigma)
     psi_at_1 = float(gauge.psi(1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (gamma1 + 6.0 * k * T * psi_at_1 * theta**2) * np.exp(6.0 * T * k * theta)
@@ -108,17 +102,15 @@ def psi1_moment_check(traj: Trajectory, gauge, k: float, T: float,
                              {"gamma1": gamma1, "theta": theta, "psi_at_1": psi_at_1}, {"k": k})
 
 
-def uniform_integrability_check(traj: Trajectory, gauge2, k: float, eta: float,
-                                T: float, sigma: float) -> BoundVerdict:
+def uniform_integrability_check(series, k: float, eta: float, T: float,
+                                theta: float) -> BoundVerdict:
     """sup_t int Psi2(mu^(-s) zeta) dmu <= Gamma2 exp(max(k, eta) T Theta).
 
-    Two exponential rates are defensible for this bound, one built from
-    the growth constant k and one from the derivative constant eta; both
-    are reported and the check uses the larger, which dominates either.
+    ``series`` is the moment table's Psi2int.  Two exponential rates are defensible, from
+    the growth constant k and from the derivative constant eta; both are reported
+    and the check uses the larger, which dominates either.
     """
-    series = _psi2_series(traj, gauge2, sigma)
     gamma2 = float(series[0])
-    theta = weighted_norm(traj[0], "Y_norm", sigma)
     c = max(k, eta)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = gamma2 * np.exp(c * T * theta)
@@ -140,11 +132,10 @@ def _gronwall_verdict(name: str, bound, series: np.ndarray, details: dict,
     return BoundVerdict(name, bound, attained, False, {**details, "failure": failure})
 
 
-def moment_monotonicity_check(traj: Trajectory, sigma: float) -> BoundVerdict:
-    """M_{-2s} and M_1 must be nonincreasing snapshot to snapshot."""
-    x = traj.grid.centers
+def moment_monotonicity_check(moments) -> BoundVerdict:
+    """M_{-2s} and M_1 of the moment table must be nonincreasing snapshot to snapshot."""
     worst = 0.0
-    for series in traj.moments([weight_values(x, "neg_two_sigma", sigma), x]):
+    for series in (moments["M_neg2sigma"], moments["M1"]):
         slack = THETA_SLACK * series[0]
         rises = np.diff(series)
         worst = max(worst, float(rises.max(initial=-np.inf)) - slack)
@@ -301,11 +292,12 @@ def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
     return out
 
 
-def equicontinuity_modulus(traj: Trajectory, omega, sigma: float, k: float) -> BoundVerdict:
+def equicontinuity_modulus(traj: Trajectory, omega, sigma: float, k: float,
+                           theta: float) -> BoundVerdict:
     """Lipschitz modulus of t -> int mu^(-s) omega zeta dmu vs the a-priori rate.
 
-    The bound is k (||omega||_W1inf + ||omega||_inf) Theta^2 with Theta from
-    the initial snapshot.  The modulus is the largest slope between
+    The bound is k (||omega||_W1inf + ||omega||_inf) Theta^2 with Theta the
+    initial weighted norm.  The modulus is the largest slope between
     consecutive snapshots: a chord's slope is a weighted mean of the
     consecutive slopes it spans, so no pair of snapshots gives a larger one.
     """
@@ -313,11 +305,30 @@ def equicontinuity_modulus(traj: Trajectory, omega, sigma: float, k: float) -> B
     series = traj.moments(x ** (-sigma) * omega(x))
     slopes = np.abs(np.diff(series)) / np.diff(traj.times)
     modulus = float(np.max(slopes, initial=0.0))
-    theta = weighted_norm(traj[0], "Y_norm", sigma)
     bound = k * (omega.w1inf_norm + omega.sup_value) * theta**2
     passed = modulus <= bound * (1.0 + THETA_SLACK)
     return BoundVerdict(f"equicontinuity[{omega.name}]", float(bound), modulus, passed,
                         {"theta": theta})
+
+
+def bound_verdicts(traj: Trajectory, initial, kernel, horizon: float, gauges):
+    """The moment table of a run and the verdicts that decide it, the ledger closure last.
+
+    They are the a-priori bounds the existence proof carries to its limit;
+    ``gauges`` is (Psi1, Psi2) of ``initial``.  Table and Theta are computed once.
+    """
+    sigma, k = kernel.sigma, kernel.k
+    moments = moment_table(traj, sigma, *gauges)
+    verdicts = [theta_bound_check(traj, initial, sigma), moment_monotonicity_check(moments)]
+    theta = verdicts[0].bound
+    verdicts += [psi1_moment_check(moments["Psi1"], gauges[0], k, horizon, theta),
+                 uniform_integrability_check(moments["Psi2int"], k, kernel.eta, horizon, theta)]
+    verdicts += [equicontinuity_modulus(traj, om, sigma, k, theta)
+                 for om in testfuncs.bump_library(traj.grid)]
+    # a mass leak lowers M1, which the moment checks cannot tell from coagulation
+    closure = float(traj.ledger_closure().max())
+    return moments, verdicts + [BoundVerdict("ledger_closure", CLOSURE_TOLERANCE, closure,
+                                             closure <= CLOSURE_TOLERANCE)]
 
 
 class DiagnosticsReport(NamedTuple):

@@ -19,6 +19,8 @@ from .sizedomain import write_csv
 
 #: Tail shrink factor between successive breakpoints.
 TAIL_RATIO = 4.0
+#: The most breakpoints past 0 that a gauge gets.
+MAX_BREAKPOINTS = 64
 
 
 class ConvexGauge:
@@ -63,7 +65,7 @@ def write_gauge_csv(gauge: "ConvexGauge", path):
               np.column_stack([gauge.breakpoints, gauge.psi_values, gauge.psi_prime_values]))
 
 
-def build_gauge_from_tail(r_samples, tail_values, max_breakpoints: int = 64) -> ConvexGauge:
+def build_gauge_from_tail(r_samples, tail_values) -> ConvexGauge:
     """Constructive gauge from sampled tail data.
 
     Parameters
@@ -91,7 +93,7 @@ def build_gauge_from_tail(r_samples, tail_values, max_breakpoints: int = 64) -> 
     dpsi = [1.0]
     prev_r = 0.0
     prev_gap = 0.0
-    for j in range(1, max_breakpoints + 1):
+    for j in range(1, MAX_BREAKPOINTS + 1):
         target = t0 * TAIL_RATIO ** (-j)
         idx = int(np.searchsorted(-tail, -target, side="left"))
         if idx >= r.size:

@@ -64,9 +64,9 @@ class Kernel:
     Parameters
     ----------
     sigma : float
-        Singularity exponent near zero size.  Values >= 0.5 put standard
-        exponential-type initial data outside the weighted L1 space and
-        require ``allow_large_sigma=True``.
+        Singularity exponent near zero size, in [0, 1/2): from 1/2 on, the
+        mu^(-2 sigma) weight of Theta is not integrable against the stock
+        initial profiles, so such a sigma is a :class:`DomainError`.
 
     ``k`` and ``eta`` are proven by ``certificate`` on first read, from a
     subclass's ``_suprema``; the base class raises :class:`ConfigError`.
@@ -74,15 +74,12 @@ class Kernel:
 
     family = "user"
 
-    def __init__(self, sigma=0.0, allow_large_sigma=False):
+    def __init__(self, sigma=0.0):
         if not (0.0 <= sigma < np.inf):
             raise DomainError("singularity exponent sigma must be finite and >= 0")
-        if sigma >= 0.5 and not allow_large_sigma:
-            raise DomainError(
-                "sigma >= 0.5 requires allow_large_sigma=True "
-                "(mu^(-2*sigma) weight is no longer integrable against "
-                "the stock initial profiles)"
-            )
+        if sigma >= 0.5:
+            raise DomainError("sigma must be below 0.5 (mu^(-2*sigma) weight is no longer "
+                              "integrable against the stock initial profiles)")
         self.sigma = float(sigma)
 
     @cached_property
@@ -183,8 +180,8 @@ class PowerSumKernel(Kernel):
 
     family = "power_sum"
 
-    def __init__(self, terms, sigma=0.0, **kw):
-        super().__init__(sigma, **kw)
+    def __init__(self, terms, sigma=0.0):
+        super().__init__(sigma)
         terms = tuple((float(c), float(a), float(b)) for c, a, b in terms)
         if not terms or not all(0.0 <= c < np.inf and np.isfinite(a) and np.isfinite(b)
                                 for c, a, b in terms):
@@ -220,10 +217,10 @@ class ConstantKernel(PowerSumKernel):
 
     family = "constant"
 
-    def __init__(self, rate=1.0, sigma=0.0, **kw):
+    def __init__(self, rate=1.0, sigma=0.0):
         if not (0.0 <= rate < np.inf):
             raise DomainError("constant kernel rate must be finite and >= 0")
-        super().__init__([(rate, 0.0, 0.0)], sigma, **kw)
+        super().__init__([(rate, 0.0, 0.0)], sigma)
         self.rate = float(rate)
 
 
@@ -237,8 +234,8 @@ class SingularProductKernel(PowerSumKernel):
 
     family = "singular_product"
 
-    def __init__(self, k=1.0, sigma=0.2, **kw):
-        super().__init__([(k, -sigma, -sigma)], sigma, **kw)
+    def __init__(self, k=1.0, sigma=0.2):
+        super().__init__([(k, -sigma, -sigma)], sigma)
 
 
 class AdditiveKernel(PowerSumKernel):
@@ -246,8 +243,8 @@ class AdditiveKernel(PowerSumKernel):
 
     family = "additive"
 
-    def __init__(self, sigma=0.0, **kw):
-        super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], sigma, **kw)
+    def __init__(self, sigma=0.0):
+        super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], sigma)
 
 
 class TabulatedKernel(Kernel):
@@ -260,8 +257,8 @@ class TabulatedKernel(Kernel):
 
     family = "user_tabulated"
 
-    def __init__(self, nodes, table, sigma=0.0, **kw):
-        super().__init__(sigma, **kw)
+    def __init__(self, nodes, table, sigma=0.0):
+        super().__init__(sigma)
         nodes = np.asarray(nodes, dtype=float)
         table = np.asarray(table, dtype=float)
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(table))):
@@ -279,7 +276,7 @@ class TabulatedKernel(Kernel):
         self.table = 0.5 * (table + table.T)  # symmetrize once
 
     @classmethod
-    def from_csv(cls, path, **kw):
+    def from_csv(cls, path, sigma=0.0):
         """Load from CSV with header ``mu,nu,lambda`` on a full node grid."""
         import csv  # only this family reads a CSV, so no other run loads the module
 
@@ -302,7 +299,7 @@ class TabulatedKernel(Kernel):
         table[imu, inu] = vals
         if np.any(np.isnan(table)):
             raise ConfigError(f"{path}: duplicate or missing grid entries")
-        return cls(nodes, table, **kw)
+        return cls(nodes, table, sigma)
 
     def _suprema(self):
         """Per cell, the largest corner value over the bound's infimum on the cell.
@@ -430,8 +427,6 @@ def kernel_from_config(cfg: dict) -> Kernel:
     for key in ("rate", "k", "sigma"):
         if key in cfg:
             cfg[key] = config_number(cfg[key], key)
-    if not isinstance(cfg.get("allow_large_sigma", False), bool):  # "no" is a truthy string
-        raise ConfigError(f"allow_large_sigma must be true or false, got {cfg['allow_large_sigma']!r}")
     pinned = cfg.pop("k", None) if family != "singular_product" else None
     if family == "user_tabulated":
         if cfg.get("path") is None:

@@ -25,13 +25,7 @@ from gencoag import (
     sample_initial,
     weighted_norm,
 )
-from gencoag import testfuncs
-from gencoag.diagnostics import (
-    equicontinuity_modulus,
-    psi1_moment_check,
-    theta_bound_check,
-    uniform_integrability_check,
-)
+from gencoag.diagnostics import bound_verdicts
 from gencoag.experiments import (
     MemberTable,
     SweepConfig,
@@ -104,6 +98,19 @@ def example_matrix():
                     "step_l1": log.l1,
                 })
     return runs
+
+
+@pytest.fixture(scope="module")
+def matrix_verdicts(example_matrix):
+    """(label, verdicts) per matrix run: the suite that decides a simulate run."""
+    out = []
+    for run in example_matrix:
+        kernel, initial = run["kernel"], run["initial"]
+        gauges = (build_gauge_from_tail(*psi1_tail(initial)),
+                  build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
+        _, verdicts = bound_verdicts(run["traj"], initial, kernel, MATRIX_T, gauges)
+        out.append((f"{kernel.family}/{run['profile']}/{run['model']}", verdicts))
+    return out
 
 
 def test_criterion_1_operator_identity_at_eps_one():
@@ -218,25 +225,13 @@ def test_criterion_5_mass_conservation_ledgers():
                   f"flux identity at n/2 {flux_rel:.2e} (tol 1e-3)")
 
 
-def test_criterion_6_moment_bounds_matrix(example_matrix):
-    violations = []
-    for run in example_matrix:
-        kernel, traj, initial = run["kernel"], run["traj"], run["initial"]
-        sigma = kernel.sigma
-        label = f"{kernel.family}/{run['profile']}/{run['model']}"
-        v_theta = theta_bound_check(traj, initial, sigma)
-        if not v_theta.passed:
-            violations.append(f"{label}: theta margin {v_theta.margin:.2e}")
-        gauge1 = build_gauge_from_tail(*psi1_tail(initial))
-        v1 = psi1_moment_check(traj, gauge1, kernel.k, MATRIX_T, sigma)
-        if not v1.passed:
-            violations.append(f"{label}: psi1 {v1.attained:.3e} > {v1.bound:.3e}")
-        gauge2 = build_gauge_from_tail(*psi2_tail(initial, sigma))
-        v2 = uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, MATRIX_T, sigma)
-        if not v2.passed:
-            violations.append(f"{label}: psi2 {v2.attained:.3e} > {v2.bound:.3e}")
+def test_criterion_6_moment_bounds_matrix(matrix_verdicts):
+    violations = [f"{label}: {v.name} {v.attained:.3e} vs {v.bound:.3e}"
+                  for label, verdicts in matrix_verdicts for v in verdicts
+                  if not v.name.startswith("equicontinuity") and not v.passed]
+    names = [v.name for v in matrix_verdicts[0][1] if not v.name.startswith("equicontinuity")]
     report(6, not violations,
-           f"moment/gauge bounds over {len(example_matrix)} runs, "
+           f"{', '.join(names)} over {len(matrix_verdicts)} runs, "
            f"violations: {violations or 'none'}")
 
 
@@ -298,16 +293,15 @@ def test_criterion_9_gauge_inequalities():
            f"3 gauges x 10^4 randomized convexity checks, {total_violations} violations")
 
 
-def test_criterion_10_equicontinuity_matrix(example_matrix):
+def test_criterion_10_equicontinuity_matrix(matrix_verdicts):
     failures = []
     worst_frac = 0.0
-    for run in example_matrix:
-        kernel = run["kernel"]
-        for om in testfuncs.bump_library(run["grid"]):
-            v = equicontinuity_modulus(run["traj"], om, kernel.sigma, kernel.k)
-            worst_frac = max(worst_frac, v.attained / v.bound if v.bound else 0.0)
-            if not v.passed:
-                failures.append(f"{kernel.family}/{run['model']}/{om.name}")
+    for label, verdicts in matrix_verdicts:
+        for v in verdicts:
+            if v.name.startswith("equicontinuity"):
+                worst_frac = max(worst_frac, v.attained / v.bound if v.bound else 0.0)
+                if not v.passed:
+                    failures.append(f"{label}/{v.name}")
     report(10, not failures,
            f"modulus <= k(|w|_W1inf + |w|_inf) Theta^2 for all bumps x runs, "
            f"worst attained/bound {worst_frac:.3f}, failures: {failures or 'none'}")

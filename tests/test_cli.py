@@ -12,13 +12,31 @@ import yaml
 
 import gencoag
 from conftest import closed_form_run, mass_report
-from gencoag import ConstantKernel, cli, experiments, integrator, kernels, make_grid, operators
+from gencoag import (
+    ConstantKernel,
+    cli,
+    diagnostics,
+    experiments,
+    integrator,
+    kernels,
+    make_grid,
+    operators,
+    testfuncs,
+)
 from gencoag.cli import _sweep_config, load_config, main
+from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 NO_STUDY = "validate runs no study: remove the [sweep] section"
 COMMAND_IS = "the command must be one of simulate, sweep, check-kernel, validate,"
+# sweep and validate choose their own models and eps: their configs set no run.model or run.eps
+STUDY_RUN = {"run": {"threads": 1}}
+
+
+def own_run(command):
+    """The [run] override that ``command`` accepts: only simulate reads a model and eps."""
+    return {} if command == "simulate" else STUDY_RUN
 
 
 def schema(name):
@@ -103,7 +121,28 @@ class TestSimulate:
         verdict = report["verdicts"][-1]
         assert verdict["name"] == "ledger_closure" and not verdict["passed"]
         assert verdict["attained"] == report["ledger"]["max_closure_rel"]
-        assert verdict["bound"] == experiments.CLOSURE_TOLERANCE
+        assert verdict["bound"] == diagnostics.CLOSURE_TOLERANCE
+
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_report_verdicts_are_the_bound_verdicts(self, tmp_path, monkeypatch, inject):
+        # simulate decides by diagnostics.bound_verdicts alone: its report
+        # holds that suite's verdicts on the run's trajectory, bit for bit
+        solve, runs = experiments.run_model, []
+        monkeypatch.setattr(experiments, "run_model",
+                            lambda *a, **k: runs.append((a, solve(*a, **k))) or runs[-1][1])
+        cfg = write_config(tmp_path, {"diagnostics": {"inject_mass_violation": inject}})
+        assert main(["simulate", "--config", str(cfg)]) == (2 if inject else 0)
+        (_, kernel, _, initial, horizon, _), traj = runs.pop()
+        gauges = (build_gauge_from_tail(*psi1_tail(initial)),
+                  build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
+        _, verdicts = diagnostics.bound_verdicts(traj, initial, kernel, horizon, gauges)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [v["name"] for v in report["verdicts"]] == [
+            "theta_moment_bound", "moment_monotonicity", "psi1_moment_bound",
+            "psi2_uniform_integrability", *(f"equicontinuity[{om.name}]" for om in
+                                            testfuncs.bump_library(traj.grid)),
+            "ledger_closure"]
+        assert report["verdicts"] == json.loads(json.dumps([v.to_dict() for v in verdicts]))
 
     @pytest.mark.parametrize("model", ["sce", "ohs"])
     def test_eps_outside_the_generalized_model_exits_1(self, tmp_path, capsys, model):
@@ -155,7 +194,8 @@ class TestSimulate:
         solves = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
         assert_refused(tmp_path, capsys, command,
-                       {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
+                       {**own_run(command),
+                        "initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
                        "monodisperse profile needs mu0 > 0 and mass > 0")
         assert solves == []
 
@@ -240,7 +280,8 @@ class TestSimulate:
         monkeypatch.setattr(os, "sysconf",
                             lambda name: 2**26 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
                             else real(name))
-        cfg = write_config(tmp_path, {"grid": {"n": 20.0, "cells_per_decade": 100000}})
+        cfg = write_config(tmp_path, {**own_run(command),
+                                      "grid": {"n": 20.0, "cells_per_decade": 100000}})
         tracemalloc.start()
         try:
             assert main([command, "--config", str(cfg)]) == 1
@@ -502,6 +543,7 @@ class TestCheckKernel:
         jsonschema.validate(payload, schema("kernel_cert.schema.json"))
         assert payload["passed"]
         assert (payload["sigma"], payload["k"], payload["eta"]) == (0.2, 1.0, 0.2)
+        assert (tmp_path / "out" / "config_echo.yaml").read_text() == cfg.read_text()
 
     def test_fail_exit_2(self, tmp_path, capsys):
         # clamped beyond its top node, this table falls in mu at every large
@@ -546,19 +588,13 @@ class TestCheckKernel:
         assert small == {"name": "small_small", "supremum": constants[0], "point": [1.0, 1.0],
                          "ray": None}
 
-    @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
-    def test_allow_large_sigma_must_be_a_boolean(self, tmp_path, capsys, value):
-        # a YAML string such as "no" is truthy: it must not switch off the
-        # sigma >= 1/2 guard
-        kernel = {"family": "singular_product", "k": 1.0, "sigma": 0.6}
-        assert_refused(tmp_path, capsys, "check-kernel",
-                       {"kernel": {**kernel, "allow_large_sigma": value}},
-                       f"allow_large_sigma must be true or false, got {value!r}")
-
-    def test_allow_large_sigma_true_accepted(self, tmp_path):
-        cfg = write_config(tmp_path, {"kernel": {"family": "singular_product", "k": 1.0,
-                                                 "sigma": 0.6, "allow_large_sigma": True}})
-        assert main(["check-kernel", "--config", str(cfg)]) == 0
+    def test_allow_large_sigma_is_refused(self, tmp_path, capsys):
+        # sigma >= 1/2 is always a DomainError: no setting switches the guard off
+        kernel = {"family": "singular_product", "k": 1.0, "sigma": 0.6, "allow_large_sigma": True}
+        assert_refused(tmp_path, capsys, "check-kernel", {"kernel": kernel},
+                       "bad kernel parameters for family 'singular_product': "
+                       "SingularProductKernel.__init__() got an unexpected keyword argument "
+                       "'allow_large_sigma'")
 
     @pytest.mark.parametrize("fd_step", [float("nan"), float("inf"), 0, -1, 100])
     def test_bad_fd_step_exits_1(self, tmp_path, capsys, fd_step):
@@ -577,6 +613,7 @@ def _force_first_step_failure(monkeypatch):
 class TestSweep:
     def test_small_eps_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5, 0.25, 0.125]},
             "time": {"horizon": 0.3},
         })
@@ -590,7 +627,8 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 4
 
     def test_schema_pins_eps_check_keys(self, tmp_path):
-        cfg = write_config(tmp_path, {"sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}})
+        cfg = write_config(tmp_path, {**STUDY_RUN,
+                                      "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}})
         assert main(["sweep", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         check = summary["checks"]["eps_monotone_n20"]
@@ -607,6 +645,7 @@ class TestSweep:
     def test_n_sweep_path(self, tmp_path):
         # lattice-aligned n values: 10^(m/12) for m = 8, 12, 16
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0, 21.544346900318832]},
         })
@@ -622,6 +661,7 @@ class TestSweep:
         # member of the n sweep fails its first step
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0]},
             "time": {"horizon": 100.0},
@@ -642,6 +682,7 @@ class TestSweep:
     def test_failed_reference_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
             "time": {"horizon": 100.0},
         })
@@ -660,7 +701,7 @@ class TestSweep:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_config_threads_below_one_exits_1(self, tmp_path, capsys, threads):
         cfg = write_config(tmp_path, {
-            "run": {"model": "generalized", "eps": 0.5, "threads": threads},
+            "run": {"threads": threads},
             "sweep": {"eps_list": [1.0, 0.5]},
         })
         assert main(["sweep", "--config", str(cfg)]) == 1
@@ -687,7 +728,7 @@ class TestSweep:
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
-        assert_refused(tmp_path, capsys, "sweep", section, message)
+        assert_refused(tmp_path, capsys, "sweep", {**STUDY_RUN, **section}, message)
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate", "check-kernel"])
     @pytest.mark.parametrize("directory", [5, None, ["out"]])
@@ -734,8 +775,22 @@ class TestSweep:
     def test_refused_sweep_runs_no_solve(self, tmp_path, capsys, monkeypatch, sweep, message):
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
-        assert_refused(tmp_path, capsys, "sweep", {"sweep": {"eps_list": [1.0, 0.5], **sweep}},
-                       message)
+        assert_refused(tmp_path, capsys, "sweep",
+                       {**STUDY_RUN, "sweep": {"eps_list": [1.0, 0.5], **sweep}}, message)
+        assert calls == []
+
+    @pytest.mark.parametrize("command, run, key", [
+        ("sweep", {"model": "ohs", "eps": 0.5}, "model"),
+        ("validate", {"eps": 0.5}, "eps"),
+    ])
+    def test_run_model_and_eps_are_refused(self, tmp_path, capsys, monkeypatch, command, run,
+                                           key):
+        # only simulate reads them: a study would echo them and run without them
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert_refused(tmp_path, capsys, command, {"run": run},
+                       f"run.{key} is read only by simulate; sweep and validate choose their "
+                       "own models and eps")
         assert calls == []
 
     def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
@@ -787,7 +842,7 @@ class TestSweep:
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
-            "run": {"threads": 2, "model": "generalized", "eps": 0.5},
+            "run": {"threads": 2},
         })
         assert main(["sweep", "--config", str(cfg)]) == 0
         first = (tmp_path / "out" / "distances_eps.csv").read_text()
@@ -814,12 +869,14 @@ class TestValidate:
         ({"sweep": {"n_list": [100.0, 200.0]}}, NO_STUDY),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
-        assert_refused(tmp_path, capsys, "validate", section, message)
+        assert_refused(tmp_path, capsys, "validate", {**STUDY_RUN, **section}, message)
 
     def test_refused_run_leaves_no_output(self, tmp_path, capsys):
+        cfg = {**yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text()), **STUDY_RUN}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "DIR"
-        assert main(["validate", "--config", str(CONFIGS / "simulate_singular.yaml"),
-                     "--out", str(out)]) == 1
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
         assert "error: analytic validation requires the constant kernel" in capsys.readouterr().err
         assert not out.exists()
 
@@ -902,7 +959,7 @@ class TestValidate:
 
     def test_failed_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         _force_first_step_failure(monkeypatch)
-        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}})
+        cfg = write_config(tmp_path, {**STUDY_RUN, "time": {"horizon": 2.0}})
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -920,7 +977,7 @@ class TestValidate:
             return sourced
 
         monkeypatch.setattr(experiments, "make_rhs", make_rhs)
-        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}})
+        cfg = write_config(tmp_path, {**STUDY_RUN, "time": {"horizon": 2.0}})
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "error: moment bound violated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -928,6 +985,7 @@ class TestValidate:
     def test_rate_two_kernel_passes(self, tmp_path):
         # the M0 law carries the rate: 2 M0(0) / (2 + rate M0(0) t)
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "kernel": {"family": "constant", "rate": 2.0},
             "grid": {"n": 100.0, "cells_per_decade": 32},
             "time": {"horizon": 2.0},
@@ -944,7 +1002,7 @@ class TestValidate:
     ], ids=["monodisperse"])
     def test_refused_config_runs_no_solve(self, tmp_path, capsys, monkeypatch, section):
         # monodisperse data fit neither closed form
-        cfg = write_config(tmp_path, section)
+        cfg = write_config(tmp_path, {**STUDY_RUN, **section})
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
         assert main(["validate", "--config", str(cfg)]) == 1
@@ -954,6 +1012,7 @@ class TestValidate:
 
     def test_validate_fast_config(self, tmp_path):
         cfg = write_config(tmp_path, {
+            **STUDY_RUN,
             "kernel": {"family": "constant", "rate": 1.0},
             "grid": {"n": 30.0, "cells_per_decade": 16},
             "time": {"horizon": 2.0},

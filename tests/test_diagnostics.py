@@ -22,7 +22,6 @@ from gencoag.diagnostics import (
     DiagnosticsReport,
     _crossing_rates,
     _edge_velocity_weights,
-    _psi2_series,
     _side_sums,
     _snap_to_edge,
     equicontinuity_modulus,
@@ -45,6 +44,16 @@ from oracles import (
     smooth_one,
     smooth_square,
 )
+
+
+def theta_of(density, sigma):
+    """Theta, the initial weighted norm that the bound checks are given."""
+    return weighted_norm(density, "Y_norm", sigma)
+
+
+def psi2_series(traj, gauge2, sigma):
+    """The moment table's Psi2int column."""
+    return moment_table(traj, sigma, gauge2, gauge2)["Psi2int"]
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +233,8 @@ class TestGaugeBounds:
     def test_psi1_bound(self, const_run):
         grid, kernel, density, traj = const_run
         gauge = build_gauge_from_tail(*psi1_tail(density))
-        v = psi1_moment_check(traj, gauge, 1.0, 1.0, sigma=0.0)
+        v = psi1_moment_check(traj.moments(gauge.psi(grid.centers)), gauge, 1.0, 1.0,
+                              theta_of(density, 0.0))
         assert v.passed
         # Gamma1 is one summand of the bound, so t=0 passes by construction
         assert v.details["gamma1"] <= v.bound
@@ -237,7 +247,8 @@ class TestGaugeBounds:
         density = sample_initial(ExponentialProfile(), grid)
         traj = run_model("generalized", kernel, grid, density, 1.0, (0.5, 1.0), eps=0.5)
         gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.2))
-        v = uniform_integrability_check(traj, gauge2, kernel.k, kernel.eta, 1.0, 0.2)
+        v = uniform_integrability_check(psi2_series(traj, gauge2, 0.2), kernel.k, kernel.eta,
+                                        1.0, theta_of(density, 0.2))
         assert v.passed
         assert v.details["gamma2"] > 0.0
         assert v.bound >= max(v.details["bound_with_k"], v.details["bound_with_eta"])
@@ -247,7 +258,8 @@ class TestGaugeBounds:
         # still gets a failed verdict that names the constant
         grid, kernel, density, traj = const_run
         gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.1))
-        v = uniform_integrability_check(traj, gauge2, 1.0, np.inf, 1.0, 0.1)
+        v = uniform_integrability_check(psi2_series(traj, gauge2, 0.1), 1.0, np.inf, 1.0,
+                                        theta_of(density, 0.1))
         assert not v.passed and v.bound == np.inf
         assert v.details["failure"] == (
             "eta = inf: the kernel lies outside the paper's class (check-kernel fails it)")
@@ -255,7 +267,8 @@ class TestGaugeBounds:
     def test_psi2_sigma_zero_degenerate(self, const_run):
         grid, kernel, density, traj = const_run
         gauge2 = build_gauge_from_tail(*psi2_tail(density, 0.0))
-        v = uniform_integrability_check(traj, gauge2, 1.0, 0.0, 1.0, 0.0)
+        v = uniform_integrability_check(psi2_series(traj, gauge2, 0.0), 1.0, 0.0, 1.0,
+                                        theta_of(density, 0.0))
         assert v.passed  # h reduces to zeta itself, check stays well-defined
 
     def test_psi1_monodisperse_initial(self):
@@ -266,7 +279,8 @@ class TestGaugeBounds:
         gauge = build_gauge_from_tail(*psi1_tail(d))
         single = Trajectory(grid)
         single.append(d, 0.0, 0.0)
-        v = psi1_moment_check(single, gauge, 1.0, 1.0)
+        v = psi1_moment_check(single.moments(gauge.psi(grid.centers)), gauge, 1.0, 1.0,
+                              theta_of(d, 0.0))
         c = grid.cell_of(2.0)
         expect = float(gauge.psi(grid.centers[c])) / grid.centers[c]
         assert v.details["gamma1"] == pytest.approx(expect, rel=1e-12)
@@ -274,7 +288,8 @@ class TestGaugeBounds:
 
     def test_moment_monotonicity(self, const_run):
         grid, kernel, density, traj = const_run
-        assert moment_monotonicity_check(traj, 0.0).passed
+        gauge = build_gauge_from_tail(*psi1_tail(density))
+        assert moment_monotonicity_check(moment_table(traj, 0.0, gauge, gauge)).passed
 
 
 class TestMassFluxIdentity:
@@ -364,19 +379,19 @@ class TestEquicontinuity:
         frozen.append(density, 0.0, 0.0)
         frozen.append(density.replace(time=1.0), 0.0, 0.0)
         om = testfuncs.bump(1.0, 5.0)
-        v = equicontinuity_modulus(frozen, om, 0.0, 1.0)
+        v = equicontinuity_modulus(frozen, om, 0.0, 1.0, theta_of(density, 0.0))
         assert v.attained == 0.0 and v.passed
 
     def test_bump_bound_on_run(self, const_run):
         grid, kernel, density, traj = const_run
         for om in testfuncs.bump_library(grid):
-            v = equicontinuity_modulus(traj, om, 0.0, 1.0)
+            v = equicontinuity_modulus(traj, om, 0.0, 1.0, theta_of(density, 0.0))
             assert v.passed, (om.name, v.attained, v.bound)
 
     def test_sigma_zero_matches_unweighted(self, const_run):
         grid, kernel, density, traj = const_run
         om = testfuncs.bump(1.0, 5.0)
-        v0 = equicontinuity_modulus(traj, om, 0.0, 1.0)
+        v0 = equicontinuity_modulus(traj, om, 0.0, 1.0, theta_of(density, 0.0))
         # direct unweighted recomputation
         w = om(grid.centers) * grid.widths
         series = np.array([float(np.sum(w * s.values)) for s in traj])
@@ -401,7 +416,7 @@ class TestEquicontinuity:
             # the old modulus: maximum over every snapshot pair
             series = traj.moments(x ** -0.2 * om(x))
             all_pairs = np.max(np.abs(series[j] - series[i]) / (t[j] - t[i]))
-            v = equicontinuity_modulus(traj, om, 0.2, 1.0)
+            v = equicontinuity_modulus(traj, om, 0.2, 1.0, theta_of(density, 0.2))
             assert all_pairs > 0.0
             assert v.attained == pytest.approx(all_pairs, rel=1e-13, abs=0.0)
 
@@ -498,7 +513,7 @@ class TestSnapshotMatrix:
                 assert _side_sums(block, np.count_nonzero(small1)).tobytes() == split.tobytes()
         gauge = build_gauge_from_tail(*psi2_tail(traj[0], 0.2))
         block = np.sum(gauge.psi(x ** -0.2 * values) * dx, axis=-1)
-        assert _psi2_series(traj, gauge, 0.2).tobytes() == block.tobytes()
+        assert psi2_series(traj, gauge, 0.2).tobytes() == block.tobytes()
 
     def test_tail_split_matches_outer_loop(self, const_run):
         grid, kernel, density, traj = const_run

@@ -26,8 +26,8 @@ class TestEval:
         assert ker.eval(3.7, 0.2) == 1.0
 
     def test_singular_product(self):
-        ker = SingularProductKernel(k=1.0, sigma=0.5, allow_large_sigma=True)
-        assert ker.eval(0.25, 0.25) == pytest.approx(4.0, rel=1e-14)
+        ker = SingularProductKernel(k=1.0, sigma=0.25)
+        assert ker.eval(0.25, 0.25) == pytest.approx(2.0, rel=1e-14)
 
     def test_additive(self):
         assert AdditiveKernel().eval(2.0, 3.0) == 5.0
@@ -63,13 +63,14 @@ class TestEval:
             assert np.all(ker.eval(mu, nu) == ker.eval(nu, mu))
 
     def test_sigma_guard(self):
-        with pytest.raises(DomainError):
-            SingularProductKernel(k=1.0, sigma=0.6)
-        SingularProductKernel(k=1.0, sigma=0.6, allow_large_sigma=True)
+        for sigma in (0.5, 0.6):
+            with pytest.raises(DomainError):
+                SingularProductKernel(k=1.0, sigma=sigma)
+        SingularProductKernel(k=1.0, sigma=0.49)
 
     @pytest.mark.parametrize("params", [
         {"k": np.nan}, {"k": np.inf}, {"sigma": np.nan},
-        {"sigma": np.inf, "allow_large_sigma": True}, {"k": -np.inf}, {"sigma": -np.inf},
+        {"sigma": np.inf}, {"k": -np.inf}, {"sigma": -np.inf},
     ])
     def test_non_finite_parameters_rejected(self, params):
         with pytest.raises(DomainError):
@@ -205,10 +206,10 @@ class TestTruncate:
         assert tk is ker and tk.eval(0.5, 0.5) == 1.0
 
     def test_sup_bound_singular(self):
-        ker = SingularProductKernel(k=1.0, sigma=0.5, allow_large_sigma=True)
+        ker = SingularProductKernel(k=1.0, sigma=0.25)
         g = np.geomspace(0.1, 10.0, 200)
         vals = ker.eval(g[:, None], g[None, :])
-        assert sup_bound(ker, 10.0) == 2.0 * ker.k * 10.0**3  # 2 k n^(2+2s), s = 1/2
+        assert sup_bound(ker, 10.0) == 2.0 * ker.k * 10.0**2.5  # 2 k n^(2+2s), s = 1/4
         assert vals.max() <= sup_bound(ker, 10.0)
 
     def test_invalid_n(self):
