@@ -588,6 +588,18 @@ class TestCheckKernel:
         assert small == {"name": "small_small", "supremum": constants[0], "point": [1.0, 1.0],
                          "ray": None}
 
+    @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
+    def test_allow_large_sigma_must_be_a_boolean(self, tmp_path, capsys, value):
+        # a YAML string such as "no" is truthy: it must not switch off the
+        # sigma >= 1/2 guard. No kernel takes the key any more, so every
+        # value is refused as a bad kernel parameter
+        kernel = {"family": "singular_product", "k": 1.0, "sigma": 0.6}
+        assert_refused(tmp_path, capsys, "check-kernel",
+                       {"kernel": {**kernel, "allow_large_sigma": value}},
+                       "bad kernel parameters for family 'singular_product': "
+                       "SingularProductKernel.__init__() got an unexpected keyword argument "
+                       "'allow_large_sigma'")
+
     def test_allow_large_sigma_is_refused(self, tmp_path, capsys):
         # sigma >= 1/2 is always a DomainError: no setting switches the guard off
         kernel = {"family": "singular_product", "k": 1.0, "sigma": 0.6, "allow_large_sigma": True}
