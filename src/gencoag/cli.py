@@ -11,8 +11,8 @@ spelled out in full; ``-h`` or ``--help`` prints the usage line.  Exit
 codes: 0 success, 1 a usage, configuration or runtime error, 2 a run
 completed but a bound check failed.  ``--threads`` (or ``run.threads``)
 must be at least 1, but every command runs in one process: none starts a
-pool.  Only ``simulate`` reads ``run.model`` and ``run.eps``: ``sweep`` and
-``validate`` choose their own and refuse either key.
+pool.  Each command refuses, before any work, a config key it does not read
+(``READS``); ``check-kernel`` accepts the keys of every command.
 
 The CLI runs on one thread.  It sets ``OPENBLAS_NUM_THREADS=1`` before it
 imports numpy, whatever the environment says.  The package makes no matrix
@@ -61,22 +61,21 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAIL = 2
 
-#: The keys each config section may set: the union of the keys any command
-#: reads.  kernel_from_config checks [kernel] per family.  No key loosens
-#: or skips a check: the acceptance tolerances are fixed and the kernel's
-#: bound constants are proven.  run.seed is read by no command, and the keys
-#: of PINNED_KEYS take one value only; older configs set them, so they are
-#: accepted.
-CONFIG_KEYS = {
-    "run": {"model", "eps", "threads", "seed"},
-    "kernel": None,
-    "grid": {"n", "cells_per_decade"},
-    "initial": {"profile", "a", "mu0", "mass"},
-    "time": {"horizon", "snapshots", "dt_mode"},
-    "diagnostics": {"gauges", "omegas", "lambdas", "inject_mass_violation"},
-    "sweep": {"eps_sweep", "n_sweep", "eps_list", "n_list"},
-    "output": {"directory"},
+#: command -> {section: the keys it reads}; a command refuses every other key.  [kernel]
+#: is read whole (None) and checked per family by kernel_from_config.  check-kernel reads
+#: [kernel], [run] and [output] but accepts every command's keys, to run on their configs.
+#: No key loosens a check.  Older configs set run.seed (read by no command) and PINNED_KEYS.
+_SOLVE = {"run": {"threads", "seed"}, "kernel": None, "grid": {"n", "cells_per_decade"},
+          "initial": {"profile", "a", "mu0", "mass"}, "time": {"horizon", "dt_mode"},
+          "output": {"directory"}}
+READS = {
+    "simulate": {**_SOLVE, "run": _SOLVE["run"] | {"model", "eps"},
+                 "time": _SOLVE["time"] | {"snapshots"},
+                 "diagnostics": {"gauges", "omegas", "lambdas", "inject_mass_violation"}},
+    "sweep": {**_SOLVE, "sweep": {"eps_sweep", "n_sweep", "eps_list", "n_list"}},
+    "validate": _SOLVE,
 }
+READS["check-kernel"] = {**READS["simulate"], "sweep": READS["sweep"]["sweep"]}
 
 #: (section, key) -> (the one value it takes, why)
 PINNED_KEYS = {
@@ -104,7 +103,7 @@ def _fail(msg):
     return EXIT_ERROR
 
 
-def load_config(path):
+def load_config(path, command="check-kernel"):  # check-kernel accepts every known key
     try:
         with open(path, "rb") as fh:  # PyYAML detects the encoding; bad text is a YAMLError
             cfg = yaml.safe_load(fh)
@@ -114,7 +113,7 @@ def load_config(path):
         raise GencoagError(f"{path}: YAML parse error: {exc}")
     if not isinstance(cfg, dict):
         raise GencoagError(f"{path}: top level must be a mapping")
-    _check_keys(cfg)
+    _check_keys(cfg, command)
     return cfg
 
 
@@ -123,21 +122,23 @@ def _load(args):
 
     The directory is made only once a run went through.
     """
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.command)
     _check_threads(cfg, args)
     return cfg, _out_dir(cfg, args)
 
 
-def _check_keys(cfg):
-    """Refuse a section or key that no command reads, so that a misspelled
-    or removed setting does not silently take its default."""
+def _check_keys(cfg, command):
+    """Refuse a section or key that ``command`` does not read, so that a misspelled,
+    removed or misplaced setting does not silently take its default."""
+    union = READS["check-kernel"]
     for name in cfg:
-        if name not in CONFIG_KEYS:
+        if name not in union:
             raise GencoagError(f"unknown config section [{name}]")
-        sec, known = _section(cfg, name, required=False), CONFIG_KEYS[name]
-        unknown = [key for key in sec if known is not None and key not in known]
-        if unknown:
-            raise GencoagError(f"unknown config key {name}.{unknown[0]}")
+        for key in _section(cfg, name, required=False) if union[name] is not None else ():
+            if key not in union[name]:
+                raise GencoagError(f"unknown config key {name}.{key}")
+            if key not in READS[command].get(name, ()):
+                raise ConfigError(f"{command} does not read {name}.{key}")
     for (name, key), (only, why) in PINNED_KEYS.items():
         value = _section(cfg, name, required=False).get(key, only)
         if value != only or type(value) is not type(only):
@@ -180,13 +181,17 @@ def _section(cfg, name, required=True):
 def build_profile(cfg, sigma):
     sec = _section(cfg, "initial")
     name = sec.get("profile", "exponential")
-    if name == "exponential":
-        return ExponentialProfile()
+    reads = {"exponential": (), "singular_power": ("a",), "monodisperse": ("mu0", "mass")}
+    if not isinstance(name, str) or name not in reads:
+        raise GencoagError(f"unknown initial profile {name!r}")
+    unread = [key for key in sec if key not in ("profile", *reads[name])]
+    if unread:  # it would be echoed but not run
+        raise ConfigError(f"initial profile {name} does not read initial.{unread[0]}")
     if name == "singular_power":
         return SingularPowerProfile(_float(sec, "a", 0.0), sigma)
     if name == "monodisperse":
         return MonodisperseProfile(_float(sec, "mu0", 1.0), _float(sec, "mass", 1.0))
-    raise GencoagError(f"unknown initial profile {name!r}")
+    return ExponentialProfile()
 
 
 def _run_bytes(count, cells):
@@ -247,16 +252,15 @@ def _list(sec, key, default):
 
 
 def _flux_thresholds(dsec, grid):
-    """The mass-flux thresholds lambda = fraction * n; each must lie in (1/n, n]."""
-    lams = []
-    for frac in _list(dsec, "lambdas", [0.25, 0.5, 1.0]):
+    """The grid edges nearest the thresholds fraction * n in (1/n, n], each one once."""
+    fracs = _list(dsec, "lambdas", [0.25, 0.5, 1.0])
+    for frac in fracs:
         if isinstance(frac, bool) or not isinstance(frac, (int, float)):
             raise GencoagError(f"lambdas must be numbers, got {frac!r}")
-        lam = frac * grid.n
-        if not (grid.edges[0] < lam <= grid.edges[-1]):
-            raise GencoagError(f"lambda={lam} outside the domain (1/n, n]")
-        lams.append(lam)
-    return lams
+    edges = [grid.edges[diag._snap_to_edge(grid, frac * grid.n)] for frac in fracs]
+    if len(set(edges)) < len(edges):
+        raise ConfigError(f"lambdas repeats a grid edge: {fracs} snap to {np.round(edges, 4)}")
+    return edges
 
 
 def _out_dir(cfg, args):
@@ -306,6 +310,8 @@ def cmd_simulate(args):
     names = _list(dsec, "omegas", ["one", "mass"])
     omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
                         (len(names), grid.size))
+    if len(set(names)) < len(names):  # the report keys the residuals by name
+        raise ConfigError(f"omegas repeats a value: {names}")
     lams = _flux_thresholds(dsec, grid)
     inject = _bool(dsec, "inject_mass_violation", False)
     # a kernel outside the paper's class fails the bound checks whatever the
@@ -378,10 +384,6 @@ def _check_threads(cfg, args):
 
 
 def _sweep_config(cfg):
-    for key in ("model", "eps"):  # sweep and validate would echo either and run without it
-        if key in _section(cfg, "run", required=False):
-            raise ConfigError(f"run.{key} is read only by simulate; sweep and validate "
-                              "choose their own models and eps")
     kernel = kernel_from_config(_section(cfg, "kernel"))
     gsec = _section(cfg, "grid")
     ssec = _section(cfg, "sweep", required=False)
@@ -474,8 +476,6 @@ def cmd_check_kernel(args):
 
 def cmd_validate(args):
     cfg, out = _load(args)
-    if "sweep" in cfg:  # validate reads the first n only and runs no study
-        raise ConfigError("validate runs no study: remove the [sweep] section")
     config = _sweep_config(cfg)
     members = exp.validate_members(config)
     sce_run = _solved(members, "sce", None)  # the closed-form check and mass report read it

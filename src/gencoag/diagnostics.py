@@ -274,8 +274,8 @@ def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
     """Time-integrated tail flux past each lambda, split by partner size.
 
     The split follows the small-partner decomposition: partners below size
-    one (``sigma1``) versus partners in (1, lambda) (``sigma2``).  Entries
-    decrease as lambda grows and vanish for lambda >= n.
+    one (``sigma1``) versus partners in (1, lambda) (``sigma2``).  Each lambda
+    is reported as the grid edge it snaps to; entries vanish for lambda >= n.
     """
     grid = traj.grid
     out = []
@@ -288,7 +288,7 @@ def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
         # the rates die with the call: no two lambdas' rates are alive at once
         split = _side_sums(_crossing_rates(traj, m, kernel), c)
         i1, i2 = (float(v) for v in _trapezoid(traj.times, split)[-1])
-        out.append({"lambda": float(lam), "sigma1": i1, "sigma2": i2, "total": i1 + i2})
+        out.append({"lambda": float(grid.edges[m]), "sigma1": i1, "sigma2": i2, "total": i1 + i2})
     return out
 
 

@@ -28,31 +28,27 @@ from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-NO_STUDY = "validate runs no study: remove the [sweep] section"
 COMMAND_IS = "the command must be one of simulate, sweep, check-kernel, validate,"
-# sweep and validate choose their own models and eps: their configs set no run.model or run.eps
-STUDY_RUN = {"run": {"threads": 1}}
-
-
-def own_run(command):
-    """The [run] override that ``command`` accepts: only simulate reads a model and eps."""
-    return {} if command == "simulate" else STUDY_RUN
 
 
 def schema(name):
     return json.loads(files("gencoag").joinpath(f"schemas/{name}").read_text())
 
 
-def write_config(tmp_path, overrides=None, name="run.yaml"):
+def write_config(tmp_path, overrides=None, name="run.yaml", command="simulate"):
+    """A config of the keys ``command`` reads; check-kernel gets simulate's, as README runs it."""
     cfg = {
-        "run": {"model": "generalized", "eps": 0.5, "threads": 1},
+        "run": {"threads": 1},
         "kernel": {"family": "constant", "rate": 1.0},
         "grid": {"n": 20.0, "cells_per_decade": 12},
         "initial": {"profile": "exponential"},
-        "time": {"horizon": 0.3, "snapshots": 3},
-        "diagnostics": {"gauges": True, "omegas": ["one", "mass"], "lambdas": [0.5, 1.0]},
+        "time": {"horizon": 0.3},
         "output": {"directory": str(tmp_path / "out")},
     }
+    if command in ("simulate", "check-kernel"):  # sweep and validate choose their own runs
+        cfg.update(run={"model": "generalized", "eps": 0.5, "threads": 1},
+                   time={"horizon": 0.3, "snapshots": 3},
+                   diagnostics={"gauges": True, "omegas": ["one", "mass"], "lambdas": [0.5, 1.0]})
     cfg.update(overrides or {})  # overrides replace whole sections
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -68,7 +64,7 @@ def strict_json(path):
 
 def assert_refused(tmp_path, capsys, command, section, message):
     """``command`` on the default config with ``section`` exits 1, says why, writes nothing."""
-    cfg = write_config(tmp_path, section)
+    cfg = write_config(tmp_path, section, command=command)
     assert main([command, "--config", str(cfg)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -194,8 +190,7 @@ class TestSimulate:
         solves = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
         assert_refused(tmp_path, capsys, command,
-                       {**own_run(command),
-                        "initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
+                       {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
                        "monodisperse profile needs mu0 > 0 and mass > 0")
         assert solves == []
 
@@ -222,11 +217,10 @@ class TestSimulate:
         ("simulate", {"time": {"horizon": 0.3, "snapshots": float("nan")}}),
         ("simulate", {"time": {"horizon": 0.3, "snapshots": 2.5}}),
         ("simulate", {"run": {"model": "generalized", "eps": 0.5, "threads": 2.5}}),
-        ("sweep", {"run": {"model": "generalized", "eps": 0.5, "threads": 1.5},
-                   "sweep": {"eps_list": [1.0]}}),
+        ("sweep", {"run": {"threads": 1.5}, "sweep": {"eps_list": [1.0]}}),
     ])
     def test_non_integral_input_exits_1(self, tmp_path, capsys, command, section):
-        cfg = write_config(tmp_path, section)
+        cfg = write_config(tmp_path, section, command=command)
         assert main([command, "--config", str(cfg)]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
@@ -280,8 +274,8 @@ class TestSimulate:
         monkeypatch.setattr(os, "sysconf",
                             lambda name: 2**26 // real("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
                             else real(name))
-        cfg = write_config(tmp_path, {**own_run(command),
-                                      "grid": {"n": 20.0, "cells_per_decade": 100000}})
+        cfg = write_config(tmp_path, {"grid": {"n": 20.0, "cells_per_decade": 100000}},
+                           command=command)
         tracemalloc.start()
         try:
             assert main([command, "--config", str(cfg)]) == 1
@@ -408,6 +402,9 @@ class TestSimulate:
         {"lambdas": [1e-3]},
         {"lambdas": [float("nan")]},
         {"lambdas": [True]},
+        # the report keys the residuals by name, and a threshold by its grid edge
+        {"omegas": ["one", "one", "mass"]},
+        {"lambdas": [0.5, 0.5, 0.5000001]},
         {"inject_mass_violation": "no"},
         {"inject_mass_violation": 1},
         {"inject_mass_violation": None},
@@ -422,6 +419,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_tail_fluxes_name_the_edges_of_the_flux_identities(self, tmp_path):
+        # both are computed at the grid edge nearest each of n/4, n/2 and n
+        cfg = write_config(tmp_path, {"diagnostics": {"lambdas": [0.25, 0.5, 1.0]}})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        edges = [entry["lambda"] for entry in report["flux_identities"]]
+        assert [entry["lambda"] for entry in report["tail_fluxes"]] == edges
+        grid = make_grid(20.0, 12)
+        assert edges == [grid.edges[diagnostics._snap_to_edge(grid, lam)] for lam in (5, 10, 20)]
+        assert edges[:2] != [5.0, 10.0]
 
     def test_idempotent_rerun(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -484,6 +492,21 @@ class TestSimulateVariants:
         printed = capsys.readouterr().out
         assert "PASS  psi1_moment_bound" in printed
         assert "PASS  psi2_uniform_integrability" in printed
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
+    @pytest.mark.parametrize("initial, key", [
+        ({"profile": "exponential", "a": 0.9, "mu0": 3.0, "mass": -5}, "a"),
+        ({"profile": "singular_power", "a": 0.3, "mass": 1.0}, "mass"),
+        ({"profile": "monodisperse", "mu0": 2.0, "mass": 1.0, "a": 0.3}, "a"),
+    ], ids=["exponential", "singular_power", "monodisperse"])
+    def test_a_key_the_profile_does_not_read_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                         command, initial, key):
+        # [initial] is checked per profile, as [kernel] is per family
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert_refused(tmp_path, capsys, command, {"initial": initial},
+                       f"initial profile {initial['profile']} does not read initial.{key}")
+        assert calls == []
 
     def test_singular_power_profile(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -625,10 +648,9 @@ def _force_first_step_failure(monkeypatch):
 class TestSweep:
     def test_small_eps_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5, 0.25, 0.125]},
             "time": {"horizon": 0.3},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         summary = json.loads((out / "summary.json").read_text())
@@ -639,8 +661,8 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 4
 
     def test_schema_pins_eps_check_keys(self, tmp_path):
-        cfg = write_config(tmp_path, {**STUDY_RUN,
-                                      "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}})
+        cfg = write_config(tmp_path, {"sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}},
+                           command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         check = summary["checks"]["eps_monotone_n20"]
@@ -657,10 +679,9 @@ class TestSweep:
     def test_n_sweep_path(self, tmp_path):
         # lattice-aligned n values: 10^(m/12) for m = 8, 12, 16
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0, 21.544346900318832]},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         rows = (out / "distances_n.csv").read_text().strip().splitlines()
@@ -673,11 +694,10 @@ class TestSweep:
         # member of the n sweep fails its first step
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0]},
             "time": {"horizon": 100.0},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         jsonschema.validate(summary, schema("summary.schema.json"))
@@ -694,10 +714,9 @@ class TestSweep:
     def test_failed_reference_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
             "time": {"horizon": 100.0},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -705,7 +724,7 @@ class TestSweep:
     @pytest.mark.parametrize("command", ["sweep", "validate", "simulate", "check-kernel"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_flag_below_one_exits_1(self, tmp_path, capsys, command, threads):
-        cfg = write_config(tmp_path, {"sweep": {"eps_list": [1.0, 0.5]}})
+        cfg = write_config(tmp_path, command=command)
         assert main([command, "--config", str(cfg), "--threads", threads]) == 1
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -715,7 +734,7 @@ class TestSweep:
         cfg = write_config(tmp_path, {
             "run": {"threads": threads},
             "sweep": {"eps_list": [1.0, 0.5]},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -723,7 +742,7 @@ class TestSweep:
     @pytest.mark.parametrize("command", ["simulate", "validate", "check-kernel"])
     @pytest.mark.parametrize("threads", [0, -3])
     def test_run_threads_below_one_exits_1(self, tmp_path, capsys, command, threads):
-        cfg = write_config(tmp_path, {"run": {"model": "sce", "threads": threads}})
+        cfg = write_config(tmp_path, {"run": {"threads": threads}}, command=command)
         assert main([command, "--config", str(cfg)]) == 1
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -740,7 +759,7 @@ class TestSweep:
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
-        assert_refused(tmp_path, capsys, "sweep", {**STUDY_RUN, **section}, message)
+        assert_refused(tmp_path, capsys, "sweep", section, message)
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate", "check-kernel"])
     @pytest.mark.parametrize("directory", [5, None, ["out"]])
@@ -788,11 +807,11 @@ class TestSweep:
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
         assert_refused(tmp_path, capsys, "sweep",
-                       {**STUDY_RUN, "sweep": {"eps_list": [1.0, 0.5], **sweep}}, message)
+                       {"sweep": {"eps_list": [1.0, 0.5], **sweep}}, message)
         assert calls == []
 
     @pytest.mark.parametrize("command, run, key", [
-        ("sweep", {"model": "ohs", "eps": 0.5}, "model"),
+        ("sweep", {"model": "ohs"}, "model"),
         ("validate", {"eps": 0.5}, "eps"),
     ])
     def test_run_model_and_eps_are_refused(self, tmp_path, capsys, monkeypatch, command, run,
@@ -800,9 +819,26 @@ class TestSweep:
         # only simulate reads them: a study would echo them and run without them
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
-        assert_refused(tmp_path, capsys, command, {"run": run},
-                       f"run.{key} is read only by simulate; sweep and validate choose their "
-                       "own models and eps")
+        assert_refused(tmp_path, capsys, command, {"run": run}, f"{command} does not read run.{key}")
+        assert calls == []
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("simulate", {"sweep": {"n_sweep": "nonsense", "eps_list": [7.0]}}, "sweep.eps_list"),
+        ("validate", {"time": {"horizon": 0.3, "snapshots": 100000}}, "time.snapshots"),
+        ("validate", {"diagnostics": {"omegas": ["nonsense"], "lambdas": [99.0],
+                                      "inject_mass_violation": True}},
+         "diagnostics.inject_mass_violation"),
+        ("sweep", {"time": {"horizon": 0.3, "snapshots": 100000}}, "time.snapshots"),
+        ("sweep", {"diagnostics": {"omegas": ["nonsense"], "lambdas": [99.0],
+                                   "inject_mass_violation": True}},
+         "diagnostics.inject_mass_violation"),
+    ])
+    def test_a_key_only_another_command_reads_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                         command, section, key):
+        # each command reads its own keys: any other would be echoed and ignored
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert_refused(tmp_path, capsys, command, section, f"{command} does not read {key}")
         assert calls == []
 
     def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
@@ -855,7 +891,7 @@ class TestSweep:
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
             "run": {"threads": 2},
-        })
+        }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 0
         first = (tmp_path / "out" / "distances_eps.csv").read_text()
         assert main(["sweep", "--config", str(cfg)]) == 0
@@ -873,20 +909,19 @@ class TestValidate:
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
-        ({"sweep": {"eps_list": "abc"}}, NO_STUDY),
-        ({"sweep": {"n_list": []}}, NO_STUDY),
+        ({"sweep": {"eps_list": "abc"}}, "validate does not read sweep.eps_list"),
+        ({"sweep": {"n_list": []}}, "validate does not read sweep.n_list"),
         ({"time": {"horizon": True}}, "horizon must be a finite number"),
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
         # validate reads the first n only: a second one would go unchecked
-        ({"sweep": {"n_list": [100.0, 200.0]}}, NO_STUDY),
+        ({"sweep": {"n_list": [100.0, 200.0]}}, "validate does not read sweep.n_list"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
-        assert_refused(tmp_path, capsys, "validate", {**STUDY_RUN, **section}, message)
+        assert_refused(tmp_path, capsys, "validate", section, message)
 
     def test_refused_run_leaves_no_output(self, tmp_path, capsys):
-        cfg = {**yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text()), **STUDY_RUN}
-        path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path = write_config(tmp_path, {"kernel": {"family": "singular_product", "k": 1.0,
+                                                  "sigma": 0.2}}, command="validate")
         out = tmp_path / "DIR"
         assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
         assert "error: analytic validation requires the constant kernel" in capsys.readouterr().err
@@ -971,7 +1006,7 @@ class TestValidate:
 
     def test_failed_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         _force_first_step_failure(monkeypatch)
-        cfg = write_config(tmp_path, {**STUDY_RUN, "time": {"horizon": 2.0}})
+        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}}, command="validate")
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -989,7 +1024,7 @@ class TestValidate:
             return sourced
 
         monkeypatch.setattr(experiments, "make_rhs", make_rhs)
-        cfg = write_config(tmp_path, {**STUDY_RUN, "time": {"horizon": 2.0}})
+        cfg = write_config(tmp_path, {"time": {"horizon": 2.0}}, command="validate")
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "error: moment bound violated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -997,11 +1032,10 @@ class TestValidate:
     def test_rate_two_kernel_passes(self, tmp_path):
         # the M0 law carries the rate: 2 M0(0) / (2 + rate M0(0) t)
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "kernel": {"family": "constant", "rate": 2.0},
             "grid": {"n": 100.0, "cells_per_decade": 32},
             "time": {"horizon": 2.0},
-        })
+        }, command="validate")
         assert main(["validate", "--config", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "validate.json").read_text())
         assert payload["passed"]
@@ -1014,7 +1048,7 @@ class TestValidate:
     ], ids=["monodisperse"])
     def test_refused_config_runs_no_solve(self, tmp_path, capsys, monkeypatch, section):
         # monodisperse data fit neither closed form
-        cfg = write_config(tmp_path, {**STUDY_RUN, **section})
+        cfg = write_config(tmp_path, section, command="validate")
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
         assert main(["validate", "--config", str(cfg)]) == 1
@@ -1024,11 +1058,10 @@ class TestValidate:
 
     def test_validate_fast_config(self, tmp_path):
         cfg = write_config(tmp_path, {
-            **STUDY_RUN,
             "kernel": {"family": "constant", "rate": 1.0},
             "grid": {"n": 30.0, "cells_per_decade": 16},
             "time": {"horizon": 2.0},
-        })
+        }, command="validate")
         assert main(["validate", "--config", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "validate.json").read_text())
         jsonschema.validate(payload, schema("validate.schema.json"))
@@ -1162,3 +1195,23 @@ def test_check_kernel_loads_no_random_generator(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_readme_config_table_is_the_key_table():
+    # README lists each section.key, the commands that read it and its default
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | read by | default |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, readers, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = readers
+    union = cli.READS["check-kernel"]
+    assert set(rows) == {f"{name}.{key}" for name, keys in union.items() for key in keys or "*"}
+    for row, readers in rows.items():
+        name, key = row.split(".")
+        reading = [command for command in ["simulate", "sweep", "validate"]
+                   if name in cli.READS[command] and key in (cli.READS[command][name] or "*")]
+        every = ["simulate", "sweep", "validate"]
+        assert (every if readers == "every command" else readers.split(", ")) == reading

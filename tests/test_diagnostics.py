@@ -520,8 +520,10 @@ class TestSnapshotMatrix:
         lams = [0.5, 2.0, 5.0, 10.0]
         times = traj.times
         for lam, entry in zip(lams, tail_flux_decay(traj, lams, kernel)):
-            ref = crossing_loop(traj, _snap_to_edge(grid, lam), kernel)
+            m = _snap_to_edge(grid, lam)
+            ref = crossing_loop(traj, m, kernel)
             tol = 1e-13 * ref[:, 0].max() * times[-1]
+            assert entry["lambda"] == grid.edges[m]
             assert abs(entry["sigma1"] - trapezoid_loop(times, ref[:, 1])) <= tol
             assert abs(entry["sigma2"] - trapezoid_loop(times, ref[:, 2])) <= tol
             assert entry["total"] == entry["sigma1"] + entry["sigma2"]

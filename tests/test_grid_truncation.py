@@ -29,11 +29,12 @@ def config(tmp_path, command, family):
         "kernel": FAMILIES[family],
         "grid": {"n": 20.0, "cells_per_decade": 12},
         "initial": {"profile": "exponential"},
-        "time": {"horizon": 0.3, "snapshots": 3},
+        "time": {"horizon": 0.3},
         "output": {"directory": str(tmp_path / "out")},
     }
-    if command == "simulate":
+    if command == "simulate":  # only simulate reads a model, eps and snapshots
         cfg["run"] = {"model": "generalized", "eps": 0.5}
+        cfg["time"]["snapshots"] = 3
     if command == "sweep":  # two grids, so each read must fall in its own grid's box
         cfg["sweep"] = {"eps_sweep": True, "n_sweep": True, "eps_list": [0.5, 0.125],
                         "n_list": [10.0, 20.0]}

@@ -5,7 +5,8 @@ table while it times a command, and stops the traced pass when one is
 gone or when a span it reads no longer nests under the caller it
 expects. ``perfbench/probe.py setup`` builds each workload's first
 right-hand side. Running both here makes a rename, a changed call
-signature or a moved call fail the test suite too.
+signature or a moved call fail the test suite too. So does a change to
+the config keys a command reads that refuses a config the benchmark runs.
 """
 
 import importlib.util
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from gencoag import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(monkeypatch, name):
@@ -67,3 +71,16 @@ def test_traced_pass_reads_its_spans(monkeypatch, tmp_path, name):
         assert 0.0 < metrics["experiments.member_s.max"] <= metrics["experiments.member_s.sum"]
     else:
         assert metrics["experiments.validate_m0_s"] > 0.0
+
+
+def test_every_benchmark_config_passes_its_commands_key_check(monkeypatch):
+    # each command refuses the keys it does not read: a config the benchmark
+    # runs that sets one would exit 1 instead of timing the command
+    probe = load_perfbench(monkeypatch, "probe")  # it imports workloads.py by plain name
+    runs = [(w.command, ROOT / w.config) for w in probe.WORKLOADS.values()]
+    runs += [("simulate", PERFBENCH / "configs" / "corrupt_mass.yaml"),
+             ("simulate", ROOT / "configs" / "simulate_singular.yaml"),
+             ("check-kernel", ROOT / "configs" / "simulate_singular.yaml")]
+    assert {command for command, _ in runs} == set(cli.COMMANDS)
+    for command, path in runs:
+        assert cli.load_config(path, command)
