@@ -9,10 +9,15 @@ verbatim into the output directory for reproducibility:
 Each option is given at most once, as ``--name value`` or ``--name=value``,
 spelled out in full; ``-h`` or ``--help`` prints the usage line.  Exit
 codes: 0 success, 1 a usage, configuration or runtime error, 2 a run
-completed but a bound check failed.  ``--threads`` (or ``run.threads``)
-must be at least 1, but every command runs in one process: none starts a
-pool.  Each command refuses, before any work, a config key it does not read
-(``READS``); ``check-kernel`` accepts the keys of every command.
+completed but a bound check failed.
+
+One table, ``KEYS``, decides every config key: the kind and range of its
+value, its default and the commands that read it.  Before any work, each
+command refuses a key it does not read (``check-kernel`` accepts every
+command's keys) and parses each key it reads through :func:`read`.
+``--threads`` and ``--seed`` are checked as ``run.threads`` and ``run.seed``;
+no command reads either further: each runs in one process, and none draws
+a random number.
 
 The CLI runs on one thread.  It sets ``OPENBLAS_NUM_THREADS=1`` before it
 imports numpy, whatever the environment says.  The package makes no matrix
@@ -61,28 +66,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND_FAIL = 2
 
-#: command -> {section: the keys it reads}; a command refuses every other key.  [kernel]
-#: is read whole (None) and checked per family by kernel_from_config.  check-kernel reads
-#: [kernel], [run] and [output] but accepts every command's keys, to run on their configs.
-#: No key loosens a check.  Older configs set run.seed (read by no command) and PINNED_KEYS.
-_SOLVE = {"run": {"threads", "seed"}, "kernel": None, "grid": {"n", "cells_per_decade"},
-          "initial": {"profile", "a", "mu0", "mass"}, "time": {"horizon", "dt_mode"},
-          "output": {"directory"}}
-READS = {
-    "simulate": {**_SOLVE, "run": _SOLVE["run"] | {"model", "eps"},
-                 "time": _SOLVE["time"] | {"snapshots"},
-                 "diagnostics": {"gauges", "omegas", "lambdas", "inject_mass_violation"}},
-    "sweep": {**_SOLVE, "sweep": {"eps_sweep", "n_sweep", "eps_list", "n_list"}},
-    "validate": _SOLVE,
-}
-READS["check-kernel"] = {**READS["simulate"], "sweep": READS["sweep"]["sweep"]}
-
-#: (section, key) -> (the one value it takes, why)
-PINNED_KEYS = {
-    ("time", "dt_mode"): ("adaptive", "every run is error-controlled"),
-    ("diagnostics", "gauges"): (True, "every run checks the gauge bounds"),
-}
-
 #: What ``simulate`` holds at its peak besides the pair scheme, which
 #: operators._scheme_bytes counts.  Per snapshot: its row of the trajectory
 #: block (8 bytes a cell), up to one row of diagnostic temporaries (the
@@ -98,6 +81,112 @@ CELL_OVERHEAD = 64
 RUN_OVERHEAD = 128 * 1024
 
 
+class Key(NamedTuple):
+    """One config key.  ``parse(value, key)`` returns what a command reads of ``value`` or
+    raises a ConfigError that names ``key``, the key within its section; a config that does
+    not set it gets ``default``, parsed the same way.  ``readers`` are the commands reading it."""
+
+    parse: object
+    default: object
+    readers: tuple
+
+
+def _integer(low):
+    """An integral number from ``low`` up to a double's largest; 2.5, NaN, inf or a boolean is refused."""
+    def parse(value, name):
+        if isinstance(value, bool) or not isinstance(value, int) and not (
+                isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if value > sys.float_info.max:
+            raise ConfigError(f"{name} must be at most {sys.float_info.max:g}, got {value}")
+        return int(value)
+    return parse
+
+
+def _positive(value, name):
+    """A finite number > 0."""
+    number = config_number(value, name)
+    if number > 0.0:
+        return number
+    raise ConfigError(f"{name} must be > 0")
+
+
+def _kind(accepts, what, why=""):
+    """A kind that takes a value ``accepts`` passes as it is and refuses any other."""
+    def parse(value, name):
+        if accepts(value):
+            return value
+        raise ConfigError(f"{name} must be {what}, got {value!r}{why}")
+    return parse
+
+
+def _one_of(*choices):
+    return _kind(lambda v: isinstance(v, str) and v in choices, f"one of {', '.join(choices)}")
+
+
+def _only(section, value, readers, why):
+    """The Key of a ``section`` key that takes one value, its default: no setting loosens a check."""
+    accepts = _kind(lambda v: v == value and type(v) is type(value), repr(value), f": {why}")
+    return Key(lambda got, key: accepts(got, f"{section}.{key}"), value, readers)
+
+
+def _list_of(item):
+    """A list whose every item ``item`` parses."""
+    def parse(value, name):
+        if not isinstance(value, (list, tuple)):  # YAML gives lists; a default may be a tuple
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [item(v, name) for v in value]
+    return parse
+
+
+def _optional(kind):
+    """``kind``, or None: the command decides what a key without a value means."""
+    return lambda value, name: None if value is None else kind(value, name)
+
+
+_boolean = _kind(lambda v: isinstance(v, bool), "true or false")  # "no" is a string
+_string = _kind(lambda v: isinstance(v, str), "a string")
+
+SOLVE = ("simulate", "sweep", "validate")
+EVERY = (*SOLVE, "check-kernel")
+
+#: initial.profile -> the other [initial] keys it reads
+PROFILE_KEYS = {"exponential": (), "singular_power": ("a",), "monodisperse": ("mu0", "mass")}
+
+#: section.key (or a section read whole) -> its Key.  A default of None
+#: means the command decides what the key's absence means.
+KEYS = {
+    "run.threads": Key(_integer(1), 1, EVERY),
+    "run.seed": Key(_integer(0), 0, EVERY),
+    "run.model": Key(_one_of("sce", "ohs", "generalized"), None, ("simulate",)),
+    "run.eps": Key(_optional(config_number), None, ("simulate",)),
+    # read whole, and checked per family by kernel_from_config
+    "kernel": Key(_kind(lambda v: isinstance(v, dict), "a family and its parameters"), None, EVERY),
+    "grid.n": Key(config_number, 50.0, SOLVE),
+    "grid.cells_per_decade": Key(_integer(4), 32, SOLVE),
+    "initial.profile": Key(_one_of(*PROFILE_KEYS), "exponential", SOLVE),
+    "initial.a": Key(config_number, 0.0, SOLVE),
+    "initial.mu0": Key(config_number, 1.0, SOLVE),
+    "initial.mass": Key(config_number, 1.0, SOLVE),
+    # at horizon 0 every snapshot is the initial data and every check passes
+    "time.horizon": Key(_positive, 1.0, SOLVE),
+    "time.dt_mode": _only("time", "adaptive", SOLVE, "every run is error-controlled"),
+    "time.snapshots": Key(_integer(1), 8, ("simulate",)),
+    "diagnostics.gauges": _only("diagnostics", True, ("simulate",),
+                                "every run checks the gauge bounds"),
+    "diagnostics.omegas": Key(_list_of(_string), ["one", "mass"], ("simulate",)),
+    "diagnostics.lambdas": Key(_list_of(config_number), [0.25, 0.5, 1.0], ("simulate",)),
+    "diagnostics.inject_mass_violation": Key(_boolean, False, ("simulate",)),
+    "sweep.eps_sweep": Key(_boolean, True, ("sweep",)),
+    "sweep.n_sweep": Key(_boolean, False, ("sweep",)),
+    "sweep.eps_list": Key(_list_of(config_number), exp.DEFAULT_EPS_LIST, ("sweep",)),
+    "sweep.n_list": Key(_optional(_list_of(config_number)), None, ("sweep",)),  # none: [grid.n]
+    "output.directory": Key(_string, "out", EVERY),  # --out overrides it
+}
+
+
 def _fail(msg):
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_ERROR
@@ -109,7 +198,7 @@ def load_config(path, command="check-kernel"):  # check-kernel accepts every kno
             cfg = yaml.safe_load(fh)
     except FileNotFoundError:
         raise GencoagError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date or an integer Python refuses
         raise GencoagError(f"{path}: YAML parse error: {exc}")
     if not isinstance(cfg, dict):
         raise GencoagError(f"{path}: top level must be a mapping")
@@ -118,79 +207,51 @@ def load_config(path, command="check-kernel"):  # check-kernel accepts every kno
 
 
 def _load(args):
-    """The config of ``args`` and its output directory, after the checks every command makes.
-
-    The directory is made only once a run went through.
-    """
+    """The config of ``args``, the value of every key its command reads, and its output
+    directory, which is made only once a run went through."""
     cfg = load_config(args.config, args.command)
-    _check_threads(cfg, args)
-    return cfg, _out_dir(cfg, args)
+    values = {name: read(cfg, name) for name, key in KEYS.items() if args.command in key.readers}
+    return cfg, values, Path(args.out or values["output.directory"])
 
 
 def _check_keys(cfg, command):
     """Refuse a section or key that ``command`` does not read, so that a misspelled,
     removed or misplaced setting does not silently take its default."""
-    union = READS["check-kernel"]
-    for name in cfg:
-        if name not in union:
-            raise GencoagError(f"unknown config section [{name}]")
-        for key in _section(cfg, name, required=False) if union[name] is not None else ():
-            if key not in union[name]:
-                raise GencoagError(f"unknown config key {name}.{key}")
-            if key not in READS[command].get(name, ()):
-                raise ConfigError(f"{command} does not read {name}.{key}")
-    for (name, key), (only, why) in PINNED_KEYS.items():
-        value = _section(cfg, name, required=False).get(key, only)
-        if value != only or type(value) is not type(only):
-            raise GencoagError(f"{name}.{key} must be {only!r}, got {value!r}: {why}")
+    def shown(name):  # a name with a line break is quoted, to keep the error on one line
+        return name if str(name).isprintable() else repr(name)
+
+    for section, sec in cfg.items():
+        if not any(name.partition(".")[0] == section for name in KEYS):
+            raise GencoagError(f"unknown config section [{shown(section)}]")
+        if sec is not None and not isinstance(sec, dict):
+            raise GencoagError(f"config section [{section}] must be a mapping")
+        for key in () if section in KEYS else sec or ():
+            name = f"{section}.{key}"
+            if name not in KEYS:
+                raise GencoagError(f"unknown config key {shown(name)}")
+            if command not in (*KEYS[name].readers, "check-kernel"):
+                raise ConfigError(f"{command} does not read {name}")
+            if section == "initial" and command != "check-kernel":  # read per profile
+                profile = read(cfg, "initial.profile")
+                if key not in ("profile", *PROFILE_KEYS[profile]):  # it would be echoed, not run
+                    raise ConfigError(f"initial profile {profile} does not read {name}")
 
 
-def _int(sec, key, default):
-    """``sec[key]`` as an int; NaN, inf, 2.5, a boolean or a non-number is a GencoagError."""
-    value = sec.get(key, default)
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if integral and not isinstance(value, bool):
-        return int(value)
-    raise GencoagError(f"{key} must be an integer, got {value!r}")
-
-
-def _bool(sec, key, default):
-    """``sec[key]`` as a YAML boolean; a string such as "no", a number or null is a ConfigError."""
-    value = sec.get(key, default)
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{key} must be true or false, got {value!r}")
-
-
-def _float(sec, key, default):
-    """``sec[key]`` as a finite float >= 0, read by :func:`config_number`."""
-    return config_number(sec.get(key, default), key)
-
-
-def _section(cfg, name, required=True):
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise GencoagError(f"config section [{name}] is missing")
-        return {}
-    if not isinstance(sec, dict):
-        raise GencoagError(f"config section [{name}] must be a mapping")
-    return sec
+def read(cfg, name):
+    """Config key ``name`` of a config load_config checked, parsed by its KEYS entry: the
+    config's value, or the default when the config does not set it.  A name without a dot
+    is a section read whole."""
+    section, _, key = name.partition(".")
+    value = (cfg.get(section) or {}).get(key, KEYS[name].default) if key else cfg.get(section)
+    return KEYS[name].parse(value, key or section)
 
 
 def build_profile(cfg, sigma):
-    sec = _section(cfg, "initial")
-    name = sec.get("profile", "exponential")
-    reads = {"exponential": (), "singular_power": ("a",), "monodisperse": ("mu0", "mass")}
-    if not isinstance(name, str) or name not in reads:
-        raise GencoagError(f"unknown initial profile {name!r}")
-    unread = [key for key in sec if key not in ("profile", *reads[name])]
-    if unread:  # it would be echoed but not run
-        raise ConfigError(f"initial profile {name} does not read initial.{unread[0]}")
+    name = read(cfg, "initial.profile")
     if name == "singular_power":
-        return SingularPowerProfile(_float(sec, "a", 0.0), sigma)
+        return SingularPowerProfile(read(cfg, "initial.a"), sigma)
     if name == "monodisperse":
-        return MonodisperseProfile(_float(sec, "mu0", 1.0), _float(sec, "mass", 1.0))
+        return MonodisperseProfile(read(cfg, "initial.mu0"), read(cfg, "initial.mass"))
     return ExponentialProfile()
 
 
@@ -200,74 +261,43 @@ def _run_bytes(count, cells):
     return rows * (16 * cells + SNAPSHOT_OVERHEAD) + cells * CELL_OVERHEAD + RUN_OVERHEAD
 
 
-def _snapshot_times(cfg, horizon, cells, scheme):
-    count = _int(_section(cfg, "time", required=False), "snapshots", 8)
-    if count < 1:
-        raise GencoagError(f"snapshots must be >= 1, got {count}")
+def _snapshot_times(count, horizon, cells, scheme):
     # refuse before building the times; the solve and the weak form each
     # hold the snapshot block next to one pair scheme of ``scheme`` bytes
     _check_table_bytes(_run_bytes(count, cells) + scheme,
                        f"{count} snapshots of {cells} cells", "use fewer snapshots or cells")
+    if horizon * count == np.inf:  # the product that forms the last time
+        raise ConfigError(f"time.horizon {horizon:g} * {count} snapshots overflows a double")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
+#: omegas name -> the test function it makes and the count of its parameters (bump:a:b)
+OMEGAS = {"one": (testfuncs.constant_one, 0), "mass": (testfuncs.mass, 0),
+          "square": (testfuncs.square, 0), "bump": (testfuncs.bump, 2),
+          "trunc_linear": (testfuncs.truncated_linear, 1)}
+
+
 def _omega_from_name(name):
-    if not isinstance(name, str):
-        raise GencoagError(f"test function names must be strings, got {name!r}")
+    """The test function of an omegas name: one, mass, square, bump:a:b or trunc_linear:lam."""
+    kind, *params = name.split(":")
+    make, count = OMEGAS.get(kind, (None, None))
+    if len(params) != count:
+        raise GencoagError(f"unknown test function {name!r}")
     try:
-        return _omega_named(name)
-    except ValueError as exc:  # a malformed bump:a:b or trunc_linear:lam
+        values = [float(p) for p in params]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("a parameter is not finite")
+        return make(*values)
+    except (ValueError, OverflowError) as exc:  # not a number, or not a support bump takes
         raise GencoagError(f"test function {name!r}: {exc}")
 
 
-def _finite(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"parameter {text!r} is not finite")
-    return value
-
-
-def _omega_named(name):
-    if name == "one":
-        return testfuncs.constant_one()
-    if name == "mass":
-        return testfuncs.mass()
-    if name == "square":
-        return testfuncs.square()
-    if name.startswith("bump:"):
-        _, a, b = name.split(":")
-        return testfuncs.bump(_finite(a), _finite(b))
-    if name.startswith("trunc_linear:"):
-        _, lam = name.split(":")
-        return testfuncs.truncated_linear(_finite(lam))
-    raise GencoagError(f"unknown test function {name!r}")
-
-
-def _list(sec, key, default):
-    """``sec[key]`` as a list; a scalar or a mapping is a GencoagError."""
-    value = sec.get(key, default)
-    if isinstance(value, list):
-        return value
-    raise GencoagError(f"{key} must be a list, got {value!r}")
-
-
-def _flux_thresholds(dsec, grid):
+def _flux_thresholds(fracs, grid):
     """The grid edges nearest the thresholds fraction * n in (1/n, n], each one once."""
-    fracs = _list(dsec, "lambdas", [0.25, 0.5, 1.0])
-    for frac in fracs:
-        if isinstance(frac, bool) or not isinstance(frac, (int, float)):
-            raise GencoagError(f"lambdas must be numbers, got {frac!r}")
     edges = [grid.edges[diag._snap_to_edge(grid, frac * grid.n)] for frac in fracs]
     if len(set(edges)) < len(edges):
         raise ConfigError(f"lambdas repeats a grid edge: {fracs} snap to {np.round(edges, 4)}")
     return edges
-
-
-def _out_dir(cfg, args):
-    directory = _section(cfg, "output", required=False).get("directory", "out")
-    if not isinstance(directory, str):
-        raise GencoagError(f"output.directory must be a string, got {directory!r}")
-    return Path(args.out or directory)
 
 
 def _publish(args, out):
@@ -282,38 +312,27 @@ def _dump_json(payload, path):
 
 
 def cmd_simulate(args):
-    cfg, out = _load(args)
-    run = _section(cfg, "run")
-    model = run.get("model")
-    if model not in ("sce", "ohs", "generalized"):
-        raise GencoagError(f"[run] model must be sce|ohs|generalized, got {model!r}")
-    eps = run.get("eps")
+    cfg, values, out = _load(args)
+    model, eps = values["run.model"], values["run.eps"]
     if model == "generalized" and eps is None:
         raise GencoagError("[run] eps is required when model = generalized")
     if model != "generalized" and eps is not None:  # it would be reported but not run
         raise ConfigError("[run] eps is read only when model = generalized; "
                           f"model {model} computes its own eps")
-    eps = config_number(eps, "eps") if eps is not None else None
 
-    kernel = kernel_from_config(_section(cfg, "kernel"))
-    gsec = _section(cfg, "grid")
-    grid = make_grid(_float(gsec, "n", 50.0), _int(gsec, "cells_per_decade", 32))
-    profile = build_profile(cfg, kernel.sigma)
-    initial = sample_initial(profile, grid)
-    tsec = _section(cfg, "time")
-    horizon = _float(tsec, "horizon", 1.0)
-    if not horizon > 0.0:  # at 0 every snapshot is the initial data and every check passes
-        raise ConfigError("horizon must be > 0")
-    snaps = _snapshot_times(cfg, horizon, grid.size, scheme_bytes(grid, model, kernel, eps))
+    kernel = kernel_from_config(values["kernel"])
+    grid = make_grid(values["grid.n"], values["grid.cells_per_decade"])
+    initial = sample_initial(build_profile(cfg, kernel.sigma), grid)
+    horizon = values["time.horizon"]
+    snaps = _snapshot_times(values["time.snapshots"], horizon, grid.size,
+                            scheme_bytes(grid, model, kernel, eps))
     # diagnostics settings are checked here so that a bad one fails before the solve
-    dsec = _section(cfg, "diagnostics", required=False)
-    names = _list(dsec, "omegas", ["one", "mass"])
+    names = values["diagnostics.omegas"]
     omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
                         (len(names), grid.size))
     if len(set(names)) < len(names):  # the report keys the residuals by name
         raise ConfigError(f"omegas repeats a value: {names}")
-    lams = _flux_thresholds(dsec, grid)
-    inject = _bool(dsec, "inject_mass_violation", False)
+    lams = _flux_thresholds(values["diagnostics.lambdas"], grid)
     # a kernel outside the paper's class fails the bound checks whatever the
     # solve gives, so it is refused before the solve, as check-kernel fails it
     failed = [bound for bound in _certificate_bounds(kernel) if not bound.passed]
@@ -325,7 +344,7 @@ def cmd_simulate(args):
     traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
     _publish(args, out)
 
-    if inject:
+    if values["diagnostics.inject_mass_violation"]:
         # test hook: corrupt the final snapshot so bound checks must fail
         traj.replace_values(-1, traj[-1].values * 1.5)
 
@@ -337,12 +356,9 @@ def cmd_simulate(args):
 
     flux = [diag.mass_flux_identity(traj, lam, kernel) for lam in lams]
 
-    ledger = {
-        "M1_initial": float(moments["M1"][0]),
-        "outflux_final": traj.outflux[-1],
-        "clipped_final": traj.clipped[-1],
-        "max_closure_rel": verdicts[-1].attained,  # the ledger_closure verdict
-    }
+    ledger = {"M1_initial": float(moments["M1"][0]), "outflux_final": traj.outflux[-1],
+              "clipped_final": traj.clipped[-1],
+              "max_closure_rel": verdicts[-1].attained}  # the ledger_closure verdict
 
     report = diag.DiagnosticsReport(
         model=model, eps=eps, sigma=kernel.sigma, moments=moments, verdicts=verdicts,
@@ -352,17 +368,10 @@ def cmd_simulate(args):
     )
 
     snap_files = write_snapshot_csv(traj, out)
-    manifest = {
-        "model": model,
-        "eps": eps,
-        "n": grid.n,
-        "cells_per_decade": grid.cells_per_decade,
-        "times": traj.times.tolist(),
-        "snapshots": snap_files,
-        "outflux": list(traj.outflux),
-        "clipped": list(traj.clipped),
-        "config_echo": "config_echo.yaml",
-    }
+    manifest = {"model": model, "eps": eps, "n": grid.n, "cells_per_decade": grid.cells_per_decade,
+                "times": traj.times.tolist(), "snapshots": snap_files,
+                "outflux": list(traj.outflux), "clipped": list(traj.clipped),
+                "config_echo": "config_echo.yaml"}
     _dump_json(manifest, out / "manifest.json")
     diag.write_moments_csv(moments, out / "moments.csv")
     report.write_json(out / "report.json")
@@ -375,36 +384,25 @@ def cmd_simulate(args):
     return EXIT_OK if ok else EXIT_BOUND_FAIL
 
 
-def _check_threads(cfg, args):
-    """Refuse a thread count below 1, from --threads or run.threads; no command starts a pool."""
-    rsec = _section(cfg, "run", required=False)
-    threads = args.threads if args.threads is not None else _int(rsec, "threads", 1)
-    if threads < 1:
-        raise GencoagError(f"threads must be >= 1, got {threads}")
-
-
 def _sweep_config(cfg):
-    kernel = kernel_from_config(_section(cfg, "kernel"))
-    gsec = _section(cfg, "grid")
-    ssec = _section(cfg, "sweep", required=False)
-    tsec = _section(cfg, "time", required=False)
-    eps_list = _list(ssec, "eps_list", list(exp.DEFAULT_EPS_LIST))
-    n_list = _list(ssec, "n_list", [_float(gsec, "n", 50.0)])
+    """The studies of ``cfg``.  A validate config sets no [sweep] key (its key
+    check refuses them), so it gets their defaults."""
+    kernel = kernel_from_config(read(cfg, "kernel"))
+    n_list = read(cfg, "sweep.n_list")
     return exp.SweepConfig(
         kernel=kernel,
-        eps_list=tuple(config_number(e, "eps_list") for e in eps_list),
-        n_list=tuple(config_number(n, "n_list") for n in n_list),
-        cells_per_decade=_int(gsec, "cells_per_decade", 32),
+        eps_list=tuple(read(cfg, "sweep.eps_list")),
+        n_list=(read(cfg, "grid.n"),) if n_list is None else tuple(n_list),
+        cells_per_decade=read(cfg, "grid.cells_per_decade"),
         profile=build_profile(cfg, kernel.sigma),
-        horizon=_float(tsec, "horizon", 1.0),
+        horizon=read(cfg, "time.horizon"),
     ).validate()
 
 
 def cmd_sweep(args):
-    cfg, out = _load(args)
+    cfg, values, out = _load(args)
     config = _sweep_config(cfg)
-    ssec = _section(cfg, "sweep", required=False)
-    eps_sweep, n_sweep = _bool(ssec, "eps_sweep", True), _bool(ssec, "n_sweep", False)
+    eps_sweep, n_sweep = values["sweep.eps_sweep"], values["sweep.n_sweep"]
     if not (eps_sweep or n_sweep):
         raise ConfigError("sweep runs no study: eps_sweep and n_sweep are both false")
     if n_sweep and len(config.n_list) < 2:
@@ -459,8 +457,8 @@ def _certificate_bounds(kernel):
 
 
 def cmd_check_kernel(args):
-    cfg, out = _load(args)
-    kernel = kernel_from_config(_section(cfg, "kernel"))
+    _, values, out = _load(args)
+    kernel = kernel_from_config(values["kernel"])
     payload = {"kernel_family": kernel.family, "sigma": kernel.sigma}
     for bound in _certificate_bounds(kernel):
         payload[bound.name] = bound.constant if bound.passed else None  # JSON has no infinity
@@ -475,7 +473,7 @@ def cmd_check_kernel(args):
 
 
 def cmd_validate(args):
-    cfg, out = _load(args)
+    cfg, _, out = _load(args)
     config = _sweep_config(cfg)
     members = exp.validate_members(config)
     sce_run = _solved(members, "sce", None)  # the closed-form check and mass report read it
@@ -524,12 +522,8 @@ def _plain(obj):
     return obj
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "check-kernel": cmd_check_kernel,
-    "validate": cmd_validate,
-}
+COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep, "check-kernel": cmd_check_kernel,
+            "validate": cmd_validate}
 
 #: Each option and the type of its value.
 OPTIONS = {"--config": str, "--out": str, "--threads": int, "--seed": int}
@@ -543,7 +537,7 @@ def _parse_args(argv):
     if not argv or argv[0] not in COMMANDS:
         got = repr(argv[0]) if argv else "none"
         raise GencoagError(f"the command must be one of {', '.join(COMMANDS)}, got {got}")
-    args = SimpleNamespace(command=argv[0], config=None, out=None, threads=None, seed=0)
+    args = SimpleNamespace(command=argv[0], config=None, out=None)
     given = set()
     rest = iter(argv[1:])
     for arg in rest:
@@ -561,10 +555,10 @@ def _parse_args(argv):
             setattr(args, name[2:], OPTIONS[name](value))
         except ValueError:
             raise GencoagError(f"{name} must be an integer, got {value!r}") from None
+        if OPTIONS[name] is int:  # --threads and --seed are checked as run.threads and run.seed
+            KEYS[f"run.{name[2:]}"].parse(getattr(args, name[2:]), name)
     if args.config is None:
         raise GencoagError("option --config is required")
-    if args.seed < 0:  # no command reads the seed; its checks stay until the flag goes
-        raise GencoagError(f"--seed must be >= 0, got {args.seed}")
     return args
 
 

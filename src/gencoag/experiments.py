@@ -75,8 +75,6 @@ class SweepConfig(NamedTuple):
         for name, values in (("eps_list", self.eps_list), ("n_list", self.n_list)):
             if len(set(values)) < len(values):  # a run compared with itself reads 0
                 raise ConfigError(f"{name} repeats a value: {list(values)}")
-        if not self.horizon > 0.0:  # at 0 every distance and closure reads 0
-            raise ConfigError("horizon must be > 0")
         return self
 
 
@@ -263,8 +261,8 @@ def sce_constant_kernel_solution(mu, t, rate: float = 1.0):
 
 
 def _mass_snapshots(config: SweepConfig) -> tuple:
-    """Snapshot times of the mass report: eight up to the horizon."""
-    return tuple(config.horizon * k / 8.0 for k in range(1, 9))
+    """Eight snapshot times up to the horizon: horizon * k / 8 bit for bit, k / 8 being exact."""
+    return tuple(config.horizon * (k / 8.0) for k in range(1, 9))
 
 
 def require_closed_forms(config: SweepConfig):

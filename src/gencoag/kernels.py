@@ -20,6 +20,7 @@ kept only for the benchmark probe.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -406,9 +407,9 @@ _FAMILIES = {
 
 
 def config_number(value, key):
-    """``value`` as a finite float >= 0; NaN, inf, a negative, a boolean or a
-    non-number is a ConfigError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value < np.inf:
+    """``value`` as a finite float >= 0; NaN, inf, an integer beyond a double's range,
+    a negative, a boolean or a non-number is a ConfigError that names ``key``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= sys.float_info.max:
         return float(value)
     raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
 
@@ -429,10 +430,10 @@ def kernel_from_config(cfg: dict) -> Kernel:
             cfg[key] = config_number(cfg[key], key)
     pinned = cfg.pop("k", None) if family != "singular_product" else None
     if family == "user_tabulated":
-        if cfg.get("path") is None:
-            raise ConfigError("user_tabulated kernel needs 'path' to a CSV table")
+        if not isinstance(cfg.get("path"), str):  # open() would read an integer as a file descriptor
+            raise ConfigError(f"user_tabulated kernel needs 'path' to a CSV table, got {cfg.get('path')!r}")
         build = TabulatedKernel.from_csv
-    elif family in _FAMILIES:
+    elif isinstance(family, str) and family in _FAMILIES:
         build = _FAMILIES[family]
     else:
         raise ConfigError(f"unknown kernel family {family!r}")

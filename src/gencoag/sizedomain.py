@@ -44,6 +44,10 @@ QUAD_WEIGHTS.setflags(write=False)
 #: values and three temporaries (tracemalloc: 392 for exponential, 512 for singular_power data).
 QUAD_BYTES_PER_CELL = 5 * 8 * QUAD_NODES.size
 
+#: The grid parameter n lies below this, so that the fourth power of a size (a bump test
+#: function's (b - a)^4) is a finite double.
+N_MAX = float(np.finfo(float).max) ** 0.25
+
 #: Rows that ``write_csv`` formats at once.
 CSV_CHUNK_ROWS = 256
 
@@ -66,7 +70,7 @@ class SizeGrid:
     Parameters
     ----------
     n : float
-        Truncation parameter; the domain is (1/n, n).
+        Truncation parameter; the domain is (1/n, n), and n < ``N_MAX``.
     cells_per_decade : int
         Resolution; the cell count is round(2 * cells_per_decade * log10(n))
         and must be at least 2.  A grid whose arrays would outgrow physical
@@ -74,22 +78,23 @@ class SizeGrid:
     """
 
     def __init__(self, n, cells_per_decade):
-        if not (1.0 < n < np.inf):
-            raise DomainError("grid parameter n must be finite and exceed 1")
+        if not (1.0 < n < N_MAX):
+            raise DomainError(f"grid parameter n must exceed 1 and lie below {N_MAX:.4g}, got {n!r}")
         if not (float(cells_per_decade).is_integer() and cells_per_decade >= 4):
             raise DomainError(f"cells_per_decade must be an integer >= 4, got {cells_per_decade!r}")
         cells_per_decade = int(cells_per_decade)
         self.n = float(n)
         self.cells_per_decade = cells_per_decade
-        count = round(2.0 * cells_per_decade * math.log10(n))
+        cells = 2.0 * cells_per_decade * math.log10(n)  # inf for a cells_per_decade near 1e308
+        # at most three arrays of count + 1 doubles are alive at once
+        _check_table_bytes(24 * (cells + 1), f"a grid of {cells:.0f} cells",
+                           "use fewer cells_per_decade")
+        count = round(cells)
         if count < 2:
             raise DomainError(
                 f"grid n={n}, cells_per_decade={cells_per_decade} has {count} cell(s); "
                 "at least 2 are needed"
             )
-        # at most three arrays of count + 1 doubles are alive at once
-        _check_table_bytes(24 * (count + 1), f"a grid of {count} cells",
-                           "use fewer cells_per_decade")
         edges = np.exp(np.linspace(math.log(1.0 / n), math.log(n), count + 1))
         edges[0] = 1.0 / n
         edges[-1] = n

@@ -726,7 +726,7 @@ class TestSweep:
     def test_threads_flag_below_one_exits_1(self, tmp_path, capsys, command, threads):
         cfg = write_config(tmp_path, command=command)
         assert main([command, "--config", str(cfg), "--threads", threads]) == 1
-        assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", [0, -3])
@@ -770,7 +770,7 @@ class TestSweep:
         monkeypatch.setattr(kernels.PowerSumKernel, "_suprema", lambda self: work.append(self))
         monkeypatch.chdir(tmp_path)
         assert_refused(tmp_path, capsys, command, {"output": {"directory": directory}},
-                       f"output.directory must be a string, got {directory!r}")
+                       f"directory must be a string, got {directory!r}")
         assert work == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
@@ -1197,21 +1197,119 @@ def test_check_kernel_loads_no_random_generator(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+class TestKeyTable:
+    """cli.KEYS parses every value a command reads: a bad one is one error: line, before any work."""
+
+    @pytest.mark.parametrize("section, message", [
+        ({"grid": {"n": 10**400, "cells_per_decade": 12}}, "n must be a finite number"),
+        ({"grid": {"n": 20.0, "cells_per_decade": 10**400}}, "cells_per_decade must be at most"),
+        ({"diagnostics": {"lambdas": [0.5, 10**400]}}, "lambdas must be a finite number"),
+        ({"time": {"horizon": 10**400, "snapshots": 3}}, "horizon must be a finite number"),
+        ({"time": {"horizon": 0.3, "snapshots": 10**400}}, "snapshots must be at most"),
+        ({"kernel": {"family": "singular_product", "k": 10**400, "sigma": 0.2}},
+         "k must be a finite number"),
+        ({"initial": {"profile": "monodisperse", "mu0": 10**400, "mass": 1.0}},
+         "mu0 must be a finite number"),
+        # the last snapshot time, horizon * 3 / 3, would overflow on the way
+        ({"time": {"horizon": 1e308, "snapshots": 3}},
+         "time.horizon 1e+308 * 3 snapshots overflows a double"),
+        ({"grid": {"n": 1e100, "cells_per_decade": 12}},
+         "grid parameter n must exceed 1 and lie below 1.158e+77, got 1e+100"),
+        ({"grid": {"n": 20.0, "cells_per_decade": 1e308}}, "a grid of inf cells would take inf GiB"),
+    ], ids=["grid.n", "grid.cells_per_decade", "diagnostics.lambdas", "time.horizon",
+            "time.snapshots", "kernel.k", "initial.mu0", "time.horizon=1e308", "grid.n=1e100",
+            "grid.cells_per_decade=1e308"])
+    def test_a_value_beyond_a_double_exits_1(self, tmp_path, capsys, section, message):
+        # each once ended in an OverflowError traceback, or a message that named
+        # the wrong cause; in process, an exception would fail the test itself
+        cfg = write_config(tmp_path, section)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("seed, message", [
+        (-3, "seed must be >= 0, got -3"),
+        ("abc", "seed must be an integer, got 'abc'"),
+        (2.5, "seed must be an integer, got 2.5"),
+        ([1], "seed must be an integer, got [1]"),
+    ])
+    def test_run_seed_takes_what_the_seed_flag_takes(self, tmp_path, capsys, command, seed,
+                                                     message):
+        cfg = write_config(tmp_path, {"run": {"threads": 1, "seed": seed}}, command=command)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        good = write_config(tmp_path, {"run": {"threads": 1}}, name="good.yaml", command=command)
+        assert main([command, "--config", str(good), "--seed", "-3"]) == 1
+        assert "error: --seed must be >= 0, got -3\n" in capsys.readouterr().err
+
+    def test_shipped_seed_runs(self, tmp_path):
+        assert yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text())["run"]["seed"] == 0
+        assert main(["check-kernel", "--config", str(CONFIGS / "simulate_singular.yaml"),
+                     "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("text", ["grid:\n  n: 1" + "0" * 5000 + "\n",
+                                      "time:\n  horizon: 2020-13-45\n"],
+                             ids=["5001-digit integer", "no such date"])
+    def test_a_value_yaml_cannot_build_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: YAML parse error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kernel, message", [
+        # open() would read an integer as a file descriptor
+        ({"family": "user_tabulated", "path": 0},
+         "user_tabulated kernel needs 'path' to a CSV table, got 0"),
+        ({"family": "user_tabulated", "path": ["t.csv"]},
+         "user_tabulated kernel needs 'path' to a CSV table, got ['t.csv']"),
+        ({"family": []}, "unknown kernel family []"),
+        ({"family": {"constant": 1}}, "unknown kernel family {'constant': 1}"),
+    ])
+    def test_kernel_family_and_path_must_be_names(self, tmp_path, capsys, kernel, message):
+        assert_refused(tmp_path, capsys, "check-kernel", {"kernel": kernel}, message)
+
+    def test_simulate_needs_only_the_model_and_the_kernel(self, tmp_path):
+        # every other key takes its default from the table
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({"run": {"model": "ohs"}, "kernel": {"family": "constant"},
+                                       "grid": {"cells_per_decade": 4},
+                                       "time": {"snapshots": 1}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["n"], manifest["times"]) == (50.0, [0.0, 1.0])
+
+
+def _shown(value):
+    """A default as README's table writes it: YAML flow style, integral numbers without a point."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return str(int(value)) if float(value).is_integer() else repr(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    return value
+
+
 def test_readme_config_table_is_the_key_table():
-    # README lists each section.key, the commands that read it and its default
+    # README lists each section.key, the commands that read it and its
+    # default: the first code span of its cell, or "none"
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| key | read by | default |") + 2
     rows = {}
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        key, readers, _ = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[key.strip("`")] = readers
-    union = cli.READS["check-kernel"]
-    assert set(rows) == {f"{name}.{key}" for name, keys in union.items() for key in keys or "*"}
-    for row, readers in rows.items():
-        name, key = row.split(".")
-        reading = [command for command in ["simulate", "sweep", "validate"]
-                   if name in cli.READS[command] and key in (cli.READS[command][name] or "*")]
-        every = ["simulate", "sweep", "validate"]
-        assert (every if readers == "every command" else readers.split(", ")) == reading
+        key, readers, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`").removesuffix(".*")] = readers, default
+    assert set(rows) == set(cli.KEYS)
+    for name, (readers, default) in rows.items():
+        key = cli.KEYS[name]
+        assert (list(cli.COMMANDS) if readers == "every command" else readers.split(", ")) == [
+            command for command in cli.COMMANDS if command in key.readers], name
+        shown = default.split("`")[1] if default.startswith("`") else default.split()[0].rstrip(",;:")
+        assert shown == ("none" if key.default is None else _shown(key.default)), name
