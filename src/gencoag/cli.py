@@ -91,13 +91,13 @@ class Key(NamedTuple):
     readers: tuple
 
 
-def _integer(low):
-    """An integral number from ``low`` up to a double's largest; 2.5, NaN, inf or a boolean is refused."""
+def _integer(low=None):
+    """An integral number from ``low``, if any, to a double's largest; 2.5, NaN, inf or a boolean is refused."""
     def parse(value, name):
         if isinstance(value, bool) or not isinstance(value, int) and not (
                 isinstance(value, float) and value.is_integer()):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < low:
+        if low is not None and value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
         if value > sys.float_info.max:
             raise ConfigError(f"{name} must be at most {sys.float_info.max:g}, got {value}")
@@ -111,6 +111,14 @@ def _positive(value, name):
     if number > 0.0:
         return number
     raise ConfigError(f"{name} must be > 0")
+
+
+def _fraction(value, name):
+    """A finite number in (0, 1]."""
+    number = config_number(value, name)
+    if 0.0 < number <= 1.0:
+        return number
+    raise ConfigError(f"{name} values must lie in (0, 1], got {number!r}")
 
 
 def _kind(accepts, what, why=""):
@@ -141,6 +149,21 @@ def _list_of(item):
     return parse
 
 
+def _distinct(item, empty=False):
+    """A list of ``item``s without a repeat, since a run compared with itself reads 0 and the
+    report keys results by value; an empty one is refused unless ``empty``."""
+    items = _list_of(item)
+
+    def parse(value, name):
+        values = items(value, name)
+        if not (values or empty):
+            raise ConfigError(f"{name} must not be empty")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} repeats a value: {values}")
+        return values
+    return parse
+
+
 def _optional(kind):
     """``kind``, or None: the command decides what a key without a value means."""
     return lambda value, name: None if value is None else kind(value, name)
@@ -165,7 +188,7 @@ KEYS = {
     # read whole, and checked per family by kernel_from_config
     "kernel": Key(_kind(lambda v: isinstance(v, dict), "a family and its parameters"), None, EVERY),
     "grid.n": Key(config_number, 50.0, SOLVE),
-    "grid.cells_per_decade": Key(_integer(4), 32, SOLVE),
+    "grid.cells_per_decade": Key(_integer(), 32, SOLVE),  # its range: sizedomain.SizeGrid
     "initial.profile": Key(_one_of(*PROFILE_KEYS), "exponential", SOLVE),
     "initial.a": Key(config_number, 0.0, SOLVE),
     "initial.mu0": Key(config_number, 1.0, SOLVE),
@@ -176,13 +199,14 @@ KEYS = {
     "time.snapshots": Key(_integer(1), 8, ("simulate",)),
     "diagnostics.gauges": _only("diagnostics", True, ("simulate",),
                                 "every run checks the gauge bounds"),
-    "diagnostics.omegas": Key(_list_of(_string), ["one", "mass"], ("simulate",)),
+    "diagnostics.omegas": Key(_distinct(_string, empty=True), ["one", "mass"], ("simulate",)),
     "diagnostics.lambdas": Key(_list_of(config_number), [0.25, 0.5, 1.0], ("simulate",)),
     "diagnostics.inject_mass_violation": Key(_boolean, False, ("simulate",)),
     "sweep.eps_sweep": Key(_boolean, True, ("sweep",)),
     "sweep.n_sweep": Key(_boolean, False, ("sweep",)),
-    "sweep.eps_list": Key(_list_of(config_number), exp.DEFAULT_EPS_LIST, ("sweep",)),
-    "sweep.n_list": Key(_optional(_list_of(config_number)), None, ("sweep",)),  # none: [grid.n]
+    "sweep.eps_list": Key(_distinct(_fraction), exp.DEFAULT_EPS_LIST, ("sweep",)),
+    # none: [grid.n]; each n's range is sizedomain.SizeGrid's
+    "sweep.n_list": Key(_optional(_distinct(config_number)), None, ("sweep",)),
     "output.directory": Key(_string, "out", EVERY),  # --out overrides it
 }
 
@@ -314,8 +338,6 @@ def _dump_json(payload, path):
 def cmd_simulate(args):
     cfg, values, out = _load(args)
     model, eps = values["run.model"], values["run.eps"]
-    if model == "generalized" and eps is None:
-        raise GencoagError("[run] eps is required when model = generalized")
     if model != "generalized" and eps is not None:  # it would be reported but not run
         raise ConfigError("[run] eps is read only when model = generalized; "
                           f"model {model} computes its own eps")
@@ -324,14 +346,13 @@ def cmd_simulate(args):
     grid = make_grid(values["grid.n"], values["grid.cells_per_decade"])
     initial = sample_initial(build_profile(cfg, kernel.sigma), grid)
     horizon = values["time.horizon"]
+    # scheme_bytes refuses a generalized run without eps
     snaps = _snapshot_times(values["time.snapshots"], horizon, grid.size,
                             scheme_bytes(grid, model, kernel, eps))
     # diagnostics settings are checked here so that a bad one fails before the solve
     names = values["diagnostics.omegas"]
     omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
                         (len(names), grid.size))
-    if len(set(names)) < len(names):  # the report keys the residuals by name
-        raise ConfigError(f"omegas repeats a value: {names}")
     lams = _flux_thresholds(values["diagnostics.lambdas"], grid)
     # a kernel outside the paper's class fails the bound checks whatever the
     # solve gives, so it is refused before the solve, as check-kernel fails it
@@ -363,7 +384,7 @@ def cmd_simulate(args):
     report = diag.DiagnosticsReport(
         model=model, eps=eps, sigma=kernel.sigma, moments=moments, verdicts=verdicts,
         weak_residuals=weak_residuals, flux_identities=flux,
-        tail_fluxes=diag.tail_flux_decay(traj, [grid.n / 4.0, grid.n / 2.0, grid.n], kernel),
+        tail_fluxes=diag.tail_flux_decay(traj, lams, kernel),
         ledger=ledger,
     )
 
@@ -396,7 +417,7 @@ def _sweep_config(cfg):
         cells_per_decade=read(cfg, "grid.cells_per_decade"),
         profile=build_profile(cfg, kernel.sigma),
         horizon=read(cfg, "time.horizon"),
-    ).validate()
+    )
 
 
 def cmd_sweep(args):
@@ -429,7 +450,7 @@ def cmd_sweep(args):
     _publish(args, out)
     for name, table in tables.items():
         table.write_csv(out / name)
-    _dump_json(_plain(summary), out / "summary.json")
+    _dump_json(summary, out / "summary.json")
     print(("PASS" if summary["passed"] else "FAIL") + "  sweep")
     return EXIT_OK if summary["passed"] else EXIT_BOUND_FAIL
 
@@ -495,7 +516,7 @@ def cmd_validate(args):
     }
     ok = all(r["passed"] for r in results.values())
     _publish(args, out)
-    _dump_json(_plain({**results, "passed": ok}), out / "validate.json")
+    _dump_json({**results, "passed": ok}, out / "validate.json")
     for name, r in results.items():
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {name}")
     return EXIT_OK if ok else EXIT_BOUND_FAIL
@@ -507,19 +528,6 @@ def _solved(members, model, eps):
     if failure is not None:
         raise GencoagError(failure["message"])
     return traj
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep, "check-kernel": cmd_check_kernel,

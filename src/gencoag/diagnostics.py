@@ -149,12 +149,12 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
 
     The right-hand side evaluates the model's operator once on each snapshot
     and accumulates sum_i omega(x_i) Q_i dx_i by the trapezoidal rule.
-    ``omega`` is a callable, its samples at the cell centers, or a stack of
-    samples with one test function per row; a stack gives one row of
+    ``omega`` is a test function's samples at the cell centers, or a stack
+    of samples with one test function per row; a stack gives one row of
     residuals per test function.
     """
     grid = traj.grid
-    om = omega(grid.centers) if callable(omega) else np.asarray(omega, dtype=float)
+    om = np.asarray(omega, dtype=float)
     stack = np.atleast_2d(om)
     if stack.shape[1:] != grid.centers.shape:
         raise ConfigError("omega must be sampled on the grid")

@@ -24,11 +24,10 @@ class GaugeConstructionError(GencoagError, RuntimeError):
 class StiffnessError(GencoagError, RuntimeError):
     """Time stepper exhausted its shrink budget.
 
-    Carries the state at failure so the caller can inspect what went wrong.
+    Carries the time and the last step tried at failure, which a sweep records.
     """
 
-    def __init__(self, message, time=None, dt=None, min_cell=None):
+    def __init__(self, message, time=None, dt=None):
         super().__init__(message)
         self.time = time
         self.dt = dt
-        self.min_cell = min_cell

@@ -65,18 +65,6 @@ class SweepConfig(NamedTuple):
     profile: object = ExponentialProfile()  # stateless, so one instance serves every config
     horizon: float = 1.0
 
-    def validate(self):
-        if not (self.eps_list and self.n_list):
-            raise ConfigError("eps_list and n_list must not be empty")
-        if any(not (0.0 < e <= 1.0) for e in self.eps_list):
-            raise ConfigError("eps values must lie in (0, 1]")
-        if any(n <= 1.0 for n in self.n_list):
-            raise ConfigError("n values must exceed 1")
-        for name, values in (("eps_list", self.eps_list), ("n_list", self.n_list)):
-            if len(set(values)) < len(values):  # a run compared with itself reads 0
-                raise ConfigError(f"{name} repeats a value: {list(values)}")
-        return self
-
 
 class DistanceTable:
     """Rows (eps, n, time, distance) plus failed member markers."""
@@ -120,21 +108,18 @@ class MemberTable:
 
     A member is (computed eps, n): runs on n's grid whose model and eps
     compute the same eps (:func:`~gencoag.operators.computed_eps`) are one
-    run.  Each grid and its data are built once; each run stops at every one
-    of ``stops`` (increasing; the horizon by default) and ends at the last.
+    run.  ``grids`` maps each n of the config to its (grid, initial data),
+    all built here, so a grid :class:`~gencoag.sizedomain.SizeGrid` refuses
+    is refused before any solve.  Each run stops at every one of ``stops``
+    (increasing; the horizon by default) and ends at the last.
     """
 
     def __init__(self, config: SweepConfig, stops=None):
-        self.config = config.validate()
+        self.config = config
         self.stops = tuple(stops or (config.horizon,))
-        self._grids, self._runs = {}, {}
-
-    def grid(self, n: float) -> tuple:
-        """(grid, initial data) of n."""
-        if n not in self._grids:
-            grid = make_grid(n, self.config.cells_per_decade)
-            self._grids[n] = grid, sample_initial(self.config.profile, grid)
-        return self._grids[n]
+        grids = [make_grid(n, config.cells_per_decade) for n in config.n_list]
+        self.grids = {grid.n: (grid, sample_initial(config.profile, grid)) for grid in grids}
+        self._runs = {}
 
     def run(self, model: str, eps: float | None, n: float) -> tuple:
         """(traj, failure) of ``model`` at ``eps`` on n's grid.
@@ -142,7 +127,7 @@ class MemberTable:
         ``failure`` is None or {type, message, time, dt}.  ``traj`` is None if
         the solve failed; a run above the weighted-moment bound keeps it.
         """
-        grid, initial = self.grid(n)
+        grid, initial = self.grids[n]
         key = (computed_eps(model, eps, grid.ratio()), n)
         if key not in self._runs:
             self._runs[key] = self._solve(model, eps, grid, initial)
@@ -183,7 +168,7 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
     table = DistanceTable()
     sigma = config.kernel.sigma
     for n in config.n_list:
-        grid, _ = members.grid(n)
+        grid, _ = members.grids[n]
         ref, failure = members.run("ohs", None, n)
         if ref is None:
             raise GencoagError(failure["message"])
@@ -274,9 +259,14 @@ def require_closed_forms(config: SweepConfig):
 def validate_members(config: SweepConfig) -> MemberTable:
     """The table every check of ``validate`` reads: runs on the first grid
     to max(horizon, 2), stopping at the mass report's snapshots and at
-    ``CLOSED_FORM_TIMES``."""
+    ``CLOSED_FORM_TIMES``.  A mass report threshold outside the first grid is refused here,
+    before any solve."""
     require_closed_forms(config)
-    return MemberTable(config, sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES}))
+    members = MemberTable(config, sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES}))
+    grid, _ = members.grids[config.n_list[0]]
+    for frac in MASS_LAMBDA_FRACTIONS:
+        diagnostics._snap_to_edge(grid, frac * grid.n)
+    return members
 
 
 def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:

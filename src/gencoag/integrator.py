@@ -127,7 +127,6 @@ def _advance(f, density, first, dt, norm):
         f"step rejected {rejections} times from dt={dt:g} at t={density.time:g}",
         time=density.time,
         dt=tried,
-        min_cell=float(new.min(initial=0.0)),
     )
 
 

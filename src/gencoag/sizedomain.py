@@ -80,7 +80,7 @@ class SizeGrid:
     def __init__(self, n, cells_per_decade):
         if not (1.0 < n < N_MAX):
             raise DomainError(f"grid parameter n must exceed 1 and lie below {N_MAX:.4g}, got {n!r}")
-        if not (float(cells_per_decade).is_integer() and cells_per_decade >= 4):
+        if not (cells_per_decade >= 4 and float(cells_per_decade).is_integer()):
             raise DomainError(f"cells_per_decade must be an integer >= 4, got {cells_per_decade!r}")
         cells_per_decade = int(cells_per_decade)
         self.n = float(n)

@@ -197,9 +197,10 @@ class TestSimulate:
     def test_missing_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
 
-    def test_missing_eps_for_generalized(self, tmp_path):
-        cfg = write_config(tmp_path, {"run": {"model": "generalized", "eps": None}})
-        assert main(["simulate", "--config", str(cfg)]) == 1
+    def test_missing_eps_for_generalized(self, tmp_path, capsys):
+        # operators.computed_eps states the rule; the pair scheme's size check reaches it
+        assert_refused(tmp_path, capsys, "simulate", {"run": {"model": "generalized", "eps": None}},
+                       "generalized model requires eps")
 
     @pytest.mark.parametrize("section", [
         {"grid": {"n": float("nan"), "cells_per_decade": 12}},
@@ -430,6 +431,22 @@ class TestSimulate:
         grid = make_grid(20.0, 12)
         assert edges == [grid.edges[diagnostics._snap_to_edge(grid, lam)] for lam in (5, 10, 20)]
         assert edges[:2] != [5.0, 10.0]
+
+    def test_tail_fluxes_are_read_at_the_configured_lambdas(self, tmp_path):
+        # one entry per lambdas edge, not one at each of n/4, n/2 and n
+        fracs = (0.125, 0.375, 0.75)
+        cfg = write_config(tmp_path, {"diagnostics": {"lambdas": list(fracs)}})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        grid = make_grid(20.0, 12)
+        edges = [grid.edges[diagnostics._snap_to_edge(grid, frac * 20.0)] for frac in fracs]
+        assert [entry["lambda"] for entry in report["tail_fluxes"]] == edges
+        assert all(entry["total"] > 0.0 for entry in report["tail_fluxes"])
+
+    def test_repeated_omega_exits_1_with_its_values(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys, "simulate",
+                       {"diagnostics": {"omegas": ["one", "one", "mass"]}},
+                       "omegas repeats a value: ['one', 'one', 'mass']")
 
     def test_idempotent_rerun(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -753,8 +770,8 @@ class TestSweep:
         ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
         ({"sweep": {"eps_list": [0.5, "abc"]}}, "eps_list must be a finite number"),
         ({"sweep": {"n_list": ["x"]}}, "n_list must be a finite number"),
-        ({"sweep": {"eps_list": []}}, "eps_list and n_list must not be empty"),
-        ({"sweep": {"n_list": []}}, "eps_list and n_list must not be empty"),
+        ({"sweep": {"eps_list": []}}, "eps_list must not be empty"),
+        ({"sweep": {"n_list": []}}, "n_list must not be empty"),
         ({"sweep": {"eps_list": [True]}}, "eps_list must be a finite number"),
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
@@ -802,12 +819,39 @@ class TestSweep:
         ({"n_sweep": True, "n_list": [30.0, 30.0]}, "n_list repeats a value: [30.0, 30.0]"),
         ({"n_sweep": True, "n_list": [50.0, 20.0, 10.0]},
          "n_sweep needs n_list in increasing order, got [50.0, 20.0, 10.0]"),
+        ({"eps_list": [0.5, 1.5]}, "eps_list values must lie in (0, 1], got 1.5"),
+        ({"eps_list": [0.5, 0.0]}, "eps_list values must lie in (0, 1], got 0.0"),
     ])
     def test_refused_sweep_runs_no_solve(self, tmp_path, capsys, monkeypatch, sweep, message):
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
         assert_refused(tmp_path, capsys, "sweep",
                        {"sweep": {"eps_list": [1.0, 0.5], **sweep}}, message)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid, n_list, got", [
+        ({"n": 20.0, "cells_per_decade": 256}, [100.0, 1.0e+100],
+         "grid parameter n must exceed 1 and lie below 1.158e+77, got 1e+100"),
+        ({"n": 20.0, "cells_per_decade": 256}, [100.0, 0.5],
+         "grid parameter n must exceed 1 and lie below 1.158e+77, got 0.5"),
+        ({"n": 20.0, "cells_per_decade": 3}, [10.0, 20.0],
+         "cells_per_decade must be an integer >= 4, got 3"),
+    ])
+    def test_a_refused_grid_fails_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
+                                                         grid, n_list, got):
+        # every member's grid is built before any solve: a bad later n once
+        # failed only after each member on the grids before it had solved
+        calls = []
+        evolve = experiments.evolve
+        monkeypatch.setattr(experiments, "evolve",
+                            lambda *a, **k: calls.append(a) or evolve(*a, **k))
+        cfg = write_config(tmp_path, {"grid": grid,
+                                      "sweep": {"eps_list": [1.0, 0.5], "n_list": n_list}},
+                           command="sweep")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {got}\n"
+        assert not (tmp_path / "out").exists()
         assert calls == []
 
     @pytest.mark.parametrize("command, run, key", [
@@ -918,6 +962,25 @@ class TestValidate:
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "validate", section, message)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"n": 1.0e+100, "cells_per_decade": 12},
+         "grid parameter n must exceed 1 and lie below 1.158e+77, got 1e+100"),
+        ({"n": 0.5, "cells_per_decade": 12},
+         "grid parameter n must exceed 1 and lie below 1.158e+77, got 0.5"),
+        ({"n": 20.0, "cells_per_decade": 3}, "cells_per_decade must be an integer >= 4, got 3"),
+        # the mass report's lowest threshold, n / 8, lies below 1/n
+        ({"n": 2.0, "cells_per_decade": 12}, "lambda=0.25 outside the domain (1/n, n]"),
+    ])
+    def test_a_refused_grid_fails_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
+                                                         grid, message):
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path, {"grid": grid}, command="validate")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_refused_run_leaves_no_output(self, tmp_path, capsys):
         path = write_config(tmp_path, {"kernel": {"family": "singular_product", "k": 1.0,

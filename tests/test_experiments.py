@@ -167,8 +167,8 @@ class TestMemberTable:
         assert members.run("generalized", 1.0, 20.0)[0] is sce
         assert calls == [("ohs", None), ("sce", None)]
         # each grid and its initial data are built once, and every run starts there
-        grid, initial = members.grid(20.0)
-        assert members.grid(20.0)[0] is grid and sce.grid is grid
+        grid, initial = members.grids[20.0]
+        assert sce.grid is grid
         assert np.array_equal(sce.values[0], initial.values)
 
     @pytest.mark.parametrize("eps_study", [True, False], ids=["after_eps_study", "alone"])
@@ -211,11 +211,6 @@ class TestMemberTable:
 
 
 class TestEpsSweep:
-    def test_empty_eps_list(self):
-        # an empty list would sweep nothing and report a vacuous pass
-        with pytest.raises(ConfigError, match="must not be empty"):
-            run_eps_sweep(MemberTable(small_config(eps_list=())))
-
     def test_eps_one_row_matches_direct_sce(self):
         # same step sequence: the operator identity carries through the
         # integrator, so the end states agree to rounding
@@ -246,7 +241,7 @@ class TestEpsSweep:
         assert config.n_list == (50.0,) and config.cells_per_decade == 32
         assert config.kernel.family == "singular_product" and config.kernel.sigma == 0.2
         members = MemberTable(config)
-        grid, initial = members.grid(50.0)
+        grid, initial = members.grids[50.0]
         ohs = members.run("ohs", None, 50.0)[0]
         assert members.run("generalized", 2.0**-5, 50.0)[0] is ohs
         member = run_model("generalized", config.kernel, grid, initial, members.stops[-1],
