@@ -46,7 +46,9 @@ pair (m, m - d) is x_m (1 + eps r^-d), so its deposit offset and two-point
 weight depend on the lag d only (:class:`LagScheme`).  Births become a few
 direct convolutions, one pair per group of lags sharing a nonzero offset;
 the offset-0 moves and the deaths become prefix and suffix sums.  Products
-landing at the top of the grid form a band that is handled pair by pair.
+landing at or above the last center form a band of at most N (max o_d + 1)
+pairs, handled pair by pair: each splits its product between the top cell
+and n, moves the top cell's big partner to n, or sends its product past n.
 Memory is O(N * (largest offset + rank)); a scheme whose band and per-cell
 arrays would outgrow physical memory is refused with a :class:`ConfigError`
 before the band is allocated.  The dense pair table over all N(N+1)/2
@@ -66,8 +68,9 @@ def _scheme_bytes(pairs, rank, cells):
     """Bytes that building a :class:`LagScheme` and one ``rhs`` call hold at peak, at most.
 
     Per band pair the build makes four index arrays, the ``rank`` gathers
-    each of f and g, the kernel, and _PairSet's seven 8-byte arrays and
-    three masks; the band arrays of ``rhs`` fit in what the build frees.
+    each of f and g, the kernel, the product and its two terms, the three
+    band arrays (rate, share, leave) and the temporaries that make them,
+    and three masks; the band arrays of ``rhs`` fit in what the build frees.
     Per cell the build keeps f, g and the gaps and makes about a dozen lag
     arrays, and ``rhs`` adds about seven arrays of ``rank`` rows (u, v, x v,
     the prefix and suffix sums and their products).
@@ -76,85 +79,26 @@ def _scheme_bytes(pairs, rank, cells):
 
 
 def _lag_band(grid: SizeGrid, eps: float):
-    """Per lag d of the :class:`LagScheme` at ``eps``: y, q_d, o_d and the band's pair count.
+    """Per lag d of the :class:`LagScheme` at ``eps``: y, q_d, o_d and the band's first big cell.
 
     The product of the pair (m, m - d) sits at x_m q_d, in the bracket
     [y[o_d], y[o_d + 1]) of the center ratios y = x / x_0: o_d is its
     deposit offset.  q_d decreases with d, so each offset covers one run of
-    lags.  The band holds the pairs of lag d with m + o_d >= N - 2.
+    lags.  The band holds the pairs whose product lands at or above the
+    last center, m + o_d >= N - 1: those of lag d with m >= max(d, N - 1 - o_d).
     """
     x = grid.centers
     y = x / x[0]
     q = 1.0 + eps * (x[0] / x)
     offset = np.searchsorted(y, q, side="right") - 1
-    return y, q, offset, grid.size - np.maximum(np.arange(grid.size), grid.size - 2 - offset)
+    return y, q, offset, np.maximum(np.arange(grid.size), grid.size - 1 - offset)
 
 
 def scheme_bytes(grid: SizeGrid, model: str, kernel: Kernel, eps=None) -> int:
     """:func:`_scheme_bytes` of the scheme ``make_rhs(model, kernel, eps)`` builds on ``grid``."""
-    pairs = int(_lag_band(grid, computed_eps(model, eps))[3].sum())
+    pairs = int((grid.size - _lag_band(grid, computed_eps(model, eps))[3]).sum())
     rank = len(kernel.factors(grid.centers[:1]))  # the factor count does not depend on x
     return _scheme_bytes(pairs, rank, grid.size)
-
-
-def _deposit_targets(pivots, p):
-    """Bracketing pivot index, linear weight, and overflow mask for births at p.
-
-    Weight w goes to pivot a, (1-w) to pivot a+1, with w*x_a + (1-w)*x_{a+1}
-    = p, so number and mass of the deposit are both exact.  Products above
-    the last pivot overflow (mass routed to the boundary ledger).
-    """
-    overflow = p > pivots[-1]
-    a = np.searchsorted(pivots, p, side="right") - 1
-    a = np.clip(a, 0, pivots.size - 2)
-    w = (pivots[a + 1] - p) / (pivots[a + 1] - pivots[a])
-    w = np.where(overflow, 0.0, np.clip(w, 0.0, 1.0))
-    return a, w, overflow
-
-
-class _PairSet:
-    """Ordered pairs (big m >= small j) and where their collisions send the partners.
-
-    Per unit zd_m zd_j, the small partner dies at ``kill`` (Lambda, halved
-    on the diagonal, which carries the symmetric double integral once), and
-    the big one leaves cell m at ``rate`` for the pivots (the centers and n)
-    a, share w, and a + 1, share 1 - w.  An offset-0 pair moves it to the
-    next pivot, a = m and w = 0, at kill x_j / gap_m.  Any other pair
-    deposits the product p = x_m + eps x_j at kill / eps, or, for p > n,
-    sends its mass into the boundary ledger.
-    """
-
-    def __init__(self, grid, K, m_idx, j_idx, eps):
-        self.m_idx = m_idx
-        self.j_idx = j_idx
-        self.n = grid.n
-        x = grid.centers
-        pivots = np.append(x, grid.n)
-        p = x[m_idx] + eps * x[j_idx]
-        a, w, over = _deposit_targets(pivots, p)
-        move = (a == m_idx) & ~over
-        self.kill = np.where(m_idx == j_idx, 0.5, 1.0) * K
-        self.rate = np.empty_like(self.kill)
-        self.rate[move] = self.kill[move] * x[j_idx[move]] / np.diff(pivots)[m_idx[move]]
-        self.rate[~move] = self.kill[~move] / eps
-        w[move] = 0.0
-        self.over = over
-        self.a = a[~over]
-        self.w = w[~over]
-        self.p_over = p[over]
-
-    def transfer(self, zd):
-        """Births and big-partner losses per cell, and the mass outflux rate."""
-        size = zd.size
-        big = self.rate * zd[self.m_idx] * zd[self.j_idx]
-        ev = big[~self.over]
-        births = np.bincount(self.a, weights=ev * self.w, minlength=size + 1)
-        # an empty self.a (every product overflows) gives an integer count
-        births = births.astype(float, copy=False)
-        births += np.bincount(self.a + 1, weights=ev * (1.0 - self.w), minlength=size + 1)
-        outflux = self.n * births[size] + np.sum(big[self.over] * self.p_over)
-        losses = np.bincount(self.m_idx, weights=big, minlength=size)
-        return births[:size], losses, float(outflux)
 
 
 class LagScheme:
@@ -183,11 +127,18 @@ class LagScheme:
     * the offset-0 lags d >= d0 move the big partner on to cell m + 1 at
       u_r[m] prefix(x v_r)[m - d0] / gap_m, the self-pair at half weight;
     * the small partners die at v_r (suffix(u_r) - u_r / 2);
-    * pairs whose product lands at or above the second-to-last cell form a
-      band of at most N (max o_d + 2) pairs that is handled pair by pair and
-      carries the whole outflux.
+    * pairs whose product lands at or above the last center form a band of
+      at most N (max o_d + 1) pairs that is handled pair by pair and
+      carries the whole outflux.  Per unit zd_m zd_j a band pair's big
+      partner leaves cell m at ``rate``; ``share`` of each event lands in
+      the top cell, and ``leave`` is the mass it sends out at n.  A pair of
+      a smaller big partner splits its product p <= n between the top cell
+      and n at Lambda / eps; a top-cell pair with p <= n moves its big
+      partner to n at Lambda x_j / (n - x_{N-1}); any pair with p > n sends
+      its product past n at Lambda / eps.
 
-    At eps = 0 every lag has offset 0, and the scheme is O(N) in work.
+    At eps = 0 every lag has offset 0, the band holds the N pairs of the top
+    cell, and the scheme is O(N) in work.
     """
 
     def __init__(self, grid: SizeGrid, factors, eps: float):
@@ -201,24 +152,24 @@ class LagScheme:
         self.support = [(int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
                         for nz in map(np.flatnonzero, self.g)]
 
-        y, q, offset, count = _lag_band(grid, eps)
+        y, q, offset, start = _lag_band(grid, eps)
+        count = size - start
         _check_table_bytes(_scheme_bytes(int(count.sum()), self.f.shape[0], size),
                            "the pair scheme", "use fewer cells")
         lags = np.arange(size)
-        start = size - count
 
-        # Lags [lo, hi) share offset o; pairs with m < top = size - 2 - o
-        # land strictly below the band.  The offset never increases with the
-        # lag, so its runs, taken last to first, come in increasing o.  The
-        # offset-0 lags, the last run, move their big partners on; (0, 0)
-        # when there are none.
+        # Lags [lo, hi) share offset o; the pairs with m < top = N - 1 - o
+        # land below the last center.  top is start[lo], or lo when the whole
+        # run lies in the band.  The offset never increases with the lag, so
+        # its runs, taken last to first, come in increasing o.  The offset-0
+        # lags, the last run, move their big partners on; (0, 0) when there
+        # are none.
         self.groups = []
         self.moves = (0, 0)
         cuts = (np.flatnonzero(np.diff(offset)) + 1).tolist()
         for lo, hi in zip([0, *cuts][::-1], [*cuts, size][::-1]):
-            o = int(offset[lo])
-            top = size - 2 - o
-            if lo >= top:
+            o, top = int(offset[lo]), int(start[lo])
+            if lo == top:
                 continue
             if o == 0:
                 self.moves = (lo, top)
@@ -228,17 +179,31 @@ class LagScheme:
             self.groups.append((o, lo, top, w * rate, (1.0 - w) * rate))
 
         within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        m_idx = np.repeat(start, count) + within
-        j_idx = m_idx - np.repeat(lags, count)
-        K = np.einsum("rp,rp->p", self.f[:, m_idx], self.g[:, j_idx])
-        self.band = _PairSet(grid, K, m_idx, j_idx, eps)
+        self.m_idx = np.repeat(start, count) + within
+        self.j_idx = self.m_idx - np.repeat(lags, count)
+        K = np.einsum("rp,rp->p", self.f[:, self.m_idx], self.g[:, self.j_idx])
+        K *= np.where(self.m_idx == self.j_idx, 0.5, 1.0)
+        p = x[self.m_idx] + eps * x[self.j_idx]
+        gap = grid.n - x[-1]
+        over = p > grid.n
+        move = (self.m_idx == size - 1) & ~over
+        self.rate = np.empty_like(K)
+        self.rate[move] = K[move] * x[self.j_idx[move]] / gap
+        self.rate[~move] = K[~move] / eps
+        self.share = np.where(over | move, 0.0, np.clip((grid.n - p) / gap, 0.0, 1.0))
+        self.leave = np.where(over, p, grid.n * (1.0 - self.share))
 
     def rhs(self, values: np.ndarray):
         grid = self.grid
+        size = grid.size
         zd = values * grid.widths
         u = self.f * zd
         v = self.g * zd
-        births, outgo, outflux = self.band.transfer(zd)
+        band = self.rate * zd[self.m_idx] * zd[self.j_idx]
+        births = np.zeros(size)
+        births[-1] = np.sum(band * self.share)
+        outgo = np.bincount(self.m_idx, weights=band, minlength=size)
+        outflux = float(np.sum(band * self.leave))
         for o, lo, top, h_lo, h_hi in self.groups:
             span = top - lo
             for ur, vr, (s, e) in zip(u, v, self.support):

@@ -3,16 +3,29 @@
 import numpy as np
 
 from gencoag import ConvexGauge, DomainError, Kernel, NumberDensity, SizeGrid, testfuncs
-from gencoag.operators import _PairSet, _deposit_targets
+
+
+def deposit_targets(pivots, p):
+    """Bracketing pivot index, linear weight, and overflow mask for births at p.
+
+    Weight w goes to pivot a, (1-w) to pivot a+1, with w*x_a + (1-w)*x_{a+1}
+    = p, so number and mass of the deposit are both exact.  Products above
+    the last pivot overflow (mass routed to the boundary ledger).
+    """
+    overflow = p > pivots[-1]
+    a = np.clip(np.searchsorted(pivots, p, side="right") - 1, 0, pivots.size - 2)
+    w = (pivots[a + 1] - p) / (pivots[a + 1] - pivots[a])
+    return a, np.where(overflow, 0.0, np.clip(w, 0.0, 1.0)), overflow
 
 
 class SmoluchowskiScheme:
     """Classical Smoluchowski quadrature over the full ordered-pair square.
 
     Births carry the 1/2 symmetry factor of the convolution integral; the
-    death term is the plain collision sum.  Kept independent of the pair
-    schemes so the epsilon = 1 equivalence is a genuine cross-check of two
-    implementations, not one code path.
+    death term is the plain collision sum.  It reads the kernel through
+    ``eval``, where the package's pair scheme reads its factors, and splits
+    deposits with this module's :func:`deposit_targets`, so the epsilon = 1
+    equivalence cross-checks two implementations, not one code path.
     """
 
     def __init__(self, grid: SizeGrid, kernel: Kernel):
@@ -22,7 +35,7 @@ class SmoluchowskiScheme:
         p = (x[:, None] + x[None, :]).ravel()
         self.p = p
         # the domain end n is a virtual last pivot: its share leaves the domain
-        self.a, self.w, self.over = _deposit_targets(np.append(x, grid.n), p)
+        self.a, self.w, self.over = deposit_targets(np.append(x, grid.n), p)
         self.valid = ~self.over
 
     def rhs(self, values: np.ndarray):
@@ -45,24 +58,45 @@ class PairScheme:
     """Dense pairwise event quadrature of the generalized operator, eps in [0, 1].
 
     The quadrature of :class:`gencoag.operators.LagScheme` over all
-    N(N+1)/2 ordered pairs, with the kernel from ``eval`` instead of its
-    factors.  Each pair's bookkeeping is the band's :class:`_PairSet`; the
-    small partners' deaths, which the lag scheme takes from suffix sums, are
-    :func:`pair_deaths`.
+    N(N+1)/2 ordered pairs (big m >= small j), with the kernel from ``eval``
+    instead of its factors, and each pair's target from the pivots (the
+    centers and n) instead of its lag.  Per unit zd_m zd_j the small partner
+    dies at ``kill`` (Lambda, halved on the diagonal), and the big one
+    leaves cell m at ``rate`` for the pivots a, share w, and a + 1, share
+    1 - w.  A pair whose product p = x_m + eps x_j lands in the big
+    partner's own bracket moves it to the next pivot, a = m and w = 0, at
+    kill x_j / gap_m; any other pair deposits p at kill / eps, or, for
+    p > n, sends its mass into the boundary ledger.
     """
 
     def __init__(self, grid: SizeGrid, kernel: Kernel, eps: float):
         self.grid = grid
         x = grid.centers
-        m_idx, j_idx = np.tril_indices(grid.size)
-        K = np.asarray(kernel.eval(x[m_idx], x[j_idx]))
-        self.pairs = _PairSet(grid, K, m_idx, j_idx, eps)
+        self.m_idx, self.j_idx = np.tril_indices(grid.size)
+        pivots = np.append(x, grid.n)
+        p = x[self.m_idx] + eps * x[self.j_idx]
+        self.a, self.w, self.over = deposit_targets(pivots, p)
+        move = (self.a == self.m_idx) & ~self.over
+        K = np.asarray(kernel.eval(x[self.m_idx], x[self.j_idx]))
+        self.kill = np.where(self.m_idx == self.j_idx, 0.5, 1.0) * K
+        self.rate = np.empty_like(self.kill)
+        gap = np.diff(pivots)[self.m_idx[move]]
+        self.rate[move] = self.kill[move] * x[self.j_idx[move]] / gap
+        self.rate[~move] = self.kill[~move] / eps
+        self.w[move] = 0.0
+        self.p = p
 
     def rhs(self, values: np.ndarray):
-        zd = values * self.grid.widths
-        births, losses, outflux = self.pairs.transfer(zd)
-        outgo = losses + pair_deaths(self.pairs, zd)
-        return (births - outgo) / self.grid.widths, outflux
+        grid = self.grid
+        size = grid.size
+        zd = values * grid.widths
+        big = self.rate * zd[self.m_idx] * zd[self.j_idx]
+        ev, a, w = big[~self.over], self.a[~self.over], self.w[~self.over]
+        births = np.bincount(a, weights=ev * w, minlength=size + 1)
+        births += np.bincount(a + 1, weights=ev * (1.0 - w), minlength=size + 1)
+        outflux = grid.n * births[size] + np.sum(big[self.over] * self.p[self.over])
+        outgo = np.bincount(self.m_idx, weights=big, minlength=size) + pair_deaths(self, zd)
+        return (births[:size] - outgo) / grid.widths, float(outflux)
 
 
 def unique_lag_groups(grid: SizeGrid, eps: float):
@@ -79,7 +113,7 @@ def unique_lag_groups(grid: SizeGrid, eps: float):
     offset = np.searchsorted(y, q, side="right") - 1
     groups, moves = [], (0, 0)
     for o, lo, length in zip(*np.unique(offset, return_index=True, return_counts=True)):
-        hi, top = lo + length, size - 2 - o
+        hi, top = lo + length, size - 1 - o
         if lo >= top:
             continue
         if o == 0:
@@ -92,7 +126,7 @@ def unique_lag_groups(grid: SizeGrid, eps: float):
 
 
 def pair_deaths(pairs, zd):
-    """Small-partner deaths per cell of a :class:`_PairSet`."""
+    """Small-partner deaths per cell of a :class:`PairScheme`."""
     kill = pairs.kill * zd[pairs.m_idx] * zd[pairs.j_idx]
     return np.bincount(pairs.j_idx, weights=kill, minlength=zd.size)
 

@@ -202,12 +202,12 @@ def dense_and_lag(grid, kernel, eps, values):
     """
     dense = PairScheme(grid, kernel, eps)
     lag = lag_scheme(grid, kernel, eps)
-    pairs = dense.pairs
     zd = values * grid.widths
-    big = pairs.rate * zd[pairs.m_idx] * zd[pairs.j_idx]
-    births = np.bincount(pairs.a, weights=big[~pairs.over], minlength=grid.size)
-    births += np.bincount(pairs.a + 1, weights=big[~pairs.over], minlength=grid.size + 1)[:-1]
-    deaths = np.bincount(pairs.m_idx, weights=big, minlength=grid.size) + pair_deaths(pairs, zd)
+    big = dense.rate * zd[dense.m_idx] * zd[dense.j_idx]
+    ev, a = big[~dense.over], dense.a[~dense.over]
+    births = np.bincount(a, weights=ev, minlength=grid.size)
+    births += np.bincount(a + 1, weights=ev, minlength=grid.size + 1)[:-1]
+    deaths = np.bincount(dense.m_idx, weights=big, minlength=grid.size) + pair_deaths(dense, zd)
     return dense.rhs(values), lag.rhs(values), births + deaths
 
 
@@ -237,7 +237,7 @@ class TestLagScheme:
         (100.0, 27, 2.0**-10),
         (2.0, 10, 1.0),   # 2 x_m is a center: the diagonal product lands on the top one
         (4.0, 10, 1.0),
-        (1.6, 4, 0.5),    # two cells: every pair is in the exact band
+        (1.6, 4, 0.5),    # two cells: the band is the top cell's pairs
         (1.5, 5, 1.0),    # two cells: every product leaves the domain
     ])
     def test_sparse_data(self, family, n, cpd, eps):
@@ -254,13 +254,44 @@ class TestLagScheme:
             assert np.all(diff <= 1e-13 * max(gross.max(), 1e-300))
             assert abs(out_lag - out_dense) <= 1e-13 * out_dense
 
+    @pytest.mark.parametrize("family", [0, 1, 2])
+    @pytest.mark.parametrize("n, cpd", [(1.6, 4), (2.0, 10), (8.0, 6), (100.0, 27),
+                                        (100.0, 128)])
+    def test_band_edges_match_dense(self, family, n, cpd):
+        # at sqrt(r) - 1 the top cell's self-pair product meets n, and at
+        # r - 1 the self-pair's offset turns 1; one step to either side of
+        # each, on random data (cellwise gross rate) and sparse data (the
+        # largest gross rate, as a near-empty cell's own rate can be tiny)
+        grid = make_grid(n, cpd)
+        kernel = kernel_trio()[family]
+        rng = np.random.default_rng(97)
+        r = grid.ratio()
+        for edge in (np.sqrt(r) - 1.0, r - 1.0):
+            for eps in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+                for sparse in (False, True):
+                    values = rng.random(grid.size)
+                    if sparse:
+                        values *= rng.random(grid.size) < 0.2
+                    (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
+                        grid, kernel, eps, values)
+                    scale = gross.max() if sparse else gross
+                    assert np.all(np.abs(dz_lag - dz_dense) * grid.widths <= 1e-12 * scale)
+                    assert abs(out_lag - out_dense) <= 1e-12 * out_dense
+
     def test_band_is_linear_in_cells(self):
-        # pairs kept for the top band: at most N * (largest offset + 2)
-        grid = make_grid(100.0, 128)
-        eps = 0.25
-        scheme = lag_scheme(grid, SingularProductKernel(), eps)
-        max_offset = np.ceil(np.log1p(eps) / np.log(grid.ratio()))
-        assert scheme.band.m_idx.size <= grid.size * (max_offset + 2)
+        # lag d keeps the pairs m >= N - 1 - o_d for the top band: at most
+        # N * (largest offset + 1) pairs, and with every offset 0 (eps = 0
+        # among them) the top cell's N
+        for n, cpd in [(8.0, 6), (100.0, 27), (100.0, 128), (1000.0, 64)]:
+            grid = make_grid(n, cpd)
+            below = 0.99 * (np.sqrt(grid.ratio()) - 1.0)
+            for eps in (0.0, below, 0.05, 0.25, 1.0):
+                scheme = lag_scheme(grid, SingularProductKernel(), eps)
+                max_offset = np.floor(np.log1p(eps) / np.log(grid.ratio()))
+                assert scheme.m_idx.size <= grid.size * (max_offset + 1)
+                if max_offset == 0:
+                    assert scheme.m_idx.size == grid.size
+                    assert np.all(scheme.m_idx == grid.size - 1)
 
     @pytest.mark.parametrize("n, cpd", [(1.5, 5), (1.6, 4), (8.0, 6), (100.0, 27),
                                         (100.0, 128), (1000.0, 64)])
@@ -567,8 +598,7 @@ class TestFactoredOhs:
         for kernel in kernel_trio():
             scheme = lag_scheme(grid, kernel, 0.0)
             assert not scheme.groups
-            arrays = [a for part in (scheme, scheme.band) for a in vars(part).values()
-                      if isinstance(a, np.ndarray)]
+            arrays = [a for a in vars(scheme).values() if isinstance(a, np.ndarray)]
             assert arrays and all(a.size <= 2 * grid.size for a in arrays)
 
 
@@ -677,7 +707,7 @@ class TestDenseMemoryGuard:
     @pytest.mark.parametrize("cells_per_decade", [256, 1024])  # N = 1024, 4096
     @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
     def test_estimate_bounds_build_and_one_call(self, cells_per_decade, eps):
-        # at eps = 0 the band holds only 2N pairs and the per-cell arrays dominate
+        # at eps = 0 the band holds only N pairs and the per-cell arrays dominate
         grid = make_grid(100.0, cells_per_decade)
         values = np.random.default_rng(67).random(grid.size)
         for base in (ConstantKernel(1.0), AdditiveKernel()):
@@ -690,10 +720,10 @@ class TestDenseMemoryGuard:
             finally:
                 tracemalloc.stop()
             rank = scheme.f.shape[0]
-            assert peak <= operators._scheme_bytes(scheme.band.m_idx.size, rank, grid.size)
+            assert peak <= operators._scheme_bytes(scheme.m_idx.size, rank, grid.size)
 
     def test_factored_ohs_is_not_limited(self):
-        # at eps = 0 the band holds about 2N pairs
+        # at eps = 0 the band holds the top cell's N pairs
         grid = make_grid(10.0, 100_000)
         for kernel in memory_guard_kernels():
             dzdt, outflux = make_rhs("ohs", kernel)(NumberDensity(grid, np.zeros(grid.size)))
