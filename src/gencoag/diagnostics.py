@@ -17,7 +17,7 @@ import numpy as np
 from . import testfuncs
 from .errors import ConfigError, DomainError
 from .operators import make_rhs
-from .sizedomain import Trajectory, weight_values, weighted_norm, write_csv
+from .sizedomain import Trajectory, weight_values, write_csv
 
 THETA_SLACK = 1.0e-10
 CLOSURE_TOLERANCE = 1e-8  # of |M1 + outflux + clipped - M1(0)| / M1(0), in simulate and validate
@@ -71,15 +71,16 @@ def write_moments_csv(cols, path):
     write_csv(path, _MOMENT_COLUMNS, np.column_stack([cols[n] for n in _MOMENT_COLUMNS]))
 
 
-def theta_bound_check(traj: Trajectory, zeta_in, sigma: float) -> BoundVerdict:
+def theta_bound_check(traj: Trajectory, sigma: float) -> BoundVerdict:
     """sup_t [M_{-2s}(t) + M_1(t)] <= Theta = M_{-2s}(0) + M_1(0).
 
-    The supremum is taken over the evolved snapshots (t > 0) when any
-    exist, so the margin measures how far the evolution stays inside the
-    bound; a trajectory holding only the initial snapshot reports margin 0.
+    Theta is read from the first snapshot, the initial data.  The supremum
+    is taken over the evolved snapshots (t > 0) when any exist, so the
+    margin measures how far the evolution stays inside the bound; a
+    trajectory holding only the initial snapshot reports margin 0.
     """
-    theta = weighted_norm(zeta_in, "Y_norm", sigma)
     series = traj.moments(weight_values(traj.grid.centers, "Y_norm", sigma))
+    theta = float(series[0])
     evolved = series[1:] if len(series) > 1 else series
     attained = float(evolved.max())
     passed = attained <= theta * (1.0 + THETA_SLACK)
@@ -211,14 +212,16 @@ def _snap_to_edge(grid, lam):
     return max(1, m)
 
 
-def _edge_velocity_weights(grid, m: int, kernel) -> np.ndarray:
-    """Weights c with c @ zeta[:m-1] = ohs_velocities(zeta)[m-1], the velocity at edge m.
+def _edge_velocity(traj: Trajectory, m: int, kernel) -> np.ndarray:
+    """Per snapshot, sum_{x_j < x[m-1]} Lambda(e_m, x_j) x_j zeta_j dx_j: the velocity at edge m.
 
-    ``ohs_velocities`` is the oracle in tests/oracles.py.  Only partners with
-    center strictly below x[m-1] enter: one kernel row replaces its N x N table.
+    Lambda(e_m, x_j) = sum_r f_r(e_m) g_r(x_j) is read through the kernel factors.
     """
-    x = grid.centers[: m - 1]
-    return np.asarray(kernel.eval(grid.edges[m], x)) * x * grid.widths[: m - 1]
+    grid = traj.grid
+    f = [fr[0] for fr, _ in kernel.factors(grid.edges[m:m + 1])]
+    g = [gr[: m - 1] for _, gr in kernel.factors(grid.centers)]
+    weights = np.einsum("r,rj->j", f, g) * grid.centers[: m - 1] * grid.widths[: m - 1]
+    return np.einsum("kj,j->k", traj.values[:, : m - 1], weights)
 
 
 def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
@@ -235,6 +238,8 @@ def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
     finite-lambda flux that the limit lambda -> infinity removes.  lambda
     is snapped to the nearest grid edge; lambda = n reduces to the ledger
     closure (empty collision range, boundary term = recorded outflux).
+    ``split`` holds the collision term per snapshot, split by the small
+    partner's size: below one, and in [1, lambda); its rows are zero at n.
     """
     grid = traj.grid
     x, dx = grid.centers, grid.widths
@@ -246,49 +251,31 @@ def mass_flux_identity(traj: Trajectory, lam: float, kernel) -> dict:
     mass = np.sum(terms, axis=-1)
     del terms  # not alive with the crossing rates below: the peak stays one block
     lhs = mass - mass[0]
-    if m == grid.size:
-        # whole domain: the boundary term is exactly the outflux ledger
-        rhs = -np.asarray(traj.outflux)
-        resid = np.abs(lhs - rhs)
-        return {"lambda": lam_edge, "residual": resid, "lhs": lhs, "rhs": rhs}
-
-    v_weights = _edge_velocity_weights(grid, m, kernel)
-    flux = lam_edge * values[:, m - 1] * np.einsum("kj,j->k", values[:, : m - 1], v_weights)
-    rates = _crossing_rates(traj, m, kernel).sum(axis=1) + flux
-    rhs = -_trapezoid(traj.times, rates)
-    return {"lambda": lam_edge, "residual": np.abs(lhs - rhs), "lhs": lhs, "rhs": rhs}
-
-
-def _side_sums(rates, c) -> np.ndarray:
-    """Per row, the sums of ``rates[:, :c]`` and of ``rates[:, c:]``, neither side copied.
-
-    Column by column, each row's entries add up left to right.
-    """
-    split = np.zeros((len(rates), 2))
-    for j, column in enumerate(rates.T):
-        split[:, int(j >= c)] += column
-    return split
+    if m == grid.size:  # whole domain: the boundary term is exactly the outflux ledger
+        rhs, split = -np.asarray(traj.outflux), np.zeros((len(traj), 2))
+    else:
+        rates = _crossing_rates(traj, m, kernel)
+        c = int(np.count_nonzero(x[:m] < 1.0))  # the partners below one lead
+        split = np.stack([rates[:, :c].sum(axis=1), rates[:, c:].sum(axis=1)], axis=1)
+        flux = lam_edge * values[:, m - 1] * _edge_velocity(traj, m, kernel)
+        rhs = -_trapezoid(traj.times, split.sum(axis=1) + flux)
+    return {"lambda": lam_edge, "residual": np.abs(lhs - rhs), "lhs": lhs, "rhs": rhs,
+            "split": split}
 
 
-def tail_flux_decay(traj: Trajectory, lambdas, kernel) -> list[dict]:
+def tail_flux_decay(identities, times) -> list[dict]:
     """Time-integrated tail flux past each lambda, split by partner size.
 
+    ``identities`` are the :func:`mass_flux_identity` results of one run
+    whose snapshots lie at ``times``; each one's ``split`` is integrated.
     The split follows the small-partner decomposition: partners below size
-    one (``sigma1``) versus partners in (1, lambda) (``sigma2``).  Each lambda
-    is reported as the grid edge it snaps to; entries vanish for lambda >= n.
+    one (``sigma1``) versus partners in (1, lambda) (``sigma2``).  Entries
+    vanish at lambda = n.
     """
-    grid = traj.grid
     out = []
-    for lam in lambdas:
-        if lam >= grid.edges[-1]:
-            out.append({"lambda": float(lam), "sigma1": 0.0, "sigma2": 0.0, "total": 0.0})
-            continue
-        m = _snap_to_edge(grid, lam)
-        c = int(np.count_nonzero(grid.centers[:m] < 1.0))  # the partners below one lead
-        # the rates die with the call: no two lambdas' rates are alive at once
-        split = _side_sums(_crossing_rates(traj, m, kernel), c)
-        i1, i2 = (float(v) for v in _trapezoid(traj.times, split)[-1])
-        out.append({"lambda": float(grid.edges[m]), "sigma1": i1, "sigma2": i2, "total": i1 + i2})
+    for identity in identities:
+        i1, i2 = (float(v) for v in _trapezoid(times, identity["split"])[-1])
+        out.append({"lambda": identity["lambda"], "sigma1": i1, "sigma2": i2, "total": i1 + i2})
     return out
 
 
@@ -311,15 +298,16 @@ def equicontinuity_modulus(traj: Trajectory, omega, sigma: float, k: float,
                         {"theta": theta})
 
 
-def bound_verdicts(traj: Trajectory, initial, kernel, horizon: float, gauges):
+def bound_verdicts(traj: Trajectory, kernel, horizon: float, gauges):
     """The moment table of a run and the verdicts that decide it, the ledger closure last.
 
     They are the a-priori bounds the existence proof carries to its limit;
-    ``gauges`` is (Psi1, Psi2) of ``initial``.  Table and Theta are computed once.
+    ``gauges`` is (Psi1, Psi2) of the first snapshot, the initial data.
+    Table and Theta are computed once.
     """
     sigma, k = kernel.sigma, kernel.k
     moments = moment_table(traj, sigma, *gauges)
-    verdicts = [theta_bound_check(traj, initial, sigma), moment_monotonicity_check(moments)]
+    verdicts = [theta_bound_check(traj, sigma), moment_monotonicity_check(moments)]
     theta = verdicts[0].bound
     verdicts += [psi1_moment_check(moments["Psi1"], gauges[0], k, horizon, theta),
                  uniform_integrability_check(moments["Psi2int"], k, kernel.eta, horizon, theta)]
@@ -355,16 +343,11 @@ class DiagnosticsReport(NamedTuple):
             "sigma": self.sigma,
             "moments": {k: np.asarray(v, dtype=float) for k, v in self.moments.items()},
             "verdicts": [v.to_dict() for v in self.verdicts],
-            "weak_residuals": {
-                k: np.asarray(v, dtype=float) for k, v in self.weak_residuals.items()
-            },
-            "flux_identities": [
-                {
-                    "lambda": f["lambda"],
-                    "residual": np.asarray(f["residual"], dtype=float),
-                }
-                for f in self.flux_identities
-            ],
+            "weak_residuals": {k: np.asarray(v, dtype=float)
+                               for k, v in self.weak_residuals.items()},
+            "flux_identities": [{"lambda": f["lambda"],
+                                 "residual": np.asarray(f["residual"], dtype=float)}
+                                for f in self.flux_identities],
             "tail_fluxes": self.tail_fluxes,
             "ledger": self.ledger,
         }

@@ -145,7 +145,7 @@ class MemberTable:
             # time and dt come from a StiffnessError
             return None, {"type": type(exc).__name__, "message": str(exc),
                           "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
-        theta = diagnostics.theta_bound_check(traj, initial, kernel.sigma)
+        theta = diagnostics.theta_bound_check(traj, kernel.sigma)
         if not theta.passed:
             return traj, {"type": "MomentBoundViolation", "time": None, "dt": None,
                           "message": f"moment bound violated: {theta.attained!r} > {theta.bound!r}"}

@@ -108,7 +108,7 @@ def matrix_verdicts(example_matrix):
         kernel, initial = run["kernel"], run["initial"]
         gauges = (build_gauge_from_tail(*psi1_tail(initial)),
                   build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
-        _, verdicts = bound_verdicts(run["traj"], initial, kernel, MATRIX_T, gauges)
+        _, verdicts = bound_verdicts(run["traj"], kernel, MATRIX_T, gauges)
         out.append((f"{kernel.family}/{run['profile']}/{run['model']}", verdicts))
     return out
 

@@ -119,6 +119,22 @@ class TestSimulate:
         assert verdict["attained"] == report["ledger"]["max_closure_rel"]
         assert verdict["bound"] == diagnostics.CLOSURE_TOLERANCE
 
+    def test_one_crossing_rate_pass_per_threshold(self, tmp_path, monkeypatch):
+        # the flux identity and the tail flux read one block of crossing
+        # rates per threshold below n; at n the outflux ledger needs none
+        crossing, edges = diagnostics._crossing_rates, []
+        monkeypatch.setattr(diagnostics, "_crossing_rates",
+                            lambda traj, m, kernel: edges.append(m) or crossing(traj, m, kernel))
+        cfg = write_config(tmp_path, {"diagnostics": {"lambdas": [0.25, 0.5, 1.0]}})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        grid = make_grid(20.0, 12)
+        below = [m for m in (diagnostics._snap_to_edge(grid, f * grid.n) for f in (0.25, 0.5, 1.0))
+                 if m < grid.size]
+        assert len(below) == 2 and edges == below
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [e["lambda"] for e in report["tail_fluxes"]] == [
+            f["lambda"] for f in report["flux_identities"]]
+
     @pytest.mark.parametrize("inject", [False, True])
     def test_report_verdicts_are_the_bound_verdicts(self, tmp_path, monkeypatch, inject):
         # simulate decides by diagnostics.bound_verdicts alone: its report
@@ -131,7 +147,7 @@ class TestSimulate:
         (_, kernel, _, initial, horizon, _), traj = runs.pop()
         gauges = (build_gauge_from_tail(*psi1_tail(initial)),
                   build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
-        _, verdicts = diagnostics.bound_verdicts(traj, initial, kernel, horizon, gauges)
+        _, verdicts = diagnostics.bound_verdicts(traj, kernel, horizon, gauges)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [v["name"] for v in report["verdicts"]] == [
             "theta_moment_bound", "moment_monotonicity", "psi1_moment_bound",
@@ -151,21 +167,25 @@ class TestSimulate:
         {"time": {"horizon": 60.0, "snapshots": 8}},
         {"kernel": {"family": "singular_product", "k": 1000.0, "sigma": 0.2}},
     ], ids=["horizon60", "k1000"])
-    def test_overflowing_gronwall_bound_fails(self, tmp_path, section):
+    def test_overflowing_gronwall_bound_fails(self, tmp_path, capsys, monkeypatch, section):
         # exp(6 T k Theta) overflows a double; a bound of inf checks nothing,
         # so it fails and says why, and no RuntimeWarning is raised.  The
-        # report stays standard JSON: the bound and margin are null
+        # initial data alone shows it, so no solve runs and nothing is written
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
         cfg = {**yaml.safe_load((CONFIGS / "simulate_singular.yaml").read_text()), **section}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        report = strict_json(tmp_path / "out" / "report.json")
-        jsonschema.validate(report, schema("report.schema.json"))
-        failed = [v for v in report["verdicts"] if not v["passed"]]
-        assert "psi1_moment_bound" in [v["name"] for v in failed]
-        for v in failed:
-            assert v["bound"] is None and v["margin"] is None
-            assert "exponent overflows a double" in v["details"]["failure"]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("FAIL  psi1_moment_bound: attained ")
+        assert printed[0].endswith(" vs bound inf")
+        assert len(printed) % 2 == 0
+        for line, failure in zip(printed[::2], printed[1::2]):
+            assert line.startswith("FAIL  ") and line.endswith(" vs bound inf")
+            assert failure.startswith("      ") and "exponent overflows a double" in failure
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys, monkeypatch):
         # the table of TestCheckKernel.test_fail_exit_2: no eta exists at

@@ -21,8 +21,7 @@ from gencoag import testfuncs
 from gencoag.diagnostics import (
     DiagnosticsReport,
     _crossing_rates,
-    _edge_velocity_weights,
-    _side_sums,
+    _edge_velocity,
     _snap_to_edge,
     equicontinuity_modulus,
     mass_flux_identity,
@@ -49,6 +48,11 @@ from oracles import (
 def theta_of(density, sigma):
     """Theta, the initial weighted norm that the bound checks are given."""
     return weighted_norm(density, "Y_norm", sigma)
+
+
+def tail_fluxes(traj, lambdas, kernel):
+    """The tail fluxes of ``traj`` past ``lambdas``, from their flux identities."""
+    return tail_flux_decay([mass_flux_identity(traj, lam, kernel) for lam in lambdas], traj.times)
 
 
 def psi2_series(traj, gauge2, sigma):
@@ -212,12 +216,12 @@ class TestThetaBound:
         grid, kernel, density, traj = const_run
         single = Trajectory(grid)
         single.append(density, 0.0, 0.0)
-        v = theta_bound_check(single, density, 0.0)
+        v = theta_bound_check(single, 0.0)
         assert v.passed and v.margin == 0.0
 
     def test_run_passes_with_margin(self, const_run):
         grid, kernel, density, traj = const_run
-        v = theta_bound_check(traj, density, 0.0)
+        v = theta_bound_check(traj, 0.0)
         assert v.passed and v.margin > 0.0
 
     def test_corrupted_trajectory_fails(self, const_run):
@@ -225,7 +229,7 @@ class TestThetaBound:
         bad = Trajectory(grid)
         bad.append(density, 0.0, 0.0)
         bad.append(density.replace(values=density.values * 1.5, time=1.0), 0.0, 0.0)
-        v = theta_bound_check(bad, density, 0.0)
+        v = theta_bound_check(bad, 0.0)
         assert not v.passed and v.margin < 0.0
 
 
@@ -306,15 +310,20 @@ class TestMassFluxIdentity:
         assert np.allclose(out["residual"], expect, atol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.06, 0.5, 1.0, 10.0])
-    def test_hoisted_edge_velocity(self, const_run, lam):
-        # one kernel row per call reproduces the N x N edge-kernel velocity
-        grid, kernel, density, traj = const_run
-        m = int(np.argmin(np.abs(grid.edges - lam)))
-        weights = _edge_velocity_weights(grid, m, kernel)
-        for s in traj:
-            expect = ohs_velocities(s, kernel)[m - 1]
-            got = weights @ s.values[: m - 1]
-            assert abs(got - expect) <= 1e-14 * abs(expect)
+    def test_hoisted_edge_velocity(self, lam):
+        # the kernel factors at one edge reproduce the N x N edge-kernel velocity
+        grid = make_grid(20.0, 16)
+        nodes = np.geomspace(0.02, 30.0, 9)
+        table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
+        density = sample_initial(ExponentialProfile(), grid)
+        kernels = [ConstantKernel(1.0), SingularProductKernel(k=1.0, sigma=0.2),
+                   TabulatedKernel(nodes, table)]
+        for kernel in kernels:
+            traj = run_model("ohs", kernel, grid, density, 0.5, (0.25, 0.5))
+            m = int(np.argmin(np.abs(grid.edges - lam)))
+            for got, s in zip(_edge_velocity(traj, m, kernel), traj):
+                expect = ohs_velocities(s, kernel)[m - 1]
+                assert abs(got - expect) <= 1e-14 * abs(expect)
 
     def test_ohs_first_order_refinement(self):
         # lambda inside the support: residual is transport-discretization
@@ -348,13 +357,13 @@ class TestMassFluxIdentity:
 class TestTailFlux:
     def test_beyond_domain_zero(self, const_run):
         grid, kernel, density, traj = const_run
-        out = tail_flux_decay(traj, [grid.n, 2 * grid.n], kernel)
-        assert all(e["total"] == 0.0 for e in out)
+        out = tail_flux_decay([mass_flux_identity(traj, grid.n, kernel)], traj.times)
+        assert out[0]["lambda"] == grid.n and out[0]["total"] == 0.0
 
     def test_monotone_decrease(self, const_run):
         grid, kernel, density, traj = const_run
         lams = [2.0, 5.0, 10.0]
-        out = tail_flux_decay(traj, lams, kernel)
+        out = tail_fluxes(traj, lams, kernel)
         totals = [e["total"] for e in out]
         assert totals[0] >= totals[1] >= totals[2] >= 0.0
         for e in out:
@@ -368,7 +377,7 @@ class TestTailFlux:
         kernel = ConstantKernel(1.0)
         density = sample_initial(MonodisperseProfile(0.5, 0.05), grid)
         traj = run_model("ohs", kernel, grid, density, 0.2, (0.1, 0.2))
-        out = tail_flux_decay(traj, [10.0], kernel)
+        out = tail_fluxes(traj, [10.0], kernel)
         assert out[0]["total"] <= 1e-12
 
 
@@ -491,8 +500,9 @@ class TestSnapshotMatrix:
 
     def test_snapshot_at_a_time_forms_equal_the_block_forms_bitwise(self):
         # the crossing rates and the psi2 series work one snapshot at a time,
-        # and the tail split sums in place, so that no temporary outgrows the
-        # block; their bits are those of the expressions over whole copies
+        # and the flux identity's split sums views of the block, so that no
+        # temporary outgrows the block; their bits are those of the
+        # expressions over whole copies
         grid = make_grid(20.0, 16)
         rng = np.random.default_rng(72)
         traj = Trajectory(grid)
@@ -507,10 +517,11 @@ class TestSnapshotMatrix:
                 block = np.einsum("kr,rj->kj", np.einsum("ki,ri->kr", zd[:, m:], f), g)
                 block *= x[:m] * zd[:, :m]
                 assert _crossing_rates(traj, m, kernel).tobytes() == block.tobytes()
-                small1 = x[:m] < 1.0
-                split = np.stack([block[:, small1].sum(axis=1), block[:, ~small1].sum(axis=1)],
-                                 axis=1)
-                assert _side_sums(block, np.count_nonzero(small1)).tobytes() == split.tobytes()
+                sides = (x[:m] < 1.0, x[:m] >= 1.0)  # row-major copies of the two sides
+                split = np.stack([np.ascontiguousarray(block[:, side]).sum(axis=1)
+                                  for side in sides], axis=1)
+                got = mass_flux_identity(traj, grid.edges[m], kernel)["split"]
+                assert got.tobytes() == split.tobytes()
         gauge = build_gauge_from_tail(*psi2_tail(traj[0], 0.2))
         block = np.sum(gauge.psi(x ** -0.2 * values) * dx, axis=-1)
         assert psi2_series(traj, gauge, 0.2).tobytes() == block.tobytes()
@@ -519,7 +530,7 @@ class TestSnapshotMatrix:
         grid, kernel, density, traj = const_run
         lams = [0.5, 2.0, 5.0, 10.0]
         times = traj.times
-        for lam, entry in zip(lams, tail_flux_decay(traj, lams, kernel)):
+        for lam, entry in zip(lams, tail_fluxes(traj, lams, kernel)):
             m = _snap_to_edge(grid, lam)
             ref = crossing_loop(traj, m, kernel)
             tol = 1e-13 * ref[:, 0].max() * times[-1]
@@ -538,7 +549,7 @@ class TestSnapshotMatrix:
                          for s in traj])
         times = traj.times
         collisions = -mass_flux_identity(traj, lam, kernel)["rhs"][-1] - trapezoid_loop(times, edge)
-        total = tail_flux_decay(traj, [lam], kernel)[0]["total"]
+        total = tail_fluxes(traj, [lam], kernel)[0]["total"]
         scale = (crossing_loop(traj, m, kernel)[:, 0] + edge).max() * times[-1]
         assert abs(collisions - total) <= 1e-13 * scale
 
@@ -553,10 +564,10 @@ class TestReport:
             eps=0.5,
             sigma=0.0,
             moments=moment_table(traj, 0.0, gauge1, gauge2),
-            verdicts=[theta_bound_check(traj, density, 0.0)],
+            verdicts=[theta_bound_check(traj, 0.0)],
             weak_residuals={"one": weak_form_residual(traj, np.ones(grid.size), kernel, "generalized", 0.5)},
             flux_identities=[mass_flux_identity(traj, grid.n / 2, kernel)],
-            tail_fluxes=tail_flux_decay(traj, [grid.n / 2], kernel),
+            tail_fluxes=tail_fluxes(traj, [grid.n / 2], kernel),
             ledger={"M1_initial": 1.0, "outflux_final": 0.0, "clipped_final": 0.0,
                     "max_closure_rel": 0.0},
         )

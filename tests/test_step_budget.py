@@ -18,13 +18,13 @@ from gencoag.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (command, config, accepted-step budget); measured: 27, 33, 27, 174, 276
+# (command, config, accepted-step budget); measured: 27, 33, 27, 111, 138
 BUDGETS = {
     "simulate_fine": ("simulate", "perfbench/configs/simulate_fine.yaml", 40),
     "simulate_ohs_diag": ("simulate", "perfbench/configs/simulate_ohs_diag.yaml", 45),
     "simulate_singular": ("simulate", "configs/simulate_singular.yaml", 40),
-    "validate_constant": ("validate", "configs/validate_constant.yaml", 190),
-    "sweep_eps": ("sweep", "configs/sweep_eps.yaml", 350),
+    "validate_constant": ("validate", "configs/validate_constant.yaml", 155),
+    "sweep_eps": ("sweep", "configs/sweep_eps.yaml", 195),
 }
 
 
