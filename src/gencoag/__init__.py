@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 #: each name the package exports -> the submodule that defines it
 _SOURCE = {
-    **dict.fromkeys(("ConfigError", "DomainError", "GaugeConstructionError", "GencoagError",
-                     "InitialDataError", "StiffnessError"), "errors"),
+    **dict.fromkeys(("BoundViolation", "ConfigError", "DomainError", "GaugeConstructionError",
+                     "GencoagError", "InitialDataError", "StiffnessError"), "errors"),
     **dict.fromkeys(("AdditiveKernel", "Certificate", "ConstantKernel", "Kernel",
                      "PowerSumKernel", "SingularProductKernel", "TabulatedKernel",
                      "kernel_from_config", "truncate"), "kernels"),

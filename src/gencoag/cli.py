@@ -48,15 +48,14 @@ import yaml
 from . import diagnostics as diag
 from . import experiments as exp
 from . import testfuncs
-from .errors import ConfigError, GencoagError
+from .errors import BoundViolation, ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
-from .kernels import config_number, kernel_from_config
+from .kernels import certificate_bounds, config_number, kernel_from_config
 from .operators import scheme_bytes
 from .sizedomain import (
     ExponentialProfile,
     MonodisperseProfile,
     SingularPowerProfile,
-    Trajectory,
     _check_table_bytes,
     make_grid,
     sample_initial,
@@ -346,36 +345,26 @@ def cmd_simulate(args):
     kernel = kernel_from_config(values["kernel"])
     grid = make_grid(values["grid.n"], values["grid.cells_per_decade"])
     initial = sample_initial(build_profile(cfg, kernel.sigma), grid)
-    horizon = values["time.horizon"]
     # scheme_bytes refuses a generalized run without eps
-    snaps = _snapshot_times(values["time.snapshots"], horizon, grid.size,
+    snaps = _snapshot_times(values["time.snapshots"], values["time.horizon"], grid.size,
                             scheme_bytes(grid, model, kernel, eps))
     # diagnostics settings are checked here so that a bad one fails before the solve
     names = values["diagnostics.omegas"]
     omegas = np.reshape([_omega_from_name(name)(grid.centers) for name in names],
                         (len(names), grid.size))
     lams = _flux_thresholds(values["diagnostics.lambdas"], grid)
-    # a kernel outside the paper's class fails the bound checks whatever the
-    # solve gives, so it is refused before the solve, as check-kernel fails it
-    failed = [bound.line for bound in _certificate_bounds(kernel) if not bound.passed]
     gauges = (build_gauge_from_tail(*psi1_tail(initial)),
               build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
-    start = Trajectory(grid)  # on the initial data alone only a bound that is not finite fails
-    start.append(initial, 0.0, 0.0)
-    failed = failed or [f"{_verdict_line(v)}\n      {v.details['failure']}" for v in
-                        diag.bound_verdicts(start, kernel, horizon, gauges)[1] if not v.passed]
-    if failed:
-        print("\n".join(failed))
-        return EXIT_BOUND_FAIL
-
-    traj = exp.run_model(model, kernel, grid, initial, horizon, snaps, eps=eps)
+    exp.check_initial(kernel, initial, snaps[-1], gauges)
+    traj, moments, verdicts, failure = exp.checked_run(model, eps, kernel, initial, snaps, gauges)
+    if traj is None:
+        raise failure
     _publish(args, out)
 
     if values["diagnostics.inject_mass_violation"]:
-        # test hook: corrupt the final snapshot so bound checks must fail
+        # test hook: corrupt the final snapshot, and judge that, so bound checks must fail
         traj.replace_values(-1, traj[-1].values * 1.5)
-
-    moments, verdicts = diag.bound_verdicts(traj, kernel, horizon, gauges)
+        moments, verdicts = diag.bound_verdicts(traj, kernel, snaps[-1], gauges)
 
     weak_residuals = dict(zip(names, diag.weak_form_residual(traj, omegas, kernel, model, eps)))
 
@@ -404,12 +393,8 @@ def cmd_simulate(args):
     write_gauge_csv(gauges[1], out / "gauge_psi2.csv")
 
     for v in verdicts:
-        print(_verdict_line(v))
+        print(v.line)
     return EXIT_OK if report.all_passed() else EXIT_BOUND_FAIL
-
-
-def _verdict_line(v):
-    return f"{'PASS' if v.passed else 'FAIL'}  {v.name}: attained {v.attained:.6g} vs bound {v.bound:.6g}"
 
 
 def _sweep_config(cfg):
@@ -462,33 +447,11 @@ def cmd_sweep(args):
     return EXIT_OK if summary["passed"] else EXIT_BOUND_FAIL
 
 
-class _Bound(NamedTuple):
-    """One bound of a kernel's certificate: its constant is the worst regime's supremum."""
-
-    kind: str
-    name: str
-    regimes: tuple
-    constant: float
-    passed: bool
-    line: str
-
-
-def _certificate_bounds(kernel):
-    """The growth (k) and derivative (eta) bounds of ``kernel``, each passed when finite,
-    with the line check-kernel prints for it."""
-    for (kind, regimes), name in zip(kernel.certificate._asdict().items(), ("k", "eta")):
-        worst = max(regimes, key=lambda r: r.supremum)
-        passed = worst.supremum < np.inf
-        where = f"{worst.name} at {worst.point}" + (f" along {worst.ray} in log size" if worst.ray else "")
-        line = f"{'PASS' if passed else 'FAIL'}  {kind} bound: {name} = {worst.supremum:g}, {where}"
-        yield _Bound(kind, name, regimes, worst.supremum, passed, line)
-
-
 def cmd_check_kernel(args):
     _, values, out = _load(args)
     kernel = kernel_from_config(values["kernel"])
     payload = {"kernel_family": kernel.family, "sigma": kernel.sigma}
-    for bound in _certificate_bounds(kernel):
+    for bound in certificate_bounds(kernel):
         payload[bound.name] = bound.constant if bound.passed else None  # JSON has no infinity
         payload[bound.kind] = {"passed": bound.passed, "regimes": [
             {**r._asdict(), "supremum": r.supremum if r.supremum < np.inf else None}
@@ -530,10 +493,10 @@ def cmd_validate(args):
 
 
 def _solved(members, model, eps):
-    """The run of ``model`` at ``eps`` on the first grid; a failed run is an error."""
+    """The run of ``model`` at ``eps`` on the first grid; a failed solve or verdict raises."""
     traj, failure = members.run(model, eps, members.config.n_list[0])
     if failure is not None:
-        raise GencoagError(failure["message"])
+        raise failure
     return traj
 
 
@@ -588,6 +551,9 @@ def main(argv=None):
         return _fail(f"{exc}\n{USAGE}")
     try:
         return COMMANDS[args.command](args)
+    except BoundViolation as exc:  # raised before any file is written: its FAIL lines, exit 2
+        print(exc)
+        return EXIT_BOUND_FAIL
     except (GencoagError, OSError) as exc:
         return _fail(exc)
 

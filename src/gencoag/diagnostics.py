@@ -20,7 +20,7 @@ from .operators import make_rhs
 from .sizedomain import Trajectory, weight_values, write_csv
 
 THETA_SLACK = 1.0e-10
-CLOSURE_TOLERANCE = 1e-8  # of |M1 + outflux + clipped - M1(0)| / M1(0), in simulate and validate
+CLOSURE_TOLERANCE = 1e-8  # of |M1 + outflux + clipped - M1(0)| / M1(0), for every run
 
 
 class BoundVerdict(NamedTuple):
@@ -35,6 +35,13 @@ class BoundVerdict(NamedTuple):
     @property
     def margin(self):
         return self.bound - self.attained
+
+    @property
+    def line(self):
+        """The line a command prints for the verdict, a failure text indented on the next."""
+        line = (f"{'PASS' if self.passed else 'FAIL'}  {self.name}: "
+                f"attained {self.attained:.6g} vs bound {self.bound:.6g}")
+        return f"{line}\n      {self.details['failure']}" if "failure" in self.details else line
 
     def to_dict(self):
         return {

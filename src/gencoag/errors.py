@@ -17,6 +17,10 @@ class InitialDataError(GencoagError, ValueError):
     """Initial profile is not admissible (not in the weighted L1 space)."""
 
 
+class BoundViolation(GencoagError):
+    """A run breaks an a-priori bound; the message holds one FAIL line per broken bound."""
+
+
 class GaugeConstructionError(GencoagError, RuntimeError):
     """Tail data does not support a de la Vallee-Poussin construction."""
 

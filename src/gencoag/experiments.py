@@ -6,8 +6,11 @@ eps = 0 member of the same pair scheme on the same grid, in the weighted L1
 metric with weight mu^(-sigma) + mu, the natural topology for singular
 kernels.
 
-Every study reads one :class:`MemberTable`, which solves each distinct run
-once: runs on one grid that compute the same eps
+Every run a command solves goes through :func:`checked_run`, which judges
+it by the verdicts of :func:`~gencoag.diagnostics.bound_verdicts`, after
+:func:`check_initial` refused what the initial data decide.  Every study
+reads one :class:`MemberTable`, which solves each distinct run once: runs
+on one grid that compute the same eps
 (:func:`~gencoag.operators.computed_eps`) are one run.  ``sweep`` passes
 one table to the eps- and n-studies, so the n-study reads the runs the
 eps-study solved; every check of ``validate`` reads the table of
@@ -21,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigError, GencoagError
+from .errors import BoundViolation, ConfigError, GencoagError
+from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 from .integrator import evolve
-from .kernels import Kernel
+from .kernels import Kernel, certificate_bounds
 from .operators import computed_eps, make_rhs
 from .sizedomain import (
     ExponentialProfile,
@@ -73,6 +77,13 @@ class DistanceTable:
         self.rows = []
         self.failed = []
 
+    def fail(self, eps, n, exc: GencoagError):
+        """Mark member (eps, n) failed by ``exc``: {type, message, time, dt}, the time and dt
+        of the step a StiffnessError hit, else None."""
+        self.failed.append({"eps": eps, "n": n, "error": {
+            "type": type(exc).__name__, "message": str(exc),
+            "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}})
+
     def at_time(self, t, n=None):
         """eps -> distance at the snapshot at t (of n's rows, if n is given)."""
         return {eps: d for eps, nn, tt, d in self.rows
@@ -103,13 +114,47 @@ def _weighted_l1(centers, widths, diff, sigma: float) -> np.ndarray:
     return np.sum(w * np.abs(diff) * widths, axis=-1)
 
 
+def check_initial(kernel: Kernel, initial: NumberDensity, horizon: float, gauges):
+    """Before any solve, raise BoundViolation if the kernel's certificate fails (as in
+    check-kernel) or a verdict fails on the one-snapshot run of ``initial`` to ``horizon``,
+    where only a bound that is not finite can fail."""
+    failed = [bound.line for bound in certificate_bounds(kernel) if not bound.passed]
+    if not failed:
+        start = Trajectory(initial.grid)
+        start.append(initial, 0.0, 0.0)
+        failed = [v.line for v in diagnostics.bound_verdicts(start, kernel, horizon, gauges)[1]
+                  if not v.passed]
+    if failed:
+        raise BoundViolation("\n".join(failed))
+
+
+def checked_run(model: str, eps: float | None, kernel: Kernel, initial: NumberDensity,
+                stops, gauges) -> tuple:
+    """(traj, moments, verdicts, failure) of ``model`` at ``eps`` from ``initial``, stopping at
+    each of ``stops`` (increasing) and ending at the last, judged by
+    :func:`~gencoag.diagnostics.bound_verdicts` with T the last stop and ``gauges``, (Psi1, Psi2)
+    of ``initial``.  ``failure`` is None, the GencoagError of a failed solve (``traj`` None), or
+    the BoundViolation of the failed verdicts.  Any other error of the solve still raises."""
+    try:
+        if model == "generalized":
+            traj = _eps_member(kernel, initial.grid, initial, stops, eps)
+        else:
+            traj = run_model(model, kernel, initial.grid, initial, stops[-1], stops)
+    except GencoagError as exc:
+        return None, None, [], exc
+    moments, verdicts = diagnostics.bound_verdicts(traj, kernel, stops[-1], gauges)
+    failed = [v.line for v in verdicts if not v.passed]
+    return traj, moments, verdicts, BoundViolation("\n".join(failed)) if failed else None
+
+
 class MemberTable:
     """The distinct runs of one config, each solved once, on its first read.
 
     A member is (computed eps, n): runs on n's grid whose model and eps
     compute the same eps (:func:`~gencoag.operators.computed_eps`) are one
     run.  ``grids`` maps each n of the config to its (grid, initial data),
-    all built here, so a grid :class:`~gencoag.sizedomain.SizeGrid` refuses
+    all built here, with the gauge pair of each, so a grid
+    :class:`~gencoag.sizedomain.SizeGrid` or :func:`check_initial` refuses
     is refused before any solve.  Each run stops at every one of ``stops``
     (increasing; the horizon by default) and ends at the last.
     """
@@ -119,37 +164,27 @@ class MemberTable:
         self.stops = tuple(stops or (config.horizon,))
         grids = [make_grid(n, config.cells_per_decade) for n in config.n_list]
         self.grids = {grid.n: (grid, sample_initial(config.profile, grid)) for grid in grids}
+        self._gauges = {n: (build_gauge_from_tail(*psi1_tail(initial)),
+                            build_gauge_from_tail(*psi2_tail(initial, config.kernel.sigma)))
+                        for n, (_, initial) in self.grids.items()}
+        for n, (_, initial) in self.grids.items():
+            check_initial(config.kernel, initial, self.stops[-1], self._gauges[n])
         self._runs = {}
 
     def run(self, model: str, eps: float | None, n: float) -> tuple:
-        """(traj, failure) of ``model`` at ``eps`` on n's grid.
+        """(traj, failure) of ``model`` at ``eps`` on n's grid, by :func:`checked_run`.
 
-        ``failure`` is None or {type, message, time, dt}.  ``traj`` is None if
-        the solve failed; a run above the weighted-moment bound keeps it.
+        ``traj`` is None if the solve failed.  A run that fails a verdict keeps
+        it, and its failure is a BoundViolation whose message names each
+        failed verdict with its attained value and its bound.
         """
         grid, initial = self.grids[n]
         key = (computed_eps(model, eps, grid.ratio()), n)
         if key not in self._runs:
-            self._runs[key] = self._solve(model, eps, grid, initial)
-        return self._runs[key]
-
-    def _solve(self, model, eps, grid, initial):
-        kernel, stops = self.config.kernel, self.stops
-        try:
-            if model == "generalized":
-                traj = _eps_member(kernel, grid, initial, stops, eps)
-            else:
-                traj = run_model(model, kernel, grid, initial, stops[-1], stops)
-        except GencoagError as exc:
-            # stiffness or config failure: mark, keep going; a bug still raises.
-            # time and dt come from a StiffnessError
-            return None, {"type": type(exc).__name__, "message": str(exc),
-                          "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}
-        theta = diagnostics.theta_bound_check(traj, kernel.sigma)
-        if not theta.passed:
-            return traj, {"type": "MomentBoundViolation", "time": None, "dt": None,
-                          "message": f"moment bound violated: {theta.attained!r} > {theta.bound!r}"}
-        return traj, None
+            self._runs[key] = checked_run(model, eps, self.config.kernel, initial,
+                                          self.stops, self._gauges[n])
+        traj, _, _, failure = self._runs[key]
+        return traj, failure
 
 
 def _eps_member(kernel: Kernel, grid: SizeGrid, initial: NumberDensity, stops, eps) -> Trajectory:
@@ -161,7 +196,7 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
     """Distance of each generalized run to the OHS (eps = 0) run, per snapshot.
 
     A member that computes eps = 0 is the OHS run: it reads that run, its
-    moment-bound check and its failure, at distance 0.  A failed solve of
+    verdicts and its failure, at distance 0.  A failed solve of
     the OHS run raises: no member can be measured.
     """
     config = members.config
@@ -171,11 +206,11 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
         grid, _ = members.grids[n]
         ref, failure = members.run("ohs", None, n)
         if ref is None:
-            raise GencoagError(failure["message"])
+            raise failure
         for eps in sorted(config.eps_list, reverse=True):
             member, failure = members.run("generalized", eps, n)
             if failure is not None:
-                table.failed.append({"eps": eps, "n": n, "error": failure})
+                table.fail(eps, n, failure)
                 continue
             # both runs stop at the table's stops, and evolve lands on each stop exactly
             dists = _weighted_l1(grid.centers, grid.widths, member.values - ref.values, sigma)
@@ -226,7 +261,7 @@ def run_n_sweep(members: MemberTable) -> DistanceTable:
     for n in config.n_list:
         traj, failure = members.run("generalized", eps, n)
         if failure is not None:
-            table.failed.append({"eps": eps, "n": n, "error": failure})
+            table.fail(eps, n, failure)
         finals.append(traj[-1] if failure is None else None)
     sigma = config.kernel.sigma
     for cur_n, prev, cur in zip(config.n_list[1:], finals, finals[1:]):

@@ -59,6 +59,28 @@ class Certificate(NamedTuple):
     derivative: tuple
 
 
+class CertificateBound(NamedTuple):
+    """One bound of a kernel's certificate: its constant is the worst regime's supremum."""
+
+    kind: str
+    name: str
+    regimes: tuple
+    constant: float
+    passed: bool
+    line: str
+
+
+def certificate_bounds(kernel):
+    """The growth (k) and derivative (eta) bounds of ``kernel``, each passed when finite,
+    with the line check-kernel prints for it."""
+    for (kind, regimes), name in zip(kernel.certificate._asdict().items(), ("k", "eta")):
+        worst = max(regimes, key=lambda r: r.supremum)
+        passed = worst.supremum < np.inf
+        where = f"{worst.name} at {worst.point}" + (f" along {worst.ray} in log size" if worst.ray else "")
+        line = f"{'PASS' if passed else 'FAIL'}  {kind} bound: {name} = {worst.supremum:g}, {where}"
+        yield CertificateBound(kind, name, regimes, worst.supremum, passed, line)
+
+
 class Kernel:
     """Symmetric nonnegative coagulation rate with a small-size singularity.
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib.resources import files
 from pathlib import Path
@@ -682,6 +683,24 @@ def _force_first_step_failure(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_SHRINK", 0)
 
 
+def _assert_overflow_refused(tmp_path, capsys, monkeypatch, command):
+    """``command`` at horizon 1e308 exits 2 within a second, before any solve: the Gronwall
+    exponents of psi1 and psi2 overflow, so each bound prints its FAIL line and why."""
+    calls, real = [], experiments.evolve
+    monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg = write_config(tmp_path, {"grid": {"n": 20.0, "cells_per_decade": 8},
+                                  "time": {"horizon": 1.0e+308}}, command=command)
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert calls == [] and not (tmp_path / "out").exists()
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed[::2]] == [
+        "FAIL  psi1_moment_bound", "FAIL  psi2_uniform_integrability"]
+    assert all(line.endswith(" vs bound inf") for line in printed[::2])
+    assert printed[1::2] == ["      the bound is not finite (inf): its exponent overflows a double"] * 2
+
+
 class TestSweep:
     def test_small_eps_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -728,12 +747,13 @@ class TestSweep:
 
     def test_failed_members_are_typed(self, tmp_path, monkeypatch):
         # a first step far too large, with no rejection allowed: every
-        # member of the n sweep fails its first step
+        # member of the n sweep fails its first step.  At horizon 50 the
+        # bounds stay finite, so the check before the solves passes
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
                       "n_list": [4.641588833612779, 10.0]},
-            "time": {"horizon": 100.0},
+            "time": {"horizon": 50.0},
         }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -742,7 +762,7 @@ class TestSweep:
         assert len(errors) == 2
         for error in errors:
             assert error["type"] == "StiffnessError" and error["message"].startswith("step rejected")
-            assert error["time"] == 0.0 and error["dt"] == 100.0
+            assert error["time"] == 0.0 and error["dt"] == 50.0
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({**summary, "failed_members": [{"eps": 0.5, "n": 10.0,
                                                                 "error": "StiffnessError()"}]},
@@ -752,7 +772,7 @@ class TestSweep:
         _force_first_step_failure(monkeypatch)
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
-            "time": {"horizon": 100.0},
+            "time": {"horizon": 50.0},
         }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error: step rejected" in capsys.readouterr().err
@@ -951,6 +971,53 @@ class TestSweep:
         assert summary["both"]["checks"] == {**summary["eps"]["checks"], **summary["n"]["checks"]}
         assert summary["both"]["passed"] and summary["both"]["failed_members"] == []
 
+    def test_overflowing_bound_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        _assert_overflow_refused(tmp_path, capsys, monkeypatch, "sweep")
+
+    def test_kernel_outside_the_class_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the table of TestSimulate.test_infinite_eta_is_named_not_an_overflow
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
+        table = tmp_path / "kernel_table.csv"
+        table.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
+        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(table),
+                                                 "sigma": 0.1}}, command="sweep")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ("FAIL  derivative bound: eta = inf, mu_below_nu at "
+                                           "(1.0, 2.0) along (0.0, 1.0) in log size\n")
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
+    def test_member_that_breaks_only_its_ledger_is_failed(self, tmp_path, monkeypatch):
+        # the generalized members report one unit of outflux per unit time
+        # that their values do not lose: every moment bound holds, the
+        # mass ledger does not close
+        real = experiments.make_rhs
+
+        def make_rhs(model, kernel, eps=None):
+            rhs = real(model, kernel, eps)
+            if model != "generalized":
+                return rhs
+
+            def leaky(density):
+                dzdt, outflux = rhs(density)
+                return dzdt, outflux + 1.0
+            return leaky
+
+        monkeypatch.setattr(experiments, "make_rhs", make_rhs)
+        cfg = write_config(tmp_path, {"sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]}},
+                           command="sweep")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        jsonschema.validate(summary, schema("summary.schema.json"))
+        assert [m["eps"] for m in summary["failed_members"]] == [1.0, 0.5]
+        for member in summary["failed_members"]:
+            error = member["error"]
+            assert error["type"] == "BoundViolation" and error["time"] is None
+            assert error["message"].startswith("FAIL  ledger_closure: attained ")
+            assert error["message"].endswith(" vs bound 1e-08") and "\n" not in error["message"]
+
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sweep": {"eps_sweep": True, "eps_list": [1.0, 0.5]},
@@ -1094,8 +1161,8 @@ class TestValidate:
         assert "error: step rejected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_run_above_its_moment_bound_exits_1(self, tmp_path, capsys, monkeypatch):
-        # validate's runs get the weighted-moment bound check the sweeps get
+    def test_run_above_its_moment_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # validate's runs get the verdicts every run gets: a failed one exits 2
         real = experiments.make_rhs
 
         def make_rhs(model, kernel, eps=None):
@@ -1108,9 +1175,13 @@ class TestValidate:
 
         monkeypatch.setattr(experiments, "make_rhs", make_rhs)
         cfg = write_config(tmp_path, {"time": {"horizon": 2.0}}, command="validate")
-        assert main(["validate", "--config", str(cfg)]) == 1
-        assert "error: moment bound violated" in capsys.readouterr().err
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.startswith("FAIL  theta_moment_bound: attained ")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_bound_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # the closed forms are read at t <= 2, but the runs go to the horizon
+        _assert_overflow_refused(tmp_path, capsys, monkeypatch, "validate")
 
     def test_rate_two_kernel_passes(self, tmp_path):
         # the M0 law carries the rate: 2 M0(0) / (2 + rate M0(0) t)

@@ -130,7 +130,7 @@ class TestMemberFailures:
         monkeypatch.setattr(experiments, "make_rhs", _sourced(lambda model, eps: model == "ohs"))
         table = run_eps_sweep(MemberTable(cfg))
         assert [f["eps"] for f in table.failed] == [2.0**-4, 2.0**-5, 2.0**-6]
-        assert all(f["error"]["type"] == "MomentBoundViolation" for f in table.failed)
+        assert all(f["error"]["type"] == "BoundViolation" for f in table.failed)
         assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
 
     def test_n_sweep_member_bound_violation_is_typed(self, monkeypatch):
@@ -138,7 +138,7 @@ class TestMemberFailures:
                             _sourced(lambda model, eps: model == "generalized"))
         table = run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
         assert [f["n"] for f in table.failed] == [10.0, 20.0]
-        assert all(f["eps"] == 0.5 and f["error"]["type"] == "MomentBoundViolation"
+        assert all(f["eps"] == 0.5 and f["error"]["type"] == "BoundViolation"
                    and f["error"]["time"] is None for f in table.failed)
         assert table.rows == []
 
@@ -192,8 +192,9 @@ class TestMemberTable:
         members = MemberTable(small_config())
         calls = _counted(monkeypatch)
         for _ in range(2):
-            assert members.run("generalized", 0.5, 20.0) == (None, {
-                "type": "StiffnessError", "message": "stiff", "time": 0.0, "dt": 1e-3})
+            traj, failure = members.run("generalized", 0.5, 20.0)
+            assert traj is None and type(failure) is StiffnessError
+            assert (str(failure), failure.time, failure.dt) == ("stiff", 0.0, 1e-3)
         assert calls == [("generalized", 0.5)]
 
     def test_validate_table(self, monkeypatch):

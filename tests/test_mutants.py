@@ -1,9 +1,10 @@
 """The mutant matrix: which planted faults the commands' own verdicts catch.
 
 Each mutant is a set of exact string replacements in one file of a copy of
-the package, each matching once.  The copy runs, in a fresh interpreter,
-``simulate`` on the three simulate configs, then ``validate`` and ``sweep``
-on theirs; the exit codes (0 passed, 2 a verdict failed) must be the row of
+the package, each matching once.  The copy runs, in a fresh interpreter, the
+commands of ``RUNS``: ``simulate`` on three configs, ``validate`` and
+``sweep`` on theirs, then ``simulate`` on the one config whose mass leaves
+through n; the exit codes (0 passed, 2 a verdict failed) must be the row of
 ``MUTANTS``, survivors included.  A change that makes a command catch a
 mutant flips its entry here, so no new survivor appears unnoticed.
 """
@@ -27,33 +28,46 @@ RUNS = [
     ("simulate", "perfbench/configs/simulate_ohs_diag.yaml"),
     ("validate", "configs/validate_constant.yaml"),
     ("sweep", "configs/sweep_eps.yaml"),
+    # the one run that sends real mass through n and reads a kernel of rank 2
+    ("simulate", "configs/simulate_outflux.yaml"),
 ]
 
 #: name -> (file, ((old, new), ...), exit codes in the order of RUNS)
 MUTANTS = {
     # every kernel rate x1.05: the mass ledger stays exact
     "kernel_rate_x1.05": ("operators.py", (
-        ("self.f = np.array(", "self.f = 1.05 * np.array("),), (0, 0, 0, 2, 0)),
+        ("self.f = np.array(", "self.f = 1.05 * np.array("),), (0, 0, 0, 2, 0, 0)),
     # the self-pair weight 1/2 -> 1/4 in all four places, so the ledger stays exact
     "diagonal_weight_quarter": ("operators.py", (
         ("lags[lo:hi] == 0, 0.5, 1.0)", "lags[lo:hi] == 0, 0.25, 1.0)"),
         ("self.j_idx, 0.5, 1.0)", "self.j_idx, 0.25, 1.0)"),
         ("reach -= 0.5 * xv", "reach -= 0.75 * xv"),
-        ("suffix - 0.5 * u", "suffix - 0.75 * u")), (0, 0, 0, 2, 0)),
+        ("suffix - 0.5 * u", "suffix - 0.75 * u")), (0, 0, 0, 2, 0, 0)),
     # the kernel tilted by x_j^-0.05: the ledger stays exact
     "kernel_tilt_small_partner": ("operators.py", (
         ("self.g = np.array([g for _, g in factors])",
-         "self.g = np.array([g for _, g in factors]) * x ** -0.05"),), (0, 0, 0, 2, 0)),
-    # RK weights (1, 2, 2, 1) / 6 -> (1, 4, 0, 1) / 6: a second-order stepper
+         "self.g = np.array([g for _, g in factors]) * x ** -0.05"),), (0, 0, 0, 2, 0, 0)),
+    # RK weights (1, 2, 2, 1) / 6 -> (1, 4, 0, 1) / 6: a second-order stepper, caught
+    # only where mass leaves, since the outflux ledger keeps the RK4 weights
     "rk_weights_second_order": ("integrator.py", (
         ("(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 4.0 * k2 + 0.0 * k3 + k4)"),),
-        (0, 0, 0, 0, 0)),
+        (0, 0, 0, 0, 0, 2)),
     # the two-point deposit shares swapped: mass is deposited at the wrong size
     "deposit_shares_swapped": ("operators.py", (
-        ("w * rate, (1.0 - w) * rate)", "(1.0 - w) * rate, w * rate)"),), (2, 2, 0, 2, 2)),
+        ("w * rate, (1.0 - w) * rate)", "(1.0 - w) * rate, w * rate)"),), (2, 2, 0, 2, 2, 2)),
     # the offset-0 move at half its rate: the big partner's mass is lost
     "offset0_move_halved": ("operators.py", (
-        ("/ self.gaps[lo:top]", "/ (2.0 * self.gaps[lo:top])"),), (2, 2, 2, 2, 0)),
+        ("/ self.gaps[lo:top]", "/ (2.0 * self.gaps[lo:top])"),), (2, 2, 2, 2, 2, 2)),
+    # the band's share of each event into the top cell dropped: that mass is lost
+    "band_top_share_dropped": ("operators.py", (
+        ("births[-1] = np.sum(band * self.share)", "births[-1] = 0.0"),), (0, 0, 0, 0, 0, 2)),
+    # a product past n leaves at n, not at its size p: the ledger books too little
+    "band_past_n_leaves_at_n": ("operators.py", (
+        ("np.where(over, p, grid.n", "np.where(over, grid.n, grid.n"),), (0, 0, 0, 0, 0, 2)),
+    # the offset-0 move with the cross terms sum_r u_r * sum_s reach_s of a rank >= 2 kernel
+    "offset0_move_rank_cross_terms": ("operators.py", (
+        ("np.sum(u[:, lo:top] * reach, axis=0)",
+         "np.sum(u[:, lo:top], axis=0) * np.sum(reach, axis=0)"),), (0, 0, 0, 0, 0, 2)),
 }
 
 #: runs each command of RUNS in this interpreter and prints their exit codes
