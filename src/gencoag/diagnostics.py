@@ -20,7 +20,7 @@ from .operators import make_rhs
 from .sizedomain import Trajectory, weight_values, write_csv
 
 THETA_SLACK = 1.0e-10
-CLOSURE_TOLERANCE = 1e-8  # of |M1 + outflux + clipped - M1(0)| / M1(0), for every run
+CLOSURE_TOLERANCE = 1e-13  # of |M1 + outflux + clipped - M1(0)| / M1(0), for every run
 
 
 class BoundVerdict(NamedTuple):

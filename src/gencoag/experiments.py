@@ -39,7 +39,6 @@ from .sizedomain import (
     write_csv,
 )
 
-DEFAULT_EPS_LIST = tuple(2.0 ** (-i) for i in range(11))
 # times at which the closed forms of ``validate`` are checked
 CLOSED_FORM_TIMES = (0.5, 1.0, 2.0)
 # the pass thresholds of ``validate``: weighted-L1 error of the SCE closed
@@ -60,14 +59,15 @@ MASS_LAMBDA_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 
 class SweepConfig(NamedTuple):
     """Sweep members: generalized runs at each eps of ``eps_list`` on each n's
-    grid.  A member below sqrt(r) - 1 of its grid is the OHS run (eps = 0)."""
+    grid.  A member below sqrt(r) - 1 of its grid is the OHS run (eps = 0).
+    ``cli.KEYS`` owns the default of each field."""
 
     kernel: Kernel
-    eps_list: tuple = DEFAULT_EPS_LIST
-    n_list: tuple = (50.0,)
-    cells_per_decade: int = 32
-    profile: object = ExponentialProfile()  # stateless, so one instance serves every config
-    horizon: float = 1.0
+    eps_list: tuple
+    n_list: tuple
+    cells_per_decade: int
+    profile: object
+    horizon: float
 
 
 class DistanceTable:
@@ -120,8 +120,7 @@ def check_initial(kernel: Kernel, initial: NumberDensity, horizon: float, gauges
     where only a bound that is not finite can fail."""
     failed = [bound.line for bound in certificate_bounds(kernel) if not bound.passed]
     if not failed:
-        start = Trajectory(initial.grid)
-        start.append(initial, 0.0, 0.0)
+        start = Trajectory(initial.grid, [initial.time], initial.values[None], [0.0], [0.0])
         failed = [v.line for v in diagnostics.bound_verdicts(start, kernel, horizon, gauges)[1]
                   if not v.passed]
     if failed:
@@ -172,19 +171,20 @@ class MemberTable:
         self._runs = {}
 
     def run(self, model: str, eps: float | None, n: float) -> tuple:
-        """(traj, failure) of ``model`` at ``eps`` on n's grid, by :func:`checked_run`.
+        """(traj, verdicts, failure) of ``model`` at ``eps`` on n's grid, by :func:`checked_run`.
 
-        ``traj`` is None if the solve failed.  A run that fails a verdict keeps
-        it, and its failure is a BoundViolation whose message names each
-        failed verdict with its attained value and its bound.
+        ``traj`` is None, and ``verdicts`` empty, if the solve failed.  A run
+        that fails a verdict keeps it, and its failure is a BoundViolation
+        whose message names each failed verdict with its attained value and
+        its bound.
         """
         grid, initial = self.grids[n]
         key = (computed_eps(model, eps, grid.ratio()), n)
         if key not in self._runs:
             self._runs[key] = checked_run(model, eps, self.config.kernel, initial,
                                           self.stops, self._gauges[n])
-        traj, _, _, failure = self._runs[key]
-        return traj, failure
+        traj, _, verdicts, failure = self._runs[key]
+        return traj, verdicts, failure
 
 
 def _eps_member(kernel: Kernel, grid: SizeGrid, initial: NumberDensity, stops, eps) -> Trajectory:
@@ -204,11 +204,11 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
     sigma = config.kernel.sigma
     for n in config.n_list:
         grid, _ = members.grids[n]
-        ref, failure = members.run("ohs", None, n)
+        ref, _, failure = members.run("ohs", None, n)
         if ref is None:
             raise failure
         for eps in sorted(config.eps_list, reverse=True):
-            member, failure = members.run("generalized", eps, n)
+            member, _, failure = members.run("generalized", eps, n)
             if failure is not None:
                 table.fail(eps, n, failure)
                 continue
@@ -259,7 +259,7 @@ def run_n_sweep(members: MemberTable) -> DistanceTable:
     table = DistanceTable()
     finals = []
     for n in config.n_list:
-        traj, failure = members.run("generalized", eps, n)
+        traj, _, failure = members.run("generalized", eps, n)
         if failure is not None:
             table.fail(eps, n, failure)
         finals.append(traj[-1] if failure is None else None)

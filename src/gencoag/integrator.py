@@ -174,11 +174,12 @@ def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
             raise DomainError("snapshot times must lie in (t0, t0 + T]")
         if not stops or abs(stops[-1] - (initial.time + T)) > 1e-12 * max(T, 1.0):
             stops.append(initial.time + T)
-    # the block holds exactly the initial row and one row per stop
-    traj = Trajectory(initial.grid, len(stops) + 1)
-    traj.append(initial, 0.0, 0.0)
+    # one row for the initial data and one per stop, each row with its time and ledgers
+    block = np.empty((len(stops) + 1, initial.grid.size))
+    block[0] = initial.values
+    times, outflux, clipped = [initial.time], [0.0], [0.0]
     if T == 0.0:
-        return traj
+        return Trajectory(initial.grid, times, block, outflux, clipped)
 
     f = _stages(rhs_op, initial.grid)
     norm = _weighted_l1(initial.grid)
@@ -205,11 +206,14 @@ def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
                     dt_cur = max(proposal, dt_cur) if shortened else proposal
                 # land exactly on the requested time
                 state = state.replace(time=target)
-                traj.append(state, outflux_total, clipped_total)
+                block[len(times)] = state.values
+                times.append(target)
+                outflux.append(outflux_total)
+                clipped.append(clipped_total)
     except FloatingPointError as exc:
         raise StiffnessError(
             f"floating-point fault ({exc}) in the step from t={state.time:g} with dt={dt_try:g}",
             time=state.time,
             dt=dt_try,
         ) from exc
-    return traj
+    return Trajectory(initial.grid, times, block, outflux, clipped)

@@ -150,8 +150,9 @@ class NumberDensity:
     @classmethod
     def _unchecked(cls, grid, values, time):
         # Internal: a density over ``values`` as they are, neither copied nor
-        # checked.  Integrator stage states may carry transient negatives,
-        # and a trajectory's rows were checked when they were appended.
+        # checked.  Integrator stages build one over their state clamped at
+        # zero, and a trajectory one over a row of its block, whose cells were
+        # checked when the density they came from was built.
         obj = object.__new__(cls)
         obj.grid = grid
         obj.values = np.asarray(values, dtype=float)
@@ -172,61 +173,38 @@ class NumberDensity:
 class Trajectory:
     """Time-ordered density snapshots on one grid, with cumulative boundary/clip ledgers.
 
-    The cells of every snapshot live in one (snapshots x cells) block:
-    ``values`` is that block, read-only, and ``traj[i]`` a density over its
-    row i.  Appending a row beyond ``capacity`` doubles the block.
+    A record checked and frozen once, when it is built.  ``values`` is the
+    (snapshots x cells) block, one row per entry of ``times``: it is kept as
+    given and made read-only, not copied, and ``traj[i]`` is a density over
+    its row i.  The rows are not checked again, since each holds the cells
+    of a :class:`NumberDensity`, which were.
 
     ``outflux`` holds cumulative mass carried through the upper boundary up
     to each snapshot time; ``clipped`` holds cumulative absolute mass
-    adjusted by negativity clipping.  Both are nondecreasing up to time
-    integration rounding: Runge-Kutta stages may see transient negative
-    cells near the positivity floor, so outflux increments carry noise at
-    the 1e-12 level of the mass scale.
+    adjusted by negativity clipping.  Both must be nondecreasing up to time
+    integration rounding: each may fall by ``1e-10 * max(1, mass +
+    |previous outflux|)`` from one snapshot to the next.
     """
 
-    def __init__(self, grid: SizeGrid, capacity: int = 8):
+    def __init__(self, grid: SizeGrid, times, values, outflux, clipped):
         self.grid = grid
-        self._rows = np.empty((capacity, grid.size))
-        self._view = None
-        self._times: list[float] = []
-        self.outflux: list[float] = []
-        self.clipped: list[float] = []
-
-    def append(self, snapshot: NumberDensity, outflux_total: float, clipped_total: float):
-        if snapshot.grid is not self.grid:
-            raise DomainError("a snapshot must lie on the trajectory's grid")
-        count = len(self)
-        if count:
-            if snapshot.time <= self._times[-1]:
-                raise DomainError("snapshot times must be strictly increasing")
-            slack = 1e-10 * max(1.0, snapshot.mass() + abs(self.outflux[-1]))
-            if outflux_total < self.outflux[-1] - slack or clipped_total < self.clipped[-1] - slack:
-                raise DomainError("ledgers must be nondecreasing")
-        if count == len(self._rows):
-            rows = np.empty((max(2 * count, 1), self.grid.size))
-            rows[:count] = self._rows
-            self._rows = rows
-        self._rows[count] = snapshot.values
-        self._view = None
-        self._times.append(float(snapshot.time))
-        self.outflux.append(float(outflux_total))
-        self.clipped.append(float(clipped_total))
-
-    def replace_values(self, i, values):
-        """Overwrite the cells of snapshot i; its time and ledgers stay."""
-        self._rows[: len(self)][i] = NumberDensity(self.grid, values).values
-
-    @property
-    def times(self):
-        return np.array(self._times)
-
-    @property
-    def values(self):
-        """The snapshot block, one row per snapshot: read-only, and not a copy."""
-        if self._view is None:
-            self._view = self._rows[: len(self)]
-            self._view.setflags(write=False)
-        return self._view
+        self.times = np.array(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.outflux = tuple(map(float, outflux))
+        self.clipped = tuple(map(float, clipped))
+        count = self.times.size
+        if (self.values.shape != (count, grid.size) or len(self.outflux) != count
+                or len(self.clipped) != count):
+            raise DomainError("a trajectory needs one row of grid cells and one entry of "
+                              "each ledger per time")
+        if np.any(np.diff(self.times) <= 0.0):
+            raise DomainError("snapshot times must be strictly increasing")
+        out, clip = np.array(self.outflux), np.array(self.clipped)
+        mass = np.einsum("ij,j->i", self.values[1:], grid.centers * grid.widths)
+        slack = 1e-10 * np.maximum(1.0, mass + np.abs(out[:-1]))
+        if np.any(out[1:] < out[:-1] - slack) or np.any(clip[1:] < clip[:-1] - slack):
+            raise DomainError("ledgers must be nondecreasing")
+        self.values.setflags(write=False)
 
     def moments(self, weights):
         """Midpoint moments  sum_i w(x_i) zeta_i dx_i  of every snapshot.
@@ -256,28 +234,23 @@ class Trajectory:
         A time matches a snapshot to 1e-12 relative; a time with no
         snapshot is a DomainError.
         """
-        have = self.times
         keep = {0}
         for t in times:
-            hit = np.flatnonzero(np.abs(have - t) <= 1e-12 * max(abs(t), 1.0))
+            hit = np.flatnonzero(np.abs(self.times - t) <= 1e-12 * max(abs(t), 1.0))
             if hit.size == 0:
                 raise DomainError(f"the trajectory has no snapshot at t={t!r}")
             keep.add(int(hit[0]))
         rows = sorted(keep)
-        sub = Trajectory(self.grid, 0)
-        sub._rows = self.values[rows]
-        sub._times = [self._times[i] for i in rows]
-        sub.outflux = [self.outflux[i] for i in rows]
-        sub.clipped = [self.clipped[i] for i in rows]
-        return sub
+        return Trajectory(self.grid, self.times[rows], self.values[rows],
+                          [self.outflux[i] for i in rows], [self.clipped[i] for i in rows])
 
     def __len__(self):
-        return len(self._times)
+        return self.times.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return NumberDensity._unchecked(self.grid, self.values[i], self._times[i])
+        return NumberDensity._unchecked(self.grid, self.values[i], self.times[i])
 
 
 class ExponentialProfile:

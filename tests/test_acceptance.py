@@ -177,9 +177,10 @@ def test_criterion_2_test_identity_limits():
 
 def test_criterion_3_sce_constant_kernel_analytic():
     t0 = time.time()
-    base = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=32)
+    base = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n_list=(100.0,),
+                       cells_per_decade=32, profile=ExponentialProfile(), horizon=2.0)
     err32 = validate_sce_constant_kernel(base, closed_form_run(base))[1.0]
-    fine = SweepConfig(kernel=ConstantKernel(1.0), n_list=(100.0,), cells_per_decade=64)
+    fine = base._replace(cells_per_decade=64)
     err64 = validate_sce_constant_kernel(fine, closed_form_run(fine))[1.0]
     elapsed = time.time() - t0
     report(3, err32 <= 2e-2 and err64 <= 0.5 * err32 and elapsed < 60.0,
@@ -189,7 +190,8 @@ def test_criterion_3_sce_constant_kernel_analytic():
 
 def test_criterion_4_m0_riccati_all_models():
     t0 = time.time()
-    coarse = SweepConfig(kernel=ConstantKernel(1.0), n_list=(30.0,), cells_per_decade=32)
+    coarse = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n_list=(30.0,),
+                         cells_per_decade=32, profile=ExponentialProfile(), horizon=2.0)
     worst = {}
     for label, model, eps in (
         ("sce", "sce", None),
@@ -212,7 +214,8 @@ def test_criterion_5_mass_conservation_ledgers():
     closures = {}
     flux_rel = None
     for cpd in (32, 64):
-        cfg = SweepConfig(kernel=kernel, n_list=(20.0,), cells_per_decade=cpd, horizon=1.0)
+        cfg = SweepConfig(kernel=kernel, eps_list=(), n_list=(20.0,), cells_per_decade=cpd,
+                          profile=ExponentialProfile(), horizon=1.0)
         for model, eps in (("generalized", 0.5), ("sce", None), ("ohs", None)):
             rep = mass_report(cfg, model, eps)
             closures[f"{model}/{cpd}"] = rep["max_closure_rel"]
@@ -259,7 +262,8 @@ def test_criterion_8_eps_sweep_to_transport_limit():
     results = {}
     for kernel in (ConstantKernel(1.0), SingularProductKernel(k=1.0, sigma=0.2)):
         cfg = SweepConfig(
-            kernel=kernel, n_list=(50.0,), cells_per_decade=32, horizon=1.0,
+            kernel=kernel, eps_list=tuple(2.0 ** -i for i in range(11)), n_list=(50.0,),
+            cells_per_decade=32, profile=ExponentialProfile(), horizon=1.0,
         )
         table = run_eps_sweep(MemberTable(cfg))
         check = eps_limit_check(table.at_time(1.0))

@@ -8,6 +8,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
@@ -15,6 +16,7 @@ import gencoag
 from conftest import closed_form_run, mass_report
 from gencoag import (
     ConstantKernel,
+    Trajectory,
     cli,
     diagnostics,
     experiments,
@@ -106,14 +108,15 @@ class TestSimulate:
 
         def leaky(*args, **kwargs):
             traj = solve(*args, **kwargs)
-            traj.replace_values(-1, traj[-1].values * 0.5)
-            return traj
+            values = traj.values.copy()
+            values[-1] *= 0.5
+            return Trajectory(traj.grid, traj.times, values, traj.outflux, traj.clipped)
 
         monkeypatch.setattr(experiments, "run_model", leaky)
         assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
         printed = capsys.readouterr().out.splitlines()
         assert [line for line in printed if line.startswith("FAIL")] == [
-            "FAIL  ledger_closure: attained 0.5 vs bound 1e-08"]
+            "FAIL  ledger_closure: attained 0.5 vs bound 1e-13"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         verdict = report["verdicts"][-1]
         assert verdict["name"] == "ledger_closure" and not verdict["passed"]
@@ -140,12 +143,23 @@ class TestSimulate:
     def test_report_verdicts_are_the_bound_verdicts(self, tmp_path, monkeypatch, inject):
         # simulate decides by diagnostics.bound_verdicts alone: its report
         # holds that suite's verdicts on the run's trajectory, bit for bit
+        # with the test hook on, the verdicts are those of a copy whose final
+        # snapshot is scaled by 1.5, and the run's own record is unchanged
         solve, runs = experiments.run_model, []
-        monkeypatch.setattr(experiments, "run_model",
-                            lambda *a, **k: runs.append((a, solve(*a, **k))) or runs[-1][1])
+
+        def run(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            runs.append((args, traj, traj.values.copy()))
+            return traj
+
+        monkeypatch.setattr(experiments, "run_model", run)
         cfg = write_config(tmp_path, {"diagnostics": {"inject_mass_violation": inject}})
         assert main(["simulate", "--config", str(cfg)]) == (2 if inject else 0)
-        (_, kernel, _, initial, horizon, _), traj = runs.pop()
+        (_, kernel, _, initial, horizon, _), traj, solved = runs.pop()
+        assert np.array_equal(traj.values, solved)
+        if inject:
+            solved[-1] *= 1.5
+            traj = Trajectory(traj.grid, traj.times, solved, traj.outflux, traj.clipped)
         gauges = (build_gauge_from_tail(*psi1_tail(initial)),
                   build_gauge_from_tail(*psi2_tail(initial, kernel.sigma)))
         _, verdicts = diagnostics.bound_verdicts(traj, kernel, horizon, gauges)
@@ -584,8 +598,6 @@ class TestSimulateVariants:
 
 def _unit_table(tmp_path, value=1.0):
     """A CSV table of the constant kernel ``value`` on 16 log-spaced nodes."""
-    import numpy as np
-
     nodes = np.geomspace(0.05, 20.0, 16)
     table_path = tmp_path / "kernel_table.csv"
     with open(table_path, "w") as fh:
@@ -1016,7 +1028,7 @@ class TestSweep:
             error = member["error"]
             assert error["type"] == "BoundViolation" and error["time"] is None
             assert error["message"].startswith("FAIL  ledger_closure: attained ")
-            assert error["message"].endswith(" vs bound 1e-08") and "\n" not in error["message"]
+            assert error["message"].endswith(" vs bound 1e-13") and "\n" not in error["message"]
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -1221,10 +1233,36 @@ class TestValidate:
         jsonschema.validate(payload, schema("validate.schema.json"))
         assert payload["passed"]
         assert [payload[check]["tolerance"] for check in
-                ("sce_analytic", "m0_riccati", "mass_conservation")] == [2e-2, 1e-3, 1e-8]
+                ("sce_analytic", "m0_riccati", "mass_conservation")] == [2e-2, 1e-3, 1e-13]
         assert set(payload["m0_riccati"]["models"]) == {
             "sce", "ohs", "generalized_eps1", "generalized_eps0.25", "generalized_eps0.01",
         }
+
+    def test_mass_conservation_is_the_sce_runs_ledger_verdict(self, tmp_path, monkeypatch):
+        # the ledger is decided once: validate.json reports the SCE run's ledger_closure
+        # verdict, over every stop, and its bound is the reported tolerance; the mass
+        # report's own closure, here inflated past that bound, is not compared again
+        real, judged = experiments.checked_run, {}
+
+        def checked_run(model, eps, *args):
+            judged[model] = real(model, eps, *args)
+            return judged[model]
+
+        report = experiments.mass_conservation_report
+        monkeypatch.setattr(experiments, "checked_run", checked_run)
+        monkeypatch.setattr(experiments, "mass_conservation_report", lambda *a: {
+            **report(*a), "max_closure_rel": 1.0})
+        cfg = write_config(tmp_path, {
+            "kernel": {"family": "constant", "rate": 1.0},
+            "grid": {"n": 30.0, "cells_per_decade": 16},
+            "time": {"horizon": 2.0},
+        }, command="validate")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        mc = json.loads((tmp_path / "out" / "validate.json").read_text())["mass_conservation"]
+        ledger = judged["sce"][2][-1]
+        assert ledger.name == "ledger_closure" and ledger.attained <= ledger.bound
+        assert (mc["passed"], mc["tolerance"]) == (ledger.passed, ledger.bound)
+        assert mc["max_closure_rel"] == 1.0
 
 
 class TestCommandLine:

@@ -8,7 +8,6 @@ from gencoag import (
     ConstantKernel,
     ExponentialProfile,
     MonodisperseProfile,
-    NumberDensity,
     SingularPowerProfile,
     SingularProductKernel,
     TabulatedKernel,
@@ -214,8 +213,7 @@ class TestAffineTailStudy:
 class TestThetaBound:
     def test_initial_margin_zero(self, const_run):
         grid, kernel, density, traj = const_run
-        single = Trajectory(grid)
-        single.append(density, 0.0, 0.0)
+        single = Trajectory(grid, [0.0], density.values[None], [0.0], [0.0])
         v = theta_bound_check(single, 0.0)
         assert v.passed and v.margin == 0.0
 
@@ -226,9 +224,8 @@ class TestThetaBound:
 
     def test_corrupted_trajectory_fails(self, const_run):
         grid, kernel, density, traj = const_run
-        bad = Trajectory(grid)
-        bad.append(density, 0.0, 0.0)
-        bad.append(density.replace(values=density.values * 1.5, time=1.0), 0.0, 0.0)
+        bad = Trajectory(grid, [0.0, 1.0], np.stack([density.values, density.values * 1.5]),
+                         [0.0] * 2, [0.0] * 2)
         v = theta_bound_check(bad, 0.0)
         assert not v.passed and v.margin < 0.0
 
@@ -281,8 +278,7 @@ class TestGaugeBounds:
         grid = make_grid(10.0, 8)
         d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
         gauge = build_gauge_from_tail(*psi1_tail(d))
-        single = Trajectory(grid)
-        single.append(d, 0.0, 0.0)
+        single = Trajectory(grid, [0.0], d.values[None], [0.0], [0.0])
         v = psi1_moment_check(single.moments(gauge.psi(grid.centers)), gauge, 1.0, 1.0,
                               theta_of(d, 0.0))
         c = grid.cell_of(2.0)
@@ -384,9 +380,7 @@ class TestTailFlux:
 class TestEquicontinuity:
     def test_constant_trajectory_zero(self, const_run):
         grid, kernel, density, traj = const_run
-        frozen = Trajectory(grid)
-        frozen.append(density, 0.0, 0.0)
-        frozen.append(density.replace(time=1.0), 0.0, 0.0)
+        frozen = Trajectory(grid, [0.0, 1.0], np.stack([density.values] * 2), [0.0] * 2, [0.0] * 2)
         om = testfuncs.bump(1.0, 5.0)
         v = equicontinuity_modulus(frozen, om, 0.0, 1.0, theta_of(density, 0.0))
         assert v.attained == 0.0 and v.passed
@@ -489,9 +483,7 @@ class TestSnapshotMatrix:
         nodes = np.geomspace(0.02, 5.0, 9)
         table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
         rng = np.random.default_rng(71)
-        traj = Trajectory(grid)
-        for k in range(4):
-            traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
+        traj = Trajectory(grid, np.arange(4.0), rng.random((4, grid.size)), [0.0] * 4, [0.0] * 4)
         for kernel in kernel_trio() + [TabulatedKernel(nodes, table)]:
             for m in range(1, grid.size):
                 got = _crossing_rates(traj, m, kernel)
@@ -505,9 +497,8 @@ class TestSnapshotMatrix:
         # expressions over whole copies
         grid = make_grid(20.0, 16)
         rng = np.random.default_rng(72)
-        traj = Trajectory(grid)
-        for k in range(40):
-            traj.append(NumberDensity(grid, rng.random(grid.size), float(k)), 0.0, 0.0)
+        traj = Trajectory(grid, np.arange(40.0), rng.random((40, grid.size)), [0.0] * 40,
+                          [0.0] * 40)
         x, dx, values = grid.centers, grid.widths, traj.values
         zd = values * dx
         for kernel in kernel_trio():

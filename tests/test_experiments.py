@@ -43,6 +43,8 @@ def small_config(kernel=None, **kw):
     kw.setdefault("n_list", (20.0,))
     kw.setdefault("cells_per_decade", 16)
     kw.setdefault("horizon", 0.5)
+    kw.setdefault("eps_list", (1.0,))
+    kw.setdefault("profile", ExponentialProfile())
     return SweepConfig(kernel=kernel or ConstantKernel(1.0), **kw)
 
 
@@ -160,7 +162,7 @@ class TestMemberTable:
     def test_runs_that_compute_one_eps_are_one_run(self, monkeypatch):
         members = MemberTable(small_config())
         calls = _counted(monkeypatch)
-        ohs, failure = members.run("ohs", None, 20.0)
+        ohs, _, failure = members.run("ohs", None, 20.0)
         assert failure is None and members.run("generalized", 2.0**-5, 20.0)[0] is ohs
         assert members.run("generalized", 2.0**-4, 20.0)[0] is ohs
         sce = members.run("sce", None, 20.0)[0]
@@ -192,8 +194,8 @@ class TestMemberTable:
         members = MemberTable(small_config())
         calls = _counted(monkeypatch)
         for _ in range(2):
-            traj, failure = members.run("generalized", 0.5, 20.0)
-            assert traj is None and type(failure) is StiffnessError
+            traj, verdicts, failure = members.run("generalized", 0.5, 20.0)
+            assert traj is None and verdicts == [] and type(failure) is StiffnessError
             assert (str(failure), failure.time, failure.dt) == ("stiff", 0.0, 1e-3)
         assert calls == [("generalized", 0.5)]
 
@@ -205,7 +207,10 @@ class TestMemberTable:
         calls = _counted(monkeypatch)
         runs = {label: members.run(model, eps, 30.0) for label, model, eps in M0_ROWS}
         assert calls == [("sce", None), ("ohs", None), ("generalized", 0.25)]
-        assert all(failure is None for _, failure in runs.values())
+        assert all(failure is None for _, _, failure in runs.values())
+        # each run keeps the verdicts that judged it, the ledger closure last
+        verdicts = runs["sce"][1]
+        assert verdicts[-1].name == "ledger_closure" and all(v.passed for v in verdicts)
         assert runs["generalized_eps1"][0] is runs["sce"][0]
         assert runs["generalized_eps0.01"][0] is runs["ohs"][0]
         assert runs["sce"][0].times.tolist() == [0.0, *members.stops]

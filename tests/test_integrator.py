@@ -168,7 +168,7 @@ class TestFixedMode:
             out += (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             assert np.array_equal(values, y) and stats.clipped_mass == 0.0
         assert np.array_equal(traj.values[-1], y)
-        assert traj.outflux[-1] == out and traj.clipped == [0.0] * 3
+        assert traj.outflux[-1] == out and traj.clipped == (0.0,) * 3
 
 
 class TestErrorControl:

@@ -58,9 +58,10 @@ MUTANTS = {
     # the offset-0 move at half its rate: the big partner's mass is lost
     "offset0_move_halved": ("operators.py", (
         ("/ self.gaps[lo:top]", "/ (2.0 * self.gaps[lo:top])"),), (2, 2, 2, 2, 2, 2)),
-    # the band's share of each event into the top cell dropped: that mass is lost
+    # the band's share of each event into the top cell dropped: that mass is lost,
+    # by 1.02e-13 of M1 on simulate_singular, just above the closure tolerance 1e-13
     "band_top_share_dropped": ("operators.py", (
-        ("births[-1] = np.sum(band * self.share)", "births[-1] = 0.0"),), (0, 0, 0, 0, 0, 2)),
+        ("births[-1] = np.sum(band * self.share)", "births[-1] = 0.0"),), (2, 0, 0, 0, 0, 2)),
     # a product past n leaves at n, not at its size p: the ledger books too little
     "band_past_n_leaves_at_n": ("operators.py", (
         ("np.where(over, p, grid.n", "np.where(over, grid.n, grid.n"),), (0, 0, 0, 0, 0, 2)),

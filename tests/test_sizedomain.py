@@ -229,8 +229,7 @@ class TestSnapshotCsv:
     def test_round_trip(self, tmp_path):
         g = make_grid(10.0, 8)
         d = sample_initial(ExponentialProfile(), g)
-        traj = Trajectory(g)
-        traj.append(d, 0.0, 0.0)
+        traj = Trajectory(g, [0.0], d.values[None], [0.0], [0.0])
         assert write_snapshot_csv(traj, tmp_path) == ["snapshot_0000.csv"]
         xs, _, zs = read_snapshot_csv(tmp_path / "snapshot_0000.csv")
         assert np.array_equal(xs, g.centers)
@@ -240,12 +239,11 @@ class TestSnapshotCsv:
         g = make_grid(10.0, 8)
         special = [math.nan, math.inf, -math.inf, -0.0, 2.0**-1074, 1.0 / 3.0, 1e300]
         rng = np.random.default_rng(3)
-        traj = Trajectory(g)
-        for k in range(4):
-            values = rng.random(g.size) * np.exp(-g.centers)
-            values[k:k + len(special)] = special
+        block = rng.random((4, g.size)) * np.exp(-g.centers)
+        for k, values in enumerate(block):
             # NaN and inf are outside NumberDensity's domain; the writer must still spell them
-            traj.append(NumberDensity._unchecked(g, values, 0.1 * k), 0.0, 0.0)
+            values[k:k + len(special)] = special
+        traj = Trajectory(g, 0.1 * np.arange(4), block, [0.0] * 4, [0.0] * 4)
         (tmp_path / "new").mkdir()
         names = write_snapshot_csv(traj, tmp_path / "new")
         assert names == [f"snapshot_{k:04d}.csv" for k in range(4)]
@@ -260,11 +258,9 @@ class TestSnapshotCsv:
 
 def random_trajectory(grid, count=6, seed=5):
     rng = np.random.default_rng(seed)
-    traj = Trajectory(grid)
-    for k in range(count):
-        values = rng.random(grid.size) * np.exp(-grid.centers)
-        traj.append(NumberDensity(grid, values, 0.1 * k), 1e-3 * k, 1e-5 * k)
-    return traj
+    k = np.arange(count)
+    values = rng.random((count, grid.size)) * np.exp(-grid.centers)
+    return Trajectory(grid, 0.1 * k, values, 1e-3 * k, 1e-5 * k)
 
 
 class TestTrajectoryMatrix:
@@ -297,43 +293,69 @@ class TestTrajectoryMatrix:
         assert [s.time for s in traj] == traj.times.tolist()
         assert [s.time for s in traj[1::2]] == traj.times[1::2].tolist()
 
-    def test_appends_past_the_capacity_keep_every_row(self):
+    def test_constructor_freezes_the_block_without_copying_it(self):
         g = make_grid(10.0, 8)
-        rng = np.random.default_rng(9)
-        rows = rng.random((11, g.size))
-        traj = Trajectory(g, 1)
-        for k, row in enumerate(rows):
-            traj.append(NumberDensity(g, row, 0.1 * k), 0.0, 0.0)
-            assert np.array_equal(traj.values, rows[: k + 1])
-        assert traj.values is traj.values
+        block = np.random.default_rng(9).random((3, g.size))
+        traj = Trajectory(g, [0.0, 0.5, 1.0], block, [0.0] * 3, [0.0] * 3)
+        assert traj.values is block and np.shares_memory(traj.values, block)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
-    def test_append_refuses_another_grid(self):
+    @pytest.mark.parametrize("rows,cells,ledger", [(2, 16, 3), (3, 15, 3), (3, 16, 2)])
+    def test_constructor_refuses_a_block_of_another_shape(self, rows, cells, ledger):
+        g = make_grid(10.0, 8)  # 16 cells
+        block = np.ones((rows, cells))
+        with pytest.raises(DomainError, match="one row of grid cells"):
+            Trajectory(g, [0.0, 0.5, 1.0], block, [0.0] * ledger, [0.0] * 3)
+        assert block.flags.writeable  # a refused block is left as it was
+
+    @pytest.mark.parametrize("times", [(0.0, 0.5, 0.5), (0.0, 1.0, 0.5)])
+    def test_constructor_refuses_times_that_do_not_increase(self, times):
         g = make_grid(10.0, 8)
-        traj = Trajectory(g)
-        with pytest.raises(DomainError, match="trajectory's grid"):
-            traj.append(sample_initial(ExponentialProfile(), make_grid(10.0, 8)), 0.0, 0.0)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Trajectory(g, times, np.ones((3, g.size)), [0.0] * 3, [0.0] * 3)
+
+    @pytest.mark.parametrize("ledger", ["outflux", "clipped"])
+    def test_constructor_refuses_a_decreasing_ledger(self, ledger):
+        # each ledger may fall by 1e-10 * max(1, mass + |previous outflux|) from one
+        # snapshot to the next: here 1e-10 * (M1 + 1) for the rows' M1 and outflux 1
+        g = make_grid(10.0, 8)
+        block = np.ones((2, g.size))
+        slack = 1e-10 * (np.sum(g.centers * g.widths) + 1.0)
+
+        def build(drop):
+            ledgers = {"outflux": [1.0, 1.0], "clipped": [1.0, 1.0]}
+            ledgers[ledger][1] -= drop
+            return Trajectory(g, [0.0, 1.0], block, ledgers["outflux"], ledgers["clipped"])
+
+        assert build(0.5 * slack)[1].time == 1.0
+        with pytest.raises(DomainError, match="ledgers must be nondecreasing"):
+            build(2.0 * slack)
 
     def test_values_and_ledger_follow_replaced_snapshot(self):
         g = make_grid(10.0, 8)
         traj = random_trajectory(g)
 
-        def closure_loop():
-            m1 = np.array([weighted_norm(s, "mass") for s in traj])
-            return np.abs(m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0]) / m1[0]
+        def closure_loop(t):
+            m1 = np.array([weighted_norm(s, "mass") for s in t])
+            return np.abs(m1 + np.asarray(t.outflux) + np.asarray(t.clipped) - m1[0]) / m1[0]
 
         before = traj.ledger_closure()
-        assert np.array_equal(before, closure_loop())
-        block = traj.values
-        bad = traj[-1].values * 1.5
-        traj.replace_values(-1, bad)
-        assert traj.values is block
-        assert np.array_equal(traj.values[-1], bad)
-        assert np.array_equal(traj[-1].values, bad)
-        after = traj.ledger_closure()
-        assert np.array_equal(after, closure_loop())
+        assert np.array_equal(before, closure_loop(traj))
+        source = traj.values.copy()
+        values = traj.values.copy()
+        values[-1] *= 1.5
+        bad = Trajectory(g, traj.times, values, traj.outflux, traj.clipped)
+        assert np.array_equal(bad.values[-1], 1.5 * source[-1])
+        assert np.array_equal(bad[-1].values, 1.5 * source[-1])
+        assert np.array_equal(bad.values[:-1], source[:-1])
+        after = bad.ledger_closure()
+        assert np.array_equal(after, closure_loop(bad))
         assert after[-1] > before[-1]
-        with pytest.raises(DomainError):
-            traj.replace_values(0, -bad)
+        # the source record is unchanged
+        assert np.array_equal(traj.values, source)
+        assert np.array_equal(traj.ledger_closure(), before)
 
     def test_select_keeps_the_first_snapshot_and_the_given_times(self):
         g = make_grid(10.0, 8)
@@ -343,12 +365,22 @@ class TestTrajectoryMatrix:
         assert np.array_equal(sub.values, traj.values[[0, 1, 3]])
         assert not sub.values.flags.writeable
         assert sub.times.tolist() == traj.times[[0, 1, 3]].tolist()
-        assert sub.outflux == [traj.outflux[i] for i in (0, 1, 3)]
-        assert sub.clipped == [traj.clipped[i] for i in (0, 1, 3)]
+        assert sub.outflux == tuple(traj.outflux[i] for i in (0, 1, 3))
+        assert sub.clipped == tuple(traj.clipped[i] for i in (0, 1, 3))
         assert sub.grid is traj.grid
         assert np.array_equal(sub.ledger_closure(), traj.ledger_closure()[[0, 1, 3]])
         with pytest.raises(DomainError, match="no snapshot at t=0.25"):
             traj.select((0.1, 0.25))
+
+    def test_select_leaves_the_source_unchanged(self):
+        g = make_grid(10.0, 8)
+        traj = random_trajectory(g)
+        source = (traj.values.copy(), traj.times.copy(), traj.outflux, traj.clipped)
+        sub = traj.select((0.3,))
+        assert not np.shares_memory(sub.values, traj.values)
+        assert len(traj) == 6 and not traj.values.flags.writeable
+        assert np.array_equal(traj.values, source[0]) and np.array_equal(traj.times, source[1])
+        assert (traj.outflux, traj.clipped) == source[2:]
 
 
 def csv_writer_reference(path, names, rows):
