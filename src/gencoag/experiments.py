@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .errors import BoundViolation, ConfigError, GencoagError
+from .errors import BoundViolation, ConfigError, DomainError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 from .integrator import evolve
 from .kernels import Kernel, certificate_bounds
@@ -96,9 +96,15 @@ class DistanceTable:
 def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity,
               horizon: float, snapshot_times=None, eps: float | None = None,
               observers=()) -> Trajectory:
-    """Evolve one model on one grid; the grid is the truncated domain."""
+    """Evolve one model on one grid to ``initial.time + horizon``, stopping at each of
+    ``snapshot_times`` (increasing, the last at that end; only the end by default).  The
+    grid is the truncated domain."""
+    end = initial.time + horizon
+    stops = (end,) if snapshot_times is None else tuple(snapshot_times)
+    if stops[-1:] != (end,):  # also refuses no snapshot times
+        raise DomainError(f"snapshot times must end at t0 + horizon = {end:g}")
     rhs = make_rhs(model, kernel, eps)
-    return evolve(initial, rhs, horizon, snapshot_times, observers)
+    return evolve(initial, rhs, stops, observers)
 
 
 def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:

@@ -89,21 +89,20 @@ def _factor(err):
     return min(FAC_MAX, max(FAC_MIN, SAFETY * max(err, 1e-300) ** -0.25))
 
 
-def _advance(f, density, first, dt, norm):
-    """One accepted RK4 step from ``density``, whose stage k1 is ``first``.
+def _advance(f, grid, values, t, first, dt, norm):
+    """One accepted RK4 step from ``values`` at time ``t``, whose stage k1 is ``first``.
 
     Rejects and halves on positivity, and rejects and shrinks on the error
     estimate in ``norm``; both count against ``MAX_SHRINK``.  Returns
-    (NumberDensity, StepStats, k5), k5 being f at the new state.
+    (new values, StepStats, k5), k5 being f at the new state.  The new
+    values are checked finite and >= 0 in place, not copied, and read-only.
     """
-    grid = density.grid
-    values = density.values
     scale = float(values.max(initial=0.0))
     attempt = dt
     rejections = 0
     for _ in range(MAX_SHRINK + 1):
         tried = attempt
-        new, outflux, k4 = _rk4_attempt(f, values, density.time, first, attempt)
+        new, outflux, k4 = _rk4_attempt(f, values, t, first, attempt)
         floor = -CLIP_REL * max(scale, float(new.max(initial=0.0)))
         if float(new.min(initial=0.0)) < floor:
             attempt *= 0.5
@@ -114,18 +113,21 @@ def _advance(f, density, first, dt, norm):
         if np.any(neg):
             clipped = float(np.sum(-new[neg] * grid.centers[neg] * grid.widths[neg]))
             new = np.where(neg, 0.0, new)
-        last = f(new, density.time + attempt)
+        last = f(new, t + attempt)
         size = RTOL * max(norm(values), norm(new), 1e-300)
         err = norm((attempt / 6.0) * (k4 - last[0])) / size
         if err > 1.0:
             attempt *= _factor(err)
             rejections += 1
             continue
-        out = NumberDensity(grid, new, density.time + attempt)
-        return out, StepStats(attempt, rejections, clipped, outflux, err), last
+        # a NaN state passes every test above: its error estimate is NaN too
+        if not np.all(new < np.inf):
+            raise DomainError("number density values must be finite and >= 0")
+        new.setflags(write=False)
+        return new, StepStats(attempt, rejections, clipped, outflux, err), last
     raise StiffnessError(
-        f"step rejected {rejections} times from dt={dt:g} at t={density.time:g}",
-        time=density.time,
+        f"step rejected {rejections} times from dt={dt:g} at t={t:g}",
+        time=t,
         dt=tried,
     )
 
@@ -136,84 +138,78 @@ def _weighted_l1(grid):
     return lambda v: float(w @ np.abs(v))
 
 
-def _starting_step(f, density, first, norm):
+def _starting_step(f, values, t, first, norm):
     """Hairer-Norsett-Wanner starting step for an order-3 error estimate.
 
     Solving ODEs I, Sec. II.4, in the scaled norm ||v|| / (RTOL ||y0||);
     costs one Euler-probe evaluation besides k1.
     """
-    size = RTOL * max(norm(density.values), 1e-300)
-    d0 = norm(density.values) / size
+    size = RTOL * max(norm(values), 1e-300)
+    d0 = norm(values) / size
     d1 = norm(first[0]) / size
     h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
-    probe, _ = f(density.values + h0 * first[0], density.time + h0)
+    probe, _ = f(values + h0 * first[0], t + h0)
     d2 = norm(probe - first[0]) / size / h0
     top = max(d1, d2)
     h1 = max(1e-6, 1e-3 * h0) if top <= 1e-15 else (0.01 / top) ** 0.25
     return min(100.0 * h0, h1)
 
 
-def evolve(initial: NumberDensity, rhs_op, T: float, snapshot_times=None,
-           observers=()) -> Trajectory:
-    """Integrate to horizon T, landing exactly on every requested snapshot time.
+def evolve(initial: NumberDensity, rhs_op, stops, observers=()) -> Trajectory:
+    """Integrate from ``initial``, landing exactly on each of ``stops`` and ending at the last.
 
-    Observers are called as observer(time, density, stats) after each
-    accepted step; they must not mutate the density.  The run is under
+    ``stops`` must be non-empty, finite and strictly increasing, the first
+    after ``initial.time``.  Each row after the initial data is the state at
+    its stop, checked finite and >= 0 when its step was accepted.  Observers
+    are called as observer(time, values, stats) after each accepted step,
+    with the state's read-only values.  The run is under
     ``np.errstate(invalid="raise", over="raise")``: a NaN or an overflow
     raises StiffnessError with the time and dt of the step it hit.
     """
-    if not (0.0 <= T < np.inf):
-        raise DomainError("horizon T must be finite and >= 0")
-    if T == 0.0:
-        stops = []
-    elif snapshot_times is None:
-        stops = [initial.time + T]
-    else:
-        stops = sorted({float(s) for s in snapshot_times})
-        if any(s <= initial.time or s > initial.time + T * (1 + 1e-12) for s in stops):
-            raise DomainError("snapshot times must lie in (t0, t0 + T]")
-        if not stops or abs(stops[-1] - (initial.time + T)) > 1e-12 * max(T, 1.0):
-            stops.append(initial.time + T)
+    stops = [float(s) for s in stops]
+    # a NaN fails every comparison, so each clause also refuses one
+    if not (stops and stops[0] > initial.time and stops[-1] < np.inf
+            and all(a < b for a, b in zip(stops, stops[1:]))):
+        raise DomainError("stops must be finite and strictly increasing, the first after "
+                          f"t0 = {initial.time:g}")
+    grid = initial.grid
     # one row for the initial data and one per stop, each row with its time and ledgers
-    block = np.empty((len(stops) + 1, initial.grid.size))
+    block = np.empty((len(stops) + 1, grid.size))
     block[0] = initial.values
-    times, outflux, clipped = [initial.time], [0.0], [0.0]
-    if T == 0.0:
-        return Trajectory(initial.grid, times, block, outflux, clipped)
+    outflux, clipped = [0.0], [0.0]
 
-    f = _stages(rhs_op, initial.grid)
-    norm = _weighted_l1(initial.grid)
-    state = initial
+    f = _stages(rhs_op, grid)
+    norm = _weighted_l1(grid)
+    t, values = initial.time, initial.values
     outflux_total = 0.0
     clipped_total = 0.0
     dt_try = 0.0
     try:
         with np.errstate(invalid="raise", over="raise"):
-            first = f(state.values, state.time)
-            dt_cur = _starting_step(f, state, first, norm)
-            for target in stops:
-                while (state.time < target * (1.0 - 1e-15)
-                       and target - state.time > 1e-15 * max(target, 1.0)):
-                    dt_try = min(dt_cur, target - state.time)
-                    state, stats, first = _advance(f, state, first, dt_try, norm)
+            first = f(values, t)
+            dt_cur = _starting_step(f, values, t, first, norm)
+            for row, target in enumerate(stops, start=1):
+                while target - t > 1e-15 * max(target, 1.0):
+                    dt_try = min(dt_cur, target - t)
+                    values, stats, first = _advance(f, grid, values, t, first, dt_try, norm)
+                    t += stats.dt
                     outflux_total += stats.outflux
                     clipped_total += stats.clipped_mass
                     for obs in observers:
-                        obs(state.time, state, stats)
+                        obs(t, values, stats)
                     proposal = stats.dt * _factor(stats.error)
                     # a step shortened to land on a stop does not shrink the next one
                     shortened = dt_try < dt_cur and not stats.rejections
                     dt_cur = max(proposal, dt_cur) if shortened else proposal
                 # land exactly on the requested time
-                state = state.replace(time=target)
-                block[len(times)] = state.values
-                times.append(target)
+                t = target
+                block[row] = values
                 outflux.append(outflux_total)
                 clipped.append(clipped_total)
     except FloatingPointError as exc:
         raise StiffnessError(
-            f"floating-point fault ({exc}) in the step from t={state.time:g} with dt={dt_try:g}",
-            time=state.time,
+            f"floating-point fault ({exc}) in the step from t={t:g} with dt={dt_try:g}",
+            time=t,
             dt=dt_try,
         ) from exc
-    return Trajectory(initial.grid, times, block, outflux, clipped)
+    return Trajectory(grid, [initial.time, *stops], block, outflux, clipped)

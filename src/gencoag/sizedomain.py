@@ -152,19 +152,12 @@ class NumberDensity:
         # Internal: a density over ``values`` as they are, neither copied nor
         # checked.  Integrator stages build one over their state clamped at
         # zero, and a trajectory one over a row of its block, whose cells were
-        # checked when the density they came from was built.
+        # checked as the initial density or as a state evolve accepted.
         obj = object.__new__(cls)
         obj.grid = grid
         obj.values = np.asarray(values, dtype=float)
         obj.time = float(time)
         return obj
-
-    def replace(self, values=None, time=None):
-        return NumberDensity(
-            self.grid,
-            self.values if values is None else values,
-            self.time if time is None else time,
-        )
 
     def mass(self):
         return weighted_norm(self, "mass")
@@ -176,8 +169,10 @@ class Trajectory:
     A record checked and frozen once, when it is built.  ``values`` is the
     (snapshots x cells) block, one row per entry of ``times``: it is kept as
     given and made read-only, not copied, and ``traj[i]`` is a density over
-    its row i.  The rows are not checked again, since each holds the cells
-    of a :class:`NumberDensity`, which were.
+    its row i.  The rows are not checked again: in a run of
+    :func:`~gencoag.integrator.evolve`, row 0 holds the cells of the initial
+    :class:`NumberDensity` and every other row a state that evolve checked
+    finite and >= 0 when it accepted its step.
 
     ``outflux`` holds cumulative mass carried through the upper boundary up
     to each snapshot time; ``clipped`` holds cumulative absolute mass

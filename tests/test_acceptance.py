@@ -61,11 +61,12 @@ MATRIX_T = 0.5
 class StepLog:
     """Observer recording the L1 norm after every accepted step."""
 
-    def __init__(self):
+    def __init__(self, grid):
+        self.widths = grid.widths
         self.l1 = []
 
-    def __call__(self, t, density, stats):
-        self.l1.append(float(np.sum(density.values * density.grid.widths)))
+    def __call__(self, t, values, stats):
+        self.l1.append(float(np.sum(values * self.widths)))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ def example_matrix():
         for profile in profiles:
             initial = sample_initial(profile, grid)
             for model, eps in (("sce", None), ("ohs", None), ("generalized", 0.5)):
-                log = StepLog()
+                log = StepLog(grid)
                 traj = run_model(
                     model, kernel, grid, initial, MATRIX_T,
                     np.linspace(0.1, MATRIX_T, 5), eps=eps, observers=(log,),

@@ -387,6 +387,17 @@ class TestSimulate:
         assert solves == []
         assert not (tmp_path / "out").exists()
 
+    def test_colliding_snapshot_times_exit_1(self, tmp_path, capsys):
+        # horizon * k / 30 rounds to the same subnormal for several k: the run
+        # is refused, where it once wrote 21 of its 30 snapshots and exited 0
+        cfg = write_config(tmp_path, {"grid": {"n": 10.0, "cells_per_decade": 4},
+                                      "time": {"horizon": 1.0e-322, "snapshots": 30}})
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stops must be finite and strictly increasing")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, message", [
         ({"time": {"horizn": 0.3, "snapshots": 3}}, "unknown config key time.horizn"),
         ({"time": {"horizon": 0.3, "dt_mode": "fixed"}},

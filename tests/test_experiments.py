@@ -84,6 +84,32 @@ def _failing_generalized(exc):
     return make_rhs
 
 
+class TestRunModel:
+    @pytest.mark.parametrize("t0, times", [
+        (0.0, ()),
+        (0.0, (0.1, 0.2)),  # falls short of the horizon
+        (0.0, (0.1, 0.4)),  # runs past it
+        (0.25, (0.1, 0.3)),  # ends at the horizon, not at t0 + horizon
+    ])
+    def test_times_that_do_not_end_at_the_horizon_are_refused(self, monkeypatch, t0, times):
+        grid = make_grid(20.0, 16)
+        initial = NumberDensity(grid, sample_initial(ExponentialProfile(), grid).values, t0)
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append(a))
+        with pytest.raises(DomainError, match="snapshot times must end at t0 \\+ horizon"):
+            run_model("sce", ConstantKernel(1.0), grid, initial, 0.3, times)
+        assert calls == []
+
+    def test_the_run_ends_at_t0_plus_horizon(self):
+        grid = make_grid(20.0, 16)
+        initial = NumberDensity(grid, sample_initial(ExponentialProfile(), grid).values, 0.25)
+        kernel = ConstantKernel(1.0)
+        alone = run_model("sce", kernel, grid, initial, 0.5)
+        assert np.array_equal(alone.times, [0.25, 0.75])
+        stopped = run_model("sce", kernel, grid, initial, 0.5, (0.5, 0.75))
+        assert np.array_equal(stopped.times, [0.25, 0.5, 0.75])
+
+
 class TestMemberFailures:
     def test_package_error_marks_member(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs",
@@ -110,7 +136,7 @@ class TestMemberFailures:
             rhs = real(model, kernel, eps)
             if model != "generalized":
                 return rhs
-            return lambda d: rhs(d) if d.time < 0.1 else rhs(d.replace(values=d.values * 1e300))
+            return lambda d: rhs(d) if d.time < 0.1 else rhs(NumberDensity(d.grid, d.values * 1e300, d.time))
         monkeypatch.setattr(experiments, "make_rhs", make_rhs)
         table = run_eps_sweep(MemberTable(small_config(eps_list=(0.5,))))
         error = table.failed[0]["error"]

@@ -26,11 +26,12 @@ def setup():
 
 def _advance(density, rhs, dt):
     """One accepted step of the production stepper from ``density``, trial step dt."""
-    f = integrator._stages(rhs, density.grid)
+    grid = density.grid
+    f = integrator._stages(rhs, grid)
     first = f(density.values, density.time)
-    out, stats, _ = integrator._advance(f, density, first, dt,
-                                        integrator._weighted_l1(density.grid))
-    return out, stats
+    values, stats, _ = integrator._advance(f, grid, density.values, density.time, first, dt,
+                                           integrator._weighted_l1(grid))
+    return NumberDensity(grid, values, density.time + stats.dt), stats
 
 
 class TestStep:
@@ -68,42 +69,85 @@ class TestStep:
 
 
 class TestEvolve:
-    def test_zero_horizon(self, setup):
+    @pytest.mark.parametrize("t0, stops", [
+        (0.0, []),  # no stop: the run has no end
+        (0.0, [0.5, 0.25]),  # unsorted
+        (0.0, [0.25, 0.25, 0.5]),  # repeated
+        (0.0, [np.nan]),
+        (0.0, [0.25, np.nan, 0.5]),
+        (0.0, [0.25, np.inf]),
+        (0.0, [0.0]),  # at the initial time: a zero horizon
+        (0.0, [-0.25, 0.5]),
+        (0.5, [0.5, 1.0]),
+        (0.5, [0.25, 1.0]),
+    ])
+    def test_refused_stops(self, setup, t0, stops):
         grid, kernel, density = setup
-        traj = evolve(density, make_rhs("sce", kernel), 0.0)
-        assert len(traj) == 1 and traj[0].time == 0.0
+        start = NumberDensity(grid, density.values, t0)
+        with pytest.raises(DomainError, match="stops must be finite and strictly increasing"):
+            evolve(start, make_rhs("sce", kernel), stops)
+
+    def test_builds_no_checked_density(self, setup, monkeypatch):
+        # each accepted state is checked in place: no density is built, copied
+        # and scanned per step or per stop
+        grid, kernel, density = setup
+        built, real = [], NumberDensity.__init__
+        monkeypatch.setattr(NumberDensity, "__init__",
+                            lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+        traj = evolve(density, make_rhs("sce", kernel), (0.25, 0.5))
+        assert built == [] and np.array_equal(traj.times, [0.0, 0.25, 0.5])
+
+    def test_nan_rates_are_refused(self, setup):
+        # a NaN the rates return, rather than compute, raises no floating-point
+        # fault, and its NaN error estimate passes the error test; the check of
+        # the accepted state refuses it, where a run without it never ends
+        density = setup[2]
+
+        def rhs(d):
+            if d.time <= 0.3:
+                return -d.values, 0.0
+            return np.full(d.values.shape, np.nan), 0.0
+
+        accepted = []
+
+        def budget(t, values, stats):
+            accepted.append(t)
+            if len(accepted) > 1000:
+                raise RuntimeError("over 1000 accepted steps")
+
+        with pytest.raises(DomainError, match=r"^number density values must be finite and >= 0$"):
+            evolve(density, rhs, (1.0,), observers=[budget])
 
     def test_riccati_horizon_one(self, setup):
         grid, kernel, density = setup
-        d = density.replace(values=density.values / weighted_norm(density, "one"))
-        traj = evolve(d, make_rhs("sce", kernel), 1.0, [1.0])
+        d = NumberDensity(grid, density.values / weighted_norm(density, "one"))
+        traj = evolve(d, make_rhs("sce", kernel), [1.0])
         m0 = weighted_norm(traj[-1], "one")
         assert abs(m0 - 2.0 / 3.0) <= 1e-3 * (2.0 / 3.0)
 
     def test_l1_never_increases(self, setup):
         grid, kernel, density = setup
-        traj = evolve(density, make_rhs("generalized", kernel, 0.3), 1.0,
-                      np.linspace(0.1, 1.0, 10))
+        traj = evolve(density, make_rhs("generalized", kernel, 0.3), np.linspace(0.1, 1.0, 10))
         norms = [weighted_norm(s, "one") for s in traj]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_snapshots_land_exactly(self, setup):
         grid, kernel, density = setup
         stops = [0.1, 0.25, 0.5]
-        traj = evolve(density, make_rhs("sce", kernel), 0.5, stops)
+        traj = evolve(density, make_rhs("sce", kernel), stops)
         assert np.array_equal(traj.times, [0.0] + stops)
 
     def test_mass_ledger_closure(self, setup):
         grid, kernel, density = setup
         for model, eps in (("sce", None), ("generalized", 0.25), ("ohs", None)):
-            traj = evolve(density, make_rhs(model, kernel, eps), 1.0, [0.5, 1.0])
+            traj = evolve(density, make_rhs(model, kernel, eps), [0.5, 1.0])
             m1 = np.array([weighted_norm(s, "mass") for s in traj])
             closure = m1 + np.asarray(traj.outflux) + np.asarray(traj.clipped) - m1[0]
             assert np.max(np.abs(closure)) <= 1e-8 * m1[0]
 
     def test_nonnegative_snapshots(self, setup):
         grid, kernel, density = setup
-        traj = evolve(density, make_rhs("generalized", kernel, 0.01), 0.5, [0.5])
+        traj = evolve(density, make_rhs("generalized", kernel, 0.01), [0.5])
         for s in traj:
             assert np.all(s.values >= 0.0)
 
@@ -111,7 +155,7 @@ class TestEvolve:
         # fixed-dt M0 error against the Riccati closed form drops ~16x per
         # halving, with the production RK4 attempt taken in equal steps
         grid, kernel, density = setup
-        d = density.replace(values=density.values / weighted_norm(density, "one"))
+        d = NumberDensity(grid, density.values / weighted_norm(density, "one"))
         f = integrator._stages(make_rhs("sce", kernel), grid)
 
         def m0_error(dt):
@@ -119,7 +163,7 @@ class TestEvolve:
             for i in range(round(0.5 / dt)):
                 y, _, _ = integrator._rk4_attempt(f, y, i * dt, f(y, i * dt), dt)
             # subtract the boundary-truncation bias shared by all dt
-            return weighted_norm(d.replace(values=y), "one") - 2.0 / (2.0 + 0.5)
+            return weighted_norm(NumberDensity(grid, y), "one") - 2.0 / (2.0 + 0.5)
 
         e1, e2 = m0_error(0.05), m0_error(0.025)
         # bias cancels in the difference of consecutive refinements
@@ -127,15 +171,9 @@ class TestEvolve:
         r1 = abs(e1 - e2) / abs(e2 - e4)
         assert 10.0 <= r1 <= 24.0  # 4th order => ~16
 
-    @pytest.mark.parametrize("T", [np.nan, np.inf])
-    def test_non_finite_horizon_rejected(self, setup, T):
-        grid, kernel, density = setup
-        with pytest.raises(DomainError):
-            evolve(density, make_rhs("sce", kernel), T)
-
 
 def _record(log):
-    return lambda t, d, stats: log.append((t, stats))
+    return lambda t, values, stats: log.append((t, stats))
 
 
 def _factor(err):
@@ -150,8 +188,8 @@ class TestFixedMode:
         grid, kernel, density = setup
         rhs = make_rhs("generalized", kernel, 0.3)
         log = []
-        traj = evolve(density, rhs, 0.25, (0.1, 0.25),
-                      observers=[lambda t, d, stats: log.append((d.values, stats))])
+        traj = evolve(density, rhs, (0.1, 0.25),
+                      observers=[lambda t, values, stats: log.append((values, stats))])
 
         def f(v):
             return rhs(NumberDensity(grid, np.maximum(v, 0.0)))
@@ -167,6 +205,7 @@ class TestFixedMode:
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out += (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             assert np.array_equal(values, y) and stats.clipped_mass == 0.0
+            assert not values.flags.writeable  # the state observers see is the stepper's own
         assert np.array_equal(traj.values[-1], y)
         assert traj.outflux[-1] == out and traj.clipped == (0.0,) * 3
 
@@ -182,7 +221,7 @@ class TestErrorControl:
 
         def estimate(dt):
             log = []
-            evolve(density, rhs, dt, observers=[_record(log)])
+            evolve(density, rhs, (dt,), observers=[_record(log)])
             assert len(log) == 1 and log[0][1].rejections == 0
             return log[0][1].error
 
@@ -194,7 +233,7 @@ class TestErrorControl:
         # dt * min(5, max(0.2, 0.8 err^(-1/4)))
         grid, kernel, density = setup
         log = []
-        evolve(density, make_rhs("generalized", kernel, 0.3), 2.0, observers=[_record(log)])
+        evolve(density, make_rhs("generalized", kernel, 0.3), (2.0,), observers=[_record(log)])
         stats = [s for _, s in log]
         assert len(stats) > 5 and all(0.0 < s.error <= 1.0 for s in stats)
         assert not any(s.rejections for s in stats)
@@ -205,23 +244,23 @@ class TestErrorControl:
         grid, kernel, density = setup
         monkeypatch.setattr(integrator, "_starting_step", lambda *args: 0.5)
         log = []
-        evolve(density, make_rhs("sce", kernel), 0.5, observers=[_record(log)])
+        evolve(density, make_rhs("sce", kernel), (0.5,), observers=[_record(log)])
         first = log[0][1]
         assert first.rejections >= 1 and first.dt < 0.5 and first.error <= 1.0
         monkeypatch.setattr(integrator, "MAX_SHRINK", 0)
         with pytest.raises(StiffnessError) as err:
-            evolve(density, make_rhs("sce", kernel), 0.5)
+            evolve(density, make_rhs("sce", kernel), (0.5,))
         assert err.value.time == 0.0 and err.value.dt == 0.5
 
     def test_landing_does_not_shrink_next_step(self, setup):
         grid, kernel, density = setup
         rhs = make_rhs("sce", kernel)
         free = []
-        evolve(density, rhs, 1.0, observers=[_record(free)])
+        evolve(density, rhs, (1.0,), observers=[_record(free)])
         # a stop just after the third step: the fourth is cut short
         stop = free[2][0] + 0.01 * free[3][1].dt
         landed = []
-        evolve(density, rhs, 1.0, [stop, 1.0], observers=[_record(landed)])
+        evolve(density, rhs, [stop, 1.0], observers=[_record(landed)])
         assert [s.dt for _, s in landed[:3]] == [s.dt for _, s in free[:3]]
         short, after = landed[3][1], landed[4][1]
         assert landed[3][0] == pytest.approx(stop, rel=1e-15) and short.dt < free[3][1].dt
@@ -233,7 +272,8 @@ class TestErrorControl:
         first = {}
         for eps in (1.0, 2.0 ** -10):
             log = []
-            evolve(density, make_rhs("generalized", kernel, eps), 0.5, observers=[_record(log)])
+            evolve(density, make_rhs("generalized", kernel, eps), (0.5,),
+                   observers=[_record(log)])
             first[eps] = log[0][1]
             assert first[eps].rejections == 0 and len(log) <= 30
         assert 0.5 <= first[1.0].dt / first[2.0 ** -10].dt <= 2.0
@@ -255,7 +295,7 @@ class TestFloatingPointFaults:
 
         log = []
         with pytest.raises(StiffnessError) as err:
-            evolve(density, rhs, 1.0, observers=[_record(log)])
+            evolve(density, rhs, (1.0,), observers=[_record(log)])
         t, last = log[-1]
         assert err.value.time == t and err.value.dt == last.dt * _factor(last.error)
         assert t <= 0.32 < t + err.value.dt

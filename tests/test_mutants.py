@@ -52,6 +52,12 @@ MUTANTS = {
     "rk_weights_second_order": ("integrator.py", (
         ("(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 4.0 * k2 + 0.0 * k3 + k4)"),),
         (0, 0, 0, 0, 0, 2)),
+    # the same weights on the state and on the outflux ledger: the ledger stays
+    # consistent with the state, and no run catches the second-order stepper
+    "rk_weights_second_order_with_ledger": ("integrator.py", (
+        ("(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 4.0 * k2 + 0.0 * k3 + k4)"),
+        ("(l1 + 2.0 * l2 + 2.0 * l3 + l4)", "(l1 + 4.0 * l2 + 0.0 * l3 + l4)")),
+        (0, 0, 0, 0, 0, 0)),
     # the two-point deposit shares swapped: mass is deposited at the wrong size
     "deposit_shares_swapped": ("operators.py", (
         ("w * rate, (1.0 - w) * rate)", "(1.0 - w) * rate, w * rate)"),), (2, 2, 0, 2, 2, 2)),

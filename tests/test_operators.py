@@ -376,7 +376,7 @@ class TestMakeRhs:
 
         monkeypatch.setattr(operators, "LagScheme", counting)
         rhs = make_rhs(model, const_kernel, eps)
-        traj = evolve(exp_density, rhs, 0.2, [0.1, 0.2])
+        traj = evolve(exp_density, rhs, [0.1, 0.2])
         assert len(traj) == 3
         assert len(calls) == 1
 

@@ -54,9 +54,9 @@ def test_step_budget(name, tmp_path, monkeypatch):
     def run_model(*args, observers=(), **kwargs):
         steps, states = [], []
 
-        def observe(t, density, stats):
+        def observe(t, values, stats):
             steps.append(stats)
-            states.append((t, density.values.copy()))
+            states.append((t, values))
 
         traj = real_run_model(*args, observers=(*observers, observe), **kwargs)
         runs.append(steps)
