@@ -293,7 +293,12 @@ def _snapshot_times(count, horizon, cells, scheme):
                        f"{count} snapshots of {cells} cells", "use fewer snapshots or cells")
     if horizon * count == np.inf:  # the product that forms the last time
         raise ConfigError(f"time.horizon {horizon:g} * {count} snapshots overflows a double")
-    return tuple(horizon * k / count for k in range(1, count + 1))
+    times = tuple(horizon * k / count for k in range(1, count + 1))
+    # a subnormal horizon rounds some of horizon * k / count to one value, or the first to 0
+    if not (times[0] > 0.0 and all(a < b for a, b in zip(times, times[1:]))):
+        raise ConfigError(f"time.horizon {horizon:g} is too small for time.snapshots {count}: "
+                          "the snapshot times do not strictly increase from above 0")
+    return times
 
 
 #: omegas name -> the test function it makes and the count of its parameters (bump:a:b)

@@ -1,18 +1,19 @@
-"""Error-controlled, positivity-safeguarded RK4 time stepping for the
-coagulation ODE system.
+"""Error-controlled, positivity-safeguarded Dormand-Prince 5(4) time
+stepping for the coagulation ODE system.
 
-The propagator is classical RK4, and every step is under error control.
-The stage k5 = f(y_{n+1}), evaluated at the accepted (clipped) state, is
-the next step's k1 ("first same as last"), so an accepted step still costs
-four right-hand-side evaluations.  With the weights (1/6, 1/3, 1/3, 0, 1/6)
-on (k1, ..., k5) it also gives an embedded third-order solution; their
-difference ``dt/6 (k4 - k5)`` is the local error estimate that sets the
-next step.  The first step is estimated from the data.
+The propagator is the fifth-order solution of the Dormand-Prince pair
+(Dormand & Prince 1980; Hairer-Norsett-Wanner, Solving ODEs I,
+Sec. II.4-II.5), and every step is under error control.  Of its seven
+stages, k7 = f(y_{n+1}), evaluated at the accepted (clipped) state, is the
+next step's k1 ("first same as last"), so an accepted step costs six
+right-hand-side evaluations.  The embedded fourth-order solution differs
+from the propagated one by ``dt sum_i e_i k_i``, the local error estimate
+that sets the next step.  The first step is estimated from the data.
 
 The boundary-outflux ledger is integrated alongside the density as an extra
-ODE component, so any identity satisfied by the semi-discrete right-hand
-side (in particular d/dt(M1) + outflux = 0) is inherited by the fully
-discrete trajectory to rounding accuracy.
+ODE component, with the state's own weights, so any identity satisfied by
+the semi-discrete right-hand side (in particular d/dt(M1) + outflux = 0) is
+inherited by the fully discrete trajectory to rounding accuracy.
 """
 
 from __future__ import annotations
@@ -31,20 +32,39 @@ CLIP_REL = 1.0e-12
 
 #: Relative tolerance of the error control: the local error estimate,
 #: in the weighted L1 norm with weight (1 + mu) dmu, is kept below RTOL
-#: times the norm of the state.
-RTOL = 1.0e-7
+#: times the larger norm of the old and the new state.
+RTOL = 4.0e-8
 
 #: Bounds of the factor by which one step may change the next.
 FAC_MIN = 0.2
 FAC_MAX = 5.0
 
 #: Safety factor of the step-size update: the next step is
-#: SAFETY * err^(-1/4) times the last, clamped to [FAC_MIN, FAC_MAX].
+#: SAFETY * err^(-1/5) times the last, clamped to [FAC_MIN, FAC_MAX].
 SAFETY = 0.8
 
 #: Rejections (error or positivity) allowed in one step before it fails
 #: with a StiffnessError.
 MAX_SHRINK = 20
+
+#: The Dormand-Prince 5(4) tableau.  Stage s (0-based) is f at t + C[s] dt
+#: and at values + dt * sum_j A[s][j] k_j; the seventh stage is f at the
+#: accepted state, at t + dt.
+C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+A = ((),
+     (1 / 5,),
+     (3 / 40, 9 / 40),
+     (44 / 45, -56 / 15, 32 / 9),
+     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+
+#: Fifth-order weights of the propagated solution on k1..k6 (k7's is zero);
+#: the outflux ledger is integrated with the same weights.
+B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+
+#: b - b_hat on k1..k7, b_hat the weights of the embedded fourth-order
+#: solution: dt sum_i E[i] k_i is the local error estimate.
+E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 class StepStats(NamedTuple):
@@ -74,27 +94,38 @@ def _stages(rhs_op, grid):
     return f
 
 
-def _rk4_attempt(f, values, t, first, dt):
-    k1, l1 = first
-    k2, l2 = f(values + 0.5 * dt * k1, t + 0.5 * dt)
-    k3, l3 = f(values + 0.5 * dt * k2, t + 0.5 * dt)
-    k4, l4 = f(values + dt * k3, t + dt)
-    new = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    outflux = (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return new, outflux, k4
+def _combine(weights, terms):
+    """sum_i weights[i] * terms[i], as a sum of scalar-times-array terms."""
+    return sum(w * k for w, k in zip(weights, terms))
+
+
+def _dp_attempt(f, values, t, first, dt):
+    """Stages k1..k6 from ``values`` at ``t`` with k1 = ``first``.
+
+    Returns (fifth-order state, outflux over the step, [k1, ..., k6]).
+    """
+    ks, ls = [first[0]], [first[1]]
+    for c, row in zip(C[1:], A[1:]):
+        k, l = f(values + dt * _combine(row, ks), t + c * dt)
+        ks.append(k)
+        ls.append(l)
+    return values + dt * _combine(B, ks), dt * _combine(B, ls), ks
 
 
 def _factor(err):
-    """Step-size factor SAFETY * err^(-1/4), clamped to [FAC_MIN, FAC_MAX]."""
-    return min(FAC_MAX, max(FAC_MIN, SAFETY * max(err, 1e-300) ** -0.25))
+    """Step-size factor SAFETY * err^(-1/5), clamped to [FAC_MIN, FAC_MAX].
+
+    The exponent is one over (order of the error estimate + 1).
+    """
+    return min(FAC_MAX, max(FAC_MIN, SAFETY * max(err, 1e-300) ** -0.2))
 
 
 def _advance(f, grid, values, t, first, dt, norm):
-    """One accepted RK4 step from ``values`` at time ``t``, whose stage k1 is ``first``.
+    """One accepted step from ``values`` at time ``t``, whose stage k1 is ``first``.
 
-    Rejects and halves on positivity, and rejects and shrinks on the error
-    estimate in ``norm``; both count against ``MAX_SHRINK``.  Returns
-    (new values, StepStats, k5), k5 being f at the new state.  The new
+    Rejects and halves on positivity, and rejects and shrinks on the
+    order-4 error estimate in ``norm``; both count against ``MAX_SHRINK``.
+    Returns (new values, StepStats, k7), k7 being f at the new state.  The new
     values are checked finite and >= 0 in place, not copied, and read-only.
     """
     scale = float(values.max(initial=0.0))
@@ -102,7 +133,7 @@ def _advance(f, grid, values, t, first, dt, norm):
     rejections = 0
     for _ in range(MAX_SHRINK + 1):
         tried = attempt
-        new, outflux, k4 = _rk4_attempt(f, values, t, first, attempt)
+        new, outflux, ks = _dp_attempt(f, values, t, first, attempt)
         floor = -CLIP_REL * max(scale, float(new.max(initial=0.0)))
         if float(new.min(initial=0.0)) < floor:
             attempt *= 0.5
@@ -115,7 +146,7 @@ def _advance(f, grid, values, t, first, dt, norm):
             new = np.where(neg, 0.0, new)
         last = f(new, t + attempt)
         size = RTOL * max(norm(values), norm(new), 1e-300)
-        err = norm((attempt / 6.0) * (k4 - last[0])) / size
+        err = norm(attempt * _combine(E, [*ks, last[0]])) / size
         if err > 1.0:
             attempt *= _factor(err)
             rejections += 1
@@ -139,7 +170,7 @@ def _weighted_l1(grid):
 
 
 def _starting_step(f, values, t, first, norm):
-    """Hairer-Norsett-Wanner starting step for an order-3 error estimate.
+    """Hairer-Norsett-Wanner starting step for an order-4 error estimate.
 
     Solving ODEs I, Sec. II.4, in the scaled norm ||v|| / (RTOL ||y0||);
     costs one Euler-probe evaluation besides k1.
@@ -151,7 +182,7 @@ def _starting_step(f, values, t, first, norm):
     probe, _ = f(values + h0 * first[0], t + h0)
     d2 = norm(probe - first[0]) / size / h0
     top = max(d1, d2)
-    h1 = max(1e-6, 1e-3 * h0) if top <= 1e-15 else (0.01 / top) ** 0.25
+    h1 = max(1e-6, 1e-3 * h0) if top <= 1e-15 else (0.01 / top) ** 0.2
     return min(100.0 * h0, h1)
 
 

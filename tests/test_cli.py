@@ -389,12 +389,13 @@ class TestSimulate:
 
     def test_colliding_snapshot_times_exit_1(self, tmp_path, capsys):
         # horizon * k / 30 rounds to the same subnormal for several k: the run
-        # is refused, where it once wrote 21 of its 30 snapshots and exited 0
+        # is refused, where it once wrote 21 of its 30 snapshots and exited 0,
+        # with an error that names both keys that set the times
         cfg = write_config(tmp_path, {"grid": {"n": 10.0, "cells_per_decade": 4},
                                       "time": {"horizon": 1.0e-322, "snapshots": 30}})
         assert main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: stops must be finite and strictly increasing")
+        assert err.startswith("error: time.horizon ") and "time.snapshots 30" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

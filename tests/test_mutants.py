@@ -47,16 +47,16 @@ MUTANTS = {
     "kernel_tilt_small_partner": ("operators.py", (
         ("self.g = np.array([g for _, g in factors])",
          "self.g = np.array([g for _, g in factors]) * x ** -0.05"),), (0, 0, 0, 2, 0, 0)),
-    # RK weights (1, 2, 2, 1) / 6 -> (1, 4, 0, 1) / 6: a second-order stepper, caught
-    # only where mass leaves, since the outflux ledger keeps the RK4 weights
-    "rk_weights_second_order": ("integrator.py", (
-        ("(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 4.0 * k2 + 0.0 * k3 + k4)"),),
+    # the state's Dormand-Prince weights -> 1/4 on k1 and 3/4 on k6: a first-order
+    # stepper, caught only where mass leaves, since the outflux ledger keeps the weights b
+    "dp_weights_first_order": ("integrator.py", (
+        ("values + dt * _combine(B, ks)", "values + dt * (0.25 * ks[0] + 0.75 * ks[5])"),),
         (0, 0, 0, 0, 0, 2)),
     # the same weights on the state and on the outflux ledger: the ledger stays
-    # consistent with the state, and no run catches the second-order stepper
-    "rk_weights_second_order_with_ledger": ("integrator.py", (
-        ("(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 4.0 * k2 + 0.0 * k3 + k4)"),
-        ("(l1 + 2.0 * l2 + 2.0 * l3 + l4)", "(l1 + 4.0 * l2 + 0.0 * l3 + l4)")),
+    # consistent with the state, and no run catches the first-order stepper
+    "dp_weights_first_order_with_ledger": ("integrator.py", (
+        ("values + dt * _combine(B, ks)", "values + dt * (0.25 * ks[0] + 0.75 * ks[5])"),
+        ("dt * _combine(B, ls)", "dt * (0.25 * ls[0] + 0.75 * ls[5])")),
         (0, 0, 0, 0, 0, 0)),
     # the two-point deposit shares swapped: mass is deposited at the wrong size
     "deposit_shares_swapped": ("operators.py", (

@@ -18,13 +18,13 @@ from gencoag.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (command, config, accepted-step budget); measured: 27, 33, 27, 111, 138
+# (command, config, accepted-step budget); measured: 15, 33, 14, 55, 66
 BUDGETS = {
-    "simulate_fine": ("simulate", "perfbench/configs/simulate_fine.yaml", 40),
+    "simulate_fine": ("simulate", "perfbench/configs/simulate_fine.yaml", 21),
     "simulate_ohs_diag": ("simulate", "perfbench/configs/simulate_ohs_diag.yaml", 45),
-    "simulate_singular": ("simulate", "configs/simulate_singular.yaml", 40),
-    "validate_constant": ("validate", "configs/validate_constant.yaml", 155),
-    "sweep_eps": ("sweep", "configs/sweep_eps.yaml", 195),
+    "simulate_singular": ("simulate", "configs/simulate_singular.yaml", 20),
+    "validate_constant": ("validate", "configs/validate_constant.yaml", 77),
+    "sweep_eps": ("sweep", "configs/sweep_eps.yaml", 92),
 }
 
 
@@ -70,6 +70,6 @@ def test_step_budget(name, tmp_path, monkeypatch):
     accepted = sum(len(steps) for steps in runs)
     rejections = sum(s.rejections for steps in runs for s in steps)
     assert accepted <= budget, f"{name}: {accepted} steps > {budget}"
-    # four evaluations per step (k5 is the next k1), plus k1 and the
-    # starting-step probe per run, plus at most four per rejection
-    assert evals[0] <= 4 * accepted + 2 * len(runs) + 4 * rejections
+    # six evaluations per step (k7 is the next k1), plus k1 and the
+    # starting-step probe per run, plus at most six per rejection
+    assert evals[0] <= 6 * accepted + 2 * len(runs) + 6 * rejections
