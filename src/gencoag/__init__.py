@@ -22,11 +22,10 @@ _SOURCE = {
     **dict.fromkeys(("BoundViolation", "ConfigError", "DomainError", "GaugeConstructionError",
                      "GencoagError", "InitialDataError", "StiffnessError"), "errors"),
     **dict.fromkeys(("AdditiveKernel", "Certificate", "ConstantKernel", "Kernel",
-                     "PowerSumKernel", "SingularProductKernel", "TabulatedKernel",
-                     "kernel_from_config", "truncate"), "kernels"),
-    **dict.fromkeys(("ExponentialProfile", "MonodisperseProfile", "NumberDensity",
-                     "SingularPowerProfile", "SizeGrid", "Trajectory", "make_grid",
-                     "sample_initial", "weighted_norm"), "sizedomain"),
+                     "PowerSumKernel", "SingularProductKernel", "kernel_from_config",
+                     "truncate"), "kernels"),
+    **dict.fromkeys(("ExponentialProfile", "NumberDensity", "SingularPowerProfile", "SizeGrid",
+                     "Trajectory", "make_grid", "sample_initial"), "sizedomain"),
     "make_rhs": "operators",
     **dict.fromkeys(("StepStats", "evolve"), "integrator"),
     **dict.fromkeys(("ConvexGauge", "build_gauge_from_tail", "psi1_tail", "psi2_tail"), "gauges"),

@@ -54,7 +54,6 @@ from .kernels import certificate_bounds, config_number, kernel_from_config
 from .operators import scheme_bytes
 from .sizedomain import (
     ExponentialProfile,
-    MonodisperseProfile,
     SingularPowerProfile,
     Trajectory,
     _check_table_bytes,
@@ -177,7 +176,7 @@ SOLVE = ("simulate", "sweep", "validate")
 EVERY = (*SOLVE, "check-kernel")
 
 #: initial.profile -> the other [initial] keys it reads
-PROFILE_KEYS = {"exponential": (), "singular_power": ("a",), "monodisperse": ("mu0", "mass")}
+PROFILE_KEYS = {"exponential": (), "singular_power": ("a",)}
 
 #: section.key (or a section read whole) -> its Key.  A default of None
 #: means the command decides what the key's absence means.
@@ -192,8 +191,6 @@ KEYS = {
     "grid.cells_per_decade": Key(_integer(), 32, SOLVE),  # its range: sizedomain.SizeGrid
     "initial.profile": Key(_one_of(*PROFILE_KEYS), "exponential", SOLVE),
     "initial.a": Key(config_number, 0.0, SOLVE),
-    "initial.mu0": Key(config_number, 1.0, SOLVE),
-    "initial.mass": Key(config_number, 1.0, SOLVE),
     # at horizon 0 every snapshot is the initial data and every check passes
     "time.horizon": Key(_positive, 1.0, SOLVE),
     "time.dt_mode": _only("time", "adaptive", SOLVE, "every run is error-controlled"),
@@ -275,8 +272,6 @@ def build_profile(cfg, sigma):
     name = read(cfg, "initial.profile")
     if name == "singular_power":
         return SingularPowerProfile(read(cfg, "initial.a"), sigma)
-    if name == "monodisperse":
-        return MonodisperseProfile(read(cfg, "initial.mu0"), read(cfg, "initial.mass"))
     return ExponentialProfile()
 
 
@@ -291,14 +286,7 @@ def _snapshot_times(count, horizon, cells, scheme):
     # hold the snapshot block next to one pair scheme of ``scheme`` bytes
     _check_table_bytes(_run_bytes(count, cells) + scheme,
                        f"{count} snapshots of {cells} cells", "use fewer snapshots or cells")
-    if horizon * count == np.inf:  # the product that forms the last time
-        raise ConfigError(f"time.horizon {horizon:g} * {count} snapshots overflows a double")
-    times = tuple(horizon * k / count for k in range(1, count + 1))
-    # a subnormal horizon rounds some of horizon * k / count to one value, or the first to 0
-    if not (times[0] > 0.0 and all(a < b for a, b in zip(times, times[1:]))):
-        raise ConfigError(f"time.horizon {horizon:g} is too small for time.snapshots {count}: "
-                          "the snapshot times do not strictly increase from above 0")
-    return times
+    return exp.even_stops(horizon, count, f"time.snapshots {count}")
 
 
 #: omegas name -> the test function it makes and the count of its parameters (bump:a:b)

@@ -19,6 +19,7 @@ eps-study solved; every check of ``validate`` reads the table of
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -286,9 +287,27 @@ def sce_constant_kernel_solution(mu, t, rate: float = 1.0):
     return m * m * np.exp(-m * np.asarray(mu))
 
 
+def even_stops(horizon: float, count: int, what: str) -> tuple:
+    """``count`` evenly spaced stops up to ``horizon``, horizon * k / count for k = 1..count.
+
+    Where horizon * count would overflow, horizon is scaled down by a power
+    of two first and each stop scaled back; both scalings are exact, so each
+    stop keeps the bits of the product formula.  A horizon whose stops do
+    not strictly increase from above 0 is a ConfigError that names
+    ``time.horizon`` and ``what``, the stops it is too small for.
+    """
+    scale = 2.0 ** math.ceil(math.log2(count)) if horizon * count == math.inf else 1.0
+    stops = tuple(horizon / scale * k / count * scale for k in range(1, count + 1))
+    # a subnormal horizon rounds some of horizon * k / count to one value, or the first to 0
+    if not (stops[0] > 0.0 and all(a < b for a, b in zip(stops, stops[1:]))):
+        raise ConfigError(f"time.horizon {horizon:g} is too small for {what}: "
+                          "the snapshot times do not strictly increase from above 0")
+    return stops
+
+
 def _mass_snapshots(config: SweepConfig) -> tuple:
-    """Eight snapshot times up to the horizon: horizon * k / 8 bit for bit, k / 8 being exact."""
-    return tuple(config.horizon * (k / 8.0) for k in range(1, 9))
+    """The mass report's eight snapshot times up to the horizon."""
+    return even_stops(config.horizon, 8, "the mass report's 8 snapshots")
 
 
 def require_closed_forms(config: SweepConfig):

@@ -270,145 +270,6 @@ class AdditiveKernel(PowerSumKernel):
         super().__init__([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], sigma)
 
 
-class TabulatedKernel(Kernel):
-    """User kernel given on a log-spaced node grid, bilinear in log size.
-
-    The table must be square on a common node vector; evaluation
-    canonicalizes arguments first, so only symmetric content matters.
-    Points outside the node range are clamped to the boundary.
-    """
-
-    family = "user_tabulated"
-
-    def __init__(self, nodes, table, sigma=0.0):
-        super().__init__(sigma)
-        nodes = np.asarray(nodes, dtype=float)
-        table = np.asarray(table, dtype=float)
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(table))):
-            raise ConfigError("tabulated kernel nodes and values must be finite")
-        if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise ConfigError("tabulated kernel needs >= 2 strictly increasing nodes")
-        if np.any(nodes <= 0):
-            raise ConfigError("tabulated kernel nodes must be positive")
-        if table.shape != (nodes.size, nodes.size):
-            raise ConfigError("tabulated kernel table must be square on the nodes")
-        if np.any(table < 0):
-            raise ConfigError("tabulated kernel values must be >= 0")
-        self.nodes = nodes
-        self.log_nodes = np.log(nodes)
-        self.table = 0.5 * (table + table.T)  # symmetrize once
-
-    @classmethod
-    def from_csv(cls, path, sigma=0.0):
-        """Load from CSV with header ``mu,nu,lambda`` on a full node grid."""
-        import csv  # only this family reads a CSV, so no other run loads the module
-
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if [c.strip() for c in next(reader, [])] != ["mu", "nu", "lambda"]:
-                raise ConfigError(f"{path}: expected header 'mu,nu,lambda'")
-            for row in reader:
-                if row:
-                    rows.append(_table_row(row, f"{path} line {reader.line_num}"))
-        mus, nus, vals = np.reshape(rows, (-1, 3)).T
-        nodes = np.unique(mus)
-        nodes_nu = np.unique(nus)
-        if nodes.size * nodes_nu.size != len(vals) or not np.array_equal(nodes, nodes_nu):
-            raise ConfigError(f"{path}: rows must cover a full square mu x nu grid")
-        table = np.full((nodes.size, nodes.size), np.nan)
-        imu = np.searchsorted(nodes, mus)
-        inu = np.searchsorted(nodes, nus)
-        table[imu, inu] = vals
-        if np.any(np.isnan(table)):
-            raise ConfigError(f"{path}: duplicate or missing grid entries")
-        return cls(nodes, table, sigma)
-
-    def _suprema(self):
-        """Per cell, the largest corner value over the bound's infimum on the cell.
-
-        Cuts at the nodes and at 1 split each axis into cells (0, c_0], [c_(p-1), c_p]
-        and [c_M, inf), on which the surface is bilinear in log size, or constant
-        beyond the nodes.  Its log-mu slope is linear in log nu on a cell, so the
-        negative part peaks at a nu-corner, and (mu nu)^s at the upper corner.
-        """
-        s, cuts = self.sigma, np.union1d(self.nodes, 1.0)
-        values = self.eval(cuts[:, None], cuts[None, :])
-        lower, upper = np.append(0.0, cuts), np.append(cuts, np.inf)
-        small, large = upper <= 1.0, lower >= 1.0
-        ss, ls, ll = (np.logical_and.outer(r, c) for r, c in ((small, small), (large, small), (large, large)))
-        low, up, top = np.maximum(lower, 1.0), np.minimum(upper, 1.0), np.minimum(upper, cuts[-1])
-        corners = np.pad(values, 1, mode="edge")
-        peak = np.maximum.reduce([corners[:-1, :-1], corners[1:, :-1], corners[:-1, 1:], corners[1:, 1:]])
-        slope = np.pad(np.diff(values, axis=0) / np.diff(np.log(cuts))[:, None], ((1, 1), (0, 0)))
-        fall = np.pad(np.maximum(0.0, -slope), ((0, 0), (1, 1)), mode="edge")
-        fall = np.maximum(fall[:, :-1], fall[:, 1:])
-        scaled = np.multiply(fall, np.multiply.outer(upper**s, upper**s), out=np.zeros_like(fall),
-                             where=fall > 0.0)  # 0 * inf is no fall, not nan
-        return (
-            (_worst_cell("small_small", peak * np.multiply.outer(up**s, up**s), ss, up, up),
-             _worst_cell("large_small", peak * np.multiply.outer(1.0 / low, up**s), ls, low, up),
-             _worst_cell("large_large", peak / np.add.outer(low, low), ll, low, low)),
-            (_worst_cell("mu_below_nu", scaled, np.less.outer(lower, upper), top, top),
-             _worst_cell("mu_above_nu", scaled, np.greater.outer(upper, lower), top, top)),
-        )
-
-    def _bracket(self, x):
-        """Node interval i and fraction t of log x in it, x clamped to the node range."""
-        lx = np.log(np.clip(x, self.nodes[0], self.nodes[-1]))
-        i = np.clip(np.searchsorted(self.log_nodes, lx) - 1, 0, self.nodes.size - 2)
-        t = (lx - self.log_nodes[i]) / (self.log_nodes[i + 1] - self.log_nodes[i])
-        return i, np.clip(t, 0.0, 1.0)
-
-    def _rate(self, lo, hi):
-        ia, ta = self._bracket(lo)
-        ib, tb = self._bracket(hi)
-        t = self.table
-        return (
-            t[ia, ib] * (1 - ta) * (1 - tb)
-            + t[ia + 1, ib] * ta * (1 - tb)
-            + t[ia, ib + 1] * (1 - ta) * tb
-            + t[ia + 1, ib + 1] * ta * tb
-        )
-
-    def factors(self, x):
-        """One factor per node: g_a = phi_a(x) and f_a = (phi(x) T)_a.
-
-        phi_a are the hat functions of the bilinear interpolation in log
-        size, so Lambda(x_m, x_j) = sum_a phi_a(x_j) (T phi(x_m))_a.  Each
-        g_a is nonzero on at most the two node intervals next to node a.
-        """
-        x = _positive(x)
-        i, t = self._bracket(x)
-        hats = np.zeros((self.nodes.size, x.size))
-        cells = np.arange(x.size)
-        hats[i, cells] = 1.0 - t
-        hats[i + 1, cells] = t
-        return list(zip(np.einsum("ab,bx->ax", self.table, hats), hats))
-
-
-def _worst_cell(name, ratio, cells, mu, nu):
-    """The largest ``ratio`` on ``cells``, at its (mu, nu) corner.
-
-    An infinite one comes from a cell unbounded in nu, and diverges as nu grows.
-    """
-    ratio = np.where(cells, ratio, -np.inf)
-    p, q = np.unravel_index(np.argmax(ratio), ratio.shape)
-    ray = (0.0, 1.0) if ratio[p, q] == np.inf else None
-    return RegimeBound(name, float(ratio[p, q]), (float(mu[p]), float(nu[q])), ray)
-
-
-def _table_row(row, where):
-    """One ``mu,nu,lambda`` row as three finite floats; anything else is a ConfigError."""
-    try:
-        values = [float(cell) for cell in row]
-    except ValueError:
-        values = []
-    if len(values) != 3 or not np.all(np.isfinite(values)):
-        raise ConfigError(f"{where}: expected three finite numbers, got {','.join(row)!r}")
-    return values
-
-
 def truncate(kernel: Kernel, n: float) -> Kernel:
     """``kernel`` itself, once n > 1: the grid on [1/n, n] is the truncation.
 
@@ -451,14 +312,9 @@ def kernel_from_config(cfg: dict) -> Kernel:
         if key in cfg:
             cfg[key] = config_number(cfg[key], key)
     pinned = cfg.pop("k", None) if family != "singular_product" else None
-    if family == "user_tabulated":
-        if not isinstance(cfg.get("path"), str):  # open() would read an integer as a file descriptor
-            raise ConfigError(f"user_tabulated kernel needs 'path' to a CSV table, got {cfg.get('path')!r}")
-        build = TabulatedKernel.from_csv
-    elif isinstance(family, str) and family in _FAMILIES:
-        build = _FAMILIES[family]
-    else:
+    if not (isinstance(family, str) and family in _FAMILIES):
         raise ConfigError(f"unknown kernel family {family!r}")
+    build = _FAMILIES[family]
     try:
         kernel = build(**cfg)
     except TypeError as exc:

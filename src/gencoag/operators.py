@@ -121,9 +121,8 @@ class LagScheme:
 
     * births into cells m + o and m + o + 1 from the lags of offset o >= 1
       are u_r[m] times a direct convolution of v_r with those lags' weights,
-      taken over the cells where g_r is nonzero, and the big partners of
-      these pairs die at u_r[m] times the sum of the two convolutions, so
-      all stay sums of nonnegative terms;
+      and the big partners of these pairs die at u_r[m] times the sum of
+      the two convolutions, so all stay sums of nonnegative terms;
     * the offset-0 lags d >= d0 move the big partner on to cell m + 1 at
       u_r[m] prefix(x v_r)[m - d0] / gap_m, the self-pair at half weight;
     * the small partners die at v_r (suffix(u_r) - u_r / 2);
@@ -148,9 +147,6 @@ class LagScheme:
         self.f = np.array([f for f, _ in factors])
         self.g = np.array([g for _, g in factors])
         self.gaps = np.diff(x)
-        # cells [s, e) outside which g_r is zero; (0, 0) for a zero factor
-        self.support = [(int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
-                        for nz in map(np.flatnonzero, self.g)]
 
         y, q, offset, start = _lag_band(grid, eps)
         count = size - start
@@ -206,17 +202,13 @@ class LagScheme:
         outflux = float(np.sum(band * self.leave))
         for o, lo, top, h_lo, h_hi in self.groups:
             span = top - lo
-            for ur, vr, (s, e) in zip(u, v, self.support):
-                e = min(e, span)
-                if s >= e:
-                    continue
-                stop = min(span, e + h_lo.size - 1)
-                big = ur[lo + s:lo + stop]
-                low = big * np.convolve(vr[s:e], h_lo)[:stop - s]
-                high = big * np.convolve(vr[s:e], h_hi)[:stop - s]
-                births[lo + o + s:lo + o + stop] += low
-                births[lo + o + s + 1:lo + o + stop + 1] += high
-                outgo[lo + s:lo + stop] += low + high
+            for ur, vr in zip(u, v):
+                big = ur[lo:top]
+                low = big * np.convolve(vr[:span], h_lo)[:span]
+                high = big * np.convolve(vr[:span], h_hi)[:span]
+                births[lo + o:top + o] += low
+                births[lo + o + 1:top + o + 1] += high
+                outgo[lo:top] += low + high
         lo, top = self.moves
         xv = grid.centers * v
         reach = np.cumsum(xv, axis=1)[:, :top - lo]
@@ -264,7 +256,8 @@ def make_rhs(model: str, kernel: Kernel, eps: float | None = None):
             scheme = LagScheme(density.grid, kernel.factors(density.grid.centers), eps)
         elif scheme.grid is not density.grid:
             raise ConfigError("this right-hand side serves the grid of its first density, "
-                              f"{scheme.grid}; make one per grid")
+                              f"n = {scheme.grid.n:g} with {scheme.grid.size} cells; "
+                              "make one per grid")
         return scheme.rhs(density.values)
 
     return rhs

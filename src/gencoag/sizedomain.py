@@ -1,4 +1,4 @@
-"""Geometric size grids, cell-averaged number densities, and weighted norms.
+"""Geometric size grids, cell-averaged number densities, and their moment weights.
 
 The computational domain is the truncated size axis (1/n, n), discretized
 by a geometric (log-uniform) grid.  Cell centers are geometric means of the
@@ -112,15 +112,6 @@ class SizeGrid:
         """Common edge ratio of the geometric progression."""
         return float(self.edges[1] / self.edges[0])
 
-    def cell_of(self, mu):
-        """Index of the cell containing size mu."""
-        if not (self.edges[0] <= mu <= self.edges[-1]):
-            raise DomainError(f"size {mu} outside the domain ({self.edges[0]}, {self.edges[-1]})")
-        return min(int(np.searchsorted(self.edges, mu, side="right")) - 1, self.size - 1)
-
-    def __repr__(self):
-        return f"SizeGrid(n={self.n}, cells_per_decade={self.cells_per_decade}, cells={self.size})"
-
 
 def make_grid(n: float, cells_per_decade: int) -> SizeGrid:
     """Geometric grid spanning exactly [1/n, n]."""
@@ -158,9 +149,6 @@ class NumberDensity:
         obj.values = np.asarray(values, dtype=float)
         obj.time = float(time)
         return obj
-
-    def mass(self):
-        return weighted_norm(self, "mass")
 
 
 class Trajectory:
@@ -205,8 +193,7 @@ class Trajectory:
         """Midpoint moments  sum_i w(x_i) zeta_i dx_i  of every snapshot.
 
         ``weights`` is one row of cell weights, giving one value per
-        snapshot, or a stack of rows, giving one series per row.  Each entry
-        equals ``weighted_norm`` of that snapshot bit for bit.  The rows of
+        snapshot, or a stack of rows, giving one series per row.  The rows of
         a stack are reduced one at a time, so no temporary is larger than
         the block.
         """
@@ -272,28 +259,9 @@ class SingularPowerProfile:
         return mu ** (-self.a) * np.exp(-mu)
 
 
-class MonodisperseProfile:
-    """Mass ``m`` placed entirely in the cell containing ``mu0``."""
-
-    def __init__(self, mu0, mass=1.0):
-        if not (mu0 > 0.0 and mass > 0.0):  # zero data would pass every check vacuously
-            raise InitialDataError("monodisperse profile needs mu0 > 0 and mass > 0")
-        self.mu0 = float(mu0)
-        self.mass = float(mass)
-
-
 def sample_initial(profile, grid: SizeGrid) -> NumberDensity:
-    """Project an initial profile onto cell averages.
-
-    Callable profiles are integrated by 16-point Gauss-Legendre quadrature
-    per cell; a monodisperse profile places its mass exactly in one cell
-    (cell average m / (x_c * width_c)).
-    """
-    if isinstance(profile, MonodisperseProfile):
-        values = np.zeros(grid.size)
-        c = grid.cell_of(profile.mu0)
-        values[c] = profile.mass / (grid.centers[c] * grid.widths[c])
-        return NumberDensity(grid, values, 0.0)
+    """Project an initial profile onto cell averages by 16-point Gauss-Legendre
+    quadrature per cell."""
     _check_table_bytes(QUAD_BYTES_PER_CELL * grid.size, "the quadrature of the initial data "
                        f"on {grid.size} cells", "use fewer cells_per_decade")
     lo = grid.edges[:-1][:, None]
@@ -318,12 +286,6 @@ def weight_values(centers, weight: str, sigma: float = 0.0):
     if weight == "Y_norm":
         return centers + centers ** (-2.0 * sigma)
     raise DomainError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
-
-
-def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> float:
-    """Midpoint moment  sum_i w(x_i) |zeta_i| dx_i."""
-    w = weight_values(density.grid.centers, weight, sigma)
-    return float(np.sum(w * np.abs(density.values) * density.grid.widths))
 
 
 def write_csv(path, names, rows):

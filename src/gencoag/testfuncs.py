@@ -27,9 +27,6 @@ class OmegaFunction:
         """max(sup |omega|, sup |omega'|)."""
         return max(self.sup_value, self.sup_derivative)
 
-    def __repr__(self):
-        return f"OmegaFunction({self.name!r})"
-
 
 def constant_one():
     return OmegaFunction(

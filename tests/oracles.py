@@ -3,6 +3,27 @@
 import numpy as np
 
 from gencoag import ConvexGauge, DomainError, Kernel, NumberDensity, SizeGrid, testfuncs
+from gencoag.sizedomain import weight_values
+
+
+def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> float:
+    """Midpoint moment  sum_i w(x_i) |zeta_i| dx_i  of one density, ``weight`` a stock weight."""
+    w = weight_values(density.grid.centers, weight, sigma)
+    return float(np.sum(w * np.abs(density.values) * density.grid.widths))
+
+
+def cell_of(grid: SizeGrid, mu: float) -> int:
+    """Index of the cell of ``grid`` that contains size ``mu`` in [1/n, n], n in the last."""
+    return min(int(np.searchsorted(grid.edges, mu, side="right")) - 1, grid.size - 1)
+
+
+def point_mass(grid: SizeGrid, mu0: float, mass: float = 1.0) -> NumberDensity:
+    """Mass ``mass`` placed entirely in the cell c that contains ``mu0``: the cell average
+    mass / (x_c dx_c) there and 0 elsewhere, so its midpoint mass moment is ``mass``."""
+    c = cell_of(grid, mu0)
+    values = np.zeros(grid.size)
+    values[c] = mass / (grid.centers[c] * grid.widths[c])
+    return NumberDensity(grid, values)
 
 
 def deposit_targets(pivots, p):

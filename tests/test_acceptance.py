@@ -23,7 +23,6 @@ from gencoag import (
     psi1_tail,
     psi2_tail,
     sample_initial,
-    weighted_norm,
 )
 from gencoag.diagnostics import bound_verdicts
 from gencoag.experiments import (
@@ -42,6 +41,7 @@ from oracles import (
     smooth_square,
     smoluchowski_rhs,
     square_gauge,
+    weighted_norm,
 )
 
 

@@ -65,6 +65,20 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+#: check-kernel's line for the ``falling`` family at sigma = 0.1
+FALLING_FAIL = ("FAIL  derivative bound: eta = inf, mu_below_nu at (1.0, 1.0) along (1.0, 1.0) "
+                "in log size")
+
+
+@pytest.fixture
+def falling_family(monkeypatch):
+    """A config family ``falling``, Lambda = lo^(-1/10) with lo the smaller size.  Its growth
+    bound holds with k = 1 at sigma = 0.1, but it falls in mu below nu faster than any
+    eta (mu nu)^(-sigma) mu^(-1) allows as both grow: the kernel lies outside the class."""
+    monkeypatch.setitem(kernels._FAMILIES, "falling",
+                        lambda sigma=0.0: kernels.PowerSumKernel([(1.0, -0.1, 0.0)], sigma))
+
+
 def assert_refused(tmp_path, capsys, command, section, message):
     """``command`` on the default config with ``section`` exits 1, says why, writes nothing."""
     cfg = write_config(tmp_path, section, command=command)
@@ -171,6 +185,11 @@ class TestSimulate:
             "ledger_closure"]
         assert report["verdicts"] == json.loads(json.dumps([v.to_dict() for v in verdicts]))
 
+    def test_overflowing_bound_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # the snapshot times up to 1e308 are formed without overflow, as in
+        # validate, so the infinite bounds refuse the run
+        _assert_overflow_refused(tmp_path, capsys, monkeypatch, "simulate")
+
     @pytest.mark.parametrize("model", ["sce", "ohs"])
     def test_eps_outside_the_generalized_model_exits_1(self, tmp_path, capsys, model):
         # the run would compute eps = 1 or 0 and report the configured value
@@ -202,31 +221,35 @@ class TestSimulate:
         assert solves == []
         assert not (tmp_path / "out").exists()
 
-    def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys, monkeypatch):
-        # the table of TestCheckKernel.test_fail_exit_2: no eta exists at
-        # sigma = 0.1, so the kernel lies outside the class whatever a solve
-        # gives; simulate refuses it in check-kernel's words before any solve
+    def test_infinite_eta_is_named_not_an_overflow(self, tmp_path, capsys, monkeypatch,
+                                                   falling_family):
+        # no eta exists for the falling family at sigma = 0.1, so the kernel
+        # lies outside the class whatever a solve gives; simulate refuses it
+        # in check-kernel's words before any solve
         solves = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
-        table = tmp_path / "kernel_table.csv"
-        table.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
-        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(table),
-                                                 "sigma": 0.1}})
+        cfg = write_config(tmp_path, {"kernel": {"family": "falling", "sigma": 0.1}})
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().out == ("FAIL  derivative bound: eta = inf, mu_below_nu at "
-                                           "(1.0, 2.0) along (0.0, 1.0) in log size\n")
+        assert capsys.readouterr().out == FALLING_FAIL + "\n"
         assert solves == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
-    def test_zero_initial_data_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
-                                                         command):
-        # zero data would pass every check vacuously, at attained 0 vs bound 0
+    @pytest.mark.parametrize("section, message", [
+        ({"kernel": {"family": "user_tabulated", "path": "kernel.csv"}},
+         "unknown kernel family 'user_tabulated'"),
+        ({"initial": {"profile": "monodisperse"}},
+         "profile must be one of exponential, singular_power, got 'monodisperse'"),
+        ({"initial": {"profile": "exponential", "mu0": 1.0}}, "unknown config key initial.mu0"),
+        ({"initial": {"profile": "exponential", "mass": 1.0}}, "unknown config key initial.mass"),
+    ], ids=["user_tabulated", "monodisperse", "initial.mu0", "initial.mass"])
+    def test_a_removed_family_profile_or_key_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                     command, section, message):
+        # the tabulated kernel and monodisperse data are gone: a config that
+        # still names them is refused by name, before any solve
         solves = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
-        assert_refused(tmp_path, capsys, command,
-                       {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 0.0}},
-                       "monodisperse profile needs mu0 > 0 and mass > 0")
+        assert_refused(tmp_path, capsys, command, section, message)
         assert solves == []
 
     def test_missing_config(self, tmp_path):
@@ -502,20 +525,6 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "report.json").read_text() == first
 
-    def test_oversized_dense_problem_exits_1(self, tmp_path, capsys):
-        table_path = tmp_path / "kernel_table.csv"
-        table_path.write_text("mu,nu,lambda\n" + "".join(
-            f"{m},{u},1.0\n" for m in (0.05, 20.0) for u in (0.05, 20.0)))
-        cfg = write_config(tmp_path, {
-            "run": {"model": "sce", "threads": 1},
-            "kernel": {"family": "user_tabulated", "path": str(table_path),
-                       "k": 1.0, "sigma": 0.0},
-            "grid": {"n": 10.0, "cells_per_decade": 100_000},
-        })
-        assert main(["simulate", "--config", str(cfg)]) == 1
-        assert "physical memory" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_oversized_pair_band_exits_1(self, tmp_path, capsys):
         # ~1.5e9 band pairs at eps = 1: refused before the band is allocated
         cfg = write_config(tmp_path, {
@@ -547,22 +556,10 @@ class TestSimulateVariants:
         assert runs["eps0"] == runs["ohs"]
         assert json.loads((tmp_path / "eps0" / "report.json").read_text())["eps"] == 0.0
 
-    def test_monodisperse_profile(self, tmp_path, capsys):
-        # all but one cell are zero: both gauges are still built and checked
-        cfg = write_config(tmp_path, {
-            "initial": {"profile": "monodisperse", "mu0": 2.0, "mass": 1.0},
-        })
-        assert main(["simulate", "--config", str(cfg)]) == 0
-        printed = capsys.readouterr().out
-        assert "PASS  psi1_moment_bound" in printed
-        assert "PASS  psi2_uniform_integrability" in printed
-
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
     @pytest.mark.parametrize("initial, key", [
-        ({"profile": "exponential", "a": 0.9, "mu0": 3.0, "mass": -5}, "a"),
-        ({"profile": "singular_power", "a": 0.3, "mass": 1.0}, "mass"),
-        ({"profile": "monodisperse", "mu0": 2.0, "mass": 1.0, "a": 0.3}, "a"),
-    ], ids=["exponential", "singular_power", "monodisperse"])
+        ({"profile": "exponential", "a": 0.9}, "a"),
+    ], ids=["exponential"])
     def test_a_key_the_profile_does_not_read_is_refused(self, tmp_path, capsys, monkeypatch,
                                                          command, initial, key):
         # [initial] is checked per profile, as [kernel] is per family
@@ -579,46 +576,6 @@ class TestSimulateVariants:
         })
         assert main(["simulate", "--config", str(cfg)]) == 0
 
-    def test_tabulated_kernel_round_trip(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "kernel": {"family": "user_tabulated", "path": str(_unit_table(tmp_path)),
-                       "k": 1.0, "sigma": 0.0},
-        })
-        assert main(["simulate", "--config", str(cfg)]) == 0
-
-    def test_tabulated_kernel_unknown_parameter_exits_1(self, tmp_path, capsys):
-        assert_refused(tmp_path, capsys, "simulate", {
-            "kernel": {"family": "user_tabulated", "path": str(_unit_table(tmp_path)),
-                       "bogus": 1},
-        }, "bad kernel parameters for family 'user_tabulated'")
-
-    @pytest.mark.parametrize("row", ["1,1,abc", "1,1", "1,1,nan"])
-    def test_tabulated_kernel_bad_row_exits_1(self, tmp_path, capsys, row):
-        path = _unit_table(tmp_path)
-        path.write_text(path.read_text() + row + "\n")
-        assert_refused(tmp_path, capsys, "simulate", {
-            "kernel": {"family": "user_tabulated", "path": str(path)},
-        }, f"{path} line 258: expected three finite numbers, got {row!r}")
-
-    def test_kernel_above_its_sup_bound_exits_1(self, tmp_path, capsys):
-        # a table of 1e9 proves k = 1e9: a config that sets k = 1 understates it
-        path = _unit_table(tmp_path, value=1e9)
-        assert_refused(tmp_path, capsys, "simulate", {
-            "kernel": {"family": "user_tabulated", "path": str(path), "k": 1.0},
-        }, "kernel.k must be 1000000000.0, got 1.0: family user_tabulated proves its own k")
-
-
-def _unit_table(tmp_path, value=1.0):
-    """A CSV table of the constant kernel ``value`` on 16 log-spaced nodes."""
-    nodes = np.geomspace(0.05, 20.0, 16)
-    table_path = tmp_path / "kernel_table.csv"
-    with open(table_path, "w") as fh:
-        fh.write("mu,nu,lambda\n")
-        for m in nodes:
-            for u in nodes:
-                fh.write(f"{m:.17g},{u:.17g},{value!r}\n")
-    return table_path
-
 
 class TestCheckKernel:
     def test_pass(self, tmp_path):
@@ -630,16 +587,11 @@ class TestCheckKernel:
         assert (payload["sigma"], payload["k"], payload["eta"]) == (0.2, 1.0, 0.2)
         assert (tmp_path / "out" / "config_echo.yaml").read_text() == cfg.read_text()
 
-    def test_fail_exit_2(self, tmp_path, capsys):
-        # clamped beyond its top node, this table falls in mu at every large
-        # nu, where eta (mu nu)^(-sigma) -> 0: no eta exists at sigma = 0.1
-        path = tmp_path / "kernel_table.csv"
-        path.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
-        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(path),
-                                                 "sigma": 0.1}})
+    def test_fail_exit_2(self, tmp_path, capsys, falling_family):
+        # the falling family has no eta at sigma = 0.1
+        cfg = write_config(tmp_path, {"kernel": {"family": "falling", "sigma": 0.1}})
         assert main(["check-kernel", "--config", str(cfg)]) == 2
-        assert "FAIL  derivative bound: eta = inf, mu_below_nu at (1.0, 2.0) along (0.0, 1.0) in log size" \
-            in capsys.readouterr().out
+        assert FALLING_FAIL in capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "kernel_cert.json").read_text())
         jsonschema.validate(payload, schema("kernel_cert.schema.json"))
         assert not payload["passed"] and payload["growth"]["passed"]
@@ -999,17 +951,14 @@ class TestSweep:
         _assert_overflow_refused(tmp_path, capsys, monkeypatch, "sweep")
 
     def test_kernel_outside_the_class_exits_2_before_any_solve(self, tmp_path, capsys,
-                                                                monkeypatch):
-        # the table of TestSimulate.test_infinite_eta_is_named_not_an_overflow
+                                                                monkeypatch, falling_family):
+        # the kernel of TestSimulate.test_infinite_eta_is_named_not_an_overflow
         solves = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
-        table = tmp_path / "kernel_table.csv"
-        table.write_text("mu,nu,lambda\n0.5,0.5,1\n0.5,2,1.5\n2,0.5,1.5\n2,2,1\n")
-        cfg = write_config(tmp_path, {"kernel": {"family": "user_tabulated", "path": str(table),
-                                                 "sigma": 0.1}}, command="sweep")
+        cfg = write_config(tmp_path, {"kernel": {"family": "falling", "sigma": 0.1}},
+                           command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().out == ("FAIL  derivative bound: eta = inf, mu_below_nu at "
-                                           "(1.0, 2.0) along (0.0, 1.0) in log size\n")
+        assert capsys.readouterr().out == FALLING_FAIL + "\n"
         assert solves == []
         assert not (tmp_path / "out").exists()
 
@@ -1070,6 +1019,9 @@ class TestValidate:
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
         # validate reads the first n only: a second one would go unchecked
         ({"sweep": {"n_list": [100.0, 200.0]}}, "validate does not read sweep.n_list"),
+        # the mass report's stops, horizon * k / 8, would round to 0 or collide
+        ({"time": {"horizon": 5.0e-324}},
+         "time.horizon 4.94066e-324 is too small for the mass report's 8 snapshots"),
     ])
     def test_bad_number_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "validate", section, message)
@@ -1222,10 +1174,10 @@ class TestValidate:
         assert max(payload["sce_analytic"]["errors"].values()) <= experiments.SCE_TOLERANCE
 
     @pytest.mark.parametrize("section", [
-        {"initial": {"profile": "monodisperse", "mu0": 1.0, "mass": 1.0}},
-    ], ids=["monodisperse"])
+        {"initial": {"profile": "singular_power", "a": 0.3}},
+    ], ids=["singular_power"])
     def test_refused_config_runs_no_solve(self, tmp_path, capsys, monkeypatch, section):
-        # monodisperse data fit neither closed form
+        # singular data fit neither closed form
         cfg = write_config(tmp_path, section, command="validate")
         calls = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
@@ -1412,16 +1364,12 @@ class TestKeyTable:
         ({"time": {"horizon": 0.3, "snapshots": 10**400}}, "snapshots must be at most"),
         ({"kernel": {"family": "singular_product", "k": 10**400, "sigma": 0.2}},
          "k must be a finite number"),
-        ({"initial": {"profile": "monodisperse", "mu0": 10**400, "mass": 1.0}},
-         "mu0 must be a finite number"),
-        # the last snapshot time, horizon * 3 / 3, would overflow on the way
-        ({"time": {"horizon": 1e308, "snapshots": 3}},
-         "time.horizon 1e+308 * 3 snapshots overflows a double"),
+        ({"initial": {"profile": "singular_power", "a": 10**400}}, "a must be a finite number"),
         ({"grid": {"n": 1e100, "cells_per_decade": 12}},
          "grid parameter n must exceed 1 and lie below 1.158e+77, got 1e+100"),
         ({"grid": {"n": 20.0, "cells_per_decade": 1e308}}, "a grid of inf cells would take inf GiB"),
     ], ids=["grid.n", "grid.cells_per_decade", "diagnostics.lambdas", "time.horizon",
-            "time.snapshots", "kernel.k", "initial.mu0", "time.horizon=1e308", "grid.n=1e100",
+            "time.snapshots", "kernel.k", "initial.a", "grid.n=1e100",
             "grid.cells_per_decade=1e308"])
     def test_a_value_beyond_a_double_exits_1(self, tmp_path, capsys, section, message):
         # each once ended in an OverflowError traceback, or a message that named
@@ -1466,15 +1414,10 @@ class TestKeyTable:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel, message", [
-        # open() would read an integer as a file descriptor
-        ({"family": "user_tabulated", "path": 0},
-         "user_tabulated kernel needs 'path' to a CSV table, got 0"),
-        ({"family": "user_tabulated", "path": ["t.csv"]},
-         "user_tabulated kernel needs 'path' to a CSV table, got ['t.csv']"),
         ({"family": []}, "unknown kernel family []"),
         ({"family": {"constant": 1}}, "unknown kernel family {'constant': 1}"),
     ])
-    def test_kernel_family_and_path_must_be_names(self, tmp_path, capsys, kernel, message):
+    def test_kernel_family_must_be_a_name(self, tmp_path, capsys, kernel, message):
         assert_refused(tmp_path, capsys, "check-kernel", {"kernel": kernel}, message)
 
     def test_simulate_needs_only_the_model_and_the_kernel(self, tmp_path):

@@ -3,18 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import kernel_trio
+from conftest import high_rank_kernel, kernel_trio
 from gencoag import (
     ConstantKernel,
     ExponentialProfile,
-    MonodisperseProfile,
     SingularPowerProfile,
     SingularProductKernel,
-    TabulatedKernel,
     Trajectory,
     make_grid,
     sample_initial,
-    weighted_norm,
 )
 from gencoag import testfuncs
 from gencoag.diagnostics import (
@@ -36,11 +33,14 @@ from gencoag.experiments import run_model
 from gencoag.gauges import build_gauge_from_tail, psi1_tail, psi2_tail
 from oracles import (
     block_crossing_rates,
+    cell_of,
     ohs_velocities,
     omega_identity,
+    point_mass,
     smooth_library,
     smooth_one,
     smooth_square,
+    weighted_norm,
 )
 
 
@@ -276,12 +276,12 @@ class TestGaugeBounds:
         # atomic data: Gamma1 = Psi1(x_c) * m / x_c, one summand of the
         # bound, so the t = 0 check holds by construction
         grid = make_grid(10.0, 8)
-        d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
+        d = point_mass(grid, 2.0)
         gauge = build_gauge_from_tail(*psi1_tail(d))
         single = Trajectory(grid, [0.0], d.values[None], [0.0], [0.0])
         v = psi1_moment_check(single.moments(gauge.psi(grid.centers)), gauge, 1.0, 1.0,
                               theta_of(d, 0.0))
-        c = grid.cell_of(2.0)
+        c = cell_of(grid, 2.0)
         expect = float(gauge.psi(grid.centers[c])) / grid.centers[c]
         assert v.details["gamma1"] == pytest.approx(expect, rel=1e-12)
         assert v.passed
@@ -309,11 +309,9 @@ class TestMassFluxIdentity:
     def test_hoisted_edge_velocity(self, lam):
         # the kernel factors at one edge reproduce the N x N edge-kernel velocity
         grid = make_grid(20.0, 16)
-        nodes = np.geomspace(0.02, 30.0, 9)
-        table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
         density = sample_initial(ExponentialProfile(), grid)
         kernels = [ConstantKernel(1.0), SingularProductKernel(k=1.0, sigma=0.2),
-                   TabulatedKernel(nodes, table)]
+                   high_rank_kernel()]
         for kernel in kernels:
             traj = run_model("ohs", kernel, grid, density, 0.5, (0.25, 0.5))
             m = int(np.argmin(np.abs(grid.edges - lam)))
@@ -371,7 +369,7 @@ class TestTailFlux:
         # low-mass pulse far below lambda: nothing has reached it yet
         grid = make_grid(20.0, 16)
         kernel = ConstantKernel(1.0)
-        density = sample_initial(MonodisperseProfile(0.5, 0.05), grid)
+        density = point_mass(grid, 0.5, 0.05)
         traj = run_model("ohs", kernel, grid, density, 0.2, (0.1, 0.2))
         out = tail_fluxes(traj, [10.0], kernel)
         assert out[0]["total"] <= 1e-12
@@ -478,13 +476,11 @@ class TestSnapshotMatrix:
         assert np.max(np.abs(got - expect)) <= 1e-13 * scale
 
     def test_factored_crossing_rates_match_the_block(self):
-        # the three families and a tabulated kernel, at every edge
+        # the three families and a five-term power sum, at every edge
         grid = make_grid(20.0, 16)
-        nodes = np.geomspace(0.02, 5.0, 9)
-        table = 1.0 + np.add.outer(nodes, nodes) + np.sin(np.multiply.outer(nodes, nodes)) ** 2
         rng = np.random.default_rng(71)
         traj = Trajectory(grid, np.arange(4.0), rng.random((4, grid.size)), [0.0] * 4, [0.0] * 4)
-        for kernel in kernel_trio() + [TabulatedKernel(nodes, table)]:
+        for kernel in kernel_trio() + [high_rank_kernel()]:
             for m in range(1, grid.size):
                 got = _crossing_rates(traj, m, kernel)
                 expect = block_crossing_rates(traj, m, kernel)

@@ -9,14 +9,13 @@ from gencoag import (
     DomainError,
     ExponentialProfile,
     GaugeConstructionError,
-    MonodisperseProfile,
     build_gauge_from_tail,
     make_grid,
     psi1_tail,
     psi2_tail,
     sample_initial,
 )
-from oracles import check_inequalities, psi_prime, square_gauge
+from oracles import check_inequalities, point_mass, psi_prime, square_gauge
 
 
 def exponential_tail(r_max=60.0, samples=2000):
@@ -89,7 +88,7 @@ class TestBuildFromTail:
     def test_psi2_tail_with_zero_cells(self):
         # every cell but one is zero: r = 0 is placed once, not once per level
         grid = make_grid(30.0, 16)
-        d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
+        d = point_mass(grid, 2.0)
         r, tail = psi2_tail(d, 0.2)
         assert np.all(np.diff(r) > 0) and r[0] == 0.0
         assert tail[0] == tail[-2] > tail[-1] == 0.0

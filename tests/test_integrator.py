@@ -13,10 +13,10 @@ from gencoag import (
     make_grid,
     make_rhs,
     sample_initial,
-    weighted_norm,
 )
 from gencoag import experiments, integrator
 from gencoag.cli import _sweep_config, load_config
+from oracles import weighted_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 

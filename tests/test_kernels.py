@@ -11,11 +11,11 @@ from gencoag import (
     Kernel,
     PowerSumKernel,
     SingularProductKernel,
-    TabulatedKernel,
     kernel_from_config,
     make_grid,
     truncate,
 )
+from conftest import high_rank_kernel
 from gencoag import kernels
 from oracles import GROWTH_REGIMES, growth_ratios, scaled_falls, sup_bound
 
@@ -82,13 +82,6 @@ class TestEval:
             ConstantKernel(rate=rate)
 
 
-def tabulated(rng, size, sigma=0.0):
-    """A random tabulated kernel on ``size`` log nodes around size 1, some zero entries."""
-    nodes = np.sort(np.exp(rng.uniform(-4.0, 4.0, size)))
-    table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
-    return TabulatedKernel(nodes, table, sigma=sigma)
-
-
 class TestCertifyGrowth:
     def test_singular_product_sharp(self):
         ker = SingularProductKernel(k=1.3, sigma=0.3)
@@ -152,16 +145,15 @@ class TestCertifyGrowth:
                 getattr(Exponential(), read)
 
     @settings(max_examples=40, deadline=None)
-    @given(family=st.sampled_from(["constant", "singular_product", "additive", "user_tabulated"]),
+    @given(family=st.sampled_from(["constant", "singular_product", "additive"]),
            sigma=st.just(0.0) | st.floats(0.0, 0.49), coef=st.floats(0.01, 100.0),
-           size=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
-    def test_no_sample_beats_the_certificate(self, family, sigma, coef, size, seed):
+           seed=st.integers(0, 2**31 - 1))
+    def test_no_sample_beats_the_certificate(self, family, sigma, coef, seed):
         rng = np.random.default_rng(seed)
         kernel = {
             "constant": lambda: ConstantKernel(coef, sigma=sigma),
             "singular_product": lambda: SingularProductKernel(k=coef, sigma=sigma),
             "additive": lambda: AdditiveKernel(sigma=sigma),
-            "user_tabulated": lambda: tabulated(rng, size, sigma),
         }[family]()
         assert [r.name for r in kernel.certificate.growth] == list(GROWTH_REGIMES)
         for regime in kernel.certificate.growth:
@@ -186,16 +178,6 @@ class TestCertifyDerivative:
         below, above = ker.certificate.derivative
         assert below.supremum == np.inf and below.ray == (-1.0, -1.0)
         assert above.supremum == 0.0 and ker.eta == np.inf
-
-    def test_tabulated_falling_beyond_its_top_node_has_no_eta_above_sigma_zero(self):
-        # clamped beyond the nodes, the slope -0.5 / log 4 in log mu at the top
-        # node persists as nu -> inf, where eta (mu nu)^(-sigma) -> 0 if sigma > 0
-        nodes, table = np.array([0.5, 2.0]), np.array([[1.0, 1.5], [1.5, 1.0]])
-        assert TabulatedKernel(nodes, table).eta == pytest.approx(0.5 / np.log(4.0), rel=1e-14)
-        ker = TabulatedKernel(nodes, table, sigma=0.1)
-        assert ker.eta == np.inf and ker.k < np.inf
-        below = ker.certificate.derivative[0]
-        assert below.point == (1.0, 2.0) and below.ray == (0.0, 1.0)
 
 
 class TestTruncate:
@@ -257,19 +239,11 @@ class TestFactors:
             for (f, g), (fe, ge) in zip(got, expect):
                 assert np.array_equal(f, fe) and np.array_equal(g, ge)
 
-    @pytest.mark.parametrize("family", [*kernels._FAMILIES, "user_tabulated"])
-    def test_every_config_family_has_factors(self, family, tmp_path):
+    @pytest.mark.parametrize("family", kernels._FAMILIES)
+    def test_every_config_family_has_factors(self, family):
         # the operators run on factors alone: a family kernel_from_config
         # accepts without them could not be solved
-        cfg = {"family": family}
-        if family == "user_tabulated":
-            nodes = np.geomspace(0.05, 3.0, 7)
-            path = tmp_path / "kernel.csv"
-            path.write_text("mu,nu,lambda\n" + "".join(
-                f"{m:.17g},{u:.17g},{1.0 + m * u + np.sin(m + u):.17g}\n"
-                for m in nodes for u in nodes))
-            cfg["path"] = str(path)
-        base = kernel_from_config(cfg)
+        base = kernel_from_config({"family": family})
         x = make_grid(10.0, 16).centers
         factors = base.factors(x)
         assert factors and all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
@@ -283,87 +257,20 @@ class TestFactors:
             with pytest.raises(DomainError):
                 PowerSumKernel(terms)
 
-    @settings(max_examples=60, deadline=None)
-    @given(size=st.integers(2, 24), seed=st.integers(0, 2**31 - 1))
-    def test_tabulated_hat_factors(self, size, seed):
-        rng = np.random.default_rng(seed)
-        nodes = np.geomspace(0.1, 10.0, size) ** rng.uniform(0.5, 1.5)
-        table = rng.random((size, size))
-        base = TabulatedKernel(nodes, table)
-        x = np.sort(np.exp(rng.uniform(-4.0, 4.0, 40)))  # partly beyond the nodes
-        factors = base.factors(x)
-        assert len(factors) == size
-        assert all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
-        m, j = np.tril_indices(x.size)
-        got = sum(f[m] * g[j] for f, g in factors)
-        expect = base.eval(x[m], x[j])
-        assert np.all(np.abs(got - expect) <= 1e-14 * expect)
-
     def test_certified_k_keeps_the_kernel_below_its_sup_bound(self):
         # every regime bound is at most 2 k n^(1+s) on [1/n, n]^2
         for base in (ConstantKernel(100.0, sigma=0.3), SingularProductKernel(k=5.0, sigma=0.4),
-                     AdditiveKernel(), tabulated(np.random.default_rng(3), 9, 0.2)):
+                     AdditiveKernel(), high_rank_kernel()):
             for n in (1.5, 4.0, 50.0):
                 g = np.geomspace(1.0 / n, n, 101)
                 assert np.max(base.eval(g[:, None], g[None, :])) <= 2.0 * base.k * n ** (1 + base.sigma)
                 assert 2.0 * base.k * n ** (1 + base.sigma) <= sup_bound(base, n)
 
-    def test_sup_bound_of_hat_factors(self):
-        # sum_r max f_r * max g_r is 24 here, above 2 k n^(2+2s) = 8 at the
-        # certified k = 1; the hats sum to one, so the factors stay exact
-        nodes = np.geomspace(0.5, 2.0, 24)
-        kernel = TabulatedKernel(nodes, np.ones((24, 24)))
-        x = make_grid(2.0, 64).centers
-        factors = kernel.factors(x)
-        assert sum(f.max() * g.max() for f, g in factors) > sup_bound(kernel, 2.0)
-        assert np.allclose(sum(g for _, g in factors), 1.0, rtol=1e-15)
-
     def test_nonpositive_argument_rejected(self):
-        for kernel in (ConstantKernel(), AdditiveKernel(),
-                       TabulatedKernel([0.5, 2.0], np.ones((2, 2)))):
+        for kernel in (ConstantKernel(), AdditiveKernel(), high_rank_kernel()):
             for x in ([1.0, 0.0], [1.0, -2.0]):
                 with pytest.raises(DomainError, match="must be positive"):
                     kernel.factors(np.array(x))
-
-
-class TestTabulated:
-    def test_round_trip_csv(self, tmp_path):
-        nodes = np.geomspace(0.01, 100.0, 12)
-        path = tmp_path / "kernel.csv"
-        with open(path, "w") as fh:
-            fh.write("mu,nu,lambda\n")
-            for m in nodes:
-                for u in nodes:
-                    fh.write(f"{m:.17g},{u:.17g},{np.exp(-(m + u)):.17g}\n")
-        ker = TabulatedKernel.from_csv(path)
-        # exact at the nodes
-        assert ker.eval(nodes[3], nodes[7]) == pytest.approx(
-            np.exp(-(nodes[3] + nodes[7])), rel=1e-12
-        )
-        # interpolated values stay within neighboring node values
-        mid = np.sqrt(nodes[3] * nodes[4])
-        v = ker.eval(mid, nodes[7])
-        lo = np.exp(-(nodes[4] + nodes[7]))
-        hi = np.exp(-(nodes[3] + nodes[7]))
-        assert lo <= v <= hi
-
-    def test_header_check(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,1,1\n")
-        with pytest.raises(Exception):
-            TabulatedKernel.from_csv(path)
-
-    @pytest.mark.parametrize("where", ["node", "table"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entries_rejected(self, where, bad):
-        nodes = np.geomspace(0.1, 10.0, 4)
-        table = np.ones((4, 4))
-        if where == "node":
-            nodes[-1] = bad
-        else:
-            table[1, 2] = bad
-        with pytest.raises(ConfigError):
-            TabulatedKernel(nodes, table)
 
 
 class TestFromConfig:

@@ -25,10 +25,9 @@ EXPORTS = {
     "errors": ["ConfigError", "DomainError", "GaugeConstructionError", "GencoagError",
                "InitialDataError", "StiffnessError"],
     "kernels": ["AdditiveKernel", "Certificate", "ConstantKernel", "Kernel", "PowerSumKernel",
-                "SingularProductKernel", "TabulatedKernel", "kernel_from_config", "truncate"],
-    "sizedomain": ["ExponentialProfile", "MonodisperseProfile", "NumberDensity",
-                   "SingularPowerProfile", "SizeGrid", "Trajectory", "make_grid",
-                   "sample_initial", "weighted_norm"],
+                "SingularProductKernel", "kernel_from_config", "truncate"],
+    "sizedomain": ["ExponentialProfile", "NumberDensity", "SingularPowerProfile", "SizeGrid",
+                   "Trajectory", "make_grid", "sample_initial"],
     "operators": ["make_rhs"],
     "integrator": ["StepStats", "evolve"],
     "gauges": ["ConvexGauge", "build_gauge_from_tail", "psi1_tail", "psi2_tail"],

@@ -7,35 +7,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_trio, random_density
+from conftest import high_rank_kernel, kernel_trio, random_density
 from gencoag import (
     AdditiveKernel,
     ConfigError,
     ConstantKernel,
     DomainError,
     Kernel,
-    MonodisperseProfile,
     NumberDensity,
     PowerSumKernel,
     SingularProductKernel,
-    TabulatedKernel,
     evolve,
     make_grid,
     make_rhs,
-    sample_initial,
-    weighted_norm,
 )
 from gencoag import operators
 from gencoag.operators import LagScheme, computed_eps
 from oracles import (
     PairScheme,
+    cell_of,
     dense_ohs,
     ohs_velocities,
     ohs_velocity,
     pair_deaths,
+    point_mass,
     smoluchowski_rhs,
     sup_bound,
     unique_lag_groups,
+    weighted_norm,
 )
 
 
@@ -96,12 +95,11 @@ def lag_scheme(grid, kernel, eps):
     return LagScheme(grid, kernel.factors(grid.centers), eps)
 
 
-def random_tabulated(rng, n, size):
-    """A tabulated kernel on ``size`` random log nodes; some lie beyond [1/n, n]."""
-    steps = np.cumsum(rng.uniform(0.05, 1.0, size))
-    nodes = n ** rng.uniform(-1.5, 0.8) * 10.0 ** (rng.uniform(0.3, 3.0) * steps / steps[-1])
-    table = rng.random((size, size)) * (rng.random((size, size)) < 0.8)
-    return TabulatedKernel(nodes, table)
+def random_power_sum(rng, terms):
+    """A power-sum kernel of ``terms`` random terms c lo^a hi^b, about one in five of them 0."""
+    c = rng.random(terms) * (rng.random(terms) < 0.8)
+    a, b = rng.uniform(-0.5, 1.0, (2, terms))
+    return PowerSumKernel(list(zip(c, a, b)))
 
 
 class TestGeneralizedRhs:
@@ -303,7 +301,7 @@ class TestLagScheme:
         values = np.random.default_rng(83).random(grid.size)
         for eps in (0.0, below, 2.0**-10, 0.05, 0.25, 0.5, 1.0):
             groups, moves = unique_lag_groups(grid, eps)
-            for kernel in kernel_trio() + [tabulated_kernel(n)]:
+            for kernel in kernel_trio() + [high_rank_kernel()]:
                 scheme = lag_scheme(grid, kernel, eps)
                 assert scheme.moves == moves
                 assert [g[:3] for g in scheme.groups] == [g[:3] for g in groups]
@@ -324,7 +322,7 @@ class TestLagScheme:
         # fault numpy's sort code into every run
         grid = make_grid(100.0, 27)
         calls = [(make_rhs(model, kernel, eps), random_density(grid, np.random.default_rng(89)))
-                     for kernel in kernel_trio() + [tabulated_kernel(100.0)]]
+                     for kernel in kernel_trio() + [high_rank_kernel()]]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the scheme build sorted")
@@ -339,18 +337,18 @@ class TestLagScheme:
     @given(
         n=st.floats(1.5, 100.0),
         cpd=st.integers(4, 32),
-        nodes=st.integers(2, 24),
+        terms=st.integers(4, 24),
         eps=st.one_of(st.sampled_from([0.0, 2.0**-20]),
                       st.floats(0.0, 1.0, exclude_min=True)),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_tabulated_matches_dense_and_brute_force(self, n, cpd, nodes, eps, seed):
-        # hat factors are nonzero on two node intervals each, so the lag
-        # scheme convolves each one over part of the grid only
+    def test_power_sum_matches_dense_and_brute_force(self, n, cpd, terms, eps, seed):
+        # each factor pair is its own convolution per lag group: a rank well
+        # above the stock families' must sum as the dense table does
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 40)
         grid = make_grid(n, cpd)
         rng = np.random.default_rng(seed)
-        kernel = random_tabulated(rng, n, nodes)
+        kernel = random_power_sum(rng, terms)
         values = rng.random(grid.size)
         (dz_dense, out_dense), (dz_lag, out_lag), gross = dense_and_lag(
             grid, kernel, eps, values)
@@ -405,10 +403,8 @@ class TestMakeRhs:
             assert sce_out == gen_out
 
     def test_sce_dense_path_matches_oracle(self):
-        nodes = np.geomspace(0.1, 10.0, 6)
-        table = 1.0 + np.add.outer(nodes, nodes)
         grid = make_grid(8.0, 6)
-        kernel = TabulatedKernel(nodes, table)
+        kernel = high_rank_kernel()
         rng = np.random.default_rng(53)
         for _ in range(5):
             d = random_density(grid, rng)
@@ -448,12 +444,12 @@ class TestSceRhs:
         # birth appears in the cell containing 2 mu0
         grid = make_grid(10.0, 8)
         kernel = ConstantKernel(1.0)
-        d = sample_initial(MonodisperseProfile(2.0, 1.0), grid)
-        c = grid.cell_of(2.0)
+        d = point_mass(grid, 2.0)
+        c = cell_of(grid, 2.0)
         z0 = d.values[c]
         dzdt, _ = make_rhs("sce", kernel)(d)
         assert dzdt[c] == pytest.approx(-z0 * z0 * grid.widths[c], rel=1e-12)
-        target = grid.cell_of(2.0 * grid.centers[c])
+        target = cell_of(grid, 2.0 * grid.centers[c])
         birth_cells = np.nonzero(dzdt > 0.0)[0]
         assert len(birth_cells) in (1, 2)
         assert target in birth_cells or target + 1 in birth_cells
@@ -498,8 +494,8 @@ class TestOhs:
     def test_velocity_monodisperse(self):
         grid = make_grid(10.0, 8)
         kernel = ConstantKernel(1.0)
-        d = sample_initial(MonodisperseProfile(1.0, 1.0), grid)
-        c = grid.cell_of(1.0)
+        d = point_mass(grid, 1.0)
+        c = cell_of(grid, 1.0)
         # edges strictly above the occupied cell see the full mass below
         assert ohs_velocity(d, kernel, c + 1) == pytest.approx(1.0, rel=1e-12)
         assert ohs_velocity(d, kernel, grid.size - 1) == pytest.approx(1.0, rel=1e-12)
@@ -602,11 +598,6 @@ class TestFactoredOhs:
             assert arrays and all(a.size <= 2 * grid.size for a in arrays)
 
 
-def tabulated_kernel(n):
-    nodes = np.geomspace(0.5 / n, 2.0 * n, 6)
-    return TabulatedKernel(nodes, 1.0 + np.add.outer(nodes, nodes))
-
-
 class TestOhsLimit:
     # below sqrt(r) - 1 every product of a pair lands before the next pivot
     # (for the top cell, the domain end n), and the pair scheme is the OHS
@@ -616,7 +607,7 @@ class TestOhsLimit:
         grid = make_grid(8.0, 6)
         limit = np.sqrt(grid.ratio()) - 1.0
         rng = np.random.default_rng(61)
-        for kernel in kernel_trio() + [tabulated_kernel(8.0)]:
+        for kernel in kernel_trio() + [high_rank_kernel()]:
             values = rng.random(grid.size)
             expect, expect_out, gross = dense_ohs(grid, kernel, values)
             for eps in (0.0, 0.99 * limit, 2.0**-8):
@@ -634,7 +625,7 @@ class TestOhsLimit:
     def test_members_below_the_limit_are_eps_zero_bit_for_bit(self, n, cpd, family, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
         grid = make_grid(n, cpd)
-        kernel = (kernel_trio() + [tabulated_kernel(n)])[family]
+        kernel = (kernel_trio() + [high_rank_kernel()])[family]
         values = np.random.default_rng(seed).random(grid.size)
         dzdt, outflux = lag_scheme(grid, kernel, 0.0).rhs(values)
         for eps in (0.99 * (np.sqrt(grid.ratio()) - 1.0), 2.0**-10):
@@ -677,7 +668,7 @@ class TestEpsUniformClosure:
     def test_ledger_closure_at_rounding(self, n, cpd, family, eps, scale, seed):
         assume(2 <= round(2.0 * cpd * np.log10(n)) <= 256)
         grid = make_grid(n, cpd)
-        kernel = (kernel_trio() + [tabulated_kernel(n)])[family]
+        kernel = (kernel_trio() + [high_rank_kernel()])[family]
         d = random_density(grid, np.random.default_rng(seed), scale)
         dzdt, outflux = make_rhs("generalized", kernel, eps)(d)
         x, dx = grid.centers, grid.widths
@@ -687,9 +678,7 @@ class TestEpsUniformClosure:
 
 
 def memory_guard_kernels():
-    nodes = np.geomspace(0.05, 20.0, 4)
-    return [ConstantKernel(1.0),
-            TabulatedKernel(nodes, np.ones((4, 4)))]
+    return [ConstantKernel(1.0), high_rank_kernel()]
 
 
 class TestDenseMemoryGuard:

@@ -11,13 +11,11 @@ from gencoag import (
     DomainError,
     ExponentialProfile,
     InitialDataError,
-    MonodisperseProfile,
     NumberDensity,
     SingularPowerProfile,
     Trajectory,
     make_grid,
     sample_initial,
-    weighted_norm,
 )
 from gencoag.sizedomain import (
     _WEIGHTS,
@@ -27,6 +25,7 @@ from gencoag.sizedomain import (
     write_csv,
     write_snapshot_csv,
 )
+from oracles import weighted_norm
 
 
 class TestMakeGrid:
@@ -131,12 +130,6 @@ class TestSampleInitial:
         exact, _ = quad(lambda m: m ** (-0.3) * np.exp(-m), g.edges[0], g.edges[1])
         assert d.values[0] == pytest.approx(exact / g.widths[0], rel=1e-10)
 
-    def test_monodisperse_exact_mass(self):
-        g = make_grid(10.0, 8)
-        d = sample_initial(MonodisperseProfile(2.0, 1.0), g)
-        assert weighted_norm(d, "mass") == pytest.approx(1.0, rel=1e-15)
-        assert np.count_nonzero(d.values) == 1
-
     def test_never_negative(self):
         g = make_grid(10.0, 8)
         for prof in (ExponentialProfile(), SingularPowerProfile(0.2, 0.1)):
@@ -149,11 +142,6 @@ class TestWeightedNorm:
         d = NumberDensity(g, np.zeros(g.size))
         for w in ("one", "mass", "neg_sigma", "neg_two_sigma", "Y_norm"):
             assert weighted_norm(d, w, 0.2) == 0.0
-
-    def test_monodisperse_mass(self):
-        g = make_grid(10.0, 8)
-        d = sample_initial(MonodisperseProfile(2.0, 1.0), g)
-        assert weighted_norm(d, "mass") == pytest.approx(1.0, rel=1e-15)
 
     def test_exponential_neg_two_sigma_gamma(self):
         # integral of mu^(-0.4) e^(-mu) over (0, inf) is Gamma(0.6).  The
@@ -172,9 +160,8 @@ class TestWeightedNorm:
 
     def test_unknown_weight(self):
         g = make_grid(10.0, 8)
-        d = NumberDensity(g, np.zeros(g.size))
-        with pytest.raises(DomainError):
-            weighted_norm(d, "bogus")
+        with pytest.raises(DomainError, match="unknown weight 'bogus'"):
+            weight_values(g.centers, "bogus")
 
     @settings(max_examples=50, deadline=None)
     @given(scale=st.floats(0.1, 10.0), add=st.floats(0.0, 5.0))
