@@ -576,6 +576,25 @@ class TestSimulateVariants:
         })
         assert main(["simulate", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_initial_data_not_in_y_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                            command):
+        # a + 2 sigma = 1.3: the data lie outside the space the bounds are proved in
+        solves = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: solves.append(a))
+        assert_refused(tmp_path, capsys, command, {
+            "kernel": {"family": "singular_product", "k": 1.0, "sigma": 0.4},
+            "initial": {"profile": "singular_power", "a": 0.5},
+        }, "initial data not in Y: a + 2*sigma = 1.3 >= 1")
+        assert solves == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "validate", "check-kernel"])
+    def test_kernel_above_its_sup_bound_exits_1(self, tmp_path, capsys, command):
+        # a constant rate of 1e9 proves k = 1e9: a config that sets k = 1 understates it
+        assert_refused(tmp_path, capsys, command,
+                       {"kernel": {"family": "constant", "rate": 1e9, "k": 1.0}},
+                       "kernel.k must be 1000000000.0, got 1.0: family constant proves its own k")
+
 
 class TestCheckKernel:
     def test_pass(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from gencoag.experiments import (
     M0_ROWS,
     MemberTable,
     eps_limit_check,
+    even_stops,
     SweepConfig,
     overlap_distance,
     riccati_m0,
@@ -108,6 +111,35 @@ class TestRunModel:
         assert np.array_equal(alone.times, [0.25, 0.75])
         stopped = run_model("sce", kernel, grid, initial, 0.5, (0.5, 0.75))
         assert np.array_equal(stopped.times, [0.25, 0.5, 0.75])
+
+
+class TestEvenStops:
+    @pytest.mark.parametrize("horizon, count", [(1.0, 1), (0.3, 3), (7.5, 8), (1e-300, 10)])
+    def test_stops_are_horizon_k_over_count_bit_for_bit(self, horizon, count):
+        # below overflow nothing is scaled: the stops are the product formula
+        assert even_stops(horizon, count, "the stops") == tuple(
+            horizon * k / count for k in range(1, count + 1))
+
+    @pytest.mark.parametrize("horizon, count", [(1e308, 3), (1e308, 8), (sys.float_info.max, 10)])
+    def test_an_overflowing_product_keeps_the_bits_of_a_scaled_horizon(self, horizon, count):
+        # horizon * count overflows, so the stops are formed on horizon / 2^j;
+        # a power of two scales exactly, so they are 16 times the stops of
+        # horizon / 16, whose product formula does not overflow
+        assert horizon * count == math.inf and horizon / 16.0 * count < math.inf
+        stops = even_stops(horizon, count, "the stops")
+        assert stops == tuple(16.0 * s for s in even_stops(horizon / 16.0, count, "the stops"))
+        assert all(0.0 < a < b for a, b in zip(stops, stops[1:]))
+        assert math.isclose(stops[-1], horizon, rel_tol=2.0 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_a_subnormal_horizon_is_refused_by_name(self, count):
+        # 5e-324 / count rounds to 0: the first stop would be the start
+        with pytest.raises(ConfigError, match="time.horizon 4.94066e-324 is too small for "
+                                              "the mass report's 8 snapshots"):
+            even_stops(5.0e-324, count, "the mass report's 8 snapshots")
+
+    def test_one_stop_at_the_least_subnormal_is_the_horizon(self):
+        assert even_stops(5.0e-324, 1, "the stops") == (5.0e-324,)
 
 
 class TestMemberFailures:

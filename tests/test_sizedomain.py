@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, gammainc
 
 from gencoag import (
     DomainError,
@@ -122,6 +123,23 @@ class TestSampleInitial:
     def test_singular_power_rejected(self):
         with pytest.raises(InitialDataError, match="initial data not in Y"):
             SingularPowerProfile(0.7, 0.2)  # 0.7 + 0.4 >= 1
+
+    def test_singular_power_at_the_edge_of_y_rejected(self):
+        with pytest.raises(InitialDataError, match="initial data not in Y: a \\+ 2\\*sigma = 1.0"):
+            SingularPowerProfile(0.6, 0.2)  # 0.6 + 0.4 = 1 exactly
+
+    def test_negative_singular_exponent_rejected(self):
+        with pytest.raises(InitialDataError, match="singular power exponent a must be >= 0"):
+            SingularPowerProfile(-0.1, 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.6, 0.9])
+    def test_singular_power_number_is_the_incomplete_gamma(self, a):
+        # sum_i zeta_i dx_i is the integral of mu^(-a) e^(-mu) over [1/n, n]:
+        # Gamma(1 - a) (P(1 - a, n) - P(1 - a, 1/n)), the cells summing their exact quadratures
+        g = make_grid(20.0, 12)
+        d = sample_initial(SingularPowerProfile(a, 0.0), g)
+        exact = gamma(1.0 - a) * (gammainc(1.0 - a, 20.0) - gammainc(1.0 - a, 1.0 / 20.0))
+        assert float(np.sum(d.values * g.widths)) == pytest.approx(exact, rel=1e-13)
 
     def test_singular_power_quadrature(self):
         g = make_grid(10.0, 16)
