@@ -200,11 +200,8 @@ KEYS = {
     "diagnostics.omegas": Key(_distinct(_string, empty=True), ["one", "mass"], ("simulate",)),
     "diagnostics.lambdas": Key(_list_of(config_number), [0.25, 0.5, 1.0], ("simulate",)),
     "diagnostics.inject_mass_violation": Key(_boolean, False, ("simulate",)),
-    "sweep.eps_sweep": Key(_boolean, True, ("sweep",)),
-    "sweep.n_sweep": Key(_boolean, False, ("sweep",)),
+    "sweep.eps_sweep": _only("sweep", True, ("sweep",), "the eps-study is the one study of sweep"),
     "sweep.eps_list": Key(_distinct(_fraction), tuple(2.0 ** -i for i in range(11)), ("sweep",)),
-    # none: [grid.n]; each n's range is sizedomain.SizeGrid's
-    "sweep.n_list": Key(_optional(_distinct(config_number)), None, ("sweep",)),
     "output.directory": Key(_string, "out", EVERY),  # --out overrides it
 }
 
@@ -398,11 +395,10 @@ def _sweep_config(cfg):
     """The studies of ``cfg``.  A validate config sets no [sweep] key (its key
     check refuses them), so it gets their defaults."""
     kernel = kernel_from_config(read(cfg, "kernel"))
-    n_list = read(cfg, "sweep.n_list")
     return exp.SweepConfig(
         kernel=kernel,
         eps_list=tuple(read(cfg, "sweep.eps_list")),
-        n_list=(read(cfg, "grid.n"),) if n_list is None else tuple(n_list),
+        n=read(cfg, "grid.n"),
         cells_per_decade=read(cfg, "grid.cells_per_decade"),
         profile=build_profile(cfg, kernel.sigma),
         horizon=read(cfg, "time.horizon"),
@@ -410,35 +406,16 @@ def _sweep_config(cfg):
 
 
 def cmd_sweep(args):
-    cfg, values, out = _load(args)
+    cfg, _, out = _load(args)
     config = _sweep_config(cfg)
-    eps_sweep, n_sweep = values["sweep.eps_sweep"], values["sweep.n_sweep"]
-    if not (eps_sweep or n_sweep):
-        raise ConfigError("sweep runs no study: eps_sweep and n_sweep are both false")
-    if n_sweep and len(config.n_list) < 2:
-        raise ConfigError(f"n_sweep needs at least two n_list values, got {list(config.n_list)}")
-    if n_sweep and list(config.n_list) != sorted(config.n_list):  # n_cauchy compares neighbours
-        raise ConfigError(f"n_sweep needs n_list in increasing order, got {list(config.n_list)}")
-    summary = {"checks": {}, "failed_members": []}
-    tables = {}
-    members = exp.MemberTable(config)  # both studies read one table
-    if eps_sweep:
-        table = tables["distances_eps.csv"] = exp.run_eps_sweep(members)
-        summary["failed_members"] += table.failed
-        for n in config.n_list:
-            d = table.at_time(config.horizon, n)
-            if d:
-                summary["checks"][f"eps_monotone_n{n:g}"] = exp.eps_limit_check(d)
-    if n_sweep:
-        table_n = tables["distances_n.csv"] = exp.run_n_sweep(members)
-        summary["failed_members"] += table_n.failed
-        dists = [r[3] for r in table_n.rows]
-        summary["checks"]["n_cauchy"] = {"distances": dists, "passed": all(
-            b <= a * (1 + 1e-9) for a, b in zip(dists, dists[1:]))}
-    summary["passed"] = all(c.get("passed", True) for c in summary["checks"].values()) and not summary["failed_members"]
+    table = exp.run_eps_sweep(exp.MemberTable(config))
+    summary = {"checks": {}, "failed_members": table.failed}
+    d = table.at_time(config.horizon)
+    if d:
+        summary["checks"][f"eps_monotone_n{config.n:g}"] = exp.eps_limit_check(d)
+    summary["passed"] = all(c["passed"] for c in summary["checks"].values()) and not table.failed
     _publish(args, out)
-    for name, table in tables.items():
-        table.write_csv(out / name)
+    table.write_csv(out / "distances_eps.csv")
     _dump_json(summary, out / "summary.json")
     print(("PASS" if summary["passed"] else "FAIL") + "  sweep")
     return EXIT_OK if summary["passed"] else EXIT_BOUND_FAIL
@@ -491,9 +468,8 @@ def cmd_validate(args):
 
 
 def _solved(members, model, eps):
-    """(traj, verdicts) of the run of ``model`` at ``eps`` on the first grid; a failed solve
-    or verdict raises."""
-    traj, verdicts, failure = members.run(model, eps, members.config.n_list[0])
+    """(traj, verdicts) of the run of ``model`` at ``eps``; a failed solve or verdict raises."""
+    traj, verdicts, failure = members.run(model, eps)
     if failure is not None:
         raise failure
     return traj, verdicts

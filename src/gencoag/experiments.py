@@ -9,11 +9,10 @@ kernels.
 Every run a command solves goes through :func:`checked_run`, which judges
 it by the verdicts of :func:`~gencoag.diagnostics.bound_verdicts`, after
 :func:`check_initial` refused what the initial data decide.  Every study
-reads one :class:`MemberTable`, which solves each distinct run once: runs
-on one grid that compute the same eps
-(:func:`~gencoag.operators.computed_eps`) are one run.  ``sweep`` passes
-one table to the eps- and n-studies, so the n-study reads the runs the
-eps-study solved; every check of ``validate`` reads the table of
+reads one :class:`MemberTable`, which solves each distinct run once on
+the config's one grid: runs that compute the same eps
+(:func:`~gencoag.operators.computed_eps`) are one run.  ``sweep`` runs
+its eps-study on one table; every check of ``validate`` reads the table of
 :func:`validate_members`.
 """
 
@@ -59,13 +58,13 @@ MASS_LAMBDA_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 
 
 class SweepConfig(NamedTuple):
-    """Sweep members: generalized runs at each eps of ``eps_list`` on each n's
-    grid.  A member below sqrt(r) - 1 of its grid is the OHS run (eps = 0).
+    """Sweep members: generalized runs at each eps of ``eps_list`` on the grid of
+    ``n``.  A member below sqrt(r) - 1 of the grid is the OHS run (eps = 0).
     ``cli.KEYS`` owns the default of each field."""
 
     kernel: Kernel
     eps_list: tuple
-    n_list: tuple
+    n: float
     cells_per_decade: int
     profile: object
     horizon: float
@@ -85,10 +84,9 @@ class DistanceTable:
             "type": type(exc).__name__, "message": str(exc),
             "time": getattr(exc, "time", None), "dt": getattr(exc, "dt", None)}})
 
-    def at_time(self, t, n=None):
-        """eps -> distance at the snapshot at t (of n's rows, if n is given)."""
-        return {eps: d for eps, nn, tt, d in self.rows
-                if (n is None or nn == n) and abs(tt - t) < 1e-9 * max(t, 1.0)}
+    def at_time(self, t):
+        """eps -> distance at the snapshot at t."""
+        return {eps: d for eps, _, tt, d in self.rows if abs(tt - t) < 1e-9 * max(t, 1.0)}
 
     def write_csv(self, path):
         write_csv(path, ["eps", "n", "time", "distance"], self.rows)
@@ -156,40 +154,37 @@ def checked_run(model: str, eps: float | None, kernel: Kernel, initial: NumberDe
 class MemberTable:
     """The distinct runs of one config, each solved once, on its first read.
 
-    A member is (computed eps, n): runs on n's grid whose model and eps
-    compute the same eps (:func:`~gencoag.operators.computed_eps`) are one
-    run.  ``grids`` maps each n of the config to its (grid, initial data),
-    all built here, with the gauge pair of each, so a grid
+    Every run starts from ``initial`` on ``grid``, the config's one grid,
+    both built here with their gauge pair, so a grid
     :class:`~gencoag.sizedomain.SizeGrid` or :func:`check_initial` refuses
-    is refused before any solve.  Each run stops at every one of ``stops``
-    (increasing; the horizon by default) and ends at the last.
+    is refused before any solve.  Runs whose model and eps compute the same
+    eps (:func:`~gencoag.operators.computed_eps`) are one run.  Each run
+    stops at every one of ``stops`` (increasing; the horizon by default)
+    and ends at the last.
     """
 
     def __init__(self, config: SweepConfig, stops=None):
         self.config = config
         self.stops = tuple(stops or (config.horizon,))
-        grids = [make_grid(n, config.cells_per_decade) for n in config.n_list]
-        self.grids = {grid.n: (grid, sample_initial(config.profile, grid)) for grid in grids}
-        self._gauges = {n: (build_gauge_from_tail(*psi1_tail(initial)),
-                            build_gauge_from_tail(*psi2_tail(initial, config.kernel.sigma)))
-                        for n, (_, initial) in self.grids.items()}
-        for n, (_, initial) in self.grids.items():
-            check_initial(config.kernel, initial, self.stops[-1], self._gauges[n])
+        self.grid = make_grid(config.n, config.cells_per_decade)
+        self.initial = sample_initial(config.profile, self.grid)
+        self._gauges = (build_gauge_from_tail(*psi1_tail(self.initial)),
+                        build_gauge_from_tail(*psi2_tail(self.initial, config.kernel.sigma)))
+        check_initial(config.kernel, self.initial, self.stops[-1], self._gauges)
         self._runs = {}
 
-    def run(self, model: str, eps: float | None, n: float) -> tuple:
-        """(traj, verdicts, failure) of ``model`` at ``eps`` on n's grid, by :func:`checked_run`.
+    def run(self, model: str, eps: float | None) -> tuple:
+        """(traj, verdicts, failure) of ``model`` at ``eps``, by :func:`checked_run`.
 
         ``traj`` is None, and ``verdicts`` empty, if the solve failed.  A run
         that fails a verdict keeps it, and its failure is a BoundViolation
         whose message names each failed verdict with its attained value and
         its bound.
         """
-        grid, initial = self.grids[n]
-        key = (computed_eps(model, eps, grid.ratio()), n)
+        key = computed_eps(model, eps, self.grid.ratio())
         if key not in self._runs:
-            self._runs[key] = checked_run(model, eps, self.config.kernel, initial,
-                                          self.stops, self._gauges[n])
+            self._runs[key] = checked_run(model, eps, self.config.kernel, self.initial,
+                                          self.stops, self._gauges)
         traj, _, verdicts, failure = self._runs[key]
         return traj, verdicts, failure
 
@@ -206,75 +201,20 @@ def run_eps_sweep(members: MemberTable) -> DistanceTable:
     verdicts and its failure, at distance 0.  A failed solve of
     the OHS run raises: no member can be measured.
     """
-    config = members.config
+    config, grid = members.config, members.grid
     table = DistanceTable()
-    sigma = config.kernel.sigma
-    for n in config.n_list:
-        grid, _ = members.grids[n]
-        ref, _, failure = members.run("ohs", None, n)
-        if ref is None:
-            raise failure
-        for eps in sorted(config.eps_list, reverse=True):
-            member, _, failure = members.run("generalized", eps, n)
-            if failure is not None:
-                table.fail(eps, n, failure)
-                continue
-            # both runs stop at the table's stops, and evolve lands on each stop exactly
-            dists = _weighted_l1(grid.centers, grid.widths, member.values - ref.values, sigma)
-            table.rows += [(eps, n, t, d) for t, d in zip(member.times.tolist(), dists.tolist())]
-    return table
-
-
-def overlap_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
-    """Weighted L1 distance of two piecewise-constant densities on the
-    overlap of their domains.
-
-    The union of both edge sets resolves |a - b| exactly; the weight is
-    sampled at segment geometric midpoints, consistent with the midpoint
-    moments used everywhere else.
-    """
-    lo = max(a.grid.edges[0], b.grid.edges[0])
-    hi = min(a.grid.edges[-1], b.grid.edges[-1])
-    if hi <= lo:
-        return 0.0
-    edges = np.unique(np.concatenate([
-        a.grid.edges[(a.grid.edges >= lo) & (a.grid.edges <= hi)],
-        b.grid.edges[(b.grid.edges >= lo) & (b.grid.edges <= hi)],
-        [lo, hi],
-    ]))
-    mid = np.sqrt(edges[:-1] * edges[1:])
-    width = np.diff(edges)
-
-    def sample(d, pts):
-        idx = np.clip(np.searchsorted(d.grid.edges, pts, side="right") - 1, 0, d.grid.size - 1)
-        return d.values[idx]
-
-    return float(_weighted_l1(mid, width, sample(a, mid) - sample(b, mid), sigma))
-
-
-def run_n_sweep(members: MemberTable) -> DistanceTable:
-    """Cauchy-style distances between successive-n members at the first eps.
-
-    Distances are measured at the horizon, on the overlap of the two
-    domains.  For the comparison to reflect truncation (tail-mass) effects
-    rather than grid misalignment, pick n = 10^(m / cells_per_decade): those
-    grids share one edge lattice, free of the staircase mismatch that
-    misaligned grids add at first order in the cell width.
-    """
-    config = members.config
-    eps = config.eps_list[0]
-    table = DistanceTable()
-    finals = []
-    for n in config.n_list:
-        traj, _, failure = members.run("generalized", eps, n)
+    ref, _, failure = members.run("ohs", None)
+    if ref is None:
+        raise failure
+    for eps in sorted(config.eps_list, reverse=True):
+        member, _, failure = members.run("generalized", eps)
         if failure is not None:
-            table.fail(eps, n, failure)
-        finals.append(traj[-1] if failure is None else None)
-    sigma = config.kernel.sigma
-    for cur_n, prev, cur in zip(config.n_list[1:], finals, finals[1:]):
-        if prev is None or cur is None:
+            table.fail(eps, config.n, failure)
             continue
-        table.rows.append((eps, cur_n, config.horizon, overlap_distance(prev, cur, sigma)))
+        # both runs stop at the table's stops, and evolve lands on each stop exactly
+        dists = _weighted_l1(grid.centers, grid.widths, member.values - ref.values,
+                             config.kernel.sigma)
+        table.rows += [(eps, config.n, t, d) for t, d in zip(member.times.tolist(), dists.tolist())]
     return table
 
 
@@ -317,15 +257,13 @@ def require_closed_forms(config: SweepConfig):
 
 
 def validate_members(config: SweepConfig) -> MemberTable:
-    """The table every check of ``validate`` reads: runs on the first grid
-    to max(horizon, 2), stopping at the mass report's snapshots and at
-    ``CLOSED_FORM_TIMES``.  A mass report threshold outside the first grid is refused here,
-    before any solve."""
+    """The table every check of ``validate`` reads: runs to max(horizon, 2),
+    stopping at the mass report's snapshots and at ``CLOSED_FORM_TIMES``.  A
+    mass report threshold outside the grid is refused here, before any solve."""
     require_closed_forms(config)
     members = MemberTable(config, sorted({*_mass_snapshots(config), *CLOSED_FORM_TIMES}))
-    grid, _ = members.grids[config.n_list[0]]
     for frac in MASS_LAMBDA_FRACTIONS:
-        diagnostics._snap_to_edge(grid, frac * grid.n)
+        diagnostics._snap_to_edge(members.grid, frac * config.n)
     return members
 
 
@@ -367,17 +305,16 @@ def validate_m0_riccati(config: SweepConfig, traj: Trajectory) -> dict:
 def mass_conservation_report(config: SweepConfig, traj: Trajectory) -> dict:
     """M1 series, ledger-closure residuals, and flux-identity residuals of ``traj``.
 
-    ``traj``, a run on the config's first grid, is read at the report's
-    snapshot times, and the flux identities at ``MASS_LAMBDA_FRACTIONS`` of n.
+    ``traj``, a run on the config's grid, is read at the report's snapshot
+    times, and the flux identities at ``MASS_LAMBDA_FRACTIONS`` of n.
     """
-    n = config.n_list[0]
     grid, traj = traj.grid, traj.select(_mass_snapshots(config))
     m1 = traj.moments(grid.centers)
     closure = traj.ledger_closure()
     scale = max(m1[0], 1e-300)
     flux = []
     for frac in MASS_LAMBDA_FRACTIONS:
-        res = diagnostics.mass_flux_identity(traj, frac * n, config.kernel)
+        res = diagnostics.mass_flux_identity(traj, frac * config.n, config.kernel)
         flux.append({
             "lambda": res["lambda"],
             "max_residual_rel": float(np.max(res["residual"]) / scale),

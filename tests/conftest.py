@@ -59,19 +59,19 @@ def random_density(grid, rng, scale=1.0):
     return NumberDensity(grid, scale * rng.random(grid.size), 0.0)
 
 
-def first_grid_run(config, model, horizon, stops, eps=None):
-    """A run of ``model`` on the first grid of the sweep config ``config``."""
-    grid = make_grid(config.n_list[0], config.cells_per_decade)
+def grid_run(config, model, horizon, stops, eps=None):
+    """A run of ``model`` on the grid of the sweep config ``config``."""
+    grid = make_grid(config.n, config.cells_per_decade)
     return run_model(model, config.kernel, grid, sample_initial(config.profile, grid),
                      horizon, stops, eps=eps)
 
 
 def mass_report(config, model, eps=None):
     """The mass report on its own run of ``model`` to the horizon."""
-    traj = first_grid_run(config, model, config.horizon, _mass_snapshots(config), eps)
+    traj = grid_run(config, model, config.horizon, _mass_snapshots(config), eps)
     return mass_conservation_report(config, traj)
 
 
 def closed_form_run(config):
     """The SCE run that the closed-form check reads, stopping at its times."""
-    return first_grid_run(config, "sce", max(CLOSED_FORM_TIMES), CLOSED_FORM_TIMES)
+    return grid_run(config, "sce", max(CLOSED_FORM_TIMES), CLOSED_FORM_TIMES)

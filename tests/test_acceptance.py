@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import closed_form_run, first_grid_run, kernel_trio, mass_report
+from conftest import closed_form_run, grid_run, kernel_trio, mass_report
 from gencoag import (
     AdditiveKernel,
     ConstantKernel,
@@ -178,7 +178,7 @@ def test_criterion_2_test_identity_limits():
 
 def test_criterion_3_sce_constant_kernel_analytic():
     t0 = time.time()
-    base = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n_list=(100.0,),
+    base = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n=100.0,
                        cells_per_decade=32, profile=ExponentialProfile(), horizon=2.0)
     err32 = validate_sce_constant_kernel(base, closed_form_run(base))[1.0]
     fine = base._replace(cells_per_decade=64)
@@ -191,7 +191,7 @@ def test_criterion_3_sce_constant_kernel_analytic():
 
 def test_criterion_4_m0_riccati_all_models():
     t0 = time.time()
-    coarse = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n_list=(30.0,),
+    coarse = SweepConfig(kernel=ConstantKernel(1.0), eps_list=(), n=30.0,
                          cells_per_decade=32, profile=ExponentialProfile(), horizon=2.0)
     worst = {}
     for label, model, eps in (
@@ -201,7 +201,7 @@ def test_criterion_4_m0_riccati_all_models():
         ("gen_eps0.25", "generalized", 0.25),
         ("gen_eps0.01", "generalized", 0.01),
     ):
-        traj = first_grid_run(coarse, model, 2.0, (0.5, 1.0, 2.0), eps)
+        traj = grid_run(coarse, model, 2.0, (0.5, 1.0, 2.0), eps)
         worst[label] = max(validate_m0_riccati(coarse, traj).values())
     elapsed = time.time() - t0
     ok = all(v <= 1e-3 for v in worst.values()) and elapsed < 60.0
@@ -215,7 +215,7 @@ def test_criterion_5_mass_conservation_ledgers():
     closures = {}
     flux_rel = None
     for cpd in (32, 64):
-        cfg = SweepConfig(kernel=kernel, eps_list=(), n_list=(20.0,), cells_per_decade=cpd,
+        cfg = SweepConfig(kernel=kernel, eps_list=(), n=20.0, cells_per_decade=cpd,
                           profile=ExponentialProfile(), horizon=1.0)
         for model, eps in (("generalized", 0.5), ("sce", None), ("ohs", None)):
             rep = mass_report(cfg, model, eps)
@@ -263,7 +263,7 @@ def test_criterion_8_eps_sweep_to_transport_limit():
     results = {}
     for kernel in (ConstantKernel(1.0), SingularProductKernel(k=1.0, sigma=0.2)):
         cfg = SweepConfig(
-            kernel=kernel, eps_list=tuple(2.0 ** -i for i in range(11)), n_list=(50.0,),
+            kernel=kernel, eps_list=tuple(2.0 ** -i for i in range(11)), n=50.0,
             cells_per_decade=32, profile=ExponentialProfile(), horizon=1.0,
         )
         table = run_eps_sweep(MemberTable(cfg))

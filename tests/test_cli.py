@@ -727,35 +727,28 @@ class TestSweep:
                 jsonschema.validate({**summary, "checks": {"eps_monotone_n20": broken}},
                                     schema("summary.schema.json"))
 
-    def test_n_sweep_path(self, tmp_path):
-        # lattice-aligned n values: 10^(m/12) for m = 8, 12, 16
-        cfg = write_config(tmp_path, {
-            "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
-                      "n_list": [4.641588833612779, 10.0, 21.544346900318832]},
-        }, command="sweep")
-        assert main(["sweep", "--config", str(cfg)]) == 0
-        out = tmp_path / "out"
-        rows = (out / "distances_n.csv").read_text().strip().splitlines()
-        assert len(rows) == 3  # header + 2 successive-n comparisons
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["checks"]["n_cauchy"]["passed"]
-
     def test_failed_members_are_typed(self, tmp_path, monkeypatch):
-        # a first step far too large, with no rejection allowed: every
-        # member of the n sweep fails its first step.  At horizon 50 the
+        # a first step far too large, with no rejection allowed, in the
+        # generalized members alone: each fails its first step, while the
+        # OHS run they are measured against solves.  At horizon 50 the
         # bounds stay finite, so the check before the solves passes
-        _force_first_step_failure(monkeypatch)
+        member = experiments._eps_member
+
+        def failing_member(*args):
+            with monkeypatch.context() as patch:
+                _force_first_step_failure(patch)
+                return member(*args)
+
+        monkeypatch.setattr(experiments, "_eps_member", failing_member)
         cfg = write_config(tmp_path, {
-            "sweep": {"eps_sweep": False, "n_sweep": True, "eps_list": [0.5],
-                      "n_list": [4.641588833612779, 10.0]},
+            "sweep": {"eps_list": [1.0, 0.5]},
             "time": {"horizon": 50.0},
         }, command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         jsonschema.validate(summary, schema("summary.schema.json"))
-        errors = [m["error"] for m in summary["failed_members"]]
-        assert len(errors) == 2
-        for error in errors:
+        assert [m["eps"] for m in summary["failed_members"]] == [1.0, 0.5]
+        for error in (m["error"] for m in summary["failed_members"]):
             assert error["type"] == "StiffnessError" and error["message"].startswith("step rejected")
             assert error["time"] == 0.0 and error["dt"] == 50.0
         with pytest.raises(jsonschema.ValidationError):
@@ -804,9 +797,9 @@ class TestSweep:
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
         ({"sweep": {"eps_list": "abc"}}, "eps_list must be a list"),
         ({"sweep": {"eps_list": [0.5, "abc"]}}, "eps_list must be a finite number"),
-        ({"sweep": {"n_list": ["x"]}}, "n_list must be a finite number"),
+        ({"sweep": {"n_list": ["x"]}}, "unknown config key sweep.n_list"),
         ({"sweep": {"eps_list": []}}, "eps_list must not be empty"),
-        ({"sweep": {"n_list": []}}, "n_list must not be empty"),
+        ({"sweep": {"n_list": []}}, "unknown config key sweep.n_list"),
         ({"sweep": {"eps_list": [True]}}, "eps_list must be a finite number"),
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
     ])
@@ -840,20 +833,14 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
-        ({"eps_sweep": "no"}, "eps_sweep must be true or false, got 'no'"),
-        ({"eps_sweep": 1}, "eps_sweep must be true or false, got 1"),
-        ({"n_sweep": "yes", "n_list": [10.0, 20.0]}, "n_sweep must be true or false, got 'yes'"),
-        ({"n_sweep": None}, "n_sweep must be true or false, got None"),
-        ({"eps_sweep": False}, "sweep runs no study: eps_sweep and n_sweep are both false"),
-        ({"eps_sweep": False, "n_sweep": False}, "sweep runs no study"),
-        ({"n_sweep": True}, "n_sweep needs at least two n_list values, got [20.0]"),
-        ({"eps_sweep": False, "n_sweep": True, "n_list": [10.0]},
-         "n_sweep needs at least two n_list values, got [10.0]"),
+        ({"eps_sweep": "no"}, "sweep.eps_sweep must be True, got 'no'"),
+        ({"eps_sweep": 1}, "sweep.eps_sweep must be True, got 1"),
+        ({"eps_sweep": False}, "sweep.eps_sweep must be True, got False: "
+                               "the eps-study is the one study of sweep"),
+        # the n-study and its grid list are gone: a config that sets them is refused
+        ({"n_list": [10, 20]}, "unknown config key sweep.n_list"),
+        ({"n_sweep": True}, "unknown config key sweep.n_sweep"),
         ({"eps_list": [0.5, 0.25, 0.5]}, "eps_list repeats a value: [0.5, 0.25, 0.5]"),
-        ({"n_list": [30.0, 30.0]}, "n_list repeats a value: [30.0, 30.0]"),
-        ({"n_sweep": True, "n_list": [30.0, 30.0]}, "n_list repeats a value: [30.0, 30.0]"),
-        ({"n_sweep": True, "n_list": [50.0, 20.0, 10.0]},
-         "n_sweep needs n_list in increasing order, got [50.0, 20.0, 10.0]"),
         ({"eps_list": [0.5, 1.5]}, "eps_list values must lie in (0, 1], got 1.5"),
         ({"eps_list": [0.5, 0.0]}, "eps_list values must lie in (0, 1], got 0.0"),
     ])
@@ -864,24 +851,22 @@ class TestSweep:
                        {"sweep": {"eps_list": [1.0, 0.5], **sweep}}, message)
         assert calls == []
 
-    @pytest.mark.parametrize("grid, n_list, got", [
-        ({"n": 20.0, "cells_per_decade": 256}, [100.0, 1.0e+100],
+    @pytest.mark.parametrize("grid, got", [
+        ({"n": 1.0e+100, "cells_per_decade": 256},
          "grid parameter n must exceed 1 and lie below 1.158e+77, got 1e+100"),
-        ({"n": 20.0, "cells_per_decade": 256}, [100.0, 0.5],
+        ({"n": 0.5, "cells_per_decade": 256},
          "grid parameter n must exceed 1 and lie below 1.158e+77, got 0.5"),
-        ({"n": 20.0, "cells_per_decade": 3}, [10.0, 20.0],
-         "cells_per_decade must be an integer >= 4, got 3"),
+        ({"n": 20.0, "cells_per_decade": 3}, "cells_per_decade must be an integer >= 4, got 3"),
     ])
     def test_a_refused_grid_fails_before_the_first_solve(self, tmp_path, capsys, monkeypatch,
-                                                         grid, n_list, got):
-        # every member's grid is built before any solve: a bad later n once
-        # failed only after each member on the grids before it had solved
+                                                         grid, got):
+        # the grid is built before any solve, so a grid SizeGrid refuses
+        # fails before any member solves
         calls = []
         evolve = experiments.evolve
         monkeypatch.setattr(experiments, "evolve",
                             lambda *a, **k: calls.append(a) or evolve(*a, **k))
-        cfg = write_config(tmp_path, {"grid": grid,
-                                      "sweep": {"eps_list": [1.0, 0.5], "n_list": n_list}},
+        cfg = write_config(tmp_path, {"grid": grid, "sweep": {"eps_list": [1.0, 0.5]}},
                            command="sweep")
         assert main(["sweep", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -902,7 +887,7 @@ class TestSweep:
         assert calls == []
 
     @pytest.mark.parametrize("command, section, key", [
-        ("simulate", {"sweep": {"n_sweep": "nonsense", "eps_list": [7.0]}}, "sweep.eps_list"),
+        ("simulate", {"sweep": {"eps_list": [7.0]}}, "sweep.eps_list"),
         ("validate", {"time": {"horizon": 0.3, "snapshots": 100000}}, "time.snapshots"),
         ("validate", {"diagnostics": {"omegas": ["nonsense"], "lambdas": [99.0],
                                       "inject_mass_violation": True}},
@@ -936,35 +921,6 @@ class TestSweep:
         assert calls == [("ohs", None)] + [("generalized", 2.0**-i) for i in range(5)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["passed"] and len(summary["checks"]["eps_monotone_n50"]["distances"]) == 11
-
-    def test_both_studies_share_their_runs(self, tmp_path, monkeypatch):
-        # sweep_eps.yaml's kernel and grid: per n the OHS run, 0.5 and 0.25;
-        # 0.01 lies below sqrt(r) - 1 = 0.037 and reads the OHS run.  The
-        # n-study reads the eps-study's runs at 0.5: 9 solves with both
-        # studies, not 12, and each study writes what it writes alone
-        calls = []
-        real = experiments.run_model
-        monkeypatch.setattr(experiments, "run_model",
-                            lambda model, *a, **k: calls.append(model) or real(model, *a, **k))
-        base = yaml.safe_load((CONFIGS / "sweep_eps.yaml").read_text())
-        lists = {"n_list": [10.0, 20.0, 50.0], "eps_list": [0.5, 0.25, 0.01]}
-        solves = {}
-        for name, eps_sweep, n_sweep in (("both", True, True), ("eps", True, False),
-                                         ("n", False, True)):
-            path = tmp_path / f"{name}.yaml"
-            path.write_text(yaml.safe_dump(
-                {**base, "sweep": {**lists, "eps_sweep": eps_sweep, "n_sweep": n_sweep}}))
-            calls.clear()
-            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
-            solves[name] = len(calls)
-        assert solves == {"both": 9, "eps": 9, "n": 3}
-        for name in ("eps", "n"):
-            csv = f"distances_{name}.csv"
-            assert (tmp_path / "both" / csv).read_bytes() == (tmp_path / name / csv).read_bytes()
-        summary = {name: json.loads((tmp_path / name / "summary.json").read_text())
-                   for name in ("both", "eps", "n")}
-        assert summary["both"]["checks"] == {**summary["eps"]["checks"], **summary["n"]["checks"]}
-        assert summary["both"]["passed"] and summary["both"]["failed_members"] == []
 
     def test_overflowing_bound_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
         _assert_overflow_refused(tmp_path, capsys, monkeypatch, "sweep")
@@ -1033,11 +989,10 @@ class TestValidate:
         ({"time": {"horizon": "abc"}}, "horizon must be a finite number"),
         ({"grid": {"n": "x", "cells_per_decade": 12}}, "n must be a finite number"),
         ({"sweep": {"eps_list": "abc"}}, "validate does not read sweep.eps_list"),
-        ({"sweep": {"n_list": []}}, "validate does not read sweep.n_list"),
+        ({"sweep": {"n_list": []}}, "unknown config key sweep.n_list"),
         ({"time": {"horizon": True}}, "horizon must be a finite number"),
         ({"time": {"horizon": 0}}, "horizon must be > 0"),
-        # validate reads the first n only: a second one would go unchecked
-        ({"sweep": {"n_list": [100.0, 200.0]}}, "validate does not read sweep.n_list"),
+        ({"sweep": {"n_list": [100.0, 200.0]}}, "unknown config key sweep.n_list"),
         # the mass report's stops, horizon * k / 8, would round to 0 or collide
         ({"time": {"horizon": 5.0e-324}},
          "time.horizon 4.94066e-324 is too small for the mass report's 8 snapshots"),

@@ -36,7 +36,6 @@ RUNS = [
 _PROBE_USE = "only the benchmark probe, perfbench/probe.py, calls it, to time kernel evaluation"
 _ABSTRACT = "the base class raises here for a subclass that lacks it; every shipped kernel has it"
 _REFUSAL = "reached only when a command refuses its input, which no shipped config does"
-_N_STUDY = "the n-study (sweep.n_sweep), which no shipped config runs"
 
 #: (module, qualname) -> why no run calls it
 EXEMPT = {
@@ -50,9 +49,6 @@ EXEMPT = {
     ("cli", "_check_keys.<locals>.shown"): _REFUSAL,
     ("errors", "StiffnessError.__init__"): _REFUSAL,
     ("experiments", "DistanceTable.fail"): _REFUSAL,
-    ("experiments", "run_n_sweep"): _N_STUDY,
-    ("experiments", "overlap_distance"): _N_STUDY,
-    ("experiments", "overlap_distance.<locals>.sample"): _N_STUDY,
 }
 
 #: traces calls from the first import of the CLI on, so that import-time calls count

@@ -16,7 +16,7 @@ from gencoag import (
     make_grid,
     sample_initial,
 )
-from conftest import first_grid_run, mass_report
+from conftest import grid_run, mass_report
 from gencoag import experiments, operators
 from gencoag.cli import _sweep_config, load_config
 from gencoag.experiments import (
@@ -26,11 +26,9 @@ from gencoag.experiments import (
     eps_limit_check,
     even_stops,
     SweepConfig,
-    overlap_distance,
     riccati_m0,
     run_eps_sweep,
     run_model,
-    run_n_sweep,
     sce_constant_kernel_solution,
     transport_distance,
     validate_m0_riccati,
@@ -43,7 +41,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(kernel=None, **kw):
-    kw.setdefault("n_list", (20.0,))
+    kw.setdefault("n", 20.0)
     kw.setdefault("cells_per_decade", 16)
     kw.setdefault("horizon", 0.5)
     kw.setdefault("eps_list", (1.0,))
@@ -150,9 +148,6 @@ class TestMemberFailures:
         assert [f["eps"] for f in table.failed] == [1.0, 0.5]
         assert all(f["error"] == {"type": "StiffnessError", "message": "stiff",
                                   "time": 0.0, "dt": 1e-3} for f in table.failed)
-        table = run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
-        assert [f["n"] for f in table.failed] == [10.0, 20.0]
-        assert table.rows == []
 
     def test_other_package_error_has_no_state(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(ConfigError("bad")))
@@ -179,8 +174,6 @@ class TestMemberFailures:
         monkeypatch.setattr(experiments, "make_rhs", _failing_generalized(TypeError("bug")))
         with pytest.raises(TypeError):
             run_eps_sweep(MemberTable(small_config(eps_list=(0.5,))))
-        with pytest.raises(TypeError):
-            run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
 
     def test_reference_bound_violation_fails_members_at_eps_zero(self, monkeypatch):
         # on 16 cells/decade sqrt(r) - 1 = 0.075: eps = 1/16, 1/32 and 1/64
@@ -192,15 +185,6 @@ class TestMemberFailures:
         assert [f["eps"] for f in table.failed] == [2.0**-4, 2.0**-5, 2.0**-6]
         assert all(f["error"]["type"] == "BoundViolation" for f in table.failed)
         assert {e for e, *_ in table.rows} == {1.0, 0.5, 0.25, 0.125}
-
-    def test_n_sweep_member_bound_violation_is_typed(self, monkeypatch):
-        monkeypatch.setattr(experiments, "make_rhs",
-                            _sourced(lambda model, eps: model == "generalized"))
-        table = run_n_sweep(MemberTable(small_config(n_list=(10.0, 20.0), eps_list=(0.5,))))
-        assert [f["n"] for f in table.failed] == [10.0, 20.0]
-        assert all(f["eps"] == 0.5 and f["error"]["type"] == "BoundViolation"
-                   and f["error"]["time"] is None for f in table.failed)
-        assert table.rows == []
 
 
 def _counted(monkeypatch):
@@ -220,31 +204,15 @@ class TestMemberTable:
     def test_runs_that_compute_one_eps_are_one_run(self, monkeypatch):
         members = MemberTable(small_config())
         calls = _counted(monkeypatch)
-        ohs, _, failure = members.run("ohs", None, 20.0)
-        assert failure is None and members.run("generalized", 2.0**-5, 20.0)[0] is ohs
-        assert members.run("generalized", 2.0**-4, 20.0)[0] is ohs
-        sce = members.run("sce", None, 20.0)[0]
-        assert members.run("generalized", 1.0, 20.0)[0] is sce
+        ohs, _, failure = members.run("ohs", None)
+        assert failure is None and members.run("generalized", 2.0**-5)[0] is ohs
+        assert members.run("generalized", 2.0**-4)[0] is ohs
+        sce = members.run("sce", None)[0]
+        assert members.run("generalized", 1.0)[0] is sce
         assert calls == [("ohs", None), ("sce", None)]
-        # each grid and its initial data are built once, and every run starts there
-        grid, initial = members.grids[20.0]
-        assert sce.grid is grid
-        assert np.array_equal(sce.values[0], initial.values)
-
-    @pytest.mark.parametrize("eps_study", [True, False], ids=["after_eps_study", "alone"])
-    def test_n_study_below_the_limit_reads_the_ohs_run(self, monkeypatch, eps_study):
-        # eps_list[0] = 1/16 lies below sqrt(r) - 1: on each n it is the OHS
-        # run, which the eps-study solved or the n-study solves at 1/16
-        cfg = small_config(n_list=(10.0, 20.0), eps_list=(2.0**-4, 2.0**-5))
-        members = MemberTable(cfg)
-        if eps_study:
-            run_eps_sweep(members)
-        calls = _counted(monkeypatch)
-        table = run_n_sweep(members)
-        ohs = [members.run("ohs", None, n)[0] for n in cfg.n_list]
-        assert calls == ([] if eps_study else [("generalized", 2.0**-4)] * 2)
-        assert table.failed == [] and table.rows == [
-            (2.0**-4, 20.0, 0.5, overlap_distance(ohs[0][-1], ohs[1][-1], cfg.kernel.sigma))]
+        # the grid and its initial data are built once, and every run starts there
+        assert sce.grid is members.grid and ohs.grid is members.grid
+        assert np.array_equal(sce.values[0], members.initial.values)
 
     def test_failed_solve_is_typed_and_kept(self, monkeypatch):
         monkeypatch.setattr(experiments, "make_rhs",
@@ -252,18 +220,18 @@ class TestMemberTable:
         members = MemberTable(small_config())
         calls = _counted(monkeypatch)
         for _ in range(2):
-            traj, verdicts, failure = members.run("generalized", 0.5, 20.0)
+            traj, verdicts, failure = members.run("generalized", 0.5)
             assert traj is None and verdicts == [] and type(failure) is StiffnessError
             assert (str(failure), failure.time, failure.dt) == ("stiff", 0.0, 1e-3)
         assert calls == [("generalized", 0.5)]
 
     def test_validate_table(self, monkeypatch):
-        cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=1.0)
+        cfg = small_config(n=30.0, cells_per_decade=12, horizon=1.0)
         members = validate_members(cfg)
         # the mass report's eight snapshots to the horizon, and the closed-form times
         assert members.stops == (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0, 2.0)
         calls = _counted(monkeypatch)
-        runs = {label: members.run(model, eps, 30.0) for label, model, eps in M0_ROWS}
+        runs = {label: members.run(model, eps) for label, model, eps in M0_ROWS}
         assert calls == [("sce", None), ("ohs", None), ("generalized", 0.25)]
         assert all(failure is None for _, _, failure in runs.values())
         # each run keeps the verdicts that judged it, the ledger closure last
@@ -302,14 +270,13 @@ class TestEpsSweep:
         # sqrt(r) - 1 = 0.037, solved on its own with the sweep's stops, is
         # the OHS run the sweep reads for it
         config = _sweep_config(load_config(CONFIGS / "sweep_eps.yaml"))
-        assert config.n_list == (50.0,) and config.cells_per_decade == 32
+        assert config.n == 50.0 and config.cells_per_decade == 32
         assert config.kernel.family == "singular_product" and config.kernel.sigma == 0.2
         members = MemberTable(config)
-        grid, initial = members.grids[50.0]
-        ohs = members.run("ohs", None, 50.0)[0]
-        assert members.run("generalized", 2.0**-5, 50.0)[0] is ohs
-        member = run_model("generalized", config.kernel, grid, initial, members.stops[-1],
-                           members.stops, eps=2.0**-5)
+        ohs = members.run("ohs", None)[0]
+        assert members.run("generalized", 2.0**-5)[0] is ohs
+        member = run_model("generalized", config.kernel, members.grid, members.initial,
+                           members.stops[-1], members.stops, eps=2.0**-5)
         assert np.array_equal(member.times, ohs.times)
         assert np.array_equal(member.values, ohs.values)
         assert member.outflux == ohs.outflux and member.clipped == ohs.clipped
@@ -318,7 +285,7 @@ class TestEpsSweep:
         # much of the mass sits in the top cell, so a generalized run that
         # drains it faster than the OHS flux through the last gap shows
         grid = make_grid(10.0, 16)
-        cfg = small_config(n_list=(10.0,), profile=_top_loaded,
+        cfg = small_config(n=10.0, profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
@@ -332,7 +299,7 @@ class TestEpsSweep:
         # below sqrt(r) - 1 take the OHS run's step sequence and match it at
         # every snapshot, not only at the horizon
         grid = make_grid(10.0, 16)
-        cfg = small_config(n_list=(10.0,), profile=_top_loaded,
+        cfg = small_config(n=10.0, profile=_top_loaded,
                            eps_list=tuple(2.0 ** (-i) for i in range(11)))
         table = run_eps_sweep(MemberTable(cfg))
         assert not table.failed
@@ -372,57 +339,6 @@ def _below_limit_distances(cfg, grid, snapshot_times):
     return out
 
 
-class TestNSweep:
-    def test_single_n_empty(self):
-        cfg = small_config(n_list=(20.0,), eps_list=(0.5,))
-        assert run_n_sweep(MemberTable(cfg)).rows == []
-
-    def test_doubling_decay(self):
-        # exponential data: the tail mass beyond n decays like e^-n, so the
-        # inter-n distance collapses as n doubles.  Lattice-aligned n values
-        # keep grid staircase mismatch out of the comparison.
-        cpd = 16
-        ns = tuple(10.0 ** (m / cpd) for m in (11, 16, 21))  # ~4.9, 10, ~20.5
-        cfg = small_config(n_list=ns, eps_list=(0.5,),
-                           cells_per_decade=cpd, horizon=0.25)
-        table = run_n_sweep(MemberTable(cfg))
-        dists = [r[3] for r in table.rows]
-        assert len(dists) == 2
-        assert dists[1] < 0.5 * dists[0]
-
-    def test_resolution_refinement_distance(self):
-        # same n, doubled resolution: the inter-solution distance reflects
-        # the scheme/staircase order (roughly halves per doubling)
-        dists = []
-        finals = []
-        for cpd in (16, 32, 64):
-            grid = make_grid(10.0, cpd)
-            initial = sample_initial(ExponentialProfile(), grid)
-            traj = run_model("generalized", ConstantKernel(1.0), grid, initial,
-                             0.5, (0.5,), eps=0.5)
-            finals.append(traj[-1])
-        d1 = overlap_distance(finals[0], finals[1], 0.0)
-        d2 = overlap_distance(finals[1], finals[2], 0.0)
-        assert d2 < 0.7 * d1
-
-    def test_overlap_distance_midpoint_convention(self):
-        g1 = make_grid(10.0, 8)
-        g2 = make_grid(20.0, 8)
-        a = NumberDensity(g1, np.ones(g1.size))
-        b = NumberDensity(g2, np.zeros(g2.size))
-        d = overlap_distance(a, b, 0.0)
-        # independent recomputation on the union of edges in (0.1, 10)
-        edges = np.unique(np.concatenate([
-            g1.edges, g2.edges[(g2.edges >= 0.1) & (g2.edges <= 10.0)]]))
-        mid = np.sqrt(edges[:-1] * edges[1:])
-        expect = float(np.sum((1.0 + mid) * np.diff(edges)))
-        assert d == pytest.approx(expect, rel=1e-12)
-        # same-grid case reduces to the weighted norm of the difference
-        c = NumberDensity(g1, np.full(g1.size, 0.25))
-        assert overlap_distance(a, c, 0.0) == pytest.approx(
-            float(np.sum((1.0 + g1.centers) * 0.75 * g1.widths)), rel=1e-12)
-
-
 class TestAnalyticValidation:
     def test_closed_form_is_initial_at_t0(self):
         mu = np.linspace(0.1, 5, 50)
@@ -437,12 +353,12 @@ class TestAnalyticValidation:
 
     def test_sce_validation_requires_constant_kernel(self):
         cfg = small_config(kernel=SingularProductKernel(k=1.0, sigma=0.2))
-        traj = first_grid_run(cfg, "sce", cfg.horizon, (cfg.horizon,))
+        traj = grid_run(cfg, "sce", cfg.horizon, (cfg.horizon,))
         with pytest.raises(ConfigError):
             validate_sce_constant_kernel(cfg, traj)
 
     def test_sce_validation_reads_a_given_run(self):
-        cfg = small_config(n_list=(30.0,), cells_per_decade=12, horizon=2.0)
+        cfg = small_config(n=30.0, cells_per_decade=12, horizon=2.0)
         grid = make_grid(30.0, 12)
         initial = sample_initial(cfg.profile, grid)
         traj = run_model("sce", cfg.kernel, grid, initial, 2.0, (0.25, 0.5, 1.0, 2.0))
@@ -454,9 +370,9 @@ class TestAnalyticValidation:
             validate_sce_constant_kernel(cfg, traj=traj.select((0.5, 1.0)))
 
     def test_riccati_validators(self):
-        cfg = small_config(n_list=(30.0,), cells_per_decade=24, horizon=2.0)
+        cfg = small_config(n=30.0, cells_per_decade=24, horizon=2.0)
         for model, eps, tol in (("sce", None, 1e-4), ("generalized", 0.25, 1e-4)):
-            traj = first_grid_run(cfg, model, 2.0, CLOSED_FORM_TIMES, eps)
+            traj = grid_run(cfg, model, 2.0, CLOSED_FORM_TIMES, eps)
             rep = validate_m0_riccati(cfg, traj)
             assert max(rep.values()) <= tol
         # the closed form itself, at unit rate and at rate 2
@@ -475,7 +391,7 @@ class TestAnalyticValidation:
 
     def test_mass_conservation_report_ledger_exact(self):
         cfg = small_config(kernel=SingularProductKernel(k=1.0, sigma=0.2),
-                           n_list=(20.0,), horizon=1.0)
+                           n=20.0, horizon=1.0)
         for model, eps in (("generalized", 1.0), ("sce", None), ("ohs", None)):
             rep = mass_report(cfg, model, eps)
             assert rep["max_closure_rel"] <= 1e-8

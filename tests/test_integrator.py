@@ -247,7 +247,7 @@ class TestErrorControl:
         errors = []
         for rtol in (4e-7, 4e-8, 4e-9):
             monkeypatch.setattr(integrator, "RTOL", rtol)
-            traj = experiments.validate_members(config).run("sce", None, config.n_list[0])[0]
+            traj = experiments.validate_members(config).run("sce", None)[0]
             errors.append(max(experiments.validate_m0_riccati(config, traj).values()))
         assert errors[0] / errors[1] >= 10 ** 0.8 and errors[1] / errors[2] >= 10 ** 0.8
 

@@ -8,7 +8,6 @@ written.
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest

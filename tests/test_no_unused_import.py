@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package and its tests is used by its module.
 
 A name that a module imports and never reads is code that nothing needs:
 it is compiled and loaded on every run, and it outlives the code that
@@ -10,7 +10,8 @@ file, annotations included.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gencoag"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gencoag"
 
 
 def unused_imports(path):
@@ -27,9 +28,9 @@ def unused_imports(path):
 
 
 def test_no_source_file_imports_a_name_it_never_reads():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    found = {path.name: unused_imports(path) for path in sources}
+    sources = sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+    assert any(p.parent == SRC for p in sources) and any(p.parent == TESTS for p in sources)
+    found = {str(path.relative_to(TESTS.parent)): unused_imports(path) for path in sources}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
