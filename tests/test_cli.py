@@ -16,6 +16,7 @@ import gencoag
 from conftest import closed_form_run, mass_report
 from gencoag import (
     ConstantKernel,
+    StiffnessError,
     Trajectory,
     cli,
     diagnostics,
@@ -904,6 +905,56 @@ class TestSweep:
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
         assert_refused(tmp_path, capsys, command, section, f"{command} does not read {key}")
         assert calls == []
+
+    @pytest.mark.parametrize("key, value", [("n_list", [10.0, 20.0]), ("n_sweep", True)])
+    @pytest.mark.parametrize("command", ["simulate", "validate", "check-kernel"])
+    def test_a_removed_sweep_key_is_unknown_to_every_command(self, tmp_path, capsys, monkeypatch,
+                                                              command, key, value):
+        # no command reads the n-study's keys any more: each refuses them as
+        # unknown, not as a key that sweep reads
+        calls = []
+        monkeypatch.setattr(experiments, "run_model", lambda *a, **k: calls.append(a))
+        assert_refused(tmp_path, capsys, command, {"sweep": {key: value}},
+                       f"unknown config key sweep.{key}")
+        assert calls == []
+
+    @pytest.mark.parametrize("n, check", [(10.0, "eps_monotone_n10"), (20.0, "eps_monotone_n20"),
+                                          (12.5, "eps_monotone_n12.5")])
+    def test_every_row_is_on_grid_n(self, tmp_path, n, check):
+        # one grid, grid.n: every row of distances_eps.csv and the check's key name it
+        cfg = write_config(tmp_path, {"grid": {"n": n, "cells_per_decade": 12},
+                                      "sweep": {"eps_list": [1.0, 0.5]}}, command="sweep")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        rows = [line.split(",") for line in
+                (out / "distances_eps.csv").read_text().strip().splitlines()[1:]]
+        assert [(float(eps), float(row_n)) for eps, row_n, _, _ in rows] == [
+            (1.0, n), (1.0, n), (0.5, n), (0.5, n)]
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, schema("summary.schema.json"))
+        assert list(summary["checks"]) == [check] and summary["passed"]
+
+    def test_failed_members_are_on_grid_n(self, tmp_path, monkeypatch):
+        # every generalized member fails its solve: each is marked on grid.n,
+        # no row is written and no check can be formed
+        real = experiments.make_rhs
+
+        def make_rhs(model, kernel, eps=None):
+            if model == "generalized":
+                raise StiffnessError("stiff", time=0.0, dt=1e-3)
+            return real(model, kernel, eps)
+
+        monkeypatch.setattr(experiments, "make_rhs", make_rhs)
+        cfg = write_config(tmp_path, {"grid": {"n": 10.0, "cells_per_decade": 12},
+                                      "sweep": {"eps_list": [1.0, 0.5]}}, command="sweep")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        out = tmp_path / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, schema("summary.schema.json"))
+        assert [(m["eps"], m["n"]) for m in summary["failed_members"]] == [(1.0, 10.0),
+                                                                            (0.5, 10.0)]
+        assert summary["checks"] == {} and not summary["passed"]
+        assert (out / "distances_eps.csv").read_bytes() == b"eps,n,time,distance\r\n"
 
     def test_each_distinct_run_solved_once(self, tmp_path, monkeypatch):
         # sweep_eps.yaml: the OHS run and the five eps at or above sqrt(r) - 1

@@ -22,6 +22,7 @@ from gencoag.cli import _sweep_config, load_config
 from gencoag.experiments import (
     CLOSED_FORM_TIMES,
     M0_ROWS,
+    DistanceTable,
     MemberTable,
     eps_limit_check,
     even_stops,
@@ -225,6 +226,32 @@ class TestMemberTable:
             assert (str(failure), failure.time, failure.dt) == ("stiff", 0.0, 1e-3)
         assert calls == [("generalized", 0.5)]
 
+    def test_initial_data_are_checked_once_before_any_solve(self, monkeypatch):
+        # the one grid's initial data are checked when the table is built,
+        # not per run; generalized at eps = 1 is the SCE run, read, not solved
+        events = []
+        check = experiments.check_initial
+        monkeypatch.setattr(experiments, "check_initial",
+                            lambda *a: events.append("check") or check(*a))
+        real = experiments.run_model
+        monkeypatch.setattr(experiments, "run_model",
+                            lambda model, *a, **k: events.append(model) or real(model, *a, **k))
+        members = MemberTable(small_config(eps_list=(1.0, 0.5)))
+        assert events == ["check"]
+        run_eps_sweep(members)
+        assert members.run("sce", None)[2] is None
+        assert events == ["check", "ohs", "generalized", "generalized"]
+
+    @pytest.mark.parametrize("n, cells_per_decade", [(10.0, 16), (30.0, 12)])
+    def test_the_grid_is_the_configs(self, n, cells_per_decade):
+        cfg = small_config(n=n, cells_per_decade=cells_per_decade)
+        members = MemberTable(cfg)
+        grid = make_grid(n, cells_per_decade)
+        assert np.array_equal(members.grid.edges, grid.edges)
+        assert members.grid.edges[0] == 1.0 / n and members.grid.edges[-1] == n
+        assert members.initial.time == 0.0
+        assert np.array_equal(members.initial.values, sample_initial(cfg.profile, grid).values)
+
     def test_validate_table(self, monkeypatch):
         cfg = small_config(n=30.0, cells_per_decade=12, horizon=1.0)
         members = validate_members(cfg)
@@ -240,6 +267,34 @@ class TestMemberTable:
         assert runs["generalized_eps1"][0] is runs["sce"][0]
         assert runs["generalized_eps0.01"][0] is runs["ohs"][0]
         assert runs["sce"][0].times.tolist() == [0.0, *members.stops]
+
+
+class TestDistanceTable:
+    ROWS = [(1.0, 20.0, 0.0, 0.0), (1.0, 20.0, 0.5, 0.25),
+            (0.5, 20.0, 0.0, 0.0), (0.5, 20.0, 0.5, 0.125)]
+
+    def test_at_time_reads_the_rows_of_one_snapshot(self):
+        table = DistanceTable()
+        table.rows += self.ROWS
+        assert table.at_time(0.5) == {1.0: 0.25, 0.5: 0.125}
+        assert table.at_time(0.0) == {1.0: 0.0, 0.5: 0.0}
+        # a time within rounding of a snapshot reads that snapshot
+        assert table.at_time(0.5 * (1.0 + 1e-12)) == {1.0: 0.25, 0.5: 0.125}
+
+    def test_at_time_off_every_snapshot_is_empty(self):
+        # sweep forms no check from an empty read: no member was measured there
+        table = DistanceTable()
+        assert table.at_time(0.5) == {}
+        table.rows += self.ROWS
+        assert table.at_time(0.25) == {} and table.at_time(0.5 * (1.0 + 1e-6)) == {}
+
+    def test_csv_keeps_the_n_column(self, tmp_path):
+        table = DistanceTable()
+        table.rows += self.ROWS
+        table.write_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes().split(b"\r\n") == [
+            b"eps,n,time,distance", b"1,20,0,0", b"1,20,0.5,0.25",
+            b"0.5,20,0,0", b"0.5,20,0.5,0.125", b""]
 
 
 class TestEpsSweep:
@@ -322,6 +377,17 @@ class TestEpsSweep:
         assert lines[0] == "eps,n,time,distance"
         assert len(lines) == 1 + len(table.rows)
 
+    def test_every_row_is_on_the_configs_grid(self):
+        # members in decreasing eps, each at t = 0 and at every stop, all on n
+        cfg = small_config(n=10.0, eps_list=(0.5, 1.0), horizon=0.25)
+        table = run_eps_sweep(MemberTable(cfg, (0.125, 0.25)))
+        assert not table.failed
+        assert [(eps, n, t) for eps, n, t, _ in table.rows] == [
+            (1.0, 10.0, 0.0), (1.0, 10.0, 0.125), (1.0, 10.0, 0.25),
+            (0.5, 10.0, 0.0), (0.5, 10.0, 0.125), (0.5, 10.0, 0.25)]
+        assert [d for _, _, t, d in table.rows if t == 0.0] == [0.0, 0.0]
+        assert all(d > 0.0 for _, _, t, d in table.rows if t > 0.0)
+
 
 def _below_limit_distances(cfg, grid, snapshot_times):
     """(eps, time, distance to the OHS run) at every snapshot of each
@@ -395,6 +461,17 @@ class TestAnalyticValidation:
         for model, eps in (("generalized", 1.0), ("sce", None), ("ohs", None)):
             rep = mass_report(cfg, model, eps)
             assert rep["max_closure_rel"] <= 1e-8
+
+    @pytest.mark.parametrize("n", [20.0, 30.0])
+    def test_mass_report_thresholds_are_fractions_of_n(self, n):
+        # the flux identities sit at the grid edges nearest n/8, n/4, n/2 and
+        # n, each within half a cell in log size; the last is the top edge
+        cfg = small_config(n=n, cells_per_decade=12, horizon=0.5)
+        lambdas = [f["lambda"] for f in mass_report(cfg, "sce")["flux_identities"]]
+        half_cell = 0.5 * math.log(make_grid(n, 12).ratio())
+        assert len(lambdas) == 4 and lambdas[-1] == n
+        for lam, frac in zip(lambdas, (0.125, 0.25, 0.5, 1.0)):
+            assert abs(math.log(lam / (frac * n))) <= half_cell * (1.0 + 1e-12)
 
 
 class TestMonotonePlateau:
