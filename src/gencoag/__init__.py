@@ -22,8 +22,7 @@ _SOURCE = {
     **dict.fromkeys(("BoundViolation", "ConfigError", "DomainError", "GaugeConstructionError",
                      "GencoagError", "InitialDataError", "StiffnessError"), "errors"),
     **dict.fromkeys(("AdditiveKernel", "Certificate", "ConstantKernel", "Kernel",
-                     "PowerSumKernel", "SingularProductKernel", "kernel_from_config",
-                     "truncate"), "kernels"),
+                     "SingularProductKernel", "kernel_from_config", "truncate"), "kernels"),
     **dict.fromkeys(("ExponentialProfile", "NumberDensity", "SingularPowerProfile", "SizeGrid",
                      "Trajectory", "make_grid", "sample_initial"), "sizedomain"),
     "make_rhs": "operators",

@@ -50,7 +50,7 @@ from . import experiments as exp
 from . import testfuncs
 from .errors import BoundViolation, ConfigError, GencoagError
 from .gauges import build_gauge_from_tail, psi1_tail, psi2_tail, write_gauge_csv
-from .kernels import certificate_bounds, config_number, kernel_from_config
+from .kernels import certificate_bounds, config_number, config_text, kernel_from_config
 from .operators import scheme_bytes
 from .sizedomain import (
     ExponentialProfile,
@@ -96,7 +96,7 @@ def _integer(low=None):
     def parse(value, name):
         if isinstance(value, bool) or not isinstance(value, int) and not (
                 isinstance(value, float) and value.is_integer()):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {config_text(value)}")
         if low is not None and value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
         if value > sys.float_info.max:
@@ -126,7 +126,7 @@ def _kind(accepts, what, why=""):
     def parse(value, name):
         if accepts(value):
             return value
-        raise ConfigError(f"{name} must be {what}, got {value!r}{why}")
+        raise ConfigError(f"{name} must be {what}, got {config_text(value)}{why}")
     return parse
 
 
@@ -136,7 +136,7 @@ def _one_of(*choices):
 
 def _only(section, value, readers, why):
     """The Key of a ``section`` key that takes one value, its default: no setting loosens a check."""
-    accepts = _kind(lambda v: v == value and type(v) is type(value), repr(value), f": {why}")
+    accepts = _kind(lambda v: v == value and type(v) is type(value), config_text(value), f": {why}")
     return Key(lambda got, key: accepts(got, f"{section}.{key}"), value, readers)
 
 
@@ -144,7 +144,7 @@ def _list_of(item):
     """A list whose every item ``item`` parses."""
     def parse(value, name):
         if not isinstance(value, (list, tuple)):  # YAML gives lists; a default may be a tuple
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+            raise ConfigError(f"{name} must be a list, got {config_text(value)}")
         return [item(v, name) for v in value]
     return parse
 
@@ -303,7 +303,7 @@ def _omega_from_name(name):
         if not np.all(np.isfinite(values)):
             raise ValueError("a parameter is not finite")
         return make(*values)
-    except (ValueError, OverflowError) as exc:  # not a number, or not a support bump takes
+    except ValueError as exc:  # not a number, or not a support bump takes
         raise GencoagError(f"test function {name!r}: {exc}")
 
 

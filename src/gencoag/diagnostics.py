@@ -17,7 +17,7 @@ import numpy as np
 from . import testfuncs
 from .errors import ConfigError, DomainError
 from .operators import make_rhs
-from .sizedomain import Trajectory, weight_values, write_csv
+from .sizedomain import Trajectory, write_csv
 
 THETA_SLACK = 1.0e-10
 CLOSURE_TOLERANCE = 1e-13  # of |M1 + outflux + clipped - M1(0)| / M1(0), for every run
@@ -66,7 +66,7 @@ _MOMENT_COLUMNS = ("t", "M_neg2sigma", "M_negsigma", "M0", "M1", "Psi1", "Psi2in
 def moment_table(traj: Trajectory, sigma: float, gauge1, gauge2):
     """Per-snapshot moment series, as a dict of arrays keyed by column name."""
     x, dx = traj.grid.centers, traj.grid.widths
-    weights = [weight_values(x, w, sigma) for w in ("neg_two_sigma", "neg_sigma", "one", "mass")]
+    weights = [x ** (-2.0 * sigma), x ** (-sigma), np.ones_like(x), x]
     cols = {"t": traj.times, **dict(zip(_MOMENT_COLUMNS[1:5], traj.moments(weights)))}
     cols["Psi1"] = traj.moments(gauge1.psi(x))
     scale = x ** (-sigma)  # Psi2int goes one snapshot at a time: no temporary outgrows the block
@@ -86,7 +86,7 @@ def theta_bound_check(traj: Trajectory, sigma: float) -> BoundVerdict:
     margin measures how far the evolution stays inside the bound; a
     trajectory holding only the initial snapshot reports margin 0.
     """
-    series = traj.moments(weight_values(traj.grid.centers, "Y_norm", sigma))
+    series = traj.moments(traj.grid.centers + traj.grid.centers ** (-2.0 * sigma))
     theta = float(series[0])
     evolved = series[1:] if len(series) > 1 else series
     attained = float(evolved.max())
@@ -151,21 +151,19 @@ def moment_monotonicity_check(moments) -> BoundVerdict:
     return BoundVerdict("moment_monotonicity", 0.0, worst, passed)
 
 
-def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
+def weak_form_residual(traj: Trajectory, omegas, kernel, model: str,
                        eps: float | None = None) -> np.ndarray:
-    """|time-integrated weak action - moment change| per snapshot.
+    """|time-integrated weak action - moment change| per test function and snapshot.
 
     The right-hand side evaluates the model's operator once on each snapshot
     and accumulates sum_i omega(x_i) Q_i dx_i by the trapezoidal rule.
-    ``omega`` is a test function's samples at the cell centers, or a stack
-    of samples with one test function per row; a stack gives one row of
-    residuals per test function.
+    ``omegas`` is a stack of test functions' samples at the cell centers,
+    one per row; the residuals have one row per test function.
     """
     grid = traj.grid
-    om = np.asarray(omega, dtype=float)
-    stack = np.atleast_2d(om)
+    stack = np.asarray(omegas, dtype=float)
     if stack.shape[1:] != grid.centers.shape:
-        raise ConfigError("omega must be sampled on the grid")
+        raise ConfigError("omegas must be a stack of samples on the grid, one row each")
     rhs_op = make_rhs(model, kernel, eps)
     values = traj.values
     terms = np.empty_like(values)
@@ -175,8 +173,7 @@ def weak_form_residual(traj: Trajectory, omega, kernel, model: str,
     np.subtract(values, values[0], out=terms)
     terms *= grid.widths
     lhs = np.einsum("ki,ti->kt", terms, stack)
-    residual = np.abs(lhs - _trapezoid(traj.times, actions)).T
-    return residual if om.ndim == 2 else residual[0]
+    return np.abs(lhs - _trapezoid(traj.times, actions)).T
 
 
 def _trapezoid(times, rates) -> np.ndarray:
@@ -184,7 +181,6 @@ def _trapezoid(times, rates) -> np.ndarray:
 
     ``rates`` holds one row per snapshot; each column is integrated alone.
     """
-    rates = np.asarray(rates, dtype=float)
     dt = np.diff(times).reshape((-1,) + (1,) * (rates.ndim - 1))
     out = np.zeros_like(rates)
     out[1:] = np.cumsum(0.5 * dt * (rates[:-1] + rates[1:]), axis=0)

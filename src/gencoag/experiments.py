@@ -106,13 +106,6 @@ def run_model(model: str, kernel: Kernel, grid: SizeGrid, initial: NumberDensity
     return evolve(initial, rhs, stops, observers)
 
 
-def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
-    """Weighted L1 distance with weight mu^(-s) + mu."""
-    if a.grid is not b.grid and not np.array_equal(a.grid.centers, b.grid.centers):
-        raise ConfigError("distance requires a common grid")
-    return float(_weighted_l1(a.grid.centers, a.grid.widths, a.values - b.values, sigma))
-
-
 def _weighted_l1(centers, widths, diff, sigma: float) -> np.ndarray:
     """sum_i (x_i^(-s) + x_i) |diff_i| dx_i, per row of ``diff``."""
     w = centers ** (-sigma) + centers
@@ -281,7 +274,8 @@ def validate_sce_constant_kernel(config: SweepConfig, traj: Trajectory) -> dict:
     errors = {}
     for s in traj[1:]:  # select keeps the first snapshot, t = 0
         exact = sample_initial(lambda mu: sce_constant_kernel_solution(mu, s.time, rate), grid)
-        errors[s.time] = transport_distance(s, exact, config.kernel.sigma)
+        errors[s.time] = float(_weighted_l1(grid.centers, grid.widths, s.values - exact.values,
+                                            config.kernel.sigma))
     return errors
 
 

@@ -111,8 +111,6 @@ def build_gauge_from_tail(r_samples, tail_values) -> ConvexGauge:
         prev_r = r_j
         if r_j >= r[-1]:
             break
-    if len(breakpoints) < 2:
-        raise GaugeConstructionError("tail too short to place any breakpoint")
     return ConvexGauge(breakpoints, dpsi)
 
 

@@ -1,7 +1,8 @@
 """Coagulation kernels: evaluation, separable factors, and the bound constants.
 
-A kernel is a symmetric nonnegative rate Lambda(mu, nu).  The paper's class
-is fixed by (k, sigma, eta): the growth bounds
+A kernel is a symmetric nonnegative rate Lambda(mu, nu), always a power sum
+``Kernel(terms)``, of which the stock families are presets.  The paper's
+class is fixed by (k, sigma, eta): the growth bounds
 
     Lambda(mu, nu) <= k (mu nu)^(-sigma)      on (0,1)^2            (small_small)
     Lambda(mu, nu) <= k  mu nu^(-sigma)       on [1,inf) x (0,1)    (large_small)
@@ -81,85 +82,6 @@ def certificate_bounds(kernel):
         yield CertificateBound(kind, name, regimes, worst.supremum, passed, line)
 
 
-class Kernel:
-    """Symmetric nonnegative coagulation rate with a small-size singularity.
-
-    Parameters
-    ----------
-    sigma : float
-        Singularity exponent near zero size, in [0, 1/2): from 1/2 on, the
-        mu^(-2 sigma) weight of Theta is not integrable against the stock
-        initial profiles, so such a sigma is a :class:`DomainError`.
-
-    ``k`` and ``eta`` are proven by ``certificate`` on first read, from a
-    subclass's ``_suprema``; the base class raises :class:`ConfigError`.
-    """
-
-    family = "user"
-
-    def __init__(self, sigma=0.0):
-        if not (0.0 <= sigma < np.inf):
-            raise DomainError("singularity exponent sigma must be finite and >= 0")
-        if sigma >= 0.5:
-            raise DomainError("sigma must be below 0.5 (mu^(-2*sigma) weight is no longer "
-                              "integrable against the stock initial profiles)")
-        self.sigma = float(sigma)
-
-    @cached_property
-    def certificate(self):
-        """The :class:`Certificate` of this kernel at its sigma."""
-        return Certificate(*self._suprema())
-
-    @property
-    def k(self):
-        return max(r.supremum for r in self.certificate.growth)
-
-    @property
-    def eta(self):
-        return max(r.supremum for r in self.certificate.derivative)
-
-    def _suprema(self):
-        """The :class:`RegimeBound` of each growth regime, and of each side of the diagonal."""
-        raise ConfigError(
-            f"kernel {type(self).__name__} has no certificate of its bound constants; "
-            "override Kernel._suprema to use it"
-        )
-
-    def _rate(self, lo, hi):
-        """Rate on canonically ordered arguments lo <= hi (elementwise)."""
-        raise NotImplementedError
-
-    def eval(self, mu, nu):
-        """Evaluate Lambda(mu, nu).
-
-        Arguments are canonicalized to (min, max) before dispatch, so the
-        symmetry Lambda(mu, nu) == Lambda(nu, mu) holds exactly in floating
-        point.
-        """
-        mu, nu = _positive(mu), _positive(nu)
-        lo = np.minimum(mu, nu)
-        hi = np.maximum(mu, nu)
-        out = self._rate(lo, hi)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def factors(self, x):
-        """Separable factors of the kernel on the lower triangle of ``x``.
-
-        Returns a list of ``(f, g)`` arrays sampled at ``x`` with
-        Lambda(x_m, x_j) = sum_r f_r[m] g_r[j] whenever x_j <= x_m.  Every
-        factor is nonnegative.  The operators run on these factors alone, so
-        every kernel the package builds has them; a subclass that overrides
-        ``_rate`` must override this method as well, and the base class
-        raises :class:`ConfigError`.
-        """
-        raise ConfigError(
-            f"kernel {type(self).__name__} has no separable factors; "
-            "override Kernel.factors to use it"
-        )
-
-
 def _cone(c, alpha, beta, rays):
     """sup of c mu^alpha nu^beta on a cone in log size spanned by ``rays`` from (1, 1):
     c, at the apex, unless the monomial grows along a ray."""
@@ -192,19 +114,28 @@ def _term_sum(name, parts):
     return RegimeBound(name, sum((part[0] for part in parts), 0.0), point, ray)
 
 
-class PowerSumKernel(Kernel):
+class Kernel:
     """Lambda = sum over terms (c, a, b) of c lo^a hi^b, lo = min and hi = max.
 
     Each term gives one separable factor pair (c x^b, x^a) on the lower
-    triangle.  Coefficients must be finite and >= 0, exponents finite.  Over
-    a growth bound, and as a scaled slope, a term is a monomial on a cone in
-    log size except in large_large, whose bound reduces it to one variable.
+    triangle.  Coefficients must be finite and >= 0, exponents finite, and
+    the singularity exponent sigma in [0, 1/2): from 1/2 on, the
+    mu^(-2 sigma) weight of Theta is not integrable against the stock
+    initial profiles.  ``certificate`` proves ``k`` and ``eta`` on first
+    read.  Over a growth bound, and as a scaled slope, a term is a monomial
+    on a cone in log size except in large_large, whose bound reduces it to
+    one variable.
     """
 
     family = "power_sum"
 
     def __init__(self, terms, sigma=0.0):
-        super().__init__(sigma)
+        if not (0.0 <= sigma < np.inf):
+            raise DomainError("singularity exponent sigma must be finite and >= 0")
+        if sigma >= 0.5:
+            raise DomainError("sigma must be below 0.5 (mu^(-2*sigma) weight is no longer "
+                              "integrable against the stock initial profiles)")
+        self.sigma = float(sigma)
         terms = tuple((float(c), float(a), float(b)) for c, a, b in terms)
         if not terms or not all(0.0 <= c < np.inf and np.isfinite(a) and np.isfinite(b)
                                 for c, a, b in terms):
@@ -214,7 +145,21 @@ class PowerSumKernel(Kernel):
             )
         self.terms = terms
 
+    @cached_property
+    def certificate(self):
+        """The :class:`Certificate` of this kernel at its sigma."""
+        return Certificate(*self._suprema())
+
+    @property
+    def k(self):
+        return max(r.supremum for r in self.certificate.growth)
+
+    @property
+    def eta(self):
+        return max(r.supremum for r in self.certificate.derivative)
+
     def _suprema(self):
+        """The :class:`RegimeBound` of each growth regime, and of each side of the diagonal."""
         s, down, diagonal = self.sigma, (0.0, -1.0), ((1.0, 1.0), (-1.0, -1.0))
         bounds = {  # mu is hi in the growth regimes, lo in mu_below_nu
             "small_small": lambda c, a, b: _cone(c, b + s, a + s, (down, (-1.0, -1.0))),
@@ -227,27 +172,47 @@ class PowerSumKernel(Kernel):
                  for name, bound in bounds.items()]
         return tuple(found[:3]), tuple(found[3:])
 
+    def eval(self, mu, nu):
+        """Evaluate Lambda(mu, nu).
+
+        Arguments are canonicalized to (min, max) before dispatch, so the
+        symmetry Lambda(mu, nu) == Lambda(nu, mu) holds exactly in floating
+        point.
+        """
+        mu, nu = _positive(mu), _positive(nu)
+        lo = np.minimum(mu, nu)
+        hi = np.maximum(mu, nu)
+        out = self._rate(lo, hi)
+        if out.ndim == 0:
+            return float(out)
+        return out
+
     def _rate(self, lo, hi):
+        """Rate on canonically ordered arguments lo <= hi (elementwise)."""
         return sum(c * lo**a * hi**b for c, a, b in self.terms)
 
     def factors(self, x):
+        """Separable factors of the kernel on the lower triangle of ``x``.
+
+        Returns a list of ``(f, g)`` arrays sampled at ``x`` with
+        Lambda(x_m, x_j) = sum_r f_r[m] g_r[j] whenever x_j <= x_m.  Every
+        factor is nonnegative.  The operators run on these factors alone.
+        """
         x = _positive(x)
         return [(c * x**b, x**a) for c, a, b in self.terms]
 
 
-class ConstantKernel(PowerSumKernel):
+class ConstantKernel(Kernel):
     """Lambda = rate (default 1); k = rate and eta = 0 at every sigma."""
 
     family = "constant"
 
     def __init__(self, rate=1.0, sigma=0.0):
-        if not (0.0 <= rate < np.inf):
-            raise DomainError("constant kernel rate must be finite and >= 0")
         super().__init__([(rate, 0.0, 0.0)], sigma)
         self.rate = float(rate)
 
 
-class SingularProductKernel(PowerSumKernel):
+class SingularProductKernel(Kernel):
     """Lambda = k (mu nu)^(-sigma), with k its coefficient.
 
     It attains its small-size bound identically, and its mu-slope
@@ -261,7 +226,7 @@ class SingularProductKernel(PowerSumKernel):
         super().__init__([(k, -sigma, -sigma)], sigma)
 
 
-class AdditiveKernel(PowerSumKernel):
+class AdditiveKernel(Kernel):
     """Lambda = mu + nu; k = 2, attained at mu = nu = 1, and eta = 0."""
 
     family = "additive"
@@ -289,12 +254,24 @@ _FAMILIES = {
 }
 
 
+def config_text(value):
+    """``value`` as a refusal prints it: as the config file spells it, ``true``, ``false``
+    and ``null`` for Python's True, False and None, at any depth of a list or mapping."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(config_text, value))}]"
+    if isinstance(value, dict):
+        return f"{{{', '.join(f'{config_text(k)}: {config_text(v)}' for k, v in value.items())}}}"
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    return repr(value)
+
+
 def config_number(value, key):
     """``value`` as a finite float >= 0; NaN, inf, an integer beyond a double's range,
     a negative, a boolean or a non-number is a ConfigError that names ``key``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= sys.float_info.max:
         return float(value)
-    raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+    raise ConfigError(f"{key} must be a finite number >= 0, got {config_text(value)}")
 
 
 def kernel_from_config(cfg: dict) -> Kernel:
@@ -313,7 +290,7 @@ def kernel_from_config(cfg: dict) -> Kernel:
             cfg[key] = config_number(cfg[key], key)
     pinned = cfg.pop("k", None) if family != "singular_product" else None
     if not (isinstance(family, str) and family in _FAMILIES):
-        raise ConfigError(f"unknown kernel family {family!r}")
+        raise ConfigError(f"unknown kernel family {config_text(family)}")
     build = _FAMILIES[family]
     try:
         kernel = build(**cfg)

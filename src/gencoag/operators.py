@@ -245,7 +245,7 @@ def make_rhs(model: str, kernel: Kernel, eps: float | None = None):
     ``"sce"`` is the eps = 1 and ``"ohs"`` the eps = 0 pair scheme.  The
     scheme is built once, on the first density the callable receives, and
     serves that density's grid only: a density on another grid is a
-    :class:`ConfigError`, as is a kernel without separable factors.
+    :class:`ConfigError`.
     """
     eps = computed_eps(model, eps)
     scheme = None

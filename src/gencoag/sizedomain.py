@@ -1,4 +1,4 @@
-"""Geometric size grids, cell-averaged number densities, and their moment weights.
+"""Geometric size grids and cell-averaged number densities.
 
 The computational domain is the truncated size axis (1/n, n), discretized
 by a geometric (log-uniform) grid.  Cell centers are geometric means of the
@@ -50,8 +50,6 @@ N_MAX = float(np.finfo(float).max) ** 0.25
 
 #: Rows that ``write_csv`` formats at once.
 CSV_CHUNK_ROWS = 256
-
-_WEIGHTS = ("one", "mass", "neg_sigma", "neg_two_sigma", "Y_norm")
 
 
 def _check_table_bytes(nbytes, what, remedy):
@@ -253,7 +251,6 @@ class SingularPowerProfile:
         if a < 0.0:
             raise InitialDataError("singular power exponent a must be >= 0")
         self.a = float(a)
-        self.sigma = float(sigma)
 
     def __call__(self, mu):
         return mu ** (-self.a) * np.exp(-mu)
@@ -271,21 +268,6 @@ def sample_initial(profile, grid: SizeGrid) -> NumberDensity:
     cell_avg = 0.5 * np.sum(vals * QUAD_WEIGHTS[None, :], axis=1)  # mean of f over the cell
     cell_avg = np.maximum(cell_avg, 0.0)
     return NumberDensity(grid, cell_avg, 0.0)
-
-
-def weight_values(centers, weight: str, sigma: float = 0.0):
-    """Sample one of the stock weights at the given centers."""
-    if weight == "one":
-        return np.ones_like(centers)
-    if weight == "mass":
-        return centers
-    if weight == "neg_sigma":
-        return centers ** (-sigma)
-    if weight == "neg_two_sigma":
-        return centers ** (-2.0 * sigma)
-    if weight == "Y_norm":
-        return centers + centers ** (-2.0 * sigma)
-    raise DomainError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
 
 
 def write_csv(path, names, rows):

@@ -70,7 +70,11 @@ def bump(a, b):
     """
     if not (0.0 < a < b):
         raise ValueError("bump support needs 0 < a < b")
-    span4 = (b - a) ** 4
+    try:
+        span4 = (b - a) ** 4
+    except OverflowError:
+        raise ValueError("bump support is too wide: (b - a)^4 overflows a double "
+                         f"at b - a = {b - a:g}") from None
 
     def val(mu):
         inside = (mu >= a) & (mu <= b)

@@ -4,7 +4,7 @@ from gencoag import (
     AdditiveKernel,
     ConstantKernel,
     ExponentialProfile,
-    PowerSumKernel,
+    Kernel,
     SingularProductKernel,
     make_grid,
     sample_initial,
@@ -49,8 +49,8 @@ def kernel_trio():
 def high_rank_kernel():
     """Five separable factors, more than any stock family has:
     1 + mu + nu + (mu nu)^(-1/5) / 2 + (mu nu)^(1/2) / 4, at sigma = 0.2."""
-    return PowerSumKernel([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0),
-                           (0.5, -0.2, -0.2), (0.25, 0.5, 0.5)], sigma=0.2)
+    return Kernel([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0),
+                   (0.5, -0.2, -0.2), (0.25, 0.5, 0.5)], sigma=0.2)
 
 
 def random_density(grid, rng, scale=1.0):

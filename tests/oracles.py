@@ -3,13 +3,27 @@
 import numpy as np
 
 from gencoag import ConvexGauge, DomainError, Kernel, NumberDensity, SizeGrid, testfuncs
-from gencoag.sizedomain import weight_values
+
+#: name -> the moment weight w(x, sigma) that ``weighted_norm`` reads
+WEIGHTS = {
+    "one": lambda x, sigma: np.ones_like(x),
+    "mass": lambda x, sigma: x,
+    "neg_sigma": lambda x, sigma: x ** (-sigma),
+    "neg_two_sigma": lambda x, sigma: x ** (-2.0 * sigma),
+    "Y_norm": lambda x, sigma: x + x ** (-2.0 * sigma),
+}
 
 
 def weighted_norm(density: NumberDensity, weight: str, sigma: float = 0.0) -> float:
-    """Midpoint moment  sum_i w(x_i) |zeta_i| dx_i  of one density, ``weight`` a stock weight."""
-    w = weight_values(density.grid.centers, weight, sigma)
+    """Midpoint moment  sum_i w(x_i) |zeta_i| dx_i  of one density, ``weight`` a name in WEIGHTS."""
+    w = WEIGHTS[weight](density.grid.centers, sigma)
     return float(np.sum(w * np.abs(density.values) * density.grid.widths))
+
+
+def transport_distance(a: NumberDensity, b: NumberDensity, sigma: float) -> float:
+    """Weighted L1 distance  sum_i (x_i^(-s) + x_i) |a_i - b_i| dx_i  of two densities on one grid."""
+    x, dx = a.grid.centers, a.grid.widths
+    return float(np.sum((x ** (-sigma) + x) * np.abs(a.values - b.values) * dx))
 
 
 def cell_of(grid: SizeGrid, mu: float) -> int:

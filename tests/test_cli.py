@@ -77,7 +77,7 @@ def falling_family(monkeypatch):
     bound holds with k = 1 at sigma = 0.1, but it falls in mu below nu faster than any
     eta (mu nu)^(-sigma) mu^(-1) allows as both grow: the kernel lies outside the class."""
     monkeypatch.setitem(kernels._FAMILIES, "falling",
-                        lambda sigma=0.0: kernels.PowerSumKernel([(1.0, -0.1, 0.0)], sigma))
+                        lambda sigma=0.0: kernels.Kernel([(1.0, -0.1, 0.0)], sigma))
 
 
 def assert_refused(tmp_path, capsys, command, section, message):
@@ -433,8 +433,12 @@ class TestSimulate:
         ({"tim": {"horizon": 0.3}}, "unknown config section [tim]"),
         ({"time": {"horizon": 0.3, "snapshot_times": [0.1, 0.3]}},
          "unknown config key time.snapshot_times"),
-        ({"diagnostics": {"gauges": False}}, "diagnostics.gauges must be True, got False"),
-        ({"diagnostics": {"gauges": 1}}, "diagnostics.gauges must be True, got 1"),
+        ({"diagnostics": {"gauges": False}}, "diagnostics.gauges must be true, got false"),
+        ({"diagnostics": {"gauges": 1}}, "diagnostics.gauges must be true, got 1"),
+        # a refusal spells a value as the config file does
+        ({"run": {"model": None}}, "model must be one of sce, ohs, generalized, got null"),
+        ({"run": {"model": [{"eps": True}, None]}},
+         "model must be one of sce, ohs, generalized, got [{'eps': true}, null]"),
     ])
     def test_unknown_key_exits_1(self, tmp_path, capsys, section, message):
         assert_refused(tmp_path, capsys, "simulate", section, message)
@@ -491,6 +495,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_a_bump_too_wide_for_a_double_says_so(self, tmp_path, capsys):
+        section = {"diagnostics": {"omegas": ["bump:1.0:1e308"]}}
+        assert_refused(tmp_path, capsys, "simulate", section,
+                       "test function 'bump:1.0:1e308': bump support is too wide: "
+                       "(b - a)^4 overflows a double at b - a = 1e+308\n")
 
     def test_tail_fluxes_name_the_edges_of_the_flux_identities(self, tmp_path):
         # both are computed at the grid edge nearest each of n/4, n/2 and n
@@ -813,10 +823,11 @@ class TestSweep:
             self, tmp_path, capsys, monkeypatch, command, directory):
         work = []
         monkeypatch.setattr(experiments, "run_model", lambda *a, **k: work.append(a))
-        monkeypatch.setattr(kernels.PowerSumKernel, "_suprema", lambda self: work.append(self))
+        monkeypatch.setattr(kernels.Kernel, "_suprema", lambda self: work.append(self))
         monkeypatch.chdir(tmp_path)
         assert_refused(tmp_path, capsys, command, {"output": {"directory": directory}},
-                       f"directory must be a string, got {directory!r}")
+                       "directory must be a string, got "
+                       + ("null" if directory is None else repr(directory)))  # as YAML spells it
         assert work == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
@@ -834,9 +845,9 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
-        ({"eps_sweep": "no"}, "sweep.eps_sweep must be True, got 'no'"),
-        ({"eps_sweep": 1}, "sweep.eps_sweep must be True, got 1"),
-        ({"eps_sweep": False}, "sweep.eps_sweep must be True, got False: "
+        ({"eps_sweep": "no"}, "sweep.eps_sweep must be true, got 'no'"),
+        ({"eps_sweep": 1}, "sweep.eps_sweep must be true, got 1"),
+        ({"eps_sweep": False}, "sweep.eps_sweep must be true, got false: "
                                "the eps-study is the one study of sweep"),
         # the n-study and its grid list are gone: a config that sets them is refused
         ({"n_list": [10, 20]}, "unknown config key sweep.n_list"),

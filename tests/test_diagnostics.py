@@ -5,6 +5,7 @@ import pytest
 
 from conftest import high_rank_kernel, kernel_trio
 from gencoag import (
+    ConfigError,
     ConstantKernel,
     ExponentialProfile,
     SingularPowerProfile,
@@ -162,13 +163,13 @@ class TestIdentity:
 class TestWeakFormResidual:
     def test_mass_omega_small(self, const_run):
         grid, kernel, density, traj = const_run
-        res = weak_form_residual(traj, grid.centers, kernel, "generalized", 0.5)
+        res = weak_form_residual(traj, [grid.centers], kernel, "generalized", 0.5)
         # boundary overflow at n=20 costs ~ e^-20; time quadrature ~ 1e-9
         assert np.max(res) <= 1e-6
 
     def test_zero_omega(self, const_run):
         grid, kernel, density, traj = const_run
-        res = weak_form_residual(traj, np.zeros(grid.size), kernel, "generalized", 0.5)
+        res = weak_form_residual(traj, [np.zeros(grid.size)], kernel, "generalized", 0.5)
         assert np.all(res == 0.0)
 
     def test_stacked_omegas_match_single_calls(self, const_run):
@@ -177,7 +178,7 @@ class TestWeakFormResidual:
         stacked = weak_form_residual(traj, omegas, kernel, "generalized", 0.5)
         assert stacked.shape == (3, len(traj))
         for om, row in zip(omegas, stacked):
-            single = weak_form_residual(traj, om, kernel, "generalized", 0.5)
+            (single,) = weak_form_residual(traj, [om], kernel, "generalized", 0.5)
             scale = max(abs(np.sum(om * s.values * grid.widths)) for s in traj)
             assert np.max(np.abs(row - single)) <= 1e-13 * scale
 
@@ -187,8 +188,14 @@ class TestWeakFormResidual:
         density = sample_initial(ExponentialProfile(), grid)
         snaps = np.arange(1, 201) * 1e-3
         traj = run_model("sce", kernel, grid, density, 0.2, snaps)
-        res = weak_form_residual(traj, np.ones(grid.size), kernel, "sce")
+        res = weak_form_residual(traj, [np.ones(grid.size)], kernel, "sce")
         assert np.max(res) <= 1e-6  # trapezoid-in-time error dominates
+
+    def test_only_a_stack_on_the_grid_is_taken(self, const_run):
+        grid, kernel, density, traj = const_run
+        for omegas in (np.ones(grid.size), [np.ones(grid.size - 1)], np.ones((1, 1, grid.size))):
+            with pytest.raises(ConfigError, match="a stack of samples on the grid"):
+                weak_form_residual(traj, omegas, kernel, "generalized", 0.5)
 
 
 class TestAffineTailStudy:
@@ -203,7 +210,7 @@ class TestAffineTailStudy:
             density = sample_initial(ExponentialProfile(), grid)
             traj = run_model("generalized", kernel, grid, density, 0.5,
                              np.linspace(0.1, 0.5, 5), eps=0.5)
-            res = weak_form_residual(traj, om(grid.centers), kernel,
+            res = weak_form_residual(traj, [om(grid.centers)], kernel,
                                      "generalized", 0.5)
             out[n] = float(np.max(res))
         assert all(np.isfinite(v) for v in out.values())
@@ -552,7 +559,8 @@ class TestReport:
             sigma=0.0,
             moments=moment_table(traj, 0.0, gauge1, gauge2),
             verdicts=[theta_bound_check(traj, 0.0)],
-            weak_residuals={"one": weak_form_residual(traj, np.ones(grid.size), kernel, "generalized", 0.5)},
+            weak_residuals={"one": weak_form_residual(traj, [np.ones(grid.size)], kernel,
+                                                      "generalized", 0.5)[0]},
             flux_identities=[mass_flux_identity(traj, grid.n / 2, kernel)],
             tail_fluxes=tail_fluxes(traj, [grid.n / 2], kernel),
             ledger={"M1_initial": 1.0, "outflux_final": 0.0, "clipped_final": 0.0,

@@ -34,7 +34,6 @@ RUNS = [
 ]
 
 _PROBE_USE = "only the benchmark probe, perfbench/probe.py, calls it, to time kernel evaluation"
-_ABSTRACT = "the base class raises here for a subclass that lacks it; every shipped kernel has it"
 _REFUSAL = "reached only when a command refuses its input, which no shipped config does"
 
 #: (module, qualname) -> why no run calls it
@@ -42,9 +41,6 @@ EXEMPT = {
     ("kernels", "truncate"): _PROBE_USE,
     ("kernels", "Kernel.eval"): _PROBE_USE,
     ("kernels", "Kernel._rate"): _PROBE_USE,
-    ("kernels", "PowerSumKernel._rate"): _PROBE_USE,
-    ("kernels", "Kernel._suprema"): _ABSTRACT,
-    ("kernels", "Kernel.factors"): _ABSTRACT,
     ("cli", "_fail"): _REFUSAL,
     ("cli", "_check_keys.<locals>.shown"): _REFUSAL,
     ("errors", "StiffnessError.__init__"): _REFUSAL,

@@ -31,11 +31,11 @@ from gencoag.experiments import (
     run_eps_sweep,
     run_model,
     sce_constant_kernel_solution,
-    transport_distance,
     validate_m0_riccati,
     validate_members,
     validate_sce_constant_kernel,
 )
+from oracles import transport_distance
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -3,7 +3,7 @@
 The paper works on the truncated domain (1/n, n).  The package has no
 kernel mask for it: a grid on [1/n, n] reads the kernel only on [1/n, n]^2.
 This pins that invariant.  While each command runs in process, every
-argument of ``Kernel.eval`` and ``PowerSumKernel.factors`` is recorded,
+argument of ``Kernel.eval`` and ``Kernel.factors`` is recorded,
 and must lie in [1/n, n] of the command's one grid.  The power-sum
 certificates evaluate nothing, so they record nothing.
 """
@@ -51,7 +51,7 @@ def test_every_kernel_read_lies_in_its_grids_box(tmp_path, monkeypatch, command,
     def record(*args):
         reads.extend((np.min(a), np.max(a)) for a in args)
 
-    evaluate, factors = kernels.Kernel.eval, kernels.PowerSumKernel.factors
+    evaluate, factors = kernels.Kernel.eval, kernels.Kernel.factors
 
     def recorded_eval(self, mu, nu):
         record(mu, nu)
@@ -62,7 +62,7 @@ def test_every_kernel_read_lies_in_its_grids_box(tmp_path, monkeypatch, command,
         return factors(self, x)
 
     monkeypatch.setattr(kernels.Kernel, "eval", recorded_eval)
-    monkeypatch.setattr(kernels.PowerSumKernel, "factors", recorded_factors)
+    monkeypatch.setattr(kernels.Kernel, "factors", recorded_factors)
     assert main([command, "--config", str(config(tmp_path, command, family))]) == 0
     assert reads
     assert [(lo, hi) for lo, hi in reads if not 1.0 / N <= lo <= hi <= N] == []

@@ -9,7 +9,6 @@ from gencoag import (
     ConstantKernel,
     DomainError,
     Kernel,
-    PowerSumKernel,
     SingularProductKernel,
     kernel_from_config,
     make_grid,
@@ -91,7 +90,7 @@ class TestCertifyGrowth:
 
     def test_product_kernel_fails(self):
         # Lambda = mu nu gels: Lambda / (mu + nu) grows without bound on the diagonal
-        ker = PowerSumKernel([(1.0, 1.0, 1.0)])
+        ker = Kernel([(1.0, 1.0, 1.0)])
         assert ker.k == np.inf
         large = {r.name: r for r in ker.certificate.growth}["large_large"]
         assert large.supremum == np.inf and large.ray == (1.0, 1.0)
@@ -129,20 +128,11 @@ class TestCertifyGrowth:
 
     def test_large_large_peak_inside_the_regime(self):
         # Lambda = mu^0.8 nu^0 over mu + nu peaks at nu = 1, mu = 4, at 4^0.8 / 5
-        large = PowerSumKernel([(1.0, 0.0, 0.8)]).certificate.growth[2]
+        large = Kernel([(1.0, 0.0, 0.8)]).certificate.growth[2]
         assert large.point == pytest.approx((4.0, 1.0), rel=1e-14)
         assert large.supremum == pytest.approx(4.0**0.8 / 5.0, rel=1e-14)
         mu = np.geomspace(1.0, 1e3, 20001)
         assert np.max(mu**0.8 / (mu + 1.0)) <= large.supremum * (1 + 1e-12)
-
-    def test_kernel_without_a_certificate_is_config_error(self):
-        class Exponential(Kernel):
-            def _rate(self, lo, hi):
-                return np.exp(-(lo + hi))
-
-        for read in ("k", "eta", "certificate"):
-            with pytest.raises(ConfigError, match="no certificate"):
-                getattr(Exponential(), read)
 
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(["constant", "singular_product", "additive"]),
@@ -174,7 +164,7 @@ class TestCertifyDerivative:
 
     def test_decreasing_kernel_with_zero_eta_fails(self):
         # Lambda = lo^-0.1 falls in mu below nu faster than any eta mu^-1 allows as mu -> 0
-        ker = PowerSumKernel([(1.0, -0.1, 0.0)])
+        ker = Kernel([(1.0, -0.1, 0.0)])
         below, above = ker.certificate.derivative
         assert below.supremum == np.inf and below.ray == (-1.0, -1.0)
         assert above.supremum == 0.0 and ker.eta == np.inf
@@ -216,15 +206,6 @@ class TestFactors:
         assert np.all(np.abs(got - expect) <= 1e-14 * expect)
         assert all(np.all(f >= 0.0) and np.all(g >= 0.0) for f, g in factors)
 
-    def test_no_factors(self):
-        class Exponential(Kernel):
-            def _rate(self, lo, hi):
-                return np.exp(-(lo + hi))
-
-        x = np.geomspace(0.2, 5.0, 7)
-        with pytest.raises(ConfigError, match="separable factors"):
-            Exponential().factors(x)
-
     def test_presets_are_bit_equal_to_their_closed_forms(self):
         x = make_grid(50.0, 16).centers
         power = x ** -0.3
@@ -255,7 +236,7 @@ class TestFactors:
     def test_power_sum_terms_validated(self):
         for terms in ([], [(-1.0, 0.0, 0.0)], [(1.0, np.nan, 0.0)], [(np.inf, 0.0, 1.0)]):
             with pytest.raises(DomainError):
-                PowerSumKernel(terms)
+                Kernel(terms)
 
     def test_certified_k_keeps_the_kernel_below_its_sup_bound(self):
         # every regime bound is at most 2 k n^(1+s) on [1/n, n]^2

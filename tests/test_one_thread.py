@@ -24,7 +24,7 @@ SRC = str(Path(gencoag.__file__).resolve().parent.parent)
 EXPORTS = {
     "errors": ["ConfigError", "DomainError", "GaugeConstructionError", "GencoagError",
                "InitialDataError", "StiffnessError"],
-    "kernels": ["AdditiveKernel", "Certificate", "ConstantKernel", "Kernel", "PowerSumKernel",
+    "kernels": ["AdditiveKernel", "Certificate", "ConstantKernel", "Kernel",
                 "SingularProductKernel", "kernel_from_config", "truncate"],
     "sizedomain": ["ExponentialProfile", "NumberDensity", "SingularPowerProfile", "SizeGrid",
                    "Trajectory", "make_grid", "sample_initial"],

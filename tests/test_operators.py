@@ -15,7 +15,6 @@ from gencoag import (
     DomainError,
     Kernel,
     NumberDensity,
-    PowerSumKernel,
     SingularProductKernel,
     evolve,
     make_grid,
@@ -83,11 +82,10 @@ def paper_class_kernels(sigma=0.2):
     third = 1.0 / 3.0
     return [
         # Brownian: (mu^1/3 + nu^1/3)(mu^-1/3 + nu^-1/3)
-        PowerSumKernel([(2.0, 0.0, 0.0), (1.0, third, -third), (1.0, -third, third)],
-                       sigma=third),
+        Kernel([(2.0, 0.0, 0.0), (1.0, third, -third), (1.0, -third, third)], sigma=third),
         # (1 + mu + nu)(mu nu)^-sigma
-        PowerSumKernel([(1.0, -sigma, -sigma), (1.0, 1.0 - sigma, -sigma),
-                        (1.0, -sigma, 1.0 - sigma)], sigma=sigma),
+        Kernel([(1.0, -sigma, -sigma), (1.0, 1.0 - sigma, -sigma),
+                (1.0, -sigma, 1.0 - sigma)], sigma=sigma),
     ]
 
 
@@ -99,7 +97,7 @@ def random_power_sum(rng, terms):
     """A power-sum kernel of ``terms`` random terms c lo^a hi^b, about one in five of them 0."""
     c = rng.random(terms) * (rng.random(terms) < 0.8)
     a, b = rng.uniform(-0.5, 1.0, (2, terms))
-    return PowerSumKernel(list(zip(c, a, b)))
+    return Kernel(list(zip(c, a, b)))
 
 
 class TestGeneralizedRhs:
@@ -413,15 +411,6 @@ class TestMakeRhs:
             scale = max(np.max(np.abs(ref_dz)), 1e-300)
             assert np.max(np.abs(dzdt - ref_dz)) <= 1e-12 * scale
             assert outflux == pytest.approx(ref_out, rel=1e-12, abs=1e-300)
-
-    def test_kernel_without_factors_is_config_error(self, grid30):
-        class Exponential(Kernel):
-            def _rate(self, lo, hi):
-                return np.exp(-0.1 * (lo + hi))
-
-        rhs = make_rhs("generalized", Exponential(), 0.5)
-        with pytest.raises(ConfigError, match="separable factors"):
-            rhs(NumberDensity(grid30, np.ones(grid30.size)))
 
     def test_bad_model_and_eps_rejected_before_any_density(self, const_kernel):
         with pytest.raises(ConfigError):

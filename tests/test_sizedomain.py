@@ -19,14 +19,12 @@ from gencoag import (
     sample_initial,
 )
 from gencoag.sizedomain import (
-    _WEIGHTS,
     QUAD_NODES,
     QUAD_WEIGHTS,
-    weight_values,
     write_csv,
     write_snapshot_csv,
 )
-from oracles import weighted_norm
+from oracles import WEIGHTS, weighted_norm
 
 
 class TestMakeGrid:
@@ -176,11 +174,6 @@ class TestWeightedNorm:
         oracle, _ = quad(lambda m: m ** (-0.4) * np.exp(-m), 0.1, 10.0)
         assert weighted_norm(d10, "neg_two_sigma", sigma=0.2) == pytest.approx(oracle, rel=2e-3)
 
-    def test_unknown_weight(self):
-        g = make_grid(10.0, 8)
-        with pytest.raises(DomainError, match="unknown weight 'bogus'"):
-            weight_values(g.centers, "bogus")
-
     @settings(max_examples=50, deadline=None)
     @given(scale=st.floats(0.1, 10.0), add=st.floats(0.0, 5.0))
     def test_linearity_and_monotonicity(self, scale, add):
@@ -274,10 +267,10 @@ class TestTrajectoryMatrix:
         for n, cells_per_decade in ((10.0, 8), (30.0, 16), (100.0, 128), (100.0, 768)):
             g = make_grid(n, cells_per_decade)
             traj = random_trajectory(g)
-            weights = [weight_values(g.centers, w, 0.2) for w in _WEIGHTS]
+            weights = [weight(g.centers, 0.2) for weight in WEIGHTS.values()]
             stacked = traj.moments(weights)
-            assert stacked.shape == (len(_WEIGHTS), len(traj))
-            for name, w, row in zip(_WEIGHTS, weights, stacked):
+            assert stacked.shape == (len(WEIGHTS), len(traj))
+            for name, w, row in zip(WEIGHTS, weights, stacked):
                 expect = np.array([weighted_norm(s, name, 0.2) for s in traj])
                 assert np.array_equal(traj.moments(w), expect)
                 assert np.array_equal(row, expect)
