@@ -238,6 +238,28 @@ class TestFactors:
             with pytest.raises(DomainError):
                 Kernel(terms)
 
+    def test_power_sum_sigma_validated(self):
+        # the sigma guard is the power sum's own, not only its presets'
+        for sigma in (0.5, 0.6, -0.1, np.nan, np.inf):
+            with pytest.raises(DomainError, match="sigma"):
+                Kernel([(1.0, 0.0, 0.0)], sigma=sigma)
+        assert Kernel([(1.0, 0.0, 0.0)], sigma=0.49).sigma == 0.49
+
+    @pytest.mark.parametrize("preset", [
+        ConstantKernel(2.5, sigma=0.1),
+        SingularProductKernel(k=1.3, sigma=0.3),
+        AdditiveKernel(sigma=0.2),
+    ], ids=lambda p: p.family)
+    def test_a_preset_is_only_its_terms(self, preset):
+        # a stock family adds a name to its power sum and nothing else
+        bare = Kernel(preset.terms, sigma=preset.sigma)
+        assert bare.family == "power_sum" != preset.family
+        assert (bare.certificate, bare.k, bare.eta) == (preset.certificate, preset.k, preset.eta)
+        x = make_grid(50.0, 16).centers
+        assert np.array_equal(bare.eval(x[:, None], x[None, :]), preset.eval(x[:, None], x[None, :]))
+        for (f, g), (fp, gp) in zip(bare.factors(x), preset.factors(x), strict=True):
+            assert np.array_equal(f, fp) and np.array_equal(g, gp)
+
     def test_certified_k_keeps_the_kernel_below_its_sup_bound(self):
         # every regime bound is at most 2 k n^(1+s) on [1/n, n]^2
         for base in (ConstantKernel(100.0, sigma=0.3), SingularProductKernel(k=5.0, sigma=0.4),
